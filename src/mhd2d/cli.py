@@ -278,9 +278,12 @@ def _build_initial(spec: str, grid, modes, errors):
         toks = term.split()
         kw = dict(tok.split("=", 1) for tok in toks[1:] if "=" in tok)
         if toks[0] == "bump":
-            f = f + stream_bump(
-                grid, float(kw.get("amp", 1.0)), int(kw.get("kx", 1)), int(kw.get("ky", 1))
-            )
+            try:
+                amp, kx, ky = float(kw.get("amp", 1.0)), int(kw.get("kx", 1)), int(kw.get("ky", 1))
+            except ValueError as exc:
+                errors.append(f"initial: term {term!r}: {exc}")
+                continue
+            f = f + stream_bump(grid, amp, kx, ky)
         elif toks[0] == "matched":
             for m in modes:
                 if m.kind in ("stream", "constant"):

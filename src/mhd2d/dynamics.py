@@ -4,17 +4,23 @@ velocity step, damped outer fixed point, and the driving `run` loop.
 One step advances (u, b, p) by dt with implicit Euler diffusion.  The
 magnetic solve treats transport by the frozen velocity implicitly and
 lags the stretching term through a Picard iteration whose contraction
-ratio is measured and reported.  The velocity solve is a monolithic
-implicit Stokes system (or a Galerkin coefficient update when a velocity
-eigenbasis truncation is configured); its nonlinear terms are lagged.
-The outer loop alternates the two solves until successive velocity
-iterates agree.
+ratio is measured and reported.  The transport operator is factored once
+per step at the step's start velocity u^n; an outer iterate ubar reuses
+that factorization and lags the difference (ubar - u^n)·grad b in the
+same Picard loop, so the fixed point is the implicit-transport solution
+at ubar (and the first outer iterate is exactly the implicit solve).
+The velocity solve is a monolithic implicit Stokes system (or a Galerkin
+coefficient update when a velocity eigenbasis truncation is configured);
+its nonlinear terms are lagged.  The outer loop alternates the two solves
+until successive velocity iterates agree.  The boundary data at the new
+time is looked up once per step.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +48,7 @@ __all__ = [
     "SolverConfig",
     "SimState",
     "StepReport",
+    "TransportPair",
     "Forcing",
     "CompatReport",
     "compatibility_check",
@@ -87,6 +94,8 @@ class SolverConfig:
         bad = []
         if self.nx < 4 or self.ny < 4:
             bad.append("grid.nx/grid.ny must be >= 4")
+        if self.nx != self.ny:
+            bad.append("grid.nx must equal grid.ny (boundary traces use uniform arc-length nodes)")
         if not self.dt > 0:
             bad.append("time.dt must be positive")
         if self.t_final < self.dt:
@@ -136,6 +145,14 @@ class StepReport:
     outer_residual: float = 0.0
     div_b_before_clean: float = 0.0
     cleaned: bool = False
+
+
+class TransportPair(NamedTuple):
+    """x/y magnetic transport operators factored at the advecting velocity u_ref."""
+
+    u_ref: VectorField
+    x: TransportOperator
+    y: TransportOperator
 
 
 @dataclass
@@ -245,19 +262,49 @@ class Stepper:
             )
         return self._heat_ops
 
-    def b_step(self, u_frozen: VectorField, b_prev: VectorField, t_prev: float):
-        """One implicit magnetic step; transport implicit, stretching lagged."""
+    def transport_operators(self, u_ref: VectorField) -> TransportPair:
+        """The x/y magnetic transport pair factored at the advecting velocity u_ref."""
+        if l2_norm_sq(u_ref) == 0.0:
+            return TransportPair(u_ref, *self._heat_operators())
+        inv_dt, kappa = 1.0 / self.cfg.dt, 1.0 / self.cfg.rm
+        return TransportPair(
+            u_ref,
+            TransportOperator(self.grid, "x", u_ref, inv_dt, kappa),
+            TransportOperator(self.grid, "y", u_ref, inv_dt, kappa),
+        )
+
+    def b_step(
+        self,
+        u_frozen: VectorField,
+        b_prev: VectorField,
+        t_prev: float,
+        bc: VectorBC | None = None,
+        transport: TransportPair | None = None,
+    ):
+        """One implicit magnetic step; transport implicit, stretching lagged.
+
+        ``transport`` reuses a pair factored at another velocity u_ref; the
+        transport by u_frozen - u_ref is then lagged next to the stretching
+        term, which leaves the Picard fixed point unchanged.  Without it a
+        pair is factored at u_frozen.  ``bc`` is the boundary data at the
+        new time (looked up when omitted).
+        """
         cfg = self.cfg
         dt = cfg.dt
         t_next = t_prev + dt
-        bc = self.trace.vector_bc(t_next)
-        kappa = 1.0 / cfg.rm
+        if bc is None:
+            bc = self.trace.vector_bc(t_next)
+        if transport is None:
+            transport = self.transport_operators(u_frozen)
+        opx, opy = transport.x, transport.y
+        shift = None  # u_frozen - u_ref, None when exactly zero
+        if not (
+            np.array_equal(u_frozen.x, transport.u_ref.x)
+            and np.array_equal(u_frozen.y, transport.u_ref.y)
+        ):
+            shift = u_frozen - transport.u_ref
         pure_heat = l2_norm_sq(u_frozen) == 0.0
-        if pure_heat:
-            opx, opy = self._heat_operators()
-        else:
-            opx = TransportOperator(self.grid, "x", u_frozen, 1.0 / dt, kappa)
-            opy = TransportOperator(self.grid, "y", u_frozen, 1.0 / dt, kappa)
+        exact = pure_heat and shift is None  # nothing lagged: one solve is exact
         rhs_x = b_prev.x / dt
         rhs_y = b_prev.y / dt
         fb = self.forcing.b_at(self.grid, t_next)
@@ -277,11 +324,14 @@ class Stepper:
             else:
                 lag = convect(cur, u_frozen)  # stretching term with the lagged iterate
                 lag_x, lag_y = lag.x, lag.y
+            if shift is not None:
+                lag = convect(shift, cur, bc)  # transport the operator leaves out
+                lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
             nxt = VectorField(self.grid, opx.solve(rhs_x + lag_x, bc), opy.solve(rhs_y + lag_y, bc))
             res = np.sqrt(l2_norm_sq(nxt - cur))
             residuals.append(res)
             cur = nxt
-            if pure_heat or res <= cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
+            if exact or res <= cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
                 break
         # contraction measured away from the round-off floor
         floor = max(1e-3 * cfg.picard_tol, 1e-13) * (1.0 + np.sqrt(l2_norm_sq(cur)))
@@ -304,16 +354,28 @@ class Stepper:
 
     # -- velocity sub-step -----------------------------------------------------
 
-    def u_step(self, b_frozen: VectorField, u_prev: VectorField, t_prev: float, u_advect=None):
-        """Implicit Stokes (or Galerkin coefficient) velocity update."""
+    def u_step(
+        self,
+        b_frozen: VectorField,
+        u_prev: VectorField,
+        t_prev: float,
+        u_advect=None,
+        bc: VectorBC | None = None,
+    ):
+        """Implicit Stokes (or Galerkin coefficient) velocity update.
+
+        ``bc`` is the magnetic boundary data at the new time (looked up when
+        omitted).
+        """
         cfg = self.cfg
         dt = cfg.dt
         t_next = t_prev + dt
         if u_advect is None:
             u_advect = u_prev
+        if bc is None:
+            bc = self.trace.vector_bc(t_next)
         adv = convect(u_advect, u_prev)
-        bcb = self.trace.vector_bc(t_next)
-        lor = convect(b_frozen, b_frozen, bcb)
+        lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
         fu = self.forcing.u_at(self.grid, t_next)
@@ -344,19 +406,22 @@ class Stepper:
         u_new = state.u
         p_new = state.p
         rep_b = StepReport(dt=cfg.dt)
+        bc = self.trace.vector_bc(state.t + cfg.dt)
         # a magnetically trivial run never needs the transport solve
         skip_b = (
             self._zero_trace and self.forcing.b is None and l2_norm_sq(state.b) == 0.0
         )
+        # factored once per step at u^n; every outer iterate reuses the pair
+        transport = None if skip_b else self.transport_operators(state.u)
 
         def magnetic(ub):
             if skip_b:
                 return state.b, StepReport(dt=cfg.dt)
-            return self.b_step(ub, state.b, state.t)
+            return self.b_step(ub, state.b, state.t, bc=bc, transport=transport)
 
         if cfg.outer_mode == "single_pass":
             b_new, rep_b = magnetic(ubar)
-            u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar)
+            u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc)
             outer_iters, outer_res = 1, 0.0
         else:
             res_prev = np.inf
@@ -365,7 +430,7 @@ class Stepper:
             for k in range(cfg.outer_max_iter):
                 outer_iters = k + 1
                 b_new, rep_b = magnetic(ubar)
-                u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar)
+                u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
                 if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
@@ -461,13 +526,7 @@ def run(
     state = SimState(t0, u0.copy(), b0.copy(), p0.copy() if p0 else ScalarField.zeros(grid))
     ledger = EnergyLedger(strong=cfg.strong_mode)
     h_p = b0.copy() if cfg.strong_mode else None
-    heat_ops = None
-    if cfg.strong_mode:
-        kappa = 1.0 / cfg.rm
-        heat_ops = (
-            TransportOperator(grid, "x", None, 1.0 / cfg.dt, kappa),
-            TransportOperator(grid, "y", None, 1.0 / cfg.dt, kappa),
-        )
+    heat_ops = stepper._heat_operators() if cfg.strong_mode else None
 
     def _record(st):
         h_e = harmonic_extend(trace, st.t)

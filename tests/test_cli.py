@@ -109,6 +109,20 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        MINIMAL.replace("nx = 16", "nx = 32"),
+        MINIMAL + "\n[initial]\nu = bump kx=one\n",
+    ],
+    ids=["non-square-grid", "bad-initial-integer"],
+)
+def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_main_run_determinism(tmp_path):
     text = MINIMAL + """
 [boundary]

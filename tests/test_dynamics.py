@@ -17,6 +17,7 @@ from mhd2d.dynamics import (
 from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
 from mhd2d.lifting import TraceMode, synthesize_trace
+from mhd2d.operators import TransportOperator
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
 
@@ -245,3 +246,50 @@ def test_picard_ratio_never_grows_much_when_dt_halves():
         traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
         vals.append(max(r.contraction_ratio for r in traj.reports))
     assert vals[1] <= 1.05 * vals[0]
+
+
+def test_b_step_reused_pair_matches_fresh_factorization():
+    # an outer iterate ubar != u^n on the pair factored at u^n reaches the
+    # implicit-transport solution at ubar
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    u_n = scen.u0
+    ubar = u_n + stream_bump(u_n.grid, 0.2, 1, 2)
+    reused, rep = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(u_n))
+    fresh, _ = st.b_step(ubar, scen.b0, 0.0)
+    assert rep.picard_iterations > 1
+    tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(fresh)))
+    assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
+
+
+def test_transport_factored_once_per_coupled_step(monkeypatch):
+    builds = []
+    init = TransportOperator.__init__
+
+    def counting(self, grid, comp, a, inv_dt, kappa):
+        if inv_dt != 0.0:  # the harmonic-lift pair has no time term
+            builds.append(comp)
+        init(self, grid, comp, a, inv_dt, kappa)
+
+    monkeypatch.setattr(TransportOperator, "__init__", counting)
+    nsteps = 6
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert sum(r.outer_iterations for r in traj.reports) > nsteps
+    assert len(builds) == 2 * nsteps
+
+
+def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
+    scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode="single_pass")
+    reused, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    b_step_reused = Stepper.b_step
+
+    def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None):
+        return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc)
+
+    monkeypatch.setattr(Stepper, "b_step", refactoring)
+    fresh, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    a, b = reused.final_state, fresh.final_state
+    assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
+    assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
+    assert np.array_equal(a.p.values, b.p.values)
