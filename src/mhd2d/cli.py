@@ -16,7 +16,6 @@ import configparser
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .dynamics import (
@@ -347,7 +346,7 @@ def _experiment_kwargs(rc: RunConfig, name):
     return kw
 
 
-def _cmd_experiment(rc: RunConfig, outdir, threads):
+def _cmd_experiment(rc: RunConfig, outdir):
     if not rc.experiment_ids:
         raise ConfigError(["experiment.id is required for the experiment command"])
     store = None
@@ -361,14 +360,10 @@ def _cmd_experiment(rc: RunConfig, outdir, threads):
             )
         store = CalibrationStore.read(path)
 
-    def one(name):
-        return name, EXPERIMENTS[name](store, **_experiment_kwargs(rc, name))
-
-    if threads > 1 and len(rc.experiment_ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, rc.experiment_ids))
-    else:
-        results = [one(n) for n in rc.experiment_ids]
+    results = [
+        (name, EXPERIMENTS[name](store, **_experiment_kwargs(rc, name)))
+        for name in rc.experiment_ids
+    ]
 
     summary_path = os.path.join(outdir, "summary.csv")
     existing = ""
@@ -417,7 +412,6 @@ def _cmd_basis(rc: RunConfig, outdir):
 
 def main(argv=None) -> int:
     env_out = os.environ.get("MHD_OUTPUT_DIR", ".")
-    env_threads = int(os.environ.get("MHD_THREADS", "1"))
     env_verbose = os.environ.get("MHD_VERBOSE", "") not in ("", "0", "false")
     parser = argparse.ArgumentParser(prog="mhd2d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,7 +419,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the INI config file")
         sp.add_argument("--output-dir", default=env_out)
-        sp.add_argument("--threads", type=int, default=env_threads)
         sp.add_argument("--verbose", action="store_true", default=env_verbose)
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(rc, args.output_dir)
         if args.command == "experiment":
-            return _cmd_experiment(rc, args.output_dir, args.threads)
+            return _cmd_experiment(rc, args.output_dir)
         if args.command == "calibrate":
             return _cmd_calibrate(rc, args.output_dir)
         return _cmd_basis(rc, args.output_dir)

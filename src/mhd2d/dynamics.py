@@ -35,11 +35,19 @@ from .geometry import (
     divergence,
     l2_norm_sq,
 )
-from .lifting import BoundaryTrace, boundary_l2_norm, harmonic_extend
+from .lifting import (
+    BoundaryTrace,
+    boundary_l2_norm,
+    harmonic_extend,
+    heat_step,
+    normal_trace,
+    with_normal_trace,
+)
 from .operators import (
     NeumannPoisson,
     StokesSaddle,
     TransportOperator,
+    heat_pair,
     project_divfree,
 )
 from .spectral import SpectralBasis, project
@@ -88,7 +96,6 @@ class SolverConfig:
     keep_states: bool = False
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
-    seed: int = 0
 
     def validate(self):
         bad = []
@@ -128,7 +135,7 @@ class SimState:
         if abs(float(self.p.values.mean())) >= 1e-12:
             raise ValueError("pressure is not mean-zero")
         if trace is not None:
-            got = _normal_boundary_values(self.b)
+            got = normal_trace(self.b)
             want = trace.normal_values(self.t)
             if boundary_l2_norm(got - want, self.u.grid.dx) >= trace_tol:
                 raise ValueError("magnetic trace does not match the boundary data")
@@ -162,16 +169,11 @@ class Forcing:
     u: object | None = None
     b: object | None = None
 
-    def u_at(self, grid, t):
+    def u_at(self, t):
         return self.u(t) if self.u is not None else None
 
-    def b_at(self, grid, t):
+    def b_at(self, t):
         return self.b(t) if self.b is not None else None
-
-
-def _normal_boundary_values(v: VectorField):
-    # counterclockwise node order: top and left walls run backwards
-    return np.concatenate([-v.y[:, 0], v.x[-1, :], v.y[::-1, -1], -v.x[0, ::-1]])
 
 
 @dataclass
@@ -192,9 +194,9 @@ def compatibility_check(
     t = trace.times[0] if t is None else t
     div_u = float(np.max(np.abs(divergence(u0).values)))
     div_b = float(np.max(np.abs(divergence(b0).values)))
-    u_trace = boundary_l2_norm(_normal_boundary_values(u0), g.dx)
+    u_trace = boundary_l2_norm(normal_trace(u0), g.dx)
     want = trace.normal_values(t)
-    b_trace = boundary_l2_norm(_normal_boundary_values(b0) - want, g.dx)
+    b_trace = boundary_l2_norm(normal_trace(b0) - want, g.dx)
     scale = boundary_l2_norm(want, g.dx)
     flux = trace.net_flux(t)
     ok = bool(
@@ -209,17 +211,8 @@ def compatibility_check(
 
 def _project_compatible(u0, b0, trace, poisson, t):
     """Repair incompatible data: enforce traces, then remove gradient parts."""
-    u0 = u0.copy()
-    u0.x[0, :] = 0.0
-    u0.x[-1, :] = 0.0
-    u0.y[:, 0] = 0.0
-    u0.y[:, -1] = 0.0
-    u0, _ = project_divfree(u0, poisson)
-    b0 = b0.copy()
-    bc = trace.vector_bc(t)
-    b0.x[0, :], b0.x[-1, :] = bc.x_left, bc.x_right
-    b0.y[:, 0], b0.y[:, -1] = bc.y_bottom, bc.y_top
-    b0, _ = project_divfree(b0, poisson)
+    u0, _ = project_divfree(with_normal_trace(u0, VectorBC.zero(u0.grid)), poisson)
+    b0, _ = project_divfree(with_normal_trace(b0, trace.vector_bc(t)), poisson)
     return u0, b0
 
 
@@ -248,25 +241,15 @@ class Stepper:
             self.saddle = None
         else:
             self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re)
-        self._heat_ops = None  # lazily built u=0 magnetic operators
         self._zero_trace = bool(np.all(trace.samples == 0.0))
 
     # -- magnetic sub-step ---------------------------------------------------
 
-    def _heat_operators(self):
-        if self._heat_ops is None:
-            kappa = 1.0 / self.cfg.rm
-            self._heat_ops = (
-                TransportOperator(self.grid, "x", None, 1.0 / self.cfg.dt, kappa),
-                TransportOperator(self.grid, "y", None, 1.0 / self.cfg.dt, kappa),
-            )
-        return self._heat_ops
-
     def transport_operators(self, u_ref: VectorField) -> TransportPair:
         """The x/y magnetic transport pair factored at the advecting velocity u_ref."""
-        if l2_norm_sq(u_ref) == 0.0:
-            return TransportPair(u_ref, *self._heat_operators())
         inv_dt, kappa = 1.0 / self.cfg.dt, 1.0 / self.cfg.rm
+        if l2_norm_sq(u_ref) == 0.0:
+            return TransportPair(u_ref, *heat_pair(self.grid, inv_dt, kappa))
         return TransportPair(
             u_ref,
             TransportOperator(self.grid, "x", u_ref, inv_dt, kappa),
@@ -307,7 +290,7 @@ class Stepper:
         exact = pure_heat and shift is None  # nothing lagged: one solve is exact
         rhs_x = b_prev.x / dt
         rhs_y = b_prev.y / dt
-        fb = self.forcing.b_at(self.grid, t_next)
+        fb = self.forcing.b_at(t_next)
         if fb is not None:
             rhs_x = rhs_x + fb.x
             rhs_y = rhs_y + fb.y
@@ -378,7 +361,7 @@ class Stepper:
         lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
-        fu = self.forcing.u_at(self.grid, t_next)
+        fu = self.forcing.u_at(t_next)
         if fu is not None:
             fx = fx + fu.x
             fy = fy + fu.y
@@ -526,7 +509,6 @@ def run(
     state = SimState(t0, u0.copy(), b0.copy(), p0.copy() if p0 else ScalarField.zeros(grid))
     ledger = EnergyLedger(strong=cfg.strong_mode)
     h_p = b0.copy() if cfg.strong_mode else None
-    heat_ops = stepper._heat_operators() if cfg.strong_mode else None
 
     def _record(st):
         h_e = harmonic_extend(trace, st.t)
@@ -540,12 +522,7 @@ def run(
     for k in range(nsteps):
         state, rep = stepper.coupled_step(state)
         if cfg.strong_mode:
-            bc = trace.vector_bc(state.t)
-            h_p = VectorField(
-                grid,
-                heat_ops[0].solve(h_p.x / cfg.dt, bc),
-                heat_ops[1].solve(h_p.y / cfg.dt, bc),
-            )
+            h_p = heat_step(h_p, cfg.dt, trace.vector_bc(state.t), 1.0 / cfg.rm)
         _record(state)
         times.append(state.t)
         reports.append(rep)

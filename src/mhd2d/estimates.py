@@ -9,8 +9,7 @@ the recorded ledger only; nothing here re-runs the solver.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .geometry import (
     l4_norm,
     linf_norm,
 )
-from .lifting import BoundaryTrace, FractionalNormSpec, hs_norm, hs_norm_dt
+from .lifting import BoundaryTrace, FractionalNormSpec, cumtrapz, hs_norm, hs_norm_dt
 from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, stokes_apply
 
 __all__ = [
@@ -196,30 +195,6 @@ class GronwallBound:
     k_series: np.ndarray | None = None
     omega: np.ndarray | None = None
     phi_strong: np.ndarray | None = None
-    rho0: float | None = None
-    rho1: float | None = None
-    rho2: float | None = None
-    rho3: float | None = None
-    t0: float | None = None
-    t2: float | None = None
-    c_p: float | None = None
-    c_u: float | None = None
-    c_b: float | None = None
-    gamma: float | None = None
-    theta: float = EXPONENTS["theta"]
-    q: float = EXPONENTS["q"]
-    q_n: float = EXPONENTS["q_n"]
-
-    def satisfied(self, rel_tol=1e-2):
-        if self.bound is None or self.trajectory is None:
-            return False
-        return bool(np.all(self.trajectory <= self.bound * (1.0 + rel_tol) + 1e-12))
-
-
-def _cumtrapz(y, t):
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
 
 
 def _ddt(y, t):
@@ -289,11 +264,11 @@ def calibrate_weak_energy(ledger: EnergyLedger, skip=2):
 def gronwall_weak(ledger: EnergyLedger, c: float) -> GronwallBound:
     """Integrated a-priori bound: energy + dissipation <= (e^phi * phi + 1) * psi."""
     t, e, diss, h2, h4, dth2 = _weak_parts(ledger)
-    psi = e[0] + c * _cumtrapz(h2 + dth2 + h4, t)
-    phi = c * _cumtrapz(h4, t)
+    psi = e[0] + c * cumtrapz(h2 + dth2 + h4, t)
+    phi = c * cumtrapz(h4, t)
     bound = (np.exp(phi) * phi + 1.0) * psi
-    trajectory = e + _cumtrapz(diss, t)
-    m_t = float(bound[-1] + c * (_cumtrapz(h2, t)[-1] + _cumtrapz(dth2, t)[-1]))
+    trajectory = e + cumtrapz(diss, t)
+    m_t = float(bound[-1] + c * (cumtrapz(h2, t)[-1] + cumtrapz(dth2, t)[-1]))
     return GronwallBound(
         times=t, psi=psi, phi=phi, bound=bound, trajectory=trajectory, m_t=m_t
     )
@@ -311,13 +286,13 @@ def strong_energy(ledger: EnergyLedger, c: float) -> tuple[np.ndarray, GronwallB
     h32 = ledger.col("h_H32_Gamma") ** 2
     k = c * low * e1
     margins = _ddt(e1, t) + d2 - k * e1 - c * low * h4 - c * h32
-    omega = e1[0] + c * _cumtrapz(low * h4 + h32, t)
-    phi = _cumtrapz(k, t)
+    omega = e1[0] + c * cumtrapz(low * h4 + h32, t)
+    phi = cumtrapz(k, t)
     # the measured constant can make the exponent astronomically large; the
     # bound is then effectively infinite, so saturate instead of overflowing
     with np.errstate(over="ignore"):
         bound = np.minimum(phi * np.exp(np.minimum(phi, 700.0)) + 1.0, 1e300) * omega
-    trajectory = e1 + _cumtrapz(d2, t)
+    trajectory = e1 + cumtrapz(d2, t)
     gb = GronwallBound(
         times=t,
         bound=bound,
@@ -363,8 +338,6 @@ class AbsorbingRadii:
     window_h2: float
     window_dth2: float
     window_h4: float
-    rho3: float | None = None
-    rho2: float | None = None
 
 
 def window_sup(times, series, width=1.0):
@@ -373,7 +346,7 @@ def window_sup(times, series, width=1.0):
     y = np.asarray(series)
     if t[-1] - t[0] <= width:
         return float(np.trapezoid(y, t))
-    cum = _cumtrapz(y, t)
+    cum = cumtrapz(y, t)
     best = 0.0
     j = 0
     for i in range(len(t)):

@@ -11,20 +11,19 @@ with the same boundary data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError
 from .geometry import (
     Grid,
-    ScalarField,
     VectorBC,
     VectorField,
     grad_norm_sq,
     l2_norm_sq,
 )
-from .operators import TransportOperator, apply_lap_mirror
+from .operators import apply_lap_mirror, heat_pair
 
 __all__ = [
     "BoundaryTrace",
@@ -38,6 +37,11 @@ __all__ = [
     "parabolic_lift",
     "parabolic_estimate_check",
     "boundary_l2_norm",
+    "normal_trace",
+    "with_normal_trace",
+    "heat_step",
+    "cumtrapz",
+    "parabolic_integrals",
 ]
 
 SUPPORTED_EXPONENTS = (-0.5, 0.0, 0.5, 1.5)
@@ -126,15 +130,6 @@ class BoundaryTrace:
         """Boundary closure arrays for a MAC vector field carrying this trace."""
         g = self.grid
         vals = self.values(t)
-        return self._bc_from_values(vals)
-
-    def dt_vector_bc(self, t) -> VectorBC:
-        return self._bc_from_values(self.dt_values(t))
-
-    def _bc_from_values(self, vals):
-        g = self.grid
-        nx, ny = g.nx, g.ny
-        h = self._h
         h1, h2 = vals[:, 0], vals[:, 1]
         xf, yf, xc, yc = g.xf(), g.yf(), g.xc(), g.yc()
         s_bottom_f = xf  # (0,0) corner has s=0
@@ -174,6 +169,27 @@ class BoundaryTrace:
 def boundary_l2_norm(values, h):
     """L2(boundary) norm of per-node values with uniform node weight h."""
     return float(np.sqrt(h * np.sum(np.asarray(values) ** 2)))
+
+
+def normal_trace(v: VectorField):
+    """Outward normal component of v on every wall face, in trace node order."""
+    # counterclockwise node order: top and left walls run backwards
+    return np.concatenate([-v.y[:, 0], v.x[-1, :], v.y[::-1, -1], -v.x[0, ::-1]])
+
+
+def with_normal_trace(v: VectorField, bc: VectorBC) -> VectorField:
+    """Copy of v whose wall-normal faces carry the Dirichlet data bc."""
+    out = v.copy()
+    out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
+    out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
+    return out
+
+
+def cumtrapz(y, t):
+    """Cumulative trapezoid integral of y over t, zero at t[0]."""
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    return out
 
 
 # --- fractional norms ------------------------------------------------------
@@ -360,26 +376,13 @@ def read_trace_csv(grid: Grid, path) -> BoundaryTrace:
 
 # --- harmonic lift -----------------------------------------------------------
 
-_harmonic_ops = {}
-
-
-def _harmonic_operators(grid):
-    key = (grid.nx, grid.ny)
-    if key not in _harmonic_ops:
-        _harmonic_ops[key] = (
-            TransportOperator(grid, "x", None, 0.0, 1.0),
-            TransportOperator(grid, "y", None, 0.0, 1.0),
-        )
-    return _harmonic_ops[key]
-
-
 def harmonic_extend(trace: BoundaryTrace, t) -> VectorField:
     """Componentwise discrete harmonic extension of the trace at time t."""
     return harmonic_extend_bc(trace.grid, trace.vector_bc(t))
 
 
 def harmonic_extend_bc(grid: Grid, bc: VectorBC) -> VectorField:
-    opx, opy = _harmonic_operators(grid)
+    opx, opy = heat_pair(grid, 0.0, 1.0)
     hx = opx.solve(np.zeros(grid.shape_xface()), bc)
     hy = opy.solve(np.zeros(grid.shape_yface()), bc)
     return VectorField(grid, hx, hy)
@@ -460,14 +463,16 @@ class ParabolicRun:
 def check_compatibility_trace(b0: VectorField, trace: BoundaryTrace, tol_factor=1e-8):
     """Compatibility of initial data with the trace at t=0 (normal components)."""
     g = b0.grid
-    t0 = trace.times[0]
-    nx, ny = g.nx, g.ny
-    # counterclockwise node order: top and left walls run backwards
-    got = np.concatenate([-b0.y[:, 0], b0.x[-1, :], b0.y[::-1, -1], -b0.x[0, ::-1]])
-    want = trace.normal_values(t0)
-    res = boundary_l2_norm(got - want, g.dx)
+    want = trace.normal_values(trace.times[0])
+    res = boundary_l2_norm(normal_trace(b0) - want, g.dx)
     scale = boundary_l2_norm(want, g.dx)
     return res, res <= tol_factor * (1.0 + scale)
+
+
+def heat_step(b: VectorField, dt: float, bc: VectorBC, kappa: float) -> VectorField:
+    """One implicit-Euler step of the vector heat flow with Dirichlet data bc."""
+    opx, opy = heat_pair(b.grid, 1.0 / dt, kappa)
+    return VectorField(b.grid, opx.solve(b.x / dt, bc), opy.solve(b.y / dt, bc))
 
 
 def parabolic_lift(
@@ -479,7 +484,6 @@ def parabolic_lift(
     on_incompatible: str = "reject",
 ) -> ParabolicRun:
     """Implicit-Euler heat flow with the trace as Dirichlet data."""
-    g = b0.grid
     res, ok = check_compatibility_trace(b0, trace)
     if not ok:
         if on_incompatible == "reject":
@@ -487,24 +491,16 @@ def parabolic_lift(
                 f"initial data does not match trace at t=0 (residual {res:.3e})"
             )
         # warn-and-project: overwrite the wall-normal faces with the trace
-        b0 = b0.copy()
-        bc0 = trace.vector_bc(trace.times[0])
-        b0.x[0, :], b0.x[-1, :] = bc0.x_left, bc0.x_right
-        b0.y[:, 0], b0.y[:, -1] = bc0.y_bottom, bc0.y_top
-    opx = TransportOperator(g, "x", None, 1.0 / dt, kappa)
-    opy = TransportOperator(g, "y", None, 1.0 / dt, kappa)
+        b0 = with_normal_trace(b0, trace.vector_bc(trace.times[0]))
     nsteps = int(round(horizon / dt))
     times = [trace.times[0]]
-    fields = [b0.copy()]
     cur = b0.copy()
+    fields = [cur]
     for k in range(nsteps):
         t_next = trace.times[0] + (k + 1) * dt
-        bc = trace.vector_bc(t_next)
-        nx_arr = opx.solve(cur.x / dt, bc)
-        ny_arr = opy.solve(cur.y / dt, bc)
-        cur = VectorField(g, nx_arr, ny_arr)
+        cur = heat_step(cur, dt, trace.vector_bc(t_next), kappa)  # a new field
         times.append(t_next)
-        fields.append(cur.copy())
+        fields.append(cur)
     times = np.array(times)
     spec12 = FractionalNormSpec(0.5)
     spec32 = FractionalNormSpec(1.5)
@@ -531,8 +527,8 @@ def parabolic_lift(
         np.array(h12),
         np.array(h32),
         np.array(dhm),
-        l2_norm_sq(b0),
-        l2_norm_sq(b0) + grad_norm_sq(b0, trace.vector_bc(trace.times[0])),
+        l2s[0],
+        h1s[0],
     )
 
 
@@ -544,14 +540,27 @@ class ParabolicReport:
     c_strong: float
 
 
+def parabolic_integrals(run: ParabolicRun):
+    """Left-hand sides and source integrals of the two parabolic estimates.
+
+    Returns (weak_lhs, weak_src, strong_lhs, strong_src) over run.times:
+    ||h_p||^2 + int ||grad h_p||^2 against int ||h||^2_{H1/2}, and
+    ||h_p||^2_{H1} + int ||Lap h_p||^2 against
+    int (||dt h||^2_{H-1/2} + ||h||^2_{H3/2}).  Each estimate reads
+    lhs - ||h_p(0)||^2 <= c * src.
+    """
+    t = run.times
+    return (
+        run.l2_sq + cumtrapz(run.grad_sq, t),
+        cumtrapz(run.h_h12_sq, t),
+        run.h1_sq + cumtrapz(run.lap_sq, t),
+        cumtrapz(run.dth_hm12_sq + run.h_h32_sq, t),
+    )
+
+
 def parabolic_estimate_check(run: ParabolicRun, c_weak: float, c_strong: float) -> ParabolicReport:
     """Margins of the two parabolic lifting estimates with calibrated constants."""
-    t = run.times
-    cum_grad = np.concatenate([[0.0], np.cumsum(0.5 * (run.grad_sq[1:] + run.grad_sq[:-1]) * np.diff(t))])
-    cum_h12 = np.concatenate([[0.0], np.cumsum(0.5 * (run.h_h12_sq[1:] + run.h_h12_sq[:-1]) * np.diff(t))])
-    weak = np.max(run.l2_sq + cum_grad - (run.b0_l2_sq + c_weak * cum_h12))
-    cum_h2 = np.concatenate([[0.0], np.cumsum(0.5 * (run.lap_sq[1:] + run.lap_sq[:-1]) * np.diff(t))])
-    src = run.dth_hm12_sq + run.h_h32_sq
-    cum_src = np.concatenate([[0.0], np.cumsum(0.5 * (src[1:] + src[:-1]) * np.diff(t))])
-    strong = np.max(run.h1_sq + cum_h2 - (run.b0_h1_sq + c_strong * cum_src))
+    weak_lhs, weak_src, strong_lhs, strong_src = parabolic_integrals(run)
+    weak = np.max(weak_lhs - (run.b0_l2_sq + c_weak * weak_src))
+    strong = np.max(strong_lhs - (run.b0_h1_sq + c_strong * strong_src))
     return ParabolicReport(float(weak), float(strong), c_weak, c_strong)

@@ -11,6 +11,8 @@ Index conventions: all 2D arrays are raveled in C order (x-index major).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -29,6 +31,7 @@ __all__ = [
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
+    "heat_pair",
     "NeumannPoisson",
     "StokesSaddle",
     "stokes_apply",
@@ -286,7 +289,6 @@ class TransportOperator:
     def rhs_boundary(self, bc: VectorBC):
         """Boundary contributions to the right-hand side on the full array."""
         g = self.grid
-        nx, ny = g.nx, g.ny
         dx, dy = g.dx, g.dy
         k = self.kappa
         r = np.zeros(self.shape)
@@ -328,6 +330,21 @@ class TransportOperator:
         rhs += self.rhs_boundary(bc)
         sol = self._lu.solve(rhs.ravel())
         return sol.reshape(self.shape)
+
+
+@lru_cache(maxsize=8)
+def heat_pair(grid: Grid, inv_dt: float, kappa: float):
+    """The factored x/y pair  inv_dt*I - kappa*Lap  (no advection), memoized.
+
+    ``inv_dt = 0`` gives the harmonic-lift pair, ``inv_dt = 1/dt`` the
+    implicit-Euler heat step of the parabolic lift and of a magnetic step at
+    zero velocity.  A run uses at most two keys (the harmonic pair and one
+    heat pair), so the bound of 8 never evicts within a run.
+    """
+    return (
+        TransportOperator(grid, "x", None, inv_dt, kappa),
+        TransportOperator(grid, "y", None, inv_dt, kappa),
+    )
 
 
 # --- pressure & projection -------------------------------------------------

@@ -20,15 +20,12 @@ import numpy as np
 from .dynamics import Forcing, SolverConfig, run
 from .errors import ExperimentFailure
 from .estimates import (
-    AbsorbingRadii,
     CalibrationStore,
-    EnergyLedger,
     absorbing_radii,
     brezis_gallouet_ratio,
     calibrate_strong_energy,
     calibrate_weak_energy,
     gronwall_weak,
-    normality_eta,
     smallness_gate,
     stokes_regularity_ratio,
     weak_energy_residual,
@@ -51,6 +48,7 @@ from .lifting import (
     hs_norm,
     hs_norm_dt,
     lifting_estimate_check,
+    parabolic_integrals,
     parabolic_lift,
     stream_mode_field,
     synthesize_trace,
@@ -660,17 +658,22 @@ def gronwall_suite(store: CalibrationStore, nx=32, dt=2e-3, t_final=1.0) -> Expe
 
 # --- calibration ------------------------------------------------------------------------
 
+def _sharp_ratio(num, den):
+    """Largest num/den over the instants with den > 1e-14, floored at 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den > 1e-14, num / np.maximum(den, 1e-300), 0.0)
+    return max(0.0, float(np.max(ratio)))
+
+
 def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> CalibrationStore:
     """Measure every unspecified constant on the reference scenarios."""
     store = CalibrationStore()
-    scen = make_scenario("calib-osc", nx=nx, dt=dt, t_final=t_final)
-    traj, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    # one strong-mode run: its weak ledger columns equal a weak-mode run's
+    scen = make_scenario("calib-osc", nx=nx, dt=dt, t_final=t_final, strong_mode=True)
+    _, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     c_weak = calibrate_weak_energy(ledger) * headroom
     store.set("weak_energy_c", c_weak, "calib-osc")
-
-    scen_s = make_scenario("calib-osc", nx=nx, dt=dt, t_final=t_final, strong_mode=True)
-    _, ledger_s = run(scen_s.cfg, scen_s.u0, scen_s.b0, scen_s.trace)
-    store.set("strong_energy_c", calibrate_strong_energy(ledger_s) * headroom, "calib-osc")
+    store.set("strong_energy_c", calibrate_strong_energy(ledger) * headroom, "calib-osc")
 
     lift = lifting_estimate_check(scen.trace, min(0.5, t_final))
     store.set("lifting_c_h1", lift.c_h1 * headroom, "calib-osc")
@@ -682,25 +685,11 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
     prun = parabolic_lift(
         VectorField.zeros(Grid(nx, nx)), scen_p.trace, dt, min(0.5, t_final)
     )
-    cum_h12 = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (prun.h_h12_sq[1:] + prun.h_h12_sq[:-1]) * np.diff(prun.times))]
-    )
-    cum_grad = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (prun.grad_sq[1:] + prun.grad_sq[:-1]) * np.diff(prun.times))]
-    )
-    num = prun.l2_sq + cum_grad - prun.b0_l2_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(cum_h12 > 1e-14, num / np.maximum(cum_h12, 1e-300), 0.0)
-    store.set("parabolic_c_weak", max(0.0, float(np.max(ratio))) * headroom, "calib-osc")
-    src = prun.dth_hm12_sq + prun.h_h32_sq
-    cum_src = np.concatenate([[0.0], np.cumsum(0.5 * (src[1:] + src[:-1]) * np.diff(prun.times))])
-    cum_h2 = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (prun.lap_sq[1:] + prun.lap_sq[:-1]) * np.diff(prun.times))]
-    )
-    num_s = prun.h1_sq + cum_h2 - prun.b0_h1_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_s = np.where(cum_src > 1e-14, num_s / np.maximum(cum_src, 1e-300), 0.0)
-    store.set("parabolic_c_strong", max(0.0, float(np.max(ratio_s))) * headroom, "calib-osc")
+    weak_lhs, weak_src, strong_lhs, strong_src = parabolic_integrals(prun)
+    store.set("parabolic_c_weak", _sharp_ratio(weak_lhs - prun.b0_l2_sq, weak_src) * headroom,
+              "calib-osc")
+    store.set("parabolic_c_strong",
+              _sharp_ratio(strong_lhs - prun.b0_h1_sq, strong_src) * headroom, "calib-osc")
 
     # absorbing-ball constants, probed on the reference small-boundary scenario
     grid = Grid(nx, nx)

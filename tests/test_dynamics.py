@@ -15,6 +15,7 @@ from mhd2d.dynamics import (
     write_checkpoint,
 )
 from mhd2d.errors import CompatibilityError, ConfigError
+from mhd2d.estimates import LEDGER_COLUMNS
 from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
 from mhd2d.lifting import TraceMode, synthesize_trace
 from mhd2d.operators import TransportOperator
@@ -293,3 +294,16 @@ def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
     assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
     assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
     assert np.array_equal(a.p.values, b.p.values)
+
+
+def test_strong_ledger_weak_columns_equal_weak_run():
+    # calibration reads the weak constant off the strong-mode run
+    weak = make_scenario("calib-osc", nx=16, t_final=0.2)
+    strong = make_scenario("calib-osc", nx=16, t_final=0.2, strong_mode=True)
+    _, led_w = run(weak.cfg, weak.u0, weak.b0, weak.trace)
+    _, led_s = run(strong.cfg, strong.u0, strong.b0, strong.trace)
+    strong_only = {"Su_L2_sq", "bhat_H1_sq", "lap_bhat_L2_sq"}
+    assert all(np.max(led_s.col(c)) > 0.0 for c in strong_only)
+    for c in LEDGER_COLUMNS:
+        if c not in strong_only:
+            assert np.array_equal(led_s.col(c), led_w.col(c)), c

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhd2d.dynamics import run as run_mhd
 from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.geometry import Grid, VectorField, l2_norm_sq
 from mhd2d.lifting import (
@@ -19,6 +20,8 @@ from mhd2d.lifting import (
     stream_mode_field,
     synthesize_trace,
 )
+from mhd2d.operators import TransportOperator, heat_pair
+from mhd2d.scenarios import make_scenario
 from mhd2d.spectral import build_laplacian_basis
 
 TIMES = np.arange(0.0, 0.1 + 1e-12, 1e-3)
@@ -221,6 +224,27 @@ def test_parabolic_estimate_margins():
     run = parabolic_lift(b0, tz, 1e-3, 0.05)
     rep = parabolic_estimate_check(run, 1.0, 1.0)
     assert rep.weak_margin <= 1e-10
+
+
+def test_heat_pair_shared_by_strong_run_and_parabolic_lift(monkeypatch):
+    builds = []
+    init = TransportOperator.__init__
+
+    def counting(self, grid, comp, a, inv_dt, kappa):
+        if a is None and inv_dt != 0.0:
+            builds.append(comp)
+        init(self, grid, comp, a, inv_dt, kappa)
+
+    monkeypatch.setattr(TransportOperator, "__init__", counting)
+    heat_pair.cache_clear()
+    dt = 1e-3
+    scen = make_scenario("calib-osc", nx=12, dt=dt, t_final=3 * dt, strong_mode=True)
+    run_mhd(scen.cfg, scen.u0, scen.b0, scen.trace)
+    parabolic_lift(scen.b0, scen.trace, dt, 3 * dt, kappa=1.0 / scen.cfg.rm)
+    assert builds == ["x", "y"]
+    g = scen.cfg.grid()
+    assert heat_pair(g, 1.0 / dt, 1.0) is heat_pair(Grid(12, 12), 1.0 / dt, 1.0)
+    assert heat_pair(g, 0.0, 1.0) is not heat_pair(g, 1.0 / dt, 1.0)
 
 
 def test_compatibility_of_stream_modes():
