@@ -350,10 +350,22 @@ def _trace_series(trace: BoundaryTrace):
     return times, h12_sq, dth_sq, he_l2
 
 
-def _absorbing_modes(variant="reference"):
+ABSORB_HORIZON = 6.0
+
+
+def _absorbing_data(nx, dt, variant):
+    """Grid, trace modes, the trace over the horizon, its series and c_p."""
+    grid = Grid(nx, nx)
     if variant == "reference":
-        return [TraceMode("stream", amplitude=0.02, kx=1, ky=1, envelope="cos", envelope_param=1.0)]
-    return [TraceMode("stream", amplitude=0.015, kx=1, ky=1, envelope="cos", envelope_param=1.5)]
+        modes = [TraceMode("stream", amplitude=0.02, kx=1, ky=1, envelope="cos", envelope_param=1.0)]
+    else:
+        modes = [TraceMode("stream", amplitude=0.015, kx=1, ky=1, envelope="cos", envelope_param=1.5)]
+    tt = np.arange(int(round(ABSORB_HORIZON / dt)) + 1) * dt
+    trace = synthesize_trace(grid, tt, modes)
+    series = _trace_series(trace)
+    c_p = poincare_constants(build_stokes_basis(grid, 1, with_pressure=False),
+                             build_laplacian_basis(grid, 1))[2]
+    return grid, modes, trace, series, c_p
 
 
 def absorbing_experiment(
@@ -373,16 +385,7 @@ def absorbing_experiment(
     rep = _report("absorbing", dict(nx=nx, dt=dt, variant=variant, diam=diam_factor,
                                     strong=strong))
     t_start = time.time()
-    grid = Grid(nx, nx)
-    modes = _absorbing_modes(variant)
-    horizon = 6.0
-    tt = np.arange(int(round(horizon / dt)) + 1) * dt
-    trace = synthesize_trace(grid, tt, modes)
-    times, h12_sq, dth_sq, he_l2 = _trace_series(trace)
-
-    stokes = build_stokes_basis(grid, 1, with_pressure=False)
-    lap = build_laplacian_basis(grid, 1)
-    c_u, c_b, c_p = poincare_constants(stokes, lap)
+    grid, modes, trace, (times, h12_sq, dth_sq, he_l2), c_p = _absorbing_data(nx, dt, variant)
     c1 = store.get("absorb_c1")
     ok_gate, gate_val = smallness_gate(c1, float(np.max(np.sqrt(h12_sq))), c_p)
     rep.check("smallness-gate", "normal-data-gate", gate_val, c_p, ok_gate)
@@ -390,22 +393,11 @@ def absorbing_experiment(
         rep.runtime_s = time.time() - t_start
         return rep
 
-    radii = absorbing_radii(
-        times, h12_sq, dth_sq, he_l2,
-        diam_b=1.0, c_p=c_p,
-        c_tilde=store.get("absorb_c_tilde"),
-        c0=store.get("absorb_c0"),
-        c_omega=store.get("absorb_c_omega"),
-    )
-    diam_b = diam_factor * radii.rho0
-    radii = absorbing_radii(
-        times, h12_sq, dth_sq, he_l2,
-        diam_b=diam_b, c_p=c_p,
-        c_tilde=store.get("absorb_c_tilde"),
-        c0=store.get("absorb_c0"),
-        c_omega=store.get("absorb_c_omega"),
-    )
-    t_run = min(horizon, math.ceil((radii.t0 + 2.2) / dt) * dt)
+    consts = {k: store.get(f"absorb_{k}") for k in ("c_tilde", "c0", "c_omega")}
+    diam_b = diam_factor * absorbing_radii(times, h12_sq, dth_sq, he_l2, diam_b=1.0, c_p=c_p,
+                                           **consts).rho0
+    radii = absorbing_radii(times, h12_sq, dth_sq, he_l2, diam_b=diam_b, c_p=c_p, **consts)
+    t_run = min(ABSORB_HORIZON, math.ceil((radii.t0 + 2.2) / dt) * dt)
 
     # initial data at energy diam_b, boundary-matched
     u_unit = stream_bump(grid, 0.4)
@@ -692,15 +684,8 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
               _sharp_ratio(strong_lhs - prun.b0_h1_sq, strong_src) * headroom, "calib-osc")
 
     # absorbing-ball constants, probed on the reference small-boundary scenario
-    grid = Grid(nx, nx)
-    modes = _absorbing_modes("reference")
-    horizon = 6.0
-    tt = np.arange(int(round(horizon / dt)) + 1) * dt
-    trace = synthesize_trace(grid, tt, modes)
-    times, h12_sq, dth_sq, he_l2 = _trace_series(trace)
-    geom_unit = 1.0 / (1.0 - math.exp(-poincare_constants(
-        build_stokes_basis(grid, 1, with_pressure=False), build_laplacian_basis(grid, 1)
-    )[2]))
+    _, _, _, (times, h12_sq, dth_sq, he_l2), c_p = _absorbing_data(nx, dt, "reference")
+    geom_unit = 1.0 / (1.0 - math.exp(-c_p))
     w_total = (
         window_sup(times, h12_sq)
         + window_sup(times, dth_sq)

@@ -1,4 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
+
+import mhd2d
 
 from conftest import random_divfree, random_zero_trace
 from mhd2d.geometry import (
@@ -143,3 +152,29 @@ def test_stokes_apply_reproduces_eigenpairs():
         su, _ = stokes_apply(xi, poisson)
         res = np.sqrt(l2_norm_sq(su - basis.eigenvalues[i] * xi))
         assert res < 1e-8 * basis.eigenvalues[i]
+
+
+_RELEASE_PROBE = """
+import numpy as np
+import mhd2d
+
+def rss_mib():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmRSS")) / 1024
+
+big = np.ones(2 << 20)  # 16 MiB
+del big
+blocks = [np.ones(1 << 18) for _ in range(8)]  # 8 x 2 MiB
+held = rss_mib()
+del blocks
+print(held - rss_mib())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_freed_factor_sized_blocks_return_to_the_system():
+    """A larger block freed first must not pull 2 MiB blocks into the heap."""
+    src = str(Path(mhd2d.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _RELEASE_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) > 12.0
