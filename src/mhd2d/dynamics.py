@@ -12,8 +12,8 @@ at ubar (and the first outer iterate is exactly the implicit solve).
 The velocity solve is a monolithic implicit Stokes system (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
 its nonlinear terms are lagged.  The outer loop alternates the two solves
-until successive velocity iterates agree.  The boundary data at the new
-time is looked up once per step.
+until successive velocity iterates agree.  The boundary data and the
+body forces at the new time are looked up once per step.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .geometry import (
 from .lifting import (
     BoundaryTrace,
     boundary_l2_norm,
-    harmonic_extend,
+    harmonic_extend_bc,
     heat_step,
     normal_trace,
     with_normal_trace,
@@ -263,14 +263,16 @@ class Stepper:
         t_prev: float,
         bc: VectorBC | None = None,
         transport: TransportPair | None = None,
+        fb: VectorField | None = None,
     ):
         """One implicit magnetic step; transport implicit, stretching lagged.
 
         ``transport`` reuses a pair factored at another velocity u_ref; the
         transport by u_frozen - u_ref is then lagged next to the stretching
         term, which leaves the Picard fixed point unchanged.  Without it a
-        pair is factored at u_frozen.  ``bc`` is the boundary data at the
-        new time (looked up when omitted).
+        pair is factored at u_frozen.  ``bc`` is the boundary data and
+        ``fb`` the magnetic body force at the new time (each looked up when
+        omitted).
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -290,7 +292,8 @@ class Stepper:
         exact = pure_heat and shift is None  # nothing lagged: one solve is exact
         rhs_x = b_prev.x / dt
         rhs_y = b_prev.y / dt
-        fb = self.forcing.b_at(t_next)
+        if fb is None:
+            fb = self.forcing.b_at(t_next)
         if fb is not None:
             rhs_x = rhs_x + fb.x
             rhs_y = rhs_y + fb.y
@@ -344,11 +347,12 @@ class Stepper:
         t_prev: float,
         u_advect=None,
         bc: VectorBC | None = None,
+        fu: VectorField | None = None,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update.
 
-        ``bc`` is the magnetic boundary data at the new time (looked up when
-        omitted).
+        ``bc`` is the magnetic boundary data and ``fu`` the velocity body
+        force at the new time (each looked up when omitted).
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -361,7 +365,8 @@ class Stepper:
         lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
-        fu = self.forcing.u_at(t_next)
+        if fu is None:
+            fu = self.forcing.u_at(t_next)
         if fu is not None:
             fx = fx + fu.x
             fy = fy + fu.y
@@ -389,7 +394,9 @@ class Stepper:
         u_new = state.u
         p_new = state.p
         rep_b = StepReport(dt=cfg.dt)
-        bc = self.trace.vector_bc(state.t + cfg.dt)
+        t_next = state.t + cfg.dt
+        bc = self.trace.vector_bc(t_next)
+        fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
         # a magnetically trivial run never needs the transport solve
         skip_b = (
             self._zero_trace and self.forcing.b is None and l2_norm_sq(state.b) == 0.0
@@ -400,11 +407,11 @@ class Stepper:
         def magnetic(ub):
             if skip_b:
                 return state.b, StepReport(dt=cfg.dt)
-            return self.b_step(ub, state.b, state.t, bc=bc, transport=transport)
+            return self.b_step(ub, state.b, state.t, bc=bc, transport=transport, fb=fb)
 
         if cfg.outer_mode == "single_pass":
             b_new, rep_b = magnetic(ubar)
-            u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc)
+            u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc, fu=fu)
             outer_iters, outer_res = 1, 0.0
         else:
             res_prev = np.inf
@@ -413,7 +420,7 @@ class Stepper:
             for k in range(cfg.outer_max_iter):
                 outer_iters = k + 1
                 b_new, rep_b = magnetic(ubar)
-                u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc)
+                u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc, fu=fu)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
                 if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
@@ -426,7 +433,7 @@ class Stepper:
             else:
                 raise StepFailure(
                     "outer coupling loop did not converge",
-                    t=state.t + cfg.dt,
+                    t=t_next,
                     detail={"residual_history": history},
                 )
 
@@ -445,7 +452,7 @@ class Stepper:
             div_b_before_clean=div_before,
             cleaned=cleaned,
         )
-        return SimState(state.t + cfg.dt, u_new, b_new, p_new), report
+        return SimState(t_next, u_new, b_new, p_new), report
 
 
 # --- module-level single-shot wrappers ---------------------------------------
@@ -510,20 +517,21 @@ def run(
     ledger = EnergyLedger(strong=cfg.strong_mode)
     h_p = b0.copy() if cfg.strong_mode else None
 
-    def _record(st):
-        h_e = harmonic_extend(trace, st.t)
-        record(ledger, st.t, st.u, st.b, trace, h_e, h_p, stepper.poisson)
+    def _record(st, bc):
+        h_e = harmonic_extend_bc(grid, bc)
+        record(ledger, st.t, st.u, st.b, trace, h_e, h_p, stepper.poisson, bc=bc)
 
-    _record(state)
+    _record(state, trace.vector_bc(state.t))
     times = [t0]
     reports = []
     states = [SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy())] if cfg.keep_states else None
     nsteps = int(round((cfg.t_final - t0) / cfg.dt))
     for k in range(nsteps):
         state, rep = stepper.coupled_step(state)
+        bc = trace.vector_bc(state.t)
         if cfg.strong_mode:
-            h_p = heat_step(h_p, cfg.dt, trace.vector_bc(state.t), 1.0 / cfg.rm)
-        _record(state)
+            h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
+        _record(state, bc)
         times.append(state.t)
         reports.append(rep)
         if states is not None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import (
     ScalarField,
+    VectorBC,
     VectorField,
     divergence,
     grad_norm_sq,
@@ -146,9 +147,14 @@ def record(
     h_e: VectorField,
     h_p: VectorField | None = None,
     poisson: NeumannPoisson | None = None,
+    bc: VectorBC | None = None,
 ):
-    """Compute one ledger row from the instantaneous state and its lifts."""
-    bc = trace.vector_bc(t)
+    """Compute one ledger row from the instantaneous state and its lifts.
+
+    ``bc`` is the boundary data at t (looked up when omitted).
+    """
+    if bc is None:
+        bc = trace.vector_bc(t)
     btilde = b - h_e
     row = dict(
         t=t,

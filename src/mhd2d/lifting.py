@@ -11,6 +11,7 @@ with the same boundary data.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,15 @@ class BoundaryTrace:
         self.samples = samples
         self.n_nodes = n
         self._h = grid.dx
+        self._bc_stencil = None
 
     def index_of(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        """Index of the sampled instant nearest t (the earlier one on a tie)."""
+        tt = self.times
+        i = int(np.searchsorted(tt, t))
+        if i > 0 and (i == len(tt) or t - tt[i - 1] <= tt[i] - t):
+            i -= 1
+        if i == len(tt) or not abs(tt[i] - t) <= 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a sampled trace instant")
         return i
 
@@ -110,44 +116,43 @@ class BoundaryTrace:
     def nodes(self):
         return (np.arange(self.n_nodes) + 0.5) * self._h
 
-    def _interp(self, vals, s_query):
-        """Periodic linear interpolation of node values (per component).
+    def _bc_weights(self):
+        """Interpolation weights of the eight VectorBC arrays, computed on first use.
 
-        Exact for traces that are linear in arc length along each wall,
-        second-order for smooth traces; corner values average the two
-        adjacent walls.
+        One (trace component, k0, k1, 1 - w, w) per VectorBC field, in field
+        order; the field is (1 - w) * v[k0] + w * v[k1].  This periodic
+        linear interpolation of node values is exact for traces that are
+        linear in arc length along each wall, second-order for smooth
+        traces; corner values average the two adjacent walls.
         """
-        h = self._h
-        s = np.mod(np.asarray(s_query, dtype=np.float64), 4.0)
-        pos = s / h - 0.5
-        k0 = np.floor(pos).astype(int)
-        w = pos - k0
-        k0 = np.mod(k0, self.n_nodes)
-        k1 = np.mod(k0 + 1, self.n_nodes)
-        return (1.0 - w) * vals[k0] + w * vals[k1]
+        if self._bc_stencil is None:
+            g = self.grid
+            xf, yf, xc, yc = g.xf(), g.yf(), g.xc(), g.yc()
+            arcs = (
+                (0, xf),  # x_bottom; the (0,0) corner has s=0
+                (0, 2.0 + (1.0 - xf)),  # x_top
+                (0, 3.0 + (1.0 - yc)),  # x_left
+                (0, 1.0 + yc),  # x_right
+                (1, xc),  # y_bottom
+                (1, 2.0 + (1.0 - xc)),  # y_top
+                (1, 3.0 + (1.0 - yf)),  # y_left
+                (1, 1.0 + yf),  # y_right
+            )
+            stencil = []
+            for comp, s in arcs:
+                pos = np.mod(s, 4.0) / self._h - 0.5
+                k0 = np.floor(pos).astype(int)
+                w = pos - k0
+                k0 = np.mod(k0, self.n_nodes)
+                stencil.append((comp, k0, np.mod(k0 + 1, self.n_nodes), 1.0 - w, w))
+            self._bc_stencil = stencil
+        return self._bc_stencil
 
     def vector_bc(self, t) -> VectorBC:
         """Boundary closure arrays for a MAC vector field carrying this trace."""
-        g = self.grid
         vals = self.values(t)
-        h1, h2 = vals[:, 0], vals[:, 1]
-        xf, yf, xc, yc = g.xf(), g.yf(), g.xc(), g.yc()
-        s_bottom_f = xf  # (0,0) corner has s=0
-        s_right_c = 1.0 + yc
-        s_right_f = 1.0 + yf
-        s_top_f = 2.0 + (1.0 - xf)
-        s_top_c = 2.0 + (1.0 - xc)
-        s_left_c = 3.0 + (1.0 - yc)
-        s_left_f = 3.0 + (1.0 - yf)
         return VectorBC(
-            x_bottom=self._interp(h1, s_bottom_f),
-            x_top=self._interp(h1, s_top_f),
-            x_left=self._interp(h1, s_left_c),
-            x_right=self._interp(h1, s_right_c),
-            y_bottom=self._interp(h2, xc),
-            y_top=self._interp(h2, s_top_c),
-            y_left=self._interp(h2, s_left_f),
-            y_right=self._interp(h2, s_right_f),
+            *[w0 * vals[k0, c] + w1 * vals[k1, c] for c, k0, k1, w0, w1 in self._bc_weights()]
         )
 
     def normal_values(self, t):
@@ -337,25 +342,43 @@ def stream_mode_field(grid: Grid, mode: TraceMode, t=0.0) -> VectorField:
 
 
 def read_trace_csv(grid: Grid, path) -> BoundaryTrace:
-    """Ingest (time, arclength, h1, h2) rows, strictly sorted."""
+    """Ingest (time, arclength, h1, h2) rows, strictly sorted.
+
+    Every malformed row raises ConfigError naming its line.
+    """
     n = 2 * (grid.nx + grid.ny)
     h = grid.dx
     times = []
     blocks = []
     current_t = None
     block = []
+
+    def close_block(last_ln):
+        if len(block) != n:
+            raise ConfigError(
+                f"{path}: row {last_ln}: instant {current_t!r} has {len(block)} nodes, expected {n}"
+            )
+        blocks.append(block)
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:4]] != ["time", "arclength", "h1", "h2"]:
             raise ConfigError(f"{path}: expected header time,arclength,h1,h2")
         for ln, row in enumerate(reader, start=2):
-            t, s, h1, h2 = (float(v) for v in row[:4])
+            if len(row) < 4:
+                raise ConfigError(f"{path}: row {ln}: expected 4 columns, got {len(row)}")
+            try:
+                t, s, h1, h2 = vals = [float(v) for v in row[:4]]
+            except ValueError:
+                raise ConfigError(f"{path}: row {ln}: non-numeric cell in {row[:4]}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ConfigError(f"{path}: row {ln}: non-finite value in {row[:4]}")
             if current_t is None or t != current_t:
                 if current_t is not None and t <= current_t:
                     raise ConfigError(f"{path}: row {ln}: times not strictly increasing")
                 if block:
-                    blocks.append(block)
+                    close_block(ln - 1)
                 block = []
                 current_t = t
                 times.append(t)
@@ -367,11 +390,10 @@ def read_trace_csv(grid: Grid, path) -> BoundaryTrace:
                 )
             block.append((h1, h2))
         if block:
-            blocks.append(block)
-    samples = np.array(blocks)
-    if samples.ndim != 3 or samples.shape[1] != n:
-        raise ConfigError(f"{path}: expected {n} nodes per instant")
-    return BoundaryTrace(grid, np.array(times), samples)
+            close_block(ln)
+    if not blocks:
+        raise ConfigError(f"{path}: no trace rows after the header")
+    return BoundaryTrace(grid, np.array(times), np.array(blocks))
 
 
 # --- harmonic lift -----------------------------------------------------------
@@ -415,10 +437,9 @@ def lifting_estimate_check(trace: BoundaryTrace, t_end=None) -> LiftingReport:
         raise ValueError("no sampled instants in the requested horizon")
     spec_h = FractionalNormSpec(0.5)
     spec_dt = FractionalNormSpec(-0.5)
-    lifts = [harmonic_extend(trace, t) for t in times]
-    h1 = np.array(
-        [l2_norm_sq(he) + grad_norm_sq(he, trace.vector_bc(t)) for he, t in zip(lifts, times)]
-    )
+    bcs = [trace.vector_bc(t) for t in times]
+    lifts = [harmonic_extend_bc(trace.grid, bc) for bc in bcs]
+    h1 = np.array([l2_norm_sq(he) + grad_norm_sq(he, bc) for he, bc in zip(lifts, bcs)])
     hh = np.array([hs_norm(trace, t, spec_h) ** 2 for t in times])
     if len(times) == 1:
         return LiftingReport(_ratio(h1[0], hh[0]), 0.0, h1[0], hh[0], 0.0, 0.0)

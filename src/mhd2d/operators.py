@@ -12,6 +12,7 @@ Index conventions: all 2D arrays are raveled in C order (x-index major).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,13 +147,97 @@ def apply_lap_mirror_scalar(s: ScalarField, bc=None) -> ScalarField:
 
 # --- implicit transport ----------------------------------------------------
 
+class _Pattern(NamedTuple):
+    """Sparsity structure and column order of one component's transport operator.
+
+    The operator A is factored as B = A[q][:, q] with the natural order, so
+    SuperLU skips COLAMD.  ``slots[g]`` maps each interior unknown to the CSC
+    data position of its stencil entry of group g (diagonal, normal -/+
+    neighbour, tangential -/+ neighbour); a missing tangential neighbour
+    points one past the end.  ``wall`` holds the wall-face diagonals.
+    """
+
+    slots: np.ndarray
+    wall: np.ndarray
+    lo: np.ndarray  # the tangential - neighbour exists
+    hi: np.ndarray  # the tangential + neighbour exists
+    indices: np.ndarray
+    indptr: np.ndarray
+    q: np.ndarray
+    perm: np.ndarray  # inverse of q
+
+
+@lru_cache(maxsize=8)
+def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
+    """Structure and column order shared by every TransportOperator on (grid, comp).
+
+    Advection couples the same neighbours as diffusion, so heat, harmonic
+    and transport operators share one pattern.  The column order is the one
+    a default ``splu`` picks for this pattern (COLAMD, then the elimination
+    tree postorder), which depends on the structure only.
+
+    Row r of A becomes row perm[r] of B, so SuperLU's preference for the
+    diagonal pivot in a tie still names A's diagonal.  Within each column
+    the rows keep A's ascending order, which fixes the order of SuperLU's
+    depth-first searches and hence of its arithmetic.  Both make the
+    numeric factorization of B repeat that of A operation for operation.
+    A run uses two keys per grid, so the bound of 8 never evicts within a run.
+    """
+    nx, ny = grid.nx, grid.ny
+    if comp == "x":
+        n1, n2 = grid.shape_xface()
+        ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
+        tan, n_tan = jj, ny
+        nbrs = ((ii - 1, jj), (ii + 1, jj), (ii, jj - 1), (ii, jj + 1))
+        wi, wj = np.meshgrid(np.array([0, nx]), np.arange(ny), indexing="ij")
+    else:
+        n1, n2 = grid.shape_yface()
+        ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
+        tan, n_tan = ii, nx
+        nbrs = ((ii, jj - 1), (ii, jj + 1), (ii - 1, jj), (ii + 1, jj))
+        wi, wj = np.meshgrid(np.arange(nx), np.array([0, ny]), indexing="ij")
+    lo, hi = tan >= 1, tan <= n_tan - 2
+    rid = ii * n2 + jj
+    cols = np.stack([rid] + [i * n2 + j for i, j in nbrs])
+    cols[3][~lo] = -1
+    cols[4][~hi] = -1
+    keep = cols >= 0
+    wid = (wi * n2 + wj).ravel()
+    r = np.concatenate([np.broadcast_to(rid, cols.shape)[keep], wid])
+    c = np.concatenate([cols[keep], wid])
+    n, nnz = n1 * n2, len(r)
+
+    # any nonsingular matrix with this pattern: strictly diagonally dominant
+    a0 = sp.csc_matrix((np.where(r == c, 5.0, -1.0), (r, c)), shape=(n, n))
+    # a copy: a view of perm_c would keep the whole factorization alive
+    perm = splu(a0).perm_c.astype(np.intp)
+    order = np.lexsort((r, perm[c]))
+    pos = np.empty(nnz, dtype=np.intp)
+    pos[order] = np.arange(nnz)
+    n_int = int(keep.sum())  # entries of the interior rows; the wall rows follow
+    slots = np.full(cols.shape, nnz, dtype=np.intp)
+    slots[keep] = pos[:n_int]
+    return _Pattern(
+        slots=slots,
+        wall=pos[n_int:],
+        lo=lo,
+        hi=hi,
+        indices=perm[r[order]].astype(np.intc),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(perm[c], minlength=n))]).astype(np.intc),
+        q=np.argsort(perm),
+        perm=perm,
+    )
+
+
 class TransportOperator:
     """Implicit operator  inv_dt*I - kappa*Lap + a·grad  on one component grid.
 
     Assembled over the *full* face array of the component; wall faces get
     identity rows so normal Dirichlet data can be imposed directly.  With
     ``a=None`` the advection part is dropped, with ``inv_dt=0`` this is a
-    plain Dirichlet-Laplace solve (used for harmonic extension).
+    plain Dirichlet-Laplace solve (used for harmonic extension).  The
+    structure and column order come from ``_transport_pattern``; a build
+    fills in the values and runs SuperLU's numeric factorization only.
     """
 
     def __init__(self, grid: Grid, comp: str, a: VectorField | None, inv_dt: float, kappa: float):
@@ -168,59 +253,21 @@ class TransportOperator:
             self.shape = grid.shape_yface()
         self._assemble(a)
 
-    # flattened index of entry (i, j) on the component grid
-    def _idx(self, i, j):
-        return i * self.shape[1] + j
-
     def _assemble(self, a):
         g = self.grid
-        nx, ny = g.nx, g.ny
-        dx, dy = g.dx, g.dy
-        n1, n2 = self.shape
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(np.broadcast_to(v, r.shape).ravel())
-
-        if self.comp == "x":
-            ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        else:
-            ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        rid = self._idx(ii, jj)
-
-        # time term
-        diag = np.full(ii.shape, self.inv_dt)
-
-        # diffusion, normal direction (nodal Dirichlet: wall faces are unknowns
-        # with identity rows, so the couplings stay in the matrix)
         k = self.kappa
-        if self.comp == "x":
-            add(rid, self._idx(ii - 1, jj), -k / dx**2)
-            add(rid, self._idx(ii + 1, jj), -k / dx**2)
-            diag = diag + 2.0 * k / dx**2
-            # tangential direction: mirror ghosts at j=0, ny-1
-            interior_j = (jj >= 1) & (jj <= ny - 2)
-            add(rid[interior_j], self._idx(ii, jj - 1)[interior_j], -k / dy**2)
-            add(rid[interior_j], self._idx(ii, jj + 1)[interior_j], -k / dy**2)
-            diag = diag + np.where(interior_j, 2.0 * k / dy**2, 3.0 * k / dy**2)
-            low = jj == 0
-            add(rid[low], self._idx(ii, jj + 1)[low], -k / dy**2)
-            high = jj == ny - 1
-            add(rid[high], self._idx(ii, jj - 1)[high], -k / dy**2)
-        else:
-            add(rid, self._idx(ii, jj - 1), -k / dy**2)
-            add(rid, self._idx(ii, jj + 1), -k / dy**2)
-            diag = diag + 2.0 * k / dy**2
-            interior_i = (ii >= 1) & (ii <= nx - 2)
-            add(rid[interior_i], self._idx(ii - 1, jj)[interior_i], -k / dx**2)
-            add(rid[interior_i], self._idx(ii + 1, jj)[interior_i], -k / dx**2)
-            diag = diag + np.where(interior_i, 2.0 * k / dx**2, 3.0 * k / dx**2)
-            low = ii == 0
-            add(rid[low], self._idx(ii + 1, jj)[low], -k / dx**2)
-            high = ii == nx - 1
-            add(rid[high], self._idx(ii - 1, jj)[high], -k / dx**2)
+        pat = self._pattern = _transport_pattern(g, self.comp)
+        # normal and tangential spacing of this component
+        hn, ht = (g.dx, g.dy) if self.comp == "x" else (g.dy, g.dx)
+
+        # time term and diffusion (nodal Dirichlet in the normal direction:
+        # wall faces are unknowns with identity rows, so the couplings stay
+        # in the matrix; mirror ghosts in the tangential direction)
+        diag = np.full(pat.lo.shape, self.inv_dt)
+        diag = diag + 2.0 * k / hn**2
+        diag = diag + np.where(pat.lo & pat.hi, 2.0 * k / ht**2, 3.0 * k / ht**2)
+        n_lo = n_hi = -k / hn**2
+        t_lo = t_hi = -k / ht**2
 
         # advection (divergence form minus interpolated-divergence correction)
         self._adv_corner = None
@@ -229,62 +276,48 @@ class TransportOperator:
             if self.comp == "x":
                 a1c = 0.5 * (a.x[:-1, :] + a.x[1:, :])  # (nx, ny)
                 a2x = 0.5 * (a.y[:-1, :] + a.y[1:, :])  # (nx-1, ny+1)
-                cr = a1c[ii, jj] / (2 * dx)  # flux through right cell center
-                cl = a1c[ii - 1, jj] / (2 * dx)
-                add(rid, self._idx(ii + 1, jj), cr)
-                add(rid, self._idx(ii - 1, jj), -cl)
-                diag = diag + cr - cl
+                cp = a1c[1:, :] / (2 * g.dx)  # flux through right cell center
+                cm = a1c[:-1, :] / (2 * g.dx)
                 # corner fluxes: interior corner lines only; wall lines go to rhs
-                aup = a2x[ii - 1, jj + 1] / (2 * dy)
-                adn = a2x[ii - 1, jj] / (2 * dy)
-                up_ok = jj + 1 <= ny - 1
-                dn_ok = jj >= 1
-                add(rid[up_ok], self._idx(ii, jj + 1)[up_ok], aup[up_ok])
-                diag = diag + np.where(up_ok, aup, 0.0)
-                add(rid[dn_ok], self._idx(ii, jj - 1)[dn_ok], -adn[dn_ok])
-                diag = diag - np.where(dn_ok, adn, 0.0)
-                sd = 0.5 * (dc[ii - 1, jj] + dc[ii, jj])
-                diag = diag - sd
-                self._adv_corner = ("x", a2x)
+                tp = a2x[:, 1:] / (2 * g.dy)
+                tm = a2x[:, :-1] / (2 * g.dy)
+                sd = 0.5 * (dc[:-1, :] + dc[1:, :])
+                self._adv_corner = a2x
             else:
                 a2c = 0.5 * (a.y[:, :-1] + a.y[:, 1:])  # (nx, ny)
                 a1y = 0.5 * (a.x[:, :-1] + a.x[:, 1:])  # (nx+1, ny-1)
-                cu = a2c[ii, jj] / (2 * dy)
-                cd = a2c[ii, jj - 1] / (2 * dy)
-                add(rid, self._idx(ii, jj + 1), cu)
-                add(rid, self._idx(ii, jj - 1), -cd)
-                diag = diag + cu - cd
-                arr = a1y[ii + 1, jj - 1] / (2 * dx)
-                alf = a1y[ii, jj - 1] / (2 * dx)
-                r_ok = ii + 1 <= nx - 1
-                l_ok = ii >= 1
-                add(rid[r_ok], self._idx(ii + 1, jj)[r_ok], arr[r_ok])
-                diag = diag + np.where(r_ok, arr, 0.0)
-                add(rid[l_ok], self._idx(ii - 1, jj)[l_ok], -alf[l_ok])
-                diag = diag - np.where(l_ok, alf, 0.0)
-                sd = 0.5 * (dc[ii, jj - 1] + dc[ii, jj])
-                diag = diag - sd
-                self._adv_corner = ("y", a1y)
+                cp = a2c[:, 1:] / (2 * g.dy)
+                cm = a2c[:, :-1] / (2 * g.dy)
+                tp = a1y[1:, :] / (2 * g.dx)
+                tm = a1y[:-1, :] / (2 * g.dx)
+                sd = 0.5 * (dc[:, :-1] + dc[:, 1:])
+                self._adv_corner = a1y
+            diag = diag + cp - cm
+            diag = diag + np.where(pat.hi, tp, 0.0)
+            diag = diag - np.where(pat.lo, tm, 0.0)
+            diag = diag - sd
+            # one diffusion plus one advection entry per neighbour: a single
+            # addition, so the sum does not depend on the order of the two
+            n_lo, n_hi, t_lo, t_hi = n_lo - cm, n_hi + cp, t_lo - tm, t_hi + tp
 
-        add(rid, rid, diag)
-
-        # identity rows on wall faces (normal Dirichlet)
-        if self.comp == "x":
-            wi, wj = np.meshgrid(np.array([0, nx]), np.arange(ny), indexing="ij")
-        else:
-            wi, wj = np.meshgrid(np.arange(nx), np.array([0, ny]), indexing="ij")
-        wid = self._idx(wi, wj)
-        add(wid, wid, np.ones(wid.shape))
-
-        n = n1 * n2
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ).tocsc()
+        data = np.empty(len(pat.indices) + 1)  # the extra entry absorbs missing neighbours
+        for slot, v in zip(pat.slots, (diag, n_lo, n_hi, t_lo, t_hi)):
+            data[slot] = v
+        data[pat.wall] = 1.0
+        self._data = data[:-1]
+        m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
+        m.has_canonical_format = True  # keep the row order (see _transport_pattern)
         try:
-            self._lu = splu(m)
+            self._lu = splu(m, permc_spec="NATURAL")
         except RuntimeError as exc:  # pragma: no cover
             raise SolverFailure(f"transport operator factorization failed: {exc}")
-        self.matrix = m
+
+    @property
+    def matrix(self):
+        """The assembled operator on the raveled full face array (built on demand)."""
+        pat = self._pattern
+        m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
+        return m[pat.perm][:, pat.perm].tocsc()
 
     def rhs_boundary(self, bc: VectorBC):
         """Boundary contributions to the right-hand side on the full array."""
@@ -300,7 +333,7 @@ class TransportOperator:
             r[1:-1, 0] += 2.0 * k * bc.x_bottom[1:-1] / dy**2
             r[1:-1, -1] += 2.0 * k * bc.x_top[1:-1] / dy**2
             if self._adv_corner is not None:
-                _, a2x = self._adv_corner
+                a2x = self._adv_corner
                 r[1:-1, 0] += a2x[:, 0] * bc.x_bottom[1:-1] / dy
                 r[1:-1, -1] -= a2x[:, -1] * bc.x_top[1:-1] / dy
         else:
@@ -309,7 +342,7 @@ class TransportOperator:
             r[0, 1:-1] += 2.0 * k * bc.y_left[1:-1] / dx**2
             r[-1, 1:-1] += 2.0 * k * bc.y_right[1:-1] / dx**2
             if self._adv_corner is not None:
-                _, a1y = self._adv_corner
+                a1y = self._adv_corner
                 r[0, 1:-1] += a1y[0, :] * bc.y_left[1:-1] / dx
                 r[-1, 1:-1] -= a1y[-1, :] * bc.y_right[1:-1] / dx
         return r
@@ -328,7 +361,8 @@ class TransportOperator:
             rhs[:, 0] = 0.0
             rhs[:, -1] = 0.0
         rhs += self.rhs_boundary(bc)
-        sol = self._lu.solve(rhs.ravel())
+        pat = self._pattern
+        sol = self._lu.solve(rhs.ravel()[pat.q])[pat.perm]
         return sol.reshape(self.shape)
 
 

@@ -375,17 +375,21 @@ def absorbing_experiment(
     variant="acceptance",
     diam_factor=100.0,
     strong="off",
+    _data=None,
 ) -> ExperimentReport:
     """Entry into (and stay inside) the computed absorbing ball.
 
     With ``strong="measure"`` the run also records the H1 ball and H2
     window radii reached after absorption; with ``strong="check"`` those
-    are asserted against the calibrated values.
+    are asserted against the calibrated values.  ``_data`` is the
+    ``_absorbing_data(nx, dt, variant)`` tuple when the caller has it.
     """
     rep = _report("absorbing", dict(nx=nx, dt=dt, variant=variant, diam=diam_factor,
                                     strong=strong))
     t_start = time.time()
-    grid, modes, trace, (times, h12_sq, dth_sq, he_l2), c_p = _absorbing_data(nx, dt, variant)
+    if _data is None:
+        _data = _absorbing_data(nx, dt, variant)
+    grid, modes, trace, (times, h12_sq, dth_sq, he_l2), c_p = _data
     c1 = store.get("absorb_c1")
     ok_gate, gate_val = smallness_gate(c1, float(np.max(np.sqrt(h12_sq))), c_p)
     rep.check("smallness-gate", "normal-data-gate", gate_val, c_p, ok_gate)
@@ -684,7 +688,8 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
               _sharp_ratio(strong_lhs - prun.b0_h1_sq, strong_src) * headroom, "calib-osc")
 
     # absorbing-ball constants, probed on the reference small-boundary scenario
-    _, _, _, (times, h12_sq, dth_sq, he_l2), c_p = _absorbing_data(nx, dt, "reference")
+    ref_data = _absorbing_data(nx, dt, "reference")
+    _, _, _, (times, h12_sq, dth_sq, he_l2), c_p = ref_data
     geom_unit = 1.0 / (1.0 - math.exp(-c_p))
     w_total = (
         window_sup(times, h12_sq)
@@ -701,7 +706,8 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
     probe = None
     for _ in range(4):
         store.set("absorb_c_tilde", c_tilde, "absorbing-reference")
-        probe = absorbing_experiment(store, nx=nx, dt=dt, variant="reference", strong="measure")
+        probe = absorbing_experiment(store, nx=nx, dt=dt, variant="reference", strong="measure",
+                                     _data=ref_data)
         window_fail = [a for a in probe.assertions if a.assertion_id == "window-bound" and not a.passed]
         if window_fail:
             c_om = store.get("absorb_c_omega")

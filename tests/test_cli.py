@@ -123,6 +123,15 @@ def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_main_ragged_trace_csv_is_config_error(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    rows = ["time,arclength,h1,h2"] + [f"0.0,{(k + 0.5) / 16!r},0.0,0.0" for k in range(63)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg = _write(tmp_path, MINIMAL + f"\n[boundary]\ncsv = {csv_path}\n")
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert "row 64: instant 0.0 has 63 nodes, expected 64" in capsys.readouterr().err
+
+
 def test_main_run_determinism(tmp_path):
     text = MINIMAL + """
 [boundary]

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_divfree
 from mhd2d.dynamics import (
+    Forcing,
     SimState,
     SolverConfig,
     Stepper,
@@ -17,7 +18,7 @@ from mhd2d.dynamics import (
 from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.estimates import LEDGER_COLUMNS
 from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
-from mhd2d.lifting import TraceMode, synthesize_trace
+from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
 from mhd2d.operators import TransportOperator
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
@@ -280,13 +281,34 @@ def test_transport_factored_once_per_coupled_step(monkeypatch):
     assert len(builds) == 2 * nsteps
 
 
+def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
+    calls = []
+    force = lambda t: VectorField.zeros(Grid(16, 16))
+    lookup = BoundaryTrace.vector_bc
+
+    def counting(self, t):
+        calls.append("bc")
+        return lookup(self, t)
+
+    monkeypatch.setattr(BoundaryTrace, "vector_bc", counting)
+    nsteps = 4
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT, strong_mode=True)
+    forcing = Forcing(u=lambda t: calls.append("u") or force(t),
+                      b=lambda t: calls.append("b") or force(t))
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace, forcing=forcing)
+    assert sum(r.outer_iterations for r in traj.reports) > nsteps
+    assert calls.count("u") == calls.count("b") == nsteps
+    # one lookup per coupled step and one per ledger row
+    assert calls.count("bc") == 2 * nsteps + 1
+
+
 def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
     scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode="single_pass")
     reused, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     b_step_reused = Stepper.b_step
 
-    def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None):
-        return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc)
+    def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None):
+        return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb)
 
     monkeypatch.setattr(Stepper, "b_step", refactoring)
     fresh, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)

@@ -284,6 +284,42 @@ def test_trace_csv_unsorted_times(tmp_path):
         read_trace_csv(g, path)
 
 
+def _constant_trace_lines(g, times):
+    nodes = synthesize_trace(g, [0.0], []).nodes()
+    return ["time,arclength,h1,h2"] + [f"{t},{float(s)!r},0.0,0.0" for t in times for s in nodes]
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda lines: lines.__setitem__(5, "0.0,0.5"), "row 6: expected 4 columns"),
+        (lambda lines: lines.__setitem__(7, lines[7].replace(",0.0,0.0", ",abc,0.0")),
+         "row 8: non-numeric cell"),
+        (lambda lines: lines.pop(32), "row 32: instant 0.0 has 31 nodes, expected 32"),
+    ],
+    ids=["short-row", "non-numeric-cell", "ragged-block"],
+)
+def test_trace_csv_malformed_rows_are_config_errors(tmp_path, edit, match):
+    g = Grid(8, 8)
+    lines = _constant_trace_lines(g, (0.0, 0.1))
+    edit(lines)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=match):
+        read_trace_csv(g, path)
+
+
+def test_index_of_nearest_instant():
+    tr = synthesize_trace(Grid(8, 8), TIMES, [])
+    last = len(TIMES) - 1
+    for i in (0, 37, last):
+        for t in (TIMES[i], TIMES[i] - 5e-11, TIMES[i] + 5e-11, i * 1e-3):
+            assert tr.index_of(t) == i == int(np.argmin(np.abs(TIMES - t)))
+    for t in (-1e-3, TIMES[-1] + 1e-3, 0.5 * (TIMES[3] + TIMES[4]), TIMES[5] + 1e-6, np.nan):
+        with pytest.raises(ValueError, match="not a sampled trace instant"):
+            tr.index_of(t)
+
+
 def test_parabolic_estimates_hold_with_calibrated_constants(calibration_store):
     g = Grid(32, 32)
     dt = 2e-3

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import mhd2d
+from mhd2d import operators
 
 from conftest import random_divfree, random_zero_trace
 from mhd2d.geometry import (
@@ -32,6 +34,8 @@ from mhd2d.operators import (
     stokes_apply,
     stream_curl_matrix,
 )
+from mhd2d.dynamics import run
+from mhd2d.scenarios import make_scenario
 
 
 def test_interior_laplacian_symmetric_negative(rng):
@@ -103,6 +107,53 @@ def test_transport_solve_round_trip(rng):
     # wall rows carry the Dirichlet data exactly
     assert np.allclose(sol[0, :], bc.x_left)
     assert np.allclose(sol[-1, :], 0.0)
+
+
+def _random_bc(g, rng):
+    return VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+
+
+@pytest.mark.parametrize("comp", ["x", "y"])
+@pytest.mark.parametrize(
+    "advect, inv_dt, kappa",
+    [(False, 0.0, 1.0), (False, 500.0, 1.0), (True, 500.0, 0.8)],
+    ids=["harmonic", "heat", "transport"],
+)
+def test_transport_solve_equals_default_order_factorization(rng, comp, advect, inv_dt, kappa):
+    # at 16^2 the harmonic x-operator meets pivot ties that a column
+    # permutation alone would break differently from the default order
+    g = Grid(16, 16)
+    op = TransportOperator(g, comp, random_divfree(g, rng) if advect else None, inv_dt, kappa)
+    rhs = rng.standard_normal(op.shape)
+    bc = _random_bc(g, rng)
+    ref_rhs = rhs.copy()
+    if comp == "x":
+        ref_rhs[0, :] = ref_rhs[-1, :] = 0.0
+    else:
+        ref_rhs[:, 0] = ref_rhs[:, -1] = 0.0
+    ref_rhs += op.rhs_boundary(bc)
+    ref = splu(op.matrix.tocsc()).solve(ref_rhs.ravel()).reshape(op.shape)
+    assert np.array_equal(op.solve(rhs, bc), ref)
+
+
+def test_column_order_computed_once_per_grid_and_component(monkeypatch):
+    ordered, natural = [], []
+    real = operators.splu
+
+    def counting(m, permc_spec=None, **kw):
+        (natural if permc_spec == "NATURAL" else ordered).append(m.shape[0])
+        return real(m, permc_spec=permc_spec, **kw)
+
+    monkeypatch.setattr(operators, "splu", counting)
+    operators._transport_pattern.cache_clear()
+    operators.heat_pair.cache_clear()
+    dt, nsteps = 1e-3, 6
+    scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=nsteps * dt, strong_mode=True)
+    run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    n = 17 * 16  # unknowns of either component's full face array
+    assert ordered.count(n) == 2  # x and y
+    # harmonic pair, heat pair (strong-mode lift) and one pair per step
+    assert natural == [n] * (2 + 2 + 2 * nsteps)
 
 
 def test_neumann_projection_kills_divergence(rng):
