@@ -13,11 +13,17 @@ The velocity solve is a monolithic implicit Stokes system (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
 its nonlinear terms are lagged.  The outer loop alternates the two solves
 until successive velocity iterates agree.  The boundary data and the
-body forces at the new time are looked up once per step.
+body forces at the new time are looked up once per step (the ledger row
+after the step reuses that boundary data).  What a step holds fixed is
+prepared once: the transport pair's Dirichlet right-hand sides and the
+fixed fields' halves of the convection terms (``geometry.advecting_half``
+and ``transported_half``) once per magnetic step, u^n's half of the
+velocity transport once per coupled step.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,11 +35,15 @@ from .estimates import EnergyLedger, record
 from .geometry import (
     Grid,
     ScalarField,
+    TransportedHalf,
     VectorBC,
     VectorField,
+    advecting_half,
     convect,
+    convect_halves,
     divergence,
     l2_norm_sq,
+    transported_half,
 )
 from .lifting import (
     BoundaryTrace,
@@ -242,6 +252,14 @@ class Stepper:
         else:
             self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re)
         self._zero_trace = bool(np.all(trace.samples == 0.0))
+        self._bc = None  # (t, boundary data at t) of the latest lookup
+
+    def vector_bc(self, t) -> VectorBC:
+        """Boundary data at t.  The latest instant is kept, so a coupled step
+        and the ledger row recorded after it share one lookup."""
+        if self._bc is None or self._bc[0] != t:
+            self._bc = (t, self.trace.vector_bc(t))
+        return self._bc[1]
 
     # -- magnetic sub-step ---------------------------------------------------
 
@@ -278,7 +296,7 @@ class Stepper:
         dt = cfg.dt
         t_next = t_prev + dt
         if bc is None:
-            bc = self.trace.vector_bc(t_next)
+            bc = self.vector_bc(t_next)
         if transport is None:
             transport = self.transport_operators(u_frozen)
         opx, opy = transport.x, transport.y
@@ -298,6 +316,13 @@ class Stepper:
             rhs_x = rhs_x + fb.x
             rhs_y = rhs_y + fb.y
 
+        # fixed for the whole Picard loop: the Dirichlet right-hand sides,
+        # u_frozen's half of the stretching term and shift's half of the
+        # lagged transport; each iteration adds only the iterate's halves
+        bnd_x, bnd_y = opx.boundary(bc), opy.boundary(bc)
+        stretch = None if pure_heat else transported_half(u_frozen)
+        lagged = None if shift is None else advecting_half(shift)
+
         cur = b_prev
         residuals = []
         res = 0.0
@@ -308,12 +333,14 @@ class Stepper:
                 lag_x = 0.0
                 lag_y = 0.0
             else:
-                lag = convect(cur, u_frozen)  # stretching term with the lagged iterate
+                lag = convect_halves(advecting_half(cur), stretch)  # stretching, lagged iterate
                 lag_x, lag_y = lag.x, lag.y
             if shift is not None:
-                lag = convect(shift, cur, bc)  # transport the operator leaves out
+                lag = convect_halves(lagged, transported_half(cur, bc))  # transport left out
                 lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
-            nxt = VectorField(self.grid, opx.solve(rhs_x + lag_x, bc), opy.solve(rhs_y + lag_y, bc))
+            nxt = VectorField(
+                self.grid, opx.solve(rhs_x + lag_x, bnd_x), opy.solve(rhs_y + lag_y, bnd_y)
+            )
             res = np.sqrt(l2_norm_sq(nxt - cur))
             residuals.append(res)
             cur = nxt
@@ -348,11 +375,14 @@ class Stepper:
         u_advect=None,
         bc: VectorBC | None = None,
         fu: VectorField | None = None,
+        u_prev_half: TransportedHalf | None = None,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update.
 
         ``bc`` is the magnetic boundary data and ``fu`` the velocity body
         force at the new time (each looked up when omitted).
+        ``u_prev_half`` is ``transported_half(u_prev)``, which the outer
+        iterates of one coupled step share (computed when omitted).
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -360,8 +390,10 @@ class Stepper:
         if u_advect is None:
             u_advect = u_prev
         if bc is None:
-            bc = self.trace.vector_bc(t_next)
-        adv = convect(u_advect, u_prev)
+            bc = self.vector_bc(t_next)
+        if u_prev_half is None:
+            u_prev_half = transported_half(u_prev)
+        adv = convect_halves(advecting_half(u_advect), u_prev_half)
         lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
@@ -395,8 +427,9 @@ class Stepper:
         p_new = state.p
         rep_b = StepReport(dt=cfg.dt)
         t_next = state.t + cfg.dt
-        bc = self.trace.vector_bc(t_next)
+        bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
+        u_half = transported_half(state.u)  # u^n's half of every outer iterate's transport
         # a magnetically trivial run never needs the transport solve
         skip_b = (
             self._zero_trace and self.forcing.b is None and l2_norm_sq(state.b) == 0.0
@@ -409,9 +442,12 @@ class Stepper:
                 return state.b, StepReport(dt=cfg.dt)
             return self.b_step(ub, state.b, state.t, bc=bc, transport=transport, fb=fb)
 
+        def velocity(bn, ub):
+            return self.u_step(bn, state.u, state.t, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half)
+
         if cfg.outer_mode == "single_pass":
             b_new, rep_b = magnetic(ubar)
-            u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc, fu=fu)
+            u_new, p_new, _ = velocity(b_new, ubar)
             outer_iters, outer_res = 1, 0.0
         else:
             res_prev = np.inf
@@ -420,7 +456,7 @@ class Stepper:
             for k in range(cfg.outer_max_iter):
                 outer_iters = k + 1
                 b_new, rep_b = magnetic(ubar)
-                u_new, p_new, _ = self.u_step(b_new, state.u, state.t, u_advect=ubar, bc=bc, fu=fu)
+                u_new, p_new, _ = velocity(b_new, ubar)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
                 if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
@@ -521,14 +557,14 @@ def run(
         h_e = harmonic_extend_bc(grid, bc)
         record(ledger, st.t, st.u, st.b, trace, h_e, h_p, stepper.poisson, bc=bc)
 
-    _record(state, trace.vector_bc(state.t))
+    _record(state, stepper.vector_bc(state.t))
     times = [t0]
     reports = []
     states = [SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy())] if cfg.keep_states else None
     nsteps = int(round((cfg.t_final - t0) / cfg.dt))
     for k in range(nsteps):
         state, rep = stepper.coupled_step(state)
-        bc = trace.vector_bc(state.t)
+        bc = stepper.vector_bc(state.t)  # the step's own lookup
         if cfg.strong_mode:
             h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
         _record(state, bc)
@@ -564,25 +600,36 @@ def write_checkpoint(path, state: SimState, cfg: SolverConfig):
 
 
 def read_checkpoint(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a checkpoint; a malformed file raises ConfigError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"checkpoint {path}: cannot read ({exc.strerror})"])
+    bad = lambda why: ConfigError([f"checkpoint {path}: {why}"])
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    off = len(CKPT_MAGIC)
-    nx, ny, t, dt, n_trunc = struct.unpack_from("<qqddq", raw, off)
-    off += struct.calcsize("<qqddq")
+        raise bad("not a checkpoint file (bad magic number)")
+    off = len(CKPT_MAGIC) + struct.calcsize("<qqddq")
+    if len(raw) < off:
+        raise bad(f"header truncated ({len(raw)} bytes)")
+    nx, ny, t, dt, n_trunc = struct.unpack_from("<qqddq", raw, len(CKPT_MAGIC))
+    if nx < 4 or ny < 4:
+        raise bad(f"header grid {nx}x{ny} is too coarse")
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise bad(f"non-finite header time t={t!r}, dt={dt!r}")
     grid = Grid(nx, ny)
-
-    def take(shape):
-        nonlocal off
-        n = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += 8 * n
-        return arr
-
-    u = VectorField(grid, take(grid.shape_xface()), take(grid.shape_yface()))
-    b = VectorField(grid, take(grid.shape_xface()), take(grid.shape_yface()))
-    p = ScalarField(grid, take(grid.shape_center()))
+    sizes = [(nx + 1) * ny, nx * (ny + 1)] * 2 + [nx * ny]
+    if len(raw) - off != 8 * sum(sizes):
+        raise bad(
+            f"payload has {len(raw) - off} bytes, a {nx}x{ny} grid needs {8 * sum(sizes)}"
+        )
+    payload = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+    if not np.all(np.isfinite(payload)):
+        raise bad("non-finite field values")
+    ux, uy, bx, by, p = np.split(payload, np.cumsum(sizes)[:-1])
+    u = VectorField(grid, ux.reshape(grid.shape_xface()), uy.reshape(grid.shape_yface()))
+    b = VectorField(grid, bx.reshape(grid.shape_xface()), by.reshape(grid.shape_yface()))
+    p = ScalarField(grid, p.reshape(grid.shape_center()))
     return {
         "grid": grid,
         "t": t,

@@ -15,6 +15,7 @@ solves, eigenproblems and energy identities) live in ``operators``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,11 @@ __all__ = [
     "gradient",
     "laplacian",
     "convect",
+    "AdvectingHalf",
+    "TransportedHalf",
+    "advecting_half",
+    "transported_half",
+    "convect_halves",
     "identity_residuals",
     "inner",
     "l2_norm_sq",
@@ -339,54 +345,86 @@ def laplacian(f, bc):
 
 # --- advection -----------------------------------------------------------
 
-def _xcomp_fluxes(a: VectorField, f: VectorField, fbc: VectorBC):
-    """Fluxes of a*f1 used by the divergence-form x-component."""
-    g = a.grid
-    # a1*f1 at cell centers, shape (nx, ny)
-    a1c = 0.5 * (a.x[:-1, :] + a.x[1:, :])
-    f1c = 0.5 * (f.x[:-1, :] + f.x[1:, :])
-    fx = a1c * f1c
-    # a2*f1 at corner lines i=1..nx-1, jc=0..ny, shape (nx-1, ny+1)
-    a2x = 0.5 * (a.y[:-1, :] + a.y[1:, :])
+class AdvectingHalf(NamedTuple):
+    """The advecting field's half of ``convect``: its face averages and its
+    cell divergence interpolated to the interior faces.
+
+    ``a1c``/``a2x`` enter the x-component (normal average at cell centers,
+    tangential average on interior corner lines), ``a2c``/``a1y`` the
+    y-component; ``sx``/``sy`` multiply the transported field.
+    """
+
+    a1c: np.ndarray  # (nx, ny)
+    a2x: np.ndarray  # (nx-1, ny+1)
+    a2c: np.ndarray  # (nx, ny)
+    a1y: np.ndarray  # (nx+1, ny-1)
+    sx: np.ndarray  # (nx-1, ny)
+    sy: np.ndarray  # (nx, ny-1)
+
+
+class TransportedHalf(NamedTuple):
+    """The transported field's half of ``convect``: its face averages, with
+    the boundary values on the wall rows of the tangential averages."""
+
+    f: VectorField
+    f1c: np.ndarray  # (nx, ny)
+    f1y: np.ndarray  # (nx-1, ny+1)
+    f2c: np.ndarray  # (nx, ny)
+    f2x: np.ndarray  # (nx+1, ny-1)
+
+
+def advecting_half(a: VectorField) -> AdvectingHalf:
+    """Everything ``convect`` needs of its advecting field."""
+    dc = divergence(a).values
+    return AdvectingHalf(
+        a1c=0.5 * (a.x[:-1, :] + a.x[1:, :]),
+        a2x=0.5 * (a.y[:-1, :] + a.y[1:, :]),
+        a2c=0.5 * (a.y[:, :-1] + a.y[:, 1:]),
+        a1y=0.5 * (a.x[:, :-1] + a.x[:, 1:]),
+        sx=0.5 * (dc[:-1, :] + dc[1:, :]),
+        sy=0.5 * (dc[:, :-1] + dc[:, 1:]),
+    )
+
+
+def transported_half(f: VectorField, fbc: VectorBC | None = None) -> TransportedHalf:
+    """Everything ``convect`` needs of its transported field (zero walls by default)."""
+    g = f.grid
+    if fbc is None:
+        fbc = VectorBC.zero(g)
     f1y = np.empty((g.nx - 1, g.ny + 1))
     f1y[:, 1:-1] = 0.5 * (f.x[1:-1, :-1] + f.x[1:-1, 1:])
     f1y[:, 0] = fbc.x_bottom[1:-1]
     f1y[:, -1] = fbc.x_top[1:-1]
-    fy = a2x * f1y
-    return fx, fy
-
-
-def _ycomp_fluxes(a: VectorField, f: VectorField, fbc: VectorBC):
-    g = a.grid
-    a2c = 0.5 * (a.y[:, :-1] + a.y[:, 1:])
-    f2c = 0.5 * (f.y[:, :-1] + f.y[:, 1:])
-    fy = a2c * f2c
-    a1y = 0.5 * (a.x[:, :-1] + a.x[:, 1:])
     f2x = np.empty((g.nx + 1, g.ny - 1))
     f2x[1:-1, :] = 0.5 * (f.y[:-1, 1:-1] + f.y[1:, 1:-1])
     f2x[0, :] = fbc.y_left[1:-1]
     f2x[-1, :] = fbc.y_right[1:-1]
-    fx = a1y * f2x
-    return fx, fy
+    return TransportedHalf(
+        f=f,
+        f1c=0.5 * (f.x[:-1, :] + f.x[1:, :]),
+        f1y=f1y,
+        f2c=0.5 * (f.y[:, :-1] + f.y[:, 1:]),
+        f2x=f2x,
+    )
 
 
-def _div_form(a: VectorField, f: VectorField, fbc: VectorBC) -> VectorField:
+def _div_form(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
     """Divergence-form transport div(a ⊗ f) on interior faces."""
-    g = a.grid
+    g = f.f.grid
     out = VectorField.zeros(g)
-    fx, fy = _xcomp_fluxes(a, f, fbc)
+    fx, fy = a.a1c * f.f1c, a.a2x * f.f1y
     out.x[1:-1, :] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
-    fx2, fy2 = _ycomp_fluxes(a, f, fbc)
-    out.y[:, 1:-1] = (fx2[1:, :] - fx2[:-1, :]) / g.dx + (fy2[:, 1:] - fy2[:, :-1]) / g.dy
+    fx, fy = a.a1y * f.f2x, a.a2c * f.f2c
+    out.y[:, 1:-1] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
     return out
 
 
-def _secondary_div(a: VectorField):
-    """Cell divergence of `a` averaged to interior faces (one array per component)."""
-    dc = divergence(a).values
-    sx = 0.5 * (dc[:-1, :] + dc[1:, :])  # at interior x-faces (nx-1, ny)
-    sy = 0.5 * (dc[:, :-1] + dc[:, 1:])  # at interior y-faces (nx, ny-1)
-    return sx, sy
+def convect_halves(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
+    """``convect`` from its two halves; either may be prepared once and reused."""
+    out = _div_form(a, f)
+    out.x[1:-1, :] -= f.f.x[1:-1, :] * a.sx
+    out.y[:, 1:-1] -= f.f.y[:, 1:-1] * a.sy
+    return out
 
 
 def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> VectorField:
@@ -396,13 +434,7 @@ def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> Vect
     divergence of `a`; with a discretely divergence-free `a` and f
     vanishing on the walls this is exactly energy-neutral.
     """
-    if fbc is None:
-        fbc = VectorBC.zero(a.grid)
-    out = _div_form(a, f, fbc)
-    sx, sy = _secondary_div(a)
-    out.x[1:-1, :] -= f.x[1:-1, :] * sx
-    out.y[:, 1:-1] -= f.y[:, 1:-1] * sy
-    return out
+    return convect_halves(advecting_half(a), transported_half(f, fbc))
 
 
 # --- inner products and norms -------------------------------------------
@@ -594,8 +626,8 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     lhs3_y = -(s[1:, 1:-1] - s[:-1, 1:-1]) / dx
     lhs3_y_wide = -(27.0 * (s[2:-1, 1:-1] - s[1:-2, 1:-1]) - (s[3:, 1:-1] - s[:-3, 1:-1])) / (24.0 * dx)
     lhs3_y[wide_i, :] = lhs3_y_wide
-    t1 = _div_form(b, u, ubc)  # b·∇u + u div b
-    t2 = _div_form(u, b, bc)  # u·∇b + b div u
+    t1 = _div_form(advecting_half(b), transported_half(u, ubc))  # b·∇u + u div b
+    t2 = _div_form(advecting_half(u), transported_half(b, bc))  # u·∇b + b div u
     r3x = lhs3_x - (t1.x[1:-1, :] - t2.x[1:-1, :])
     r3y = lhs3_y - (t1.y[:, 1:-1] - t2.y[:, 1:-1])
     r3 = _interior_norm(r3x, r3y, g)

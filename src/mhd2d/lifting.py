@@ -405,8 +405,8 @@ def harmonic_extend(trace: BoundaryTrace, t) -> VectorField:
 
 def harmonic_extend_bc(grid: Grid, bc: VectorBC) -> VectorField:
     opx, opy = heat_pair(grid, 0.0, 1.0)
-    hx = opx.solve(np.zeros(grid.shape_xface()), bc)
-    hy = opy.solve(np.zeros(grid.shape_yface()), bc)
+    hx = opx.solve(np.zeros(grid.shape_xface()), opx.boundary(bc))
+    hy = opy.solve(np.zeros(grid.shape_yface()), opy.boundary(bc))
     return VectorField(grid, hx, hy)
 
 
@@ -493,7 +493,9 @@ def check_compatibility_trace(b0: VectorField, trace: BoundaryTrace, tol_factor=
 def heat_step(b: VectorField, dt: float, bc: VectorBC, kappa: float) -> VectorField:
     """One implicit-Euler step of the vector heat flow with Dirichlet data bc."""
     opx, opy = heat_pair(b.grid, 1.0 / dt, kappa)
-    return VectorField(b.grid, opx.solve(b.x / dt, bc), opy.solve(b.y / dt, bc))
+    return VectorField(
+        b.grid, opx.solve(b.x / dt, opx.boundary(bc)), opy.solve(b.y / dt, opy.boundary(bc))
+    )
 
 
 def parabolic_lift(

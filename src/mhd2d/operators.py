@@ -154,11 +154,13 @@ class _Pattern(NamedTuple):
     SuperLU skips COLAMD.  ``slots[g]`` maps each interior unknown to the CSC
     data position of its stencil entry of group g (diagonal, normal -/+
     neighbour, tangential -/+ neighbour); a missing tangential neighbour
-    points one past the end.  ``wall`` holds the wall-face diagonals.
+    points one past the end.  ``wall`` holds the wall-face diagonals and
+    ``wall_rows`` the wall faces' positions in B's order.
     """
 
     slots: np.ndarray
     wall: np.ndarray
+    wall_rows: np.ndarray
     lo: np.ndarray  # the tangential - neighbour exists
     hi: np.ndarray  # the tangential + neighbour exists
     indices: np.ndarray
@@ -220,6 +222,7 @@ def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
     return _Pattern(
         slots=slots,
         wall=pos[n_int:],
+        wall_rows=perm[wid],
         lo=lo,
         hi=hi,
         indices=perm[r[order]].astype(np.intc),
@@ -320,7 +323,10 @@ class TransportOperator:
         return m[pat.perm][:, pat.perm].tocsc()
 
     def rhs_boundary(self, bc: VectorBC):
-        """Boundary contributions to the right-hand side on the full array."""
+        """Boundary contributions to the right-hand side on the full array.
+
+        ``boundary`` hands these to ``solve``.
+        """
         g = self.grid
         dx, dy = g.dx, g.dy
         k = self.kappa
@@ -347,23 +353,26 @@ class TransportOperator:
                 r[-1, 1:-1] -= a1y[-1, :] * bc.y_right[1:-1] / dx
         return r
 
-    def solve(self, rhs_core: np.ndarray, bc: VectorBC) -> np.ndarray:
+    def boundary(self, bc: VectorBC) -> np.ndarray:
+        """The Dirichlet right-hand side of ``bc``, in the factor's order.
+
+        Prepare it once per boundary instant and pass it to every ``solve``
+        with that data.
+        """
+        return self.rhs_boundary(bc).ravel()[self._pattern.q]
+
+    def solve(self, rhs_core: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Solve for the full component array.
 
         ``rhs_core`` holds the interior right-hand side (wall-face entries
-        are ignored and replaced by the Dirichlet data from ``bc``).
+        are ignored and replaced by the Dirichlet data); ``boundary`` comes
+        from ``self.boundary(bc)``.
         """
-        rhs = rhs_core.copy()
-        if self.comp == "x":
-            rhs[0, :] = 0.0
-            rhs[-1, :] = 0.0
-        else:
-            rhs[:, 0] = 0.0
-            rhs[:, -1] = 0.0
-        rhs += self.rhs_boundary(bc)
         pat = self._pattern
-        sol = self._lu.solve(rhs.ravel()[pat.q])[pat.perm]
-        return sol.reshape(self.shape)
+        rhs = rhs_core.ravel()[pat.q]
+        rhs[pat.wall_rows] = 0.0
+        rhs += boundary
+        return self._lu.solve(rhs)[pat.perm].reshape(self.shape)
 
 
 @lru_cache(maxsize=8)

@@ -132,6 +132,18 @@ def test_main_ragged_trace_csv_is_config_error(tmp_path, capsys):
     assert "row 64: instant 0.0 has 63 nodes, expected 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["bad magic", "truncated"])
+def test_main_malformed_checkpoint_is_config_error(tmp_path, capsys, damage):
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+    raw = (tmp_path / "a" / "final.mhdckpt").read_bytes()
+    bad = tmp_path / "bad.mhdckpt"
+    bad.write_bytes(b"XXXXXXXX" + raw[8:] if damage == "bad magic" else raw[: len(raw) // 2])
+    cfg = _write(tmp_path, MINIMAL + f"\n[initial]\ncheckpoint = {bad}\n", "restart.cfg")
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "b")]) == 2
+    assert f"config error: checkpoint {bad}:" in capsys.readouterr().err
+
+
 def test_main_run_determinism(tmp_path):
     text = MINIMAL + """
 [boundary]

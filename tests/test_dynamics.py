@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_divfree
 from mhd2d.dynamics import (
@@ -211,6 +215,54 @@ def test_restart_is_bit_identical(tmp_path):
     assert np.array_equal(a.p.values, b.p.values)
 
 
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    path = tmp_path_factory.mktemp("ckpt") / "c.mhdckpt"
+    write_checkpoint(path, traj.final_state, scen.cfg)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle, why",
+    [
+        (lambda raw: b"NOTCKPT1" + raw[8:], "bad magic"),
+        (lambda raw: raw[:20], "header truncated"),
+        (lambda raw: raw[:-8], "payload has"),
+        (lambda raw: raw + bytes(8), "payload has"),
+        (lambda raw: raw[:-8] + struct.pack("<d", np.nan), "non-finite field"),
+        (lambda raw: raw[:8] + struct.pack("<q", 2) + raw[16:], "too coarse"),
+    ],
+    ids=["bad-magic", "short-header", "short-payload", "long-payload", "nan-value", "coarse-grid"],
+)
+def test_malformed_checkpoint_is_config_error(tmp_path, checkpoint_bytes, mangle, why):
+    path = tmp_path / "bad.mhdckpt"
+    path.write_bytes(mangle(checkpoint_bytes))
+    with pytest.raises(ConfigError) as exc:
+        read_checkpoint(path)
+    assert str(path) in str(exc.value) and why in str(exc.value)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoint_reads_or_raises_config_error(tmp_path, checkpoint_bytes, data):
+    raw = bytearray(checkpoint_bytes)
+    cut = data.draw(st.integers(0, len(raw)), label="length")
+    raw = raw[:cut]
+    for _ in range(data.draw(st.integers(0, 4), label="flips")):
+        if raw:
+            k = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            raw[k] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path / "damaged.mhdckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        ck = read_checkpoint(path)
+    except ConfigError:
+        return
+    assert isinstance(ck["state"], SimState)
+
+
 def test_checkpoint_header_mismatch_rejected(tmp_path):
     scen = make_scenario("zero", nx=8, dt=DT, t_final=0.01)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
@@ -298,8 +350,8 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace, forcing=forcing)
     assert sum(r.outer_iterations for r in traj.reports) > nsteps
     assert calls.count("u") == calls.count("b") == nsteps
-    # one lookup per coupled step and one per ledger row
-    assert calls.count("bc") == 2 * nsteps + 1
+    # one lookup per coupled step, shared with the ledger row after it
+    assert calls.count("bc") == nsteps + 1
 
 
 def test_single_pass_matches_refactoring_every_b_step(monkeypatch):

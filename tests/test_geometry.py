@@ -10,13 +10,16 @@ from mhd2d.geometry import (
     ScalarField,
     VectorBC,
     VectorField,
+    advecting_half,
     convect,
+    convect_halves,
     divergence,
     gradient,
     identity_residuals,
     inner,
     l2_norm_sq,
     laplacian,
+    transported_half,
 )
 
 
@@ -142,6 +145,51 @@ def test_convect_analytic_derivative():
         exact = np.pi * np.cos(np.pi * g.xf())[1:-1][:, None]
         errs.append(np.max(np.abs(c.x[1:-1, :] - exact)))
     assert errs[0] / errs[1] >= 3.5
+
+
+def _convect_flux_by_flux(a, f, fbc):
+    """a·∇f written out flux by flux, in the order convect evaluates it."""
+    g = a.grid
+    out = VectorField.zeros(g)
+    fx = 0.5 * (a.x[:-1, :] + a.x[1:, :]) * (0.5 * (f.x[:-1, :] + f.x[1:, :]))
+    f1y = np.empty((g.nx - 1, g.ny + 1))
+    f1y[:, 1:-1] = 0.5 * (f.x[1:-1, :-1] + f.x[1:-1, 1:])
+    f1y[:, 0], f1y[:, -1] = fbc.x_bottom[1:-1], fbc.x_top[1:-1]
+    fy = 0.5 * (a.y[:-1, :] + a.y[1:, :]) * f1y
+    out.x[1:-1, :] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    fy = 0.5 * (a.y[:, :-1] + a.y[:, 1:]) * (0.5 * (f.y[:, :-1] + f.y[:, 1:]))
+    f2x = np.empty((g.nx + 1, g.ny - 1))
+    f2x[1:-1, :] = 0.5 * (f.y[:-1, 1:-1] + f.y[1:, 1:-1])
+    f2x[0, :], f2x[-1, :] = fbc.y_left[1:-1], fbc.y_right[1:-1]
+    fx = 0.5 * (a.x[:, :-1] + a.x[:, 1:]) * f2x
+    out.y[:, 1:-1] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    dc = divergence(a).values
+    out.x[1:-1, :] -= f.x[1:-1, :] * (0.5 * (dc[:-1, :] + dc[1:, :]))
+    out.y[:, 1:-1] -= f.y[:, 1:-1] * (0.5 * (dc[:, :-1] + dc[:, 1:]))
+    return out
+
+
+def test_prepared_convect_halves_equal_convect_bit_for_bit(rng):
+    # a magnetic step prepares one half once and pairs it with every Picard
+    # iterate's other half; that must not move a single bit
+    g = Grid(12, 10)
+    rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
+                               rng.standard_normal(g.shape_yface()))
+    fbc = VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+    fixed_a, fixed_f = rand(), rand()
+    a_half, f_half = advecting_half(fixed_a), transported_half(fixed_f, fbc)
+    kept = [arr.copy() for arr in a_half + f_half[1:]]
+    for _ in range(3):
+        a, f = rand(), rand()
+        for got, want in (
+            (convect_halves(a_half, transported_half(f, fbc)), convect(fixed_a, f, fbc)),
+            (convect_halves(advecting_half(a), f_half), convect(a, fixed_f, fbc)),
+            (convect(a, f, fbc), _convect_flux_by_flux(a, f, fbc)),
+        ):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    got, want = convect(fixed_a, fixed_f), _convect_flux_by_flux(fixed_a, fixed_f, VectorBC.zero(g))
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    assert all(np.array_equal(x, y) for x, y in zip(a_half + f_half[1:], kept))
 
 
 def _smooth_pair(grid):

@@ -76,6 +76,52 @@ def test_mms_forcing_consistency():
     assert e16 / e32 > 3.0
 
 
+def _counting_case(kind):
+    """_mms_case(kind) with every forcing lambda counting its calls."""
+    case = _mms_case(kind)
+    calls = {}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+
+        return g
+
+    for key in ("fu", "fb"):
+        case[key] = tuple(counted(f"{key}{i}", f) for i, f in enumerate(case[key]))
+    return case, calls
+
+
+def test_steady_forcing_sampled_once_per_run():
+    case, calls = _counting_case("steady")
+    assert case["time_free"] == {"fu": True, "fb": True}
+    nsteps = 4
+    cfg, u0, b0, trace, forcing = _mms_scenario(case, 16, 1e-3, nsteps * 1e-3)
+    fu, fb = forcing.u_at(0.0), forcing.b_at(0.0)
+    kept = [a.copy() for a in (fu.x, fu.y, fb.x, fb.y)]
+    for t in (0.0, 0.37, 5.0):
+        for got, key in ((forcing.u_at(t), "fu"), (forcing.b_at(t), "fb")):
+            want = _sample_vec(cfg.grid(), _mms_case("steady")[key], t)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    assert len(traj.reports) == nsteps
+    assert calls == {"fu0": 1, "fu1": 1, "fb0": 1, "fb1": 1}
+    # every step shares the cached fields, and nothing writes to them
+    assert all(np.array_equal(a, k) for a, k in zip((fu.x, fu.y, fb.x, fb.y), kept))
+    assert not fu.x.flags.writeable and not fb.y.flags.writeable
+
+
+def test_unsteady_forcing_sampled_every_step():
+    case, calls = _counting_case("unsteady")
+    assert case["time_free"] == {"fu": False, "fb": True}  # b stays zero
+    nsteps = 4
+    cfg, u0, b0, trace, forcing = _mms_scenario(case, 16, 1e-3, nsteps * 1e-3)
+    calls.clear()
+    run(cfg, u0, b0, trace, forcing=forcing)
+    assert calls["fu0"] == calls["fu1"] == nsteps
+
+
 def test_absorbing_gate_failure_reported():
     store = CalibrationStore()
     store.set("absorb_c1", 1e12, "synthetic")
