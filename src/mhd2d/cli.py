@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize so that re-parsing reproduces this config exactly."""
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         s = self.solver
         cp["grid"] = {"nx": str(s.nx), "ny": str(s.ny)}
         cp["time"] = {"dt": repr(s.dt), "T": repr(s.t_final)}
@@ -154,6 +155,9 @@ def _parse_mode(text: str, errors) -> TraceMode | None:
     if kw:
         errors.append(f"boundary.modes: unknown keys {sorted(kw)}")
         return None
+    if mode.component not in (1, 2):
+        errors.append(f"boundary.modes: comp must be 1 or 2 in {text!r}")
+        return None
     return mode
 
 
@@ -161,10 +165,10 @@ def parse_config(path) -> RunConfig:
     """Read and validate a config file, reporting every violation at once."""
     if not os.path.exists(path):
         raise ConfigError([f"config file {path!r} does not exist"])
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError([f"config parse error: {exc}"])
     errors = []
     for sec in cp.sections():
@@ -184,6 +188,8 @@ def parse_config(path) -> RunConfig:
         raw = cp.get(sec, key)
         try:
             v = conv(raw)
+            if not math.isfinite(v):
+                raise ValueError
         except ValueError:
             errors.append(f"{sec}.{key}: cannot parse {raw!r}")
             return default
@@ -298,28 +304,45 @@ def _cmd_run(rc: RunConfig, outdir):
     if rc.boundary_csv:
         trace = read_trace_csv(grid, rc.boundary_csv)
     else:
-        trace = synthesize_trace(grid, trace_times(rc.solver), rc.boundary_modes)
+        try:
+            trace = synthesize_trace(grid, trace_times(rc.solver), rc.boundary_modes)
+        except ValueError as exc:  # an unknown envelope or a non-finite sample
+            raise ConfigError([f"boundary.modes: {exc}"])
     basis = None
     if rc.solver.n_modes is not None:
         cache = rc.basis_cache or os.path.join(outdir, "basis_cache")
         basis = cached_basis("stokes", grid, rc.solver.n_modes, cache)
     errors = []
+    t0, p0, u_ref = 0.0, None, None
     if rc.checkpoint_in:
         ck = read_checkpoint(rc.checkpoint_in)
-        check_restart_header(ck, rc.solver)
+        check_restart_header(ck, rc.solver, trace)
         u0, b0, p0 = ck["state"].u, ck["state"].b, ck["state"].p
-        t0 = ck["t"]
-        traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0)
+        t0, u_ref = ck["t"], ck["u_ref"]
     else:
         u0 = _build_initial(rc.initial_u, grid, rc.boundary_modes, errors)
         b0 = _build_initial(rc.initial_b, grid, rc.boundary_modes, errors)
         if errors:
             raise ConfigError(errors)
-        traj, ledger = run(rc.solver, u0, b0, trace, basis=basis)
+    if rc.boundary_csv:
+        _check_trace_covers(trace, t0, rc.solver)
+    traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0, u_ref=u_ref)
     ledger.write_csv(os.path.join(outdir, rc.ledger_path))
-    write_checkpoint(os.path.join(outdir, "final.mhdckpt"), traj.final_state, rc.solver)
+    write_checkpoint(
+        os.path.join(outdir, "final.mhdckpt"), traj.final_state, rc.solver, trace, traj.u_ref
+    )
     log.info("run finished at t=%.6g; ledger rows: %d", traj.final_state.t, len(ledger))
     return 0
+
+
+def _check_trace_covers(trace, t0, cfg):
+    """Every instant the run records must be a sampled instant of a CSV trace
+    (a synthesized trace samples 0, dt, ..., T by construction)."""
+    for k in range(int(round((cfg.t_final - t0) / cfg.dt)) + 1):
+        try:
+            trace.index_of(t0 + k * cfg.dt)
+        except ValueError as exc:
+            raise ConfigError([f"boundary: {exc}; the run needs t = {t0!r} + k*dt up to T"])
 
 
 _NEEDS_STORE = {"absorbing", "gronwall"}
@@ -360,10 +383,11 @@ def _cmd_experiment(rc: RunConfig, outdir):
             )
         store = CalibrationStore.read(path)
 
-    results = [
-        (name, EXPERIMENTS[name](store, **_experiment_kwargs(rc, name)))
-        for name in rc.experiment_ids
-    ]
+    try:
+        kwargs = {name: _experiment_kwargs(rc, name) for name in rc.experiment_ids}
+    except ValueError as exc:  # a list or number that does not parse
+        raise ConfigError([f"experiment: {exc}"])
+    results = [(name, EXPERIMENTS[name](store, **kwargs[name])) for name in rc.experiment_ids]
 
     summary_path = os.path.join(outdir, "summary.csv")
     existing = ""

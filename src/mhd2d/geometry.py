@@ -14,7 +14,7 @@ solves, eigenproblems and energy identities) live in ``operators``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -255,6 +255,10 @@ class VectorBC:
             fy(z(yf), yf),
             fy(o(yf), yf),
         )
+
+    def __sub__(self, other: VectorBC) -> VectorBC:
+        """Field-wise difference."""
+        return VectorBC(*(getattr(self, f.name) - getattr(other, f.name) for f in fields(self)))
 
 
 def _ghost(b, f0, f1, f2):

@@ -11,6 +11,7 @@ with the same boundary data.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,16 @@ class BoundaryTrace:
 
     def values(self, t):
         return self.samples[self.index_of(t)]
+
+    def digest(self, t) -> bytes:
+        """SHA-256 of the instants up to t and their samples (little-endian f8).
+
+        Traces that agree up to t have equal digests whatever their horizon.
+        """
+        i = self.index_of(t) + 1
+        h = hashlib.sha256(self.times[:i].astype("<f8").tobytes())
+        h.update(self.samples[:i].astype("<f8").tobytes())
+        return h.digest()
 
     def dt_values(self, t):
         """Finite-difference time derivative at a sampled instant."""
@@ -341,6 +352,14 @@ def stream_mode_field(grid: Grid, mode: TraceMode, t=0.0) -> VectorField:
     return VectorField.from_stream(grid, psi)
 
 
+def _csv_rows(fh, path):
+    """The rows of a CSV file; undecodable text or an oversized field is a ConfigError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: unreadable ({exc})") from None
+
+
 def read_trace_csv(grid: Grid, path) -> BoundaryTrace:
     """Ingest (time, arclength, h1, h2) rows, strictly sorted.
 
@@ -360,8 +379,12 @@ def read_trace_csv(grid: Grid, path) -> BoundaryTrace:
             )
         blocks.append(block)
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    with fh:
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:4]] != ["time", "arclength", "h1", "h2"]:
             raise ConfigError(f"{path}: expected header time,arclength,h1,h2")

@@ -27,7 +27,6 @@ __all__ = [
     "tridiag_neumann",
     "lap_xcomp_interior",
     "lap_ycomp_interior",
-    "lap_center_dirichlet",
     "stream_curl_matrix",
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
@@ -68,12 +67,6 @@ def lap_ycomp_interior(grid: Grid):
     tx = tridiag_mirror(grid.nx) / grid.dx**2
     ty = tridiag_nodal(grid.ny - 1) / grid.dy**2
     return sp.kron(tx, sp.identity(grid.ny - 1)) + sp.kron(sp.identity(grid.nx), ty)
-
-
-def lap_center_dirichlet(grid: Grid):
-    tx = tridiag_mirror(grid.nx) / grid.dx**2
-    ty = tridiag_mirror(grid.ny) / grid.dy**2
-    return sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)
 
 
 def stream_curl_matrix(grid: Grid):

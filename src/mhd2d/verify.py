@@ -146,13 +146,17 @@ def _mms_case(kind: str, re=1.0, rm=1.0, s_coupling=1.0):
         b1 = sp.diff(psi_b, y) + sp.Rational(3, 10)
         b2 = -sp.diff(psi_b, x) + sp.Rational(1, 5)
         p = sp.Rational(3, 10) * sp.cos(sp.pi * x) * sp.cos(sp.pi * y)
-    elif kind == "unsteady":
+    elif kind in ("unsteady", "magnetic"):
         env = sp.cos(4 * sp.pi * t)
         psi_u = sp.Rational(2, 5) * env * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
         u1 = sp.diff(psi_u, y)
         u2 = -sp.diff(psi_u, x)
         b1 = sp.Integer(0)
         b2 = sp.Integer(0)
+        if kind == "magnetic":  # the steady case's b, its zero-trace part scaled by env
+            psi_b = sp.Rational(1, 4) * env * sp.sin(sp.pi * x) ** 2 * sp.sin(2 * sp.pi * y) ** 2
+            b1 = sp.diff(psi_b, y) + sp.Rational(3, 10)
+            b2 = -sp.diff(psi_b, x) + sp.Rational(1, 5)
         p = sp.Rational(3, 10) * env * sp.cos(sp.pi * x) * sp.cos(sp.pi * y)
     else:
         raise ValueError(f"unknown manufactured case {kind!r}")
@@ -200,24 +204,20 @@ def _mms_scenario(case, nx, dt, t_final):
     cfg = SolverConfig(nx=nx, ny=nx, dt=dt, t_final=t_final)
     grid = cfg.grid()
     tt = trace_times(cfg)
-    if case["kind"] == "steady":
+    xf, yf = grid.xf(), grid.yf()
+    psi_u = 0.4 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(np.pi * yf)[None, :] ** 2
+    u0 = VectorField.from_stream(grid, psi_u)
+    modes = []
+    b0 = VectorField.zeros(grid)
+    if case["kind"] in ("steady", "magnetic"):  # b(0) and the constant trace agree
         modes = [
             TraceMode("constant", amplitude=0.3, component=1),
             TraceMode("constant", amplitude=0.2, component=2),
         ]
-        xf, yf = grid.xf(), grid.yf()
         psi_b = 0.25 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(2 * np.pi * yf)[None, :] ** 2
         b0 = VectorField.from_stream(grid, psi_b)
         b0.x += 0.3
         b0.y += 0.2
-        psi_u = 0.4 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(np.pi * yf)[None, :] ** 2
-        u0 = VectorField.from_stream(grid, psi_u)
-    else:
-        modes = []
-        b0 = VectorField.zeros(grid)
-        xf, yf = grid.xf(), grid.yf()
-        psi_u = 0.4 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(np.pi * yf)[None, :] ** 2
-        u0 = VectorField.from_stream(grid, psi_u)
     trace = synthesize_trace(grid, tt, modes)
     forcing = Forcing(u=_mms_forcing(grid, case, "fu"), b=_mms_forcing(grid, case, "fb"))
     return cfg, u0, b0, trace, forcing
@@ -285,18 +285,7 @@ def _difference_measure(states1, states2, trace1, trace2, dt):
         du = s1.u - s2.u
         db = s1.b - s2.b
         sup_e = max(sup_e, l2_norm_sq(du) + l2_norm_sq(db))
-        bc1 = trace1.vector_bc(s1.t)
-        bc2 = trace2.vector_bc(s2.t)
-        dbc = VectorBC(
-            bc1.x_bottom - bc2.x_bottom,
-            bc1.x_top - bc2.x_top,
-            bc1.x_left - bc2.x_left,
-            bc1.x_right - bc2.x_right,
-            bc1.y_bottom - bc2.y_bottom,
-            bc1.y_top - bc2.y_top,
-            bc1.y_left - bc2.y_left,
-            bc1.y_right - bc2.y_right,
-        )
+        dbc = trace1.vector_bc(s1.t) - trace2.vector_bc(s2.t)
         diss.append(grad_norm_sq(du) + grad_norm_sq(db, dbc))
     diss = np.asarray(diss)
     return sup_e + float(np.trapezoid(diss, dx=dt))

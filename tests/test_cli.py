@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mhd2d.cli import main, parse_config
 from mhd2d.errors import ConfigError
@@ -114,8 +116,13 @@ def test_main_config_error_exit_code(tmp_path):
     [
         MINIMAL.replace("nx = 16", "nx = 32"),
         MINIMAL + "\n[initial]\nu = bump kx=one\n",
+        MINIMAL + "\n[galerkin]\nn = 0\n",
+        MINIMAL + "\n[galerkin]\nn = 226\n",
+        MINIMAL + "\n[galerkin]\nm = -1\n",
+        MINIMAL + "\n[boundary]\nmodes = constant amp=0.1 comp=3\n",
     ],
-    ids=["non-square-grid", "bad-initial-integer"],
+    ids=["non-square-grid", "bad-initial-integer", "no-modes", "too-many-modes", "negative-m",
+         "component-3"],
 )
 def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
@@ -130,6 +137,12 @@ def test_main_ragged_trace_csv_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + f"\n[boundary]\ncsv = {csv_path}\n")
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "row 64: instant 0.0 has 63 nodes, expected 64" in capsys.readouterr().err
+
+
+def test_main_missing_trace_csv_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL + f"\n[boundary]\ncsv = {tmp_path / 'nowhere.csv'}\n")
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert "nowhere.csv: cannot read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["bad magic", "truncated"])
@@ -203,6 +216,12 @@ variant = reference
     assert "smallness-gate" in report and ",0\n" in report
 
 
+def test_main_malformed_experiment_value_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL + "\n[experiment]\nid = mms\nnx_list = 16,1x\n")
+    assert main(["experiment", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config error: experiment: invalid literal for int()" in capsys.readouterr().err
+
+
 def test_main_experiment_requires_store(tmp_path):
     text = MINIMAL + """
 [experiment]
@@ -253,3 +272,121 @@ u = bump amp=0.3 kx=1 ky=1
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
     assert (out / "basis_cache" / "basis_stokes_16x16_8.mhdbasis").exists()
+
+
+def _restart_config(ckpt, amp=0.1, re=1.0):
+    return MINIMAL.replace("T = 0.01", "T = 0.02") + f"""
+[boundary]
+modes = stream amp={amp!r} kx=1 ky=1 env=cos p=2.0
+
+[physics]
+Re = {re!r}
+
+[initial]
+checkpoint = {ckpt}
+"""
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [({}, None), ({"re": 2.0}, "checkpoint physics (Re, Rm, S)"),
+     ({"amp": 0.12}, "boundary trace up to t=")],
+    ids=["same", "changed-re", "changed-trace"],
+)
+def test_main_restart_refuses_changed_physics_or_trace(tmp_path, capsys, change, why):
+    first = MINIMAL + """
+[boundary]
+modes = stream amp=0.1 kx=1 ky=1 env=cos p=2.0
+
+[initial]
+u = bump amp=0.4 kx=1 ky=1
+b = matched
+"""
+    assert main(["run", "--config", _write(tmp_path, first), "--output-dir", str(tmp_path / "a")]) == 0
+    cfg = _write(tmp_path, _restart_config(tmp_path / "a" / "final.mhdckpt", **change), "r.cfg")
+    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    if why is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and f"config error: {why}" in err
+
+
+# --- damaged inputs end with a documented exit code ---------------------------
+
+FUZZ_CONFIG = """[grid]
+nx = 4
+ny = 4
+
+[time]
+dt = 0.25
+T = 0.5
+
+[physics]
+Re = 1.0
+Rm = 2.0
+S = 0.5
+
+[boundary]
+modes = stream amp=0.15 kx=1 ky=1 env=cos p=2.0; constant amp=0.1 comp=2
+
+[initial]
+u = bump amp=0.3 kx=1 ky=1
+b = matched; bump amp=0.2 kx=1 ky=2
+
+[tolerances]
+picard = 1e-10
+outer = 1e-9
+"""
+
+
+def _damage(data, raw):
+    """Truncated (half of the time) and up to four bytes flipped."""
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(0, 4), label="flips")):
+        if raw:
+            k = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            raw[k] ^= data.draw(st.integers(1, 255), label="mask")
+    return bytes(raw)
+
+
+def _exit_code(tmp_path, config_path, capsys):
+    code = main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    return code
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_config_exits_by_contract(tmp_path, capsys, data):
+    path = tmp_path / "damaged.cfg"
+    path.write_bytes(_damage(data, FUZZ_CONFIG.encode()))
+    _exit_code(tmp_path, path, capsys)
+
+
+def _zero_trace_csv(n_nodes=16, times=(0.0, 0.25, 0.5)):
+    rows = ["time,arclength,h1,h2"]
+    rows += [f"{t!r},{(k + 0.5) / 4!r},0.0,0.0" for t in times for k in range(n_nodes)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+def _csv_config(tmp_path, csv_path):
+    text = FUZZ_CONFIG.split("[boundary]")[0] + f"[boundary]\ncsv = {csv_path}\n"
+    return _write(tmp_path, text, "csv.cfg")
+
+
+def test_undamaged_fuzz_inputs_run(tmp_path, capsys):
+    assert _exit_code(tmp_path, _write(tmp_path, FUZZ_CONFIG), capsys) == 0
+    (tmp_path / "trace.csv").write_bytes(_zero_trace_csv())
+    assert _exit_code(tmp_path, _csv_config(tmp_path, tmp_path / "trace.csv"), capsys) == 0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_trace_csv_exits_by_contract(tmp_path, capsys, data):
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_bytes(_damage(data, _zero_trace_csv()))
+    _exit_code(tmp_path, _csv_config(tmp_path, csv_path), capsys)

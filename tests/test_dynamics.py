@@ -1,4 +1,6 @@
 import struct
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_divfree
+from mhd2d import dynamics
 from mhd2d.dynamics import (
     Forcing,
     SimState,
@@ -26,6 +29,7 @@ from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
 from mhd2d.operators import TransportOperator
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
+from mhd2d.verify import _mms_case, _mms_scenario
 
 DT = 1e-3
 
@@ -204,11 +208,11 @@ def test_restart_is_bit_identical(tmp_path):
     half_cfg = SolverConfig(**{**scen.cfg.__dict__, "t_final": 0.01})
     traj_half, _ = run(half_cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path / "mid.mhdckpt"
-    write_checkpoint(path, traj_half.final_state, half_cfg)
+    write_checkpoint(path, traj_half.final_state, half_cfg, scen.trace, traj_half.u_ref)
     ck = read_checkpoint(path)
-    check_restart_header(ck, half_cfg)
+    check_restart_header(ck, half_cfg, scen.trace)
     st = ck["state"]
-    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p)
+    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, u_ref=ck["u_ref"])
     a, b = traj_full.final_state, resumed.final_state
     assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
     assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
@@ -220,7 +224,7 @@ def checkpoint_bytes(tmp_path_factory):
     scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path_factory.mktemp("ckpt") / "c.mhdckpt"
-    write_checkpoint(path, traj.final_state, scen.cfg)
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.u_ref)
     return path.read_bytes()
 
 
@@ -233,8 +237,11 @@ def checkpoint_bytes(tmp_path_factory):
         (lambda raw: raw + bytes(8), "payload has"),
         (lambda raw: raw[:-8] + struct.pack("<d", np.nan), "non-finite field"),
         (lambda raw: raw[:8] + struct.pack("<q", 2) + raw[16:], "too coarse"),
+        (lambda raw: raw[:-3] + bytes([raw[-3] ^ 1]) + raw[-2:], "checksum mismatch"),
+        (lambda raw: raw[:48] + struct.pack("<d", np.inf) + raw[56:], "non-finite header"),
     ],
-    ids=["bad-magic", "short-header", "short-payload", "long-payload", "nan-value", "coarse-grid"],
+    ids=["bad-magic", "short-header", "short-payload", "long-payload", "nan-value", "coarse-grid",
+         "flipped-bit", "infinite-re"],
 )
 def test_malformed_checkpoint_is_config_error(tmp_path, checkpoint_bytes, mangle, why):
     path = tmp_path / "bad.mhdckpt"
@@ -267,7 +274,7 @@ def test_checkpoint_header_mismatch_rejected(tmp_path):
     scen = make_scenario("zero", nx=8, dt=DT, t_final=0.01)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path / "c.mhdckpt"
-    write_checkpoint(path, traj.final_state, scen.cfg)
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace)
     other = SolverConfig(nx=8, ny=8, dt=2 * DT, t_final=0.01)
     with pytest.raises(ConfigError):
         check_restart_header(read_checkpoint(path), other)
@@ -316,22 +323,40 @@ def test_b_step_reused_pair_matches_fresh_factorization():
     assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
 
 
-def test_transport_factored_once_per_coupled_step(monkeypatch):
+def test_transport_builds_equal_refactored_steps(monkeypatch):
     builds = []
     init = TransportOperator.__init__
 
     def counting(self, grid, comp, a, inv_dt, kappa):
-        if inv_dt != 0.0:  # the harmonic-lift pair has no time term
+        if a is not None:  # heat and harmonic pairs carry no advection
             builds.append(comp)
         init(self, grid, comp, a, inv_dt, kappa)
 
     monkeypatch.setattr(TransportOperator, "__init__", counting)
-    nsteps = 6
+    nsteps = 40
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    refactored = [r.transport_refactored for r in traj.reports]
     assert sum(r.outer_iterations for r in traj.reports) > nsteps
-    assert len(builds) == 2 * nsteps
+    assert refactored[0] and len(builds) == 2 * sum(refactored)
+    assert sum(refactored) <= nsteps // 2  # the pair outlives its step
+    # the velocity of the manufactured steady state stays put: one pair per run
+    builds.clear()
+    cfg, u0, b0, trace, forcing = _mms_scenario(_mms_case("steady"), 16, 2e-3, 0.12)
+    traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    assert len(builds) == 2 and sum(r.transport_refactored for r in traj.reports) == 1
 
+
+def test_live_pair_stays_within_reuse_threshold():
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=30 * DT)
+    st = Stepper(scen.cfg, scen.trace)
+    state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
+    for _ in range(30):
+        u_n = state.u
+        state, rep = st.coupled_step(state)
+        dist = np.sqrt(l2_norm_sq(u_n - st.transport.u_ref))
+        assert dist <= dynamics.TRANSPORT_REUSE_THETA * np.sqrt(l2_norm_sq(u_n))
+        assert rep.transport_refactored == (st.transport.u_ref is u_n)
 
 def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     calls = []
@@ -354,20 +379,121 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     assert calls.count("bc") == nsteps + 1
 
 
-def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
-    scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode="single_pass")
-    reused, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    b_step_reused = Stepper.b_step
+def test_old_pair_is_freed_before_the_new_one_is_built(monkeypatch):
+    live, seen = weakref.WeakSet(), []
+    init = TransportOperator.__init__
 
-    def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None):
-        return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb)
+    def tracking(self, grid, comp, a, inv_dt, kappa):
+        if a is not None:
+            seen.append(len(live))  # advective operators still alive
+            live.add(self)
+        init(self, grid, comp, a, inv_dt, kappa)
 
-    monkeypatch.setattr(Stepper, "b_step", refactoring)
-    fresh, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    a, b = reused.final_state, fresh.final_state
+    monkeypatch.setattr(TransportOperator, "__init__", tracking)
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=20 * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert sum(r.transport_refactored for r in traj.reports) > 1
+    assert seen[::2] == [0] * (len(seen) // 2) and seen[1::2] == [1] * (len(seen) // 2)
+
+
+def _assert_same_state(a, b):
     assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
     assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
     assert np.array_equal(a.p.values, b.p.values)
+
+
+def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
+    # with theta = 0 every step refactors at u^n: the pair factored once per
+    # step, which a fresh factorization in every b_step reproduces bit for bit
+    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.0)
+    for mode in ("single_pass", "fixed_point"):
+        scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode=mode)
+        every_step, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+        assert all(r.transport_refactored for r in every_step.reports)
+        with monkeypatch.context() as m:
+            if mode == "single_pass":  # u_frozen = u^n: factor at u_frozen in every b_step
+                b_step_reused = Stepper.b_step
+
+                def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None):
+                    return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb)
+
+                m.setattr(Stepper, "b_step", refactoring)
+            else:  # drop the live pair before every step
+                step = Stepper.coupled_step
+
+                def dropping(self, state):
+                    self.transport = None
+                    return step(self, state)
+
+                m.setattr(Stepper, "coupled_step", dropping)
+            fresh, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+        _assert_same_state(every_step.final_state, fresh.final_state)
+
+
+def test_restart_with_a_reused_pair_live_is_bit_identical(tmp_path):
+    # tail compactness's steady case at 16^2: the pair factored at step 1 is
+    # still live at step 60, where the run stops and resumes
+    cfg, u0, b0, trace, forcing = _mms_scenario(_mms_case("steady"), 16, 2e-3, 0.16)
+    full, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    half_cfg = replace(cfg, t_final=0.12)
+    half, _ = run(half_cfg, u0, b0, trace, forcing=forcing)
+    assert len(half.reports) == 60 and not half.reports[-1].transport_refactored
+    assert not np.array_equal(half.u_ref.x, half.final_state.u.x)
+    path = tmp_path / "step60.mhdckpt"
+    write_checkpoint(path, half.final_state, half_cfg, trace, half.u_ref)
+    ck = read_checkpoint(path)
+    assert np.array_equal(ck["u_ref"].x, half.u_ref.x)
+    check_restart_header(ck, cfg, trace)
+    st = ck["state"]
+    resumed, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p,
+                     u_ref=ck["u_ref"])
+    _assert_same_state(full.final_state, resumed.final_state)
+    # refactoring at u^n instead (what a v1 checkpoint implies) agrees only
+    # to the solver tolerances
+    fresh, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p)
+    assert not np.array_equal(full.final_state.b.x, fresh.final_state.b.x)
+    scale = np.sqrt(l2_norm_sq(full.final_state.b))
+    assert np.sqrt(l2_norm_sq(full.final_state.b - fresh.final_state.b)) <= 1e-9 * scale
+
+
+def test_v1_checkpoint_reads_with_u_ref_equal_to_u(tmp_path):
+    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    s = traj.final_state
+    g = s.u.grid
+    arrays = (s.u.x, s.u.y, s.b.x, s.b.y, s.p.values)
+    path = tmp_path / "v1.mhdckpt"
+    path.write_bytes(b"MHDCKPT1" + struct.pack("<qqddq", g.nx, g.ny, s.t, DT, -1)
+                     + b"".join(a.astype("<f8").tobytes() for a in arrays))
+    ck = read_checkpoint(path)
+    assert ck["physics"] is None and ck["trace_digest"] is None
+    assert ck["u_ref"] is ck["state"].u and np.array_equal(ck["state"].b.y, s.b.y)
+    check_restart_header(ck, scen.cfg, scen.trace)  # nothing recorded to mismatch
+
+
+@pytest.mark.parametrize(
+    "cfg_change, amp, why",
+    [
+        (dict(re=2.0), 0.15, "physics"),
+        (dict(s=0.5), 0.15, "physics"),
+        ({}, 0.16, "boundary trace"),
+        (dict(t_final=2 * DT), 0.15, "no instant"),
+    ],
+    ids=["re", "s", "trace", "short-trace"],
+)
+def test_restart_refuses_changed_physics_or_trace(tmp_path, cfg_change, amp, why):
+    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=4 * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    path = tmp_path / "c.mhdckpt"
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.u_ref)
+    ck = read_checkpoint(path)
+    check_restart_header(ck, scen.cfg, scen.trace)
+    cfg = replace(scen.cfg, **cfg_change)
+    mode = replace(scen.boundary_modes[0], amplitude=amp)
+    trace = synthesize_trace(cfg.grid(), np.arange(round(cfg.t_final / DT) + 1) * DT, [mode])
+    with pytest.raises(ConfigError) as exc:
+        check_restart_header(ck, cfg, trace)
+    assert why in str(exc.value)
 
 
 def test_strong_ledger_weak_columns_equal_weak_run():

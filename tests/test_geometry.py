@@ -225,3 +225,24 @@ def test_identity_residuals_second_order():
     r64 = identity_residuals(*_smooth_pair(Grid(64, 64)))
     for key in r32:
         assert r32[key] / r64[key] >= 3.5, key
+
+
+def test_vector_bc_difference_is_field_wise_bit_for_bit(rng):
+    g = Grid(8, 8)
+    a = VectorBC.from_functions(g, lambda x, y: np.sin(3 * x + y), lambda x, y: x * y - 0.3)
+    z = VectorBC.zero(g)
+    b = VectorBC(*(rng.standard_normal(v.shape) for v in vars(z).values()))
+    d = a - b
+    spelled = VectorBC(
+        a.x_bottom - b.x_bottom,
+        a.x_top - b.x_top,
+        a.x_left - b.x_left,
+        a.x_right - b.x_right,
+        a.y_bottom - b.y_bottom,
+        a.y_top - b.y_top,
+        a.y_left - b.y_left,
+        a.y_right - b.y_right,
+    )
+    for name, want in vars(spelled).items():
+        assert np.array_equal(getattr(d, name), want), name
+    assert len(vars(d)) == 8

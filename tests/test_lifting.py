@@ -309,6 +309,29 @@ def test_trace_csv_malformed_rows_are_config_errors(tmp_path, edit, match):
         read_trace_csv(g, path)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_trace_csv_reads_or_raises_config_error(tmp_path_factory, data):
+    g = Grid(4, 4)
+    tr = synthesize_trace(g, [0.0, 0.1], [TraceMode("stream", amplitude=0.2)])
+    lines = ["time,arclength,h1,h2"] + [
+        f"{t!r},{s!r},{tr.samples[i, k, 0]!r},{tr.samples[i, k, 1]!r}"
+        for i, t in enumerate(tr.times) for k, s in enumerate(tr.nodes())
+    ]
+    raw = bytearray(("\n".join(lines) + "\n").encode()[: data.draw(st.integers(0, 4000))])
+    for _ in range(data.draw(st.integers(0, 4))):
+        if raw:
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("csv") / "damaged.csv"
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_trace_csv(g, path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+        return
+    assert back.samples.shape[1:] == (16, 2) and np.all(np.isfinite(back.samples))
+
+
 def test_index_of_nearest_instant():
     tr = synthesize_trace(Grid(8, 8), TIMES, [])
     last = len(TIMES) - 1

@@ -157,11 +157,13 @@ def test_column_order_computed_once_per_grid_and_component(monkeypatch):
     operators.heat_pair.cache_clear()
     dt, nsteps = 1e-3, 6
     scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=nsteps * dt, strong_mode=True)
-    run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     n = 17 * 16  # unknowns of either component's full face array
     assert ordered.count(n) == 2  # x and y
-    # harmonic pair, heat pair (strong-mode lift) and one pair per step
-    assert natural == [n] * (2 + 2 + 2 * nsteps)
+    # harmonic pair, heat pair (strong-mode lift) and one pair per refactoring
+    refactored = sum(r.transport_refactored for r in traj.reports)
+    assert 1 <= refactored < nsteps
+    assert natural == [n] * (2 + 2 + 2 * refactored)
 
 
 def test_neumann_projection_kills_divergence(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mhd2d.verify import (
     _fit_order,
     _mms_case,
     _mms_error,
+    _mms_final_state,
     _mms_scenario,
     _sample_vec,
     absorbing_experiment,
@@ -91,6 +94,28 @@ def _counting_case(kind):
     for key in ("fu", "fb"):
         case[key] = tuple(counted(f"{key}{i}", f) for i, f in enumerate(case[key]))
     return case, calls
+
+
+def test_magnetic_temporal_order():
+    # b = cos(4 pi t) curl psi_b + (0.3, 0.2) keeps its trace constant; the
+    # unsteady case of criterion 02 has b = 0, so this is the only measure of
+    # b's temporal order
+    case = _mms_case("magnetic")
+    t_final = 0.24
+
+    def b_error(nx, dt, ref=None):
+        st = _mms_final_state(case, nx, dt, t_final)
+        want = _sample_vec(st.b.grid, case["b"], st.t) if ref is None else ref
+        return math.sqrt(l2_norm_sq(st.b - want))
+
+    # self-convergence against a fine-dt run on the same grid
+    dts = (4e-3, 2e-3, 1e-3)
+    ref = _mms_final_state(case, 16, 2.5e-4, t_final).b
+    assert _fit_order(dts, [b_error(16, dt, ref) for dt in dts]) >= 0.9
+    # against the exact field on a fine grid, with steps long enough that the
+    # temporal error outweighs the spatial one
+    dts = (4e-2, 2e-2, 1e-2)
+    assert _fit_order(dts, [b_error(64, dt) for dt in dts]) >= 0.9
 
 
 def test_steady_forcing_sampled_once_per_run():
