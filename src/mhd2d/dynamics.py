@@ -11,7 +11,9 @@ distance); otherwise it is refactored at u^n.  Every outer iterate ubar
 reuses the live factorization and lags the difference (ubar - u_ref)·grad b
 in the same Picard loop, so the fixed point is the implicit-transport
 solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
-iterate is exactly the implicit solve).
+iterate is exactly the implicit solve).  Outer iterate k >= 2 starts its
+Picard loop from iterate k-1's b (a warm start), which the stop test and
+the fixed point do not depend on.
 The velocity solve is a monolithic implicit Stokes system (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
 its nonlinear terms are lagged.  The outer loop alternates the two solves
@@ -88,10 +90,11 @@ CKPT_MAGIC = b"MHDCKPT2"
 _CKPT_V1_MAGIC = b"MHDCKPT1"
 
 # The factored transport pair is kept while ||u^n - u_ref|| <= theta ||u^n||
-# (L2 norms).  0.1 is the largest value tried at which the Picard and outer
-# iteration counts of calib-osc at 32^2 and tail compactness at 64^2 do not
-# change; 0.2 adds 0.2% Picard iterations on calib-osc.
-TRANSPORT_REUSE_THETA = 0.1
+# (L2 norms).  With warm-started outer iterates, 0.5 factors 62 pairs in the
+# 375 steps of calib-osc at 32^2 (220 at 0.1) for +0.2% Picard iterations per
+# magnetic step; 1.0 saves 33 more pairs for +0.6%.  Outer iteration counts
+# do not move, and tail compactness at 64^2 keeps one pair at every value.
+TRANSPORT_REUSE_THETA = 0.5
 
 
 @dataclass
@@ -172,6 +175,10 @@ class SimState:
 
 @dataclass
 class StepReport:
+    """Solver health of one magnetic, velocity or coupled step.  A coupled
+    step sums the Picard iterations and takes the largest contraction ratio
+    over its outer iterates; the Picard residual is the last iterate's."""
+
     dt: float
     picard_iterations: int = 0
     picard_residual: float = 0.0
@@ -312,6 +319,7 @@ class Stepper:
         bc: VectorBC | None = None,
         transport: TransportPair | None = None,
         fb: VectorField | None = None,
+        b_start: VectorField | None = None,
     ):
         """One implicit magnetic step; transport implicit, stretching lagged.
 
@@ -320,7 +328,8 @@ class Stepper:
         term, which leaves the Picard fixed point unchanged.  Without it a
         pair is factored at u_frozen.  ``bc`` is the boundary data and
         ``fb`` the magnetic body force at the new time (each looked up when
-        omitted).
+        omitted).  ``b_start`` is the first Picard iterate (b_prev when
+        omitted); the stop test and the fixed point do not depend on it.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -353,7 +362,7 @@ class Stepper:
         stretch = None if pure_heat else transported_half(u_frozen)
         lagged = None if shift is None else advecting_half(shift)
 
-        cur = b_prev
+        cur = b_prev if b_start is None else b_start
         residuals = []
         res = 0.0
         iters = 0
@@ -455,7 +464,6 @@ class Stepper:
         b_new = state.b
         u_new = state.u
         p_new = state.p
-        rep_b = StepReport(dt=cfg.dt)
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
@@ -464,14 +472,20 @@ class Stepper:
         # while u^n stays close to its u_ref
         refactored = self.keep_or_refactor(state.u)
 
-        def magnetic(ub):
-            return self.b_step(ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb)
+        b_reports = []  # one per outer iterate
+
+        def magnetic(ub, b_start):
+            b, rep = self.b_step(
+                ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb, b_start=b_start
+            )
+            b_reports.append(rep)
+            return b
 
         def velocity(bn, ub):
             return self.u_step(bn, state.u, state.t, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half)
 
         if cfg.outer_mode == "single_pass":
-            b_new, rep_b = magnetic(ubar)
+            b_new = magnetic(ubar, b_new)
             u_new, p_new, _ = velocity(b_new, ubar)
             outer_iters, outer_res = 1, 0.0
         else:
@@ -480,7 +494,9 @@ class Stepper:
             outer_iters = 0
             for k in range(cfg.outer_max_iter):
                 outer_iters = k + 1
-                b_new, rep_b = magnetic(ubar)
+                # warm start: Picard starts from the previous iterate's b
+                # (b^n for the first), the fixed point at a nearby ubar
+                b_new = magnetic(ubar, b_new)
                 u_new, p_new, _ = velocity(b_new, ubar)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
@@ -505,9 +521,11 @@ class Stepper:
             cleaned = True
         report = StepReport(
             dt=cfg.dt,
-            picard_iterations=rep_b.picard_iterations,
-            picard_residual=rep_b.picard_residual,
-            contraction_ratio=rep_b.contraction_ratio,
+            # over all outer iterates: a warm-started last one alone often
+            # takes one or two iterations at ratio 0
+            picard_iterations=sum(r.picard_iterations for r in b_reports),
+            picard_residual=b_reports[-1].picard_residual,
+            contraction_ratio=max(r.contraction_ratio for r in b_reports),
             outer_iterations=outer_iters,
             outer_residual=float(outer_res),
             div_b_before_clean=div_before,

@@ -390,3 +390,57 @@ def test_damaged_trace_csv_exits_by_contract(tmp_path, capsys, data):
     csv_path = tmp_path / "trace.csv"
     csv_path.write_bytes(_damage(data, _zero_trace_csv()))
     _exit_code(tmp_path, _csv_config(tmp_path, csv_path), capsys)
+
+
+# the experiment, calibrate and basis commands: their runners are stubbed, so
+# a damaged config exercises parsing and dispatch only
+FUZZ_COMMANDS = {
+    "experiment": MINIMAL + """
+[experiment]
+id = mms, picard, tail, absorbing, basis-stability, gronwall
+nx_list = 16,32
+dt_list = 4e-3,2e-3
+n_list = 4,8
+variant = reference
+diam_factor = 1.5
+seed = 3
+strong = yes
+""",
+    "calibrate": MINIMAL,
+    "basis": MINIMAL + "\n[galerkin]\nn = 3\nm = 3\n",
+}
+
+
+@pytest.fixture
+def stubbed_runners(monkeypatch, tmp_path):
+    from mhd2d import cli
+    from mhd2d.estimates import CalibrationStore
+    from mhd2d.verify import ExperimentReport
+
+    for name in list(cli.EXPERIMENTS):
+        monkeypatch.setitem(cli.EXPERIMENTS, name,
+                            lambda store, _name=name, **kw: ExperimentReport(_name, repr(sorted(kw))))
+    store = CalibrationStore()
+    store.set("c_p", 1.0, "stub")
+    monkeypatch.setattr(cli, "calibrate_constants", lambda nx, dt: store)
+    monkeypatch.setattr(cli, "cached_basis", lambda kind, grid, n, cache: None)
+    (tmp_path / "out").mkdir()
+    store.write(tmp_path / "out" / "calibration.txt")  # the store the experiments read
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_undamaged_command_configs_dispatch(tmp_path, capsys, stubbed_runners, command):
+    path = _write(tmp_path, FUZZ_COMMANDS[command])
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_command_config_exits_by_contract(tmp_path, capsys, stubbed_runners, command, data):
+    path = tmp_path / "damaged.cfg"
+    path.write_bytes(_damage(data, FUZZ_COMMANDS[command].encode()))
+    code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err

@@ -323,6 +323,97 @@ def test_b_step_reused_pair_matches_fresh_factorization():
     assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
 
 
+def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
+    # the second outer iterate of a step: ubar from the first iterate's b,
+    # which is where the warm start begins Picard
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    u_n = scen.u0
+    pair = st.transport_operators(u_n)
+    b_first, _ = st.b_step(u_n, scen.b0, 0.0, transport=pair)
+    ubar, _, _ = st.u_step(b_first, u_n, 0.0)
+    warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, transport=pair, b_start=b_first)
+    cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, transport=pair)
+    assert rep_warm.picard_iterations < rep_cold.picard_iterations
+    tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cold)))
+    assert np.sqrt(l2_norm_sq(warm - cold)) <= tol
+
+
+def _collect_b_steps(monkeypatch, reports, cold=False):
+    """Record every b_step report; ``cold`` drops the warm start."""
+    b_step_orig = Stepper.b_step
+
+    def collecting(self, *args, **kwargs):
+        if cold:
+            kwargs.pop("b_start", None)
+        out = b_step_orig(self, *args, **kwargs)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(Stepper, "b_step", collecting)
+
+
+def test_coupled_report_sums_and_maxes_its_b_steps(monkeypatch):
+    reports = []
+    _collect_b_steps(monkeypatch, reports)
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=10 * DT)
+    st = Stepper(scen.cfg, scen.trace)
+    state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
+    warm_tail = False
+    for _ in range(10):
+        reports.clear()
+        state, rep = st.coupled_step(state)
+        assert len(reports) == rep.outer_iterations > 1
+        assert rep.picard_iterations == sum(r.picard_iterations for r in reports)
+        assert rep.contraction_ratio == max(r.contraction_ratio for r in reports)
+        assert rep.picard_residual == reports[-1].picard_residual
+        warm_tail |= reports[-1].picard_iterations < reports[0].picard_iterations
+    assert warm_tail  # the last iterate alone would understate the step's work
+
+
+def test_warm_start_moves_fixed_point_only_and_not_single_pass(monkeypatch):
+    for mode in ("single_pass", "fixed_point"):
+        scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode=mode)
+        warm, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+        with monkeypatch.context() as m:
+            _collect_b_steps(m, [], cold=True)
+            cold, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+        if mode == "single_pass":  # one outer iterate, started from b^n as before
+            _assert_same_state(warm.final_state, cold.final_state)
+            assert warm.reports == cold.reports
+        else:
+            assert sum(r.picard_iterations for r in warm.reports) < sum(
+                r.picard_iterations for r in cold.reports)
+            scale = np.sqrt(l2_norm_sq(cold.final_state.b))
+            assert np.sqrt(l2_norm_sq(warm.final_state.b - cold.final_state.b)) <= 1e-9 * scale
+
+
+def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
+    # Pins the defect of the componentwise Dirichlet magnetic solve: from
+    # compatible data (u = b = 0 and one stream trace ramping up from 0) a
+    # pure-heat step leaves div b far above the cleaning threshold, largest
+    # in the cells at the wall, and the projection removes it.  A
+    # divergence-free magnetic step (ROADMAP item 2) flips this test.
+    g = Grid(16, 16)
+    mode = TraceMode("stream", amplitude=0.2, kx=1, ky=2, envelope="ramp", envelope_param=5.0)
+    trace = synthesize_trace(g, [0.0, DT], [mode])
+    cfg = SolverConfig(nx=16, ny=16, dt=DT, t_final=DT, outer_mode="single_pass")
+    zero = VectorField.zeros(g)
+    assert compatibility_check(zero, zero, trace).passed
+    before = []
+    clean = dynamics.project_divfree
+    monkeypatch.setattr(dynamics, "project_divfree",
+                        lambda b, poisson: before.append(b) or clean(b, poisson))
+    _, rep = Stepper(cfg, trace).coupled_step(SimState(0.0, zero, zero, ScalarField.zeros(g)))
+    assert rep.picard_iterations == 1  # u = 0: the magnetic solve is one heat solve
+    assert rep.cleaned and rep.div_b_before_clean > 1e6 * cfg.div_clean_threshold
+    div = np.abs(divergence(before[0]).values)
+    assert div.max() == rep.div_b_before_clean
+    i, j = np.unravel_index(np.argmax(div), div.shape)
+    assert min(i, j, div.shape[0] - 1 - i, div.shape[1] - 1 - j) == 0  # a cell at the wall
+    assert div[2:-2, 2:-2].max() < 0.1 * div.max()
+
+
 def test_transport_builds_equal_refactored_steps(monkeypatch):
     builds = []
     init = TransportOperator.__init__
@@ -414,8 +505,10 @@ def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
             if mode == "single_pass":  # u_frozen = u^n: factor at u_frozen in every b_step
                 b_step_reused = Stepper.b_step
 
-                def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None):
-                    return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb)
+                def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None,
+                                b_start=None):
+                    return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb,
+                                         b_start=b_start)
 
                 m.setattr(Stepper, "b_step", refactoring)
             else:  # drop the live pair before every step
