@@ -14,10 +14,12 @@ solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
 iterate is exactly the implicit solve).  Outer iterate k >= 2 starts its
 Picard loop from iterate k-1's b (a warm start), which the stop test and
 the fixed point do not depend on.
-The velocity solve is a monolithic implicit Stokes system (or a Galerkin
+The velocity solve is an implicit Stokes step on the stream-function
+parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
 its nonlinear terms are lagged.  The outer loop alternates the two solves
-until successive velocity iterates agree.  The boundary data and the
+until successive velocity iterates agree; the pressure is recovered once,
+from the accepted iterate.  The boundary data and the
 body forces at the new time are looked up once per step (the ledger row
 after the step reuses that boundary data).  What a step holds fixed is
 prepared once: the transport pair's Dirichlet right-hand sides and the
@@ -276,7 +278,7 @@ class Stepper:
                 )
             self.saddle = None
         else:
-            self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re)
+            self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re, self.poisson)
         self._bc = None  # (t, boundary data at t) of the latest lookup
         self.transport: TransportPair | None = None  # the live pair, kept across steps
 
@@ -415,13 +417,17 @@ class Stepper:
         bc: VectorBC | None = None,
         fu: VectorField | None = None,
         u_prev_half: TransportedHalf | None = None,
+        pressure: bool = True,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update.
 
-        ``bc`` is the magnetic boundary data and ``fu`` the velocity body
-        force at the new time (each looked up when omitted).
-        ``u_prev_half`` is ``transported_half(u_prev)``, which the outer
-        iterates of one coupled step share (computed when omitted).
+        Returns (u_new, p, report).  ``bc`` is the magnetic boundary data
+        and ``fu`` the velocity body force at the new time (each looked up
+        when omitted).  ``u_prev_half`` is ``transported_half(u_prev)``,
+        which the outer iterates of one coupled step share (computed when
+        omitted).  With ``pressure=False`` the second item is the step's
+        right-hand side f instead of p; ``self.pressure(f, u_new)`` recovers
+        p from it.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -441,19 +447,26 @@ class Stepper:
         if fu is not None:
             fx = fx + fu.x
             fy = fy + fu.y
+        force = VectorField(self.grid, fx, fy)
         if cfg.n_modes is None:
-            u_new, p = self.saddle.solve(fx, fy)
+            u_new = self.saddle.solve(fx, fy)
         else:
             n = cfg.n_modes
-            force = VectorField(self.grid, fx, fy)
             coeffs, _ = project(self.basis, force, n)
             lam = self.basis.eigenvalues[:n]
             g_new = dt * coeffs / (1.0 + dt * lam / cfg.re)
             ux = np.tensordot(g_new, self.basis.modes_x[:n], axes=(0, 0))
             uy = np.tensordot(g_new, self.basis.modes_y[:n], axes=(0, 0))
             u_new = VectorField(self.grid, ux, uy)
-            p = ScalarField.zeros(self.grid)
+        p = self.pressure(force, u_new) if pressure else force
         return u_new, p, StepReport(dt=dt, outer_iterations=1)
+
+    def pressure(self, force: VectorField, u_new: VectorField) -> ScalarField:
+        """The mean-zero pressure of a velocity step with right-hand side
+        ``force`` and solution ``u_new`` (zero under a Galerkin truncation)."""
+        if self.saddle is None:
+            return ScalarField.zeros(self.grid)
+        return self.saddle.pressure(force.x, force.y, u_new)
 
     # -- coupled step ------------------------------------------------------------
 
@@ -463,7 +476,6 @@ class Stepper:
         history = []
         b_new = state.b
         u_new = state.u
-        p_new = state.p
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
@@ -482,11 +494,13 @@ class Stepper:
             return b
 
         def velocity(bn, ub):
-            return self.u_step(bn, state.u, state.t, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half)
+            return self.u_step(
+                bn, state.u, state.t, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half, pressure=False
+            )
 
         if cfg.outer_mode == "single_pass":
             b_new = magnetic(ubar, b_new)
-            u_new, p_new, _ = velocity(b_new, ubar)
+            u_new, force, _ = velocity(b_new, ubar)
             outer_iters, outer_res = 1, 0.0
         else:
             res_prev = np.inf
@@ -497,7 +511,7 @@ class Stepper:
                 # warm start: Picard starts from the previous iterate's b
                 # (b^n for the first), the fixed point at a nearby ubar
                 b_new = magnetic(ubar, b_new)
-                u_new, p_new, _ = velocity(b_new, ubar)
+                u_new, force, _ = velocity(b_new, ubar)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
                 if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
@@ -513,6 +527,7 @@ class Stepper:
                     t=t_next,
                     detail={"residual_history": history},
                 )
+        p_new = self.pressure(force, u_new)  # of the accepted iterate only
 
         div_before = float(np.max(np.abs(divergence(b_new).values)))
         cleaned = False

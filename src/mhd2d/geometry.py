@@ -91,7 +91,7 @@ class Grid:
 
 
 def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
 
 

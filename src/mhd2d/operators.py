@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -28,6 +29,8 @@ __all__ = [
     "lap_xcomp_interior",
     "lap_ycomp_interior",
     "stream_curl_matrix",
+    "StreamForms",
+    "stream_forms",
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
@@ -385,24 +388,39 @@ def heat_pair(grid: Grid, inv_dt: float, kappa: float):
 
 # --- pressure & projection -------------------------------------------------
 
+def _neumann_modes(n, h):
+    """Orthonormal eigenvectors (columns) and eigenvalues of ``tridiag_neumann(n) / h**2``.
+
+    Column k samples cos(pi k (j + 1/2) / n) at the cells j; its eigenvalue
+    is (2 cos(pi k / n) - 2) / h**2, zero for the constant k = 0.
+    """
+    k = np.arange(n)
+    q = np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n) * np.sqrt(2.0 / n)
+    q[:, 0] = np.sqrt(1.0 / n)
+    return q, (2.0 * np.cos(np.pi * k / n) - 2.0) / h**2
+
+
 class NeumannPoisson:
-    """Cell-centered Poisson solve with homogeneous Neumann walls, gauge-pinned."""
+    """Cell-centered Poisson solve with homogeneous Neumann walls, mean-zero gauge.
+
+    The Neumann Laplacian is separable with cosine eigenvectors along each
+    axis, so a solve is two matmuls into the eigenbasis, a division by the
+    eigenvalue sums with the constant mode zeroed, and two matmuls back.
+    The right-hand side's mean (the constant mode) is dropped.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        tx = tridiag_neumann(grid.nx) / grid.dx**2
-        ty = tridiag_neumann(grid.ny) / grid.dy**2
-        m = (sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)).tolil()
-        m[0, :] = 0.0
-        m[0, 0] = 1.0
-        self._lu = splu(m.tocsc())
+        self._qx, lx = _neumann_modes(grid.nx, grid.dx)
+        self._qy, ly = _neumann_modes(grid.ny, grid.dy)
+        lam = lx[:, None] + ly[None, :]
+        lam[0, 0] = np.inf  # zeroes the constant mode
+        self._inv_lam = 1.0 / lam
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        r = rhs - rhs.mean()
-        r = r.ravel().copy()
-        r[0] = 0.0
-        q = self._lu.solve(r)
-        return (q - q.mean()).reshape(self.grid.shape_center())
+        r = np.reshape(rhs, self.grid.shape_center())
+        q = self._qx @ ((self._qx.T @ r @ self._qy) * self._inv_lam) @ self._qy.T
+        return q - q.mean()
 
 
 def project_divfree(v: VectorField, poisson: NeumannPoisson):
@@ -427,50 +445,77 @@ def stokes_apply(u: VectorField, poisson: NeumannPoisson):
     return su, gp
 
 
-class StokesSaddle:
-    """Monolithic implicit Stokes step: (inv_dt - nu*Lap) u + grad p = f, div u = 0.
+class StreamForms(NamedTuple):
+    """The stream-function parameterization of the div-free zero-trace faces."""
 
-    One continuity row is traded for a pressure gauge; the dropped row is
-    implied by the others because the total flux of a zero-trace field
-    vanishes identically.
+    curl: sp.csr_matrix  # C = stream_curl_matrix(grid)
+    stiffness: sp.csc_matrix  # C^T (-Lap) C, symmetrized
+    mass: sp.csc_matrix  # C^T C, symmetrized
+
+
+@lru_cache(maxsize=4)
+def stream_forms(grid: Grid) -> StreamForms:
+    """C, C^T (-Lap) C and C^T C of one grid, shared by the implicit Stokes
+    step and the Stokes eigenbasis.  Lap is the interior-face mirror
+    Laplacian; both forms are symmetric positive definite."""
+    c = stream_curl_matrix(grid)
+    lap = sp.block_diag((lap_xcomp_interior(grid), lap_ycomp_interior(grid)))
+    a = (c.T @ (-lap) @ c).tocsc()
+    mass = (c.T @ c).tocsc()
+    return StreamForms(c, 0.5 * (a + a.T), 0.5 * (mass + mass.T))
+
+
+class StokesSaddle:
+    """Implicit Stokes step (inv_dt - nu*Lap) u + grad p = f, div u = 0, on interior faces.
+
+    u = C psi with C the stream curl, whose range is exactly the discretely
+    divergence-free zero-trace subspace.  C^T grad p = 0 there, so psi
+    solves the symmetric positive definite K psi = C^T f with
+    K = C^T (inv_dt - nu*Lap) C = inv_dt C^T C + nu C^T (-Lap) C, whose
+    half-bandwidth is 2(ny-1) in the C-order corner numbering.  K is
+    Cholesky-factored once in banded form; a solve is one banded
+    back-substitution.  ``pressure`` recovers the mean-zero p from
+    grad p = f - (inv_dt - nu*Lap) u with one Neumann Poisson solve of its
+    divergence.
     """
 
-    def __init__(self, grid: Grid, inv_dt: float, nu: float):
+    def __init__(self, grid: Grid, inv_dt: float, nu: float, poisson: NeumannPoisson | None = None):
         self.grid = grid
         self.inv_dt = inv_dt
         self.nu = nu
-        nx, ny = grid.nx, grid.ny
-        self.nux = (nx - 1) * ny
-        self.nuy = nx * (ny - 1)
-        npp = nx * ny
-        ax = sp.identity(self.nux) * inv_dt - nu * lap_xcomp_interior(grid)
-        ay = sp.identity(self.nuy) * inv_dt - nu * lap_ycomp_interior(grid)
-        a = sp.block_diag((ax, ay))
-        dxm = sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [0, 1], shape=(nx - 1, nx)) / grid.dx
-        dym = sp.diags([-np.ones(ny - 1), np.ones(ny - 1)], [0, 1], shape=(ny - 1, ny)) / grid.dy
-        gx = sp.kron(dxm, sp.identity(ny))
-        gy = sp.kron(sp.identity(nx), dym)
-        grad_m = sp.vstack([gx, gy])
-        div_m = (-grad_m.T).tolil()
-        bottom = sp.hstack([div_m, sp.lil_matrix((npp, npp))]).tolil()
-        bottom[0, :] = 0.0
-        bottom[0, self.nux + self.nuy] = 1.0  # pin p at the first cell
-        system = sp.vstack([sp.hstack([a, grad_m]), bottom]).tocsc()
+        self.poisson = NeumannPoisson(grid) if poisson is None else poisson
+        forms = stream_forms(grid)
+        nux = (grid.nx - 1) * grid.ny
+        self._cx, self._cy = forms.curl[:nux], forms.curl[nux:]
+        self._cxt, self._cyt = self._cx.T.tocsr(), self._cy.T.tocsr()
+        k = (inv_dt * forms.mass + nu * forms.stiffness).tocoo()
+        k.sum_duplicates()
+        band = 2 * (grid.ny - 1)
+        upper = k.row <= k.col
+        ab = np.zeros((band + 1, k.shape[0]))
+        ab[band + k.row[upper] - k.col[upper], k.col[upper]] = k.data[upper]
         try:
-            self._lu = splu(system)
-        except RuntimeError as exc:  # pragma: no cover
+            self._chol = scipy.linalg.cholesky_banded(ab)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SolverFailure(f"implicit Stokes factorization failed: {exc}")
 
-    def solve(self, fx: np.ndarray, fy: np.ndarray):
-        """fx, fy: forcing on the full face arrays (interior entries used)."""
+    def solve(self, fx: np.ndarray, fy: np.ndarray) -> VectorField:
+        """Divergence-free u; fx, fy: forcing on the full face arrays (interior entries used)."""
         g = self.grid
-        rhs = np.concatenate(
-            [fx[1:-1, :].ravel(), fy[:, 1:-1].ravel(), np.zeros(g.nx * g.ny)]
-        )
-        sol = self._lu.solve(rhs)
+        rhs = self._cxt @ fx[1:-1, :].ravel() + self._cyt @ fy[:, 1:-1].ravel()
+        psi = scipy.linalg.cho_solve_banded((self._chol, False), rhs, check_finite=False)
         u = VectorField.zeros(g)
-        u.x[1:-1, :] = sol[: self.nux].reshape(g.nx - 1, g.ny)
-        u.y[:, 1:-1] = sol[self.nux : self.nux + self.nuy].reshape(g.nx, g.ny - 1)
-        p = sol[self.nux + self.nuy :].reshape(g.shape_center())
-        p = p - p.mean()
-        return u, ScalarField(g, p)
+        u.x[1:-1, :] = (self._cx @ psi).reshape(g.nx - 1, g.ny)
+        u.y[:, 1:-1] = (self._cy @ psi).reshape(g.nx, g.ny - 1)
+        return u
+
+    def pressure(self, fx: np.ndarray, fy: np.ndarray, u: VectorField) -> ScalarField:
+        """The mean-zero pressure of the step whose forcing is (fx, fy) and solution u."""
+        g = self.grid
+        lap = apply_lap_mirror(u)
+        rx = fx - self.inv_dt * u.x + self.nu * lap.x
+        ry = fy - self.inv_dt * u.y + self.nu * lap.y
+        rx[0, :] = rx[-1, :] = 0.0
+        ry[:, 0] = ry[:, -1] = 0.0
+        div = (rx[1:, :] - rx[:-1, :]) / g.dx + (ry[:, 1:] - ry[:, :-1]) / g.dy
+        return ScalarField(g, self.poisson.solve(div))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import SolverFailure
@@ -29,7 +28,7 @@ from .operators import (
     apply_lap_mirror,
     lap_xcomp_interior,
     lap_ycomp_interior,
-    stream_curl_matrix,
+    stream_forms,
 )
 
 __all__ = [
@@ -169,12 +168,7 @@ def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = True) -> Spectr
             np.zeros((0,) + grid.shape_xface()),
             np.zeros((0,) + grid.shape_yface()),
         )
-    c = stream_curl_matrix(grid)
-    lap = sp.block_diag((lap_xcomp_interior(grid), lap_ycomp_interior(grid)))
-    a = (c.T @ (-lap) @ c).tocsc()
-    mass = (c.T @ c).tocsc()
-    a = 0.5 * (a + a.T)
-    mass = 0.5 * (mass + mass.T)
+    c, a, mass = stream_forms(grid)
     dense = grid.nx <= DENSE_LIMIT and grid.ny <= DENSE_LIMIT
     w, v = _symmetric_eigs(a, mass, n, dense)
     weight = grid.dx * grid.dy

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_divfree
-from mhd2d import dynamics
+from mhd2d import dynamics, operators
 from mhd2d.dynamics import (
     Forcing,
     SimState,
@@ -26,7 +26,7 @@ from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.estimates import LEDGER_COLUMNS
 from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
 from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
-from mhd2d.operators import TransportOperator
+from mhd2d.operators import NeumannPoisson, StokesSaddle, TransportOperator
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
 from mhd2d.verify import _mms_case, _mms_scenario
@@ -468,6 +468,52 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     assert calls.count("u") == calls.count("b") == nsteps
     # one lookup per coupled step, shared with the ledger row after it
     assert calls.count("bc") == nsteps + 1
+
+
+@pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])
+def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
+    recoveries = []
+    recover = StokesSaddle.pressure
+    monkeypatch.setattr(StokesSaddle, "pressure",
+                        lambda self, *a: recoveries.append(a) or recover(self, *a))
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT, outer_mode=mode)
+    # no cleaning, so the state's b is the one the velocity step saw
+    st = Stepper(replace(scen.cfg, div_clean_threshold=np.inf), scen.trace)
+    assert st.saddle.poisson is st.poisson  # cleaning, ledger and pressure share one solver
+    state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
+    outer = 0
+    for _ in range(4):
+        prev = state
+        state, rep = st.coupled_step(state)
+        outer += rep.outer_iterations
+    assert len(recoveries) == 4
+    assert outer > 4 if mode == "fixed_point" else outer == 4
+    assert abs(state.p.values.mean()) <= 1e-14 * np.max(np.abs(state.p.values))
+    if mode == "single_pass":  # the one iterate is a plain velocity step at u^n
+        _, p, _ = st.u_step(state.b, prev.u, prev.t)
+        assert np.array_equal(p.values, state.p.values)
+
+
+def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):
+    calls = []
+    real = operators.splu
+    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    operators.stream_forms.cache_clear()
+    g = Grid(12, 12)
+    NeumannPoisson(g)
+    StokesSaddle(g, 1.0 / DT, 1.0)
+    StokesSaddle(g, 1.0 / DT, 1.0, NeumannPoisson(g))
+    assert calls == []
+
+
+def test_module_u_step_returns_mean_zero_pressure(rng):
+    g = Grid(16, 16)
+    u = random_divfree(g, rng, scale=0.2)
+    b = random_divfree(g, rng, scale=0.5)  # its Lorentz force has a gradient part
+    new, p, _ = u_step(b, u, _zero_trace(g), DT)
+    assert np.max(np.abs(p.values)) > 0.0
+    assert abs(p.values.mean()) <= 1e-14 * np.max(np.abs(p.values))
+    assert np.max(np.abs(divergence(new).values)) <= 1e-12
 
 
 def test_old_pair_is_freed_before_the_new_one_is_built(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import mhd2d
@@ -33,6 +34,7 @@ from mhd2d.operators import (
     project_divfree,
     stokes_apply,
     stream_curl_matrix,
+    tridiag_neumann,
 )
 from mhd2d.dynamics import run
 from mhd2d.scenarios import make_scenario
@@ -181,12 +183,89 @@ def test_stokes_saddle_divfree_and_energy(rng):
     dt = 2e-3
     saddle = StokesSaddle(g, 1.0 / dt, 1.0)
     f = random_zero_trace(g, rng)
-    u, p = saddle.solve(f.x / dt, f.y / dt)
+    u = saddle.solve(f.x / dt, f.y / dt)
+    p = saddle.pressure(f.x / dt, f.y / dt, u)
     assert np.max(np.abs(divergence(u).values)) < 1e-9
     assert abs(p.values.mean()) < 1e-12
     lhs = l2_norm_sq(u) / dt + grad_norm_sq(u)
     rhs = inner(VectorField(g, f.x / dt, f.y / dt), u)
     assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+
+def _pinned_saddle(g, inv_dt, nu):
+    """The monolithic (u, v, p) saddle with p pinned at the first cell, by sparse LU."""
+    nx, ny = g.nx, g.ny
+    nux, nuy, npp = (nx - 1) * ny, nx * (ny - 1), nx * ny
+    a = sp.block_diag((
+        sp.identity(nux) * inv_dt - nu * lap_xcomp_interior(g),
+        sp.identity(nuy) * inv_dt - nu * lap_ycomp_interior(g),
+    ))
+    dxm = sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [0, 1], shape=(nx - 1, nx)) / g.dx
+    dym = sp.diags([-np.ones(ny - 1), np.ones(ny - 1)], [0, 1], shape=(ny - 1, ny)) / g.dy
+    grad_m = sp.vstack([sp.kron(dxm, sp.identity(ny)), sp.kron(sp.identity(nx), dym)])
+    bottom = sp.hstack([-grad_m.T, sp.csr_matrix((npp, npp))]).tolil()
+    bottom[0, :] = 0.0
+    bottom[0, nux + nuy] = 1.0
+    lu = splu(sp.vstack([sp.hstack([a, grad_m]), bottom]).tocsc())
+
+    def solve(fx, fy):
+        sol = lu.solve(np.concatenate([fx[1:-1, :].ravel(), fy[:, 1:-1].ravel(), np.zeros(npp)]))
+        u = VectorField.zeros(g)
+        u.x[1:-1, :] = sol[:nux].reshape(nx - 1, ny)
+        u.y[:, 1:-1] = sol[nux : nux + nuy].reshape(nx, ny - 1)
+        p = sol[nux + nuy :].reshape(g.shape_center())
+        return u, p - p.mean()
+
+    return solve
+
+
+def _pinned_poisson(g):
+    """The Neumann Poisson solve with q pinned at the first cell, by sparse LU."""
+    tx = tridiag_neumann(g.nx) / g.dx**2
+    ty = tridiag_neumann(g.ny) / g.dy**2
+    m = (sp.kron(tx, sp.identity(g.ny)) + sp.kron(sp.identity(g.nx), ty)).tolil()
+    m[0, :] = 0.0
+    m[0, 0] = 1.0
+    lu = splu(m.tocsc())
+
+    def solve(rhs):
+        r = (rhs - rhs.mean()).ravel()
+        r[0] = 0.0
+        q = lu.solve(r)
+        return (q - q.mean()).reshape(g.shape_center())
+
+    return solve
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 12), (9, 7), (64, 64)])
+@pytest.mark.parametrize("inv_dt, nu", [(500.0, 1.0), (1e-3, 1.0), (50.0, 0.02)])
+def test_stokes_saddle_matches_pinned_monolithic_saddle(rng, nx, ny, inv_dt, nu):
+    g = Grid(nx, ny)
+    ref = _pinned_saddle(g, inv_dt, nu)
+    saddle = StokesSaddle(g, inv_dt, nu)
+    # a general forcing (gradient part included) and a nearly solenoidal one
+    for f in (random_zero_trace(g, rng), random_divfree(g, rng)):
+        u_ref, p_ref = ref(f.x, f.y)
+        u = saddle.solve(f.x, f.y)
+        p = saddle.pressure(f.x, f.y, u)
+        scale = max(np.max(np.abs(u_ref.x)), np.max(np.abs(u_ref.y)))
+        assert max(np.max(np.abs(u.x - u_ref.x)), np.max(np.abs(u.y - u_ref.y))) <= 1e-10 * scale
+        assert _rel(p.values, p_ref) <= 1e-10
+        assert np.max(np.abs(divergence(u).values)) <= 1e-12
+        assert abs(p.values.mean()) <= 1e-14 * np.max(np.abs(p.values))
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 8), (9, 7), (64, 64)])
+def test_neumann_poisson_matches_pinned_lu(rng, nx, ny):
+    g = Grid(nx, ny)
+    ref = _pinned_poisson(g)
+    poisson = NeumannPoisson(g)
+    for rhs in (rng.standard_normal(g.shape_center()), divergence(random_zero_trace(g, rng)).values):
+        assert _rel(poisson.solve(rhs), ref(rhs)) <= 1e-12
 
 
 def test_stream_curl_matrix_matches_field_construction(rng):

@@ -2,12 +2,19 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_zero_trace
 from mhd2d.geometry import Grid, VectorField, divergence, grad_norm_sq, l2_norm_sq
-from mhd2d.operators import apply_lap_mirror
+from mhd2d.operators import (
+    apply_lap_mirror,
+    lap_xcomp_interior,
+    lap_ycomp_interior,
+    stream_curl_matrix,
+)
 from mhd2d.spectral import (
     SpectralBasis,
     basis_inequality_check,
@@ -55,6 +62,20 @@ def test_capacity_errors():
         build_laplacian_basis(g, 10_000)
     with pytest.raises(ValueError, match="capacity"):
         build_stokes_basis(g, 10_000)
+
+
+def test_stokes_eigenvalues_bit_identical_to_direct_assembly():
+    # the dense path at 8^2, on forms assembled here rather than shared
+    g = Grid(8, 8)
+    n = 10
+    c = stream_curl_matrix(g)
+    lap = sp.block_diag((lap_xcomp_interior(g), lap_ycomp_interior(g)))
+    a = (c.T @ (-lap) @ c).tocsc()
+    mass = (c.T @ c).tocsc()
+    a = 0.5 * (a + a.T)
+    mass = 0.5 * (mass + mass.T)
+    w, _ = scipy.linalg.eigh(a.toarray(), mass.toarray(), subset_by_index=[0, n - 1])
+    assert np.array_equal(build_stokes_basis(g, n, with_pressure=False).eigenvalues, w)
 
 
 def test_eigen_residuals():
