@@ -113,15 +113,9 @@ class BoundaryTrace:
 
     def dt_values(self, t):
         """Finite-difference time derivative at a sampled instant."""
-        i = self.index_of(t)
-        tt, ss = self.times, self.samples
-        if len(tt) == 1:
-            return np.zeros_like(ss[0])
-        if i == 0:
-            return (ss[1] - ss[0]) / (tt[1] - tt[0])
-        if i == len(tt) - 1:
-            return (ss[-1] - ss[-2]) / (tt[-1] - tt[-2])
-        return (ss[i + 1] - ss[i - 1]) / (tt[i + 1] - tt[i - 1])
+        if len(self.times) == 1:
+            return np.zeros_like(self.samples[0])
+        return _time_difference(self.samples, self.times, self.index_of(t))
 
     # node arc-length positions
     def nodes(self):
@@ -199,6 +193,16 @@ def with_normal_trace(v: VectorField, bc: VectorBC) -> VectorField:
     out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
     out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
     return out
+
+
+def _time_difference(values, times, i):
+    """Derivative of a sampled sequence at instant i: central inside, one-sided at the ends.
+
+    ``values`` may hold arrays or ``VectorField``s; the latter have no division,
+    so the difference is multiplied by the reciprocal step.
+    """
+    lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
+    return (values[hi] - values[lo]) * (1.0 / (times[hi] - times[lo]))
 
 
 def cumtrapz(y, t):
@@ -468,16 +472,7 @@ def lifting_estimate_check(trace: BoundaryTrace, t_end=None) -> LiftingReport:
         return LiftingReport(_ratio(h1[0], hh[0]), 0.0, h1[0], hh[0], 0.0, 0.0)
     num_h1 = float(np.trapezoid(h1, times))
     den_h1 = float(np.trapezoid(hh, times))
-    # time-derivative branch
-    dt_he = []
-    for i in range(len(times)):
-        if i == 0:
-            d = (lifts[1] - lifts[0]) * (1.0 / (times[1] - times[0]))
-        elif i == len(times) - 1:
-            d = (lifts[-1] - lifts[-2]) * (1.0 / (times[-1] - times[-2]))
-        else:
-            d = (lifts[i + 1] - lifts[i - 1]) * (1.0 / (times[i + 1] - times[i - 1]))
-        dt_he.append(l2_norm_sq(d))
+    dt_he = [l2_norm_sq(_time_difference(lifts, times, i)) for i in range(len(times))]
     num_dt = float(np.trapezoid(np.array(dt_he), times))
     den_dt = float(np.trapezoid(np.array([hs_norm_dt(trace, t, spec_dt) ** 2 for t in times]), times))
     return LiftingReport(

@@ -26,6 +26,7 @@ __all__ = [
     "tridiag_nodal",
     "tridiag_mirror",
     "tridiag_neumann",
+    "dirichlet_modes",
     "lap_xcomp_interior",
     "lap_ycomp_interior",
     "stream_curl_matrix",
@@ -398,6 +399,19 @@ def _neumann_modes(n, h):
     q = np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n) * np.sqrt(2.0 / n)
     q[:, 0] = np.sqrt(1.0 / n)
     return q, (2.0 * np.cos(np.pi * k / n) - 2.0) / h**2
+
+
+def dirichlet_modes(n, h, nodal):
+    """Orthonormal eigenvectors (columns) and eigenvalues of ``-tridiag_nodal(n - 1) / h**2``
+    (``nodal``) or of ``-tridiag_mirror(n) / h**2``.
+
+    Column k - 1 samples sin(pi k x / n) at the nodes x = 1 .. n - 1 or at the
+    cells x = j + 1/2; its eigenvalue 4 sin(pi k / 2n)**2 / h**2 increases in k.
+    """
+    x = np.arange(1, n) if nodal else np.arange(n) + 0.5
+    k = np.arange(1, len(x) + 1)
+    q = np.sin(np.pi * np.outer(x, k) / n)
+    return q / np.linalg.norm(q, axis=0), 4.0 * np.sin(0.5 * np.pi * k / n) ** 2 / h**2
 
 
 class NeumannPoisson:

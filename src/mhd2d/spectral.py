@@ -3,18 +3,22 @@
 The Stokes problem is solved on the stream-function parameterization of
 the discretely divergence-free zero-trace subspace, which keeps the
 operator symmetric and makes every mode divergence-free to machine
-precision.  The Laplacian basis is vector-valued with one nonzero
-component per mode (the scalar blocks are independent), ordered by
-eigenvalue across both blocks.
+precision.  Its eigenpairs come from a dense symmetric solve on grids up
+to 48 cells per side and from shift-invert Lanczos with a deterministic
+start vector above.
 
-Grids up to 48 cells per side use a dense symmetric solve; larger grids
-use shift-invert Lanczos with a deterministic start vector.
+The Laplacian basis is vector-valued with one nonzero component per mode
+(the scalar blocks are independent), ordered by eigenvalue across both
+blocks.  Each block is separable, so its eigenpairs are products of the
+closed-form sines of ``operators.dirichlet_modes``; no eigensolver runs.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +27,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import SolverFailure
 from .geometry import Grid, VectorField, grad_norm_sq, l2_norm_sq
-from .operators import (
-    NeumannPoisson,
-    apply_lap_mirror,
-    lap_xcomp_interior,
-    lap_ycomp_interior,
-    stream_forms,
-)
+from .ioutil import atomic_write_bytes
+from .operators import NeumannPoisson, apply_lap_mirror, dirichlet_modes, stream_forms
 
 __all__ = [
     "SpectralBasis",
@@ -44,8 +43,16 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 48
-MAGIC = b"MHDBASIS1"
 KINDS = ("stokes", "dirichlet_laplacian")
+
+# MAGIC | kind, nx, ny, count | crc32 | payload.  The crc32 covers magic, header
+# and payload; the payload holds the eigenvalues, then modes_x, then modes_y,
+# as little-endian f8.
+MAGIC = b"MHDBASIS2"
+_BASIS_HEADER = struct.Struct("<24sqqq")
+_BASIS_CRC = struct.Struct("<I")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -95,21 +102,12 @@ def _fix_signs(vectors, tol=1e-8):
 
 
 def _symmetric_eigs(a, m, k, dense):
-    """Lowest k eigenpairs of a (optionally generalized with mass m)."""
-    n = a.shape[0]
-    if k > n:
-        raise ValueError(f"capacity error: requested {k} modes, operator has {n} dofs")
-    if dense or k >= n - 1:
-        ad = a.toarray()
-        md = m.toarray() if m is not None else None
-        w, v = scipy.linalg.eigh(ad, md, subset_by_index=[0, k - 1])
-        return w, v
-    v0 = np.ones(n) / np.sqrt(n)
+    """Lowest k eigenpairs of the generalized problem a v = w m v."""
+    if dense or k >= a.shape[0] - 1:
+        return scipy.linalg.eigh(a.toarray(), m.toarray(), subset_by_index=[0, k - 1])
+    v0 = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
     try:
-        if m is not None:
-            w, v = eigsh(a, k=k, M=m.tocsc(), sigma=0.0, which="LM", v0=v0)
-        else:
-            w, v = eigsh(a, k=k, sigma=0.0, which="LM", v0=v0)
+        w, v = eigsh(a, k=k, M=m.tocsc(), sigma=0.0, which="LM", v0=v0)
     except ArpackNoConvergence as exc:
         raise SolverFailure(f"eigensolver did not converge: {exc}")
     order = np.argsort(w)
@@ -117,45 +115,35 @@ def _symmetric_eigs(a, m, k, dense):
 
 
 def build_laplacian_basis(grid: Grid, m: int) -> SpectralBasis:
-    """First m eigenpairs of the componentwise Dirichlet Laplacian."""
+    """First m eigenpairs of the componentwise Dirichlet Laplacian, in closed form.
+
+    Each block is separable: x-faces pair nodal x with mirrored y sines,
+    y-faces the reverse.  A stable sort puts the x-block first on a tie.
+    """
     nxf = (grid.nx - 1) * grid.ny
     nyf = grid.nx * (grid.ny - 1)
     if m > nxf + nyf:
         raise ValueError(f"capacity error: m={m} exceeds {nxf + nyf} interior dofs")
-    if m == 0:
-        return SpectralBasis(
-            "dirichlet_laplacian",
-            grid,
-            np.zeros(0),
-            np.zeros((0,) + grid.shape_xface()),
-            np.zeros((0,) + grid.shape_yface()),
-        )
-    dense = grid.nx <= DENSE_LIMIT and grid.ny <= DENSE_LIMIT
-    kx = min(m, nxf)
-    ky = min(m, nyf)
-    wx, vx = _symmetric_eigs(-lap_xcomp_interior(grid).tocsc(), None, kx, dense)
-    wy, vy = _symmetric_eigs(-lap_ycomp_interior(grid).tocsc(), None, ky, dense)
-    # merge the two blocks by eigenvalue; ties resolved x-block first
-    tagged = [(wx[i], 0, i) for i in range(kx)] + [(wy[i], 1, i) for i in range(ky)]
-    tagged.sort(key=lambda t: (t[0], t[1], t[2]))
-    tagged = tagged[:m]
-    w = grid.dx * grid.dy
-    evs = np.array([t[0] for t in tagged])
+    qxn, lxn = dirichlet_modes(grid.nx, grid.dx, nodal=True)
+    qxm, lxm = dirichlet_modes(grid.nx, grid.dx, nodal=False)
+    qyn, lyn = dirichlet_modes(grid.ny, grid.dy, nodal=True)
+    qym, lym = dirichlet_modes(grid.ny, grid.dy, nodal=False)
+    evs = np.concatenate([np.add.outer(lxn, lym).ravel(), np.add.outer(lxm, lyn).ravel()])
+    order = np.argsort(evs, kind="stable")[:m]
+    scale = 1.0 / np.sqrt(grid.dx * grid.dy)
     mx = np.zeros((m,) + grid.shape_xface())
     my = np.zeros((m,) + grid.shape_yface())
-    vx = _fix_signs(vx)
-    vy = _fix_signs(vy)
-    for k, (ev, block, i) in enumerate(tagged):
-        if block == 0:
-            col = vx[:, i] / np.sqrt(w * np.dot(vx[:, i], vx[:, i]))
-            mx[k, 1:-1, :] = col.reshape(grid.nx - 1, grid.ny)
+    for r, idx in enumerate(order):
+        if idx < nxf:
+            i, j = divmod(idx, grid.ny)
+            mx[r, 1:-1, :] = scale * np.outer(qxn[:, i], qym[:, j])
         else:
-            col = vy[:, i] / np.sqrt(w * np.dot(vy[:, i], vy[:, i]))
-            my[k, :, 1:-1] = col.reshape(grid.nx, grid.ny - 1)
-    return SpectralBasis("dirichlet_laplacian", grid, evs, mx, my)
+            i, j = divmod(idx - nxf, grid.ny - 1)
+            my[r, :, 1:-1] = scale * np.outer(qxm[:, i], qyn[:, j])
+    return SpectralBasis("dirichlet_laplacian", grid, evs[order], mx, my)
 
 
-def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = True) -> SpectralBasis:
+def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = False) -> SpectralBasis:
     """First n eigenpairs of the discrete Stokes operator."""
     nz = (grid.nx - 1) * (grid.ny - 1)
     if n > nz:
@@ -257,41 +245,37 @@ def basis_inequality_check(stokes: SpectralBasis, n: int, samples: int = 20, see
 # --- cache -----------------------------------------------------------------
 
 def save_basis(basis: SpectralBasis, path):
-    kind_b = basis.kind.encode("ascii").ljust(24, b"\0")
-    header = MAGIC + kind_b + struct.pack("<qqq", basis.grid.nx, basis.grid.ny, basis.count)
-    payload = [header, basis.eigenvalues.astype("<f8").tobytes()]
-    for k in range(basis.count):
-        payload.append(basis.modes_x[k].astype("<f8").tobytes())
-        payload.append(basis.modes_y[k].astype("<f8").tobytes())
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(payload))
-    os.replace(tmp, path)
+    kind_b = basis.kind.encode("ascii")
+    head = MAGIC + _BASIS_HEADER.pack(kind_b, basis.grid.nx, basis.grid.ny, basis.count)
+    payload = b"".join(
+        a.astype("<f8").tobytes() for a in (basis.eigenvalues, basis.modes_x, basis.modes_y)
+    )
+    crc = _BASIS_CRC.pack(zlib.crc32(payload, zlib.crc32(head)))
+    atomic_write_bytes(path, head + crc + payload)
 
 
 def load_basis(path) -> SpectralBasis:
+    """Read a basis cache file; a foreign, truncated or damaged file raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a basis cache file")
-    off = len(MAGIC)
-    kind = raw[off : off + 24].rstrip(b"\0").decode("ascii")
-    off += 24
-    nx, ny, count = struct.unpack_from("<qqq", raw, off)
-    off += 24
-    grid = Grid(nx, ny)
-    evs = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
-    off += 8 * count
-    sx = (nx + 1) * ny
-    sy = nx * (ny + 1)
-    mx = np.empty((count, nx + 1, ny))
-    my = np.empty((count, nx, ny + 1))
-    for k in range(count):
-        mx[k] = np.frombuffer(raw, dtype="<f8", count=sx, offset=off).reshape(nx + 1, ny)
-        off += 8 * sx
-        my[k] = np.frombuffer(raw, dtype="<f8", count=sy, offset=off).reshape(nx, ny + 1)
-        off += 8 * sy
-    return SpectralBasis(kind, grid, evs, mx, my)
+    off = len(MAGIC) + _BASIS_HEADER.size + _BASIS_CRC.size
+    if len(raw) < off or raw[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path}: not a {MAGIC.decode()} basis cache file")
+    kind_b, nx, ny, count = _BASIS_HEADER.unpack_from(raw, len(MAGIC))
+    kind = kind_b.rstrip(b"\0").decode("ascii", "replace")
+    if kind not in KINDS or min(nx, ny, count) <= 0:
+        raise ValueError(f"{path}: bad header (kind {kind!r}, grid {nx}x{ny}, {count} modes)")
+    sx, sy = (nx + 1) * ny, nx * (ny + 1)
+    if len(raw) - off != 8 * count * (1 + sx + sy):
+        raise ValueError(f"{path}: payload has {len(raw) - off} bytes, the header needs "
+                         f"{8 * count * (1 + sx + sy)}")
+    crc_at = off - _BASIS_CRC.size
+    if zlib.crc32(raw[off:], zlib.crc32(raw[:crc_at])) != _BASIS_CRC.unpack_from(raw, crc_at)[0]:
+        raise ValueError(f"{path}: checksum mismatch (damaged file)")
+    data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+    evs, mx, my = np.split(data, [count, count * (1 + sx)])
+    return SpectralBasis(kind, Grid(nx, ny), evs, mx.reshape(count, nx + 1, ny),
+                         my.reshape(count, nx, ny + 1))
 
 
 def cache_key(kind, grid, count):
@@ -299,16 +283,23 @@ def cache_key(kind, grid, count):
 
 
 def cached_basis(kind: str, grid: Grid, count: int, cache_dir=None) -> SpectralBasis:
-    """Build (or load a bit-identical cached copy of) an eigenbasis."""
+    """Build (or load a bit-identical cached copy of) an eigenbasis.
+
+    A cache file that is damaged or holds another basis is rebuilt and rewritten.
+    """
     builder = build_stokes_basis if kind == "stokes" else build_laplacian_basis
     if cache_dir is None:
         return builder(grid, count)
     path = os.path.join(cache_dir, cache_key(kind, grid, count))
     if os.path.exists(path):
-        basis = load_basis(path)
-        if basis.kind == kind and basis.count == count and basis.grid == grid:
-            return basis
+        try:
+            basis = load_basis(path)
+        except ValueError as exc:
+            log.warning("rebuilding basis cache: %s", exc)
+        else:
+            if basis.kind == kind and basis.count == count and basis.grid == grid:
+                return basis
+            log.warning("rebuilding basis cache: %s holds another basis", path)
     basis = builder(grid, count)
-    os.makedirs(cache_dir, exist_ok=True)
     save_basis(basis, path)
     return basis

@@ -300,7 +300,7 @@ def continuous_dependence(
     base = make_scenario("cd-base", nx=nx, dt=dt, t_final=t_final, keep_states=True)
     grid = base.cfg.grid()
     traj0, _ = run(base.cfg, base.u0, base.b0, base.trace)
-    stokes = build_stokes_basis(grid, 2, with_pressure=False)
+    stokes = build_stokes_basis(grid, 2)
     xi1 = stokes.mode(0)
     # the magnetic perturbation must stay solenoidal with zero trace, so it
     # is taken along the next Stokes mode (its norm is exactly eps as well)
@@ -358,8 +358,7 @@ def _absorbing_data(nx, dt, variant):
     tt = np.arange(int(round(ABSORB_HORIZON / dt)) + 1) * dt
     trace = synthesize_trace(grid, tt, modes)
     series = _trace_series(trace)
-    c_p = poincare_constants(build_stokes_basis(grid, 1, with_pressure=False),
-                             build_laplacian_basis(grid, 1))[2]
+    c_p = poincare_constants(build_stokes_basis(grid, 1), build_laplacian_basis(grid, 1))[2]
     return grid, modes, trace, series, c_p
 
 
@@ -481,7 +480,7 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=32, dt=2e-3, t_final=0.5) -> Expe
     grid = cfg.grid()
     st = traj.final_state
     n_max = max(n_list)
-    stokes = build_stokes_basis(grid, n_max + 1, with_pressure=False)
+    stokes = build_stokes_basis(grid, n_max + 1)
     m_cap = 160
     lap = build_laplacian_basis(grid, m_cap)
     h_e = harmonic_extend(trace, st.t)
@@ -577,7 +576,7 @@ def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
     c0s, regs = [], []
     for nx in nx_pair:
         g = Grid(nx, nx)
-        basis = build_stokes_basis(g, n + 1, with_pressure=False)
+        basis = build_stokes_basis(g, n + 1)
         chk = basis_inequality_check(basis, n, samples=20, seed=seed)
         c0s.append(1.0 + chk.c0)  # compare the full prefactor, bounded away from 0
         poisson = NeumannPoisson(g)

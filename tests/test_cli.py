@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -444,3 +445,26 @@ def test_damaged_command_config_exits_by_contract(tmp_path, capsys, stubbed_runn
     code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4) and "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_basis_cache_is_rebuilt(tmp_path, capsys, data):
+    from mhd2d.geometry import Grid
+    from mhd2d.spectral import build_laplacian_basis, build_stokes_basis, load_basis
+
+    cfg = _write(tmp_path, FUZZ_COMMANDS["basis"])
+    argv = ["basis", "--config", cfg, "--output-dir", str(tmp_path / "out")]
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)  # each example damages a fresh cache
+    assert main(argv) == 0
+    kind, build = data.draw(st.sampled_from(
+        [("stokes", build_stokes_basis), ("dirichlet_laplacian", build_laplacian_basis)]), label="kind")
+    path = tmp_path / "out" / "basis_cache" / f"basis_{kind}_16x16_3.mhdbasis"
+    path.write_bytes(_damage(data, path.read_bytes()))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    loaded, fresh = load_basis(path), build(Grid(16, 16), 3)
+    assert np.array_equal(loaded.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(loaded.modes_x, fresh.modes_x)
+    assert np.array_equal(loaded.modes_y, fresh.modes_y)

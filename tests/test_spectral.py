@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -79,14 +80,68 @@ def test_stokes_eigenvalues_bit_identical_to_direct_assembly():
 
 
 def test_eigen_residuals():
-    g = Grid(16, 16)
-    basis = build_laplacian_basis(g, 6)
-    for i in range(basis.count):
-        m = basis.mode(i)
-        r = apply_lap_mirror(m)
-        res = np.sqrt(l2_norm_sq(VectorField(g, -r.x - basis.eigenvalues[i] * m.x,
-                                             -r.y - basis.eigenvalues[i] * m.y)))
-        assert res < 1e-8
+    for g, count in ((Grid(16, 16), 6), (Grid(9, 7), 20), (Grid(64, 64), 160)):
+        basis = build_laplacian_basis(g, count)
+        for i in range(basis.count):
+            m = basis.mode(i)
+            r = apply_lap_mirror(m)
+            res = np.sqrt(l2_norm_sq(VectorField(g, -r.x - basis.eigenvalues[i] * m.x,
+                                                 -r.y - basis.eigenvalues[i] * m.y)))
+            assert res < 1e-8
+
+
+def _interior_columns(basis):
+    """Modes as unit 2-norm columns over the interior x-faces, then y-faces."""
+    g = basis.grid
+    cols = np.hstack([basis.modes_x[:, 1:-1, :].reshape(basis.count, -1),
+                      basis.modes_y[:, :, 1:-1].reshape(basis.count, -1)])
+    return cols.T * np.sqrt(g.dx * g.dy)
+
+
+@pytest.mark.parametrize("nx,ny,m", [(9, 7, 30), (12, 12, 41), (16, 16, 61)])
+def test_laplacian_basis_matches_dense_oracle(nx, ny, m):
+    # the oracle: a dense eigh of the assembled component Laplacians
+    g = Grid(nx, ny)
+    lap = sp.block_diag((-lap_xcomp_interior(g), -lap_ycomp_interior(g))).toarray()
+    w, v = scipy.linalg.eigh(lap)
+    basis = build_laplacian_basis(g, m)
+    assert np.max(np.abs(basis.eigenvalues - w[:m]) / w[:m]) <= 1e-12
+    # compare orthogonal projectors on each eigenvalue cluster complete within m
+    q = _interior_columns(basis)
+    starts = np.flatnonzero(np.diff(w) > 1e-9 * w[1:]) + 1
+    edges = [0] + [int(e) for e in starts if e <= m]
+    for lo, hi in zip(edges, edges[1:]):
+        p_oracle = v[:, lo:hi] @ v[:, lo:hi].T
+        p_basis = q[:, lo:hi] @ q[:, lo:hi].T
+        assert np.max(np.abs(p_basis - p_oracle)) <= 1e-10
+    assert len(edges) > 5
+
+
+def test_laplacian_tie_puts_the_x_block_first():
+    basis = build_laplacian_basis(Grid(16, 16), 2)
+    assert basis.eigenvalues[0] == basis.eigenvalues[1]
+    assert np.any(basis.modes_x[0]) and not np.any(basis.modes_y[0])
+    assert np.any(basis.modes_y[1]) and not np.any(basis.modes_x[1])
+
+
+def test_laplacian_basis_runs_no_eigensolver(monkeypatch):
+    from mhd2d import spectral
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "eigsh", counting(spectral.eigsh))
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
+    build_laplacian_basis(Grid(16, 16), 40)
+    build_laplacian_basis(Grid(64, 64), 160)
+    assert calls == []
+    build_stokes_basis(Grid(8, 8), 2)  # the counter does see the Stokes solve
+    assert calls == ["eigh"]
 
 
 def test_orthonormality():
@@ -234,9 +289,42 @@ def test_cache_round_trip(tmp_path):
 
 def test_cached_basis_hit_is_bit_identical(tmp_path):
     g = Grid(10, 10)
-    first = cached_basis("dirichlet_laplacian", g, 4, str(tmp_path))
-    again = cached_basis("dirichlet_laplacian", g, 4, str(tmp_path))
-    rebuilt = build_laplacian_basis(g, 4)
-    assert np.array_equal(again.modes_x, rebuilt.modes_x)
-    assert np.array_equal(again.eigenvalues, first.eigenvalues)
-    assert os.path.exists(tmp_path / "basis_dirichlet_laplacian_10x10_4.mhdbasis")
+    for kind, build in (("dirichlet_laplacian", build_laplacian_basis), ("stokes", build_stokes_basis)):
+        first = cached_basis(kind, g, 4, str(tmp_path))
+        again = cached_basis(kind, g, 4, str(tmp_path))
+        rebuilt = build(g, 4)
+        assert np.array_equal(again.modes_x, rebuilt.modes_x)
+        assert np.array_equal(again.modes_y, rebuilt.modes_y)
+        assert np.array_equal(again.eigenvalues, first.eigenvalues)
+        assert again.pressures is first.pressures is None
+        assert os.path.exists(tmp_path / f"basis_{kind}_10x10_4.mhdbasis")
+
+
+def _v1_bytes(basis):
+    """The MHDBASIS1 layout: no checksum, modes_x[k] and modes_y[k] interleaved."""
+    head = b"MHDBASIS1" + basis.kind.encode().ljust(24, b"\0")
+    parts = [head, struct.pack("<qqq", basis.grid.nx, basis.grid.ny, basis.count),
+             basis.eigenvalues.tobytes()]
+    for k in range(basis.count):
+        parts += [basis.modes_x[k].tobytes(), basis.modes_y[k].tobytes()]
+    return b"".join(parts)
+
+
+def test_damaged_or_v1_basis_cache_is_rebuilt(tmp_path, caplog):
+    g = Grid(10, 10)
+    path = tmp_path / "basis_dirichlet_laplacian_10x10_4.mhdbasis"
+    good = build_laplacian_basis(g, 4)
+    save_basis(good, path)
+    raw = path.read_bytes()
+    flipped = bytearray(raw)
+    flipped[-104] ^= 0x01  # the lowest bit of one mode value
+    damaged = [raw[:-8], b"NOTBASIS" + raw[8:], bytes(flipped), _v1_bytes(good)]
+    for data in damaged:
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_basis(path)
+        caplog.clear()
+        again = cached_basis("dirichlet_laplacian", g, 4, str(tmp_path))
+        assert "rebuilding basis cache" in caplog.text
+        assert np.array_equal(again.modes_x, good.modes_x)
+        assert path.read_bytes() == raw
