@@ -33,7 +33,7 @@ from .ioutil import atomic_write_text
 from .lifting import TraceMode, read_trace_csv, stream_mode_field, synthesize_trace
 from .scenarios import stream_bump, trace_times
 from .spectral import cached_basis
-from .verify import EXPERIMENTS, calibrate_constants
+from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, calibrate_constants
 
 log = logging.getLogger("mhd2d")
 
@@ -348,24 +348,38 @@ def _check_trace_covers(trace, t0, cfg):
 _NEEDS_STORE = {"absorbing", "gronwall"}
 
 
+def _checked(key, value, ok, need):
+    if not ok(value):
+        raise ValueError(f"{key} = {value!r} must be {need}")
+    return value
+
+
 def _experiment_kwargs(rc: RunConfig, name):
+    """Keyword arguments of one experiment; a value out of range raises ValueError."""
     kw = {}
     p = rc.experiment_params
+
+    def values(key, conv, ok, need):
+        return tuple(_checked(key, conv(v), ok, need) for v in p[key].split(","))
+
+    positive = (lambda v: 0 < v < math.inf, "positive and finite")
     if name in ("mms",) and "nx_list" in p:
-        kw["nx_list"] = tuple(int(v) for v in p["nx_list"].split(","))
+        kw["nx_list"] = values("nx_list", int, lambda v: v >= 4, ">= 4")
     if name in ("mms", "picard") and "dt_list" in p:
-        kw["dt_list"] = tuple(float(v) for v in p["dt_list"].split(","))
+        kw["dt_list"] = values("dt_list", float, *positive)
     if name == "tail" and "n_list" in p:
-        kw["n_list"] = tuple(int(v) for v in p["n_list"].split(","))
+        kw["n_list"] = values("n_list", int, lambda v: v >= 1, ">= 1")
     if name == "absorbing":
         if "variant" in p:
-            kw["variant"] = p["variant"]
+            kw["variant"] = _checked("variant", p["variant"], ABSORBING_VARIANTS.__contains__,
+                                     f"one of {ABSORBING_VARIANTS}")
         if "diam_factor" in p:
-            kw["diam_factor"] = float(p["diam_factor"])
+            kw["diam_factor"] = _checked("diam_factor", float(p["diam_factor"]), *positive)
         if "strong" in p:
-            kw["strong"] = p["strong"]
+            kw["strong"] = _checked("strong", p["strong"], STRONG_MODES.__contains__,
+                                    f"one of {STRONG_MODES}")
     if name in ("basis-stability", "brezis-gallouet") and "seed" in p:
-        kw["seed"] = int(p["seed"])
+        kw["seed"] = _checked("seed", int(p["seed"]), lambda v: v >= 0, ">= 0")
     return kw
 
 
@@ -385,7 +399,7 @@ def _cmd_experiment(rc: RunConfig, outdir):
 
     try:
         kwargs = {name: _experiment_kwargs(rc, name) for name in rc.experiment_ids}
-    except ValueError as exc:  # a list or number that does not parse
+    except ValueError as exc:  # a value that does not parse or is out of range
         raise ConfigError([f"experiment: {exc}"])
     results = [(name, EXPERIMENTS[name](store, **kwargs[name])) for name in rc.experiment_ids]
 
@@ -428,6 +442,10 @@ def _cmd_basis(rc: RunConfig, outdir):
     grid = rc.solver.grid()
     n = rc.solver.n_modes or 16
     m = rc.solver.m_diag or 16
+    nz = (grid.nx - 1) * (grid.ny - 1)
+    if n > nz:
+        raise ConfigError([f"galerkin.n: the default of {n} Stokes modes exceeds the {nz} "
+                           "this grid holds; set galerkin.n"])
     cached_basis("stokes", grid, n, cache)
     cached_basis("dirichlet_laplacian", grid, m, cache)
     log.info("cached stokes(%d) and laplacian(%d) bases in %s", n, m, cache)

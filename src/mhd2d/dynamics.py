@@ -98,6 +98,10 @@ _CKPT_V1_MAGIC = b"MHDCKPT1"
 # do not move, and tail compactness at 64^2 keeps one pair at every value.
 TRANSPORT_REUSE_THETA = 0.5
 
+# iteration caps of the magnetic Picard loop and of the outer fixed point
+PICARD_MAX_ITER = 25
+OUTER_MAX_ITER = 12
+
 
 @dataclass
 class SolverConfig:
@@ -113,10 +117,8 @@ class SolverConfig:
     n_modes: int | None = None  # None = full velocity space
     m_diag: int = 0
     picard_tol: float = 1e-10
-    picard_max_iter: int = 25
     outer_mode: str = "fixed_point"  # or "single_pass"
     outer_tol: float = 1e-9
-    outer_max_iter: int = 12
     compat_tol_factor: float = 1e-8
     compat_action: str = "reject"  # or "project"
     div_clean_threshold: float = 1e-10
@@ -134,8 +136,9 @@ class SolverConfig:
         full = (self.nx - 1) * (self.ny - 1)  # dimension of the discrete solenoidal space
         if self.n_modes is not None and not 1 <= self.n_modes <= full:
             bad.append(f"galerkin.n must be 'full' or in 1..{full} on this grid")
-        if self.m_diag < 0:
-            bad.append("galerkin.m must be >= 0")
+        faces = (self.nx - 1) * self.ny + self.nx * (self.ny - 1)  # interior face dofs
+        if not 0 <= self.m_diag <= faces:
+            bad.append(f"galerkin.m must be in 0..{faces} on this grid")
         if not self.dt > 0:
             bad.append("time.dt must be positive")
         if self.t_final < self.dt:
@@ -368,7 +371,7 @@ class Stepper:
         residuals = []
         res = 0.0
         iters = 0
-        for j in range(cfg.picard_max_iter):
+        for j in range(PICARD_MAX_ITER):
             iters = j + 1
             if pure_heat:
                 lag_x = 0.0
@@ -393,7 +396,7 @@ class Stepper:
             b / a for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor
         ]
         ratio = max(ratios) if ratios else 0.0
-        if iters == cfg.picard_max_iter and res > cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
+        if iters == PICARD_MAX_ITER and res > cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
             if ratio >= 1.0:
                 raise StepFailure(
                     f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
@@ -506,7 +509,7 @@ class Stepper:
             res_prev = np.inf
             outer_res = np.inf
             outer_iters = 0
-            for k in range(cfg.outer_max_iter):
+            for k in range(OUTER_MAX_ITER):
                 outer_iters = k + 1
                 # warm start: Picard starts from the previous iterate's b
                 # (b^n for the first), the fixed point at a nearby ubar

@@ -23,7 +23,7 @@ from .geometry import (
     l4_norm,
     linf_norm,
 )
-from .lifting import BoundaryTrace, FractionalNormSpec, cumtrapz, hs_norm, hs_norm_dt
+from .lifting import BoundaryTrace, FractionalNormSpec, _time_difference, cumtrapz, hs_norm, hs_norm_dt
 from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, stokes_apply
 
 __all__ = [
@@ -203,17 +203,6 @@ class GronwallBound:
     phi_strong: np.ndarray | None = None
 
 
-def _ddt(y, t):
-    """Centered time derivative, one-sided at the ends."""
-    d = np.empty_like(y)
-    if len(y) < 2:
-        return np.zeros_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (t[2:] - t[:-2])
-    d[0] = (y[1] - y[0]) / (t[1] - t[0])
-    d[-1] = (y[-1] - y[-2]) / (t[-1] - t[-2])
-    return d
-
-
 def _weak_parts(ledger: EnergyLedger):
     t = ledger.times
     e = ledger.col("u_L2_sq") + ledger.col("btilde_L2_sq")
@@ -228,7 +217,7 @@ def weak_energy_terms(ledger: EnergyLedger):
     """The named terms of the weak inequality (see TERM_HOMOGENEITY)."""
     t, e, diss, h2, h4, dth2 = _weak_parts(ledger)
     return {
-        "energy_rate": _ddt(e, t),
+        "energy_rate": _time_difference(e, t, np.arange(len(t))),
         "dissipation": diss,
         "h4_energy": h4 * e,
         "source_h2": h2,
@@ -259,7 +248,7 @@ def calibrate_weak_energy(ledger: EnergyLedger, skip=2):
     initial layer of the implicit scheme would otherwise dominate.
     """
     t, e, diss, h2, h4, dth2 = _weak_parts(ledger)
-    num = (_ddt(e, t) + diss)[skip:]
+    num = (_time_difference(e, t, np.arange(len(t))) + diss)[skip:]
     den = (h4 * e + h2 + dth2 + h4)[skip:]
     mask = den > 1e-14 * (1.0 + np.max(e))
     if not np.any(mask):
@@ -291,7 +280,7 @@ def strong_energy(ledger: EnergyLedger, c: float) -> tuple[np.ndarray, GronwallB
     h4 = ledger.col("h_H12_Gamma") ** 4
     h32 = ledger.col("h_H32_Gamma") ** 2
     k = c * low * e1
-    margins = _ddt(e1, t) + d2 - k * e1 - c * low * h4 - c * h32
+    margins = _time_difference(e1, t, np.arange(len(t))) + d2 - k * e1 - c * low * h4 - c * h32
     omega = e1[0] + c * cumtrapz(low * h4 + h32, t)
     phi = cumtrapz(k, t)
     # the measured constant can make the exponent astronomically large; the
@@ -324,7 +313,7 @@ def calibrate_strong_energy(ledger: EnergyLedger, skip=3):
     low = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
     h4 = ledger.col("h_H12_Gamma") ** 4
     h32 = ledger.col("h_H32_Gamma") ** 2
-    num = (_ddt(e1, t) + d2)[skip:]
+    num = (_time_difference(e1, t, np.arange(len(t))) + d2)[skip:]
     den = (low * e1 * e1 + low * h4 + h32)[skip:]
     mask = den > 1e-14 * (1.0 + np.max(e1))
     if not np.any(mask):

@@ -199,9 +199,10 @@ def _time_difference(values, times, i):
     """Derivative of a sampled sequence at instant i: central inside, one-sided at the ends.
 
     ``values`` may hold arrays or ``VectorField``s; the latter have no division,
-    so the difference is multiplied by the reciprocal step.
+    so the difference is multiplied by the reciprocal step.  For an array of
+    values, ``i`` may be an index array.
     """
-    lo, hi = max(i - 1, 0), min(i + 1, len(times) - 1)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(times) - 1)
     return (values[hi] - values[lo]) * (1.0 / (times[hi] - times[lo]))
 
 

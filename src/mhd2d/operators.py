@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
-from .geometry import Grid, ScalarField, VectorBC, VectorField, divergence, gradient
+from .geometry import Grid, ScalarField, VectorBC, VectorField, advecting_half, divergence, gradient
 
 __all__ = [
     "tridiag_nodal",
@@ -272,26 +272,22 @@ class TransportOperator:
         # advection (divergence form minus interpolated-divergence correction)
         self._adv_corner = None
         if a is not None:
-            dc = divergence(a).values
+            ah = advecting_half(a)
             if self.comp == "x":
-                a1c = 0.5 * (a.x[:-1, :] + a.x[1:, :])  # (nx, ny)
-                a2x = 0.5 * (a.y[:-1, :] + a.y[1:, :])  # (nx-1, ny+1)
-                cp = a1c[1:, :] / (2 * g.dx)  # flux through right cell center
-                cm = a1c[:-1, :] / (2 * g.dx)
+                cp = ah.a1c[1:, :] / (2 * g.dx)  # flux through right cell center
+                cm = ah.a1c[:-1, :] / (2 * g.dx)
                 # corner fluxes: interior corner lines only; wall lines go to rhs
-                tp = a2x[:, 1:] / (2 * g.dy)
-                tm = a2x[:, :-1] / (2 * g.dy)
-                sd = 0.5 * (dc[:-1, :] + dc[1:, :])
-                self._adv_corner = a2x
+                tp = ah.a2x[:, 1:] / (2 * g.dy)
+                tm = ah.a2x[:, :-1] / (2 * g.dy)
+                sd = ah.sx
+                self._adv_corner = ah.a2x
             else:
-                a2c = 0.5 * (a.y[:, :-1] + a.y[:, 1:])  # (nx, ny)
-                a1y = 0.5 * (a.x[:, :-1] + a.x[:, 1:])  # (nx+1, ny-1)
-                cp = a2c[:, 1:] / (2 * g.dy)
-                cm = a2c[:, :-1] / (2 * g.dy)
-                tp = a1y[1:, :] / (2 * g.dx)
-                tm = a1y[:-1, :] / (2 * g.dx)
-                sd = 0.5 * (dc[:, :-1] + dc[:, 1:])
-                self._adv_corner = a1y
+                cp = ah.a2c[:, 1:] / (2 * g.dy)
+                cm = ah.a2c[:, :-1] / (2 * g.dy)
+                tp = ah.a1y[1:, :] / (2 * g.dx)
+                tm = ah.a1y[:-1, :] / (2 * g.dx)
+                sd = ah.sy
+                self._adv_corner = ah.a1y
             diag = diag + cp - cm
             diag = diag + np.where(pat.hi, tp, 0.0)
             diag = diag - np.where(pat.lo, tm, 0.0)

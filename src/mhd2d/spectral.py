@@ -3,9 +3,10 @@
 The Stokes problem is solved on the stream-function parameterization of
 the discretely divergence-free zero-trace subspace, which keeps the
 operator symmetric and makes every mode divergence-free to machine
-precision.  Its eigenpairs come from a dense symmetric solve on grids up
-to 48 cells per side and from shift-invert Lanczos with a deterministic
-start vector above.
+precision.  Its eigenpairs come from shift-invert Lanczos about zero with a
+deterministic start vector; only the full basis (or all but one mode),
+where ARPACK cannot run, takes a dense symmetric solve.  Modes inside a
+degenerate eigenspace are one orthonormal basis of it, not a canonical one.
 
 The Laplacian basis is vector-valued with one nonzero component per mode
 (the scalar blocks are independent), ordered by eigenvalue across both
@@ -19,7 +20,7 @@ import logging
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +29,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .errors import SolverFailure
 from .geometry import Grid, VectorField, grad_norm_sq, l2_norm_sq
 from .ioutil import atomic_write_bytes
-from .operators import NeumannPoisson, apply_lap_mirror, dirichlet_modes, stream_forms
+from .operators import apply_lap_mirror, dirichlet_modes, stream_forms
 
 __all__ = [
     "SpectralBasis",
@@ -42,7 +43,6 @@ __all__ = [
     "cached_basis",
 ]
 
-DENSE_LIMIT = 48
 KINDS = ("stokes", "dirichlet_laplacian")
 
 # MAGIC | kind, nx, ny, count | crc32 | payload.  The crc32 covers magic, header
@@ -64,7 +64,6 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     modes_x: np.ndarray  # (count, nx+1, ny)
     modes_y: np.ndarray  # (count, nx, ny+1)
-    pressures: np.ndarray | None = None  # (count, nx, ny) for the stokes kind
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -101,9 +100,12 @@ def _fix_signs(vectors, tol=1e-8):
     return v
 
 
-def _symmetric_eigs(a, m, k, dense):
-    """Lowest k eigenpairs of the generalized problem a v = w m v."""
-    if dense or k >= a.shape[0] - 1:
+def _symmetric_eigs(a, m, k):
+    """Lowest k eigenpairs of the generalized problem a v = w m v.
+
+    ARPACK needs k < N - 1; the full basis takes a dense solve.
+    """
+    if k >= a.shape[0] - 1:
         return scipy.linalg.eigh(a.toarray(), m.toarray(), subset_by_index=[0, k - 1])
     v0 = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
     try:
@@ -144,45 +146,27 @@ def build_laplacian_basis(grid: Grid, m: int) -> SpectralBasis:
 
 
 def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = False) -> SpectralBasis:
-    """First n eigenpairs of the discrete Stokes operator."""
+    """First n eigenpairs of the discrete Stokes operator.
+
+    ``with_pressure`` is accepted only as False (existing callers pass it).
+    """
+    if with_pressure:
+        raise ValueError("Stokes eigenpressures are not computed")
     nz = (grid.nx - 1) * (grid.ny - 1)
     if n > nz:
         raise ValueError(f"capacity error: n={n} exceeds div-free dimension {nz}")
-    if n == 0:
-        return SpectralBasis(
-            "stokes",
-            grid,
-            np.zeros(0),
-            np.zeros((0,) + grid.shape_xface()),
-            np.zeros((0,) + grid.shape_yface()),
-        )
-    c, a, mass = stream_forms(grid)
-    dense = grid.nx <= DENSE_LIMIT and grid.ny <= DENSE_LIMIT
-    w, v = _symmetric_eigs(a, mass, n, dense)
-    weight = grid.dx * grid.dy
-    nux = (grid.nx - 1) * grid.ny
     mx = np.zeros((n,) + grid.shape_xface())
     my = np.zeros((n,) + grid.shape_yface())
-    fields = c @ v  # columns are face fields
-    fields = _fix_signs(fields)
-    norms = np.sqrt(weight * np.sum(fields**2, axis=0))
-    fields /= norms
-    for k in range(n):
-        mx[k, 1:-1, :] = fields[:nux, k].reshape(grid.nx - 1, grid.ny)
-        my[k, :, 1:-1] = fields[nux:, k].reshape(grid.nx, grid.ny - 1)
-    basis = SpectralBasis("stokes", grid, np.array(w), mx, my)
-    if with_pressure:
-        poisson = NeumannPoisson(grid)
-        press = np.zeros((n,) + grid.shape_center())
-        for k in range(n):
-            # -Lap xi = lambda xi + grad p  =>  p from the projection residual
-            res = apply_lap_mirror(basis.mode(k))
-            rx = -res.x - w[k] * mx[k]
-            ry = -res.y - w[k] * my[k]
-            div = (rx[1:, :] - rx[:-1, :]) / grid.dx + (ry[:, 1:] - ry[:, :-1]) / grid.dy
-            press[k] = poisson.solve(div)
-        basis.pressures = press
-    return basis
+    if n == 0:
+        return SpectralBasis("stokes", grid, np.zeros(0), mx, my)
+    c, a, mass = stream_forms(grid)
+    w, v = _symmetric_eigs(a, mass, n)
+    fields = _fix_signs(c @ v)  # columns are face fields
+    fields /= np.sqrt(grid.dx * grid.dy * np.sum(fields**2, axis=0))
+    nux = (grid.nx - 1) * grid.ny
+    mx[:, 1:-1, :] = fields[:nux].T.reshape(n, grid.nx - 1, grid.ny)
+    my[:, :, 1:-1] = fields[nux:].T.reshape(n, grid.nx, grid.ny - 1)
+    return SpectralBasis("stokes", grid, np.array(w), mx, my)
 
 
 def project(basis: SpectralBasis, f: VectorField, k: int | None = None):

@@ -72,7 +72,13 @@ __all__ = [
     "gronwall_suite",
     "calibrate_constants",
     "EXPERIMENTS",
+    "ABSORBING_VARIANTS",
+    "STRONG_MODES",
 ]
+
+# the values absorbing_experiment accepts for variant and strong
+ABSORBING_VARIANTS = ("acceptance", "reference")
+STRONG_MODES = ("off", "measure", "check")
 
 
 @dataclass
@@ -378,6 +384,8 @@ def absorbing_experiment(
     are asserted against the calibrated values.  ``_data`` is the
     ``_absorbing_data(nx, dt, variant)`` tuple when the caller has it.
     """
+    if variant not in ABSORBING_VARIANTS or strong not in STRONG_MODES:
+        raise ValueError(f"unknown absorbing variant {variant!r} or strong mode {strong!r}")
     rep = _report("absorbing", dict(nx=nx, dt=dt, variant=variant, diam=diam_factor,
                                     strong=strong))
     t_start = time.time()

@@ -405,7 +405,7 @@ n_list = 4,8
 variant = reference
 diam_factor = 1.5
 seed = 3
-strong = yes
+strong = measure
 """,
     "calibrate": MINIMAL,
     "basis": MINIMAL + "\n[galerkin]\nn = 3\nm = 3\n",
@@ -468,3 +468,46 @@ def test_damaged_basis_cache_is_rebuilt(tmp_path, capsys, data):
     assert np.array_equal(loaded.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(loaded.modes_x, fresh.modes_x)
     assert np.array_equal(loaded.modes_y, fresh.modes_y)
+
+
+EXPERIMENT_HEAD = MINIMAL + "\n[experiment]\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,expect",
+    [
+        ("basis", MINIMAL.replace("16", "8") + "\n[galerkin]\nm = 100000\n", "galerkin.m"),
+        ("basis", MINIMAL.replace("16", "4"), "galerkin.n"),
+        ("experiment", EXPERIMENT_HEAD + "id = mms\nnx_list = 16,2\n", "nx_list"),
+        ("experiment", EXPERIMENT_HEAD + "id = picard\ndt_list = -1\n", "dt_list"),
+        ("experiment", EXPERIMENT_HEAD + "id = mms\ndt_list = 1e-3,nan\n", "dt_list"),
+        ("experiment", EXPERIMENT_HEAD + "id = tail\nn_list = 0,4\n", "n_list"),
+        ("experiment", EXPERIMENT_HEAD + "id = absorbing\ndiam_factor = 0\n", "diam_factor"),
+        ("experiment", EXPERIMENT_HEAD + "id = absorbing\nvariant = refrence\n", "variant"),
+        ("experiment", EXPERIMENT_HEAD + "id = absorbing\nstrong = yes\n", "strong"),
+        ("experiment", EXPERIMENT_HEAD + "id = basis-stability\nseed = -1\n", "seed"),
+    ],
+    ids=["laplacian-m-too-large", "default-n-too-large", "coarse-grid", "negative-dt", "nan-dt",
+         "zero-modes", "zero-diameter", "unknown-variant", "unknown-strong", "negative-seed"],
+)
+def test_out_of_range_command_value_is_config_error(tmp_path, capsys, stubbed_runners, command,
+                                                     text, expect):
+    path = _write(tmp_path, text)
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expect in err and "Traceback" not in err
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
+def test_shipped_config_parses(name):
+    parse_config(os.path.join(CONFIGS, name))
+
+
+@pytest.mark.parametrize("command", ["experiment", "calibrate", "basis"])
+def test_shipped_experiments_config_dispatches(tmp_path, capsys, stubbed_runners, command):
+    path = os.path.join(CONFIGS, "experiments.cfg")
+    assert main([command, "--config", path, "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

@@ -111,7 +111,7 @@ def test_b_step_unconditional_stability_pure_heat(rng):
 def test_u_step_single_mode_oracle():
     g = Grid(16, 16)
     tz = _zero_trace(g)
-    basis = build_stokes_basis(g, 1, with_pressure=False)
+    basis = build_stokes_basis(g, 1)
     lam1 = basis.eigenvalues[0]
     new, p, _ = u_step(VectorField.zeros(g), basis.mode(0), tz, DT)
     g1 = inner(new, basis.mode(0))
@@ -134,7 +134,7 @@ def test_galerkin_full_truncation_matches_saddle(rng):
     g = Grid(8, 8)
     tz = _zero_trace(g)
     full = (g.nx - 1) * (g.ny - 1)
-    basis = build_stokes_basis(g, full, with_pressure=False)
+    basis = build_stokes_basis(g, full)
     u0 = random_divfree(g, rng, scale=0.2)
     b0 = random_divfree(g, rng, scale=0.2)
     u_a, _, _ = u_step(b0, u0, tz, DT)

@@ -56,7 +56,7 @@ def test_record_zero_state():
 def test_record_stokes_mode_norms():
     g = Grid(16, 16)
     tz = synthesize_trace(g, [0.0], [])
-    basis = build_stokes_basis(g, 1, with_pressure=False)
+    basis = build_stokes_basis(g, 1)
     led = EnergyLedger()
     row = record(led, 0.0, basis.mode(0), VectorField.zeros(g), tz, harmonic_extend(tz, 0.0))
     assert abs(row["u_L2_sq"] - 1.0) < 1e-10
@@ -232,7 +232,7 @@ def test_brezis_gallouet_scale_invariance(rng):
 
 def test_stokes_regularity_ratio_eigenmodes():
     g = Grid(16, 16)
-    basis = build_stokes_basis(g, 3, with_pressure=False)
+    basis = build_stokes_basis(g, 3)
     poisson = NeumannPoisson(g)
     r = stokes_regularity_ratio(basis.mode(0), poisson)
     assert np.isfinite(r) and r > 0
@@ -314,7 +314,7 @@ def test_homogeneous_decay_at_poincare_rate():
     _, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     g = scen.cfg.grid()
     _, _, c_p = poincare_constants(
-        build_stokes_basis(g, 1, with_pressure=False), build_laplacian_basis(g, 1)
+        build_stokes_basis(g, 1), build_laplacian_basis(g, 1)
     )
     e = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
     t = ledger.times

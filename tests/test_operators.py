@@ -285,7 +285,7 @@ def test_stokes_apply_reproduces_eigenpairs():
     from mhd2d.spectral import build_stokes_basis
 
     g = Grid(12, 12)
-    basis = build_stokes_basis(g, 3, with_pressure=False)
+    basis = build_stokes_basis(g, 3)
     poisson = NeumannPoisson(g)
     for i in range(3):
         xi = basis.mode(i)

@@ -9,12 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_zero_trace
-from mhd2d.geometry import Grid, VectorField, divergence, grad_norm_sq, l2_norm_sq
+from mhd2d.geometry import (
+    Grid,
+    ScalarField,
+    VectorField,
+    divergence,
+    grad_norm_sq,
+    gradient,
+    l2_norm_sq,
+)
 from mhd2d.operators import (
+    NeumannPoisson,
     apply_lap_mirror,
     lap_xcomp_interior,
     lap_ycomp_interior,
     stream_curl_matrix,
+    stream_forms,
 )
 from mhd2d.spectral import (
     SpectralBasis,
@@ -66,7 +76,9 @@ def test_capacity_errors():
 
 
 def test_stokes_eigenvalues_bit_identical_to_direct_assembly():
-    # the dense path at 8^2, on forms assembled here rather than shared
+    # the shared forms equal forms assembled here, so the eigenvalues do too
+    from mhd2d.spectral import _symmetric_eigs
+
     g = Grid(8, 8)
     n = 10
     c = stream_curl_matrix(g)
@@ -75,8 +87,42 @@ def test_stokes_eigenvalues_bit_identical_to_direct_assembly():
     mass = (c.T @ c).tocsc()
     a = 0.5 * (a + a.T)
     mass = 0.5 * (mass + mass.T)
-    w, _ = scipy.linalg.eigh(a.toarray(), mass.toarray(), subset_by_index=[0, n - 1])
-    assert np.array_equal(build_stokes_basis(g, n, with_pressure=False).eigenvalues, w)
+    shared = stream_forms(g)
+    for got, want in zip(shared, (c, a, mass)):
+        assert np.array_equal(got.toarray(), want.toarray())
+    w, _ = _symmetric_eigs(a, mass, n)
+    assert np.array_equal(build_stokes_basis(g, n).eigenvalues, w)
+
+
+def _complete_clusters(w, count):
+    """(lo, hi) of each eigenvalue cluster lying wholly within the first count."""
+    edges = [0] + [int(e) for e in np.flatnonzero(np.diff(w) > 1e-9 * w[1:]) + 1] + [len(w)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi <= count]
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 4), (6, 6), (9, 7)])
+def test_stokes_basis_matches_dense_oracle_for_every_count(nx, ny):
+    # the oracle: a dense generalized eigh of the shared stream-function forms
+    g = Grid(nx, ny)
+    c, a, mass = stream_forms(g)
+    w, v = scipy.linalg.eigh(a.toarray(), mass.toarray())
+    oracle = c @ v  # unit 2-norm face columns, since mass = C^T C
+    full = (nx - 1) * (ny - 1)
+    for k in range(1, full + 1):
+        basis = build_stokes_basis(g, k)
+        assert np.max(np.abs(basis.eigenvalues - w[:k]) / w[:k]) <= 1e-12
+        q = _interior_columns(basis)
+        for lo, hi in _complete_clusters(w, k):
+            p_oracle = oracle[:, lo:hi] @ oracle[:, lo:hi].T
+            p_basis = q[:, lo:hi] @ q[:, lo:hi].T
+            assert np.max(np.abs(p_basis - p_oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("nx,n,expect", [(32, 1, ["eigsh"]), (8, 2, ["eigsh"]), (4, 9, ["eigh"])])
+def test_stokes_basis_takes_lanczos_unless_the_basis_is_full(monkeypatch, nx, n, expect):
+    calls = _count_eigensolvers(monkeypatch)
+    build_stokes_basis(Grid(nx, nx), n)
+    assert calls == expect
 
 
 def test_eigen_residuals():
@@ -124,7 +170,8 @@ def test_laplacian_tie_puts_the_x_block_first():
     assert np.any(basis.modes_y[1]) and not np.any(basis.modes_x[1])
 
 
-def test_laplacian_basis_runs_no_eigensolver(monkeypatch):
+def _count_eigensolvers(monkeypatch):
+    """Record the name of each eigensolver the spectral module calls."""
     from mhd2d import spectral
 
     calls = []
@@ -137,23 +184,28 @@ def test_laplacian_basis_runs_no_eigensolver(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigsh", counting(spectral.eigsh))
     monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
+    return calls
+
+
+def test_laplacian_basis_runs_no_eigensolver(monkeypatch):
+    calls = _count_eigensolvers(monkeypatch)
     build_laplacian_basis(Grid(16, 16), 40)
     build_laplacian_basis(Grid(64, 64), 160)
     assert calls == []
     build_stokes_basis(Grid(8, 8), 2)  # the counter does see the Stokes solve
-    assert calls == ["eigh"]
+    assert calls == ["eigsh"]
 
 
 def test_orthonormality():
     g = Grid(16, 16)
-    for basis in (build_laplacian_basis(g, 8), build_stokes_basis(g, 8, with_pressure=False)):
+    for basis in (build_laplacian_basis(g, 8), build_stokes_basis(g, 8)):
         gram = basis.gram()
         assert np.max(np.abs(gram - np.eye(basis.count))) < 1e-10
 
 
 def test_stokes_modes_divergence_free():
     g = Grid(16, 16)
-    basis = build_stokes_basis(g, 6, with_pressure=False)
+    basis = build_stokes_basis(g, 6)
     for i in range(6):
         assert np.max(np.abs(divergence(basis.mode(i)).values)) < 1e-10
 
@@ -161,7 +213,7 @@ def test_stokes_modes_divergence_free():
 def test_stokes_lambda1_richardson_consistency():
     vals = {}
     for nx in (16, 32, 64):
-        vals[nx] = build_stokes_basis(Grid(nx, nx), 1, with_pressure=False).eigenvalues[0]
+        vals[nx] = build_stokes_basis(Grid(nx, nx), 1).eigenvalues[0]
     rich_a = vals[32] + (vals[32] - vals[16]) / 3.0
     rich_b = vals[64] + (vals[64] - vals[32]) / 3.0
     assert abs(rich_a - rich_b) / rich_b < 0.01
@@ -169,20 +221,20 @@ def test_stokes_lambda1_richardson_consistency():
 
 def test_eigenvalue_stability_under_larger_count():
     g = Grid(12, 12)
-    small = build_stokes_basis(g, 4, with_pressure=False)
-    large = build_stokes_basis(g, 9, with_pressure=False)
+    small = build_stokes_basis(g, 4)
+    large = build_stokes_basis(g, 9)
     assert np.allclose(small.eigenvalues, large.eigenvalues[:4], atol=1e-8)
 
 
 def test_project_single_mode_and_completeness(rng):
     g = Grid(10, 10)
-    basis = build_stokes_basis(g, 6, with_pressure=False)
+    basis = build_stokes_basis(g, 6)
     coeffs, _ = project(basis, basis.mode(0), 6)
     assert abs(coeffs[0] - 1.0) < 1e-10
     assert np.max(np.abs(coeffs[1:])) < 1e-10
     # full-rank projection reconstructs any div-free zero-trace field
     full = (g.nx - 1) * (g.ny - 1)
-    basis_full = build_stokes_basis(g, full, with_pressure=False)
+    basis_full = build_stokes_basis(g, full)
     from conftest import random_divfree
 
     f = random_divfree(g, rng)
@@ -232,7 +284,7 @@ def test_spectral_laplacian_norm_identity(rng):
 
 def test_poincare_constants(rng):
     g = Grid(24, 24)
-    stokes = build_stokes_basis(g, 2, with_pressure=False)
+    stokes = build_stokes_basis(g, 2)
     lap = build_laplacian_basis(g, 2)
     c_u, c_b, c_p = poincare_constants(stokes, lap)
     assert abs(c_b - 2 * np.pi**2) < 0.1
@@ -245,14 +297,14 @@ def test_poincare_constants(rng):
 def test_poincare_requires_modes():
     g = Grid(8, 8)
     empty = build_laplacian_basis(g, 0)
-    full = build_stokes_basis(g, 1, with_pressure=False)
+    full = build_stokes_basis(g, 1)
     with pytest.raises(ValueError):
         poincare_constants(full, empty)
 
 
 def test_basis_inequality_check():
     g = Grid(16, 16)
-    basis = build_stokes_basis(g, 5, with_pressure=False)
+    basis = build_stokes_basis(g, 5)
     rep = basis_inequality_check(basis, 1, samples=5, seed=1)
     assert np.isfinite(rep.c0)
     assert rep.gradient_identity_rel_err < 1e-8
@@ -261,23 +313,24 @@ def test_basis_inequality_check():
 
 
 def test_pressure_recovery_consistency():
-    # -Lap(xi) - lambda*xi must be (numerically) a discrete gradient
+    # -Lap(xi) - lambda*xi must be (numerically) a discrete gradient grad p,
+    # with p the Neumann solve of the residual's divergence
     g = Grid(12, 12)
-    basis = build_stokes_basis(g, 2, with_pressure=True)
-    assert basis.pressures is not None
-    from mhd2d.geometry import ScalarField, gradient
-
+    basis = build_stokes_basis(g, 2)
+    with pytest.raises(ValueError, match="eigenpressures"):
+        build_stokes_basis(g, 2, with_pressure=True)
     i = 0
     xi = basis.mode(i)
     r = apply_lap_mirror(xi)
     resid = VectorField(g, -r.x - basis.eigenvalues[i] * xi.x, -r.y - basis.eigenvalues[i] * xi.y)
-    gp = gradient(ScalarField(g, basis.pressures[i]))
+    p = NeumannPoisson(g).solve(divergence(resid).values)
+    gp = gradient(ScalarField(g, p))
     assert np.sqrt(l2_norm_sq(resid - gp)) < 1e-7 * basis.eigenvalues[i]
 
 
 def test_cache_round_trip(tmp_path):
     g = Grid(10, 10)
-    basis = build_stokes_basis(g, 3, with_pressure=False)
+    basis = build_stokes_basis(g, 3)
     path = tmp_path / "b.mhdbasis"
     save_basis(basis, path)
     loaded = load_basis(path)
@@ -296,7 +349,6 @@ def test_cached_basis_hit_is_bit_identical(tmp_path):
         assert np.array_equal(again.modes_x, rebuilt.modes_x)
         assert np.array_equal(again.modes_y, rebuilt.modes_y)
         assert np.array_equal(again.eigenvalues, first.eigenvalues)
-        assert again.pressures is first.pressures is None
         assert os.path.exists(tmp_path / f"basis_{kind}_10x10_4.mhdbasis")
 
 

@@ -191,7 +191,7 @@ def test_tail_full_rank_and_single_mode():
 
     g = Grid(8, 8)
     full = (g.nx - 1) * (g.ny - 1)
-    basis = build_stokes_basis(g, full, with_pressure=False)
+    basis = build_stokes_basis(g, full)
     f = random_divfree(g, np.random.default_rng(2))
     _, rec = project(basis, f, full)
     assert grad_norm_sq(f - rec) < 1e-9
