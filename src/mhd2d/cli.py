@@ -33,7 +33,7 @@ from .ioutil import atomic_write_text
 from .lifting import TraceMode, read_trace_csv, stream_mode_field, synthesize_trace
 from .scenarios import stream_bump, trace_times
 from .spectral import cached_basis
-from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, calibrate_constants
+from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, TAIL_NX, calibrate_constants
 
 log = logging.getLogger("mhd2d")
 
@@ -368,7 +368,8 @@ def _experiment_kwargs(rc: RunConfig, name):
     if name in ("mms", "picard") and "dt_list" in p:
         kw["dt_list"] = values("dt_list", float, *positive)
     if name == "tail" and "n_list" in p:
-        kw["n_list"] = values("n_list", int, lambda v: v >= 1, ">= 1")
+        cap = (TAIL_NX - 1) ** 2 - 1  # the Stokes basis holds n + 1 modes
+        kw["n_list"] = values("n_list", int, lambda v: 1 <= v <= cap, f"in 1..{cap}")
     if name == "absorbing":
         if "variant" in p:
             kw["variant"] = _checked("variant", p["variant"], ABSORBING_VARIANTS.__contains__,

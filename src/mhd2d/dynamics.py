@@ -11,7 +11,8 @@ distance); otherwise it is refactored at u^n.  Every outer iterate ubar
 reuses the live factorization and lags the difference (ubar - u_ref)·grad b
 in the same Picard loop, so the fixed point is the implicit-transport
 solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
-iterate is exactly the implicit solve).  Outer iterate k >= 2 starts its
+iterate is exactly the implicit solve).  A zero velocity is factored like
+any other, which gives the heat operator.  Outer iterate k >= 2 starts its
 Picard loop from iterate k-1's b (a warm start), which the stop test and
 the fixed point do not depend on.
 The velocity solve is an implicit Stokes step on the stream-function
@@ -65,7 +66,6 @@ from .operators import (
     NeumannPoisson,
     StokesSaddle,
     TransportOperator,
-    heat_pair,
     project_divfree,
 )
 from .spectral import SpectralBasis, project
@@ -297,8 +297,6 @@ class Stepper:
     def transport_operators(self, u_ref: VectorField) -> TransportPair:
         """The x/y magnetic transport pair factored at the advecting velocity u_ref."""
         inv_dt, kappa = 1.0 / self.cfg.dt, 1.0 / self.cfg.rm
-        if l2_norm_sq(u_ref) == 0.0:
-            return TransportPair(u_ref, *heat_pair(self.grid, inv_dt, kappa))
         return TransportPair(
             u_ref,
             TransportOperator(self.grid, "x", u_ref, inv_dt, kappa),

@@ -5,7 +5,8 @@ the 2(nx+ny) wall-face midpoints in arc length (counterclockwise from
 the bottom-left corner, perimeter 4).  Fractional Sobolev norms are
 Fourier multipliers in arc length; the harmonic lift solves Laplace's
 equation componentwise, the parabolic lift runs the implicit heat flow
-with the same boundary data.
+with the same boundary data.  Both lifts solve in closed form
+(``operators.dirichlet_heat``); no sparse factorization runs here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .geometry import (
     grad_norm_sq,
     l2_norm_sq,
 )
-from .operators import apply_lap_mirror, heat_pair
+from .operators import apply_lap_mirror, dirichlet_heat
 
 __all__ = [
     "BoundaryTrace",
@@ -432,10 +433,8 @@ def harmonic_extend(trace: BoundaryTrace, t) -> VectorField:
 
 
 def harmonic_extend_bc(grid: Grid, bc: VectorBC) -> VectorField:
-    opx, opy = heat_pair(grid, 0.0, 1.0)
-    hx = opx.solve(np.zeros(grid.shape_xface()), opx.boundary(bc))
-    hy = opy.solve(np.zeros(grid.shape_yface()), opy.boundary(bc))
-    return VectorField(grid, hx, hy)
+    zero = VectorField.zeros(grid)
+    return dirichlet_heat(grid, 0.0, 1.0).solve(zero.x, zero.y, bc)
 
 
 @dataclass
@@ -511,10 +510,7 @@ def check_compatibility_trace(b0: VectorField, trace: BoundaryTrace, tol_factor=
 
 def heat_step(b: VectorField, dt: float, bc: VectorBC, kappa: float) -> VectorField:
     """One implicit-Euler step of the vector heat flow with Dirichlet data bc."""
-    opx, opy = heat_pair(b.grid, 1.0 / dt, kappa)
-    return VectorField(
-        b.grid, opx.solve(b.x / dt, opx.boundary(bc)), opy.solve(b.y / dt, opy.boundary(bc))
-    )
+    return dirichlet_heat(b.grid, 1.0 / dt, kappa).solve(b.x / dt, b.y / dt, bc)
 
 
 def parabolic_lift(

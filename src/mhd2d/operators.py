@@ -35,7 +35,8 @@ __all__ = [
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
-    "heat_pair",
+    "DirichletHeat",
+    "dirichlet_heat",
     "NeumannPoisson",
     "StokesSaddle",
     "stokes_apply",
@@ -170,8 +171,8 @@ class _Pattern(NamedTuple):
 def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
     """Structure and column order shared by every TransportOperator on (grid, comp).
 
-    Advection couples the same neighbours as diffusion, so heat, harmonic
-    and transport operators share one pattern.  The column order is the one
+    Advection couples the same neighbours as diffusion, so the pattern does
+    not depend on the velocity.  The column order is the one
     a default ``splu`` picks for this pattern (COLAMD, then the elimination
     tree postorder), which depends on the structure only.
 
@@ -233,14 +234,14 @@ class TransportOperator:
     """Implicit operator  inv_dt*I - kappa*Lap + a·grad  on one component grid.
 
     Assembled over the *full* face array of the component; wall faces get
-    identity rows so normal Dirichlet data can be imposed directly.  With
-    ``a=None`` the advection part is dropped, with ``inv_dt=0`` this is a
-    plain Dirichlet-Laplace solve (used for harmonic extension).  The
-    structure and column order come from ``_transport_pattern``; a build
-    fills in the values and runs SuperLU's numeric factorization only.
+    identity rows so normal Dirichlet data can be imposed directly.  A zero
+    ``a`` gives the heat operator that ``DirichletHeat`` solves in closed
+    form.  The structure and column order come from ``_transport_pattern``;
+    a build fills in the values and runs SuperLU's numeric factorization
+    only.
     """
 
-    def __init__(self, grid: Grid, comp: str, a: VectorField | None, inv_dt: float, kappa: float):
+    def __init__(self, grid: Grid, comp: str, a: VectorField, inv_dt: float, kappa: float):
         if comp not in ("x", "y"):
             raise ValueError("comp must be 'x' or 'y'")
         self.grid = grid
@@ -270,31 +271,29 @@ class TransportOperator:
         t_lo = t_hi = -k / ht**2
 
         # advection (divergence form minus interpolated-divergence correction)
-        self._adv_corner = None
-        if a is not None:
-            ah = advecting_half(a)
-            if self.comp == "x":
-                cp = ah.a1c[1:, :] / (2 * g.dx)  # flux through right cell center
-                cm = ah.a1c[:-1, :] / (2 * g.dx)
-                # corner fluxes: interior corner lines only; wall lines go to rhs
-                tp = ah.a2x[:, 1:] / (2 * g.dy)
-                tm = ah.a2x[:, :-1] / (2 * g.dy)
-                sd = ah.sx
-                self._adv_corner = ah.a2x
-            else:
-                cp = ah.a2c[:, 1:] / (2 * g.dy)
-                cm = ah.a2c[:, :-1] / (2 * g.dy)
-                tp = ah.a1y[1:, :] / (2 * g.dx)
-                tm = ah.a1y[:-1, :] / (2 * g.dx)
-                sd = ah.sy
-                self._adv_corner = ah.a1y
-            diag = diag + cp - cm
-            diag = diag + np.where(pat.hi, tp, 0.0)
-            diag = diag - np.where(pat.lo, tm, 0.0)
-            diag = diag - sd
-            # one diffusion plus one advection entry per neighbour: a single
-            # addition, so the sum does not depend on the order of the two
-            n_lo, n_hi, t_lo, t_hi = n_lo - cm, n_hi + cp, t_lo - tm, t_hi + tp
+        ah = advecting_half(a)
+        if self.comp == "x":
+            cp = ah.a1c[1:, :] / (2 * g.dx)  # flux through right cell center
+            cm = ah.a1c[:-1, :] / (2 * g.dx)
+            # corner fluxes: interior corner lines only; wall lines go to rhs
+            tp = ah.a2x[:, 1:] / (2 * g.dy)
+            tm = ah.a2x[:, :-1] / (2 * g.dy)
+            sd = ah.sx
+            self._adv_corner = ah.a2x
+        else:
+            cp = ah.a2c[:, 1:] / (2 * g.dy)
+            cm = ah.a2c[:, :-1] / (2 * g.dy)
+            tp = ah.a1y[1:, :] / (2 * g.dx)
+            tm = ah.a1y[:-1, :] / (2 * g.dx)
+            sd = ah.sy
+            self._adv_corner = ah.a1y
+        diag = diag + cp - cm
+        diag = diag + np.where(pat.hi, tp, 0.0)
+        diag = diag - np.where(pat.lo, tm, 0.0)
+        diag = diag - sd
+        # one diffusion plus one advection entry per neighbour: a single
+        # addition, so the sum does not depend on the order of the two
+        n_lo, n_hi, t_lo, t_hi = n_lo - cm, n_hi + cp, t_lo - tm, t_hi + tp
 
         data = np.empty(len(pat.indices) + 1)  # the extra entry absorbs missing neighbours
         for slot, v in zip(pat.slots, (diag, n_lo, n_hi, t_lo, t_hi)):
@@ -331,19 +330,17 @@ class TransportOperator:
             # mirror-ghost diffusion terms
             r[1:-1, 0] += 2.0 * k * bc.x_bottom[1:-1] / dy**2
             r[1:-1, -1] += 2.0 * k * bc.x_top[1:-1] / dy**2
-            if self._adv_corner is not None:
-                a2x = self._adv_corner
-                r[1:-1, 0] += a2x[:, 0] * bc.x_bottom[1:-1] / dy
-                r[1:-1, -1] -= a2x[:, -1] * bc.x_top[1:-1] / dy
+            a2x = self._adv_corner
+            r[1:-1, 0] += a2x[:, 0] * bc.x_bottom[1:-1] / dy
+            r[1:-1, -1] -= a2x[:, -1] * bc.x_top[1:-1] / dy
         else:
             r[:, 0] = bc.y_bottom
             r[:, -1] = bc.y_top
             r[0, 1:-1] += 2.0 * k * bc.y_left[1:-1] / dx**2
             r[-1, 1:-1] += 2.0 * k * bc.y_right[1:-1] / dx**2
-            if self._adv_corner is not None:
-                a1y = self._adv_corner
-                r[0, 1:-1] += a1y[0, :] * bc.y_left[1:-1] / dx
-                r[-1, 1:-1] -= a1y[-1, :] * bc.y_right[1:-1] / dx
+            a1y = self._adv_corner
+            r[0, 1:-1] += a1y[0, :] * bc.y_left[1:-1] / dx
+            r[-1, 1:-1] -= a1y[-1, :] * bc.y_right[1:-1] / dx
         return r
 
     def boundary(self, bc: VectorBC) -> np.ndarray:
@@ -368,19 +365,51 @@ class TransportOperator:
         return self._lu.solve(rhs)[pat.perm].reshape(self.shape)
 
 
-@lru_cache(maxsize=8)
-def heat_pair(grid: Grid, inv_dt: float, kappa: float):
-    """The factored x/y pair  inv_dt*I - kappa*Lap  (no advection), memoized.
+# --- closed-form Dirichlet heat and harmonic solves -------------------------
 
-    ``inv_dt = 0`` gives the harmonic-lift pair, ``inv_dt = 1/dt`` the
-    implicit-Euler heat step of the parabolic lift and of a magnetic step at
-    zero velocity.  A run uses at most two keys (the harmonic pair and one
-    heat pair), so the bound of 8 never evicts within a run.
+def _separable_solve(qa, qb, inv_lam, r):
+    """qa (inv_lam * (qa^T r qb)) qb^T: a solve in the orthonormal eigenbases qa and qb."""
+    return qa @ ((qa.T @ r @ qb) * inv_lam) @ qb.T
+
+
+class DirichletHeat:
+    """inv_dt*I - kappa*Lap on both face components with Dirichlet data, in closed form.
+
+    Each component's operator is separable in the sines of ``dirichlet_modes``,
+    so a solve is fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964).  The data enters as kappa*Lap of the field that holds it on the
+    walls and is zero inside: kappa*g/h**2 in the first and last interior rows
+    and the mirror terms of ``TransportOperator.rhs_boundary``.  It agrees
+    with a zero-velocity ``TransportOperator`` to round-off.
     """
-    return (
-        TransportOperator(grid, "x", None, inv_dt, kappa),
-        TransportOperator(grid, "y", None, inv_dt, kappa),
-    )
+
+    def __init__(self, grid: Grid, inv_dt: float, kappa: float):
+        self.grid = grid
+        self.kappa = kappa
+        qxn, lxn = dirichlet_modes(grid.nx, grid.dx, nodal=True)
+        qxm, lxm = dirichlet_modes(grid.nx, grid.dx, nodal=False)
+        qyn, lyn = dirichlet_modes(grid.ny, grid.dy, nodal=True)
+        qym, lym = dirichlet_modes(grid.ny, grid.dy, nodal=False)
+        self._x = (qxn, qym, 1.0 / (inv_dt + kappa * np.add.outer(lxn, lym)))
+        self._y = (qxm, qyn, 1.0 / (inv_dt + kappa * np.add.outer(lxm, lyn)))
+
+    def solve(self, fx: np.ndarray, fy: np.ndarray, bc: VectorBC) -> VectorField:
+        """The solution for the right-hand side (fx, fy) on the full face arrays
+        (interior entries used) and the Dirichlet data bc."""
+        out = VectorField.zeros(self.grid)
+        out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
+        out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
+        lap = apply_lap_mirror(out, bc)
+        out.x[1:-1, :] = _separable_solve(*self._x, fx[1:-1, :] + self.kappa * lap.x[1:-1, :])
+        out.y[:, 1:-1] = _separable_solve(*self._y, fy[:, 1:-1] + self.kappa * lap.y[:, 1:-1])
+        return out
+
+
+@lru_cache(maxsize=8)
+def dirichlet_heat(grid: Grid, inv_dt: float, kappa: float) -> DirichletHeat:
+    """The memoized ``DirichletHeat``.  A run uses at most two keys (the
+    harmonic and the parabolic lift), so the bound of 8 never evicts."""
+    return DirichletHeat(grid, inv_dt, kappa)
 
 
 # --- pressure & projection -------------------------------------------------
@@ -403,6 +432,8 @@ def dirichlet_modes(n, h, nodal):
 
     Column k - 1 samples sin(pi k x / n) at the nodes x = 1 .. n - 1 or at the
     cells x = j + 1/2; its eigenvalue 4 sin(pi k / 2n)**2 / h**2 increases in k.
+    A face component's Laplacian is diagonal in nodal sines along its axis
+    times mirrored sines along the other.
     """
     x = np.arange(1, n) if nodal else np.arange(n) + 0.5
     k = np.arange(1, len(x) + 1)
@@ -429,7 +460,7 @@ class NeumannPoisson:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         r = np.reshape(rhs, self.grid.shape_center())
-        q = self._qx @ ((self._qx.T @ r @ self._qy) * self._inv_lam) @ self._qy.T
+        q = _separable_solve(self._qx, self._qy, self._inv_lam, r)
         return q - q.mean()
 
 

@@ -74,11 +74,14 @@ __all__ = [
     "EXPERIMENTS",
     "ABSORBING_VARIANTS",
     "STRONG_MODES",
+    "TAIL_NX",
 ]
 
 # the values absorbing_experiment accepts for variant and strong
 ABSORBING_VARIANTS = ("acceptance", "reference")
 STRONG_MODES = ("off", "measure", "check")
+# the grid of tail_compactness; its cuts n need n + 1 <= (TAIL_NX - 1)**2 Stokes modes
+TAIL_NX = 32
 
 
 @dataclass
@@ -474,7 +477,7 @@ def absorbing_experiment(
 
 # --- tail compactness ---------------------------------------------------------------
 
-def tail_compactness(n_list=(4, 8, 16, 32), nx=32, dt=2e-3, t_final=0.5) -> ExperimentReport:
+def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) -> ExperimentReport:
     """Decay of the unresolved-mode H1 energy as the cut moves up the spectrum.
 
     Runs the forced smooth steady scenario (the manufactured state held

@@ -482,13 +482,15 @@ EXPERIMENT_HEAD = MINIMAL + "\n[experiment]\n"
         ("experiment", EXPERIMENT_HEAD + "id = picard\ndt_list = -1\n", "dt_list"),
         ("experiment", EXPERIMENT_HEAD + "id = mms\ndt_list = 1e-3,nan\n", "dt_list"),
         ("experiment", EXPERIMENT_HEAD + "id = tail\nn_list = 0,4\n", "n_list"),
+        ("experiment", EXPERIMENT_HEAD + "id = tail\nn_list = 4,961\n", "n_list"),
         ("experiment", EXPERIMENT_HEAD + "id = absorbing\ndiam_factor = 0\n", "diam_factor"),
         ("experiment", EXPERIMENT_HEAD + "id = absorbing\nvariant = refrence\n", "variant"),
         ("experiment", EXPERIMENT_HEAD + "id = absorbing\nstrong = yes\n", "strong"),
         ("experiment", EXPERIMENT_HEAD + "id = basis-stability\nseed = -1\n", "seed"),
     ],
     ids=["laplacian-m-too-large", "default-n-too-large", "coarse-grid", "negative-dt", "nan-dt",
-         "zero-modes", "zero-diameter", "unknown-variant", "unknown-strong", "negative-seed"],
+         "zero-modes", "tail-over-capacity", "zero-diameter", "unknown-variant", "unknown-strong",
+         "negative-seed"],
 )
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, stubbed_runners, command,
                                                      text, expect):
@@ -496,6 +498,22 @@ def test_out_of_range_command_value_is_config_error(tmp_path, capsys, stubbed_ru
     assert main([command, "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and expect in err and "Traceback" not in err
+
+
+def test_tail_cut_above_stokes_capacity_exits_before_running(tmp_path, capsys, monkeypatch):
+    # the 32^2 tail grid holds 961 Stokes modes, so a cut n needs n + 1 <= 961
+    from mhd2d import cli
+
+    ran = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "tail", lambda store, **kw: ran.append(kw))
+    path = _write(tmp_path, EXPERIMENT_HEAD + "id = tail\nn_list = 4,5000\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "n_list" in err and "Traceback" not in err
+    assert ran == [] and os.listdir(out) == []  # the experiment never started; no report
+    edge = _write(tmp_path, EXPERIMENT_HEAD + "id = tail\nn_list = 4,960\n")
+    assert cli._experiment_kwargs(parse_config(edge), "tail") == {"n_list": (4, 960)}
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

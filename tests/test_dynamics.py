@@ -393,7 +393,7 @@ def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
     # compatible data (u = b = 0 and one stream trace ramping up from 0) a
     # pure-heat step leaves div b far above the cleaning threshold, largest
     # in the cells at the wall, and the projection removes it.  A
-    # divergence-free magnetic step (ROADMAP item 2) flips this test.
+    # divergence-free magnetic step (ROADMAP item 3) flips this test.
     g = Grid(16, 16)
     mode = TraceMode("stream", amplitude=0.2, kx=1, ky=2, envelope="ramp", envelope_param=5.0)
     trace = synthesize_trace(g, [0.0, DT], [mode])
@@ -419,8 +419,7 @@ def test_transport_builds_equal_refactored_steps(monkeypatch):
     init = TransportOperator.__init__
 
     def counting(self, grid, comp, a, inv_dt, kappa):
-        if a is not None:  # heat and harmonic pairs carry no advection
-            builds.append(comp)
+        builds.append(comp)
         init(self, grid, comp, a, inv_dt, kappa)
 
     monkeypatch.setattr(TransportOperator, "__init__", counting)
@@ -521,9 +520,8 @@ def test_old_pair_is_freed_before_the_new_one_is_built(monkeypatch):
     init = TransportOperator.__init__
 
     def tracking(self, grid, comp, a, inv_dt, kappa):
-        if a is not None:
-            seen.append(len(live))  # advective operators still alive
-            live.add(self)
+        seen.append(len(live))  # transport operators still alive
+        live.add(self)
         init(self, grid, comp, a, inv_dt, kappa)
 
     monkeypatch.setattr(TransportOperator, "__init__", tracking)

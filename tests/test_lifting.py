@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhd2d import operators
 from mhd2d.dynamics import run as run_mhd
 from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.geometry import Grid, VectorField, l2_norm_sq
@@ -12,6 +13,8 @@ from mhd2d.lifting import (
     TraceMode,
     check_compatibility_trace,
     harmonic_extend,
+    harmonic_extend_bc,
+    heat_step,
     hs_norm,
     lifting_estimate_check,
     parabolic_estimate_check,
@@ -20,7 +23,7 @@ from mhd2d.lifting import (
     stream_mode_field,
     synthesize_trace,
 )
-from mhd2d.operators import TransportOperator, heat_pair
+from mhd2d.operators import DirichletHeat, dirichlet_heat
 from mhd2d.scenarios import make_scenario
 from mhd2d.spectral import build_laplacian_basis
 
@@ -226,25 +229,39 @@ def test_parabolic_estimate_margins():
     assert rep.weak_margin <= 1e-10
 
 
-def test_heat_pair_shared_by_strong_run_and_parabolic_lift(monkeypatch):
+def test_dirichlet_heat_shared_by_strong_run_and_parabolic_lift(monkeypatch):
     builds = []
-    init = TransportOperator.__init__
+    init = DirichletHeat.__init__
 
-    def counting(self, grid, comp, a, inv_dt, kappa):
-        if a is None and inv_dt != 0.0:
-            builds.append(comp)
-        init(self, grid, comp, a, inv_dt, kappa)
+    def counting(self, grid, inv_dt, kappa):
+        builds.append(inv_dt)
+        init(self, grid, inv_dt, kappa)
 
-    monkeypatch.setattr(TransportOperator, "__init__", counting)
-    heat_pair.cache_clear()
+    monkeypatch.setattr(DirichletHeat, "__init__", counting)
+    dirichlet_heat.cache_clear()
     dt = 1e-3
     scen = make_scenario("calib-osc", nx=12, dt=dt, t_final=3 * dt, strong_mode=True)
     run_mhd(scen.cfg, scen.u0, scen.b0, scen.trace)
     parabolic_lift(scen.b0, scen.trace, dt, 3 * dt, kappa=1.0 / scen.cfg.rm)
-    assert builds == ["x", "y"]
+    assert sorted(builds) == [0.0, 1.0 / dt]  # the harmonic lift and one heat step
     g = scen.cfg.grid()
-    assert heat_pair(g, 1.0 / dt, 1.0) is heat_pair(Grid(12, 12), 1.0 / dt, 1.0)
-    assert heat_pair(g, 0.0, 1.0) is not heat_pair(g, 1.0 / dt, 1.0)
+    assert dirichlet_heat(g, 1.0 / dt, 1.0) is dirichlet_heat(Grid(12, 12), 1.0 / dt, 1.0)
+    assert dirichlet_heat(g, 0.0, 1.0) is not dirichlet_heat(g, 1.0 / dt, 1.0)
+
+
+def test_lifts_call_no_sparse_lu(monkeypatch):
+    calls = []
+    real = operators.splu
+    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    dirichlet_heat.cache_clear()
+    g = Grid(12, 12)
+    mode = TraceMode("stream", amplitude=0.6, kx=2, ky=1, envelope="cos", envelope_param=1.0)
+    trace = synthesize_trace(g, TIMES, [mode])
+    bc = trace.vector_bc(0.0)
+    harmonic_extend_bc(g, bc)
+    heat_step(stream_mode_field(g, mode, 0.0), 1e-3, bc, 0.5)
+    parabolic_lift(stream_mode_field(g, mode, 0.0), trace, 1e-3, 5e-3)
+    assert calls == []
 
 
 def test_compatibility_of_stream_modes():

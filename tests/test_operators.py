@@ -25,6 +25,7 @@ from mhd2d.geometry import (
     l2_norm_sq,
 )
 from mhd2d.operators import (
+    DirichletHeat,
     NeumannPoisson,
     StokesSaddle,
     TransportOperator,
@@ -126,7 +127,8 @@ def test_transport_solve_equals_default_order_factorization(rng, comp, advect, i
     # permutation alone would break differently from the default order
     # one prepared boundary serves several right-hand sides, as in a Picard loop
     g = Grid(16, 16)
-    op = TransportOperator(g, comp, random_divfree(g, rng) if advect else None, inv_dt, kappa)
+    a = random_divfree(g, rng) if advect else VectorField.zeros(g)
+    op = TransportOperator(g, comp, a, inv_dt, kappa)
     bc = _random_bc(g, rng)
     boundary = op.boundary(bc)
     kept = boundary.copy()
@@ -156,16 +158,31 @@ def test_column_order_computed_once_per_grid_and_component(monkeypatch):
 
     monkeypatch.setattr(operators, "splu", counting)
     operators._transport_pattern.cache_clear()
-    operators.heat_pair.cache_clear()
     dt, nsteps = 1e-3, 6
     scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=nsteps * dt, strong_mode=True)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     n = 17 * 16  # unknowns of either component's full face array
     assert ordered.count(n) == 2  # x and y
-    # harmonic pair, heat pair (strong-mode lift) and one pair per refactoring
+    # one pair per refactoring; the lifts factor nothing
     refactored = sum(r.transport_refactored for r in traj.reports)
     assert 1 <= refactored < nsteps
-    assert natural == [n] * (2 + 2 + 2 * refactored)
+    assert natural == [n] * (2 * refactored)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (9, 7), (64, 64)], ids=["16x16", "9x7", "64x64"])
+@pytest.mark.parametrize("inv_dt, kappa", [(0.0, 1.0), (500.0, 0.3)], ids=["harmonic", "heat"])
+def test_dirichlet_heat_matches_zero_velocity_transport(rng, shape, inv_dt, kappa):
+    # the closed form against SuperLU on the same system; 9x7 catches swapped axes
+    g = Grid(*shape)
+    bc = _random_bc(g, rng)
+    fx, fy = rng.standard_normal(g.shape_xface()), rng.standard_normal(g.shape_yface())
+    got = DirichletHeat(g, inv_dt, kappa).solve(fx, fy, bc)
+    for comp, f in (("x", fx), ("y", fy)):
+        op = TransportOperator(g, comp, VectorField.zeros(g), inv_dt, kappa)
+        ref = op.solve(f, op.boundary(bc))
+        assert np.max(np.abs(getattr(got, comp) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.array_equal(got.x[0, :], bc.x_left) and np.array_equal(got.x[-1, :], bc.x_right)
+    assert np.array_equal(got.y[:, 0], bc.y_bottom) and np.array_equal(got.y[:, -1], bc.y_top)
 
 
 def test_neumann_projection_kills_divergence(rng):
