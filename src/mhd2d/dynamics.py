@@ -150,6 +150,8 @@ class SolverConfig:
             bad.append("outer mode must be fixed_point or single_pass")
         if self.compat_action not in ("reject", "project"):
             bad.append("compatibility action must be reject or project")
+        if self.checkpoint_every < 0:
+            bad.append("outputs.checkpoint_every must be >= 0 (0 writes no checkpoints)")
         if bad:
             raise ConfigError(bad)
         return self
@@ -549,25 +551,6 @@ class Stepper:
             transport_refactored=refactored,
         )
         return SimState(t_next, u_new, b_new, p_new), report
-
-
-# --- module-level single-shot wrappers ---------------------------------------
-
-def b_step(u_frozen, b_prev, trace, dt, t_prev=None, **cfg_kw):
-    """One magnetic step without a session (operators built on the fly)."""
-    cfg_kw.setdefault("t_final", dt)
-    cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, **cfg_kw)
-    st = Stepper(cfg, trace)
-    return st.b_step(u_frozen, b_prev, trace.times[0] if t_prev is None else t_prev)
-
-
-def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None, t_prev=None, **cfg_kw):
-    cfg_kw.setdefault("t_final", dt)
-    cfg = SolverConfig(
-        nx=u_prev.grid.nx, ny=u_prev.grid.ny, dt=dt, n_modes=n_modes, **cfg_kw
-    )
-    st = Stepper(cfg, trace, basis=basis)
-    return st.u_step(b_frozen, u_prev, trace.times[0] if t_prev is None else t_prev)
 
 
 # --- trajectories and the run loop --------------------------------------------

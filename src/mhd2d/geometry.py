@@ -114,11 +114,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape_center()))
 
-    @classmethod
-    def from_function(cls, grid, f):
-        x, y = np.meshgrid(grid.xc(), grid.yc(), indexing="ij")
-        return cls(grid, f(x, y))
-
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
@@ -194,16 +189,6 @@ class ScalarBC:
     def zero(cls, grid):
         return cls(
             np.zeros(grid.nx), np.zeros(grid.nx), np.zeros(grid.ny), np.zeros(grid.ny)
-        )
-
-    @classmethod
-    def from_function(cls, grid, f):
-        xc, yc = grid.xc(), grid.yc()
-        return cls(
-            f(xc, np.zeros_like(xc)),
-            f(xc, np.ones_like(xc)),
-            f(np.zeros_like(yc), yc),
-            f(np.ones_like(yc), yc),
         )
 
 

@@ -145,87 +145,101 @@ def apply_lap_mirror_scalar(s: ScalarField, bc=None) -> ScalarField:
 
 # --- implicit transport ----------------------------------------------------
 
-class _Pattern(NamedTuple):
-    """Sparsity structure and column order of one component's transport operator.
+# SuperLU pivots on the diagonal unless it is below this fraction of its
+# column's largest entry.  The symmetric order assumes diagonal pivots;
+# partial pivoting (threshold 1) leaves the diagonal wherever an advection
+# coefficient outweighs it, and the factor then fills far beyond the order
+# (16x at 32^2 with cell Peclet numbers in the thousands).
+_DIAG_PIVOT_THRESH = 0.01
 
-    The operator A is factored as B = A[q][:, q] with the natural order, so
-    SuperLU skips COLAMD.  ``slots[g]`` maps each interior unknown to the CSC
-    data position of its stencil entry of group g (diagonal, normal -/+
-    neighbour, tangential -/+ neighbour); a missing tangential neighbour
-    points one past the end.  ``wall`` holds the wall-face diagonals and
-    ``wall_rows`` the wall faces' positions in B's order.
+
+def _splu_symmetric(m, permc_spec):
+    """SuperLU with a diagonal pivot preference (``SymmetricMode``)."""
+    return splu(
+        m,
+        permc_spec=permc_spec,
+        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+        options=dict(SymmetricMode=True),
+    )
+
+
+class _Pattern(NamedTuple):
+    """Sparsity structure and order of one component's interior operator A_II.
+
+    The unknowns are the interior faces; the wall faces carry Dirichlet data.
+    A_II is factored as B = A_II[p][:, p] in the natural order, where p
+    (``perm``'s inverse) is the symmetric minimum-degree order of A_II.
+    ``slots[g]`` maps each interior unknown to the CSC data position of its
+    stencil entry of group g (diagonal, normal -/+ neighbour, tangential -/+
+    neighbour); a neighbour that is a wall face or missing points one past
+    the end.  ``q[k]`` is the position of B's unknown k in the raveled full
+    face array.
     """
 
     slots: np.ndarray
-    wall: np.ndarray
-    wall_rows: np.ndarray
     lo: np.ndarray  # the tangential - neighbour exists
     hi: np.ndarray  # the tangential + neighbour exists
     indices: np.ndarray
     indptr: np.ndarray
     q: np.ndarray
-    perm: np.ndarray  # inverse of q
+    perm: np.ndarray  # interior unknown -> its position in B
 
 
 @lru_cache(maxsize=8)
 def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
-    """Structure and column order shared by every TransportOperator on (grid, comp).
+    """Structure and order shared by every TransportOperator on (grid, comp).
 
     Advection couples the same neighbours as diffusion, so the pattern does
-    not depend on the velocity.  The column order is the one
-    a default ``splu`` picks for this pattern (COLAMD, then the elimination
-    tree postorder), which depends on the structure only.
+    not depend on the velocity.  The order is the one ``splu`` picks with
+    ``MMD_AT_PLUS_A`` and ``SymmetricMode`` for this pattern (minimum degree
+    on A + A^T, then the elimination tree postorder), which depends on the
+    structure only.
 
-    Row r of A becomes row perm[r] of B, so SuperLU's preference for the
-    diagonal pivot in a tie still names A's diagonal.  Within each column
-    the rows keep A's ascending order, which fixes the order of SuperLU's
-    depth-first searches and hence of its arithmetic.  Both make the
-    numeric factorization of B repeat that of A operation for operation.
-    A run uses two keys per grid, so the bound of 8 never evicts within a run.
+    Row r of A_II becomes row perm[r] of B, so SuperLU's preference for the
+    diagonal pivot still names A_II's diagonal.  Within each column the rows
+    keep A_II's ascending order, which fixes the order of SuperLU's
+    depth-first searches and hence of its arithmetic.  Both make the numeric
+    factorization of B repeat that of A_II operation for operation.  A run
+    uses two keys per grid, so the bound of 8 never evicts within a run.
     """
     nx, ny = grid.nx, grid.ny
     if comp == "x":
-        n1, n2 = grid.shape_xface()
-        ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        tan, n_tan = jj, ny
-        nbrs = ((ii - 1, jj), (ii + 1, jj), (ii, jj - 1), (ii, jj + 1))
-        wi, wj = np.meshgrid(np.array([0, nx]), np.arange(ny), indexing="ij")
+        m1, m2 = nx - 1, ny
+        i, j = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
+        nrm, n_nrm, tan, n_tan = i, m1, j, m2
+        nbrs = ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+        full = (i + 1) * ny + j
     else:
-        n1, n2 = grid.shape_yface()
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        tan, n_tan = ii, nx
-        nbrs = ((ii, jj - 1), (ii, jj + 1), (ii - 1, jj), (ii + 1, jj))
-        wi, wj = np.meshgrid(np.arange(nx), np.array([0, ny]), indexing="ij")
+        m1, m2 = nx, ny - 1
+        i, j = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
+        nrm, n_nrm, tan, n_tan = j, m2, i, m1
+        nbrs = ((i, j - 1), (i, j + 1), (i - 1, j), (i + 1, j))
+        full = i * (ny + 1) + j + 1
     lo, hi = tan >= 1, tan <= n_tan - 2
-    rid = ii * n2 + jj
-    cols = np.stack([rid] + [i * n2 + j for i, j in nbrs])
+    cols = np.stack([i * m2 + j] + [a * m2 + b for a, b in nbrs])
+    cols[1][nrm == 0] = -1
+    cols[2][nrm == n_nrm - 1] = -1
     cols[3][~lo] = -1
     cols[4][~hi] = -1
     keep = cols >= 0
-    wid = (wi * n2 + wj).ravel()
-    r = np.concatenate([np.broadcast_to(rid, cols.shape)[keep], wid])
-    c = np.concatenate([cols[keep], wid])
-    n, nnz = n1 * n2, len(r)
+    r = np.broadcast_to(cols[0], cols.shape)[keep]
+    c = cols[keep]
+    n, nnz = m1 * m2, len(r)
 
     # any nonsingular matrix with this pattern: strictly diagonally dominant
     a0 = sp.csc_matrix((np.where(r == c, 5.0, -1.0), (r, c)), shape=(n, n))
     # a copy: a view of perm_c would keep the whole factorization alive
-    perm = splu(a0).perm_c.astype(np.intp)
+    perm = _splu_symmetric(a0, "MMD_AT_PLUS_A").perm_c.astype(np.intp)
     order = np.lexsort((r, perm[c]))
-    pos = np.empty(nnz, dtype=np.intp)
-    pos[order] = np.arange(nnz)
-    n_int = int(keep.sum())  # entries of the interior rows; the wall rows follow
     slots = np.full(cols.shape, nnz, dtype=np.intp)
-    slots[keep] = pos[:n_int]
+    slots[keep] = np.argsort(order)
     return _Pattern(
         slots=slots,
-        wall=pos[n_int:],
-        wall_rows=perm[wid],
         lo=lo,
         hi=hi,
         indices=perm[r[order]].astype(np.intc),
         indptr=np.concatenate([[0], np.cumsum(np.bincount(perm[c], minlength=n))]).astype(np.intc),
-        q=np.argsort(perm),
+        q=full.ravel()[np.argsort(perm)],
         perm=perm,
     )
 
@@ -233,12 +247,13 @@ def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
 class TransportOperator:
     """Implicit operator  inv_dt*I - kappa*Lap + a·grad  on one component grid.
 
-    Assembled over the *full* face array of the component; wall faces get
-    identity rows so normal Dirichlet data can be imposed directly.  A zero
-    ``a`` gives the heat operator that ``DirichletHeat`` solves in closed
-    form.  The structure and column order come from ``_transport_pattern``;
-    a build fills in the values and runs SuperLU's numeric factorization
-    only.
+    Assembled on the interior faces only (A_II); the couplings to the wall
+    faces, which carry the normal Dirichlet data, go to the right-hand side
+    (``rhs_boundary``).  A zero ``a`` gives the heat operator that
+    ``DirichletHeat`` solves in closed form.  The structure and the symmetric
+    minimum-degree order come from ``_transport_pattern``; a build fills in
+    the values and runs SuperLU's numeric factorization only, pivoting on the
+    diagonal unless it falls below ``_DIAG_PIVOT_THRESH`` of its column.
     """
 
     def __init__(self, grid: Grid, comp: str, a: VectorField, inv_dt: float, kappa: float):
@@ -261,9 +276,8 @@ class TransportOperator:
         # normal and tangential spacing of this component
         hn, ht = (g.dx, g.dy) if self.comp == "x" else (g.dy, g.dx)
 
-        # time term and diffusion (nodal Dirichlet in the normal direction:
-        # wall faces are unknowns with identity rows, so the couplings stay
-        # in the matrix; mirror ghosts in the tangential direction)
+        # time term and diffusion (nodal Dirichlet in the normal direction;
+        # mirror ghosts in the tangential direction)
         diag = np.full(pat.lo.shape, self.inv_dt)
         diag = diag + 2.0 * k / hn**2
         diag = diag + np.where(pat.lo & pat.hi, 2.0 * k / ht**2, 3.0 * k / ht**2)
@@ -294,29 +308,37 @@ class TransportOperator:
         # one diffusion plus one advection entry per neighbour: a single
         # addition, so the sum does not depend on the order of the two
         n_lo, n_hi, t_lo, t_hi = n_lo - cm, n_hi + cp, t_lo - tm, t_hi + tp
+        # the normal neighbours of the first and last interior lines are
+        # wall faces: their couplings multiply the data in rhs_boundary
+        if self.comp == "x":
+            self._wall_lo, self._wall_hi = n_lo[0, :], n_hi[-1, :]
+        else:
+            self._wall_lo, self._wall_hi = n_lo[:, 0], n_hi[:, -1]
 
         data = np.empty(len(pat.indices) + 1)  # the extra entry absorbs missing neighbours
         for slot, v in zip(pat.slots, (diag, n_lo, n_hi, t_lo, t_hi)):
             data[slot] = v
-        data[pat.wall] = 1.0
         self._data = data[:-1]
         m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
         m.has_canonical_format = True  # keep the row order (see _transport_pattern)
         try:
-            self._lu = splu(m, permc_spec="NATURAL")
+            self._lu = _splu_symmetric(m, "NATURAL")
         except RuntimeError as exc:  # pragma: no cover
             raise SolverFailure(f"transport operator factorization failed: {exc}")
 
     @property
     def matrix(self):
-        """The assembled operator on the raveled full face array (built on demand)."""
+        """A_II on the raveled interior face array (built on demand)."""
         pat = self._pattern
         m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
         return m[pat.perm][:, pat.perm].tocsc()
 
     def rhs_boundary(self, bc: VectorBC):
-        """Boundary contributions to the right-hand side on the full array.
+        """The Dirichlet data of ``bc`` on the full face array.
 
+        The wall faces hold the normal data; each interior face holds what
+        its couplings to the data (wall faces and mirror ghosts) contribute
+        to its right-hand side, so  A_II u_I = f_I + rhs_boundary(bc)_I.
         ``boundary`` hands these to ``solve``.
         """
         g = self.grid
@@ -324,7 +346,6 @@ class TransportOperator:
         k = self.kappa
         r = np.zeros(self.shape)
         if self.comp == "x":
-            # Dirichlet rows at the wall faces
             r[0, :] = bc.x_left
             r[-1, :] = bc.x_right
             # mirror-ghost diffusion terms
@@ -333,6 +354,9 @@ class TransportOperator:
             a2x = self._adv_corner
             r[1:-1, 0] += a2x[:, 0] * bc.x_bottom[1:-1] / dy
             r[1:-1, -1] -= a2x[:, -1] * bc.x_top[1:-1] / dy
+            # couplings to the wall faces
+            r[1, :] -= self._wall_lo * bc.x_left
+            r[-2, :] -= self._wall_hi * bc.x_right
         else:
             r[:, 0] = bc.y_bottom
             r[:, -1] = bc.y_top
@@ -341,28 +365,31 @@ class TransportOperator:
             a1y = self._adv_corner
             r[0, 1:-1] += a1y[0, :] * bc.y_left[1:-1] / dx
             r[-1, 1:-1] -= a1y[-1, :] * bc.y_right[1:-1] / dx
+            r[:, 1] -= self._wall_lo * bc.y_bottom
+            r[:, -2] -= self._wall_hi * bc.y_top
         return r
 
-    def boundary(self, bc: VectorBC) -> np.ndarray:
-        """The Dirichlet right-hand side of ``bc``, in the factor's order.
+    def boundary(self, bc: VectorBC):
+        """``rhs_boundary(bc)`` with its interior entries in the factor's order.
 
         Prepare it once per boundary instant and pass it to every ``solve``
         with that data.
         """
-        return self.rhs_boundary(bc).ravel()[self._pattern.q]
+        r = self.rhs_boundary(bc)
+        return r.ravel()[self._pattern.q], r
 
-    def solve(self, rhs_core: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    def solve(self, rhs_core: np.ndarray, boundary) -> np.ndarray:
         """Solve for the full component array.
 
         ``rhs_core`` holds the interior right-hand side (wall-face entries
-        are ignored and replaced by the Dirichlet data); ``boundary`` comes
-        from ``self.boundary(bc)``.
+        are ignored); ``boundary`` comes from ``self.boundary(bc)`` and
+        supplies the wall faces of the result.
         """
-        pat = self._pattern
-        rhs = rhs_core.ravel()[pat.q]
-        rhs[pat.wall_rows] = 0.0
-        rhs += boundary
-        return self._lu.solve(rhs)[pat.perm].reshape(self.shape)
+        q = self._pattern.q
+        rhs, full = boundary
+        out = full.copy()
+        out.ravel()[q] = self._lu.solve(rhs_core.ravel()[q] + rhs)
+        return out
 
 
 # --- closed-form Dirichlet heat and harmonic solves -------------------------
@@ -379,8 +406,9 @@ class DirichletHeat:
     so a solve is fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
     1964).  The data enters as kappa*Lap of the field that holds it on the
     walls and is zero inside: kappa*g/h**2 in the first and last interior rows
-    and the mirror terms of ``TransportOperator.rhs_boundary``.  It agrees
-    with a zero-velocity ``TransportOperator`` to round-off.
+    and the mirror terms, the interior of a zero-velocity
+    ``TransportOperator.rhs_boundary``.  It agrees with that operator's solve
+    to round-off.
     """
 
     def __init__(self, grid: Grid, inv_dt: float, kappa: float):

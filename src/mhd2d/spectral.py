@@ -80,13 +80,6 @@ class SpectralBasis:
     def mode(self, i) -> VectorField:
         return VectorField(self.grid, self.modes_x[i].copy(), self.modes_y[i].copy())
 
-    def gram(self):
-        g = self.grid
-        w = g.dx * g.dy
-        mx = self.modes_x.reshape(self.count, -1)
-        my = self.modes_y.reshape(self.count, -1)
-        return w * (mx @ mx.T + my @ my.T)
-
 
 def _fix_signs(vectors, tol=1e-8):
     """First significant entry of each column made positive (reproducibility)."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Forcing, SolverConfig, run
-from .errors import ExperimentFailure
 from .estimates import (
     CalibrationStore,
     absorbing_radii,
@@ -124,11 +123,6 @@ class ExperimentReport:
         from .ioutil import atomic_write_text
 
         atomic_write_text(path, self.to_csv_text())
-
-    def raise_if_failed(self):
-        if not self.passed:
-            bad = [a.assertion_id for a in self.assertions if not a.passed]
-            raise ExperimentFailure(f"{self.experiment_id}: failed assertions {bad}")
 
 
 def _digest(params: dict) -> str:

@@ -487,10 +487,11 @@ EXPERIMENT_HEAD = MINIMAL + "\n[experiment]\n"
         ("experiment", EXPERIMENT_HEAD + "id = absorbing\nvariant = refrence\n", "variant"),
         ("experiment", EXPERIMENT_HEAD + "id = absorbing\nstrong = yes\n", "strong"),
         ("experiment", EXPERIMENT_HEAD + "id = basis-stability\nseed = -1\n", "seed"),
+        ("run", MINIMAL + "\n[outputs]\ncheckpoint_every = -2\n", "checkpoint_every"),
     ],
     ids=["laplacian-m-too-large", "default-n-too-large", "coarse-grid", "negative-dt", "nan-dt",
          "zero-modes", "tail-over-capacity", "zero-diameter", "unknown-variant", "unknown-strong",
-         "negative-seed"],
+         "negative-seed", "negative-checkpoint-every"],
 )
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, stubbed_runners, command,
                                                      text, expect):

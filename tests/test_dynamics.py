@@ -14,12 +14,10 @@ from mhd2d.dynamics import (
     SimState,
     SolverConfig,
     Stepper,
-    b_step,
     check_restart_header,
     compatibility_check,
     read_checkpoint,
     run,
-    u_step,
     write_checkpoint,
 )
 from mhd2d.errors import CompatibilityError, ConfigError
@@ -32,6 +30,18 @@ from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
 from mhd2d.verify import _mms_case, _mms_scenario
 
 DT = 1e-3
+
+
+def b_step(u_frozen, b_prev, trace, dt, **cfg_kw):
+    """One magnetic step of a fresh Stepper from the trace's first instant."""
+    cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, t_final=dt, **cfg_kw)
+    return Stepper(cfg, trace).b_step(u_frozen, b_prev, trace.times[0])
+
+
+def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
+    """One velocity step of a fresh Stepper from the trace's first instant."""
+    cfg = SolverConfig(nx=u_prev.grid.nx, ny=u_prev.grid.ny, dt=dt, t_final=dt, n_modes=n_modes)
+    return Stepper(cfg, trace, basis=basis).u_step(b_frozen, u_prev, trace.times[0])
 
 
 def _zero_trace(grid, T=0.05, dt=DT):

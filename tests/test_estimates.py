@@ -19,6 +19,7 @@ from mhd2d.estimates import (
     strong_energy,
     weak_energy_residual,
 )
+from conftest import scalar_from_function
 from mhd2d.geometry import Grid, ScalarField, VectorField
 from mhd2d.lifting import TraceMode, harmonic_extend, synthesize_trace
 from mhd2d.operators import NeumannPoisson
@@ -211,7 +212,7 @@ def test_smallness_gate():
 
 def test_brezis_gallouet_sine_mode():
     g = Grid(32, 32)
-    f = ScalarField.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    f = scalar_from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     r = brezis_gallouet_ratio(f)
     # analytic: sup=1, H1^2 = 1/4 + pi^2/2, H2^2 = H1^2 + 4 pi^4 / 4
     h1 = 0.25 + np.pi**2 / 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree, random_zero_trace
+from conftest import random_divfree, random_zero_trace, scalar_bc_from_function, scalar_from_function
 from mhd2d.geometry import (
     Grid,
     ScalarBC,
@@ -70,7 +70,7 @@ def test_gradient_constant_and_linear():
     s = ScalarField(g, np.full(g.shape_center(), 2.5))
     gv = gradient(s)
     assert np.allclose(gv.x, 0.0) and np.allclose(gv.y, 0.0)
-    s = ScalarField.from_function(g, lambda x, y: x)
+    s = scalar_from_function(g, lambda x, y: x)
     gv = gradient(s)
     assert np.max(np.abs(gv.x[1:-1, :] - 1.0)) < 1e-13
 
@@ -86,11 +86,11 @@ def test_gradient_divergence_adjoint(rng):
 
 def test_laplacian_linear_and_quadratic_exact():
     g = Grid(8, 8)
-    s = ScalarField.from_function(g, lambda x, y: 3 * x - 2 * y + 1)
-    bc = ScalarBC.from_function(g, lambda x, y: 3 * x - 2 * y + 1)
+    s = scalar_from_function(g, lambda x, y: 3 * x - 2 * y + 1)
+    bc = scalar_bc_from_function(g, lambda x, y: 3 * x - 2 * y + 1)
     assert np.max(np.abs(laplacian(s, bc).values)) < 1e-11
-    s = ScalarField.from_function(g, lambda x, y: x**2)
-    bc = ScalarBC.from_function(g, lambda x, y: x**2)
+    s = scalar_from_function(g, lambda x, y: x**2)
+    bc = scalar_bc_from_function(g, lambda x, y: x**2)
     assert np.max(np.abs(laplacian(s, bc).values - 2.0)) < 1e-10
 
 
@@ -99,7 +99,7 @@ def test_laplacian_refinement():
     for nx in (32, 64):
         g = Grid(nx, nx)
         f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        s = ScalarField.from_function(g, f)
+        s = scalar_from_function(g, f)
         lap = laplacian(s, ScalarBC.zero(g))
         err = lap.values + 2 * np.pi**2 * s.values
         errs.append(np.sqrt(g.dx * g.dy * np.sum(err**2)))

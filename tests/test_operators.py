@@ -68,6 +68,11 @@ def test_mirror_laplacian_symmetry(rng):
     assert inner(apply_lap_mirror(f), f) <= 0.0
 
 
+def _interior(comp):
+    """The interior faces of a component's full face array."""
+    return (slice(1, -1), slice(None)) if comp == "x" else (slice(None), slice(1, -1))
+
+
 def test_transport_operator_matches_stencils(rng):
     g = Grid(12, 12)
     a = random_divfree(g, rng)
@@ -83,20 +88,16 @@ def test_transport_operator_matches_stencils(rng):
         rng.standard_normal(g.ny + 1),
     )
     dt, kappa = 5e-3, 0.8
-    from mhd2d.geometry import laplacian  # noqa: F401  (diagnostic op, not used here)
-
     lap = apply_lap_mirror(f, bc)
     adv = convect(a, f, bc)
     for comp in ("x", "y"):
         op = TransportOperator(g, comp, a, 1.0 / dt, kappa)
+        inner_faces = _interior(comp)
         arr = getattr(f, comp)
-        action = (op.matrix @ arr.ravel()).reshape(op.shape) - op.rhs_boundary(bc)
-        expect = arr / dt - kappa * getattr(lap, comp) + getattr(adv, comp)
-        if comp == "x":
-            err = np.max(np.abs(action[1:-1, :] - expect[1:-1, :]))
-        else:
-            err = np.max(np.abs(action[:, 1:-1] - expect[:, 1:-1]))
-        assert err < 1e-10 * (1.0 / dt)
+        # A_II u_I minus the couplings to the data
+        action = op.matrix @ arr[inner_faces].ravel() - op.rhs_boundary(bc)[inner_faces].ravel()
+        expect = (arr / dt - kappa * getattr(lap, comp) + getattr(adv, comp))[inner_faces]
+        assert np.max(np.abs(action - expect.ravel())) < 1e-10 * (1.0 / dt)
 
 
 def test_transport_solve_round_trip(rng):
@@ -107,13 +108,21 @@ def test_transport_solve_round_trip(rng):
     bc.x_left = rng.standard_normal(g.ny)
     rhs = rng.standard_normal(g.shape_xface())
     sol = op.solve(rhs, op.boundary(bc))
-    # wall rows carry the Dirichlet data exactly
-    assert np.allclose(sol[0, :], bc.x_left)
-    assert np.allclose(sol[-1, :], 0.0)
+    # the wall faces carry the Dirichlet data exactly
+    assert np.array_equal(sol[0, :], bc.x_left)
+    assert np.array_equal(sol[-1, :], np.zeros(g.ny))
+    # and the interior solves A_II u_I = f_I + rhs_boundary(bc)_I
+    expect = (rhs + op.rhs_boundary(bc))[1:-1, :].ravel()
+    assert np.max(np.abs(op.matrix @ sol[1:-1, :].ravel() - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def _random_bc(g, rng):
     return VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+
+
+def _splu_symmetric(m):
+    """A direct ``splu`` with the transport factorization's options and its own order."""
+    return splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
 
 @pytest.mark.parametrize("comp", ["x", "y"])
@@ -123,29 +132,29 @@ def _random_bc(g, rng):
     ids=["harmonic", "heat", "transport"],
 )
 def test_transport_solve_equals_default_order_factorization(rng, comp, advect, inv_dt, kappa):
-    # at 16^2 the harmonic x-operator meets pivot ties that a column
-    # permutation alone would break differently from the default order
+    # the pre-permuted natural-order factorization against splu ordering
+    # A_II itself; neither a column permutation alone nor a symmetric one
+    # with B's rows sorted gives these bits at 16^2
     # one prepared boundary serves several right-hand sides, as in a Picard loop
     g = Grid(16, 16)
     a = random_divfree(g, rng) if advect else VectorField.zeros(g)
     op = TransportOperator(g, comp, a, inv_dt, kappa)
     bc = _random_bc(g, rng)
     boundary = op.boundary(bc)
-    kept = boundary.copy()
-    lu = splu(op.matrix.tocsc())
+    kept = [b.copy() for b in boundary]
+    inner_faces = _interior(comp)
+    lu = _splu_symmetric(op.matrix)
     for _ in range(3):
         rhs = rng.standard_normal(op.shape)
         given = rhs.copy()
-        ref_rhs = rhs.copy()
-        if comp == "x":
-            ref_rhs[0, :] = ref_rhs[-1, :] = 0.0
-        else:
-            ref_rhs[:, 0] = ref_rhs[:, -1] = 0.0
-        ref_rhs += op.rhs_boundary(bc)
-        ref = lu.solve(ref_rhs.ravel()).reshape(op.shape)
-        assert np.array_equal(op.solve(rhs, boundary), ref)
+        ref = lu.solve((rhs + op.rhs_boundary(bc))[inner_faces].ravel())
+        got = op.solve(rhs, boundary)
+        assert np.array_equal(got[inner_faces].ravel(), ref)
+        walls = np.ones(op.shape, dtype=bool)
+        walls[inner_faces] = False
+        assert np.array_equal(got[walls], op.rhs_boundary(bc)[walls])  # the data itself
         assert np.array_equal(rhs, given)  # the caller's right-hand side is not touched
-    assert np.array_equal(boundary, kept)
+    assert all(np.array_equal(b, k) for b, k in zip(boundary, kept))
 
 
 def test_column_order_computed_once_per_grid_and_component(monkeypatch):
@@ -161,12 +170,44 @@ def test_column_order_computed_once_per_grid_and_component(monkeypatch):
     dt, nsteps = 1e-3, 6
     scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=nsteps * dt, strong_mode=True)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    n = 17 * 16  # unknowns of either component's full face array
+    n = 15 * 16  # interior unknowns of either component
     assert ordered.count(n) == 2  # x and y
     # one pair per refactoring; the lifts factor nothing
     refactored = sum(r.transport_refactored for r in traj.reports)
     assert 1 <= refactored < nsteps
     assert natural == [n] * (2 * refactored)
+
+
+@pytest.mark.parametrize("nx", [32, 64])
+@pytest.mark.parametrize("comp", ["x", "y"])
+def test_transport_fill_is_below_the_default_order(rng, nx, comp):
+    # the symmetric minimum-degree order of A_II against splu's default
+    # (COLAMD on A^T A, partial pivoting) on the same matrix
+    g = Grid(nx, nx)
+    op = TransportOperator(g, comp, random_divfree(g, rng, scale=1.0 / nx), 1.0 / 2e-3, 0.5)
+    default = splu(op.matrix)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+
+
+@pytest.mark.parametrize("comp", ["x", "y"])
+def test_advection_dominated_transport_pivots_on_the_diagonal(rng, comp):
+    # cell Peclet numbers in the thousands: a partial-pivoting minimum-degree
+    # factorization leaves the diagonal here and fills many times over
+    g = Grid(32, 32)
+    op = TransportOperator(g, comp, random_divfree(g, rng, scale=2.0), 50.0, 1e-3)
+    m = op.matrix
+    n = m.shape[0]
+    assert np.array_equal(op._lu.perm_r, np.arange(n))
+    inner_faces = _interior(comp)
+    rhs = np.zeros(op.shape)
+    rhs[inner_faces] = rng.standard_normal(rhs[inner_faces].shape)
+    b = rhs[inner_faces].ravel()
+    x = op.solve(rhs, op.boundary(VectorBC.zero(g)))[inner_faces].ravel()
+    norm_m = np.max(np.abs(m).sum(axis=1))
+    backward = np.max(np.abs(b - m @ x)) / (norm_m * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert backward <= 1e-14
+    dense = np.linalg.solve(m.toarray(), b)
+    assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (9, 7), (64, 64)], ids=["16x16", "9x7", "64x64"])

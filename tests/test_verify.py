@@ -1,10 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
 from mhd2d.dynamics import run
-from mhd2d.errors import ExperimentFailure
 from mhd2d.estimates import CalibrationStore
 from mhd2d.geometry import l2_norm_sq
 from mhd2d.verify import (
@@ -29,8 +27,6 @@ def test_report_plumbing(tmp_path):
     text = rep.to_csv_text()
     assert text.splitlines()[0] == "experiment,assertion,paper_ref,measured,tolerance,pass"
     assert "demo,b,tag,3.0,2.0,0" in text
-    with pytest.raises(ExperimentFailure):
-        rep.raise_if_failed()
     rep.write(tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_text() == text
 
@@ -160,7 +156,7 @@ def test_absorbing_gate_failure_reported():
 
 
 def test_picard_study_decoupled_ratio_is_zero():
-    from mhd2d.dynamics import b_step
+    from mhd2d.dynamics import SolverConfig, Stepper
     from mhd2d.geometry import Grid, VectorField
     from mhd2d.lifting import synthesize_trace
 
@@ -169,7 +165,8 @@ def test_picard_study_decoupled_ratio_is_zero():
     from conftest import random_divfree
 
     b0 = random_divfree(g, np.random.default_rng(1))
-    _, rep = b_step(VectorField.zeros(g), b0, tz, 1e-3)
+    st = Stepper(SolverConfig(nx=8, ny=8, dt=1e-3, t_final=1e-3), tz)
+    _, rep = st.b_step(VectorField.zeros(g), b0, 0.0)
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
 
 
