@@ -67,7 +67,9 @@ class BoundaryTrace:
 
     samples has shape (nt, N, 2) with N = 2(nx+ny); node k sits at
     arc length (k+1/2)*h.  Requires a square-cell grid so the nodes are
-    uniform along the whole boundary.
+    uniform along the whole boundary.  ``times`` and ``samples`` are
+    read-only views of the arrays passed in, so the norm series memoized
+    on the trace cannot go stale through them.
     """
 
     def __init__(self, grid: Grid, times, samples):
@@ -82,12 +84,15 @@ class BoundaryTrace:
             raise ValueError("trace instants must be strictly increasing")
         if not np.all(np.isfinite(samples)):
             raise ValueError("trace samples contain non-finite values")
+        times, samples = times.view(), samples.view()
+        times.flags.writeable = samples.flags.writeable = False
         self.grid = grid
         self.times = times
         self.samples = samples
         self.n_nodes = n
         self._h = grid.dx
         self._bc_stencil = None
+        self._norm_sq = {}  # (spec, dt) -> series, see norm_sq_series
 
     def index_of(self, t):
         """Index of the sampled instant nearest t (the earlier one on a tie)."""
@@ -112,24 +117,45 @@ class BoundaryTrace:
         h.update(self.samples[:i].astype("<f8").tobytes())
         return h.digest()
 
-    def dt_values(self, t):
-        """Finite-difference time derivative at a sampled instant."""
-        if len(self.times) == 1:
-            return np.zeros_like(self.samples[0])
-        return _time_difference(self.samples, self.times, self.index_of(t))
+    def norm_sq_series(self, spec: FractionalNormSpec, dt: bool = False) -> np.ndarray:
+        """Squared ``spec`` norm at every instant, of h or (``dt``) of its time derivative.
+
+        The derivative is ``_time_difference`` of the samples (zero for a
+        one-instant trace).  The series is computed on first use, in blocks
+        of ``_SERIES_BLOCK`` instants so that no transient grows with the
+        horizon, and memoized read-only on the trace.
+        """
+        series = self._norm_sq.get((spec, dt))
+        if series is None:
+            nt = len(self.times)
+            series = np.empty(nt)
+            for a in range(0, nt, _SERIES_BLOCK):
+                i = np.arange(a, min(a + _SERIES_BLOCK, nt))
+                if not dt:
+                    vals = self.samples[i]
+                elif nt == 1:
+                    vals = np.zeros_like(self.samples)
+                else:
+                    vals = _time_difference(self.samples, self.times, i)
+                series[i] = _hs_norm_sq_samples(vals, spec.s, spec.truncation)
+            series.flags.writeable = False
+            self._norm_sq[(spec, dt)] = series
+        return series
 
     # node arc-length positions
     def nodes(self):
         return (np.arange(self.n_nodes) + 0.5) * self._h
 
     def _bc_weights(self):
-        """Interpolation weights of the eight VectorBC arrays, computed on first use.
+        """Gather stencil of the eight VectorBC arrays, computed on first use.
 
-        One (trace component, k0, k1, 1 - w, w) per VectorBC field, in field
-        order; the field is (1 - w) * v[k0] + w * v[k1].  This periodic
-        linear interpolation of node values is exact for traces that are
-        linear in arc length along each wall, second-order for smooth
-        traces; corner values average the two adjacent walls.
+        (i0, i1, w0, w1, fields): with v an instant's samples raveled
+        (entry 2k + c is component c at node k), every VectorBC entry is
+        w0 * v[i0] + w1 * v[i1], and ``fields`` slices that array into the
+        eight fields in order.  This periodic linear interpolation of node
+        values is exact for traces that are linear in arc length along each
+        wall, second-order for smooth traces; corner values average the two
+        adjacent walls.
         """
         if self._bc_stencil is None:
             g = self.grid
@@ -144,22 +170,26 @@ class BoundaryTrace:
                 (1, 3.0 + (1.0 - yf)),  # y_left
                 (1, 1.0 + yf),  # y_right
             )
-            stencil = []
+            i0, i1, w1 = [], [], []
             for comp, s in arcs:
                 pos = np.mod(s, 4.0) / self._h - 0.5
                 k0 = np.floor(pos).astype(int)
-                w = pos - k0
+                w1.append(pos - k0)
                 k0 = np.mod(k0, self.n_nodes)
-                stencil.append((comp, k0, np.mod(k0 + 1, self.n_nodes), 1.0 - w, w))
-            self._bc_stencil = stencil
+                i0.append(2 * k0 + comp)
+                i1.append(2 * np.mod(k0 + 1, self.n_nodes) + comp)
+            bounds = np.cumsum([0] + [len(k) for k in i0])
+            w1 = np.concatenate(w1)
+            fields = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+            self._bc_stencil = (np.concatenate(i0), np.concatenate(i1), 1.0 - w1, w1, fields)
         return self._bc_stencil
 
     def vector_bc(self, t) -> VectorBC:
         """Boundary closure arrays for a MAC vector field carrying this trace."""
-        vals = self.values(t)
-        return VectorBC(
-            *[w0 * vals[k0, c] + w1 * vals[k1, c] for c, k0, k1, w0, w1 in self._bc_weights()]
-        )
+        i0, i1, w0, w1, fields = self._bc_weights()
+        v = self.values(t).ravel()
+        flat = w0 * v[i0] + w1 * v[i1]
+        return VectorBC(*[flat[f] for f in fields])
 
     def normal_values(self, t):
         """Normal component at every node (one per wall face)."""
@@ -201,10 +231,14 @@ def _time_difference(values, times, i):
 
     ``values`` may hold arrays or ``VectorField``s; the latter have no division,
     so the difference is multiplied by the reciprocal step.  For an array of
-    values, ``i`` may be an index array.
+    values, ``i`` may be an index array; each difference then takes its own
+    step along the leading axis.
     """
     lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(times) - 1)
-    return (values[hi] - values[lo]) * (1.0 / (times[hi] - times[lo]))
+    step = 1.0 / (times[hi] - times[lo])
+    if np.ndim(step):
+        step = step.reshape(step.shape + (1,) * (np.ndim(values) - 1))
+    return (values[hi] - values[lo]) * step
 
 
 def cumtrapz(y, t):
@@ -216,34 +250,45 @@ def cumtrapz(y, t):
 
 # --- fractional norms ------------------------------------------------------
 
+# instants per block of a norm series: bounds its rfft transients
+_SERIES_BLOCK = 256
+
+
 def _hs_norm_sq_samples(samples, s, truncation=None):
-    n = samples.shape[0]
+    """Squared H^s norm of trace values (..., N, 2), one per leading index.
+
+    A batch gives the same bits as one instant at a time: numpy sums a
+    contiguous row pairwise, a strided one in sequence.
+    """
+    n = samples.shape[-2]
     if truncation is None:
         truncation = n // 2
     if truncation > n // 2:
         raise ValueError(f"truncation {truncation} exceeds Nyquist {n // 2}")
-    total = 0.0
-    kk = np.arange(n // 2 + 1)
+    kk = np.arange(truncation + 1)
     kappa = 2.0 * np.pi * kk / 4.0
     mult = (1.0 + kappa**2) ** s
-    weights = np.full(n // 2 + 1, 2.0)
+    weights = np.full(truncation + 1, 2.0)
     weights[0] = 1.0
-    if n % 2 == 0:
+    if 2 * truncation == n:
         weights[-1] = 1.0
-    keep = kk <= truncation
-    for comp in range(samples.shape[1]):
-        c = np.fft.rfft(samples[:, comp]) / n
-        total += 4.0 * np.sum(weights[keep] * mult[keep] * np.abs(c[keep]) ** 2)
-    return float(total)
+    # components first, so that each rfft and each sum runs over a contiguous row
+    rows = np.ascontiguousarray(np.swapaxes(samples, -1, -2))
+    c = np.fft.rfft(rows, axis=-1)[..., : truncation + 1] / n
+    per_comp = np.sum(weights * mult * np.abs(c) ** 2, axis=-1)
+    return 4.0 * per_comp[..., 0] + 4.0 * per_comp[..., 1]
 
 
 def hs_norm(trace: BoundaryTrace, t, spec: FractionalNormSpec) -> float:
     """Fractional Sobolev norm of the trace at a sampled instant."""
-    return _hs_norm_sq_samples(trace.values(t), spec.s, spec.truncation) ** 0.5
+    i = trace.index_of(t)
+    return float(trace.norm_sq_series(spec)[i]) ** 0.5
 
 
 def hs_norm_dt(trace: BoundaryTrace, t, spec: FractionalNormSpec) -> float:
-    return _hs_norm_sq_samples(trace.dt_values(t), spec.s, spec.truncation) ** 0.5
+    """The same norm of the trace's time derivative at a sampled instant."""
+    i = trace.index_of(t)
+    return float(trace.norm_sq_series(spec, dt=True)[i]) ** 0.5
 
 
 # --- synthesis and ingestion ------------------------------------------------
@@ -462,19 +507,19 @@ def lifting_estimate_check(trace: BoundaryTrace, t_end=None) -> LiftingReport:
     times = trace.times if t_end is None else trace.times[trace.times <= t_end + 1e-12]
     if len(times) < 1:
         raise ValueError("no sampled instants in the requested horizon")
-    spec_h = FractionalNormSpec(0.5)
-    spec_dt = FractionalNormSpec(-0.5)
+    nt = len(times)  # the first nt instants
     bcs = [trace.vector_bc(t) for t in times]
     lifts = [harmonic_extend_bc(trace.grid, bc) for bc in bcs]
     h1 = np.array([l2_norm_sq(he) + grad_norm_sq(he, bc) for he, bc in zip(lifts, bcs)])
-    hh = np.array([hs_norm(trace, t, spec_h) ** 2 for t in times])
-    if len(times) == 1:
+    hh = trace.norm_sq_series(FractionalNormSpec(0.5))[:nt]
+    if nt == 1:
         return LiftingReport(_ratio(h1[0], hh[0]), 0.0, h1[0], hh[0], 0.0, 0.0)
     num_h1 = float(np.trapezoid(h1, times))
     den_h1 = float(np.trapezoid(hh, times))
-    dt_he = [l2_norm_sq(_time_difference(lifts, times, i)) for i in range(len(times))]
+    dt_he = [l2_norm_sq(_time_difference(lifts, times, i)) for i in range(nt)]
     num_dt = float(np.trapezoid(np.array(dt_he), times))
-    den_dt = float(np.trapezoid(np.array([hs_norm_dt(trace, t, spec_dt) ** 2 for t in times]), times))
+    dth = trace.norm_sq_series(FractionalNormSpec(-0.5), dt=True)[:nt]
+    den_dt = float(np.trapezoid(dth, times))
     return LiftingReport(
         _ratio(num_h1, den_h1), _ratio(num_dt, den_dt), num_h1, den_h1, num_dt, den_dt
     )
@@ -523,50 +568,41 @@ def parabolic_lift(
 ) -> ParabolicRun:
     """Implicit-Euler heat flow with the trace as Dirichlet data."""
     res, ok = check_compatibility_trace(b0, trace)
-    if not ok:
-        if on_incompatible == "reject":
-            raise CompatibilityError(
-                f"initial data does not match trace at t=0 (residual {res:.3e})"
-            )
-        # warn-and-project: overwrite the wall-normal faces with the trace
-        b0 = with_normal_trace(b0, trace.vector_bc(trace.times[0]))
-    nsteps = int(round(horizon / dt))
-    times = [trace.times[0]]
+    if not ok and on_incompatible == "reject":
+        raise CompatibilityError(f"initial data does not match trace at t=0 (residual {res:.3e})")
+    # the trace-norm series before the states: their transients come first
+    h12 = trace.norm_sq_series(FractionalNormSpec(0.5))
+    h32 = trace.norm_sq_series(FractionalNormSpec(1.5))
+    dthm12 = trace.norm_sq_series(FractionalNormSpec(-0.5), dt=True)
+    t0 = trace.times[0]
+    times = [t0] + [t0 + (k + 1) * dt for k in range(int(round(horizon / dt)))]
+    bc = trace.vector_bc(t0)
+    if not ok:  # warn-and-project: overwrite the wall-normal faces with the trace
+        b0 = with_normal_trace(b0, bc)
     cur = b0.copy()
-    fields = [cur]
-    for k in range(nsteps):
-        t_next = trace.times[0] + (k + 1) * dt
-        cur = heat_step(cur, dt, trace.vector_bc(t_next), kappa)  # a new field
-        times.append(t_next)
+    fields, l2s, grads, laps = [], [], [], []
+    for k, t in enumerate(times):
+        if k:
+            bc = trace.vector_bc(t)
+            cur = heat_step(cur, dt, bc, kappa)  # a new field
         fields.append(cur)
-    times = np.array(times)
-    spec12 = FractionalNormSpec(0.5)
-    spec32 = FractionalNormSpec(1.5)
-    specm12 = FractionalNormSpec(-0.5)
-    l2s, grads, h1s, laps, h12, h32, dhm = [], [], [], [], [], [], []
-    for t, fld in zip(times, fields):
-        bc = trace.vector_bc(t)
-        a = l2_norm_sq(fld)
-        b = grad_norm_sq(fld, bc)
-        l2s.append(a)
-        grads.append(b)
-        h1s.append(a + b)
-        laps.append(l2_norm_sq(apply_lap_mirror(fld, bc)))
-        h12.append(hs_norm(trace, t, spec12) ** 2)
-        h32.append(hs_norm(trace, t, spec32) ** 2)
-        dhm.append(hs_norm_dt(trace, t, specm12) ** 2)
+        l2s.append(l2_norm_sq(cur))
+        grads.append(grad_norm_sq(cur, bc))
+        laps.append(l2_norm_sq(apply_lap_mirror(cur, bc)))
+    l2s, grads = np.array(l2s), np.array(grads)
+    idx = [trace.index_of(t) for t in times]
     return ParabolicRun(
-        times,
+        np.array(times),
         fields,
-        np.array(l2s),
-        np.array(grads),
-        np.array(h1s),
+        l2s,
+        grads,
+        l2s + grads,
         np.array(laps),
-        np.array(h12),
-        np.array(h32),
-        np.array(dhm),
-        l2s[0],
-        h1s[0],
+        h12[idx],
+        h32[idx],
+        dthm12[idx],
+        float(l2s[0]),
+        float(l2s[0] + grads[0]),
     )
 
 

@@ -149,7 +149,9 @@ def apply_lap_mirror_scalar(s: ScalarField, bc=None) -> ScalarField:
 # column's largest entry.  The symmetric order assumes diagonal pivots;
 # partial pivoting (threshold 1) leaves the diagonal wherever an advection
 # coefficient outweighs it, and the factor then fills far beyond the order
-# (16x at 32^2 with cell Peclet numbers in the thousands).
+# (16x at 32^2 with cell Peclet numbers in the thousands).  Past this
+# threshold (64^2 at such Peclet numbers) a pivot still leaves the diagonal,
+# and the build falls back to a default ``splu``.
 _DIAG_PIVOT_THRESH = 0.01
 
 
@@ -253,7 +255,10 @@ class TransportOperator:
     ``DirichletHeat`` solves in closed form.  The structure and the symmetric
     minimum-degree order come from ``_transport_pattern``; a build fills in
     the values and runs SuperLU's numeric factorization only, pivoting on the
-    diagonal unless it falls below ``_DIAG_PIVOT_THRESH`` of its column.
+    diagonal unless it falls below ``_DIAG_PIVOT_THRESH`` of its column.  If
+    any pivot leaves the diagonal, the build refactors the same matrix with
+    ``splu``'s default COLAMD order and partial pivoting, whose fill does not
+    depend on the diagonal.
     """
 
     def __init__(self, grid: Grid, comp: str, a: VectorField, inv_dt: float, kappa: float):
@@ -322,9 +327,14 @@ class TransportOperator:
         m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
         m.has_canonical_format = True  # keep the row order (see _transport_pattern)
         try:
-            self._lu = _splu_symmetric(m, "NATURAL")
+            lu = _splu_symmetric(m, "NATURAL")
+            if not np.array_equal(lu.perm_r, np.arange(m.shape[0])):
+                # a pivot left the diagonal, and the symmetric order no longer
+                # bounds the fill: refactor with COLAMD and partial pivoting
+                lu = splu(m)
         except RuntimeError as exc:  # pragma: no cover
             raise SolverFailure(f"transport operator factorization failed: {exc}")
+        self._lu = lu
 
     @property
     def matrix(self):
@@ -406,9 +416,9 @@ class DirichletHeat:
     so a solve is fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
     1964).  The data enters as kappa*Lap of the field that holds it on the
     walls and is zero inside: kappa*g/h**2 in the first and last interior rows
-    and the mirror terms, the interior of a zero-velocity
-    ``TransportOperator.rhs_boundary``.  It agrees with that operator's solve
-    to round-off.
+    and the mirror terms 2*kappa*g/h**2 in the wall-adjacent columns, the
+    interior of a zero-velocity ``TransportOperator.rhs_boundary``.  It
+    agrees with that operator's solve to round-off.
     """
 
     def __init__(self, grid: Grid, inv_dt: float, kappa: float):
@@ -424,12 +434,25 @@ class DirichletHeat:
     def solve(self, fx: np.ndarray, fy: np.ndarray, bc: VectorBC) -> VectorField:
         """The solution for the right-hand side (fx, fy) on the full face arrays
         (interior entries used) and the Dirichlet data bc."""
-        out = VectorField.zeros(self.grid)
+        g = self.grid
+        out = VectorField.zeros(g)
         out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
         out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
-        lap = apply_lap_mirror(out, bc)
-        out.x[1:-1, :] = _separable_solve(*self._x, fx[1:-1, :] + self.kappa * lap.x[1:-1, :])
-        out.y[:, 1:-1] = _separable_solve(*self._y, fy[:, 1:-1] + self.kappa * lap.y[:, 1:-1])
+        # Lap of the wall data, written next to the walls only: the data term
+        # of the normal direction, then the mirror term of the tangential one,
+        # each added to zero, so every entry has apply_lap_mirror's bits
+        lx = np.zeros((g.nx - 1, g.ny))
+        lx[0, :] += bc.x_left / g.dx**2
+        lx[-1, :] += bc.x_right / g.dx**2
+        lx[:, 0] += 2.0 * bc.x_bottom[1:-1] / g.dy**2
+        lx[:, -1] += 2.0 * bc.x_top[1:-1] / g.dy**2
+        ly = np.zeros((g.nx, g.ny - 1))
+        ly[:, 0] += bc.y_bottom / g.dy**2
+        ly[:, -1] += bc.y_top / g.dy**2
+        ly[0, :] += 2.0 * bc.y_left[1:-1] / g.dx**2
+        ly[-1, :] += 2.0 * bc.y_right[1:-1] / g.dx**2
+        out.x[1:-1, :] = _separable_solve(*self._x, fx[1:-1, :] + self.kappa * lx)
+        out.y[:, 1:-1] = _separable_solve(*self._y, fy[:, 1:-1] + self.kappa * ly)
         return out
 
 

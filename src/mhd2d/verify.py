@@ -44,8 +44,6 @@ from .lifting import (
     FractionalNormSpec,
     TraceMode,
     harmonic_extend,
-    hs_norm,
-    hs_norm_dt,
     lifting_estimate_check,
     parabolic_integrals,
     parabolic_lift,
@@ -339,11 +337,9 @@ def continuous_dependence(
 # --- absorbing sets ---------------------------------------------------------------
 
 def _trace_series(trace: BoundaryTrace):
-    spec12 = FractionalNormSpec(0.5)
     times = trace.times
-    h12_sq = np.array([hs_norm(trace, t, spec12) ** 2 for t in times])
-    specm = FractionalNormSpec(-0.5)
-    dth_sq = np.array([hs_norm_dt(trace, t, specm) ** 2 for t in times])
+    h12_sq = trace.norm_sq_series(FractionalNormSpec(0.5))
+    dth_sq = trace.norm_sq_series(FractionalNormSpec(-0.5), dt=True)
     he_l2 = np.array([l2_norm_sq(harmonic_extend(trace, t)) for t in times])
     return times, h12_sq, dth_sq, he_l2
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhd2d import operators
+from mhd2d import lifting, operators
 from mhd2d.dynamics import run as run_mhd
 from mhd2d.errors import CompatibilityError, ConfigError
 from mhd2d.geometry import Grid, VectorField, l2_norm_sq
@@ -16,6 +16,7 @@ from mhd2d.lifting import (
     harmonic_extend_bc,
     heat_step,
     hs_norm,
+    hs_norm_dt,
     lifting_estimate_check,
     parabolic_estimate_check,
     parabolic_lift,
@@ -88,6 +89,156 @@ def test_hs_norm_truncation_cap():
     tr = synthesize_trace(g, [0.0], [TraceMode("constant", amplitude=1.0)])
     with pytest.raises(ValueError, match="Nyquist"):
         hs_norm(tr, 0.0, FractionalNormSpec(0.0, truncation=1000))
+
+
+def _hs_norm_sq_oracle(values, s, truncation=None):
+    """The per-instant squared H^s norm: one rfft and one sum per component."""
+    n = values.shape[0]
+    if truncation is None:
+        truncation = n // 2
+    if truncation > n // 2:
+        raise ValueError(f"truncation {truncation} exceeds Nyquist {n // 2}")
+    total = 0.0
+    kk = np.arange(n // 2 + 1)
+    mult = (1.0 + (2.0 * np.pi * kk / 4.0) ** 2) ** s
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    keep = kk <= truncation
+    for comp in range(values.shape[1]):
+        c = np.fft.rfft(values[:, comp]) / n
+        total += 4.0 * np.sum(weights[keep] * mult[keep] * np.abs(c[keep]) ** 2)
+    return float(total)
+
+
+def _dt_values_oracle(tr, i):
+    """Central difference inside, one-sided at the ends, zero for one instant."""
+    if len(tr.times) == 1:
+        return np.zeros_like(tr.samples[0])
+    lo, hi = max(i - 1, 0), min(i + 1, len(tr.times) - 1)
+    return (tr.samples[hi] - tr.samples[lo]) * (1.0 / (tr.times[hi] - tr.times[lo]))
+
+
+def _random_trace(g, nt, rng):
+    times = np.cumsum(rng.uniform(0.5, 1.5, nt)) * 1e-3  # uneven steps
+    n = 2 * (g.nx + g.ny)
+    samples = rng.standard_normal((nt, n, 2)) * np.exp(rng.standard_normal((nt, 1, 1)))
+    return BoundaryTrace(g, times, samples)
+
+
+SERIES_SPECS = [FractionalNormSpec(s) for s in (-0.5, 0.0, 0.5, 1.5)] + [FractionalNormSpec(0.5, 5)]
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda sp: f"s{sp.s}-t{sp.truncation}")
+def test_norm_series_matches_per_instant_oracle(rng, spec):
+    # 600 instants span three blocks; the series is the per-instant norm bit for bit
+    g = Grid(8, 8)
+    tr = _random_trace(g, 600, rng)
+    nt = len(tr.times)
+    want = np.array([_hs_norm_sq_oracle(tr.samples[i], spec.s, spec.truncation) for i in range(nt)])
+    want_dt = np.array(
+        [_hs_norm_sq_oracle(_dt_values_oracle(tr, i), spec.s, spec.truncation) for i in range(nt)]
+    )
+    assert np.array_equal(tr.norm_sq_series(spec), want)
+    assert np.array_equal(tr.norm_sq_series(spec, dt=True), want_dt)
+    # both one-sided ends of the time difference, and the public norms
+    for i in (0, 1, 255, 256, nt - 2, nt - 1):
+        t = tr.times[i]
+        assert hs_norm(tr, t, spec) == want[i] ** 0.5
+        assert hs_norm_dt(tr, t, spec) == want_dt[i] ** 0.5
+
+
+def test_norm_series_one_instant_trace(rng):
+    tr = _random_trace(Grid(8, 8), 1, rng)
+    t = tr.times[0]
+    for spec in SERIES_SPECS:
+        assert hs_norm(tr, t, spec) == _hs_norm_sq_oracle(tr.samples[0], spec.s, spec.truncation) ** 0.5
+        assert hs_norm_dt(tr, t, spec) == 0.0
+        assert np.array_equal(tr.norm_sq_series(spec, dt=True), [0.0])
+
+
+def test_norm_series_rejects_nyquist_and_unsampled_instants(rng):
+    tr = _random_trace(Grid(8, 8), 5, rng)
+    bad = FractionalNormSpec(0.0, truncation=17)  # Nyquist is 16
+    with pytest.raises(ValueError, match="Nyquist"):
+        tr.norm_sq_series(bad)
+    with pytest.raises(ValueError, match="Nyquist"):
+        hs_norm_dt(tr, tr.times[2], bad)
+    t_mid = 0.5 * (tr.times[1] + tr.times[2])
+    for norm in (hs_norm, hs_norm_dt):
+        with pytest.raises(ValueError, match="not a sampled trace instant"):
+            norm(tr, t_mid, FractionalNormSpec(0.5))
+        with pytest.raises(ValueError, match="not a sampled trace instant"):
+            norm(tr, tr.times[-1] + 1.0, FractionalNormSpec(0.5))
+
+
+def test_norm_series_memoized_and_read_only(rng):
+    tr = _random_trace(Grid(8, 8), 4, rng)
+    spec = FractionalNormSpec(1.5)
+    first = tr.norm_sq_series(spec)
+    assert tr.norm_sq_series(FractionalNormSpec(1.5)) is first
+    assert tr.norm_sq_series(spec, dt=True) is not first
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    with pytest.raises(ValueError):
+        tr.samples[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        tr.samples += 1.0
+    with pytest.raises(ValueError):
+        tr.times[0] = -1.0
+
+
+def test_trace_samples_view_without_copy(rng):
+    g = Grid(8, 8)
+    samples = rng.standard_normal((3, 32, 2))
+    tr = BoundaryTrace(g, [0.0, 0.1, 0.2], samples)
+    assert np.shares_memory(tr.samples, samples)
+    samples[0, 0, 0] = 1.0  # the caller's array stays writeable
+
+
+def test_strong_run_computes_each_trace_series_once(monkeypatch):
+    calls = []
+    real = lifting._hs_norm_sq_samples
+
+    def counting(values, s, truncation=None):
+        calls.append((s, np.shape(values)[:-2]))
+        return real(values, s, truncation)
+
+    monkeypatch.setattr(lifting, "_hs_norm_sq_samples", counting)
+    dt = 1e-3
+    scen = make_scenario("calib-osc", nx=12, dt=dt, t_final=8 * dt, strong_mode=True)
+    _, ledger = run_mhd(scen.cfg, scen.u0, scen.b0, scen.trace)
+    nt = len(scen.trace.times)
+    assert len(ledger) == 9 and nt <= 256
+    # H^1/2 and H^3/2 of h and H^-1/2 of dt h, one block each
+    assert sorted(calls) == [(-0.5, (nt,)), (0.5, (nt,)), (1.5, (nt,))]
+
+
+def _vector_bc_oracle(tr, t):
+    """Eight separate interpolations of the instant's node values."""
+    g, n = tr.grid, tr.n_nodes
+    vals = tr.samples[tr.index_of(t)]
+    xf, yf, xc, yc = g.xf(), g.yf(), g.xc(), g.yc()
+    arcs = ((0, xf), (0, 2.0 + (1.0 - xf)), (0, 3.0 + (1.0 - yc)), (0, 1.0 + yc),
+            (1, xc), (1, 2.0 + (1.0 - xc)), (1, 3.0 + (1.0 - yf)), (1, 1.0 + yf))
+    fields = []
+    for comp, s in arcs:
+        pos = np.mod(s, 4.0) / g.dx - 0.5
+        k0 = np.floor(pos).astype(int)
+        w = pos - k0
+        k0 = np.mod(k0, n)
+        fields.append((1.0 - w) * vals[k0, comp] + w * vals[np.mod(k0 + 1, n), comp])
+    return fields
+
+
+@pytest.mark.parametrize("nx", [8, 64])
+def test_vector_bc_gather_matches_per_field_interpolation(rng, nx):
+    tr = _random_trace(Grid(nx, nx), 3, rng)
+    for t in tr.times:
+        got = vars(tr.vector_bc(t)).values()
+        for g_arr, w_arr in zip(got, _vector_bc_oracle(tr, t), strict=True):
+            assert np.array_equal(g_arr, w_arr)
 
 
 def test_harmonic_extend_zero_and_linear():

@@ -210,6 +210,51 @@ def test_advection_dominated_transport_pivots_on_the_diagonal(rng, comp):
     assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("comp", ["x", "y"])
+def test_transport_fill_bounded_when_pivots_leave_the_diagonal(rng, comp):
+    # at 64^2 the same cell Peclet numbers push pivots off the diagonal even
+    # past the threshold; the build then refactors with splu's default order
+    g = Grid(64, 64)
+    op = TransportOperator(g, comp, random_divfree(g, rng, scale=2.0), 50.0, 1e-3)
+    m = op.matrix
+    n = m.shape[0]
+    assert not np.array_equal(_splu_symmetric(m).perm_r, np.arange(n))
+    default = splu(m)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 1.1 * (default.L.nnz + default.U.nnz)
+    inner_faces = _interior(comp)
+    rhs = np.zeros(op.shape)
+    rhs[inner_faces] = rng.standard_normal(rhs[inner_faces].shape)
+    b = rhs[inner_faces].ravel()
+    x = op.solve(rhs, op.boundary(VectorBC.zero(g)))[inner_faces].ravel()
+    norm_m = np.max(np.abs(m).sum(axis=1))
+    backward = np.max(np.abs(b - m @ x)) / (norm_m * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert backward <= 1e-14
+
+
+def _dirichlet_heat_oracle(heat, fx, fy, bc):
+    """The solve with its data terms taken from apply_lap_mirror of the wall data."""
+    out = VectorField.zeros(heat.grid)
+    out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
+    out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
+    lap = apply_lap_mirror(out, bc)
+    solve = operators._separable_solve
+    out.x[1:-1, :] = solve(*heat._x, fx[1:-1, :] + heat.kappa * lap.x[1:-1, :])
+    out.y[:, 1:-1] = solve(*heat._y, fy[:, 1:-1] + heat.kappa * lap.y[:, 1:-1])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 7), (64, 64)], ids=["8x8", "9x7", "64x64"])
+@pytest.mark.parametrize("inv_dt, kappa", [(0.0, 1.0), (500.0, 0.3)], ids=["harmonic", "heat"])
+def test_dirichlet_heat_data_terms_match_mirror_stencil(rng, shape, inv_dt, kappa):
+    g = Grid(*shape)
+    heat = DirichletHeat(g, inv_dt, kappa)
+    bc = _random_bc(g, rng)
+    fx, fy = rng.standard_normal(g.shape_xface()), rng.standard_normal(g.shape_yface())
+    for f in ((fx, fy), (0.0 * fx, 0.0 * fy)):
+        got, want = heat.solve(*f, bc), _dirichlet_heat_oracle(heat, *f, bc)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+
 @pytest.mark.parametrize("shape", [(16, 16), (9, 7), (64, 64)], ids=["16x16", "9x7", "64x64"])
 @pytest.mark.parametrize("inv_dt, kappa", [(0.0, 1.0), (500.0, 0.3)], ids=["harmonic", "heat"])
 def test_dirichlet_heat_matches_zero_velocity_transport(rng, shape, inv_dt, kappa):
