@@ -16,7 +16,10 @@ ranges of both sides, the pairs the change wins and the relative change of
 the medians.  ``run_s`` and ``setup_s`` also appear unscaled (``raw_*``),
 read from the record that each run writes under ``.bench_results/``: the
 scaled times depend on the speed probe, the raw ones do not.  The
-environment stamp of each side's first run is kept.
+environment stamp of each side's first run is kept.  After the timed pairs,
+each side runs the workload once more under the span tracer (``--trace 1
+--seconds 0``), and the per-layer counts, ratios and byte counts of
+``BENCHMARK.json`` (exact, unlike times) are stored beside the timings.
 """
 
 from __future__ import annotations
@@ -31,24 +34,25 @@ import time
 from pathlib import Path
 
 RAW_METRICS = ("run_s", "setup_s")
+TRACED_UNITS = ("count", "ratio", "bytes")  # per-layer metrics that do not depend on timing
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0):
     """One benchmark run: (metrics, raw times, environment stamp, ok)."""
     results = checkout / ".bench_results"
     before = set(results.glob("*.json")) if results.is_dir() else set()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    prefix = f"{workload}-seed{seed}-trace0-"
+    prefix = f"{workload}-seed{seed}-trace{trace}-"
     new = [p for p in set(results.glob(f"{prefix}*.json")) - before]
     if len(new) != 1:
         raise RuntimeError(f"{checkout}: expected one new {prefix}* record, found {len(new)}")
     record = json.loads(new[0].read_text())
     metrics = {k: v["value"] for k, v in summary["metrics"].items()}
-    return metrics, record["raw"], record["env"], summary["correct"]
+    return metrics, record.get("raw"), record["env"], summary["correct"]
 
 
 def quartiles(xs):
@@ -98,6 +102,7 @@ def main(argv=None):
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    traced_names = [m["name"] for m in spec["per_layer"] if m["unit"] in TRACED_UNITS]
 
     report = {
         "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
@@ -127,6 +132,13 @@ def main(argv=None):
             par = [s["raw"][name] for s in samples["parent"]]
             chg = [s["raw"][name] for s in samples["change"]]
             entry["metrics"][f"raw_{name}"] = summarize(par, chg, "lower")
+        traced = {side: run_once(path, wl, args.seed, 0, trace=1) for side, path in sides.items()}
+        entry["traced"] = {
+            "command": f"perfbench/run.py --seed {args.seed} --seconds 0 --trace 1",
+            "all_correct": all(run[3] for run in traced.values()),
+            "metrics": {k: {side: run[0].get(k) for side, run in traced.items()}
+                        for k in traced_names},
+        }
         report["workloads"][wl] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -137,6 +149,8 @@ def main(argv=None):
             print(f"{wl} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g}"
                   f" ({'' if rel is None else f'{100 * rel:+.1f}%'}), change wins"
                   f" {m['change_wins']}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}")
+        for name, m in entry["traced"]["metrics"].items():
+            print(f"{wl} traced {name}: {m['parent']} -> {m['change']}")
     return 0
 
 

@@ -313,12 +313,12 @@ def _cmd_run(rc: RunConfig, outdir):
         cache = rc.basis_cache or os.path.join(outdir, "basis_cache")
         basis = cached_basis("stokes", grid, rc.solver.n_modes, cache)
     errors = []
-    t0, p0, u_ref = 0.0, None, None
+    t0, p0, restart = 0.0, None, None
     if rc.checkpoint_in:
         ck = read_checkpoint(rc.checkpoint_in)
         check_restart_header(ck, rc.solver, trace)
         u0, b0, p0 = ck["state"].u, ck["state"].b, ck["state"].p
-        t0, u_ref = ck["t"], ck["u_ref"]
+        t0, restart = ck["t"], ck["restart"]
     else:
         u0 = _build_initial(rc.initial_u, grid, rc.boundary_modes, errors)
         b0 = _build_initial(rc.initial_b, grid, rc.boundary_modes, errors)
@@ -326,10 +326,10 @@ def _cmd_run(rc: RunConfig, outdir):
             raise ConfigError(errors)
     if rc.boundary_csv:
         _check_trace_covers(trace, t0, rc.solver)
-    traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0, u_ref=u_ref)
+    traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0, restart=restart)
     ledger.write_csv(os.path.join(outdir, rc.ledger_path))
     write_checkpoint(
-        os.path.join(outdir, "final.mhdckpt"), traj.final_state, rc.solver, trace, traj.u_ref
+        os.path.join(outdir, "final.mhdckpt"), traj.final_state, rc.solver, trace, traj.restart
     )
     log.info("run finished at t=%.6g; ledger rows: %d", traj.final_state.t, len(ledger))
     return 0

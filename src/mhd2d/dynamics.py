@@ -12,9 +12,13 @@ reuses the live factorization and lags the difference (ubar - u_ref)·grad b
 in the same Picard loop, so the fixed point is the implicit-transport
 solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
 iterate is exactly the implicit solve).  A zero velocity is factored like
-any other, which gives the heat operator.  Outer iterate k >= 2 starts its
-Picard loop from iterate k-1's b (a warm start), which the stop test and
-the fixed point do not depend on.
+any other, which gives the heat operator.  The first outer iterate starts
+its Picard loop from 2 b^n_hat - b^(n-1)_hat, extrapolated from the magnetic
+iterates the last two steps accepted before divergence cleaning (the
+Stepper carries them; a run starts from (b0, b0), i.e. from b0 exactly), and
+outer iterate k >= 2 from iterate k-1's b (a warm start).  The stop test and
+the fixed point do not depend on the start, so it moves results only
+within the Picard tolerance.
 The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
@@ -75,6 +79,7 @@ __all__ = [
     "SimState",
     "StepReport",
     "TransportPair",
+    "Restart",
     "Forcing",
     "CompatReport",
     "compatibility_check",
@@ -88,7 +93,8 @@ __all__ = [
     "TRANSPORT_REUSE_THETA",
 ]
 
-CKPT_MAGIC = b"MHDCKPT2"
+CKPT_MAGIC = b"MHDCKPT3"
+_CKPT_V2_MAGIC = b"MHDCKPT2"
 _CKPT_V1_MAGIC = b"MHDCKPT1"
 
 # The factored transport pair is kept while ||u^n - u_ref|| <= theta ||u^n||
@@ -205,6 +211,17 @@ class TransportPair(NamedTuple):
     y: TransportOperator
 
 
+class Restart(NamedTuple):
+    """What a run needs beyond its SimState to continue bit for bit: the
+    velocity u_ref the live transport pair is factored at, and the magnetic
+    iterates the last two steps accepted before cleaning, b^(n-1)_hat and
+    b^n_hat, which start the next step's Picard loop."""
+
+    u_ref: VectorField
+    b_prev: VectorField
+    b_last: VectorField
+
+
 @dataclass
 class Forcing:
     """Optional body forces; callables t -> VectorField."""
@@ -286,6 +303,9 @@ class Stepper:
             self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re, self.poisson)
         self._bc = None  # (t, boundary data at t) of the latest lookup
         self.transport: TransportPair | None = None  # the live pair, kept across steps
+        # (t, b^(n-1)_hat, b^n_hat): the last two accepted magnetic iterates
+        # before cleaning, the second one taken at t
+        self.b_iterates: tuple | None = None
 
     def vector_bc(self, t) -> VectorBC:
         """Boundary data at t.  The latest instant is kept, so a coupled step
@@ -293,6 +313,18 @@ class Stepper:
         if self._bc is None or self._bc[0] != t:
             self._bc = (t, self.trace.vector_bc(t))
         return self._bc[1]
+
+    def iterates(self, state: SimState):
+        """The carried (b^(n-1)_hat, b^n_hat) when taken at state.t, else
+        (b^n, b^n), whose extrapolation is b^n exactly (2x - x == x)."""
+        if self.b_iterates is None or self.b_iterates[0] != state.t:
+            return state.b, state.b
+        return self.b_iterates[1:]
+
+    def restart(self, state: SimState) -> Restart:
+        """What a run resumed at ``state`` needs to continue as this one would."""
+        u_ref = state.u if self.transport is None else self.transport.u_ref
+        return Restart(u_ref, *self.iterates(state))
 
     # -- magnetic sub-step ---------------------------------------------------
 
@@ -477,7 +509,8 @@ class Stepper:
         cfg = self.cfg
         ubar = state.u
         history = []
-        b_new = state.b
+        b_older, b_last = self.iterates(state)
+        b_new = 2.0 * b_last - b_older  # the first Picard loop's start
         u_new = state.u
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
@@ -512,7 +545,8 @@ class Stepper:
             for k in range(OUTER_MAX_ITER):
                 outer_iters = k + 1
                 # warm start: Picard starts from the previous iterate's b
-                # (b^n for the first), the fixed point at a nearby ubar
+                # (the extrapolation for the first), the fixed point at a
+                # nearby ubar
                 b_new = magnetic(ubar, b_new)
                 u_new, force, _ = velocity(b_new, ubar)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
@@ -532,6 +566,7 @@ class Stepper:
                 )
         p_new = self.pressure(force, u_new)  # of the accepted iterate only
 
+        self.b_iterates = (t_next, b_last, b_new)  # carried uncleaned
         div_before = float(np.max(np.abs(divergence(b_new).values)))
         cleaned = False
         if div_before > cfg.div_clean_threshold:
@@ -562,7 +597,7 @@ class Trajectory:
     reports: list
     states: list | None = None
     compat: CompatReport | None = None
-    u_ref: VectorField | None = None  # the live transport pair's velocity at the end
+    restart: Restart | None = None  # what continuing from final_state needs
 
 
 def run(
@@ -574,21 +609,22 @@ def run(
     basis: SpectralBasis | None = None,
     t0: float = 0.0,
     p0: ScalarField | None = None,
-    u_ref: VectorField | None = None,
+    restart: Restart | None = None,
 ):
     """March from t0 to t_final, recording the full energy ledger.
 
     In strong mode the parabolic lift is advanced alongside the state,
     re-initialized from b(t0) (each continuation window carries its own
-    lift).  ``u_ref`` seeds the transport pair (a restart passes the one
-    its checkpoint recorded, so it continues bit for bit).  Returns
-    (Trajectory, EnergyLedger).
+    lift).  ``restart`` seeds the transport pair and the carried magnetic
+    iterates (a restart passes the ones its checkpoint recorded, so it
+    continues bit for bit).  Returns (Trajectory, EnergyLedger).
     """
     cfg.validate()
     grid = cfg.grid()
     stepper = Stepper(cfg, trace, basis=basis, forcing=forcing)
-    if u_ref is not None:
-        stepper.transport = stepper.transport_operators(u_ref)
+    if restart is not None:
+        stepper.transport = stepper.transport_operators(restart.u_ref)
+        stepper.b_iterates = (t0, restart.b_prev, restart.b_last)
     compat = compatibility_check(u0, b0, trace, cfg.compat_tol_factor, t=t0)
     if not compat.passed:
         if cfg.compat_action == "reject":
@@ -625,37 +661,39 @@ def run(
             import os
 
             path = os.path.join(cfg.checkpoint_dir, f"ckpt_{k + 1:06d}.mhdckpt")
-            write_checkpoint(path, state, cfg, trace, stepper.transport.u_ref)
-    u_ref = None if stepper.transport is None else stepper.transport.u_ref
-    return Trajectory(times, state, reports, states, compat, u_ref), ledger
+            write_checkpoint(path, state, cfg, trace, stepper.restart(state))
+    return Trajectory(times, state, reports, states, compat, stepper.restart(state)), ledger
 
 
 # --- checkpoints ----------------------------------------------------------------
 #
-# v2: MAGIC | header | crc32 | payload.  The header holds nx, ny, t, dt, the
+# v3: MAGIC | header | crc32 | payload.  The header holds nx, ny, t, dt, the
 # truncation (-1 = full), Re, Rm, S, the digest of the boundary data up to t
 # (``BoundaryTrace.digest``) and the payload's byte count; the crc32 covers
-# magic, header and payload.  The payload holds u, b, p and the reference
-# velocity u_ref of the live transport pair as little-endian f8.  v1 (magic
-# MHDCKPT1, the first five header fields, no crc, no u_ref) is still read,
-# with u_ref = u.
+# magic, header and payload.  The payload holds u, b, p and the `Restart`
+# fields (u_ref, b^(n-1)_hat, b^n_hat) as little-endian f8.  v2 (magic
+# MHDCKPT2, the same header, no carried iterates) reads with the iterates
+# (b, b); v1 (magic MHDCKPT1, the first five header fields, no crc, no u_ref)
+# with u_ref = u and (b, b).
 
 _CKPT_HEADER = struct.Struct("<qqddqddd32sQ")
 _CKPT_CRC = struct.Struct("<I")
 _CKPT_V1_HEADER = struct.Struct("<qqddq")
 
 
-def write_checkpoint(path, state: SimState, cfg: SolverConfig, trace: BoundaryTrace, u_ref=None):
-    """Write a v2 checkpoint; ``u_ref`` (default: state.u) is the live pair's velocity."""
+def write_checkpoint(
+    path, state: SimState, cfg: SolverConfig, trace: BoundaryTrace, restart: Restart | None = None
+):
+    """Write a v3 checkpoint; ``restart`` defaults to (state.u, state.b, state.b)."""
     from .ioutil import atomic_write_bytes
 
     g = state.u.grid
-    u_ref = state.u if u_ref is None else u_ref
+    if restart is None:
+        restart = Restart(state.u, state.b, state.b)
     n_trunc = -1 if cfg.n_modes is None else cfg.n_modes
-    payload = b"".join(
-        a.astype("<f8").tobytes()
-        for a in (state.u.x, state.u.y, state.b.x, state.b.y, state.p.values, u_ref.x, u_ref.y)
-    )
+    arrays = [state.u.x, state.u.y, state.b.x, state.b.y, state.p.values]
+    arrays += [a for f in restart for a in (f.x, f.y)]
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
     head = CKPT_MAGIC + _CKPT_HEADER.pack(
         g.nx, g.ny, state.t, cfg.dt, n_trunc, cfg.re, cfg.rm, cfg.s,
         trace.digest(state.t), len(payload),
@@ -665,7 +703,7 @@ def write_checkpoint(path, state: SimState, cfg: SolverConfig, trace: BoundaryTr
 
 
 def read_checkpoint(path):
-    """Read a v2 or v1 checkpoint; a malformed file raises ConfigError naming it."""
+    """Read a v3, v2 or v1 checkpoint; a malformed file raises ConfigError naming it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -673,26 +711,27 @@ def read_checkpoint(path):
         raise ConfigError([f"checkpoint {path}: cannot read ({exc.strerror})"])
     bad = lambda why: ConfigError([f"checkpoint {path}: {why}"])
     magic = raw[: len(CKPT_MAGIC)]
-    if magic not in (CKPT_MAGIC, _CKPT_V1_MAGIC):
+    # vector fields stored after u, b, p: u_ref in v2, u_ref and the iterates in v3
+    extra = {CKPT_MAGIC: 3, _CKPT_V2_MAGIC: 1, _CKPT_V1_MAGIC: 0}.get(magic)
+    if extra is None:
         raise bad("not a checkpoint file (bad magic number)")
-    v2 = magic == CKPT_MAGIC
-    head = _CKPT_HEADER if v2 else _CKPT_V1_HEADER
-    off = len(magic) + head.size + (_CKPT_CRC.size if v2 else 0)
+    v1 = magic == _CKPT_V1_MAGIC
+    head = _CKPT_V1_HEADER if v1 else _CKPT_HEADER
+    off = len(magic) + head.size + (0 if v1 else _CKPT_CRC.size)
     if len(raw) < off:
         raise bad(f"header truncated ({len(raw)} bytes)")
     fields = head.unpack_from(raw, len(magic))
     nx, ny, t, dt, n_trunc = fields[:5]
-    physics, digest, nbytes = (fields[5:8], fields[8], fields[9]) if v2 else (None, None, None)
+    physics, digest, nbytes = (None, None, None) if v1 else (fields[5:8], fields[8], fields[9])
     if nx < 4 or ny < 4:
         raise bad(f"header grid {nx}x{ny} is too coarse")
     if not all(map(math.isfinite, (t, dt) + (physics or ()))):
         raise bad(f"non-finite header value (t={t!r}, dt={dt!r}, Re, Rm, S={physics!r})")
     grid = Grid(nx, ny)
-    shapes = [grid.shape_xface(), grid.shape_yface()] * 2 + [grid.shape_center()]
-    if v2:
-        shapes += [grid.shape_xface(), grid.shape_yface()]
+    vec = [grid.shape_xface(), grid.shape_yface()]
+    shapes = vec * 2 + [grid.shape_center()] + vec * extra
     sizes = [a * b for a, b in shapes]
-    if len(raw) - off != 8 * sum(sizes) or (v2 and nbytes != 8 * sum(sizes)):
+    if len(raw) - off != 8 * sum(sizes) or (not v1 and nbytes != 8 * sum(sizes)):
         raise bad(
             f"payload has {len(raw) - off} bytes (header: {nbytes}), "
             f"a {nx}x{ny} grid needs {8 * sum(sizes)}"
@@ -700,7 +739,7 @@ def read_checkpoint(path):
     payload = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
     if not np.all(np.isfinite(payload)):
         raise bad("non-finite field values")
-    if v2:
+    if not v1:
         crc_at = off - _CKPT_CRC.size
         if zlib.crc32(raw[off:], zlib.crc32(raw[:crc_at])) != _CKPT_CRC.unpack_from(raw, crc_at)[0]:
             raise bad("checksum mismatch (damaged file)")
@@ -708,6 +747,11 @@ def read_checkpoint(path):
     u = VectorField(grid, arrays[0], arrays[1])
     b = VectorField(grid, arrays[2], arrays[3])
     p = ScalarField(grid, arrays[4])
+    carried = [VectorField(grid, *arrays[k : k + 2]) for k in range(5, len(arrays), 2)]
+    if extra == 3:
+        restart = Restart(*carried)
+    else:  # v2 carries u_ref alone, v1 nothing
+        restart = Restart(carried[0] if carried else u, b, b)
     return {
         "grid": grid,
         "t": t,
@@ -716,7 +760,7 @@ def read_checkpoint(path):
         "physics": physics,  # (Re, Rm, S); None for v1
         "trace_digest": digest,  # None for v1
         "state": SimState(t, u, b, p),
-        "u_ref": VectorField(grid, arrays[5], arrays[6]) if v2 else u,
+        "restart": restart,
     }
 
 

@@ -139,7 +139,7 @@ def test_criterion_12_determinism(tmp_path):
         from mhd2d.dynamics import write_checkpoint
 
         path = tmp_path / f"{sub}.mhdckpt"
-        write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.u_ref)
+        write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.restart)
         blobs.append(ledger.to_csv_text().encode() + path.read_bytes())
     reports = [identity_suite().to_csv_text() for _ in range(2)]
     elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import struct
 import weakref
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -218,15 +219,28 @@ def test_restart_is_bit_identical(tmp_path):
     half_cfg = SolverConfig(**{**scen.cfg.__dict__, "t_final": 0.01})
     traj_half, _ = run(half_cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path / "mid.mhdckpt"
-    write_checkpoint(path, traj_half.final_state, half_cfg, scen.trace, traj_half.u_ref)
+    write_checkpoint(path, traj_half.final_state, half_cfg, scen.trace, traj_half.restart)
     ck = read_checkpoint(path)
     check_restart_header(ck, half_cfg, scen.trace)
     st = ck["state"]
-    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, u_ref=ck["u_ref"])
-    a, b = traj_full.final_state, resumed.final_state
-    assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
-    assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
-    assert np.array_equal(a.p.values, b.p.values)
+    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, restart=ck["restart"])
+    _assert_same_state(traj_full.final_state, resumed.final_state)
+
+
+def test_restart_from_a_mid_run_checkpoint_carries_the_iterates(tmp_path):
+    # calib-osc cleans every step, so after step 5 the carried iterates
+    # (uncleaned) differ from b; the mid-run file restarts bit for bit
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=10 * DT, checkpoint_every=5,
+                         checkpoint_dir=str(tmp_path))
+    full, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    ck = read_checkpoint(tmp_path / "ckpt_000005.mhdckpt")
+    st, carried = ck["state"], ck["restart"]
+    assert all(r.cleaned for r in full.reports[:5])
+    assert not np.array_equal(carried.b_last.x, st.b.x)
+    assert not np.array_equal(carried.b_prev.x, carried.b_last.x)
+    check_restart_header(ck, scen.cfg, scen.trace)
+    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, restart=carried)
+    _assert_same_state(full.final_state, resumed.final_state)
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +248,11 @@ def checkpoint_bytes(tmp_path_factory):
     scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path_factory.mktemp("ckpt") / "c.mhdckpt"
-    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.u_ref)
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.restart)
     return path.read_bytes()
+
+
+_VECTOR_BYTES_8 = 8 * 2 * 9 * 8  # one vector field at 8^2: two 9x8 face arrays of f8
 
 
 @pytest.mark.parametrize(
@@ -244,14 +261,15 @@ def checkpoint_bytes(tmp_path_factory):
         (lambda raw: b"NOTCKPT1" + raw[8:], "bad magic"),
         (lambda raw: raw[:20], "header truncated"),
         (lambda raw: raw[:-8], "payload has"),
+        (lambda raw: raw[: -2 * _VECTOR_BYTES_8], "payload has"),
         (lambda raw: raw + bytes(8), "payload has"),
         (lambda raw: raw[:-8] + struct.pack("<d", np.nan), "non-finite field"),
         (lambda raw: raw[:8] + struct.pack("<q", 2) + raw[16:], "too coarse"),
         (lambda raw: raw[:-3] + bytes([raw[-3] ^ 1]) + raw[-2:], "checksum mismatch"),
         (lambda raw: raw[:48] + struct.pack("<d", np.inf) + raw[56:], "non-finite header"),
     ],
-    ids=["bad-magic", "short-header", "short-payload", "long-payload", "nan-value", "coarse-grid",
-         "flipped-bit", "infinite-re"],
+    ids=["bad-magic", "short-header", "short-payload", "v2-length-payload", "long-payload",
+         "nan-value", "coarse-grid", "flipped-bit", "infinite-re"],
 )
 def test_malformed_checkpoint_is_config_error(tmp_path, checkpoint_bytes, mangle, why):
     path = tmp_path / "bad.mhdckpt"
@@ -388,14 +406,65 @@ def test_warm_start_moves_fixed_point_only_and_not_single_pass(monkeypatch):
         with monkeypatch.context() as m:
             _collect_b_steps(m, [], cold=True)
             cold, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-        if mode == "single_pass":  # one outer iterate, started from b^n as before
-            _assert_same_state(warm.final_state, cold.final_state)
-            assert warm.reports == cold.reports
-        else:
-            assert sum(r.picard_iterations for r in warm.reports) < sum(
-                r.picard_iterations for r in cold.reports)
-            scale = np.sqrt(l2_norm_sq(cold.final_state.b))
-            assert np.sqrt(l2_norm_sq(warm.final_state.b - cold.final_state.b)) <= 1e-9 * scale
+        # single_pass has one outer iterate, started from the extrapolation
+        warm_n = sum(r.picard_iterations for r in warm.reports)
+        cold_n = sum(r.picard_iterations for r in cold.reports)
+        assert warm_n <= cold_n if mode == "single_pass" else warm_n < cold_n
+        scale = np.sqrt(l2_norm_sq(cold.final_state.b))
+        assert np.sqrt(l2_norm_sq(warm.final_state.b - cold.final_state.b)) <= 1e-9 * scale
+
+
+def test_first_step_starts_from_b_n_exactly(monkeypatch):
+    # the carried iterates are seeded (b0, b0), and 2 b0 - b0 == b0 bit for bit
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    first, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    starts = []
+    b_step = Stepper.b_step
+
+    def from_b_n(self, *args, **kwargs):
+        if not starts:
+            starts.append(kwargs["b_start"])
+            kwargs["b_start"] = args[1]  # b_prev, the state's b
+        return b_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, "b_step", from_b_n)
+    forced, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert np.array_equal(starts[0].x, scen.b0.x) and np.array_equal(starts[0].y, scen.b0.y)
+    _assert_same_state(first.final_state, forced.final_state)
+
+
+def test_carried_iterates_are_used_only_at_their_time():
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=3 * DT)
+    st = Stepper(scen.cfg, scen.trace)
+    state0 = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
+    once, _ = st.coupled_step(state0)
+    state = once
+    for _ in range(2):
+        state, _ = st.coupled_step(state)
+    assert st.b_iterates[0] == state.t
+    again, _ = st.coupled_step(state0)  # t = 0 does not match: reseeded with (b0, b0)
+    _assert_same_state(once, again)
+
+
+def test_extrapolated_start_saves_picard_iterations_on_a_steady_run(monkeypatch):
+    # tail compactness's steady case: the cleaning jump sets the first Picard
+    # increment from b^n, the extrapolation of the uncleaned iterates skips it
+    cfg, u0, b0, trace, forcing = _mms_scenario(_mms_case("steady"), 16, 2e-3, 0.16)
+    carried, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    step = Stepper.coupled_step
+
+    def from_b_n(self, state):
+        self.b_iterates = None  # reseeded (b^n, b^n): the first Picard loop starts at b^n
+        return step(self, state)
+
+    monkeypatch.setattr(Stepper, "coupled_step", from_b_n)
+    plain, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    picard = [sum(r.picard_iterations for r in t.reports) for t in (carried, plain)]
+    assert picard[0] <= 0.9 * picard[1]
+    assert sum(r.outer_iterations for r in carried.reports) == sum(
+        r.outer_iterations for r in plain.reports)
+    b, b_ref = carried.final_state.b, plain.final_state.b
+    assert np.sqrt(l2_norm_sq(b - b_ref)) <= 1e-9 * np.sqrt(l2_norm_sq(b_ref))
 
 
 def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
@@ -585,15 +654,15 @@ def test_restart_with_a_reused_pair_live_is_bit_identical(tmp_path):
     half_cfg = replace(cfg, t_final=0.12)
     half, _ = run(half_cfg, u0, b0, trace, forcing=forcing)
     assert len(half.reports) == 60 and not half.reports[-1].transport_refactored
-    assert not np.array_equal(half.u_ref.x, half.final_state.u.x)
+    assert not np.array_equal(half.restart.u_ref.x, half.final_state.u.x)
     path = tmp_path / "step60.mhdckpt"
-    write_checkpoint(path, half.final_state, half_cfg, trace, half.u_ref)
+    write_checkpoint(path, half.final_state, half_cfg, trace, half.restart)
     ck = read_checkpoint(path)
-    assert np.array_equal(ck["u_ref"].x, half.u_ref.x)
+    assert np.array_equal(ck["restart"].u_ref.x, half.restart.u_ref.x)
     check_restart_header(ck, cfg, trace)
     st = ck["state"]
     resumed, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p,
-                     u_ref=ck["u_ref"])
+                     restart=ck["restart"])
     _assert_same_state(full.final_state, resumed.final_state)
     # refactoring at u^n instead (what a v1 checkpoint implies) agrees only
     # to the solver tolerances
@@ -614,8 +683,35 @@ def test_v1_checkpoint_reads_with_u_ref_equal_to_u(tmp_path):
                      + b"".join(a.astype("<f8").tobytes() for a in arrays))
     ck = read_checkpoint(path)
     assert ck["physics"] is None and ck["trace_digest"] is None
-    assert ck["u_ref"] is ck["state"].u and np.array_equal(ck["state"].b.y, s.b.y)
+    carried = ck["restart"]
+    assert carried.u_ref is ck["state"].u
+    assert carried.b_prev is ck["state"].b and carried.b_last is ck["state"].b
+    assert np.array_equal(ck["state"].b.y, s.b.y)
     check_restart_header(ck, scen.cfg, scen.trace)  # nothing recorded to mismatch
+
+
+def test_v2_checkpoint_reads_with_the_iterates_equal_to_b(tmp_path):
+    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=4 * DT)
+    full, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    half_cfg = replace(scen.cfg, t_final=2 * DT)
+    half, _ = run(half_cfg, scen.u0, scen.b0, scen.trace)
+    s, u_ref = half.final_state, half.restart.u_ref
+    g = s.u.grid
+    arrays = (s.u.x, s.u.y, s.b.x, s.b.y, s.p.values, u_ref.x, u_ref.y)
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+    head = b"MHDCKPT2" + struct.pack("<qqddqddd32sQ", g.nx, g.ny, s.t, DT, -1, scen.cfg.re,
+                                     scen.cfg.rm, scen.cfg.s, scen.trace.digest(s.t), len(payload))
+    path = tmp_path / "v2.mhdckpt"
+    path.write_bytes(head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload)
+    ck = read_checkpoint(path)
+    st, carried = ck["state"], ck["restart"]
+    assert np.array_equal(carried.u_ref.x, u_ref.x)
+    assert carried.b_prev is st.b and carried.b_last is st.b
+    check_restart_header(ck, scen.cfg, scen.trace)
+    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, restart=carried)
+    want, got = full.final_state, resumed.final_state
+    for a, b in ((want.u, got.u), (want.b, got.b)):
+        assert np.sqrt(l2_norm_sq(a - b)) <= 1e-9 * np.sqrt(l2_norm_sq(a))
 
 
 @pytest.mark.parametrize(
@@ -632,7 +728,7 @@ def test_restart_refuses_changed_physics_or_trace(tmp_path, cfg_change, amp, why
     scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=4 * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path / "c.mhdckpt"
-    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.u_ref)
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.restart)
     ck = read_checkpoint(path)
     check_restart_header(ck, scen.cfg, scen.trace)
     cfg = replace(scen.cfg, **cfg_change)
