@@ -19,7 +19,11 @@ scaled times depend on the speed probe, the raw ones do not.  The
 environment stamp of each side's first run is kept.  After the timed pairs,
 each side runs the workload once more under the span tracer (``--trace 1
 --seconds 0``), and the per-layer counts, ratios and byte counts of
-``BENCHMARK.json`` (exact, unlike times) are stored beside the timings.
+``BENCHMARK.json`` (exact, unlike times) are stored beside the timings,
+with that run's per-layer seconds next to them under ``single_run_seconds``
+(one traced run per side, so a guide to where time goes, not a comparison).
+A run that exits non-zero prints the last lines of its stderr, with its
+side, pair and workload, before the script stops.
 """
 
 from __future__ import annotations
@@ -35,16 +39,24 @@ from pathlib import Path
 
 RAW_METRICS = ("run_s", "setup_s")
 TRACED_UNITS = ("count", "ratio", "bytes")  # per-layer metrics that do not depend on timing
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0):
-    """One benchmark run: (metrics, raw times, environment stamp, ok)."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0, *,
+             label: str):
+    """One benchmark run: (metrics, raw times, environment stamp, ok).  ``label``
+    names the run (side, pair and workload) in the report of a failed one."""
     results = checkout / ".bench_results"
     before = set(results.glob("*.json")) if results.is_dir() else set()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        print(f"{label}: perfbench/run.py exited {proc.returncode} in {checkout}; "
+              f"the last lines of its stderr:\n{tail}", file=sys.stderr, flush=True)
+        proc.check_returncode()
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     prefix = f"{workload}-seed{seed}-trace{trace}-"
     new = [p for p in set(results.glob(f"{prefix}*.json")) - before]
@@ -103,6 +115,7 @@ def main(argv=None):
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     traced_names = [m["name"] for m in spec["per_layer"] if m["unit"] in TRACED_UNITS]
+    timed_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "s"]
 
     report = {
         "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
@@ -116,7 +129,8 @@ def main(argv=None):
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                metrics, raw, env, ok = run_once(sides[side], wl, args.seed, args.seconds)
+                metrics, raw, env, ok = run_once(sides[side], wl, args.seed, args.seconds,
+                                                 label=f"{wl} pair {k} {side}")
                 samples[side].append({"metrics": metrics, "raw": raw, "env": env, "ok": ok})
                 print(f"{wl} pair {k} {side}: step_ms_p50 {metrics.get('step_ms_p50', float('nan')):.4g}"
                       f" run_s {metrics['run_s']:.4g} (raw {raw['run_s']:.4g}) ok {ok}", flush=True)
@@ -132,12 +146,18 @@ def main(argv=None):
             par = [s["raw"][name] for s in samples["parent"]]
             chg = [s["raw"][name] for s in samples["change"]]
             entry["metrics"][f"raw_{name}"] = summarize(par, chg, "lower")
-        traced = {side: run_once(path, wl, args.seed, 0, trace=1) for side, path in sides.items()}
+        traced = {side: run_once(path, wl, args.seed, 0, trace=1, label=f"{wl} traced {side}")
+                  for side, path in sides.items()}
         entry["traced"] = {
             "command": f"perfbench/run.py --seed {args.seed} --seconds 0 --trace 1",
             "all_correct": all(run[3] for run in traced.values()),
             "metrics": {k: {side: run[0].get(k) for side, run in traced.items()}
                         for k in traced_names},
+            "single_run_seconds": {
+                "note": "per-layer seconds of the one traced run per side: single-run timings"
+                        " on a shared host, not medians",
+                **{k: {side: run[0].get(k) for side, run in traced.items()} for k in timed_names},
+            },
         }
         report["workloads"][wl] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -151,6 +171,9 @@ def main(argv=None):
                   f" {m['change_wins']}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}")
         for name, m in entry["traced"]["metrics"].items():
             print(f"{wl} traced {name}: {m['parent']} -> {m['change']}")
+        for name, m in entry["traced"]["single_run_seconds"].items():
+            if name != "note":
+                print(f"{wl} traced {name} (single run): {m['parent']} -> {m['change']}")
     return 0
 
 

@@ -547,9 +547,10 @@ class StreamForms(NamedTuple):
 
 @lru_cache(maxsize=4)
 def stream_forms(grid: Grid) -> StreamForms:
-    """C, C^T (-Lap) C and C^T C of one grid, shared by the implicit Stokes
-    step and the Stokes eigenbasis.  Lap is the interior-face mirror
-    Laplacian; both forms are symmetric positive definite."""
+    """C, C^T (-Lap) C and C^T C of one grid, for the Stokes eigenbasis.  Lap
+    is the interior-face mirror Laplacian; both forms are symmetric positive
+    definite.  ``StokesSaddle`` solves with inv_dt times the second plus nu
+    times the first without forming them."""
     c = stream_curl_matrix(grid)
     lap = sp.block_diag((lap_xcomp_interior(grid), lap_ycomp_interior(grid)))
     a = (c.T @ (-lap) @ c).tocsc()
@@ -563,10 +564,22 @@ class StokesSaddle:
     u = C psi with C the stream curl, whose range is exactly the discretely
     divergence-free zero-trace subspace.  C^T grad p = 0 there, so psi
     solves the symmetric positive definite K psi = C^T f with
-    K = C^T (inv_dt - nu*Lap) C = inv_dt C^T C + nu C^T (-Lap) C, whose
-    half-bandwidth is 2(ny-1) in the C-order corner numbering.  K is
-    Cholesky-factored once in banded form; a solve is one banded
-    back-substitution.  ``pressure`` recovers the mean-zero p from
+    K = C^T (inv_dt - nu*Lap) C = S + nu E^T D E.  Here S = inv_dt L + nu L^2
+    with L = C^T C, the Dirichlet Laplacian of the interior corners, is
+    diagonal in the nodal sines of ``dirichlet_modes`` along both axes; E
+    holds the rows of C on the wall-adjacent tangential faces (one nonzero
+    each: the corner value next to the wall over the spacing); D is the
+    no-slip mirror term, 2/dy**2 on x-faces and 2/dx**2 on y-faces.  A solve
+    is fast diagonalization of S plus a capacitance correction on that frame
+    of corners (Bjørstad, SIAM J. Numer. Anal. 20, 1983):
+    K^{-1} = S^{-1} - S^{-1} F^T M^{-1} F S^{-1} with F = (nu D)^{1/2} E and
+    the capacitance matrix M = I + F S^{-1} F^T, which is D^{-1}/nu + E S^{-1} E^T
+    scaled to a unit shift, finite for every nu > 0.  M is written in the
+    sines along each side of the frame, where its diagonal blocks are
+    diagonal and its off-diagonal blocks are S^{-1} scaled by the sines' end
+    values; its eigenvalues are at least 1, and its inverse is formed once
+    from its Cholesky factor.  A solve costs four matmuls of the corner array
+    plus frame-sized products.  ``pressure`` recovers the mean-zero p from
     grad p = f - (inv_dt - nu*Lap) u with one Neumann Poisson solve of its
     divergence.
     """
@@ -576,30 +589,41 @@ class StokesSaddle:
         self.inv_dt = inv_dt
         self.nu = nu
         self.poisson = NeumannPoisson(grid) if poisson is None else poisson
-        forms = stream_forms(grid)
-        nux = (grid.nx - 1) * grid.ny
-        self._cx, self._cy = forms.curl[:nux], forms.curl[nux:]
-        self._cxt, self._cyt = self._cx.T.tocsr(), self._cy.T.tocsr()
-        k = (inv_dt * forms.mass + nu * forms.stiffness).tocoo()
-        k.sum_duplicates()
-        band = 2 * (grid.ny - 1)
-        upper = k.row <= k.col
-        ab = np.zeros((band + 1, k.shape[0]))
-        ab[band + k.row[upper] - k.col[upper], k.col[upper]] = k.data[upper]
+        qx, lx = dirichlet_modes(grid.nx, grid.dx, nodal=True)
+        qy, ly = dirichlet_modes(grid.ny, grid.dy, nodal=True)
+        lam = np.add.outer(lx, ly)
+        inv_s = 1.0 / (inv_dt * lam + nu * lam**2)
+        # F = (nu D)^(1/2) E in the sine basis: the first and last corner row of
+        # each table, scaled; the frame is ordered bottom, top (x-faces), left, right
+        ax = qx[[0, -1]] * (np.sqrt(2.0 * nu) / grid.dx**2)
+        ay = qy[[0, -1]] * (np.sqrt(2.0 * nu) / grid.dy**2)
+        mx, my = grid.nx - 1, grid.ny - 1
+        wx = np.einsum("kl,sl,tl->skt", inv_s, ay, ay)
+        wy = np.einsum("kl,sk,tk->slt", inv_s, ax, ax)
+        mxx = (wx[..., None] * np.identity(mx)[:, None, :]).reshape(2 * mx, 2 * mx)
+        myy = (wy[..., None] * np.identity(my)[:, None, :]).reshape(2 * my, 2 * my)
+        mxy = np.einsum("kl,sl,tk->sktl", inv_s, ay, ax).reshape(2 * mx, 2 * my)
+        m = np.block([[mxx, mxy], [mxy.T, myy]])
+        m[np.diag_indices_from(m)] += 1.0
         try:
-            self._chol = scipy.linalg.cholesky_banded(ab)
+            self._inv_m = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), np.identity(len(m)))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SolverFailure(f"implicit Stokes factorization failed: {exc}")
+            raise SolverFailure(f"implicit Stokes capacitance factorization failed: {exc}")
+        self._tables = (qx, qy, inv_s, ax, ay)
 
     def solve(self, fx: np.ndarray, fy: np.ndarray) -> VectorField:
         """Divergence-free u; fx, fy: forcing on the full face arrays (interior entries used)."""
         g = self.grid
-        rhs = self._cxt @ fx[1:-1, :].ravel() + self._cyt @ fy[:, 1:-1].ravel()
-        psi = scipy.linalg.cho_solve_banded((self._chol, False), rhs, check_finite=False)
-        u = VectorField.zeros(g)
-        u.x[1:-1, :] = (self._cx @ psi).reshape(g.nx - 1, g.ny)
-        u.y[:, 1:-1] = (self._cy @ psi).reshape(g.nx, g.ny - 1)
-        return u
+        qx, qy, inv_s, ax, ay = self._tables
+        fxi, fyi = fx[1:-1, :], fy[:, 1:-1]
+        rhs = (fxi[:, :-1] - fxi[:, 1:]) / g.dy + (fyi[1:, :] - fyi[:-1, :]) / g.dx  # C^T f
+        y = (qx.T @ rhs @ qy) * inv_s  # S^{-1} C^T f in the sine basis
+        z = self._inv_m @ np.concatenate([(y @ ay.T).T.ravel(), (ax @ y).ravel()])
+        zx, zy = z[: 2 * (g.nx - 1)].reshape(2, -1), z[2 * (g.nx - 1) :].reshape(2, -1)
+        y -= inv_s * (zx.T @ ay + ax.T @ zy)
+        psi = np.zeros((g.nx + 1, g.ny + 1))
+        psi[1:-1, 1:-1] = qx @ y @ qy.T
+        return VectorField.from_stream(g, psi)
 
     def pressure(self, fx: np.ndarray, fy: np.ndarray, u: VectorField) -> ScalarField:
         """The mean-zero pressure of the step whose forcing is (fx, fy) and solution u."""

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -576,6 +577,8 @@ def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):
     calls = []
     real = operators.splu
     monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    banded = scipy.linalg.cholesky_banded
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", lambda *a, **kw: calls.append(a) or banded(*a, **kw))
     operators.stream_forms.cache_clear()
     g = Grid(12, 12)
     NeumannPoisson(g)

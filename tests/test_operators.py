@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 import mhd2d
 from mhd2d import operators
@@ -35,6 +35,7 @@ from mhd2d.operators import (
     project_divfree,
     stokes_apply,
     stream_curl_matrix,
+    stream_forms,
     tridiag_neumann,
 )
 from mhd2d.dynamics import run
@@ -360,6 +361,46 @@ def test_stokes_saddle_matches_pinned_monolithic_saddle(rng, nx, ny, inv_dt, nu)
         assert _rel(p.values, p_ref) <= 1e-10
         assert np.max(np.abs(divergence(u).values)) <= 1e-12
         assert abs(p.values.mean()) <= 1e-14 * np.max(np.abs(p.values))
+
+
+def _wall_rows(g):
+    """The curl's rows on the wall-adjacent tangential faces and their mirror
+    weights: x-faces next to the bottom and top walls (2/dy**2), then y-faces
+    next to the left and right walls (2/dx**2)."""
+    nx, ny = g.nx, g.ny
+    i, j = np.arange(nx - 1), np.arange(ny - 1)
+    rows_x = np.concatenate([i * ny, i * ny + ny - 1])
+    rows_y = (nx - 1) * ny + np.concatenate([j, (nx - 1) * (ny - 1) + j])
+    weights = np.repeat([2.0 / g.dy**2, 2.0 / g.dx**2], [len(rows_x), len(rows_y)])
+    return np.concatenate([rows_x, rows_y]), weights
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 12), (9, 7), (64, 64)])
+def test_stream_stiffness_is_mass_squared_plus_wall_term(nx, ny):
+    """K = inv_dt L + nu L^2 + nu E^T D E, the split ``StokesSaddle`` solves by."""
+    g = Grid(nx, ny)
+    c, stiffness, mass = stream_forms(g)
+    rows, weights = _wall_rows(g)
+    e = c[rows].tocsr()
+    e.eliminate_zeros()  # the curl stores explicit zeros on coarse grids
+    assert np.array_equal(np.diff(e.indptr), np.ones(len(rows), dtype=int))
+    defect = stiffness - mass @ mass - e.T @ sp.diags(weights) @ e
+    assert abs(defect).max() <= 1e-12 * abs(stiffness).max()
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (9, 7), (32, 32), (64, 64)])
+@pytest.mark.parametrize("inv_dt, nu", [(500.0, 1.0), (1e-3, 1.0), (50.0, 0.02)])
+def test_stokes_saddle_matches_sparse_stream_solve(rng, nx, ny, inv_dt, nu):
+    g = Grid(nx, ny)
+    c, stiffness, mass = stream_forms(g)
+    k = (inv_dt * mass + nu * stiffness).tocsc()
+    saddle = StokesSaddle(g, inv_dt, nu)
+    for f in (random_zero_trace(g, rng), random_divfree(g, rng)):
+        u_ref = c @ spsolve(k, c.T @ np.concatenate([f.x[1:-1, :].ravel(), f.y[:, 1:-1].ravel()]))
+        u = saddle.solve(f.x, f.y)
+        got = np.concatenate([u.x[1:-1, :].ravel(), u.y[:, 1:-1].ravel()])
+        assert _rel(got, u_ref) <= 1e-10
+        assert not np.any(u.x[[0, -1], :]) and not np.any(u.y[:, [0, -1]])
 
 
 @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 7), (64, 64)])
