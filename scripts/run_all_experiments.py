@@ -3,12 +3,15 @@
 
 Calibrates the inequality constants first (if no store is given), then runs
 every experiment in sequence and writes one CSV per experiment plus the
-cumulative summary.
+cumulative summary.  ``timings.json`` beside ``summary.csv`` holds the
+``calibrate_constants`` wall time in seconds (null when a store was loaded)
+and each experiment's ``runtime_s``.
 
     python scripts/run_all_experiments.py --output-dir out/ [--calibration PATH]
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -38,15 +41,17 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.output_dir, exist_ok=True)
 
+    timings = {"calibrate_constants_s": None, "runtime_s": {}}
     if args.calibration and os.path.exists(args.calibration):
         store = CalibrationStore.read(args.calibration)
         print(f"loaded calibration from {args.calibration}")
     else:
-        t0 = time.time()
+        t0 = time.perf_counter()
         store = calibrate_constants()
+        elapsed = timings["calibrate_constants_s"] = time.perf_counter() - t0
         path = os.path.join(args.output_dir, "calibration.txt")
         store.write(path)
-        print(f"calibrated {len(store.values)} constants in {time.time() - t0:.0f}s -> {path}")
+        print(f"calibrated {len(store.values)} constants in {elapsed:.0f}s -> {path}")
 
     skip = {s.strip() for s in args.skip.split(",") if s.strip()}
     summary = ["experiment,assertion,paper_ref,measured,tolerance,pass"]
@@ -56,6 +61,7 @@ def main():
             continue
         rep = EXPERIMENTS[name](store)
         rep.write(os.path.join(args.output_dir, f"report_{name}.csv"))
+        timings["runtime_s"][name] = rep.runtime_s
         summary.extend(rep.to_csv_text().splitlines()[1:])
         status = "pass" if rep.passed else "FAIL"
         print(f"{name:<18} {status}  ({rep.runtime_s:.1f}s)")
@@ -63,6 +69,7 @@ def main():
             print(f"    {a.assertion_id:<28} measured={a.measured:.5g} tol={a.tolerance:.5g}")
         all_ok &= rep.passed
     atomic_write_text(os.path.join(args.output_dir, "summary.csv"), "\n".join(summary) + "\n")
+    atomic_write_text(os.path.join(args.output_dir, "timings.json"), json.dumps(timings, indent=2) + "\n")
     return 0 if all_ok else 4
 
 

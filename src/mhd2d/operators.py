@@ -23,15 +23,8 @@ from .errors import SolverFailure
 from .geometry import Grid, ScalarField, VectorBC, VectorField, advecting_half, divergence, gradient
 
 __all__ = [
-    "tridiag_nodal",
-    "tridiag_mirror",
-    "tridiag_neumann",
     "dirichlet_modes",
-    "lap_xcomp_interior",
-    "lap_ycomp_interior",
     "stream_curl_matrix",
-    "StreamForms",
-    "stream_forms",
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
@@ -41,37 +34,6 @@ __all__ = [
     "StokesSaddle",
     "stokes_apply",
 ]
-
-
-def tridiag_nodal(n):
-    """1D second difference for nodes with Dirichlet data one node outside."""
-    return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
-
-
-def tridiag_mirror(n):
-    """1D second difference for cells with a Dirichlet wall at half spacing."""
-    d = -2.0 * np.ones(n)
-    d[0] = d[-1] = -3.0
-    return sp.diags([np.ones(n - 1), d, np.ones(n - 1)], [-1, 0, 1], format="csr")
-
-
-def tridiag_neumann(n):
-    d = -2.0 * np.ones(n)
-    d[0] = d[-1] = -1.0
-    return sp.diags([np.ones(n - 1), d, np.ones(n - 1)], [-1, 0, 1], format="csr")
-
-
-def lap_xcomp_interior(grid: Grid):
-    """Laplacian on interior x-faces (zero-trace closure), shape ((nx-1)ny,)^2."""
-    tx = tridiag_nodal(grid.nx - 1) / grid.dx**2
-    ty = tridiag_mirror(grid.ny) / grid.dy**2
-    return sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx - 1), ty)
-
-
-def lap_ycomp_interior(grid: Grid):
-    tx = tridiag_mirror(grid.nx) / grid.dx**2
-    ty = tridiag_nodal(grid.ny - 1) / grid.dy**2
-    return sp.kron(tx, sp.identity(grid.ny - 1)) + sp.kron(sp.identity(grid.nx), ty)
 
 
 def stream_curl_matrix(grid: Grid):
@@ -466,7 +428,8 @@ def dirichlet_heat(grid: Grid, inv_dt: float, kappa: float) -> DirichletHeat:
 # --- pressure & projection -------------------------------------------------
 
 def _neumann_modes(n, h):
-    """Orthonormal eigenvectors (columns) and eigenvalues of ``tridiag_neumann(n) / h**2``.
+    """Orthonormal eigenvectors (columns) and eigenvalues of the 1D second difference
+    over h**2 on n cells with homogeneous Neumann walls (diagonal -1 in the wall cells).
 
     Column k samples cos(pi k (j + 1/2) / n) at the cells j; its eigenvalue
     is (2 cos(pi k / n) - 2) / h**2, zero for the constant k = 0.
@@ -478,8 +441,10 @@ def _neumann_modes(n, h):
 
 
 def dirichlet_modes(n, h, nodal):
-    """Orthonormal eigenvectors (columns) and eigenvalues of ``-tridiag_nodal(n - 1) / h**2``
-    (``nodal``) or of ``-tridiag_mirror(n) / h**2``.
+    """Orthonormal eigenvectors (columns) and eigenvalues of minus the 1D second
+    difference over h**2 with zero Dirichlet data: on the n - 1 nodes with the
+    data one node outside (``nodal``), or on n cells with the wall at half
+    spacing and the mirror ghost closure (diagonal -3 in the wall cells).
 
     Column k - 1 samples sin(pi k x / n) at the nodes x = 1 .. n - 1 or at the
     cells x = j + 1/2; its eigenvalue 4 sin(pi k / 2n)**2 / h**2 increases in k.
@@ -537,27 +502,6 @@ def stokes_apply(u: VectorField, poisson: NeumannPoisson):
     return su, gp
 
 
-class StreamForms(NamedTuple):
-    """The stream-function parameterization of the div-free zero-trace faces."""
-
-    curl: sp.csr_matrix  # C = stream_curl_matrix(grid)
-    stiffness: sp.csc_matrix  # C^T (-Lap) C, symmetrized
-    mass: sp.csc_matrix  # C^T C, symmetrized
-
-
-@lru_cache(maxsize=4)
-def stream_forms(grid: Grid) -> StreamForms:
-    """C, C^T (-Lap) C and C^T C of one grid, for the Stokes eigenbasis.  Lap
-    is the interior-face mirror Laplacian; both forms are symmetric positive
-    definite.  ``StokesSaddle`` solves with inv_dt times the second plus nu
-    times the first without forming them."""
-    c = stream_curl_matrix(grid)
-    lap = sp.block_diag((lap_xcomp_interior(grid), lap_ycomp_interior(grid)))
-    a = (c.T @ (-lap) @ c).tocsc()
-    mass = (c.T @ c).tocsc()
-    return StreamForms(c, 0.5 * (a + a.T), 0.5 * (mass + mass.T))
-
-
 class StokesSaddle:
     """Implicit Stokes step (inv_dt - nu*Lap) u + grad p = f, div u = 0, on interior faces.
 
@@ -574,7 +518,9 @@ class StokesSaddle:
     of corners (Bjørstad, SIAM J. Numer. Anal. 20, 1983):
     K^{-1} = S^{-1} - S^{-1} F^T M^{-1} F S^{-1} with F = (nu D)^{1/2} E and
     the capacitance matrix M = I + F S^{-1} F^T, which is D^{-1}/nu + E S^{-1} E^T
-    scaled to a unit shift, finite for every nu > 0.  M is written in the
+    scaled to a unit shift, finite for every nu > 0 and inv_dt >= 0.  At
+    inv_dt = 0, K = nu C^T (-Lap) C is the stationary Stokes operator, whose
+    inverse the Stokes eigenbasis applies.  M is written in the
     sines along each side of the frame, where its diagonal blocks are
     diagonal and its off-diagonal blocks are S^{-1} scaled by the sines' end
     values; its eigenvalues are at least 1, and its inverse is formed once
@@ -611,18 +557,33 @@ class StokesSaddle:
             raise SolverFailure(f"implicit Stokes capacitance factorization failed: {exc}")
         self._tables = (qx, qy, inv_s, ax, ay)
 
+    def solve_corners(self, rhs: np.ndarray) -> np.ndarray:
+        """K^{-1} rhs on the interior corners; rhs (such as C^T f) has shape (nx - 1, ny - 1)."""
+        qx, qy, inv_s, ax, ay = self._tables
+        y = (qx.T @ rhs @ qy) * inv_s  # S^{-1} rhs in the sine basis
+        z = self._inv_m @ np.concatenate([(y @ ay.T).T.ravel(), (ax @ y).ravel()])
+        zx, zy = z[: 2 * len(qx)].reshape(2, -1), z[2 * len(qx) :].reshape(2, -1)
+        y -= inv_s * (zx.T @ ay + ax.T @ zy)
+        return qx @ y @ qy.T
+
+    def frame_sines(self) -> np.ndarray:
+        """F = (nu D)^{1/2} E, dense, in the corner sines: one row per frame
+        corner in the sines along its side (bottom, top, left, right), one
+        column per raveled sine pair (k, l).  In these sines
+        K = diag(inv_dt lam + nu lam**2) + F^T F, with lam the eigenvalues of L."""
+        qx, qy, _, ax, ay = self._tables
+        mx, my = len(qx), len(qy)
+        fx = np.einsum("sl,tk->stkl", ay, np.identity(mx)).reshape(2 * mx, mx * my)
+        fy = np.einsum("sk,tl->stkl", ax, np.identity(my)).reshape(2 * my, mx * my)
+        return np.vstack([fx, fy])
+
     def solve(self, fx: np.ndarray, fy: np.ndarray) -> VectorField:
         """Divergence-free u; fx, fy: forcing on the full face arrays (interior entries used)."""
         g = self.grid
-        qx, qy, inv_s, ax, ay = self._tables
         fxi, fyi = fx[1:-1, :], fy[:, 1:-1]
         rhs = (fxi[:, :-1] - fxi[:, 1:]) / g.dy + (fyi[1:, :] - fyi[:-1, :]) / g.dx  # C^T f
-        y = (qx.T @ rhs @ qy) * inv_s  # S^{-1} C^T f in the sine basis
-        z = self._inv_m @ np.concatenate([(y @ ay.T).T.ravel(), (ax @ y).ravel()])
-        zx, zy = z[: 2 * (g.nx - 1)].reshape(2, -1), z[2 * (g.nx - 1) :].reshape(2, -1)
-        y -= inv_s * (zx.T @ ay + ax.T @ zy)
         psi = np.zeros((g.nx + 1, g.ny + 1))
-        psi[1:-1, 1:-1] = qx @ y @ qy.T
+        psi[1:-1, 1:-1] = self.solve_corners(rhs)
         return VectorField.from_stream(g, psi)
 
     def pressure(self, fx: np.ndarray, fy: np.ndarray, u: VectorField) -> ScalarField:

@@ -3,10 +3,14 @@
 The Stokes problem is solved on the stream-function parameterization of
 the discretely divergence-free zero-trace subspace, which keeps the
 operator symmetric and makes every mode divergence-free to machine
-precision.  Its eigenpairs come from shift-invert Lanczos about zero with a
-deterministic start vector; only the full basis (or all but one mode),
-where ARPACK cannot run, takes a dense symmetric solve.  Modes inside a
-degenerate eigenspace are one orthonormal basis of it, not a canonical one.
+precision: K psi = w L psi on the interior corners, with K = C^T (-Lap) C
+and L = C^T C for the stream curl C.  Its eigenpairs come from shift-invert
+Lanczos about zero with a deterministic start vector, where K^{-1} is the
+solve of the Stokes step's ``StokesSaddle`` at inv_dt = 0 and nu = 1; no
+sparse matrix is factored.  Only the full basis (or all but one mode),
+where ARPACK cannot run, takes a dense symmetric solve, in the corner sines
+where L is diagonal.  Modes inside a degenerate eigenspace are one
+orthonormal basis of it, not a canonical one.
 
 The Laplacian basis is vector-valued with one nonzero component per mode
 (the scalar blocks are independent), ordered by eigenvalue across both
@@ -24,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import SolverFailure
 from .geometry import Grid, VectorField, grad_norm_sq, l2_norm_sq
 from .ioutil import atomic_write_bytes
-from .operators import apply_lap_mirror, dirichlet_modes, stream_forms
+from .operators import StokesSaddle, apply_lap_mirror, dirichlet_modes, stream_curl_matrix
 
 __all__ = [
     "SpectralBasis",
@@ -48,7 +52,7 @@ KINDS = ("stokes", "dirichlet_laplacian")
 # MAGIC | kind, nx, ny, count | crc32 | payload.  The crc32 covers magic, header
 # and payload; the payload holds the eigenvalues, then modes_x, then modes_y,
 # as little-endian f8.
-MAGIC = b"MHDBASIS2"
+MAGIC = b"MHDBASIS3"
 _BASIS_HEADER = struct.Struct("<24sqqq")
 _BASIS_CRC = struct.Struct("<I")
 
@@ -93,16 +97,38 @@ def _fix_signs(vectors, tol=1e-8):
     return v
 
 
-def _symmetric_eigs(a, m, k):
-    """Lowest k eigenpairs of the generalized problem a v = w m v.
+def _stokes_eigs(grid: Grid, k: int):
+    """Lowest k eigenpairs of K psi = w L psi, psi on the raveled interior corners.
 
-    ARPACK needs k < N - 1; the full basis takes a dense solve.
+    L = C^T C is diag(lam) in the corner sines of ``dirichlet_modes``.
+    ARPACK's shift-invert mode about zero applies only K^{-1}, the corner
+    solve of a ``StokesSaddle`` at inv_dt = 0 and nu = 1, and L; its first
+    operator only supplies the shape.  ARPACK needs k < N - 1; the full
+    basis takes a dense solve in the corner sines, where
+    K = diag(lam**2) + F^T F with F the saddle's ``frame_sines``.
     """
-    if k >= a.shape[0] - 1:
-        return scipy.linalg.eigh(a.toarray(), m.toarray(), subset_by_index=[0, k - 1])
-    v0 = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
+    saddle = StokesSaddle(grid, 0.0, 1.0)
+    qx, lx = dirichlet_modes(grid.nx, grid.dx, nodal=True)
+    qy, ly = dirichlet_modes(grid.ny, grid.dy, nodal=True)
+    lam = np.add.outer(lx, ly)
+    n = lam.size
+    if k >= n - 1:
+        f = saddle.frame_sines()
+        w, v = scipy.linalg.eigh(np.diag(lam.ravel() ** 2) + f.T @ f, np.diag(lam.ravel()),
+                                 subset_by_index=[0, k - 1])
+        return w, np.kron(qx, qy) @ v
+
+    def op(matvec):
+        return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+
+    def shape_only(x):
+        raise NotImplementedError("shift-invert Lanczos applies only K^{-1} and L")
+
+    mass = op(lambda x: (qx @ ((qx.T @ x.reshape(lam.shape) @ qy) * lam) @ qy.T).ravel())
+    k_inv = op(lambda x: saddle.solve_corners(x.reshape(lam.shape)).ravel())
     try:
-        w, v = eigsh(a, k=k, M=m.tocsc(), sigma=0.0, which="LM", v0=v0)
+        w, v = eigsh(op(shape_only), k=k, M=mass, sigma=0.0, which="LM",
+                     v0=np.ones(n) / np.sqrt(n), OPinv=k_inv)
     except ArpackNoConvergence as exc:
         raise SolverFailure(f"eigensolver did not converge: {exc}")
     order = np.argsort(w)
@@ -152,9 +178,8 @@ def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = False) -> Spect
     my = np.zeros((n,) + grid.shape_yface())
     if n == 0:
         return SpectralBasis("stokes", grid, np.zeros(0), mx, my)
-    c, a, mass = stream_forms(grid)
-    w, v = _symmetric_eigs(a, mass, n)
-    fields = _fix_signs(c @ v)  # columns are face fields
+    w, v = _stokes_eigs(grid, n)
+    fields = _fix_signs(stream_curl_matrix(grid) @ v)  # columns are face fields
     fields /= np.sqrt(grid.dx * grid.dy * np.sum(fields**2, axis=0))
     nux = (grid.nx - 1) * grid.ny
     mx[:, 1:-1, :] = fields[:nux].T.reshape(n, grid.nx - 1, grid.ny)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhd2d.geometry import Grid, ScalarBC, ScalarField, VectorField
+from mhd2d.operators import stream_curl_matrix
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +52,48 @@ def scalar_bc_from_function(grid, f):
         f(np.zeros_like(yc), yc),
         f(np.ones_like(yc), yc),
     )
+
+
+# --- assembled sparse oracles of the closed-form solvers -------------------
+
+def tridiag_nodal(n):
+    """1D second difference for nodes with Dirichlet data one node outside."""
+    return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+
+def tridiag_mirror(n):
+    """1D second difference for cells with a Dirichlet wall at half spacing."""
+    d = -2.0 * np.ones(n)
+    d[0] = d[-1] = -3.0
+    return sp.diags([np.ones(n - 1), d, np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+
+def tridiag_neumann(n):
+    """1D second difference for cells with homogeneous Neumann walls."""
+    d = -2.0 * np.ones(n)
+    d[0] = d[-1] = -1.0
+    return sp.diags([np.ones(n - 1), d, np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+
+def lap_xcomp_interior(grid):
+    """Mirror Laplacian on interior x-faces (zero-trace closure), shape ((nx-1)ny,)^2."""
+    tx = tridiag_nodal(grid.nx - 1) / grid.dx**2
+    ty = tridiag_mirror(grid.ny) / grid.dy**2
+    return sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx - 1), ty)
+
+
+def lap_ycomp_interior(grid):
+    """Mirror Laplacian on interior y-faces (zero-trace closure), shape (nx(ny-1),)^2."""
+    tx = tridiag_mirror(grid.nx) / grid.dx**2
+    ty = tridiag_nodal(grid.ny - 1) / grid.dy**2
+    return sp.kron(tx, sp.identity(grid.ny - 1)) + sp.kron(sp.identity(grid.nx), ty)
+
+
+def stream_forms(grid):
+    """(C, C^T (-Lap) C, C^T C), the last two symmetrized: the stream curl and
+    the Stokes stiffness and mass on the interior corners, assembled."""
+    c = stream_curl_matrix(grid)
+    lap = sp.block_diag((lap_xcomp_interior(grid), lap_ycomp_interior(grid)))
+    a = (c.T @ (-lap) @ c).tocsc()
+    mass = (c.T @ c).tocsc()
+    return c, 0.5 * (a + a.T), 0.5 * (mass + mass.T)

@@ -574,16 +574,25 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
 
 
 def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
     calls = []
-    real = operators.splu
-    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    banded = scipy.linalg.cholesky_banded
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", lambda *a, **kw: calls.append(a) or banded(*a, **kw))
-    operators.stream_forms.cache_clear()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    count(operators, "splu")
+    count(scipy.linalg, "cholesky_banded")
+    for name in ("splu", "lu_factor", "gmres"):  # what eigsh factors or iterates with
+        count(arpack, name)
     g = Grid(12, 12)
     NeumannPoisson(g)
     StokesSaddle(g, 1.0 / DT, 1.0)
     StokesSaddle(g, 1.0 / DT, 1.0, NeumannPoisson(g))
+    # Stokes bases by Lanczos (32^2 and 8^2) and by the dense full-basis solve (4^2)
+    for nx, n in ((32, 1), (8, 2), (4, 9)):
+        build_stokes_basis(Grid(nx, nx), n)
     assert calls == []
 
 
