@@ -31,6 +31,10 @@ prepared once: the transport pair's Dirichlet right-hand sides and the
 fixed fields' halves of the convection terms (``geometry.advecting_half``
 and ``transported_half``) once per magnetic step, u^n's half of the
 velocity transport once per coupled step.
+Fields inside a step are built without a finiteness scan
+(``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
+once, and a Picard or outer residual that is NaN or infinite ends the step
+at once; either raises ``StepFailure``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .geometry import (
     VectorBC,
     VectorField,
     advecting_half,
+    all_finite,
     convect,
     convect_halves,
     divergence,
@@ -403,6 +408,7 @@ class Stepper:
         residuals = []
         res = 0.0
         iters = 0
+        cur_norm = 0.0  # ||cur||, kept from the last iterate for the tests below
         for j in range(PICARD_MAX_ITER):
             iters = j + 1
             if pure_heat:
@@ -414,21 +420,28 @@ class Stepper:
             if shift is not None:
                 lag = convect_halves(lagged, transported_half(cur, bc))  # transport left out
                 lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
-            nxt = VectorField(
+            nxt = VectorField._unchecked(
                 self.grid, opx.solve(rhs_x + lag_x, bnd_x), opy.solve(rhs_y + lag_y, bnd_y)
             )
             res = np.sqrt(l2_norm_sq(nxt - cur))
+            if not math.isfinite(res):  # a NaN or infinity in the iterate
+                raise StepFailure(
+                    "magnetic Picard residual is non-finite",
+                    t=t_next,
+                    detail={"residuals": residuals + [res]},
+                )
             residuals.append(res)
             cur = nxt
-            if exact or res <= cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
+            cur_norm = np.sqrt(l2_norm_sq(cur))
+            if exact or res <= cfg.picard_tol * (1.0 + cur_norm):
                 break
         # contraction measured away from the round-off floor
-        floor = max(1e-3 * cfg.picard_tol, 1e-13) * (1.0 + np.sqrt(l2_norm_sq(cur)))
+        floor = max(1e-3 * cfg.picard_tol, 1e-13) * (1.0 + cur_norm)
         ratios = [
             b / a for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor
         ]
         ratio = max(ratios) if ratios else 0.0
-        if iters == PICARD_MAX_ITER and res > cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cur))):
+        if iters == PICARD_MAX_ITER and res > cfg.picard_tol * (1.0 + cur_norm):
             if ratio >= 1.0:
                 raise StepFailure(
                     f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
@@ -482,7 +495,7 @@ class Stepper:
         if fu is not None:
             fx = fx + fu.x
             fy = fy + fu.y
-        force = VectorField(self.grid, fx, fy)
+        force = VectorField._unchecked(self.grid, fx, fy)
         if cfg.n_modes is None:
             u_new = self.saddle.solve(fx, fy)
         else:
@@ -492,7 +505,7 @@ class Stepper:
             g_new = dt * coeffs / (1.0 + dt * lam / cfg.re)
             ux = np.tensordot(g_new, self.basis.modes_x[:n], axes=(0, 0))
             uy = np.tensordot(g_new, self.basis.modes_y[:n], axes=(0, 0))
-            u_new = VectorField(self.grid, ux, uy)
+            u_new = VectorField._unchecked(self.grid, ux, uy)
         p = self.pressure(force, u_new) if pressure else force
         return u_new, p, StepReport(dt=dt, outer_iterations=1)
 
@@ -551,6 +564,12 @@ class Stepper:
                 u_new, force, _ = velocity(b_new, ubar)
                 outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
                 history.append(float(outer_res))
+                if not math.isfinite(outer_res):
+                    raise StepFailure(
+                        "outer coupling residual is non-finite",
+                        t=t_next,
+                        detail={"residual_history": history},
+                    )
                 if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
                     break
                 if outer_res > res_prev:
@@ -566,12 +585,16 @@ class Stepper:
                 )
         p_new = self.pressure(force, u_new)  # of the accepted iterate only
 
-        self.b_iterates = (t_next, b_last, b_new)  # carried uncleaned
+        b_hat = b_new  # carried uncleaned
         div_before = float(np.max(np.abs(divergence(b_new).values)))
         cleaned = False
         if div_before > cfg.div_clean_threshold:
             b_new, _ = project_divfree(b_new, self.poisson)
             cleaned = True
+        # the step's one finiteness scan: internal fields are built unchecked
+        if not all_finite(u_new, b_new, p_new):
+            raise StepFailure("the accepted step holds non-finite values", t=t_next)
+        self.b_iterates = (t_next, b_last, b_hat)
         report = StepReport(
             dt=cfg.dt,
             # over all outer iterates: a warm-started last one alone often

@@ -20,8 +20,7 @@ from .geometry import (
     divergence,
     grad_norm_sq,
     l2_norm_sq,
-    l4_norm,
-    linf_norm,
+    pointwise_norms,
 )
 from .lifting import BoundaryTrace, FractionalNormSpec, _time_difference, cumtrapz, hs_norm, hs_norm_dt
 from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, stokes_apply
@@ -156,18 +155,21 @@ def record(
     if bc is None:
         bc = trace.vector_bc(t)
     btilde = b - h_e
+    b_sq = l2_norm_sq(b)
+    u_l4, u_linf = pointwise_norms(u)
+    b_l4, b_linf = pointwise_norms(b)
     row = dict(
         t=t,
         u_L2_sq=l2_norm_sq(u),
         grad_u_L2_sq=grad_norm_sq(u),
-        b_L2_sq=l2_norm_sq(b),
-        b_H1_sq=l2_norm_sq(b) + grad_norm_sq(b, bc),
+        b_L2_sq=b_sq,
+        b_H1_sq=b_sq + grad_norm_sq(b, bc),
         btilde_L2_sq=l2_norm_sq(btilde),
         grad_btilde_L2_sq=grad_norm_sq(btilde),
-        u_L4=l4_norm(u),
-        b_L4=l4_norm(b),
-        u_Linf=linf_norm(u),
-        b_Linf=linf_norm(b),
+        u_L4=u_l4,
+        b_L4=b_l4,
+        u_Linf=u_linf,
+        b_Linf=b_linf,
         h_H12_Gamma=hs_norm(trace, t, _SPEC12),
         h_H32_Gamma=hs_norm(trace, t, _SPEC32),
         dth_Hm12_Gamma=hs_norm_dt(trace, t, _SPECM12),
@@ -421,7 +423,7 @@ def brezis_gallouet_ratio(f, bc=None) -> float:
         l2 = l2_norm_sq(f)
         gr = grad_norm_sq(f, bc)
         lap = l2_norm_sq(apply_lap_mirror(f, bc))
-        sup = linf_norm(f)
+        sup = pointwise_norms(f)[1]
     h1_sq = l2 + gr
     if h1_sq <= 0.0:
         raise ValueError("undefined ratio for the zero field")

@@ -10,6 +10,14 @@ stay second-order accurate up to the wall).
 All operators here are pure stencil evaluations used for diagnostics and
 residual checks.  The symmetric solver-side operators (used for implicit
 solves, eigenproblems and energy identities) live in ``operators``.
+
+Finiteness is checked where data enters, not on every field: the public
+constructors ``ScalarField(grid, values)``, ``VectorField(grid, x, y)`` and
+``VectorField.from_functions`` check shape and finiteness.  Fields the
+package computes (``zeros``, ``copy``, arithmetic, ``from_stream``, the
+stencils here and the solver outputs elsewhere) come from the private
+``_unchecked`` constructors, which scan nothing; ``Stepper.coupled_step``
+scans each accepted state once with ``all_finite``.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ __all__ = [
     "l2_norm_sq",
     "grad_norm_sq",
     "collocate",
-    "l4_norm",
-    "linf_norm",
+    "pointwise_norms",
+    "all_finite",
 ]
 
 
@@ -90,14 +98,19 @@ class Grid:
         return (self.nx, self.ny + 1)
 
 
-def _check_finite(name, arr):
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+def _finite(arr) -> bool:
+    """One full scan of an array for NaN and infinity: the entry checks of the
+    public field constructors and ``all_finite`` both run it."""
+    return bool(np.isfinite(arr).all())
 
 
 @dataclass
 class ScalarField:
-    """Cell-centered scalar values, shape (nx, ny)."""
+    """Cell-centered scalar values, shape (nx, ny).
+
+    ``ScalarField(grid, values)`` checks the shape and that every value is
+    finite; ``_unchecked`` wraps an array the package computed without either.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -108,19 +121,33 @@ class ScalarField:
             raise ValueError(
                 f"scalar field shape {self.values.shape} != {self.grid.shape_center()}"
             )
-        _check_finite("scalar field", self.values)
+        if not _finite(self.values):
+            raise ValueError("scalar field contains non-finite values")
+
+    @classmethod
+    def _unchecked(cls, grid, values):
+        """A field of a C-contiguous float64 array of the right shape; no check runs."""
+        f = object.__new__(cls)
+        f.grid, f.values = grid, values
+        return f
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape_center()))
+        return cls._unchecked(grid, np.zeros(grid.shape_center()))
 
     def copy(self):
-        return ScalarField(self.grid, self.values.copy())
+        return ScalarField._unchecked(self.grid, self.values.copy())
 
 
 @dataclass
 class VectorField:
-    """MAC vector field: x on vertical faces (nx+1, ny), y on horizontal faces (nx, ny+1)."""
+    """MAC vector field: x on vertical faces (nx+1, ny), y on horizontal faces (nx, ny+1).
+
+    ``VectorField(grid, x, y)`` and ``from_functions`` take outside data and
+    check the shapes and that every value is finite.  ``_unchecked`` wraps
+    arrays the package computed without either; ``zeros``, ``copy``,
+    ``from_stream`` and the arithmetic operators use it.
+    """
 
     grid: Grid
     x: np.ndarray
@@ -133,12 +160,19 @@ class VectorField:
             raise ValueError(f"x-component shape {self.x.shape} != {self.grid.shape_xface()}")
         if self.y.shape != self.grid.shape_yface():
             raise ValueError(f"y-component shape {self.y.shape} != {self.grid.shape_yface()}")
-        _check_finite("vector field", self.x)
-        _check_finite("vector field", self.y)
+        if not (_finite(self.x) and _finite(self.y)):
+            raise ValueError("vector field contains non-finite values")
+
+    @classmethod
+    def _unchecked(cls, grid, x, y):
+        """A field of C-contiguous float64 arrays of the face shapes; no check runs."""
+        f = object.__new__(cls)
+        f.grid, f.x, f.y = grid, x, y
+        return f
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape_xface()), np.zeros(grid.shape_yface()))
+        return cls._unchecked(grid, np.zeros(grid.shape_xface()), np.zeros(grid.shape_yface()))
 
     @classmethod
     def from_functions(cls, grid, fx, fy):
@@ -155,21 +189,31 @@ class VectorField:
             raise ValueError("stream array must live on corners")
         ux = (psi[:, 1:] - psi[:, :-1]) / grid.dy
         uy = -(psi[1:, :] - psi[:-1, :]) / grid.dx
-        return cls(grid, ux, uy)
+        return cls._unchecked(grid, ux, uy)
 
     def copy(self):
-        return VectorField(self.grid, self.x.copy(), self.y.copy())
+        return VectorField._unchecked(self.grid, self.x.copy(), self.y.copy())
 
     def __add__(self, other):
-        return VectorField(self.grid, self.x + other.x, self.y + other.y)
+        return VectorField._unchecked(self.grid, self.x + other.x, self.y + other.y)
 
     def __sub__(self, other):
-        return VectorField(self.grid, self.x - other.x, self.y - other.y)
+        return VectorField._unchecked(self.grid, self.x - other.x, self.y - other.y)
 
     def __mul__(self, a):
-        return VectorField(self.grid, a * self.x, a * self.y)
+        return VectorField._unchecked(self.grid, a * self.x, a * self.y)
 
     __rmul__ = __mul__
+
+
+def all_finite(*fields) -> bool:
+    """Whether every value of the given scalar and vector fields is finite:
+    one scan per array."""
+    for f in fields:
+        arrays = (f.values,) if isinstance(f, ScalarField) else (f.x, f.y)
+        if not all(_finite(a) for a in arrays):
+            return False
+    return True
 
 
 @dataclass
@@ -255,7 +299,7 @@ def divergence(v: VectorField) -> ScalarField:
     """Cell-centered divergence from face differences."""
     g = v.grid
     d = (v.x[1:, :] - v.x[:-1, :]) / g.dx + (v.y[:, 1:] - v.y[:, :-1]) / g.dy
-    return ScalarField(g, d)
+    return ScalarField._unchecked(g, d)
 
 
 def gradient(s: ScalarField) -> VectorField:
@@ -314,7 +358,7 @@ def laplacian(f, bc):
         lap = (p[2:, 1:-1] - 2 * core + p[:-2, 1:-1]) / g.dx**2 + (
             p[1:-1, 2:] - 2 * core + p[1:-1, :-2]
         ) / g.dy**2
-        return ScalarField(g, lap)
+        return ScalarField._unchecked(g, lap)
     if isinstance(f, VectorField):
         if not isinstance(bc, VectorBC):
             raise ValueError("vector field needs VectorBC closure")
@@ -493,16 +537,12 @@ def collocate(v: VectorField):
     return cx, cy
 
 
-def l4_norm(v: VectorField) -> float:
+def pointwise_norms(v: VectorField):
+    """(L4, Linf) norms of the field collocated to cell centers."""
     cx, cy = collocate(v)
     m2 = cx**2 + cy**2
     g = v.grid
-    return float((g.dx * g.dy * np.sum(m2**2)) ** 0.25)
-
-
-def linf_norm(v: VectorField) -> float:
-    cx, cy = collocate(v)
-    return float(np.sqrt(np.max(cx**2 + cy**2)))
+    return float((g.dx * g.dy * np.sum(m2**2)) ** 0.25), float(np.sqrt(np.max(m2)))
 
 
 # --- identity suite ------------------------------------------------------
@@ -563,7 +603,7 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     lhs1_x = -wx * b2_at_x
     lhs1_y = wy * b1_at_y
     cxc, cyc = collocate(b)
-    half_sq = ScalarField(g, 0.5 * (cxc**2 + cyc**2))
+    half_sq = ScalarField._unchecked(g, 0.5 * (cxc**2 + cyc**2))
     gsq = gradient(half_sq)
     adv = convect(b, b, bc)
     r1x = lhs1_x - (adv.x[1:-1, :] - gsq.x[1:-1, :])

@@ -24,7 +24,6 @@ from .geometry import Grid, ScalarField, VectorBC, VectorField, advecting_half, 
 
 __all__ = [
     "dirichlet_modes",
-    "stream_curl_matrix",
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
@@ -34,20 +33,6 @@ __all__ = [
     "StokesSaddle",
     "stokes_apply",
 ]
-
-
-def stream_curl_matrix(grid: Grid):
-    """Curl taking interior-corner stream values to interior faces.
-
-    The range is exactly the discretely divergence-free, zero-normal-trace
-    subspace; the map is injective, so it parameterizes that subspace.
-    """
-    nx, ny = grid.nx, grid.ny
-    by = sp.diags([np.ones(ny - 1), -np.ones(ny - 1)], [0, -1], shape=(ny, ny - 1)) / grid.dy
-    c1 = sp.kron(sp.identity(nx - 1), by)
-    bx = sp.diags([np.ones(nx - 1), -np.ones(nx - 1)], [0, -1], shape=(nx, nx - 1)) / grid.dx
-    c2 = -sp.kron(bx, sp.identity(ny - 1))
-    return sp.vstack([c1, c2]).tocsr()
 
 
 # --- mirror-closure stencil applications ----------------------------------
@@ -102,7 +87,7 @@ def apply_lap_mirror_scalar(s: ScalarField, bc=None) -> ScalarField:
     lap = (p[2:, 1:-1] - 2 * v + p[:-2, 1:-1]) / g.dx**2 + (
         p[1:-1, 2:] - 2 * v + p[1:-1, :-2]
     ) / g.dy**2
-    return ScalarField(g, lap)
+    return ScalarField._unchecked(g, lap)
 
 
 # --- implicit transport ----------------------------------------------------
@@ -482,12 +467,12 @@ class NeumannPoisson:
 
 def project_divfree(v: VectorField, poisson: NeumannPoisson):
     """Remove the discrete gradient part; wall-normal faces are untouched."""
-    q = poisson.solve(divergence(v).values)
-    gq = gradient(ScalarField(v.grid, q))
+    q = ScalarField._unchecked(v.grid, poisson.solve(divergence(v).values))
+    gq = gradient(q)
     out = v.copy()
     out.x[1:-1, :] -= gq.x[1:-1, :]
     out.y[:, 1:-1] -= gq.y[:, 1:-1]
-    return out, ScalarField(v.grid, q)
+    return out, q
 
 
 def stokes_apply(u: VectorField, poisson: NeumannPoisson):
@@ -496,7 +481,7 @@ def stokes_apply(u: VectorField, poisson: NeumannPoisson):
     Returns (Su, gradP) as fields; u must have zero trace.
     """
     w = apply_lap_mirror(u)
-    w = VectorField(u.grid, -w.x, -w.y)
+    w = VectorField._unchecked(u.grid, -w.x, -w.y)
     su, q = project_divfree(w, poisson)
     gp = w - su
     return su, gp
@@ -595,4 +580,4 @@ class StokesSaddle:
         rx[0, :] = rx[-1, :] = 0.0
         ry[:, 0] = ry[:, -1] = 0.0
         div = (rx[1:, :] - rx[:-1, :]) / g.dx + (ry[:, 1:] - ry[:, :-1]) / g.dy
-        return ScalarField(g, self.poisson.solve(div))
+        return ScalarField._unchecked(g, self.poisson.solve(div))

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import SolverFailure
 from .geometry import Grid, VectorField, grad_norm_sq, l2_norm_sq
 from .ioutil import atomic_write_bytes
-from .operators import StokesSaddle, apply_lap_mirror, dirichlet_modes, stream_curl_matrix
+from .operators import StokesSaddle, apply_lap_mirror, dirichlet_modes
 
 __all__ = [
     "SpectralBasis",
@@ -52,7 +52,7 @@ KINDS = ("stokes", "dirichlet_laplacian")
 # MAGIC | kind, nx, ny, count | crc32 | payload.  The crc32 covers magic, header
 # and payload; the payload holds the eigenvalues, then modes_x, then modes_y,
 # as little-endian f8.
-MAGIC = b"MHDBASIS3"
+MAGIC = b"MHDBASIS4"
 _BASIS_HEADER = struct.Struct("<24sqqq")
 _BASIS_CRC = struct.Struct("<I")
 
@@ -82,7 +82,7 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
     def mode(self, i) -> VectorField:
-        return VectorField(self.grid, self.modes_x[i].copy(), self.modes_y[i].copy())
+        return VectorField._unchecked(self.grid, self.modes_x[i].copy(), self.modes_y[i].copy())
 
 
 def _fix_signs(vectors, tol=1e-8):
@@ -179,7 +179,13 @@ def build_stokes_basis(grid: Grid, n: int, with_pressure: bool = False) -> Spect
     if n == 0:
         return SpectralBasis("stokes", grid, np.zeros(0), mx, my)
     w, v = _stokes_eigs(grid, n)
-    fields = _fix_signs(stream_curl_matrix(grid) @ v)  # columns are face fields
+    # psi to interior faces as ``VectorField.from_stream`` differences it,
+    # the mode index last: columns are face fields, x-faces first
+    psi = np.zeros((grid.nx + 1, grid.ny + 1, n))
+    psi[1:-1, 1:-1] = v.reshape(grid.nx - 1, grid.ny - 1, n)
+    ux = (psi[1:-1, 1:] - psi[1:-1, :-1]) / grid.dy
+    uy = -(psi[1:, 1:-1] - psi[:-1, 1:-1]) / grid.dx
+    fields = _fix_signs(np.concatenate([ux.reshape(-1, n), uy.reshape(-1, n)]))
     fields /= np.sqrt(grid.dx * grid.dy * np.sum(fields**2, axis=0))
     nux = (grid.nx - 1) * grid.ny
     mx[:, 1:-1, :] = fields[:nux].T.reshape(n, grid.nx - 1, grid.ny)
@@ -200,7 +206,7 @@ def project(basis: SpectralBasis, f: VectorField, k: int | None = None):
     coeffs = w * (mx @ f.x.ravel() + my @ f.y.ravel())
     rx = np.tensordot(coeffs, basis.modes_x[:k], axes=(0, 0))
     ry = np.tensordot(coeffs, basis.modes_y[:k], axes=(0, 0))
-    return coeffs, VectorField(g, rx, ry)
+    return coeffs, VectorField._unchecked(g, rx, ry)
 
 
 def poincare_constants(stokes: SpectralBasis, lap: SpectralBasis):
@@ -235,7 +241,7 @@ def basis_inequality_check(stokes: SpectralBasis, n: int, samples: int = 20, see
         gvec = rng.standard_normal(n)
         ux = np.tensordot(gvec, stokes.modes_x[:n], axes=(0, 0))
         uy = np.tensordot(gvec, stokes.modes_y[:n], axes=(0, 0))
-        u1 = VectorField(stokes.grid, ux, uy)
+        u1 = VectorField._unchecked(stokes.grid, ux, uy)
         lap_sq = l2_norm_sq(apply_lap_mirror(u1))
         grad_sq = grad_norm_sq(u1)
         spectral = float(np.sum(gvec**2 * stokes.eigenvalues[:n]))

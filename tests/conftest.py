@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from mhd2d.geometry import Grid, ScalarBC, ScalarField, VectorField
-from mhd2d.operators import stream_curl_matrix
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +54,20 @@ def scalar_bc_from_function(grid, f):
 
 
 # --- assembled sparse oracles of the closed-form solvers -------------------
+
+def stream_curl_matrix(grid):
+    """Curl taking interior-corner stream values to interior faces.
+
+    The range is exactly the discretely divergence-free, zero-normal-trace
+    subspace; the map is injective, so it parameterizes that subspace.
+    """
+    nx, ny = grid.nx, grid.ny
+    by = sp.diags([np.ones(ny - 1), -np.ones(ny - 1)], [0, -1], shape=(ny, ny - 1)) / grid.dy
+    c1 = sp.kron(sp.identity(nx - 1), by)
+    bx = sp.diags([np.ones(nx - 1), -np.ones(nx - 1)], [0, -1], shape=(nx, nx - 1)) / grid.dx
+    c2 = -sp.kron(bx, sp.identity(ny - 1))
+    return sp.vstack([c1, c2]).tocsr()
+
 
 def tridiag_nodal(n):
     """1D second difference for nodes with Dirichlet data one node outside."""

@@ -112,6 +112,19 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
 
+def test_main_non_finite_step_is_solver_failure(tmp_path, capsys, monkeypatch):
+    from mhd2d.dynamics import Forcing
+    from mhd2d.geometry import Grid, VectorField
+
+    g = Grid(16, 16)
+    huge = VectorField(g, np.full(g.shape_xface(), 1e300), np.full(g.shape_yface(), 1e300))
+    monkeypatch.setattr(Forcing, "b_at", lambda self, t: huge if t > 0.005 else None)
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure:" in err and "non-finite" in err and "t=0.006" in err
+
+
 @pytest.mark.parametrize(
     "text",
     [

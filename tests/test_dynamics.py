@@ -22,7 +22,8 @@ from mhd2d.dynamics import (
     run,
     write_checkpoint,
 )
-from mhd2d.errors import CompatibilityError, ConfigError
+from mhd2d import geometry
+from mhd2d.errors import CompatibilityError, ConfigError, StepFailure
 from mhd2d.estimates import LEDGER_COLUMNS
 from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
 from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
@@ -547,6 +548,39 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     assert calls.count("u") == calls.count("b") == nsteps
     # one lookup per coupled step, shared with the ledger row after it
     assert calls.count("bc") == nsteps + 1
+
+
+def test_non_finite_step_fails_at_once_with_step_failure():
+    scen = make_scenario("ramp", nx=16, t_final=0.01)
+    g = scen.cfg.grid()
+    huge = VectorField(g, np.full(g.shape_xface(), 1e300), np.full(g.shape_yface(), 1e300))
+    forcing = Forcing(b=lambda t: huge if t > 0.005 else None)
+    with pytest.raises(StepFailure, match="non-finite") as err:
+        run(scen.cfg, scen.u0, scen.b0, scen.trace, forcing=forcing)
+    assert err.value.t == pytest.approx(0.006, abs=1e-12)
+    # the first Picard iterate of the first outer iterate stops it
+    assert len(err.value.detail["residuals"]) == 1
+
+
+def test_one_finiteness_scan_per_array_of_the_accepted_state(monkeypatch):
+    nsteps = 5
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+    scans, per_step = [], []
+    scan, step = geometry._finite, Stepper.coupled_step
+
+    def counted_step(self, state):
+        before = len(scans)
+        out = step(self, state)
+        per_step.append(len(scans) - before)
+        return out
+
+    monkeypatch.setattr(geometry, "_finite", lambda a: scans.append(a.shape) or scan(a))
+    monkeypatch.setattr(Stepper, "coupled_step", counted_step)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert sum(r.outer_iterations for r in traj.reports) > nsteps
+    # u.x, u.y, b.x, b.y and p once per step; nothing else in the run scans
+    assert per_step == [5] * nsteps
+    assert len(scans) == 5 * nsteps
 
 
 @pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])

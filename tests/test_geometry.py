@@ -11,6 +11,7 @@ from mhd2d.geometry import (
     VectorBC,
     VectorField,
     advecting_half,
+    all_finite,
     convect,
     convect_halves,
     divergence,
@@ -39,6 +40,22 @@ def test_field_shape_errors():
         VectorField(g, np.zeros((8, 8)), np.zeros((8, 9)))
     with pytest.raises(ValueError):
         ScalarField(g, np.full((8, 8), np.nan))
+
+
+def test_public_constructors_refuse_non_finite_values():
+    g = Grid(8, 8)
+    ones_x, ones_y = np.ones(g.shape_xface()), np.ones(g.shape_yface())
+    bad_y = ones_y.copy()
+    bad_y[3, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorField(g, ones_x, bad_y)
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorField.from_functions(g, lambda x, y: x, lambda x, y: np.full_like(y, np.nan))
+    # computed fields are not scanned; all_finite finds what they hold
+    computed = VectorField(g, ones_x, ones_y) * np.inf
+    assert not all_finite(computed)
+    assert not all_finite(VectorField.zeros(g), divergence(computed))  # inf - inf
+    assert all_finite(VectorField.zeros(g), ScalarField.zeros(g))
 
 
 def test_divergence_constant_field():

@@ -17,6 +17,7 @@ from conftest import (
     lap_ycomp_interior,
     random_divfree,
     random_zero_trace,
+    stream_curl_matrix,
     stream_forms,
     tridiag_neumann,
 )
@@ -39,7 +40,6 @@ from mhd2d.operators import (
     apply_lap_mirror,
     project_divfree,
     stokes_apply,
-    stream_curl_matrix,
 )
 from mhd2d.dynamics import run
 from mhd2d.scenarios import make_scenario

@@ -21,6 +21,7 @@ from mhd2d.geometry import (
 )
 from mhd2d.operators import NeumannPoisson, apply_lap_mirror
 from mhd2d.spectral import (
+    MAGIC,
     SpectralBasis,
     basis_inequality_check,
     build_laplacian_basis,
@@ -345,13 +346,14 @@ def _v1_bytes(basis):
     return b"".join(parts)
 
 
-def _v2_bytes(raw):
-    """A current cache file under the MHDBASIS2 magic, its checksum recomputed: the
-    same layout, but the magic of caches whose Stokes bases came from the
-    assembled-forms route."""
-    assert raw.startswith(b"MHDBASIS3")
-    off = len(b"MHDBASIS3") + struct.calcsize("<24sqqq")
-    head = b"MHDBASIS2" + raw[len(b"MHDBASIS3") : off]
+def _old_magic_bytes(raw, magic):
+    """A current cache file under an earlier magic of the same layout, its
+    checksum recomputed: MHDBASIS2 caches hold Stokes bases from the
+    assembled-forms route, MHDBASIS3 ones map psi to faces with the sparse
+    stream curl, and both differ from today's at round-off."""
+    assert raw.startswith(MAGIC) and len(magic) == len(MAGIC)
+    off = len(MAGIC) + struct.calcsize("<24sqqq")
+    head = magic + raw[len(MAGIC) : off]
     payload = raw[off + 4 :]
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
 
@@ -364,7 +366,8 @@ def test_damaged_or_v1_basis_cache_is_rebuilt(tmp_path, caplog):
     raw = path.read_bytes()
     flipped = bytearray(raw)
     flipped[-104] ^= 0x01  # the lowest bit of one mode value
-    damaged = [raw[:-8], b"NOTBASIS" + raw[8:], bytes(flipped), _v1_bytes(good), _v2_bytes(raw)]
+    damaged = [raw[:-8], b"NOTBASIS" + raw[8:], bytes(flipped), _v1_bytes(good),
+               _old_magic_bytes(raw, b"MHDBASIS2"), _old_magic_bytes(raw, b"MHDBASIS3")]
     for data in damaged:
         path.write_bytes(data)
         with pytest.raises(ValueError):
