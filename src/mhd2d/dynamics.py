@@ -23,18 +23,22 @@ The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
 its nonlinear terms are lagged.  The outer loop alternates the two solves
-until successive velocity iterates agree; the pressure is recovered once,
-from the accepted iterate.  The boundary data and the
-body forces at the new time are looked up once per step (the ledger row
-after the step reuses that boundary data).  What a step holds fixed is
-prepared once: the transport pair's Dirichlet right-hand sides and the
-fixed fields' halves of the convection terms (``geometry.advecting_half``
-and ``transported_half``) once per magnetic step, u^n's half of the
-velocity transport once per coupled step.
+until successive velocity iterates agree.
+``Stepper.coupled_step`` is the one caller of the two sub-steps and owns
+what they share: it looks up the boundary data and the body forces at the
+new time once per step (the ledger row after the step reuses that boundary
+data), keeps or refactors the transport pair, and recovers the pressure
+once, from the accepted iterate.  What a step holds fixed is prepared once:
+the transport pair's Dirichlet right-hand sides and the fixed fields'
+halves of the convection terms (``geometry.advecting_half`` and
+``transported_half``) once per magnetic step, u^n's half of the velocity
+transport once per coupled step.
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
 once, and a Picard or outer residual that is NaN or infinite ends the step
-at once; either raises ``StepFailure``.
+at once; either raises ``StepFailure``.  The Picard and outer loops run
+with numpy's overflow and invalid-value warnings off, since every such
+value ends in one of these two checks.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from .lifting import (
     harmonic_extend_bc,
     heat_step,
     normal_trace,
-    with_normal_trace,
 )
 from .operators import (
     NeumannPoisson,
@@ -131,7 +134,6 @@ class SolverConfig:
     outer_mode: str = "fixed_point"  # or "single_pass"
     outer_tol: float = 1e-9
     compat_tol_factor: float = 1e-8
-    compat_action: str = "reject"  # or "project"
     div_clean_threshold: float = 1e-10
     strong_mode: bool = False
     keep_states: bool = False
@@ -159,8 +161,6 @@ class SolverConfig:
                 bad.append(f"tolerances.{name} must be positive")
         if self.outer_mode not in ("fixed_point", "single_pass"):
             bad.append("outer mode must be fixed_point or single_pass")
-        if self.compat_action not in ("reject", "project"):
-            bad.append("compatibility action must be reject or project")
         if self.checkpoint_every < 0:
             bad.append("outputs.checkpoint_every must be >= 0 (0 writes no checkpoints)")
         if bad:
@@ -193,9 +193,10 @@ class SimState:
 
 @dataclass
 class StepReport:
-    """Solver health of one magnetic, velocity or coupled step.  A coupled
-    step sums the Picard iterations and takes the largest contraction ratio
-    over its outer iterates; the Picard residual is the last iterate's."""
+    """Solver health of one magnetic or coupled step.  A magnetic step fills
+    the Picard fields only.  A coupled step sums the Picard iterations and
+    takes the largest contraction ratio over its outer iterates; the Picard
+    residual is the last iterate's."""
 
     dt: float
     picard_iterations: int = 0
@@ -272,13 +273,6 @@ def compatibility_check(
         and abs(flux) < 1e-9 * (1.0 + scale)
     )
     return CompatReport(div_u, div_b, u_trace, b_trace, flux, ok)
-
-
-def _project_compatible(u0, b0, trace, poisson, t):
-    """Repair incompatible data: enforce traces, then remove gradient parts."""
-    u0, _ = project_divfree(with_normal_trace(u0, VectorBC.zero(u0.grid)), poisson)
-    b0, _ = project_divfree(with_normal_trace(b0, trace.vector_bc(t)), poisson)
-    return u0, b0
 
 
 class Stepper:
@@ -358,28 +352,25 @@ class Stepper:
         u_frozen: VectorField,
         b_prev: VectorField,
         t_prev: float,
-        bc: VectorBC | None = None,
-        transport: TransportPair | None = None,
-        fb: VectorField | None = None,
-        b_start: VectorField | None = None,
+        *,
+        bc: VectorBC,
+        transport: TransportPair,
+        fb: VectorField | None,
+        b_start: VectorField,
     ):
-        """One implicit magnetic step; transport implicit, stretching lagged.
+        """One implicit magnetic step from t_prev; transport implicit,
+        stretching lagged.  Returns (b_new, StepReport).
 
-        ``transport`` reuses a pair factored at another velocity u_ref; the
-        transport by u_frozen - u_ref is then lagged next to the stretching
-        term, which leaves the Picard fixed point unchanged.  Without it a
-        pair is factored at u_frozen.  ``bc`` is the boundary data and
-        ``fb`` the magnetic body force at the new time (each looked up when
-        omitted).  ``b_start`` is the first Picard iterate (b_prev when
-        omitted); the stop test and the fixed point do not depend on it.
+        ``transport`` is a pair factored at a velocity u_ref; the transport
+        by u_frozen - u_ref is lagged next to the stretching term, which
+        leaves the Picard fixed point unchanged.  ``bc`` is the boundary data
+        and ``fb`` the magnetic body force at the new time (None: no force).
+        ``b_start`` is the first Picard iterate; the stop test and the fixed
+        point do not depend on it.
         """
         cfg = self.cfg
         dt = cfg.dt
         t_next = t_prev + dt
-        if bc is None:
-            bc = self.vector_bc(t_next)
-        if transport is None:
-            transport = self.transport_operators(u_frozen)
         opx, opy = transport.x, transport.y
         shift = None  # u_frozen - u_ref, None when exactly zero
         if not (
@@ -391,8 +382,6 @@ class Stepper:
         exact = pure_heat and shift is None  # nothing lagged: one solve is exact
         rhs_x = b_prev.x / dt
         rhs_y = b_prev.y / dt
-        if fb is None:
-            fb = self.forcing.b_at(t_next)
         if fb is not None:
             rhs_x = rhs_x + fb.x
             rhs_y = rhs_y + fb.y
@@ -404,37 +393,39 @@ class Stepper:
         stretch = None if pure_heat else transported_half(u_frozen)
         lagged = None if shift is None else advecting_half(shift)
 
-        cur = b_prev if b_start is None else b_start
+        cur = b_start
         residuals = []
         res = 0.0
         iters = 0
         cur_norm = 0.0  # ||cur||, kept from the last iterate for the tests below
-        for j in range(PICARD_MAX_ITER):
-            iters = j + 1
-            if pure_heat:
-                lag_x = 0.0
-                lag_y = 0.0
-            else:
-                lag = convect_halves(advecting_half(cur), stretch)  # stretching, lagged iterate
-                lag_x, lag_y = lag.x, lag.y
-            if shift is not None:
-                lag = convect_halves(lagged, transported_half(cur, bc))  # transport left out
-                lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
-            nxt = VectorField._unchecked(
-                self.grid, opx.solve(rhs_x + lag_x, bnd_x), opy.solve(rhs_y + lag_y, bnd_y)
-            )
-            res = np.sqrt(l2_norm_sq(nxt - cur))
-            if not math.isfinite(res):  # a NaN or infinity in the iterate
-                raise StepFailure(
-                    "magnetic Picard residual is non-finite",
-                    t=t_next,
-                    detail={"residuals": residuals + [res]},
+        # a blown-up iterate warns nowhere: its residual raises StepFailure
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(PICARD_MAX_ITER):
+                iters = j + 1
+                if pure_heat:
+                    lag_x = 0.0
+                    lag_y = 0.0
+                else:  # the stretching term at the lagged iterate
+                    lag = convect_halves(advecting_half(cur), stretch)
+                    lag_x, lag_y = lag.x, lag.y
+                if shift is not None:
+                    lag = convect_halves(lagged, transported_half(cur, bc))  # transport left out
+                    lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
+                nxt = VectorField._unchecked(
+                    self.grid, opx.solve(rhs_x + lag_x, bnd_x), opy.solve(rhs_y + lag_y, bnd_y)
                 )
-            residuals.append(res)
-            cur = nxt
-            cur_norm = np.sqrt(l2_norm_sq(cur))
-            if exact or res <= cfg.picard_tol * (1.0 + cur_norm):
-                break
+                res = np.sqrt(l2_norm_sq(nxt - cur))
+                if not math.isfinite(res):  # a NaN or infinity in the iterate
+                    raise StepFailure(
+                        "magnetic Picard residual is non-finite",
+                        t=t_next,
+                        detail={"residuals": residuals + [res]},
+                    )
+                residuals.append(res)
+                cur = nxt
+                cur_norm = np.sqrt(l2_norm_sq(cur))
+                if exact or res <= cfg.picard_tol * (1.0 + cur_norm):
+                    break
         # contraction measured away from the round-off floor
         floor = max(1e-3 * cfg.picard_tol, 1e-13) * (1.0 + cur_norm)
         ratios = [
@@ -460,38 +451,28 @@ class Stepper:
         self,
         b_frozen: VectorField,
         u_prev: VectorField,
-        t_prev: float,
-        u_advect=None,
-        bc: VectorBC | None = None,
-        fu: VectorField | None = None,
-        u_prev_half: TransportedHalf | None = None,
-        pressure: bool = True,
+        *,
+        u_advect: VectorField,
+        bc: VectorBC,
+        fu: VectorField | None,
+        u_prev_half: TransportedHalf,
     ):
-        """Implicit Stokes (or Galerkin coefficient) velocity update.
+        """Implicit Stokes (or Galerkin coefficient) velocity update with the
+        transport by ``u_advect`` and the Lorentz force of ``b_frozen`` lagged.
 
-        Returns (u_new, p, report).  ``bc`` is the magnetic boundary data
-        and ``fu`` the velocity body force at the new time (each looked up
-        when omitted).  ``u_prev_half`` is ``transported_half(u_prev)``,
-        which the outer iterates of one coupled step share (computed when
-        omitted).  With ``pressure=False`` the second item is the step's
-        right-hand side f instead of p; ``self.pressure(f, u_new)`` recovers
-        p from it.
+        Returns (u_new, f), where f is the step's right-hand side;
+        ``self.pressure(f, u_new)`` recovers p from it.  ``bc`` is the
+        magnetic boundary data and ``fu`` the velocity body force at the new
+        time (None: no force).  ``u_prev_half`` is
+        ``transported_half(u_prev)``, which the outer iterates of one coupled
+        step share.
         """
         cfg = self.cfg
         dt = cfg.dt
-        t_next = t_prev + dt
-        if u_advect is None:
-            u_advect = u_prev
-        if bc is None:
-            bc = self.vector_bc(t_next)
-        if u_prev_half is None:
-            u_prev_half = transported_half(u_prev)
         adv = convect_halves(advecting_half(u_advect), u_prev_half)
         lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
-        if fu is None:
-            fu = self.forcing.u_at(t_next)
         if fu is not None:
             fx = fx + fu.x
             fy = fy + fu.y
@@ -506,8 +487,7 @@ class Stepper:
             ux = np.tensordot(g_new, self.basis.modes_x[:n], axes=(0, 0))
             uy = np.tensordot(g_new, self.basis.modes_y[:n], axes=(0, 0))
             u_new = VectorField._unchecked(self.grid, ux, uy)
-        p = self.pressure(force, u_new) if pressure else force
-        return u_new, p, StepReport(dt=dt, outer_iterations=1)
+        return u_new, force
 
     def pressure(self, force: VectorField, u_new: VectorField) -> ScalarField:
         """The mean-zero pressure of a velocity step with right-hand side
@@ -543,46 +523,47 @@ class Stepper:
             return b
 
         def velocity(bn, ub):
-            return self.u_step(
-                bn, state.u, state.t, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half, pressure=False
-            )
+            return self.u_step(bn, state.u, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half)
 
-        if cfg.outer_mode == "single_pass":
-            b_new = magnetic(ubar, b_new)
-            u_new, force, _ = velocity(b_new, ubar)
-            outer_iters, outer_res = 1, 0.0
-        else:
-            res_prev = np.inf
-            outer_res = np.inf
-            outer_iters = 0
-            for k in range(OUTER_MAX_ITER):
-                outer_iters = k + 1
-                # warm start: Picard starts from the previous iterate's b
-                # (the extrapolation for the first), the fixed point at a
-                # nearby ubar
+        # a blown-up iterate warns nowhere: a non-finite residual raises
+        # StepFailure, and the accepted state is scanned below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.outer_mode == "single_pass":
                 b_new = magnetic(ubar, b_new)
-                u_new, force, _ = velocity(b_new, ubar)
-                outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
-                history.append(float(outer_res))
-                if not math.isfinite(outer_res):
+                u_new, force = velocity(b_new, ubar)
+                outer_iters, outer_res = 1, 0.0
+            else:
+                res_prev = np.inf
+                outer_res = np.inf
+                outer_iters = 0
+                for k in range(OUTER_MAX_ITER):
+                    outer_iters = k + 1
+                    # warm start: Picard starts from the previous iterate's b
+                    # (the extrapolation for the first), the fixed point at a
+                    # nearby ubar
+                    b_new = magnetic(ubar, b_new)
+                    u_new, force = velocity(b_new, ubar)
+                    outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
+                    history.append(float(outer_res))
+                    if not math.isfinite(outer_res):
+                        raise StepFailure(
+                            "outer coupling residual is non-finite",
+                            t=t_next,
+                            detail={"residual_history": history},
+                        )
+                    if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
+                        break
+                    if outer_res > res_prev:
+                        ubar = 0.5 * (ubar + u_new)  # damping on a non-monotone residual
+                    else:
+                        ubar = u_new
+                    res_prev = outer_res
+                else:
                     raise StepFailure(
-                        "outer coupling residual is non-finite",
+                        "outer coupling loop did not converge",
                         t=t_next,
                         detail={"residual_history": history},
                     )
-                if outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
-                    break
-                if outer_res > res_prev:
-                    ubar = 0.5 * (ubar + u_new)  # damping on a non-monotone residual
-                else:
-                    ubar = u_new
-                res_prev = outer_res
-            else:
-                raise StepFailure(
-                    "outer coupling loop did not converge",
-                    t=t_next,
-                    detail={"residual_history": history},
-                )
         p_new = self.pressure(force, u_new)  # of the accepted iterate only
 
         b_hat = b_new  # carried uncleaned
@@ -619,7 +600,6 @@ class Trajectory:
     final_state: SimState
     reports: list
     states: list | None = None
-    compat: CompatReport | None = None
     restart: Restart | None = None  # what continuing from final_state needs
 
 
@@ -650,12 +630,7 @@ def run(
         stepper.b_iterates = (t0, restart.b_prev, restart.b_last)
     compat = compatibility_check(u0, b0, trace, cfg.compat_tol_factor, t=t0)
     if not compat.passed:
-        if cfg.compat_action == "reject":
-            raise CompatibilityError(
-                f"initial data incompatible with the boundary data: {compat}"
-            )
-        u0, b0 = _project_compatible(u0, b0, trace, stepper.poisson, t0)
-        compat = compatibility_check(u0, b0, trace, cfg.compat_tol_factor, t=t0)
+        raise CompatibilityError(f"initial data incompatible with the boundary data: {compat}")
 
     state = SimState(t0, u0.copy(), b0.copy(), p0.copy() if p0 else ScalarField.zeros(grid))
     ledger = EnergyLedger(strong=cfg.strong_mode)
@@ -685,7 +660,7 @@ def run(
 
             path = os.path.join(cfg.checkpoint_dir, f"ckpt_{k + 1:06d}.mhdckpt")
             write_checkpoint(path, state, cfg, trace, stepper.restart(state))
-    return Trajectory(times, state, reports, states, compat, stepper.restart(state)), ledger
+    return Trajectory(times, state, reports, states, stepper.restart(state)), ledger
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -71,10 +71,6 @@ class Grid:
     def dy(self):
         return 1.0 / self.ny
 
-    @property
-    def perimeter(self):
-        return 4.0
-
     # coordinate lines
     def xc(self):
         return (np.arange(self.nx) + 0.5) * self.dx

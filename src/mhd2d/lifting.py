@@ -41,7 +41,6 @@ __all__ = [
     "parabolic_estimate_check",
     "boundary_l2_norm",
     "normal_trace",
-    "with_normal_trace",
     "heat_step",
     "cumtrapz",
     "parabolic_integrals",
@@ -216,14 +215,6 @@ def normal_trace(v: VectorField):
     """Outward normal component of v on every wall face, in trace node order."""
     # counterclockwise node order: top and left walls run backwards
     return np.concatenate([-v.y[:, 0], v.x[-1, :], v.y[::-1, -1], -v.x[0, ::-1]])
-
-
-def with_normal_trace(v: VectorField, bc: VectorBC) -> VectorField:
-    """Copy of v whose wall-normal faces carry the Dirichlet data bc."""
-    out = v.copy()
-    out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
-    out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
-    return out
 
 
 def _time_difference(values, times, i):
@@ -564,11 +555,12 @@ def parabolic_lift(
     dt: float,
     horizon: float,
     kappa: float = 1.0,
-    on_incompatible: str = "reject",
 ) -> ParabolicRun:
-    """Implicit-Euler heat flow with the trace as Dirichlet data."""
+    """Implicit-Euler heat flow with the trace as Dirichlet data; initial
+    data whose normal trace does not match the trace at t=0 raise
+    CompatibilityError."""
     res, ok = check_compatibility_trace(b0, trace)
-    if not ok and on_incompatible == "reject":
+    if not ok:
         raise CompatibilityError(f"initial data does not match trace at t=0 (residual {res:.3e})")
     # the trace-norm series before the states: their transients come first
     h12 = trace.norm_sq_series(FractionalNormSpec(0.5))
@@ -577,8 +569,6 @@ def parabolic_lift(
     t0 = trace.times[0]
     times = [t0] + [t0 + (k + 1) * dt for k in range(int(round(horizon / dt)))]
     bc = trace.vector_bc(t0)
-    if not ok:  # warn-and-project: overwrite the wall-normal faces with the trace
-        b0 = with_normal_trace(b0, bc)
     cur = b0.copy()
     fields, l2s, grads, laps = [], [], [], []
     for k, t in enumerate(times):

@@ -290,14 +290,13 @@ def cache_key(kind, grid, count):
     return f"basis_{kind}_{grid.nx}x{grid.ny}_{count}.mhdbasis"
 
 
-def cached_basis(kind: str, grid: Grid, count: int, cache_dir=None) -> SpectralBasis:
-    """Build (or load a bit-identical cached copy of) an eigenbasis.
+def cached_basis(kind: str, grid: Grid, count: int, cache_dir: str) -> SpectralBasis:
+    """Load a bit-identical copy of an eigenbasis from ``cache_dir``, or
+    build it and store it there.
 
     A cache file that is damaged or holds another basis is rebuilt and rewritten.
     """
     builder = build_stokes_basis if kind == "stokes" else build_laplacian_basis
-    if cache_dir is None:
-        return builder(grid, count)
     path = os.path.join(cache_dir, cache_key(kind, grid, count))
     if os.path.exists(path):
         try:

@@ -112,6 +112,7 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_non_finite_step_is_solver_failure(tmp_path, capsys, monkeypatch):
     from mhd2d.dynamics import Forcing
     from mhd2d.geometry import Grid, VectorField
@@ -123,6 +124,14 @@ def test_main_non_finite_step_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "solver failure:" in err and "non-finite" in err and "t=0.006" in err
+
+
+def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
+    # b = 0 has no normal trace, the boundary data do
+    text = MINIMAL + "\n[boundary]\nmodes = stream amp=0.1 kx=1 ky=1\n\n[initial]\nb = zero\n"
+    cfg = _write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    assert "incompatible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

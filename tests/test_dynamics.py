@@ -25,7 +25,15 @@ from mhd2d.dynamics import (
 from mhd2d import geometry
 from mhd2d.errors import CompatibilityError, ConfigError, StepFailure
 from mhd2d.estimates import LEDGER_COLUMNS
-from mhd2d.geometry import Grid, ScalarField, VectorField, divergence, inner, l2_norm_sq
+from mhd2d.geometry import (
+    Grid,
+    ScalarField,
+    VectorField,
+    divergence,
+    inner,
+    l2_norm_sq,
+    transported_half,
+)
 from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
 from mhd2d.operators import NeumannPoisson, StokesSaddle, TransportOperator
 from mhd2d.scenarios import make_scenario, stream_bump
@@ -36,15 +44,22 @@ DT = 1e-3
 
 
 def b_step(u_frozen, b_prev, trace, dt, **cfg_kw):
-    """One magnetic step of a fresh Stepper from the trace's first instant."""
+    """One unforced magnetic step of a fresh Stepper from the trace's first
+    instant, on a pair factored at u_frozen and started from b_prev."""
     cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, t_final=dt, **cfg_kw)
-    return Stepper(cfg, trace).b_step(u_frozen, b_prev, trace.times[0])
+    st, t = Stepper(cfg, trace), trace.times[0]
+    return st.b_step(u_frozen, b_prev, t, bc=trace.vector_bc(t + dt),
+                     transport=st.transport_operators(u_frozen), fb=None, b_start=b_prev)
 
 
 def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
-    """One velocity step of a fresh Stepper from the trace's first instant."""
+    """One unforced velocity step of a fresh Stepper from the trace's first
+    instant, advected by u_prev: (u_new, p)."""
     cfg = SolverConfig(nx=u_prev.grid.nx, ny=u_prev.grid.ny, dt=dt, t_final=dt, n_modes=n_modes)
-    return Stepper(cfg, trace, basis=basis).u_step(b_frozen, u_prev, trace.times[0])
+    st = Stepper(cfg, trace, basis=basis)
+    u_new, f = st.u_step(b_frozen, u_prev, u_advect=u_prev, bc=trace.vector_bc(trace.times[0] + dt),
+                         fu=None, u_prev_half=transported_half(u_prev))
+    return u_new, st.pressure(f, u_new)
 
 
 def _zero_trace(grid, T=0.05, dt=DT):
@@ -126,7 +141,7 @@ def test_u_step_single_mode_oracle():
     tz = _zero_trace(g)
     basis = build_stokes_basis(g, 1)
     lam1 = basis.eigenvalues[0]
-    new, p, _ = u_step(VectorField.zeros(g), basis.mode(0), tz, DT)
+    new, p = u_step(VectorField.zeros(g), basis.mode(0), tz, DT)
     g1 = inner(new, basis.mode(0))
     assert abs(g1 - 1.0 / (1.0 + lam1 * DT)) < 1e-8
     assert abs(p.values.mean()) < 1e-12
@@ -135,11 +150,11 @@ def test_u_step_single_mode_oracle():
 def test_u_step_zero_and_divergence(rng):
     g = Grid(16, 16)
     tz = _zero_trace(g)
-    new, _, _ = u_step(VectorField.zeros(g), VectorField.zeros(g), tz, DT)
+    new, _ = u_step(VectorField.zeros(g), VectorField.zeros(g), tz, DT)
     assert l2_norm_sq(new) == 0.0
     u = random_divfree(g, rng)
     b = random_divfree(g, rng, scale=0.3)
-    new, _, _ = u_step(b, u, tz, DT)
+    new, _ = u_step(b, u, tz, DT)
     assert np.max(np.abs(divergence(new).values)) < 1e-9
 
 
@@ -150,8 +165,8 @@ def test_galerkin_full_truncation_matches_saddle(rng):
     basis = build_stokes_basis(g, full)
     u0 = random_divfree(g, rng, scale=0.2)
     b0 = random_divfree(g, rng, scale=0.2)
-    u_a, _, _ = u_step(b0, u0, tz, DT)
-    u_b, _, _ = u_step(b0, u0, tz, DT, basis=basis, n_modes=full)
+    u_a, _ = u_step(b0, u0, tz, DT)
+    u_b, _ = u_step(b0, u0, tz, DT, basis=basis, n_modes=full)
     assert np.sqrt(l2_norm_sq(u_a - u_b)) < 1e-8
 
 
@@ -310,17 +325,13 @@ def test_checkpoint_header_mismatch_rejected(tmp_path):
         check_restart_header(read_checkpoint(path), other)
 
 
-def test_incompatible_data_rejected_or_projected():
+def test_incompatible_data_rejected():
     g = Grid(16, 16)
     tz = _zero_trace(g)
     bad_b = VectorField(g, np.ones(g.shape_xface()), np.zeros(g.shape_yface()))
     cfg = SolverConfig(nx=16, ny=16, dt=DT, t_final=2 * DT)
     with pytest.raises(CompatibilityError):
         run(cfg, VectorField.zeros(g), bad_b, tz)
-    cfg2 = SolverConfig(nx=16, ny=16, dt=DT, t_final=2 * DT, compat_action="project")
-    traj, ledger = run(cfg2, VectorField.zeros(g), bad_b, tz)
-    assert traj.compat.passed
-    assert np.max(ledger.col("div_b_Linf")) < 1e-9
 
 
 def test_state_invariants_after_steps():
@@ -346,8 +357,9 @@ def test_b_step_reused_pair_matches_fresh_factorization():
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
     ubar = u_n + stream_bump(u_n.grid, 0.2, 1, 2)
-    reused, rep = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(u_n))
-    fresh, _ = st.b_step(ubar, scen.b0, 0.0)
+    kw = dict(bc=st.vector_bc(DT), fb=None, b_start=scen.b0)
+    reused, rep = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(u_n), **kw)
+    fresh, _ = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(ubar), **kw)
     assert rep.picard_iterations > 1
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(fresh)))
     assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
@@ -359,23 +371,26 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
-    pair = st.transport_operators(u_n)
-    b_first, _ = st.b_step(u_n, scen.b0, 0.0, transport=pair)
-    ubar, _, _ = st.u_step(b_first, u_n, 0.0)
-    warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, transport=pair, b_start=b_first)
-    cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, transport=pair)
+    pair, bc = st.transport_operators(u_n), st.vector_bc(DT)
+    b_first, _ = st.b_step(u_n, scen.b0, 0.0, bc=bc, transport=pair, fb=None, b_start=scen.b0)
+    ubar, _ = st.u_step(b_first, u_n, u_advect=u_n, bc=bc, fu=None,
+                        u_prev_half=transported_half(u_n))
+    warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, bc=bc, transport=pair, fb=None,
+                               b_start=b_first)
+    cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, bc=bc, transport=pair, fb=None,
+                               b_start=scen.b0)
     assert rep_warm.picard_iterations < rep_cold.picard_iterations
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cold)))
     assert np.sqrt(l2_norm_sq(warm - cold)) <= tol
 
 
 def _collect_b_steps(monkeypatch, reports, cold=False):
-    """Record every b_step report; ``cold`` drops the warm start."""
+    """Record every b_step report; ``cold`` starts every Picard loop from b_prev."""
     b_step_orig = Stepper.b_step
 
     def collecting(self, *args, **kwargs):
         if cold:
-            kwargs.pop("b_start", None)
+            kwargs["b_start"] = args[1]
         out = b_step_orig(self, *args, **kwargs)
         reports.append(out[1])
         return out
@@ -550,6 +565,7 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     assert calls.count("bc") == nsteps + 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_step_fails_at_once_with_step_failure():
     scen = make_scenario("ramp", nx=16, t_final=0.01)
     g = scen.cfg.grid()
@@ -603,7 +619,9 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
     assert outer > 4 if mode == "fixed_point" else outer == 4
     assert abs(state.p.values.mean()) <= 1e-14 * np.max(np.abs(state.p.values))
     if mode == "single_pass":  # the one iterate is a plain velocity step at u^n
-        _, p, _ = st.u_step(state.b, prev.u, prev.t)
+        u, f = st.u_step(state.b, prev.u, u_advect=prev.u, bc=st.vector_bc(state.t), fu=None,
+                         u_prev_half=transported_half(prev.u))
+        p = st.pressure(f, u)
         assert np.array_equal(p.values, state.p.values)
 
 
@@ -634,7 +652,7 @@ def test_module_u_step_returns_mean_zero_pressure(rng):
     g = Grid(16, 16)
     u = random_divfree(g, rng, scale=0.2)
     b = random_divfree(g, rng, scale=0.5)  # its Lorentz force has a gradient part
-    new, p, _ = u_step(b, u, _zero_trace(g), DT)
+    new, p = u_step(b, u, _zero_trace(g), DT)
     assert np.max(np.abs(p.values)) > 0.0
     assert abs(p.values.mean()) <= 1e-14 * np.max(np.abs(p.values))
     assert np.max(np.abs(divergence(new).values)) <= 1e-12
@@ -674,10 +692,9 @@ def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
             if mode == "single_pass":  # u_frozen = u^n: factor at u_frozen in every b_step
                 b_step_reused = Stepper.b_step
 
-                def refactoring(self, u_frozen, b_prev, t_prev, bc=None, transport=None, fb=None,
-                                b_start=None):
-                    return b_step_reused(self, u_frozen, b_prev, t_prev, bc=bc, fb=fb,
-                                         b_start=b_start)
+                def refactoring(self, u_frozen, b_prev, t_prev, **kw):
+                    kw["transport"] = self.transport_operators(u_frozen)
+                    return b_step_reused(self, u_frozen, b_prev, t_prev, **kw)
 
                 m.setattr(Stepper, "b_step", refactoring)
             else:  # drop the live pair before every step

@@ -366,8 +366,6 @@ def test_parabolic_lift_compatibility_gate():
     trc = synthesize_trace(g, TIMES, [TraceMode("constant", amplitude=1.0, component=2)])
     with pytest.raises(CompatibilityError):
         parabolic_lift(VectorField.zeros(g), trc, 1e-3, 0.02)
-    run = parabolic_lift(VectorField.zeros(g), trc, 1e-3, 0.02, on_incompatible="project")
-    assert run.l2_sq[0] > 0.0  # wall data was imposed
 
 
 def test_parabolic_estimate_margins():

@@ -166,7 +166,9 @@ def test_picard_study_decoupled_ratio_is_zero():
 
     b0 = random_divfree(g, np.random.default_rng(1))
     st = Stepper(SolverConfig(nx=8, ny=8, dt=1e-3, t_final=1e-3), tz)
-    _, rep = st.b_step(VectorField.zeros(g), b0, 0.0)
+    u = VectorField.zeros(g)
+    _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), transport=st.transport_operators(u),
+                       fb=None, b_start=b0)
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
 
 
