@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write byte-identical run outputs.
+
+In each checkout, a fresh interpreter with that checkout's ``src/`` on
+``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1`` runs
+
+    mhd2d run --config configs/oscillating.cfg --output-dir <temporary>
+
+(the config path is taken inside each checkout), and the two runs'
+``ledger.csv`` and ``final.mhdckpt`` are compared byte for byte.
+
+    python scripts/compare_outputs.py --parent ../parent --change .
+
+Exit status: 0 when every file matches, 1 on a mismatch (the first
+differing file and the offset of its first differing byte are printed),
+2 when a run fails (the last lines of its stderr are printed).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import STDERR_TAIL
+
+FILES = ("ledger.csv", "final.mhdckpt")
+
+
+def run_side(checkout: Path, config: str, outdir: Path, *, label: str) -> bool:
+    """One ``mhd2d run`` in ``checkout``; False (after printing why) if it fails."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhd2d.cli", "run", "--config", str(checkout / config),
+         "--output-dir", str(outdir)],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        print(f"{label}: mhd2d run exited {proc.returncode} in {checkout}; "
+              f"the last lines of its stderr:\n{tail}", file=sys.stderr)
+        return False
+    return True
+
+
+def first_difference(a: bytes, b: bytes) -> int | None:
+    """Offset of the first differing byte (or of the shorter end), None if equal."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--config", default="configs/oscillating.cfg",
+                    help="run config, relative to each checkout (default: %(default)s)")
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        outs = {side: Path(tmp) / side for side in sides}
+        for side, checkout in sides.items():
+            if not run_side(checkout, args.config, outs[side], label=side):
+                return 2
+        for name in FILES:
+            data = {side: (out / name).read_bytes() for side, out in outs.items()}
+            at = first_difference(data["parent"], data["change"])
+            if at is not None:
+                print(f"{name} differs: first differing byte at offset {at} "
+                      f"({len(data['parent'])} bytes in the parent, {len(data['change'])} in the change)")
+                return 1
+            print(f"{name}: identical ({len(data['parent'])} bytes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

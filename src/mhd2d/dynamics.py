@@ -29,10 +29,17 @@ what they share: it looks up the boundary data and the body forces at the
 new time once per step (the ledger row after the step reuses that boundary
 data), keeps or refactors the transport pair, and recovers the pressure
 once, from the accepted iterate.  What a step holds fixed is prepared once:
-the transport pair's Dirichlet right-hand sides and the fixed fields'
-halves of the convection terms (``geometry.advecting_half`` and
-``transported_half``) once per magnetic step, u^n's half of the velocity
-transport once per coupled step.
+u^n's half of the velocity transport once per coupled step; each outer
+iterate's two halves of ubar in one pass (``geometry.face_halves``), the
+advecting one for the velocity step and the transported one for the magnetic
+stretching term; and once per magnetic step, the transport pair's Dirichlet
+right-hand sides, the lagged shift's advecting half and the boundary rows of
+the iterate's transported half (``geometry.wall_rows``).  A Picard iteration
+then computes the iterate's two halves in one pass, forms the lag and the
+right-hand side on the interior faces only (``geometry.convect_interior``)
+and measures its residual and norm on the component arrays
+(``geometry.norm_sq``), with the same floating-point operations in the same
+order as the whole-field formulas, so the results are bit for bit the same.
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
 once, and a Picard or outer residual that is NaN or infinite ends the step
@@ -54,6 +61,7 @@ import numpy as np
 from .errors import CompatibilityError, ConfigError, StepFailure
 from .estimates import EnergyLedger, record
 from .geometry import (
+    AdvectingHalf,
     Grid,
     ScalarField,
     TransportedHalf,
@@ -63,9 +71,13 @@ from .geometry import (
     all_finite,
     convect,
     convect_halves,
+    convect_interior,
     divergence,
+    face_halves,
     l2_norm_sq,
+    norm_sq,
     transported_half,
+    wall_rows,
 )
 from .lifting import (
     BoundaryTrace,
@@ -154,11 +166,23 @@ class SolverConfig:
             bad.append(f"galerkin.m must be in 0..{faces} on this grid")
         if not self.dt > 0:
             bad.append("time.dt must be positive")
-        if self.t_final < self.dt:
+        if not math.isfinite(self.t_final):
+            bad.append("time.T must be finite")
+        elif self.t_final < self.dt:
             bad.append("time.T must be >= dt")
-        for name in ("picard_tol", "outer_tol", "compat_tol_factor"):
-            if not getattr(self, name) > 0:
-                bad.append(f"tolerances.{name} must be positive")
+        # what the config file refuses: a NaN threshold would turn cleaning
+        # off (no divergence exceeds it), Rm = 0 divides by zero
+        for name, key in (
+            ("re", "physics.Re"),
+            ("rm", "physics.Rm"),
+            ("s", "physics.S"),
+            ("picard_tol", "tolerances.picard_tol"),
+            ("outer_tol", "tolerances.outer_tol"),
+            ("compat_tol_factor", "tolerances.compat_tol_factor"),
+            ("div_clean_threshold", "tolerances.div_clean_threshold"),
+        ):
+            if not 0 < getattr(self, name) < math.inf:
+                bad.append(f"{key} must be positive and finite")
         if self.outer_mode not in ("fixed_point", "single_pass"):
             bad.append("outer mode must be fixed_point or single_pass")
         if self.checkpoint_every < 0:
@@ -357,6 +381,7 @@ class Stepper:
         transport: TransportPair,
         fb: VectorField | None,
         b_start: VectorField,
+        u_frozen_half: TransportedHalf,
     ):
         """One implicit magnetic step from t_prev; transport implicit,
         stretching lagged.  Returns (b_new, StepReport).
@@ -366,9 +391,12 @@ class Stepper:
         leaves the Picard fixed point unchanged.  ``bc`` is the boundary data
         and ``fb`` the magnetic body force at the new time (None: no force).
         ``b_start`` is the first Picard iterate; the stop test and the fixed
-        point do not depend on it.
+        point do not depend on it.  ``u_frozen_half`` is
+        ``transported_half(u_frozen)``, u_frozen's half of the stretching
+        term, which the outer iterate shares with its velocity step.
         """
         cfg = self.cfg
+        g = self.grid
         dt = cfg.dt
         t_next = t_prev + dt
         opx, opy = transport.x, transport.y
@@ -380,18 +408,20 @@ class Stepper:
             shift = u_frozen - transport.u_ref
         pure_heat = l2_norm_sq(u_frozen) == 0.0
         exact = pure_heat and shift is None  # nothing lagged: one solve is exact
-        rhs_x = b_prev.x / dt
-        rhs_y = b_prev.y / dt
+        # the right-hand sides on the interior faces, where the solves read them
+        rhs_x = b_prev.x[1:-1, :] / dt
+        rhs_y = b_prev.y[:, 1:-1] / dt
         if fb is not None:
-            rhs_x = rhs_x + fb.x
-            rhs_y = rhs_y + fb.y
+            rhs_x = rhs_x + fb.x[1:-1, :]
+            rhs_y = rhs_y + fb.y[:, 1:-1]
 
         # fixed for the whole Picard loop: the Dirichlet right-hand sides,
-        # u_frozen's half of the stretching term and shift's half of the
-        # lagged transport; each iteration adds only the iterate's halves
+        # shift's half of the lagged transport and the wall rows of the
+        # iterate's transported half; each iteration adds only the iterate's
+        # two halves, computed in one pass
         bnd_x, bnd_y = opx.boundary(bc), opy.boundary(bc)
-        stretch = None if pure_heat else transported_half(u_frozen)
         lagged = None if shift is None else advecting_half(shift)
+        walls = wall_rows(g, bc)
 
         cur = b_start
         residuals = []
@@ -402,19 +432,17 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(PICARD_MAX_ITER):
                 iters = j + 1
-                if pure_heat:
-                    lag_x = 0.0
-                    lag_y = 0.0
-                else:  # the stretching term at the lagged iterate
-                    lag = convect_halves(advecting_half(cur), stretch)
-                    lag_x, lag_y = lag.x, lag.y
-                if shift is not None:
-                    lag = convect_halves(lagged, transported_half(cur, bc))  # transport left out
-                    lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
-                nxt = VectorField._unchecked(
-                    self.grid, opx.solve(rhs_x + lag_x, bnd_x), opy.solve(rhs_y + lag_y, bnd_y)
-                )
-                res = np.sqrt(l2_norm_sq(nxt - cur))
+                lag_x = lag_y = 0.0
+                if not exact:
+                    a_cur, f_cur = face_halves(cur, walls)
+                    if not pure_heat:  # the stretching term at the lagged iterate
+                        lag_x, lag_y = convect_interior(a_cur, u_frozen_half)
+                    if shift is not None:  # transport left out of the factored pair
+                        tx, ty = convect_interior(lagged, f_cur)
+                        lag_x, lag_y = lag_x - tx, lag_y - ty
+                nxt_x = opx.solve(rhs_x + lag_x, bnd_x)
+                nxt_y = opy.solve(rhs_y + lag_y, bnd_y)
+                res = np.sqrt(norm_sq(g, nxt_x - cur.x, nxt_y - cur.y))
                 if not math.isfinite(res):  # a NaN or infinity in the iterate
                     raise StepFailure(
                         "magnetic Picard residual is non-finite",
@@ -422,8 +450,8 @@ class Stepper:
                         detail={"residuals": residuals + [res]},
                     )
                 residuals.append(res)
-                cur = nxt
-                cur_norm = np.sqrt(l2_norm_sq(cur))
+                cur = VectorField._unchecked(g, nxt_x, nxt_y)
+                cur_norm = np.sqrt(norm_sq(g, nxt_x, nxt_y))
                 if exact or res <= cfg.picard_tol * (1.0 + cur_norm):
                     break
         # contraction measured away from the round-off floor
@@ -452,24 +480,26 @@ class Stepper:
         b_frozen: VectorField,
         u_prev: VectorField,
         *,
-        u_advect: VectorField,
+        u_advect_half: AdvectingHalf,
         bc: VectorBC,
         fu: VectorField | None,
         u_prev_half: TransportedHalf,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update with the
-        transport by ``u_advect`` and the Lorentz force of ``b_frozen`` lagged.
+        transport by the advecting velocity and the Lorentz force of
+        ``b_frozen`` lagged.
 
         Returns (u_new, f), where f is the step's right-hand side;
         ``self.pressure(f, u_new)`` recovers p from it.  ``bc`` is the
         magnetic boundary data and ``fu`` the velocity body force at the new
-        time (None: no force).  ``u_prev_half`` is
-        ``transported_half(u_prev)``, which the outer iterates of one coupled
-        step share.
+        time (None: no force).  ``u_advect_half`` is the advecting velocity's
+        ``advecting_half``, which the outer iterate shares with its magnetic
+        step; ``u_prev_half`` is ``transported_half(u_prev)``, which the
+        outer iterates of one coupled step share.
         """
         cfg = self.cfg
         dt = cfg.dt
-        adv = convect_halves(advecting_half(u_advect), u_prev_half)
+        adv = convect_halves(u_advect_half, u_prev_half)
         lor = convect(b_frozen, b_frozen, bc)
         fx = u_prev.x / dt - adv.x + cfg.s * lor.x
         fy = u_prev.y / dt - adv.y + cfg.s * lor.y
@@ -509,28 +539,33 @@ class Stepper:
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
         u_half = transported_half(state.u)  # u^n's half of every outer iterate's transport
+        # ubar's two halves, rewritten by each outer iterate: the advecting one
+        # feeds the velocity step, the transported one the magnetic stretching
+        ubar_walls = wall_rows(self.grid)
         # every outer iterate reuses the live pair, kept from earlier steps
         # while u^n stays close to its u_ref
         refactored = self.keep_or_refactor(state.u)
 
         b_reports = []  # one per outer iterate
 
-        def magnetic(ub, b_start):
+        def iterate(ub, b_start):
+            """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
+            a_half, f_half = face_halves(ub, ubar_walls)
             b, rep = self.b_step(
-                ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb, b_start=b_start
+                ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb, b_start=b_start,
+                u_frozen_half=f_half,
             )
             b_reports.append(rep)
-            return b
-
-        def velocity(bn, ub):
-            return self.u_step(bn, state.u, u_advect=ub, bc=bc, fu=fu, u_prev_half=u_half)
+            u, force = self.u_step(
+                b, state.u, u_advect_half=a_half, bc=bc, fu=fu, u_prev_half=u_half
+            )
+            return b, u, force
 
         # a blown-up iterate warns nowhere: a non-finite residual raises
         # StepFailure, and the accepted state is scanned below
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.outer_mode == "single_pass":
-                b_new = magnetic(ubar, b_new)
-                u_new, force = velocity(b_new, ubar)
+                b_new, u_new, force = iterate(ubar, b_new)
                 outer_iters, outer_res = 1, 0.0
             else:
                 res_prev = np.inf
@@ -541,9 +576,8 @@ class Stepper:
                     # warm start: Picard starts from the previous iterate's b
                     # (the extrapolation for the first), the fixed point at a
                     # nearby ubar
-                    b_new = magnetic(ubar, b_new)
-                    u_new, force = velocity(b_new, ubar)
-                    outer_res = np.sqrt(l2_norm_sq(u_new - ubar))
+                    b_new, u_new, force = iterate(ubar, b_new)
+                    outer_res = np.sqrt(norm_sq(self.grid, u_new.x - ubar.x, u_new.y - ubar.y))
                     history.append(float(outer_res))
                     if not math.isfinite(outer_res):
                         raise StepFailure(

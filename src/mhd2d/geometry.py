@@ -18,10 +18,21 @@ package computes (``zeros``, ``copy``, arithmetic, ``from_stream``, the
 stencils here and the solver outputs elsewhere) come from the private
 ``_unchecked`` constructors, which scan nothing; ``Stepper.coupled_step``
 scans each accepted state once with ``all_finite``.
+
+``convect(a, f)`` splits into the advecting field's half (its face averages
+and interpolated divergence, ``advecting_half``) and the transported field's
+half (its face averages with the boundary values on the wall rows,
+``transported_half``), so a caller can prepare a fixed field's half once.
+The two halves of one field share its averages: ``face_halves`` computes
+both in one pass into wall rows prepared once per boundary instant
+(``wall_rows``), and ``convect_interior`` returns only the interior faces,
+which is all an implicit solve reads.  ``norm_sq`` is ``l2_norm_sq`` on bare
+component arrays, in ``inner``'s summation order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -42,8 +53,12 @@ __all__ = [
     "advecting_half",
     "transported_half",
     "convect_halves",
+    "convect_interior",
+    "wall_rows",
+    "face_halves",
     "identity_residuals",
     "inner",
+    "norm_sq",
     "l2_norm_sq",
     "grad_norm_sq",
     "collocate",
@@ -415,19 +430,27 @@ def advecting_half(a: VectorField) -> AdvectingHalf:
     )
 
 
+def wall_rows(grid: Grid, fbc: VectorBC | None = None):
+    """The arrays a transported half keeps its tangential averages in: f1y
+    (nx-1, ny+1) and f2x (nx+1, ny-1), with the tangential boundary values
+    of ``fbc`` (zero by default) already on their wall rows.
+
+    ``face_halves`` writes only their interior lines, so one pair serves
+    every field transported under the same boundary data.
+    """
+    f1y = np.zeros((grid.nx - 1, grid.ny + 1))
+    f2x = np.zeros((grid.nx + 1, grid.ny - 1))
+    if fbc is not None:
+        f1y[:, 0], f1y[:, -1] = fbc.x_bottom[1:-1], fbc.x_top[1:-1]
+        f2x[0, :], f2x[-1, :] = fbc.y_left[1:-1], fbc.y_right[1:-1]
+    return f1y, f2x
+
+
 def transported_half(f: VectorField, fbc: VectorBC | None = None) -> TransportedHalf:
     """Everything ``convect`` needs of its transported field (zero walls by default)."""
-    g = f.grid
-    if fbc is None:
-        fbc = VectorBC.zero(g)
-    f1y = np.empty((g.nx - 1, g.ny + 1))
+    f1y, f2x = wall_rows(f.grid, fbc)
     f1y[:, 1:-1] = 0.5 * (f.x[1:-1, :-1] + f.x[1:-1, 1:])
-    f1y[:, 0] = fbc.x_bottom[1:-1]
-    f1y[:, -1] = fbc.x_top[1:-1]
-    f2x = np.empty((g.nx + 1, g.ny - 1))
     f2x[1:-1, :] = 0.5 * (f.y[:-1, 1:-1] + f.y[1:, 1:-1])
-    f2x[0, :] = fbc.y_left[1:-1]
-    f2x[-1, :] = fbc.y_right[1:-1]
     return TransportedHalf(
         f=f,
         f1c=0.5 * (f.x[:-1, :] + f.x[1:, :]),
@@ -437,22 +460,45 @@ def transported_half(f: VectorField, fbc: VectorBC | None = None) -> Transported
     )
 
 
-def _div_form(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
-    """Divergence-form transport div(a ⊗ f) on interior faces."""
+def face_halves(f: VectorField, walls):
+    """``(advecting_half(f), transported_half(f, fbc))`` in one pass, where
+    ``walls = wall_rows(grid, fbc)``.
+
+    The halves share f's averages: f1c is a1c, f2c is a2c, and the interior
+    lines of f1y and f2x are copied from a1y and a2x into ``walls``.  The
+    transported half stays valid until the next call on the same walls.
+    """
+    a = advecting_half(f)
+    f1y, f2x = walls
+    f1y[:, 1:-1] = a.a1y[1:-1, :]
+    f2x[1:-1, :] = a.a2x[:, 1:-1]
+    return a, TransportedHalf(f=f, f1c=a.a1c, f1y=f1y, f2c=a.a2c, f2x=f2x)
+
+
+def _div_form(a: AdvectingHalf, f: TransportedHalf):
+    """Divergence-form transport div(a ⊗ f) on the interior faces: the x
+    array (nx-1, ny) and the y array (nx, ny-1)."""
     g = f.f.grid
-    out = VectorField.zeros(g)
     fx, fy = a.a1c * f.f1c, a.a2x * f.f1y
-    out.x[1:-1, :] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    out_x = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
     fx, fy = a.a1y * f.f2x, a.a2c * f.f2c
-    out.y[:, 1:-1] = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
-    return out
+    out_y = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    return out_x, out_y
+
+
+def convect_interior(a: AdvectingHalf, f: TransportedHalf):
+    """``convect`` from its two halves on the interior faces only: the x
+    array (nx-1, ny) and the y array (nx, ny-1)."""
+    out_x, out_y = _div_form(a, f)
+    out_x -= f.f.x[1:-1, :] * a.sx
+    out_y -= f.f.y[:, 1:-1] * a.sy
+    return out_x, out_y
 
 
 def convect_halves(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
     """``convect`` from its two halves; either may be prepared once and reused."""
-    out = _div_form(a, f)
-    out.x[1:-1, :] -= f.f.x[1:-1, :] * a.sx
-    out.y[:, 1:-1] -= f.f.y[:, 1:-1] * a.sy
+    out = VectorField.zeros(f.f.grid)
+    out.x[1:-1, :], out.y[:, 1:-1] = convect_interior(a, f)
     return out
 
 
@@ -461,12 +507,19 @@ def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> Vect
 
     Realized as the divergence form minus f times the interpolated cell
     divergence of `a`; with a discretely divergence-free `a` and f
-    vanishing on the walls this is exactly energy-neutral.
+    vanishing on the walls this is exactly energy-neutral.  A field
+    transporting itself (the Lorentz term b·∇b) computes its averages once.
     """
+    if a is f:
+        return convect_halves(*face_halves(f, wall_rows(f.grid, fbc)))
     return convect_halves(advecting_half(a), transported_half(f, fbc))
 
 
 # --- inner products and norms -------------------------------------------
+
+# np.sum without its wrapper: the same pairwise reduction over every axis
+_sum = functools.partial(np.add.reduce, axis=None)
+
 
 def inner(u: VectorField, v: VectorField) -> float:
     """Discrete L2 inner product; wall faces carry half cells."""
@@ -481,10 +534,23 @@ def inner(u: VectorField, v: VectorField) -> float:
     return w * (sx + sy)
 
 
+def norm_sq(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
+    """``inner(f, f)`` of the vector field f with the component arrays x, y,
+    in the same order (interior faces, then the half-weighted walls) and so
+    bit for bit, without building f."""
+    yi = y[:, 1:-1].ravel()  # a copy: gathered once for both factors
+    sx = np.dot(x[1:-1, :].ravel(), x[1:-1, :].ravel()) + 0.5 * (
+        np.dot(x[0, :], x[0, :]) + np.dot(x[-1, :], x[-1, :])
+    )
+    sy = np.dot(yi, yi) + 0.5 * (np.dot(y[:, 0], y[:, 0]) + np.dot(y[:, -1], y[:, -1]))
+    w = grid.dx * grid.dy
+    return w * (sx + sy)
+
+
 def l2_norm_sq(f) -> float:
     if isinstance(f, ScalarField):
-        return float(f.grid.dx * f.grid.dy * np.sum(f.values**2))
-    return inner(f, f)
+        return float(f.grid.dx * f.grid.dy * _sum(f.values**2))
+    return norm_sq(f.grid, f.x, f.y)
 
 
 def grad_norm_sq(f, bc=None) -> float:
@@ -492,7 +558,8 @@ def grad_norm_sq(f, bc=None) -> float:
 
     Chosen so that for zero-trace fields it equals <-Lf, f> for the
     symmetric solver Laplacian exactly; wall terms use the half-cell
-    distance h/2.
+    distance h/2.  ``bc=None`` means zero wall values, which enter no
+    difference (x - 0.0 is x).
     """
     if isinstance(f, ScalarField):
         g = f.grid
@@ -500,29 +567,27 @@ def grad_norm_sq(f, bc=None) -> float:
         if bc is None:
             bc = ScalarBC.zero(g)
         w = g.dx * g.dy
-        s = np.sum(((v[1:, :] - v[:-1, :]) / g.dx) ** 2) * w
-        s += np.sum(((v[:, 1:] - v[:, :-1]) / g.dy) ** 2) * w
-        s += 2.0 * g.dy / g.dx * (np.sum((v[0, :] - bc.left) ** 2) + np.sum((v[-1, :] - bc.right) ** 2))
-        s += 2.0 * g.dx / g.dy * (np.sum((v[:, 0] - bc.bottom) ** 2) + np.sum((v[:, -1] - bc.top) ** 2))
+        s = _sum(((v[1:, :] - v[:-1, :]) / g.dx) ** 2) * w
+        s += _sum(((v[:, 1:] - v[:, :-1]) / g.dy) ** 2) * w
+        s += 2.0 * g.dy / g.dx * (_sum((v[0, :] - bc.left) ** 2) + _sum((v[-1, :] - bc.right) ** 2))
+        s += 2.0 * g.dx / g.dy * (_sum((v[:, 0] - bc.bottom) ** 2) + _sum((v[:, -1] - bc.top) ** 2))
         return float(s)
     g = f.grid
-    if bc is None:
-        bc = VectorBC.zero(g)
+    fx, fy = f.x, f.y
+    # the tangential wall rows, less their boundary values
+    xb, xt, yl, yr = fx[1:-1, 0], fx[1:-1, -1], fy[0, 1:-1], fy[-1, 1:-1]
+    if bc is not None:
+        xb, xt = xb - bc.x_bottom[1:-1], xt - bc.x_top[1:-1]
+        yl, yr = yl - bc.y_left[1:-1], yr - bc.y_right[1:-1]
     w = g.dx * g.dy
     # x-component: x-differences across every cell, y-differences at interior lines
-    s = np.sum(((f.x[1:, :] - f.x[:-1, :]) / g.dx) ** 2) * w
-    s += np.sum(((f.x[1:-1, 1:] - f.x[1:-1, :-1]) / g.dy) ** 2) * w
-    s += 2.0 * g.dx / g.dy * (
-        np.sum((f.x[1:-1, 0] - bc.x_bottom[1:-1]) ** 2)
-        + np.sum((f.x[1:-1, -1] - bc.x_top[1:-1]) ** 2)
-    )
+    s = _sum(((fx[1:, :] - fx[:-1, :]) / g.dx) ** 2) * w
+    s += _sum(((fx[1:-1, 1:] - fx[1:-1, :-1]) / g.dy) ** 2) * w
+    s += 2.0 * g.dx / g.dy * (_sum(xb**2) + _sum(xt**2))
     # y-component
-    s += np.sum(((f.y[:, 1:] - f.y[:, :-1]) / g.dy) ** 2) * w
-    s += np.sum(((f.y[1:, 1:-1] - f.y[:-1, 1:-1]) / g.dx) ** 2) * w
-    s += 2.0 * g.dy / g.dx * (
-        np.sum((f.y[0, 1:-1] - bc.y_left[1:-1]) ** 2)
-        + np.sum((f.y[-1, 1:-1] - bc.y_right[1:-1]) ** 2)
-    )
+    s += _sum(((fy[:, 1:] - fy[:, :-1]) / g.dy) ** 2) * w
+    s += _sum(((fy[1:, 1:-1] - fy[:-1, 1:-1]) / g.dx) ** 2) * w
+    s += 2.0 * g.dy / g.dx * (_sum(yl**2) + _sum(yr**2))
     return float(s)
 
 
@@ -538,7 +603,7 @@ def pointwise_norms(v: VectorField):
     cx, cy = collocate(v)
     m2 = cx**2 + cy**2
     g = v.grid
-    return float((g.dx * g.dy * np.sum(m2**2)) ** 0.25), float(np.sqrt(np.max(m2)))
+    return float((g.dx * g.dy * _sum(m2**2)) ** 0.25), float(np.sqrt(np.max(m2)))
 
 
 # --- identity suite ------------------------------------------------------
@@ -651,10 +716,10 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     lhs3_y = -(s[1:, 1:-1] - s[:-1, 1:-1]) / dx
     lhs3_y_wide = -(27.0 * (s[2:-1, 1:-1] - s[1:-2, 1:-1]) - (s[3:, 1:-1] - s[:-3, 1:-1])) / (24.0 * dx)
     lhs3_y[wide_i, :] = lhs3_y_wide
-    t1 = _div_form(advecting_half(b), transported_half(u, ubc))  # b·∇u + u div b
-    t2 = _div_form(advecting_half(u), transported_half(b, bc))  # u·∇b + b div u
-    r3x = lhs3_x - (t1.x[1:-1, :] - t2.x[1:-1, :])
-    r3y = lhs3_y - (t1.y[:, 1:-1] - t2.y[:, 1:-1])
+    t1x, t1y = _div_form(advecting_half(b), transported_half(u, ubc))  # b·∇u + u div b
+    t2x, t2y = _div_form(advecting_half(u), transported_half(b, bc))  # u·∇b + b div u
+    r3x = lhs3_x - (t1x - t2x)
+    r3y = lhs3_y - (t1y - t2y)
     r3 = _interior_norm(r3x, r3y, g)
 
     return {"lorentz": r1, "curl_curl": r2, "induction": r3}

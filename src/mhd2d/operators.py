@@ -122,7 +122,7 @@ class _Pattern(NamedTuple):
     stencil entry of group g (diagonal, normal -/+ neighbour, tangential -/+
     neighbour); a neighbour that is a wall face or missing points one past
     the end.  ``q[k]`` is the position of B's unknown k in the raveled full
-    face array.
+    face array, ``qi[k]`` its position in the raveled interior array.
     """
 
     slots: np.ndarray
@@ -131,6 +131,7 @@ class _Pattern(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     q: np.ndarray
+    qi: np.ndarray
     perm: np.ndarray  # interior unknown -> its position in B
 
 
@@ -180,6 +181,7 @@ def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
     # a copy: a view of perm_c would keep the whole factorization alive
     perm = _splu_symmetric(a0, "MMD_AT_PLUS_A").perm_c.astype(np.intp)
     order = np.lexsort((r, perm[c]))
+    qi = np.argsort(perm)
     slots = np.full(cols.shape, nnz, dtype=np.intp)
     slots[keep] = np.argsort(order)
     return _Pattern(
@@ -188,7 +190,8 @@ def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
         hi=hi,
         indices=perm[r[order]].astype(np.intc),
         indptr=np.concatenate([[0], np.cumsum(np.bincount(perm[c], minlength=n))]).astype(np.intc),
-        q=full.ravel()[np.argsort(perm)],
+        q=full.ravel()[qi],
+        qi=qi,
         perm=perm,
     )
 
@@ -335,17 +338,19 @@ class TransportOperator:
         r = self.rhs_boundary(bc)
         return r.ravel()[self._pattern.q], r
 
-    def solve(self, rhs_core: np.ndarray, boundary) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, boundary) -> np.ndarray:
         """Solve for the full component array.
 
-        ``rhs_core`` holds the interior right-hand side (wall-face entries
-        are ignored); ``boundary`` comes from ``self.boundary(bc)`` and
-        supplies the wall faces of the result.
+        ``rhs`` is the right-hand side on the interior faces only, shape
+        (nx-1, ny) for x and (nx, ny-1) for y; ``boundary`` comes from
+        ``self.boundary(bc)`` and supplies the wall faces of the result.
         """
-        q = self._pattern.q
-        rhs, full = boundary
+        pat = self._pattern
+        if rhs.shape != pat.lo.shape:
+            raise ValueError(f"interior right-hand side shape {rhs.shape} != {pat.lo.shape}")
+        rhs_bnd, full = boundary
         out = full.copy()
-        out.ravel()[q] = self._lu.solve(rhs_core.ravel()[q] + rhs)
+        out.ravel()[pat.q] = self._lu.solve(rhs.ravel()[pat.qi] + rhs_bnd)
         return out
 
 

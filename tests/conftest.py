@@ -110,3 +110,112 @@ def stream_forms(grid):
     a = (c.T @ (-lap) @ c).tocsc()
     mass = (c.T @ c).tocsc()
     return c, 0.5 * (a + a.T), 0.5 * (mass + mass.T)
+
+
+# --- whole-field oracles of the stepper's raw-array loops --------------------
+
+def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, transport, fb, b_start):
+    """``Stepper.b_step``'s Picard loop written on whole fields: each iterate
+    builds the stretching term as ``convect_halves(advecting_half(cur), ...)``
+    and the lagged transport as ``convect_halves(lagged,
+    transported_half(cur, bc))``, adds them to full right-hand side arrays and
+    measures the residual with ``inner``.  Returns (b, residuals)."""
+    from mhd2d.dynamics import PICARD_MAX_ITER
+    from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half
+
+    cfg, grid = stepper.cfg, stepper.grid
+    opx, opy = transport.x, transport.y
+    shift = None
+    if not (np.array_equal(u_frozen.x, transport.u_ref.x)
+            and np.array_equal(u_frozen.y, transport.u_ref.y)):
+        shift = u_frozen - transport.u_ref
+    pure_heat = inner(u_frozen, u_frozen) == 0.0
+    exact = pure_heat and shift is None
+    rhs_x, rhs_y = b_prev.x / cfg.dt, b_prev.y / cfg.dt
+    if fb is not None:
+        rhs_x, rhs_y = rhs_x + fb.x, rhs_y + fb.y
+    bnd_x, bnd_y = opx.boundary(bc), opy.boundary(bc)
+    stretch = None if pure_heat else transported_half(u_frozen)
+    lagged = None if shift is None else advecting_half(shift)
+    cur, residuals = b_start, []
+    for _ in range(PICARD_MAX_ITER):
+        if pure_heat:
+            lag_x = lag_y = 0.0
+        else:
+            lag = convect_halves(advecting_half(cur), stretch)
+            lag_x, lag_y = lag.x, lag.y
+        if shift is not None:
+            lag = convect_halves(lagged, transported_half(cur, bc))
+            lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
+        nxt = VectorField(grid, opx.solve((rhs_x + lag_x)[1:-1, :], bnd_x),
+                          opy.solve((rhs_y + lag_y)[:, 1:-1], bnd_y))
+        res = np.sqrt(inner(nxt - cur, nxt - cur))
+        residuals.append(res)
+        cur = nxt
+        if exact or res <= cfg.picard_tol * (1.0 + np.sqrt(inner(cur, cur))):
+            break
+    return cur, residuals
+
+
+def grad_norm_sq_oracle(f, bc=None):
+    """The vector Dirichlet energy with the zero boundary data built and
+    subtracted, summed by ``np.sum``."""
+    from mhd2d.geometry import VectorBC
+
+    g = f.grid
+    bc = VectorBC.zero(g) if bc is None else bc
+    w = g.dx * g.dy
+    s = np.sum(((f.x[1:, :] - f.x[:-1, :]) / g.dx) ** 2) * w
+    s += np.sum(((f.x[1:-1, 1:] - f.x[1:-1, :-1]) / g.dy) ** 2) * w
+    s += 2.0 * g.dx / g.dy * (np.sum((f.x[1:-1, 0] - bc.x_bottom[1:-1]) ** 2)
+                              + np.sum((f.x[1:-1, -1] - bc.x_top[1:-1]) ** 2))
+    s += np.sum(((f.y[:, 1:] - f.y[:, :-1]) / g.dy) ** 2) * w
+    s += np.sum(((f.y[1:, 1:-1] - f.y[:-1, 1:-1]) / g.dx) ** 2) * w
+    s += 2.0 * g.dy / g.dx * (np.sum((f.y[0, 1:-1] - bc.y_left[1:-1]) ** 2)
+                              + np.sum((f.y[-1, 1:-1] - bc.y_right[1:-1]) ** 2))
+    return float(s)
+
+
+def ledger_row_oracle(t, u, b, trace, h_e, h_p, poisson, bc, strong):
+    """One ledger row from whole fields: squared L2 norms by ``inner``,
+    Dirichlet energies by ``grad_norm_sq_oracle``, collocated norms by
+    ``np.sum`` and ``np.max``."""
+    from mhd2d.estimates import _SPEC12, _SPEC32, _SPECM12
+    from mhd2d.geometry import collocate, divergence, inner
+    from mhd2d.lifting import hs_norm, hs_norm_dt
+    from mhd2d.operators import apply_lap_mirror, stokes_apply
+
+    def pointwise(v):
+        cx, cy = collocate(v)
+        m2 = cx**2 + cy**2
+        return (float((v.grid.dx * v.grid.dy * np.sum(m2**2)) ** 0.25),
+                float(np.sqrt(np.max(m2))))
+
+    btilde = b - h_e
+    (u_l4, u_linf), (b_l4, b_linf) = pointwise(u), pointwise(b)
+    row = dict(
+        t=t,
+        u_L2_sq=inner(u, u),
+        grad_u_L2_sq=grad_norm_sq_oracle(u),
+        b_L2_sq=inner(b, b),
+        b_H1_sq=inner(b, b) + grad_norm_sq_oracle(b, bc),
+        btilde_L2_sq=inner(btilde, btilde),
+        grad_btilde_L2_sq=grad_norm_sq_oracle(btilde),
+        u_L4=u_l4,
+        b_L4=b_l4,
+        u_Linf=u_linf,
+        b_Linf=b_linf,
+        h_H12_Gamma=hs_norm(trace, t, _SPEC12),
+        h_H32_Gamma=hs_norm(trace, t, _SPEC32),
+        dth_Hm12_Gamma=hs_norm_dt(trace, t, _SPECM12),
+        div_u_Linf=float(np.max(np.abs(divergence(u).values))),
+        div_b_Linf=float(np.max(np.abs(divergence(b).values))),
+    )
+    if strong:
+        su, _ = stokes_apply(u, poisson)
+        bhat = b - h_p
+        row["Su_L2_sq"] = inner(su, su)
+        row["bhat_H1_sq"] = inner(bhat, bhat) + grad_norm_sq_oracle(bhat)
+        lap = apply_lap_mirror(bhat)
+        row["lap_bhat_L2_sq"] = inner(lap, lap)
+    return row

@@ -1,4 +1,5 @@
 import struct
+import sys
 import weakref
 import zlib
 from dataclasses import replace
@@ -9,7 +10,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree
+from conftest import b_step_oracle, random_divfree
 from mhd2d import dynamics, operators
 from mhd2d.dynamics import (
     Forcing,
@@ -29,6 +30,7 @@ from mhd2d.geometry import (
     Grid,
     ScalarField,
     VectorField,
+    advecting_half,
     divergence,
     inner,
     l2_norm_sq,
@@ -49,7 +51,8 @@ def b_step(u_frozen, b_prev, trace, dt, **cfg_kw):
     cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, t_final=dt, **cfg_kw)
     st, t = Stepper(cfg, trace), trace.times[0]
     return st.b_step(u_frozen, b_prev, t, bc=trace.vector_bc(t + dt),
-                     transport=st.transport_operators(u_frozen), fb=None, b_start=b_prev)
+                     transport=st.transport_operators(u_frozen), fb=None, b_start=b_prev,
+                     u_frozen_half=transported_half(u_frozen))
 
 
 def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
@@ -57,8 +60,9 @@ def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
     instant, advected by u_prev: (u_new, p)."""
     cfg = SolverConfig(nx=u_prev.grid.nx, ny=u_prev.grid.ny, dt=dt, t_final=dt, n_modes=n_modes)
     st = Stepper(cfg, trace, basis=basis)
-    u_new, f = st.u_step(b_frozen, u_prev, u_advect=u_prev, bc=trace.vector_bc(trace.times[0] + dt),
-                         fu=None, u_prev_half=transported_half(u_prev))
+    u_new, f = st.u_step(b_frozen, u_prev, u_advect_half=advecting_half(u_prev),
+                         bc=trace.vector_bc(trace.times[0] + dt), fu=None,
+                         u_prev_half=transported_half(u_prev))
     return u_new, st.pressure(f, u_new)
 
 
@@ -73,6 +77,27 @@ def test_config_validation_collects_violations():
         cfg.validate()
     msg = str(exc.value)
     assert "nx" in msg and "dt" in msg and "outer" in msg
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rm", 0.0),  # a ZeroDivisionError in transport_operators
+        ("re", -1.0),
+        ("s", np.nan),
+        ("rm", np.inf),
+        ("div_clean_threshold", np.nan),  # would turn divergence cleaning off
+        ("div_clean_threshold", np.inf),
+        ("div_clean_threshold", 0.0),
+        ("picard_tol", np.inf),
+        ("t_final", np.nan),  # a ValueError from the step count in run
+    ],
+)
+def test_config_validation_refuses_what_the_config_file_refuses(field, value):
+    cfg = replace(SolverConfig(), **{field: value})
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert "must be" in str(exc.value)
 
 
 def test_compatibility_check_pass_and_fail():
@@ -357,7 +382,7 @@ def test_b_step_reused_pair_matches_fresh_factorization():
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
     ubar = u_n + stream_bump(u_n.grid, 0.2, 1, 2)
-    kw = dict(bc=st.vector_bc(DT), fb=None, b_start=scen.b0)
+    kw = dict(bc=st.vector_bc(DT), fb=None, b_start=scen.b0, u_frozen_half=transported_half(ubar))
     reused, rep = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(u_n), **kw)
     fresh, _ = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(ubar), **kw)
     assert rep.picard_iterations > 1
@@ -372,16 +397,39 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
     pair, bc = st.transport_operators(u_n), st.vector_bc(DT)
-    b_first, _ = st.b_step(u_n, scen.b0, 0.0, bc=bc, transport=pair, fb=None, b_start=scen.b0)
-    ubar, _ = st.u_step(b_first, u_n, u_advect=u_n, bc=bc, fu=None,
+    b_first, _ = st.b_step(u_n, scen.b0, 0.0, bc=bc, transport=pair, fb=None, b_start=scen.b0,
+                           u_frozen_half=transported_half(u_n))
+    ubar, _ = st.u_step(b_first, u_n, u_advect_half=advecting_half(u_n), bc=bc, fu=None,
                         u_prev_half=transported_half(u_n))
-    warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, bc=bc, transport=pair, fb=None,
-                               b_start=b_first)
-    cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, bc=bc, transport=pair, fb=None,
-                               b_start=scen.b0)
+    kw = dict(bc=bc, transport=pair, fb=None, u_frozen_half=transported_half(ubar))
+    warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, b_start=b_first, **kw)
+    cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, b_start=scen.b0, **kw)
     assert rep_warm.picard_iterations < rep_cold.picard_iterations
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cold)))
     assert np.sqrt(l2_norm_sq(warm - cold)) <= tol
+
+
+@pytest.mark.parametrize("case", ["heat", "heat_shifted", "full"])
+def test_b_step_matches_the_whole_field_picard_oracle(case):
+    # the three branches of the Picard loop: nothing lagged (one exact solve),
+    # the transport by -u_ref alone, and stretching plus transport with a force
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    g, u_n = scen.cfg.grid(), scen.u0
+    zero = VectorField.zeros(g)
+    u_frozen, u_ref, fb = {
+        "heat": (zero, zero, None),
+        "heat_shifted": (zero, u_n, None),
+        "full": (u_n + stream_bump(g, 0.2, 1, 2), u_n, 0.3 * scen.b0),
+    }[case]
+    kw = dict(bc=st.vector_bc(DT), transport=st.transport_operators(u_ref), fb=fb,
+              b_start=2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1))
+    got, rep = st.b_step(u_frozen, scen.b0, 0.0, u_frozen_half=transported_half(u_frozen), **kw)
+    want, residuals = b_step_oracle(st, u_frozen, scen.b0, 0.0, **kw)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    assert rep.picard_iterations == len(residuals)
+    assert rep.picard_residual == residuals[-1]
+    assert (rep.picard_iterations == 1) == (case == "heat")
 
 
 def _collect_b_steps(monkeypatch, reports, cold=False):
@@ -599,6 +647,40 @@ def test_one_finiteness_scan_per_array_of_the_accepted_state(monkeypatch):
     assert len(scans) == 5 * nsteps
 
 
+def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
+    # the benchmark's span tracer counts these three by wrapping them as
+    # this test does: the class method, and the module functions wherever
+    # a module of the package holds them
+    from mhd2d import estimates
+
+    events = []
+
+    def counting(name, fn):
+        return lambda *a, **kw: events.append(name) or fn(*a, **kw)
+
+    monkeypatch.setattr(TransportOperator, "solve", counting("solve", TransportOperator.solve))
+    for home, fname in ((geometry, "convect"), (estimates, "record")):
+        orig = getattr(home, fname)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("mhd2d")]:
+            if getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, counting(fname, orig))
+    step = Stepper.coupled_step
+    monkeypatch.setattr(Stepper, "coupled_step",
+                        lambda self, state: events.append("step") or step(self, state))
+    nsteps = 5
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    marks = [i for i, e in enumerate(events) if e == "step"] + [len(events)]
+    assert events[: marks[0]] == ["record"]  # the row at t0
+    per_step = [events[a + 1 : b] for a, b in zip(marks, marks[1:])]
+    counts = [(seg.count("solve"), seg.count("convect"), seg.count("record")) for seg in per_step]
+    # two solves per Picard iteration, one Lorentz term per outer iterate,
+    # one ledger row per step
+    want = [(2 * r.picard_iterations, r.outer_iterations, 1) for r in traj.reports]
+    assert counts == want
+    assert counts == [(28, 4, 1), (28, 4, 1), (26, 4, 1), (26, 4, 1), (26, 4, 1)]
+
+
 @pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])
 def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
     recoveries = []
@@ -607,7 +689,7 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
                         lambda self, *a: recoveries.append(a) or recover(self, *a))
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT, outer_mode=mode)
     # no cleaning, so the state's b is the one the velocity step saw
-    st = Stepper(replace(scen.cfg, div_clean_threshold=np.inf), scen.trace)
+    st = Stepper(replace(scen.cfg, div_clean_threshold=sys.float_info.max), scen.trace)
     assert st.saddle.poisson is st.poisson  # cleaning, ledger and pressure share one solver
     state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
     outer = 0
@@ -619,8 +701,8 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
     assert outer > 4 if mode == "fixed_point" else outer == 4
     assert abs(state.p.values.mean()) <= 1e-14 * np.max(np.abs(state.p.values))
     if mode == "single_pass":  # the one iterate is a plain velocity step at u^n
-        u, f = st.u_step(state.b, prev.u, u_advect=prev.u, bc=st.vector_bc(state.t), fu=None,
-                         u_prev_half=transported_half(prev.u))
+        u, f = st.u_step(state.b, prev.u, u_advect_half=advecting_half(prev.u),
+                         bc=st.vector_bc(state.t), fu=None, u_prev_half=transported_half(prev.u))
         p = st.pressure(f, u)
         assert np.array_equal(p.values, state.p.values)
 

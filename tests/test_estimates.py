@@ -19,7 +19,7 @@ from mhd2d.estimates import (
     strong_energy,
     weak_energy_residual,
 )
-from conftest import scalar_from_function
+from conftest import ledger_row_oracle, scalar_from_function
 from mhd2d.geometry import Grid, ScalarField, VectorField
 from mhd2d.lifting import TraceMode, harmonic_extend, synthesize_trace
 from mhd2d.operators import NeumannPoisson
@@ -320,3 +320,25 @@ def test_homogeneous_decay_at_poincare_rate():
     e = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
     t = ledger.times
     assert np.all(e <= e[0] * np.exp(-c_p * t) * (1.0 + 1e-10))
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
+def test_ledger_row_matches_the_whole_field_oracle_bit_for_bit(strong):
+    # a mid-run calib-osc state at 16^2, recorded with the run's own lifts
+    from mhd2d.dynamics import run
+    from mhd2d.lifting import harmonic_extend_bc, heat_step
+    from mhd2d.scenarios import make_scenario
+
+    scen = make_scenario("calib-osc", nx=16, dt=1e-3, t_final=5e-3, strong_mode=strong)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    st = traj.final_state
+    g = scen.cfg.grid()
+    bc = scen.trace.vector_bc(st.t)
+    h_e = harmonic_extend_bc(g, bc)
+    h_p = heat_step(scen.b0, st.t, bc, 1.0 / scen.cfg.rm) if strong else None
+    poisson = NeumannPoisson(g)
+    row = record(EnergyLedger(strong=strong), st.t, st.u, st.b, scen.trace, h_e, h_p, poisson, bc=bc)
+    want = ledger_row_oracle(st.t, st.u, st.b, scen.trace, h_e, h_p, poisson, bc, strong)
+    assert row.keys() == want.keys()
+    assert all(want[c] != 0.0 for c in want if c not in ("t", "div_u_Linf"))
+    assert {c: row[c] for c in row if row[c] != want[c]} == {}

@@ -157,7 +157,7 @@ def test_absorbing_gate_failure_reported():
 
 def test_picard_study_decoupled_ratio_is_zero():
     from mhd2d.dynamics import SolverConfig, Stepper
-    from mhd2d.geometry import Grid, VectorField
+    from mhd2d.geometry import Grid, VectorField, transported_half
     from mhd2d.lifting import synthesize_trace
 
     g = Grid(8, 8)
@@ -168,7 +168,7 @@ def test_picard_study_decoupled_ratio_is_zero():
     st = Stepper(SolverConfig(nx=8, ny=8, dt=1e-3, t_final=1e-3), tz)
     u = VectorField.zeros(g)
     _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), transport=st.transport_operators(u),
-                       fb=None, b_start=b0)
+                       fb=None, b_start=b0, u_frozen_half=transported_half(u))
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
 
 
