@@ -7,7 +7,10 @@ In each checkout, a fresh interpreter with that checkout's ``src/`` on
     mhd2d run --config configs/oscillating.cfg --output-dir <temporary>
 
 (the config path is taken inside each checkout), and the two runs'
-``ledger.csv`` and ``final.mhdckpt`` are compared byte for byte.
+``ledger.csv`` and ``final.mhdckpt`` are compared byte for byte.  Then each
+side restarts from its own ``final.mhdckpt`` (the same config with
+``[initial] checkpoint`` set and ``T`` 0.25 later), and the restarted
+runs' ``ledger.csv`` and ``final.mhdckpt`` are compared the same way.
 
     python scripts/compare_outputs.py --parent ../parent --change .
 
@@ -19,6 +22,7 @@ differing file and the offset of its first differing byte are printed),
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import subprocess
 import sys
@@ -28,9 +32,10 @@ from pathlib import Path
 from bench_pairs import STDERR_TAIL
 
 FILES = ("ledger.csv", "final.mhdckpt")
+RESTART_EXTRA_T = 0.25  # how much further the restarted run goes
 
 
-def run_side(checkout: Path, config: str, outdir: Path, *, label: str) -> bool:
+def run_side(checkout: Path, config: str | Path, outdir: Path, *, label: str) -> bool:
     """One ``mhd2d run`` in ``checkout``; False (after printing why) if it fails."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
@@ -43,6 +48,19 @@ def run_side(checkout: Path, config: str, outdir: Path, *, label: str) -> bool:
               f"the last lines of its stderr:\n{tail}", file=sys.stderr)
         return False
     return True
+
+
+def write_restart_config(config: Path, checkpoint: Path, path: Path) -> None:
+    """``config`` restarted from ``checkpoint`` and run RESTART_EXTRA_T further."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str  # keep the keys' case
+    cp.read(config, encoding="utf-8")
+    if not cp.has_section("initial"):
+        cp.add_section("initial")
+    cp["initial"]["checkpoint"] = str(checkpoint)
+    cp["time"]["T"] = repr(float(cp["time"]["T"]) + RESTART_EXTRA_T)
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
 
 
 def first_difference(a: bytes, b: bytes) -> int | None:
@@ -61,18 +79,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
-        outs = {side: Path(tmp) / side for side in sides}
-        for side, checkout in sides.items():
-            if not run_side(checkout, args.config, outs[side], label=side):
-                return 2
-        for name in FILES:
-            data = {side: (out / name).read_bytes() for side, out in outs.items()}
-            at = first_difference(data["parent"], data["change"])
-            if at is not None:
-                print(f"{name} differs: first differing byte at offset {at} "
-                      f"({len(data['parent'])} bytes in the parent, {len(data['change'])} in the change)")
-                return 1
-            print(f"{name}: identical ({len(data['parent'])} bytes)")
+        tmp = Path(tmp)
+        for leg in ("direct", "restart"):
+            outs = {side: tmp / leg / side for side in sides}
+            for side, checkout in sides.items():
+                config = args.config
+                if leg == "restart":
+                    config = tmp / f"{side}_restart.cfg"
+                    write_restart_config(checkout / args.config,
+                                         tmp / "direct" / side / "final.mhdckpt", config)
+                if not run_side(checkout, config, outs[side], label=f"{side} ({leg})"):
+                    return 2
+            for name in FILES:
+                data = {side: (out / name).read_bytes() for side, out in outs.items()}
+                at = first_difference(data["parent"], data["change"])
+                if at is not None:
+                    print(f"{leg} {name} differs: first differing byte at offset {at} "
+                          f"({len(data['parent'])} bytes in the parent, "
+                          f"{len(data['change'])} in the change)")
+                    return 1
+                print(f"{leg} {name}: identical ({len(data['parent'])} bytes)")
     return 0
 
 

@@ -41,10 +41,10 @@ _SCHEMA = {
     "grid": {"nx", "ny"},
     "time": {"dt", "T"},
     "physics": {"Re", "Rm", "S"},
-    "galerkin": {"n", "m"},
+    "galerkin": {"n"},
     "boundary": {"modes", "csv"},
     "initial": {"u", "b", "checkpoint"},
-    "tolerances": {"picard", "outer", "compatibility", "div_clean"},
+    "tolerances": {"picard", "outer", "compatibility"},
     "outputs": {"ledger", "checkpoint_every", "calibration", "basis_cache"},
     "experiment": {"id", "variant", "nx_list", "dt_list", "n_list", "diam_factor", "seed", "strong"},
 }
@@ -74,10 +74,7 @@ class RunConfig:
         cp["grid"] = {"nx": str(s.nx), "ny": str(s.ny)}
         cp["time"] = {"dt": repr(s.dt), "T": repr(s.t_final)}
         cp["physics"] = {"Re": repr(s.re), "Rm": repr(s.rm), "S": repr(s.s)}
-        cp["galerkin"] = {
-            "n": "full" if s.n_modes is None else str(s.n_modes),
-            "m": str(s.m_diag),
-        }
+        cp["galerkin"] = {"n": "full" if s.n_modes is None else str(s.n_modes)}
         cp["boundary"] = {}
         if self.boundary_csv:
             cp["boundary"]["csv"] = self.boundary_csv
@@ -90,7 +87,6 @@ class RunConfig:
             "picard": repr(s.picard_tol),
             "outer": repr(s.outer_tol),
             "compatibility": repr(s.compat_tol_factor),
-            "div_clean": repr(s.div_clean_threshold),
         }
         cp["outputs"] = {
             "ledger": self.ledger_path,
@@ -211,7 +207,6 @@ def parse_config(path) -> RunConfig:
             n_modes = int(n_raw)
         except ValueError:
             errors.append(f"galerkin.n: expected integer or 'full', got {n_raw!r}")
-    m_diag = get("galerkin", "m", int, 0)
 
     modes = []
     if cp.has_option("boundary", "modes"):
@@ -234,11 +229,9 @@ def parse_config(path) -> RunConfig:
         rm=rm,
         s=s_c,
         n_modes=n_modes,
-        m_diag=m_diag,
         picard_tol=get("tolerances", "picard", float, 1e-10, positive=True),
         outer_tol=get("tolerances", "outer", float, 1e-9, positive=True),
         compat_tol_factor=get("tolerances", "compatibility", float, 1e-8, positive=True),
-        div_clean_threshold=get("tolerances", "div_clean", float, 1e-10, positive=True),
         checkpoint_every=get("outputs", "checkpoint_every", int, 0),
     )
     exp_ids = []
@@ -311,7 +304,7 @@ def _cmd_run(rc: RunConfig, outdir):
     basis = None
     if rc.solver.n_modes is not None:
         cache = rc.basis_cache or os.path.join(outdir, "basis_cache")
-        basis = cached_basis("stokes", grid, rc.solver.n_modes, cache)
+        basis = cached_basis(grid, rc.solver.n_modes, cache)
     errors = []
     t0, p0, restart = 0.0, None, None
     if rc.checkpoint_in:
@@ -442,14 +435,12 @@ def _cmd_basis(rc: RunConfig, outdir):
     cache = rc.basis_cache or os.path.join(outdir, "basis_cache")
     grid = rc.solver.grid()
     n = rc.solver.n_modes or 16
-    m = rc.solver.m_diag or 16
     nz = (grid.nx - 1) * (grid.ny - 1)
     if n > nz:
         raise ConfigError([f"galerkin.n: the default of {n} Stokes modes exceeds the {nz} "
                            "this grid holds; set galerkin.n"])
-    cached_basis("stokes", grid, n, cache)
-    cached_basis("dirichlet_laplacian", grid, m, cache)
-    log.info("cached stokes(%d) and laplacian(%d) bases in %s", n, m, cache)
+    cached_basis(grid, n, cache)
+    log.info("cached stokes(%d) basis in %s", n, cache)
     return 0
 
 

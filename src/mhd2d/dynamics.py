@@ -111,11 +111,10 @@ __all__ = [
     "check_restart_header",
     "CKPT_MAGIC",
     "TRANSPORT_REUSE_THETA",
+    "DIV_CLEAN_THRESHOLD",
 ]
 
 CKPT_MAGIC = b"MHDCKPT3"
-_CKPT_V2_MAGIC = b"MHDCKPT2"
-_CKPT_V1_MAGIC = b"MHDCKPT1"
 
 # The factored transport pair is kept while ||u^n - u_ref|| <= theta ||u^n||
 # (L2 norms).  With warm-started outer iterates, 0.5 factors 62 pairs in the
@@ -123,6 +122,10 @@ _CKPT_V1_MAGIC = b"MHDCKPT1"
 # magnetic step; 1.0 saves 33 more pairs for +0.6%.  Outer iteration counts
 # do not move, and tail compactness at 64^2 keeps one pair at every value.
 TRANSPORT_REUSE_THETA = 0.5
+
+# b is projected onto div-free fields when max |div b| exceeds this after a
+# step; the pre-cleaning divergence is O(1), so every step is cleaned
+DIV_CLEAN_THRESHOLD = 1e-10
 
 # iteration caps of the magnetic Picard loop and of the outer fixed point
 PICARD_MAX_ITER = 25
@@ -141,12 +144,10 @@ class SolverConfig:
     rm: float = 1.0
     s: float = 1.0
     n_modes: int | None = None  # None = full velocity space
-    m_diag: int = 0
     picard_tol: float = 1e-10
     outer_mode: str = "fixed_point"  # or "single_pass"
     outer_tol: float = 1e-9
     compat_tol_factor: float = 1e-8
-    div_clean_threshold: float = 1e-10
     strong_mode: bool = False
     keep_states: bool = False
     checkpoint_every: int = 0
@@ -161,25 +162,20 @@ class SolverConfig:
         full = (self.nx - 1) * (self.ny - 1)  # dimension of the discrete solenoidal space
         if self.n_modes is not None and not 1 <= self.n_modes <= full:
             bad.append(f"galerkin.n must be 'full' or in 1..{full} on this grid")
-        faces = (self.nx - 1) * self.ny + self.nx * (self.ny - 1)  # interior face dofs
-        if not 0 <= self.m_diag <= faces:
-            bad.append(f"galerkin.m must be in 0..{faces} on this grid")
         if not self.dt > 0:
             bad.append("time.dt must be positive")
         if not math.isfinite(self.t_final):
             bad.append("time.T must be finite")
         elif self.t_final < self.dt:
             bad.append("time.T must be >= dt")
-        # what the config file refuses: a NaN threshold would turn cleaning
-        # off (no divergence exceeds it), Rm = 0 divides by zero
+        # what the config file refuses, under its keys: Rm = 0 divides by zero
         for name, key in (
             ("re", "physics.Re"),
             ("rm", "physics.Rm"),
             ("s", "physics.S"),
-            ("picard_tol", "tolerances.picard_tol"),
-            ("outer_tol", "tolerances.outer_tol"),
-            ("compat_tol_factor", "tolerances.compat_tol_factor"),
-            ("div_clean_threshold", "tolerances.div_clean_threshold"),
+            ("picard_tol", "tolerances.picard"),
+            ("outer_tol", "tolerances.outer"),
+            ("compat_tol_factor", "tolerances.compatibility"),
         ):
             if not 0 < getattr(self, name) < math.inf:
                 bad.append(f"{key} must be positive and finite")
@@ -603,7 +599,7 @@ class Stepper:
         b_hat = b_new  # carried uncleaned
         div_before = float(np.max(np.abs(divergence(b_new).values)))
         cleaned = False
-        if div_before > cfg.div_clean_threshold:
+        if div_before > DIV_CLEAN_THRESHOLD:
             b_new, _ = project_divfree(b_new, self.poisson)
             cleaned = True
         # the step's one finiteness scan: internal fields are built unchecked
@@ -699,24 +695,21 @@ def run(
 
 # --- checkpoints ----------------------------------------------------------------
 #
-# v3: MAGIC | header | crc32 | payload.  The header holds nx, ny, t, dt, the
+# MAGIC | header | crc32 | payload.  The header holds nx, ny, t, dt, the
 # truncation (-1 = full), Re, Rm, S, the digest of the boundary data up to t
 # (``BoundaryTrace.digest``) and the payload's byte count; the crc32 covers
 # magic, header and payload.  The payload holds u, b, p and the `Restart`
-# fields (u_ref, b^(n-1)_hat, b^n_hat) as little-endian f8.  v2 (magic
-# MHDCKPT2, the same header, no carried iterates) reads with the iterates
-# (b, b); v1 (magic MHDCKPT1, the first five header fields, no crc, no u_ref)
-# with u_ref = u and (b, b).
+# fields (u_ref, b^(n-1)_hat, b^n_hat) as little-endian f8.  No other layout
+# is read, so every restart checks its physics and boundary data.
 
 _CKPT_HEADER = struct.Struct("<qqddqddd32sQ")
 _CKPT_CRC = struct.Struct("<I")
-_CKPT_V1_HEADER = struct.Struct("<qqddq")
 
 
 def write_checkpoint(
     path, state: SimState, cfg: SolverConfig, trace: BoundaryTrace, restart: Restart | None = None
 ):
-    """Write a v3 checkpoint; ``restart`` defaults to (state.u, state.b, state.b)."""
+    """Write a checkpoint; ``restart`` defaults to (state.u, state.b, state.b)."""
     from .ioutil import atomic_write_bytes
 
     g = state.u.grid
@@ -735,7 +728,7 @@ def write_checkpoint(
 
 
 def read_checkpoint(path):
-    """Read a v3, v2 or v1 checkpoint; a malformed file raises ConfigError naming it."""
+    """Read a checkpoint; a malformed file raises ConfigError naming it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -743,27 +736,22 @@ def read_checkpoint(path):
         raise ConfigError([f"checkpoint {path}: cannot read ({exc.strerror})"])
     bad = lambda why: ConfigError([f"checkpoint {path}: {why}"])
     magic = raw[: len(CKPT_MAGIC)]
-    # vector fields stored after u, b, p: u_ref in v2, u_ref and the iterates in v3
-    extra = {CKPT_MAGIC: 3, _CKPT_V2_MAGIC: 1, _CKPT_V1_MAGIC: 0}.get(magic)
-    if extra is None:
-        raise bad("not a checkpoint file (bad magic number)")
-    v1 = magic == _CKPT_V1_MAGIC
-    head = _CKPT_V1_HEADER if v1 else _CKPT_HEADER
-    off = len(magic) + head.size + (0 if v1 else _CKPT_CRC.size)
+    if magic != CKPT_MAGIC:
+        raise bad(f"not a checkpoint file (bad magic number {magic!r}, expected {CKPT_MAGIC!r})")
+    off = len(magic) + _CKPT_HEADER.size + _CKPT_CRC.size
     if len(raw) < off:
         raise bad(f"header truncated ({len(raw)} bytes)")
-    fields = head.unpack_from(raw, len(magic))
-    nx, ny, t, dt, n_trunc = fields[:5]
-    physics, digest, nbytes = (None, None, None) if v1 else (fields[5:8], fields[8], fields[9])
+    nx, ny, t, dt, n_trunc, *physics, digest, nbytes = _CKPT_HEADER.unpack_from(raw, len(magic))
+    physics = tuple(physics)
     if nx < 4 or ny < 4:
         raise bad(f"header grid {nx}x{ny} is too coarse")
-    if not all(map(math.isfinite, (t, dt) + (physics or ()))):
+    if not all(map(math.isfinite, (t, dt) + physics)):
         raise bad(f"non-finite header value (t={t!r}, dt={dt!r}, Re, Rm, S={physics!r})")
     grid = Grid(nx, ny)
     vec = [grid.shape_xface(), grid.shape_yface()]
-    shapes = vec * 2 + [grid.shape_center()] + vec * extra
+    shapes = vec * 2 + [grid.shape_center()] + vec * 3
     sizes = [a * b for a, b in shapes]
-    if len(raw) - off != 8 * sum(sizes) or (not v1 and nbytes != 8 * sum(sizes)):
+    if len(raw) - off != 8 * sum(sizes) or nbytes != 8 * sum(sizes):
         raise bad(
             f"payload has {len(raw) - off} bytes (header: {nbytes}), "
             f"a {nx}x{ny} grid needs {8 * sum(sizes)}"
@@ -771,26 +759,21 @@ def read_checkpoint(path):
     payload = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
     if not np.all(np.isfinite(payload)):
         raise bad("non-finite field values")
-    if not v1:
-        crc_at = off - _CKPT_CRC.size
-        if zlib.crc32(raw[off:], zlib.crc32(raw[:crc_at])) != _CKPT_CRC.unpack_from(raw, crc_at)[0]:
-            raise bad("checksum mismatch (damaged file)")
+    crc_at = off - _CKPT_CRC.size
+    if zlib.crc32(raw[off:], zlib.crc32(raw[:crc_at])) != _CKPT_CRC.unpack_from(raw, crc_at)[0]:
+        raise bad("checksum mismatch (damaged file)")
     arrays = [a.reshape(s) for a, s in zip(np.split(payload, np.cumsum(sizes)[:-1]), shapes)]
     u = VectorField(grid, arrays[0], arrays[1])
     b = VectorField(grid, arrays[2], arrays[3])
     p = ScalarField(grid, arrays[4])
-    carried = [VectorField(grid, *arrays[k : k + 2]) for k in range(5, len(arrays), 2)]
-    if extra == 3:
-        restart = Restart(*carried)
-    else:  # v2 carries u_ref alone, v1 nothing
-        restart = Restart(carried[0] if carried else u, b, b)
+    restart = Restart(*(VectorField(grid, *arrays[k : k + 2]) for k in range(5, len(arrays), 2)))
     return {
         "grid": grid,
         "t": t,
         "dt": dt,
         "n_modes": None if n_trunc < 0 else n_trunc,
-        "physics": physics,  # (Re, Rm, S); None for v1
-        "trace_digest": digest,  # None for v1
+        "physics": physics,  # (Re, Rm, S)
+        "trace_digest": digest,
         "state": SimState(t, u, b, p),
         "restart": restart,
     }
@@ -799,15 +782,15 @@ def read_checkpoint(path):
 def check_restart_header(ck, cfg: SolverConfig, trace: BoundaryTrace | None = None):
     """Restart refuses a mismatched discretization, physics or boundary trace.
 
-    With ``trace``, the trace must sample the checkpoint time and (for v2)
-    agree with the recorded boundary data up to it.
+    With ``trace``, the trace must sample the checkpoint time and agree
+    with the recorded boundary data up to it.
     """
     bad = []
     want = (cfg.nx, cfg.ny, cfg.dt, cfg.n_modes)
     got = (ck["grid"].nx, ck["grid"].ny, ck["dt"], ck["n_modes"])
     if want != got:
         bad.append(f"checkpoint header {got} does not match configuration {want}")
-    if ck["physics"] is not None and ck["physics"] != (cfg.re, cfg.rm, cfg.s):
+    if ck["physics"] != (cfg.re, cfg.rm, cfg.s):
         bad.append(
             f"checkpoint physics (Re, Rm, S) = {ck['physics']} do not match "
             f"configuration {(cfg.re, cfg.rm, cfg.s)}"
@@ -818,7 +801,7 @@ def check_restart_header(ck, cfg: SolverConfig, trace: BoundaryTrace | None = No
         except ValueError:
             bad.append(f"boundary trace has no instant at the checkpoint time t={ck['t']!r}")
         else:
-            if ck["trace_digest"] is not None and digest != ck["trace_digest"]:
+            if digest != ck["trace_digest"]:
                 bad.append(
                     f"boundary trace up to t={ck['t']!r} differs from the one "
                     "the checkpoint was written with"

@@ -228,20 +228,24 @@ class BasisInequalityReport:
 def basis_inequality_check(stokes: SpectralBasis, n: int, samples: int = 20, seed: int = 0):
     """Measured constant in ||Lap u1||^2 <= (c0+1) lambda_{n+1} ||grad u1||^2.
 
-    u1 ranges over random combinations of the first n modes; also verifies
-    the exact spectral identity ||grad u1||^2 = sum g_i^2 lambda_i.
+    u1 ranges over projections of seeded random face fields onto the span
+    of the first n modes: its coefficients are iid standard normal, and u1
+    does not depend on which orthonormal basis of a degenerate eigenspace
+    the eigensolver returned.  Also verifies the exact spectral identity
+    ||grad u1||^2 = sum g_i^2 lambda_i.
     """
     if n >= stokes.count:
         raise ValueError("need n < basis.count to reference lambda_{n+1}")
     rng = np.random.default_rng(seed)
+    g = stokes.grid
+    scale = 1.0 / np.sqrt(g.dx * g.dy)  # unit-variance coefficients
     lam_next = stokes.eigenvalues[n]
     ratios = np.empty(samples)
     id_err = 0.0
     for s in range(samples):
-        gvec = rng.standard_normal(n)
-        ux = np.tensordot(gvec, stokes.modes_x[:n], axes=(0, 0))
-        uy = np.tensordot(gvec, stokes.modes_y[:n], axes=(0, 0))
-        u1 = VectorField._unchecked(stokes.grid, ux, uy)
+        r = VectorField._unchecked(g, scale * rng.standard_normal(g.shape_xface()),
+                                   scale * rng.standard_normal(g.shape_yface()))
+        gvec, u1 = project(stokes, r, n)
         lap_sq = l2_norm_sq(apply_lap_mirror(u1))
         grad_sq = grad_norm_sq(u1)
         spectral = float(np.sum(gvec**2 * stokes.eigenvalues[:n]))
@@ -286,27 +290,22 @@ def load_basis(path) -> SpectralBasis:
                          my.reshape(count, nx, ny + 1))
 
 
-def cache_key(kind, grid, count):
-    return f"basis_{kind}_{grid.nx}x{grid.ny}_{count}.mhdbasis"
-
-
-def cached_basis(kind: str, grid: Grid, count: int, cache_dir: str) -> SpectralBasis:
-    """Load a bit-identical copy of an eigenbasis from ``cache_dir``, or
-    build it and store it there.
+def cached_basis(grid: Grid, count: int, cache_dir: str) -> SpectralBasis:
+    """Load a bit-identical copy of the Stokes eigenbasis from ``cache_dir``,
+    or build it and store it there.
 
     A cache file that is damaged or holds another basis is rebuilt and rewritten.
     """
-    builder = build_stokes_basis if kind == "stokes" else build_laplacian_basis
-    path = os.path.join(cache_dir, cache_key(kind, grid, count))
+    path = os.path.join(cache_dir, f"basis_stokes_{grid.nx}x{grid.ny}_{count}.mhdbasis")
     if os.path.exists(path):
         try:
             basis = load_basis(path)
         except ValueError as exc:
             log.warning("rebuilding basis cache: %s", exc)
         else:
-            if basis.kind == kind and basis.count == count and basis.grid == grid:
+            if basis.kind == "stokes" and basis.count == count and basis.grid == grid:
                 return basis
             log.warning("rebuilding basis cache: %s holds another basis", path)
-    basis = builder(grid, count)
+    basis = build_stokes_basis(grid, count)
     save_basis(basis, path)
     return basis

@@ -10,6 +10,7 @@ frozen by the calibrate step.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -132,6 +133,19 @@ def _report(experiment_id, params) -> ExperimentReport:
     return ExperimentReport(experiment_id, _digest(params))
 
 
+def _timed(experiment):
+    """Set the returned report's ``runtime_s`` to the experiment's wall time."""
+
+    @functools.wraps(experiment)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        rep = experiment(*args, **kwargs)
+        rep.runtime_s = time.perf_counter() - start
+        return rep
+
+    return timed
+
+
 # --- manufactured solutions ----------------------------------------------------
 
 def _mms_case(kind: str, re=1.0, rm=1.0, s_coupling=1.0):
@@ -241,6 +255,7 @@ def _fit_order(hs, errs):
     return float(np.polyfit(np.log(np.asarray(hs, float)), np.log(np.asarray(errs, float)), 1)[0])
 
 
+@_timed
 def mms_convergence(
     nx_list=(16, 32, 64),
     dt_list=(4e-3, 2e-3, 1e-3),
@@ -256,7 +271,6 @@ def mms_convergence(
     same grid, which cancels the spatial error exactly.
     """
     rep = _report("mms", dict(nx=nx_list, dt=dt_list, dts=dt_spatial))
-    t0 = time.time()
     steady = _mms_case("steady")
     sp_errs = [_mms_error(steady, nx, dt_spatial, t_spatial) for nx in nx_list]
     order_space = _fit_order([1.0 / n for n in nx_list], sp_errs)
@@ -271,7 +285,6 @@ def mms_convergence(
     order_time = _fit_order(dt_list, t_errs)
     rep.check("temporal-order", "mms-oracle", order_time, 0.9, order_time >= 0.9,
               note=f"errors {t_errs}")
-    rep.runtime_s = time.time() - t0
     rep.extras = {"spatial_errors": sp_errs, "temporal_errors": t_errs}
     return rep
 
@@ -292,12 +305,12 @@ def _difference_measure(states1, states2, trace1, trace2, dt):
     return sup_e + float(np.trapezoid(diss, dx=dt))
 
 
+@_timed
 def continuous_dependence(
     eps_list=(1e-2, 1e-3, 1e-4), nx=32, dt=2e-3, t_final=0.5
 ) -> ExperimentReport:
     """Quadratic-in-data scaling of trajectory differences."""
     rep = _report("continuous-dependence", dict(eps=eps_list, nx=nx, dt=dt, T=t_final))
-    t_start = time.time()
     base = make_scenario("cd-base", nx=nx, dt=dt, t_final=t_final, keep_states=True)
     grid = base.cfg.grid()
     traj0, _ = run(base.cfg, base.u0, base.b0, base.trace)
@@ -329,7 +342,6 @@ def continuous_dependence(
         mono = all(d1 > d2 for d1, d2 in zip(dvals, dvals[1:]))
         rep.check(f"{name}-monotone", "cd-quadratic", float(mono), 1.0, mono,
                   note=f"D {dvals}")
-    rep.runtime_s = time.time() - t_start
     rep.extras = {"d_init": d_init, "d_bnd": d_bnd}
     return rep
 
@@ -361,6 +373,7 @@ def _absorbing_data(nx, dt, variant):
     return grid, modes, trace, series, c_p
 
 
+@_timed
 def absorbing_experiment(
     store: CalibrationStore,
     nx=32,
@@ -381,7 +394,6 @@ def absorbing_experiment(
         raise ValueError(f"unknown absorbing variant {variant!r} or strong mode {strong!r}")
     rep = _report("absorbing", dict(nx=nx, dt=dt, variant=variant, diam=diam_factor,
                                     strong=strong))
-    t_start = time.time()
     if _data is None:
         _data = _absorbing_data(nx, dt, variant)
     grid, modes, trace, (times, h12_sq, dth_sq, he_l2), c_p = _data
@@ -389,7 +401,6 @@ def absorbing_experiment(
     ok_gate, gate_val = smallness_gate(c1, float(np.max(np.sqrt(h12_sq))), c_p)
     rep.check("smallness-gate", "normal-data-gate", gate_val, c_p, ok_gate)
     if not ok_gate:
-        rep.runtime_s = time.time() - t_start
         return rep
 
     consts = {k: store.get(f"absorb_{k}") for k in ("c_tilde", "c0", "c_omega")}
@@ -461,12 +472,12 @@ def absorbing_experiment(
                       rho2_meas <= rho2)
             rep.check("strong-window", "absorbing-window-strong", rho3_meas, rho3,
                       rho3_meas <= rho3)
-    rep.runtime_s = time.time() - t_start
     return rep
 
 
 # --- tail compactness ---------------------------------------------------------------
 
+@_timed
 def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) -> ExperimentReport:
     """Decay of the unresolved-mode H1 energy as the cut moves up the spectrum.
 
@@ -474,7 +485,6 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
     stationary), whose spectrum is steep enough to exhibit the decay.
     """
     rep = _report("tail", dict(n=n_list, nx=nx, dt=dt, T=t_final))
-    t_start = time.time()
     case = _mms_case("steady")
     cfg, u0, b0, trace, forcing = _mms_scenario(case, nx, dt, t_final)
     traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
@@ -504,16 +514,15 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
     rep.check("tail-reduction", "tail-decay", red, 10.0, red >= 10.0,
               note=f"n {list(n_list)} gammas {gammas}")
     rep.extras = {"tails": tails, "gammas": gammas}
-    rep.runtime_s = time.time() - t_start
     return rep
 
 
 # --- picard contraction ----------------------------------------------------------------
 
+@_timed
 def picard_contraction_study(dt_list=(4e-3, 2e-3, 1e-3), nx=32, steps=10) -> ExperimentReport:
     """Measured magnetic-step contraction ratios across dt."""
     rep = _report("picard", dict(dt=dt_list, nx=nx, steps=steps))
-    t_start = time.time()
     ratios = []
     for dt in dt_list:
         scen = make_scenario(
@@ -535,7 +544,6 @@ def picard_contraction_study(dt_list=(4e-3, 2e-3, 1e-3), nx=32, steps=10) -> Exp
     big = max(r.contraction_ratio for r in traj2.reports)
     rep.check("amplitude-coupling", "picard-contraction", big, ratios[0], big >= ratios[0])
     rep.extras = {"ratios": ratios, "ratio_doubled": big}
-    rep.runtime_s = time.time() - t_start
     return rep
 
 
@@ -554,10 +562,10 @@ def _smooth_pair(grid):
     )
 
 
+@_timed
 def identity_suite(nx_pair=(32, 64)) -> ExperimentReport:
     """Refinement of the three planar vector-identity residuals."""
     rep = _report("identities", dict(nx=nx_pair))
-    t_start = time.time()
     res = {}
     for nx in nx_pair:
         g = Grid(nx, nx)
@@ -566,14 +574,13 @@ def identity_suite(nx_pair=(32, 64)) -> ExperimentReport:
         ratio = res[nx_pair[0]][key] / res[nx_pair[1]][key]
         rep.check(f"{key}-refinement", "vector-identities", ratio, 3.5, ratio >= 3.5,
                   note=f"residuals {res[nx_pair[0]][key]:.3e} -> {res[nx_pair[1]][key]:.3e}")
-    rep.runtime_s = time.time() - t_start
     return rep
 
 
+@_timed
 def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
     """Cross-resolution stability of the spectral inequality constants."""
     rep = _report("basis-stability", dict(nx=nx_pair, n=n, seed=seed))
-    t_start = time.time()
     c0s, regs = [], []
     for nx in nx_pair:
         g = Grid(nx, nx)
@@ -588,7 +595,6 @@ def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
         ratio = max(vals) / min(vals)
         rep.check(f"{name}-stability", "spectral-stability", ratio, 2.0, ratio <= 2.0,
                   note=f"values {vals}")
-    rep.runtime_s = time.time() - t_start
     rep.extras = {"c0": c0s, "regularity": regs}
     return rep
 
@@ -605,10 +611,10 @@ def _band_limited_fields(grid, count, kmax=6, seed=0):
     return [ScalarField(grid, np.tensordot(c, basis, axes=(0, 0))) for c in coeffs]
 
 
+@_timed
 def brezis_gallouet_study(nx_pair=(32, 64), count=200, seed=0) -> ExperimentReport:
     """Max interpolation ratio over band-limited fields, two resolutions."""
     rep = _report("brezis-gallouet", dict(nx=nx_pair, count=count, seed=seed))
-    t_start = time.time()
     maxima = []
     for nx in nx_pair:
         g = Grid(nx, nx)
@@ -617,7 +623,6 @@ def brezis_gallouet_study(nx_pair=(32, 64), count=200, seed=0) -> ExperimentRepo
     drift = abs(maxima[0] / maxima[1] - 1.0)
     rep.check("cross-resolution-drift", "sup-interpolation", drift, 0.10, drift <= 0.10,
               note=f"max ratios {maxima}")
-    rep.runtime_s = time.time() - t_start
     rep.extras = {"maxima": maxima}
     return rep
 
@@ -627,10 +632,10 @@ def brezis_gallouet_study(nx_pair=(32, 64), count=200, seed=0) -> ExperimentRepo
 GRONWALL_SCENARIOS = ["calib-osc", "ramp", "two-mode", "steady-h", "pulse"]
 
 
+@_timed
 def gronwall_suite(store: CalibrationStore, nx=32, dt=2e-3, t_final=1.0) -> ExperimentReport:
     """Trajectory-vs-bound check of the integrated weak energy estimate."""
     rep = _report("gronwall", dict(nx=nx, dt=dt, T=t_final, scenarios=GRONWALL_SCENARIOS))
-    t_start = time.time()
     c = store.get("weak_energy_c")
     for sid in GRONWALL_SCENARIOS:
         scen = make_scenario(sid, nx=nx, dt=dt, t_final=t_final)
@@ -643,7 +648,6 @@ def gronwall_suite(store: CalibrationStore, nx=32, dt=2e-3, t_final=1.0) -> Expe
         rep.check(f"{sid}-margins", "energy-inequality", float(np.max(margins[1:])), 0.0,
                   float(np.max(margins[1:])) <= max(1e-8, 0.05 * np.max(np.abs(margins))),
                   note="differential margins nonpositive up to dt consistency")
-    rep.runtime_s = time.time() - t_start
     return rep
 
 

@@ -87,7 +87,6 @@ b = matched
 
 [galerkin]
 n = 12
-m = 4
 """
     rc1 = parse_config(_write(tmp_path, text))
     rc2 = parse_config(_write(tmp_path, rc1.to_text(), name="round.cfg"))
@@ -110,6 +109,21 @@ def test_main_run_zero_scenario(tmp_path):
 def test_main_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, MINIMAL.replace("dt = 1e-3", "dt = 0"))
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "inf", "one"])
+@pytest.mark.parametrize("key", ["picard", "outer", "compatibility"])
+def test_bad_tolerance_errors_name_config_keys(tmp_path, capsys, key, value):
+    from mhd2d.cli import _SCHEMA
+
+    cfg = _write(tmp_path, MINIMAL + f"\n[tolerances]\n{key} = {value}\n")
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    keys = {f"{sec}.{k}" for sec, names in _SCHEMA.items() for k in names}
+    assert lines and all(line.startswith("config error: ") for line in lines)
+    for line in lines:  # "<section>.<key> must be ..." or "<section>.<key>: cannot parse ..."
+        named = line.split()[2].rstrip(":")
+        assert named in keys and named == f"tolerances.{key}", line
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -141,11 +155,13 @@ def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
         MINIMAL + "\n[initial]\nu = bump kx=one\n",
         MINIMAL + "\n[galerkin]\nn = 0\n",
         MINIMAL + "\n[galerkin]\nn = 226\n",
-        MINIMAL + "\n[galerkin]\nm = -1\n",
+        MINIMAL + "\n[galerkin]\nm = -1\n",  # galerkin.m is an unknown key
+        MINIMAL + "\n[galerkin]\nm = 16\n",
+        MINIMAL + "\n[tolerances]\ndiv_clean = 1e-10\n",
         MINIMAL + "\n[boundary]\nmodes = constant amp=0.1 comp=3\n",
     ],
     ids=["non-square-grid", "bad-initial-integer", "no-modes", "too-many-modes", "negative-m",
-         "component-3"],
+         "unknown-galerkin-m", "unknown-div-clean", "component-3"],
 )
 def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
@@ -258,14 +274,11 @@ def test_main_basis_command(tmp_path):
     text = MINIMAL + """
 [galerkin]
 n = 3
-m = 3
 """
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["basis", "--config", cfg, "--output-dir", str(out)]) == 0
-    cache = out / "basis_cache"
-    assert (cache / "basis_stokes_16x16_3.mhdbasis").exists()
-    assert (cache / "basis_dirichlet_laplacian_16x16_3.mhdbasis").exists()
+    assert os.listdir(out / "basis_cache") == ["basis_stokes_16x16_3.mhdbasis"]  # no Laplacian
 
 
 def test_main_restart_from_checkpoint(tmp_path):
@@ -430,7 +443,7 @@ seed = 3
 strong = measure
 """,
     "calibrate": MINIMAL,
-    "basis": MINIMAL + "\n[galerkin]\nn = 3\nm = 3\n",
+    "basis": MINIMAL + "\n[galerkin]\nn = 3\n",
 }
 
 
@@ -446,7 +459,7 @@ def stubbed_runners(monkeypatch, tmp_path):
     store = CalibrationStore()
     store.set("c_p", 1.0, "stub")
     monkeypatch.setattr(cli, "calibrate_constants", lambda nx, dt: store)
-    monkeypatch.setattr(cli, "cached_basis", lambda kind, grid, n, cache: None)
+    monkeypatch.setattr(cli, "cached_basis", lambda grid, n, cache: None)
     (tmp_path / "out").mkdir()
     store.write(tmp_path / "out" / "calibration.txt")  # the store the experiments read
 
@@ -473,20 +486,18 @@ def test_damaged_command_config_exits_by_contract(tmp_path, capsys, stubbed_runn
 @given(data=st.data())
 def test_damaged_basis_cache_is_rebuilt(tmp_path, capsys, data):
     from mhd2d.geometry import Grid
-    from mhd2d.spectral import build_laplacian_basis, build_stokes_basis, load_basis
+    from mhd2d.spectral import build_stokes_basis, load_basis
 
     cfg = _write(tmp_path, FUZZ_COMMANDS["basis"])
     argv = ["basis", "--config", cfg, "--output-dir", str(tmp_path / "out")]
     shutil.rmtree(tmp_path / "out", ignore_errors=True)  # each example damages a fresh cache
     assert main(argv) == 0
-    kind, build = data.draw(st.sampled_from(
-        [("stokes", build_stokes_basis), ("dirichlet_laplacian", build_laplacian_basis)]), label="kind")
-    path = tmp_path / "out" / "basis_cache" / f"basis_{kind}_16x16_3.mhdbasis"
+    path = tmp_path / "out" / "basis_cache" / "basis_stokes_16x16_3.mhdbasis"
     path.write_bytes(_damage(data, path.read_bytes()))
     capsys.readouterr()
     assert main(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
-    loaded, fresh = load_basis(path), build(Grid(16, 16), 3)
+    loaded, fresh = load_basis(path), build_stokes_basis(Grid(16, 16), 3)
     assert np.array_equal(loaded.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(loaded.modes_x, fresh.modes_x)
     assert np.array_equal(loaded.modes_y, fresh.modes_y)
@@ -498,7 +509,6 @@ EXPERIMENT_HEAD = MINIMAL + "\n[experiment]\n"
 @pytest.mark.parametrize(
     "command,text,expect",
     [
-        ("basis", MINIMAL.replace("16", "8") + "\n[galerkin]\nm = 100000\n", "galerkin.m"),
         ("basis", MINIMAL.replace("16", "4"), "galerkin.n"),
         ("experiment", EXPERIMENT_HEAD + "id = mms\nnx_list = 16,2\n", "nx_list"),
         ("experiment", EXPERIMENT_HEAD + "id = picard\ndt_list = -1\n", "dt_list"),
@@ -511,7 +521,7 @@ EXPERIMENT_HEAD = MINIMAL + "\n[experiment]\n"
         ("experiment", EXPERIMENT_HEAD + "id = basis-stability\nseed = -1\n", "seed"),
         ("run", MINIMAL + "\n[outputs]\ncheckpoint_every = -2\n", "checkpoint_every"),
     ],
-    ids=["laplacian-m-too-large", "default-n-too-large", "coarse-grid", "negative-dt", "nan-dt",
+    ids=["default-n-too-large", "coarse-grid", "negative-dt", "nan-dt",
          "zero-modes", "tail-over-capacity", "zero-diameter", "unknown-variant", "unknown-strong",
          "negative-seed", "negative-checkpoint-every"],
 )

@@ -86,9 +86,6 @@ def test_config_validation_collects_violations():
         ("re", -1.0),
         ("s", np.nan),
         ("rm", np.inf),
-        ("div_clean_threshold", np.nan),  # would turn divergence cleaning off
-        ("div_clean_threshold", np.inf),
-        ("div_clean_threshold", 0.0),
         ("picard_tol", np.inf),
         ("t_final", np.nan),  # a ValueError from the step count in run
     ],
@@ -550,7 +547,7 @@ def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
                         lambda b, poisson: before.append(b) or clean(b, poisson))
     _, rep = Stepper(cfg, trace).coupled_step(SimState(0.0, zero, zero, ScalarField.zeros(g)))
     assert rep.picard_iterations == 1  # u = 0: the magnetic solve is one heat solve
-    assert rep.cleaned and rep.div_b_before_clean > 1e6 * cfg.div_clean_threshold
+    assert rep.cleaned and rep.div_b_before_clean > 1e6 * dynamics.DIV_CLEAN_THRESHOLD
     div = np.abs(divergence(before[0]).values)
     assert div.max() == rep.div_b_before_clean
     i, j = np.unravel_index(np.argmax(div), div.shape)
@@ -689,7 +686,8 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
                         lambda self, *a: recoveries.append(a) or recover(self, *a))
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT, outer_mode=mode)
     # no cleaning, so the state's b is the one the velocity step saw
-    st = Stepper(replace(scen.cfg, div_clean_threshold=sys.float_info.max), scen.trace)
+    monkeypatch.setattr(dynamics, "DIV_CLEAN_THRESHOLD", sys.float_info.max)
+    st = Stepper(scen.cfg, scen.trace)
     assert st.saddle.poisson is st.poisson  # cleaning, ledger and pressure share one solver
     state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
     outer = 0
@@ -809,54 +807,47 @@ def test_restart_with_a_reused_pair_live_is_bit_identical(tmp_path):
     resumed, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p,
                      restart=ck["restart"])
     _assert_same_state(full.final_state, resumed.final_state)
-    # refactoring at u^n instead (what a v1 checkpoint implies) agrees only
-    # to the solver tolerances
+    # refactoring at u^n instead agrees only to the solver tolerances
     fresh, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p)
     assert not np.array_equal(full.final_state.b.x, fresh.final_state.b.x)
     scale = np.sqrt(l2_norm_sq(full.final_state.b))
     assert np.sqrt(l2_norm_sq(full.final_state.b - fresh.final_state.b)) <= 1e-9 * scale
 
 
-def test_v1_checkpoint_reads_with_u_ref_equal_to_u(tmp_path):
-    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)
+def _old_layout_bytes(magic, state, cfg, trace):
+    """``state`` in an earlier checkpoint layout: MHDCKPT1 (the first five
+    header fields, no checksum, u, b, p) or MHDCKPT2 (today's header, then
+    u, b, p and u_ref = u)."""
+    g = state.u.grid
+    arrays = [state.u.x, state.u.y, state.b.x, state.b.y, state.p.values]
+    if magic == b"MHDCKPT1":
+        return magic + struct.pack("<qqddq", g.nx, g.ny, state.t, cfg.dt, -1) + b"".join(
+            a.astype("<f8").tobytes() for a in arrays)
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays + [state.u.x, state.u.y])
+    head = magic + struct.pack("<qqddqddd32sQ", g.nx, g.ny, state.t, cfg.dt, -1, cfg.re, cfg.rm,
+                               cfg.s, trace.digest(state.t), len(payload))
+    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+
+
+@pytest.mark.parametrize("magic", [b"MHDCKPT1", b"MHDCKPT2"], ids=["v1", "v2"])
+def test_old_checkpoint_layout_is_refused(tmp_path, capsys, magic):
+    from mhd2d.cli import main
+
+    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=2 * DT)  # Re = Rm = S = 1
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    s = traj.final_state
-    g = s.u.grid
-    arrays = (s.u.x, s.u.y, s.b.x, s.b.y, s.p.values)
-    path = tmp_path / "v1.mhdckpt"
-    path.write_bytes(b"MHDCKPT1" + struct.pack("<qqddq", g.nx, g.ny, s.t, DT, -1)
-                     + b"".join(a.astype("<f8").tobytes() for a in arrays))
-    ck = read_checkpoint(path)
-    assert ck["physics"] is None and ck["trace_digest"] is None
-    carried = ck["restart"]
-    assert carried.u_ref is ck["state"].u
-    assert carried.b_prev is ck["state"].b and carried.b_last is ck["state"].b
-    assert np.array_equal(ck["state"].b.y, s.b.y)
-    check_restart_header(ck, scen.cfg, scen.trace)  # nothing recorded to mismatch
-
-
-def test_v2_checkpoint_reads_with_the_iterates_equal_to_b(tmp_path):
-    scen = make_scenario("calib-osc", nx=8, dt=DT, t_final=4 * DT)
-    full, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    half_cfg = replace(scen.cfg, t_final=2 * DT)
-    half, _ = run(half_cfg, scen.u0, scen.b0, scen.trace)
-    s, u_ref = half.final_state, half.restart.u_ref
-    g = s.u.grid
-    arrays = (s.u.x, s.u.y, s.b.x, s.b.y, s.p.values, u_ref.x, u_ref.y)
-    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
-    head = b"MHDCKPT2" + struct.pack("<qqddqddd32sQ", g.nx, g.ny, s.t, DT, -1, scen.cfg.re,
-                                     scen.cfg.rm, scen.cfg.s, scen.trace.digest(s.t), len(payload))
-    path = tmp_path / "v2.mhdckpt"
-    path.write_bytes(head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload)
-    ck = read_checkpoint(path)
-    st, carried = ck["state"], ck["restart"]
-    assert np.array_equal(carried.u_ref.x, u_ref.x)
-    assert carried.b_prev is st.b and carried.b_last is st.b
-    check_restart_header(ck, scen.cfg, scen.trace)
-    resumed, _ = run(scen.cfg, st.u, st.b, scen.trace, t0=ck["t"], p0=st.p, restart=carried)
-    want, got = full.final_state, resumed.final_state
-    for a, b in ((want.u, got.u), (want.b, got.b)):
-        assert np.sqrt(l2_norm_sq(a - b)) <= 1e-9 * np.sqrt(l2_norm_sq(a))
+    path = tmp_path / "old.mhdckpt"
+    path.write_bytes(_old_layout_bytes(magic, traj.final_state, scen.cfg, scen.trace))
+    with pytest.raises(ConfigError) as exc:
+        read_checkpoint(path)
+    msg = str(exc.value)
+    assert str(path) in msg and repr(magic) in msg and "MHDCKPT3" in msg
+    # a restart with other physics: an MHDCKPT1 file records none to compare
+    cfg = tmp_path / "restart.cfg"
+    cfg.write_text(f"[grid]\nnx = 8\nny = 8\n\n[time]\ndt = {DT!r}\nT = {4 * DT!r}\n\n"
+                   "[physics]\nRe = 50\nRm = 0.01\nS = 7\n\n"
+                   f"[initial]\ncheckpoint = {path}\n")
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: checkpoint {path}: not a checkpoint file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
