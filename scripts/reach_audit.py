@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Print ``file:line qualname`` of each ``def`` in ``src/mhd2d`` that no entry point calls.
+
+The entry points run at small grids, under ``sys.setprofile``: ``mhd2d run``
+with checkpoints and a restart, a Galerkin run, ``mhd2d basis`` twice (the full
+basis, then its cache), a CSV-trace run, a malformed config, ``calibrate`` and
+``experiment``, every ``verify`` experiment and the absorbing-set trace calls.
+What is left should be error paths and test oracles.  Usage:
+``PYTHONPATH=src python scripts/reach_audit.py``
+"""
+
+import ast
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BASE = "[grid]\nnx = 8\nny = 8\n[time]\ndt = 0.01\nT = {T}\n"
+RUN = BASE.format(T=0.1) + "[boundary]\nmodes = stream amp=0.15 env=cos p=2.0\n"
+INIT = "[initial]\nu = bump\nb = matched\n"
+
+
+def entry_points(d: Path):
+    sys.path.insert(0, str(SRC))  # imported under the profile: decorators run at import
+    from mhd2d import cli, estimates as est, lifting as lft, verify as ver
+    from mhd2d.geometry import Grid, VectorField
+
+    def mhd2d(command, text, name, want=0):
+        (d / f"{name}.cfg").write_text(text)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            if cli.main([command, "--config", str(d / f"{name}.cfg"), "--output-dir", str(d / name)]) != want:
+                sys.exit(f"{command} {name}: exit code is not {want}\n{err.getvalue()}")
+
+    mhd2d("run", RUN + INIT + "[outputs]\ncheckpoint_every = 4\n", "run")
+    mhd2d("run", RUN.replace("T = 0.1", "T = 0.2") + f"[initial]\ncheckpoint = {d}/run/final.mhdckpt\n", "re")
+    mhd2d("run", RUN + INIT + "[galerkin]\nn = 4\n", "galerkin")
+    for _ in range(2):
+        mhd2d("basis", BASE.format(T=0.1) + "[galerkin]\nn = 49\n", "basis")
+    tr = lft.synthesize_trace(Grid(8, 8), np.arange(11) * 0.01, [])
+    rows = [(t, (k + 0.5) / 8, *h[k]) for t, h in zip(tr.times, tr.samples) for k in range(len(h))]
+    np.savetxt(d / "trace.csv", rows, "%.17g", ",", header="time,arclength,h1,h2", comments="")
+    mhd2d("run", BASE.format(T=0.1) + f"[boundary]\ncsv = {d}/trace.csv\n", "csv")
+    mhd2d("run", BASE.format(T="one"), "bad", want=2)
+    mhd2d("calibrate", BASE.format(T=0.2), "cal")
+    mhd2d("experiment", BASE.format(T=0.2) + "[experiment]\nid = identities, picard\ndt_list = 4e-3\n", "exp")
+    store = est.CalibrationStore.read(d / "cal" / "calibration.txt")
+    ver.identity_suite(nx_pair=(8, 16))
+    ver.mms_convergence((8, 16), (4e-3, 2e-3), t_spatial=0.02, t_temporal=0.02, dt_reference=1e-3)
+    ver.continuous_dependence(nx=8, t_final=0.02)
+    ver.picard_contraction_study(dt_list=(4e-3, 2e-3), nx=8, steps=2)
+    ver.absorbing_experiment(store, nx=8, strong="check")
+    ver.tail_compactness(n_list=(2, 4), nx=16, t_final=0.02)  # 160 Laplacian modes need 16^2
+    ver.basis_stability(nx_pair=(8, 16), n=4)
+    ver.brezis_gallouet_study(nx_pair=(8, 16), count=4)
+    ver.gronwall_suite(store, nx=8, t_final=0.1)
+    h12 = np.array([lft.hs_norm(tr, t, lft.FractionalNormSpec(0.5)) ** 2 for t in tr.times])
+    lft.hs_norm_dt(tr, 0.05, lft.FractionalNormSpec(-0.5))
+    lft.harmonic_extend(tr, 0.05)
+    est.absorbing_radii(tr.times, h12, h12, h12, 1.0, 1.0, 1.0, 1.0, est.window_sup(tr.times, h12))
+    lft.lifting_estimate_check(tr, 0.05)
+    lft.parabolic_estimate_check(lft.parabolic_lift(VectorField.zeros(tr.grid), tr, 0.01, 0.05), 1.0, 1.0)
+
+
+def defs(node, prefix=""):
+    """(first line of the code object, qualified name) of every def under node."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from defs(child, prefix)
+            continue
+        if not isinstance(child, ast.ClassDef):
+            yield min([child.lineno] + [x.lineno for x in child.decorator_list]), prefix + child.name
+        yield from defs(child, prefix + child.name + ".")
+
+
+if __name__ == "__main__":
+    seen, pkg = set(), str(SRC / "mhd2d")
+    sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_filename.startswith(pkg)
+                   and seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            entry_points(Path(tmp))
+        finally:
+            sys.setprofile(None)
+    for path in sorted((SRC / "mhd2d").glob("*.py")):
+        for line, name in defs(ast.parse(path.read_text())):
+            if (str(path), line) not in seen:
+                print(f"{path.relative_to(SRC.parent)}:{line} {name}")

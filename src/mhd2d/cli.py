@@ -67,57 +67,6 @@ class RunConfig:
     experiment_ids: list = field(default_factory=list)
     experiment_params: dict = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        """Serialize so that re-parsing reproduces this config exactly."""
-        cp = configparser.ConfigParser(interpolation=None)
-        s = self.solver
-        cp["grid"] = {"nx": str(s.nx), "ny": str(s.ny)}
-        cp["time"] = {"dt": repr(s.dt), "T": repr(s.t_final)}
-        cp["physics"] = {"Re": repr(s.re), "Rm": repr(s.rm), "S": repr(s.s)}
-        cp["galerkin"] = {"n": "full" if s.n_modes is None else str(s.n_modes)}
-        cp["boundary"] = {}
-        if self.boundary_csv:
-            cp["boundary"]["csv"] = self.boundary_csv
-        elif self.boundary_modes:
-            cp["boundary"]["modes"] = "; ".join(_mode_to_text(m) for m in self.boundary_modes)
-        cp["initial"] = {"u": self.initial_u, "b": self.initial_b}
-        if self.checkpoint_in:
-            cp["initial"]["checkpoint"] = self.checkpoint_in
-        cp["tolerances"] = {
-            "picard": repr(s.picard_tol),
-            "outer": repr(s.outer_tol),
-            "compatibility": repr(s.compat_tol_factor),
-        }
-        cp["outputs"] = {
-            "ledger": self.ledger_path,
-            "checkpoint_every": str(s.checkpoint_every),
-            "calibration": self.calibration_path,
-        }
-        if self.basis_cache:
-            cp["outputs"]["basis_cache"] = self.basis_cache
-        if self.experiment_ids:
-            cp["experiment"] = {"id": ",".join(self.experiment_ids)}
-            for k, v in self.experiment_params.items():
-                cp["experiment"][k] = v
-        import io
-
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
-
-
-def _mode_to_text(m: TraceMode) -> str:
-    parts = [m.kind, f"amp={m.amplitude!r}"]
-    if m.kind == "fourier":
-        parts += [f"comp={m.component}", f"k={m.wavenumber}"]
-    elif m.kind == "constant":
-        parts += [f"comp={m.component}"]
-    else:
-        parts += [f"kx={m.kx}", f"ky={m.ky}"]
-    if m.envelope != "constant":
-        parts += [f"env={m.envelope}", f"p={m.envelope_param!r}"]
-    return " ".join(parts)
-
 
 def _parse_mode(text: str, errors) -> TraceMode | None:
     toks = text.split()
@@ -178,28 +127,24 @@ def parse_config(path) -> RunConfig:
         if not cp.has_option(sec, key):
             errors.append(f"missing required key {sec}.{key}")
 
-    def get(sec, key, conv, default, positive=False):
+    def get(sec, key, conv, default):
+        """The value parsed; its range is ``SolverConfig.validate``'s to check."""
         if not cp.has_option(sec, key):
             return default
         raw = cp.get(sec, key)
         try:
-            v = conv(raw)
-            if not math.isfinite(v):
-                raise ValueError
+            return conv(raw)
         except ValueError:
             errors.append(f"{sec}.{key}: cannot parse {raw!r}")
             return default
-        if positive and not v > 0:
-            errors.append(f"{sec}.{key} must be positive")
-        return v
 
-    nx = get("grid", "nx", int, 32, positive=True)
-    ny = get("grid", "ny", int, 32, positive=True)
-    dt = get("time", "dt", float, 1e-3, positive=True)
-    t_final = get("time", "T", float, 1.0, positive=True)
-    re = get("physics", "Re", float, 1.0, positive=True)
-    rm = get("physics", "Rm", float, 1.0, positive=True)
-    s_c = get("physics", "S", float, 1.0, positive=True)
+    nx = get("grid", "nx", int, 32)
+    ny = get("grid", "ny", int, 32)
+    dt = get("time", "dt", float, 1e-3)
+    t_final = get("time", "T", float, 1.0)
+    re = get("physics", "Re", float, 1.0)
+    rm = get("physics", "Rm", float, 1.0)
+    s_c = get("physics", "S", float, 1.0)
     n_raw = cp.get("galerkin", "n", fallback="full").strip()
     n_modes = None
     if n_raw != "full":
@@ -229,9 +174,9 @@ def parse_config(path) -> RunConfig:
         rm=rm,
         s=s_c,
         n_modes=n_modes,
-        picard_tol=get("tolerances", "picard", float, 1e-10, positive=True),
-        outer_tol=get("tolerances", "outer", float, 1e-9, positive=True),
-        compat_tol_factor=get("tolerances", "compatibility", float, 1e-8, positive=True),
+        picard_tol=get("tolerances", "picard", float, 1e-10),
+        outer_tol=get("tolerances", "outer", float, 1e-9),
+        compat_tol_factor=get("tolerances", "compatibility", float, 1e-8),
         checkpoint_every=get("outputs", "checkpoint_every", int, 0),
     )
     exp_ids = []

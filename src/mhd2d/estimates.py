@@ -146,14 +146,11 @@ def record(
     h_e: VectorField,
     h_p: VectorField | None = None,
     poisson: NeumannPoisson | None = None,
-    bc: VectorBC | None = None,
+    *,
+    bc: VectorBC,
 ):
-    """Compute one ledger row from the instantaneous state and its lifts.
-
-    ``bc`` is the boundary data at t (looked up when omitted).
-    """
-    if bc is None:
-        bc = trace.vector_bc(t)
+    """Compute one ledger row from the instantaneous state, its lifts and
+    ``bc``, the boundary data at t."""
     btilde = b - h_e
     b_sq = l2_norm_sq(b)
     u_l4, u_linf = pointwise_norms(u)
@@ -412,19 +409,15 @@ def smallness_gate(c1: float, sup_h12: float, c_p: float):
 
 # --- pointwise functional ratios ---------------------------------------------
 
-def brezis_gallouet_ratio(f, bc=None) -> float:
+def brezis_gallouet_ratio(f) -> float:
     """sup-norm over H1 * sqrt(1 + log(H2^2/H1^2)), for zero-trace fields."""
     if isinstance(f, ScalarField):
-        l2 = l2_norm_sq(f)
-        gr = grad_norm_sq(f, bc)
-        lap = l2_norm_sq(apply_lap_mirror_scalar(f, bc))
+        lap = l2_norm_sq(apply_lap_mirror_scalar(f))
         sup = float(np.max(np.abs(f.values)))
     else:
-        l2 = l2_norm_sq(f)
-        gr = grad_norm_sq(f, bc)
-        lap = l2_norm_sq(apply_lap_mirror(f, bc))
+        lap = l2_norm_sq(apply_lap_mirror(f))
         sup = pointwise_norms(f)[1]
-    h1_sq = l2 + gr
+    h1_sq = l2_norm_sq(f) + grad_norm_sq(f)
     if h1_sq <= 0.0:
         raise ValueError("undefined ratio for the zero field")
     h2_sq = h1_sq + lap

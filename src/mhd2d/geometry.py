@@ -42,7 +42,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "ScalarBC",
     "VectorBC",
     "divergence",
     "gradient",
@@ -228,26 +227,6 @@ def all_finite(*fields) -> bool:
 
 
 @dataclass
-class ScalarBC:
-    """Dirichlet data for a cell-centered scalar, sampled at wall midlines.
-
-    bottom/top: values at (xc, 0) and (xc, 1), shape (nx,).
-    left/right: values at (0, yc) and (1, yc), shape (ny,).
-    """
-
-    bottom: np.ndarray
-    top: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(
-            np.zeros(grid.nx), np.zeros(grid.nx), np.zeros(grid.ny), np.zeros(grid.ny)
-        )
-
-
-@dataclass
 class VectorBC:
     """Boundary values of both components along each wall.
 
@@ -322,19 +301,6 @@ def gradient(s: ScalarField) -> VectorField:
     return out
 
 
-def _pad_scalar(s: ScalarField, bc: ScalarBC):
-    """Cell-centered array with one ghost layer on each side."""
-    g = s.grid
-    v = s.values
-    p = np.empty((g.nx + 2, g.ny + 2))
-    p[1:-1, 1:-1] = v
-    p[0, 1:-1] = _ghost(bc.left, v[0, :], v[1, :], v[2, :])
-    p[-1, 1:-1] = _ghost(bc.right, v[-1, :], v[-2, :], v[-3, :])
-    p[1:-1, 0] = _ghost(bc.bottom, v[:, 0], v[:, 1], v[:, 2])
-    p[1:-1, -1] = _ghost(bc.top, v[:, -1], v[:, -2], v[:, -3])
-    return p
-
-
 def _pad_xcomp(v: VectorField, bc: VectorBC):
     """x-component with ghost rows below/above the tangential walls."""
     f = v.x
@@ -354,37 +320,20 @@ def _pad_ycomp(v: VectorField, bc: VectorBC):
     return p
 
 
-def laplacian(f, bc):
-    """Componentwise 5-point Laplacian with ghost closure.
-
-    For vector fields the result is defined on interior faces (wall faces
-    zero); for scalars on every cell.
-    """
-    if isinstance(f, ScalarField):
-        if not isinstance(bc, ScalarBC):
-            raise ValueError("scalar field needs ScalarBC closure")
-        g = f.grid
-        p = _pad_scalar(f, bc)
-        core = p[1:-1, 1:-1]
-        lap = (p[2:, 1:-1] - 2 * core + p[:-2, 1:-1]) / g.dx**2 + (
-            p[1:-1, 2:] - 2 * core + p[1:-1, :-2]
-        ) / g.dy**2
-        return ScalarField._unchecked(g, lap)
-    if isinstance(f, VectorField):
-        if not isinstance(bc, VectorBC):
-            raise ValueError("vector field needs VectorBC closure")
-        g = f.grid
-        out = VectorField.zeros(g)
-        px = _pad_xcomp(f, bc)
-        out.x[1:-1, :] = (f.x[2:, :] - 2 * f.x[1:-1, :] + f.x[:-2, :]) / g.dx**2 + (
-            px[1:-1, 2:] - 2 * px[1:-1, 1:-1] + px[1:-1, :-2]
-        ) / g.dy**2
-        py = _pad_ycomp(f, bc)
-        out.y[:, 1:-1] = (py[2:, 1:-1] - 2 * py[1:-1, 1:-1] + py[:-2, 1:-1]) / g.dx**2 + (
-            f.y[:, 2:] - 2 * f.y[:, 1:-1] + f.y[:, :-2]
-        ) / g.dy**2
-        return out
-    raise TypeError(f"unsupported field type {type(f)!r}")
+def laplacian(f: VectorField, bc: VectorBC) -> VectorField:
+    """Componentwise 5-point Laplacian with cubic ghost closure, on interior
+    faces (wall faces zero)."""
+    g = f.grid
+    out = VectorField.zeros(g)
+    px = _pad_xcomp(f, bc)
+    out.x[1:-1, :] = (f.x[2:, :] - 2 * f.x[1:-1, :] + f.x[:-2, :]) / g.dx**2 + (
+        px[1:-1, 2:] - 2 * px[1:-1, 1:-1] + px[1:-1, :-2]
+    ) / g.dy**2
+    py = _pad_ycomp(f, bc)
+    out.y[:, 1:-1] = (py[2:, 1:-1] - 2 * py[1:-1, 1:-1] + py[:-2, 1:-1]) / g.dx**2 + (
+        f.y[:, 2:] - 2 * f.y[:, 1:-1] + f.y[:, :-2]
+    ) / g.dy**2
+    return out
 
 
 # --- advection -----------------------------------------------------------
@@ -553,24 +502,22 @@ def l2_norm_sq(f) -> float:
     return norm_sq(f.grid, f.x, f.y)
 
 
-def grad_norm_sq(f, bc=None) -> float:
+def grad_norm_sq(f, bc: VectorBC | None = None) -> float:
     """Discrete Dirichlet energy.
 
     Chosen so that for zero-trace fields it equals <-Lf, f> for the
     symmetric solver Laplacian exactly; wall terms use the half-cell
-    distance h/2.  ``bc=None`` means zero wall values, which enter no
-    difference (x - 0.0 is x).
+    distance h/2.  A vector field's wall values are ``bc`` (zero when
+    omitted); a scalar field's are zero.
     """
     if isinstance(f, ScalarField):
         g = f.grid
         v = f.values
-        if bc is None:
-            bc = ScalarBC.zero(g)
         w = g.dx * g.dy
         s = _sum(((v[1:, :] - v[:-1, :]) / g.dx) ** 2) * w
         s += _sum(((v[:, 1:] - v[:, :-1]) / g.dy) ** 2) * w
-        s += 2.0 * g.dy / g.dx * (_sum((v[0, :] - bc.left) ** 2) + _sum((v[-1, :] - bc.right) ** 2))
-        s += 2.0 * g.dx / g.dy * (_sum((v[:, 0] - bc.bottom) ** 2) + _sum((v[:, -1] - bc.top) ** 2))
+        s += 2.0 * g.dy / g.dx * (_sum(v[0, :] ** 2) + _sum(v[-1, :] ** 2))
+        s += 2.0 * g.dx / g.dy * (_sum(v[:, 0] ** 2) + _sum(v[:, -1] ** 2))
         return float(s)
     g = f.grid
     fx, fy = f.x, f.y

@@ -141,10 +141,6 @@ class BoundaryTrace:
             self._norm_sq[(spec, dt)] = series
         return series
 
-    # node arc-length positions
-    def nodes(self):
-        return (np.arange(self.n_nodes) + 0.5) * self._h
-
     def _bc_weights(self):
         """Gather stencil of the eight VectorBC arrays, computed on first use.
 
@@ -535,13 +531,15 @@ class ParabolicRun:
     b0_h1_sq: float
 
 
-def check_compatibility_trace(b0: VectorField, trace: BoundaryTrace, tol_factor=1e-8):
-    """Compatibility of initial data with the trace at t=0 (normal components)."""
+def check_compatibility_trace(b0: VectorField, trace: BoundaryTrace, tol_factor=1e-8, t=None):
+    """Compatibility of the normal trace of b0 with the trace at t (its first
+    instant by default): (residual, the data's boundary L2 norm, whether the
+    residual is below ``tol_factor`` times one plus that norm)."""
     g = b0.grid
-    want = trace.normal_values(trace.times[0])
+    want = trace.normal_values(trace.times[0] if t is None else t)
     res = boundary_l2_norm(normal_trace(b0) - want, g.dx)
     scale = boundary_l2_norm(want, g.dx)
-    return res, res <= tol_factor * (1.0 + scale)
+    return res, scale, res < tol_factor * (1.0 + scale)
 
 
 def heat_step(b: VectorField, dt: float, bc: VectorBC, kappa: float) -> VectorField:
@@ -559,7 +557,7 @@ def parabolic_lift(
     """Implicit-Euler heat flow with the trace as Dirichlet data; initial
     data whose normal trace does not match the trace at t=0 raise
     CompatibilityError."""
-    res, ok = check_compatibility_trace(b0, trace)
+    res, _, ok = check_compatibility_trace(b0, trace)
     if not ok:
         raise CompatibilityError(f"initial data does not match trace at t=0 (residual {res:.3e})")
     # the trace-norm series before the states: their transients come first

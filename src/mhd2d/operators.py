@@ -1,4 +1,9 @@
-"""Sparse solver-side operators on the MAC grid.
+"""Solver-side operators on the MAC grid.
+
+Only the implicit transport operator is assembled as a sparse matrix and
+factored with SuperLU.  The vector heat operator, the Neumann Poisson solve
+and the Stokes step are separable or nearly so and are solved in the sine
+and cosine eigenbases of the 1D second differences.
 
 Everything here uses the *mirror* (linear) ghost closure, which makes the
 component Laplacians symmetric negative-definite on zero-trace fields and
@@ -70,20 +75,16 @@ def apply_lap_mirror(v: VectorField, bc: VectorBC | None = None) -> VectorField:
     return out
 
 
-def apply_lap_mirror_scalar(s: ScalarField, bc=None) -> ScalarField:
+def apply_lap_mirror_scalar(s: ScalarField) -> ScalarField:
+    """Solver Laplacian of a cell-centered scalar with zero wall values."""
     g = s.grid
     v = s.values
-    if bc is None:
-        bottom = top = np.zeros(g.nx)
-        left = right = np.zeros(g.ny)
-    else:
-        bottom, top, left, right = bc.bottom, bc.top, bc.left, bc.right
     p = np.empty((g.nx + 2, g.ny + 2))
     p[1:-1, 1:-1] = v
-    p[0, 1:-1] = 2.0 * left - v[0, :]
-    p[-1, 1:-1] = 2.0 * right - v[-1, :]
-    p[1:-1, 0] = 2.0 * bottom - v[:, 0]
-    p[1:-1, -1] = 2.0 * top - v[:, -1]
+    p[0, 1:-1] = -v[0, :]
+    p[-1, 1:-1] = -v[-1, :]
+    p[1:-1, 0] = -v[:, 0]
+    p[1:-1, -1] = -v[:, -1]
     lap = (p[2:, 1:-1] - 2 * v + p[:-2, 1:-1]) / g.dx**2 + (
         p[1:-1, 2:] - 2 * v + p[1:-1, :-2]
     ) / g.dy**2

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Forcing, SolverConfig
+from .dynamics import SolverConfig
 from .errors import ConfigError
 from .geometry import Grid, VectorField
 from .lifting import BoundaryTrace, TraceMode, stream_mode_field, synthesize_trace
 
-__all__ = ["Scenario", "make_scenario", "SCENARIO_IDS", "stream_bump", "trace_times"]
+__all__ = ["Scenario", "make_scenario", "stream_bump", "trace_times"]
 
 
 @dataclass
@@ -28,7 +28,6 @@ class Scenario:
     u0: VectorField
     b0: VectorField
     trace: BoundaryTrace
-    forcing: Forcing | None = None
     boundary_modes: list = field(default_factory=list)
 
 
@@ -63,9 +62,6 @@ _BOUNDARY_SETS = {
     ],
     "steady-h": [TraceMode("stream", amplitude=0.15, kx=1, ky=1)],
     "pulse": [TraceMode("stream", amplitude=0.18, kx=1, ky=1, envelope="sin", envelope_param=1.0)],
-    "small-periodic": [
-        TraceMode("stream", amplitude=0.02, kx=1, ky=1, envelope="cos", envelope_param=1.0)
-    ],
     "none": [],
 }
 
@@ -106,10 +102,6 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
         modes = _BOUNDARY_SETS["pulse"]
         u0 = stream_bump(grid, 0.45)
         b0 = stream_bump(grid, 0.25, 1, 2)
-    elif sid == "absorbing":
-        modes = _BOUNDARY_SETS["small-periodic"]
-        u0 = stream_bump(grid, 0.4)
-        b0 = _matched_b0(grid, modes, stream_bump(grid, 0.3, 1, 2))
     elif sid == "cd-base":
         modes = _BOUNDARY_SETS["osc"]
         u0 = stream_bump(grid, 0.4)
@@ -128,16 +120,3 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
     trace = synthesize_trace(grid, tt, modes)
     return Scenario(sid, cfg, u0, b0, trace, boundary_modes=list(modes))
 
-
-SCENARIO_IDS = [
-    "zero",
-    "decay",
-    "calib-osc",
-    "ramp",
-    "two-mode",
-    "steady-h",
-    "pulse",
-    "absorbing",
-    "cd-base",
-    "picard-ref",
-]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mhd2d.geometry import Grid, ScalarBC, ScalarField, VectorField
+from mhd2d.geometry import Grid, ScalarField, VectorField
 
 
 @pytest.fixture(scope="session")
@@ -40,17 +40,6 @@ def scalar_from_function(grid, f):
     """f sampled at the cell centres."""
     x, y = np.meshgrid(grid.xc(), grid.yc(), indexing="ij")
     return ScalarField(grid, f(x, y))
-
-
-def scalar_bc_from_function(grid, f):
-    """f sampled at the wall midlines of the cells."""
-    xc, yc = grid.xc(), grid.yc()
-    return ScalarBC(
-        f(xc, np.zeros_like(xc)),
-        f(xc, np.ones_like(xc)),
-        f(np.zeros_like(yc), yc),
-        f(np.ones_like(yc), yc),
-    )
 
 
 # --- assembled sparse oracles of the closed-form solvers -------------------

@@ -76,23 +76,23 @@ id = not-a-thing
     assert "vortex" in joined and "not-a-thing" in joined
 
 
-def test_config_round_trip(tmp_path):
-    text = MINIMAL + """
-[boundary]
-modes = stream amp=0.15 kx=1 ky=2 env=cos p=2.0; constant amp=0.3 comp=2
-
-[initial]
-u = bump amp=0.5 kx=1 ky=1
-b = matched
-
-[galerkin]
-n = 12
-"""
-    rc1 = parse_config(_write(tmp_path, text))
-    rc2 = parse_config(_write(tmp_path, rc1.to_text(), name="round.cfg"))
-    assert rc1.solver == rc2.solver
-    assert rc1.boundary_modes == rc2.boundary_modes
-    assert rc1.initial_u == rc2.initial_u and rc1.initial_b == rc2.initial_b
+@pytest.mark.parametrize(
+    "edit, faults",
+    [
+        (lambda t: t.replace("T = 0.01", "T = 0.01\n\n[physics]\nRe = -1\n\n[tolerances]\npicard = 0"),
+         ["physics.Re must be", "tolerances.picard must be"]),
+        (lambda t: t.replace("dt = 1e-3", "dt = -1"), ["time.dt must be positive"]),
+        (lambda t: t.replace("dt = 1e-3", "dt = inf"), ["time.dt must be finite"]),
+    ],
+    ids=["re-and-picard", "negative-dt", "infinite-dt"],
+)
+def test_each_config_fault_is_reported_once(tmp_path, capsys, edit, faults):
+    cfg = _write(tmp_path, edit(MINIMAL))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(faults), lines
+    for line, fault in zip(lines, faults):
+        assert line.startswith(f"config error: {fault}"), line
 
 
 def test_main_run_zero_scenario(tmp_path):

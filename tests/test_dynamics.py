@@ -341,7 +341,7 @@ def test_checkpoint_header_mismatch_rejected(tmp_path):
     scen = make_scenario("zero", nx=8, dt=DT, t_final=0.01)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     path = tmp_path / "c.mhdckpt"
-    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace)
+    write_checkpoint(path, traj.final_state, scen.cfg, scen.trace, traj.restart)
     other = SolverConfig(nx=8, ny=8, dt=2 * DT, t_final=0.01)
     with pytest.raises(ConfigError):
         check_restart_header(read_checkpoint(path), other)
@@ -359,7 +359,10 @@ def test_incompatible_data_rejected():
 def test_state_invariants_after_steps():
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=5 * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    traj.final_state.validate(scen.trace)
+    final = traj.final_state
+    assert compatibility_check(final.u, final.b, scen.trace, t=final.t).passed
+    assert np.max(np.abs(divergence(final.u).values)) < 1e-9  # compatibility_check scales by max abs(u)
+    assert abs(final.p.values.mean()) < 1e-12
 
 
 def test_picard_ratio_never_grows_much_when_dt_halves():

@@ -50,7 +50,7 @@ def test_record_zero_state():
     tz = synthesize_trace(g, [0.0], [])
     led = EnergyLedger()
     z = VectorField.zeros(g)
-    row = record(led, 0.0, z, z, tz, harmonic_extend(tz, 0.0))
+    row = record(led, 0.0, z, z, tz, harmonic_extend(tz, 0.0), bc=tz.vector_bc(0.0))
     assert all(v == 0.0 for v in row.values())
 
 
@@ -59,7 +59,8 @@ def test_record_stokes_mode_norms():
     tz = synthesize_trace(g, [0.0], [])
     basis = build_stokes_basis(g, 1)
     led = EnergyLedger()
-    row = record(led, 0.0, basis.mode(0), VectorField.zeros(g), tz, harmonic_extend(tz, 0.0))
+    row = record(led, 0.0, basis.mode(0), VectorField.zeros(g), tz, harmonic_extend(tz, 0.0),
+                 bc=tz.vector_bc(0.0))
     assert abs(row["u_L2_sq"] - 1.0) < 1e-10
     assert abs(row["grad_u_L2_sq"] - basis.eigenvalues[0]) < 1e-8
 
@@ -70,7 +71,7 @@ def test_record_constant_b_with_matching_trace():
     tr = synthesize_trace(g, [0.0], [TraceMode("constant", amplitude=c, component=1)])
     b = VectorField(g, np.full(g.shape_xface(), c), np.zeros(g.shape_yface()))
     led = EnergyLedger()
-    row = record(led, 0.0, VectorField.zeros(g), b, tr, harmonic_extend(tr, 0.0))
+    row = record(led, 0.0, VectorField.zeros(g), b, tr, harmonic_extend(tr, 0.0), bc=tr.vector_bc(0.0))
     assert row["grad_btilde_L2_sq"] < 1e-20
     assert row["btilde_L2_sq"] < 1e-20
 

@@ -31,6 +31,11 @@ from mhd2d.spectral import build_laplacian_basis
 TIMES = np.arange(0.0, 0.1 + 1e-12, 1e-3)
 
 
+def _nodes(grid):
+    """Arc-length positions of the boundary trace nodes, (k + 1/2) h."""
+    return (np.arange(2 * (grid.nx + grid.ny)) + 0.5) * grid.dx
+
+
 def test_trace_invariants():
     g = Grid(8, 8)
     n = 2 * (g.nx + g.ny)
@@ -418,8 +423,8 @@ def test_compatibility_of_stream_modes():
     mode = TraceMode("stream", amplitude=0.6, kx=2, ky=1, envelope="cos", envelope_param=1.0)
     tr = synthesize_trace(g, TIMES, [mode])
     b0 = stream_mode_field(g, mode, 0.0)
-    res, ok = check_compatibility_trace(b0, tr)
-    assert ok and res < 1e-12
+    res, scale, ok = check_compatibility_trace(b0, tr)
+    assert ok and res < 1e-12 and scale > 0.0
     assert abs(tr.net_flux(0.0)) < 1e-13
 
 
@@ -429,7 +434,7 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     lines = ["time,arclength,h1,h2"]
     for it, t in enumerate(tr.times):
-        for k, s in enumerate(tr.nodes()):
+        for k, s in enumerate(_nodes(g)):
             lines.append(f"{float(t)!r},{float(s)!r},{float(tr.samples[it, k, 0])!r},{float(tr.samples[it, k, 1])!r}")
     path.write_text("\n".join(lines) + "\n")
     back = read_trace_csv(g, path)
@@ -443,7 +448,7 @@ def test_trace_csv_unsorted_times(tmp_path):
     path = tmp_path / "bad.csv"
     lines = ["time,arclength,h1,h2"]
     for t in (0.2, 0.1):
-        for k, s in enumerate(tr.nodes()):
+        for k, s in enumerate(_nodes(g)):
             lines.append(f"{t},{float(s)!r},0.0,0.0")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="row 34"):
@@ -451,7 +456,7 @@ def test_trace_csv_unsorted_times(tmp_path):
 
 
 def _constant_trace_lines(g, times):
-    nodes = synthesize_trace(g, [0.0], []).nodes()
+    nodes = _nodes(g)
     return ["time,arclength,h1,h2"] + [f"{t},{float(s)!r},0.0,0.0" for t in times for s in nodes]
 
 
@@ -482,7 +487,7 @@ def test_damaged_trace_csv_reads_or_raises_config_error(tmp_path_factory, data):
     tr = synthesize_trace(g, [0.0, 0.1], [TraceMode("stream", amplitude=0.2)])
     lines = ["time,arclength,h1,h2"] + [
         f"{t!r},{s!r},{tr.samples[i, k, 0]!r},{tr.samples[i, k, 1]!r}"
-        for i, t in enumerate(tr.times) for k, s in enumerate(tr.nodes())
+        for i, t in enumerate(tr.times) for k, s in enumerate(_nodes(g))
     ]
     raw = bytearray(("\n".join(lines) + "\n").encode()[: data.draw(st.integers(0, 4000))])
     for _ in range(data.draw(st.integers(0, 4))):
