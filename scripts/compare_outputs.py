@@ -11,12 +11,18 @@ In each checkout, a fresh interpreter with that checkout's ``src/`` on
 side restarts from its own ``final.mhdckpt`` (the same config with
 ``[initial] checkpoint`` set and ``T`` 0.25 later), and the restarted
 runs' ``ledger.csv`` and ``final.mhdckpt`` are compared the same way.
+Last, each checkout runs ``scripts/run_all_experiments.py`` (calibration and
+the nine experiments at their defaults, about a minute), and its
+``calibration.txt``, ``summary.csv`` and every ``report_*.csv`` are compared
+byte for byte; ``timings.json`` holds wall times and is skipped.
 
     python scripts/compare_outputs.py --parent ../parent --change .
 
 Exit status: 0 when every file matches, 1 on a mismatch (the first
-differing file and the offset of its first differing byte are printed),
-2 when a run fails (the last lines of its stderr are printed).
+differing file and the offset of its first differing byte are printed, or
+the file one side lacks), 2 when a run fails (the last lines of its stderr
+are printed).  A failed experiment assertion (exit 4 of
+``run_all_experiments.py``) still writes its reports, so they are compared.
 """
 
 from __future__ import annotations
@@ -32,19 +38,18 @@ from pathlib import Path
 from bench_pairs import STDERR_TAIL
 
 FILES = ("ledger.csv", "final.mhdckpt")
+EXPERIMENT_FILES = ("calibration.txt", "summary.csv")  # and every report_*.csv
 RESTART_EXTRA_T = 0.25  # how much further the restarted run goes
 
 
-def run_side(checkout: Path, config: str | Path, outdir: Path, *, label: str) -> bool:
-    """One ``mhd2d run`` in ``checkout``; False (after printing why) if it fails."""
+def run_side(checkout: Path, cmd: list, *, label: str, ok=(0,)) -> bool:
+    """``python cmd...`` in ``checkout``; False (after printing why) if its exit is not in ok."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mhd2d.cli", "run", "--config", str(checkout / config),
-         "--output-dir", str(outdir)],
-        cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
+    proc = subprocess.run([sys.executable, *cmd], cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode not in ok:
         tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
-        print(f"{label}: mhd2d run exited {proc.returncode} in {checkout}; "
+        print(f"{label}: {' '.join(cmd[:3])} exited {proc.returncode} in {checkout}; "
               f"the last lines of its stderr:\n{tail}", file=sys.stderr)
         return False
     return True
@@ -70,6 +75,26 @@ def first_difference(a: bytes, b: bytes) -> int | None:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+def compare(leg: str, outs: dict, names) -> bool:
+    """Print whether each named file is byte-identical on both sides; False at the first
+    that is not."""
+    for name in names:
+        paths = {side: out / name for side, out in outs.items()}
+        lacking = [side for side, path in paths.items() if not path.exists()]
+        if lacking:
+            print(f"{leg} {name}: missing on the {' and '.join(lacking)} side")
+            return False
+        data = {side: path.read_bytes() for side, path in paths.items()}
+        at = first_difference(data["parent"], data["change"])
+        if at is not None:
+            print(f"{leg} {name} differs: first differing byte at offset {at} "
+                  f"({len(data['parent'])} bytes in the parent, "
+                  f"{len(data['change'])} in the change)")
+            return False
+        print(f"{leg} {name}: identical ({len(data['parent'])} bytes)")
+    return True
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -88,17 +113,21 @@ def main(argv=None) -> int:
                     config = tmp / f"{side}_restart.cfg"
                     write_restart_config(checkout / args.config,
                                          tmp / "direct" / side / "final.mhdckpt", config)
-                if not run_side(checkout, config, outs[side], label=f"{side} ({leg})"):
+                cmd = ["-m", "mhd2d.cli", "run", "--config", str(checkout / config),
+                       "--output-dir", str(outs[side])]
+                if not run_side(checkout, cmd, label=f"{side} ({leg})"):
                     return 2
-            for name in FILES:
-                data = {side: (out / name).read_bytes() for side, out in outs.items()}
-                at = first_difference(data["parent"], data["change"])
-                if at is not None:
-                    print(f"{leg} {name} differs: first differing byte at offset {at} "
-                          f"({len(data['parent'])} bytes in the parent, "
-                          f"{len(data['change'])} in the change)")
-                    return 1
-                print(f"{leg} {name}: identical ({len(data['parent'])} bytes)")
+            if not compare(leg, outs, FILES):
+                return 1
+        outs = {side: tmp / "experiments" / side for side in sides}
+        for side, checkout in sides.items():
+            cmd = [str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir",
+                   str(outs[side])]
+            if not run_side(checkout, cmd, label=f"{side} (experiments)", ok=(0, 4)):
+                return 2
+        reports = sorted({p.name for out in outs.values() for p in out.glob("report_*.csv")})
+        if not compare("experiments", outs, EXPERIMENT_FILES + tuple(reports)):
+            return 1
     return 0
 
 

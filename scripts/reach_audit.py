@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Print ``file:line qualname`` of each ``def`` in ``src/mhd2d`` that no entry point calls.
+"""Print ``file:line qualname`` of each ``def`` in ``src/mhd2d`` that no entry point
+calls, then ``file:line Class.field`` of each field that no code reads.
 
 The entry points run at small grids, under ``sys.setprofile``: ``mhd2d run``
 with checkpoints and a restart, a Galerkin run, ``mhd2d basis`` twice (the full
 basis, then its cache), a CSV-trace run, a malformed config, ``calibrate`` and
 ``experiment``, every ``verify`` experiment and the absorbing-set trace calls.
-What is left should be error paths and test oracles.  Usage:
+What is left should be error paths and test oracles.
+
+The field pass covers every dataclass and ``NamedTuple`` field in
+``src/mhd2d`` and lists those that no ``.py`` file under ``src/``, ``tests/``,
+``scripts/`` or ``perfbench/`` reads as ``.name``; a field read only by
+unpacking, iteration or a dataclass ``repr`` is listed too.  Usage:
 ``PYTHONPATH=src python scripts/reach_audit.py``
 """
 
@@ -18,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 BASE = "[grid]\nnx = 8\nny = 8\n[time]\ndt = 0.01\nT = {T}\n"
 RUN = BASE.format(T=0.1) + "[boundary]\nmodes = stream amp=0.15 env=cos p=2.0\n"
 INIT = "[initial]\nu = bump\nb = matched\n"
@@ -76,6 +83,29 @@ def defs(node, prefix=""):
         yield from defs(child, prefix + child.name + ".")
 
 
+def fields(tree):
+    """(line, Class.field) of every annotated field of a dataclass or NamedTuple class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [ast.unparse(d) for d in cls.decorator_list + cls.bases]
+        if any(m.startswith("dataclass") or m.endswith("NamedTuple") for m in marks):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.lineno, f"{cls.name}.{stmt.target.id}"
+
+
+def attribute_reads():
+    """Every attribute name read as ``.name`` in the sources, tests, scripts and perfbench."""
+    reads = set()
+    for d in ("src", "tests", "scripts", "perfbench"):
+        # this script's own AST walks read ``.id``, ``.attr`` and the like
+        for path in set((ROOT / d).rglob("*.py")) - {Path(__file__).resolve()}:
+            reads.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return reads
+
+
 if __name__ == "__main__":
     seen, pkg = set(), str(SRC / "mhd2d")
     sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_filename.startswith(pkg)
@@ -88,4 +118,9 @@ if __name__ == "__main__":
     for path in sorted((SRC / "mhd2d").glob("*.py")):
         for line, name in defs(ast.parse(path.read_text())):
             if (str(path), line) not in seen:
-                print(f"{path.relative_to(SRC.parent)}:{line} {name}")
+                print(f"{path.relative_to(ROOT)}:{line} {name}")
+    reads = attribute_reads()
+    for path in sorted((SRC / "mhd2d").glob("*.py")):
+        for line, name in fields(ast.parse(path.read_text())):
+            if name.split(".")[1] not in reads:
+                print(f"{path.relative_to(ROOT)}:{line} {name} (field)")

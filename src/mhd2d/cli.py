@@ -30,10 +30,11 @@ from .errors import CompatibilityError, ConfigError, ExperimentFailure, SolverFa
 from .estimates import CalibrationStore
 from .geometry import VectorField
 from .ioutil import atomic_write_text
-from .lifting import TraceMode, read_trace_csv, stream_mode_field, synthesize_trace
+from .lifting import TraceMode, matched_field, read_trace_csv, synthesize_trace
 from .scenarios import stream_bump, trace_times
 from .spectral import cached_basis
-from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, TAIL_NX, calibrate_constants
+from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, TAIL_NX
+from .verify import calibrate_constants, store_keys
 
 log = logging.getLogger("mhd2d")
 
@@ -228,9 +229,7 @@ def _build_initial(spec: str, grid, modes, errors):
                 continue
             f = f + stream_bump(grid, amp, kx, ky)
         elif toks[0] == "matched":
-            for m in modes:
-                if m.kind in ("stream", "constant"):
-                    f = f + stream_mode_field(grid, m, 0.0)
+            f = matched_field(grid, modes, f)
         else:
             errors.append(f"initial: unknown term {toks[0]!r}")
     return f
@@ -283,9 +282,6 @@ def _check_trace_covers(trace, t0, cfg):
             raise ConfigError([f"boundary: {exc}; the run needs t = {t0!r} + k*dt up to T"])
 
 
-_NEEDS_STORE = {"absorbing", "gronwall"}
-
-
 def _checked(key, value, ok, need):
     if not ok(value):
         raise ValueError(f"{key} = {value!r} must be {need}")
@@ -325,21 +321,19 @@ def _experiment_kwargs(rc: RunConfig, name):
 def _cmd_experiment(rc: RunConfig, outdir):
     if not rc.experiment_ids:
         raise ConfigError(["experiment.id is required for the experiment command"])
-    store = None
-    if any(e in _NEEDS_STORE for e in rc.experiment_ids):
-        path = rc.calibration_path
-        if not os.path.isabs(path):
-            path = os.path.join(outdir, path)
-        if not os.path.exists(path):
-            raise ConfigError(
-                [f"calibration store {path!r} missing; run the calibrate command first"]
-            )
-        store = CalibrationStore.read(path)
-
     try:
         kwargs = {name: _experiment_kwargs(rc, name) for name in rc.experiment_ids}
     except ValueError as exc:  # a value that does not parse or is out of range
         raise ConfigError([f"experiment: {exc}"])
+    needed = {k for e in rc.experiment_ids for k in store_keys(e, kwargs[e].get("strong", "off"))}
+    store = None
+    if needed:
+        path = os.path.join(outdir, rc.calibration_path)  # an absolute path stays as it is
+        store = CalibrationStore.read(path)
+        missing = sorted(needed - store.values.keys())
+        if missing:
+            raise ConfigError([f"calibration store {path}: no constant {k!r}; run the calibrate "
+                               "command first" for k in missing])
     results = [(name, EXPERIMENTS[name](store, **kwargs[name])) for name in rc.experiment_ids]
 
     summary_path = os.path.join(outdir, "summary.csv")
@@ -368,9 +362,7 @@ def _cmd_experiment(rc: RunConfig, outdir):
 
 def _cmd_calibrate(rc: RunConfig, outdir):
     store = calibrate_constants(nx=rc.solver.nx, dt=rc.solver.dt)
-    path = rc.calibration_path
-    if not os.path.isabs(path):
-        path = os.path.join(outdir, path)
+    path = os.path.join(outdir, rc.calibration_path)
     store.write(path)
     log.info("calibration written to %s (%d constants)", path, len(store.values))
     return 0

@@ -51,6 +51,7 @@ value ends in one of these two checks.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ from .geometry import (
     transported_half,
     wall_rows,
 )
+from .ioutil import atomic_write_bytes
 from .lifting import (
     BoundaryTrace,
     boundary_l2_norm,
@@ -677,8 +679,6 @@ def run(
         if states is not None:
             states.append(SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy()))
         if cfg.checkpoint_every and (k + 1) % cfg.checkpoint_every == 0 and cfg.checkpoint_dir:
-            import os
-
             path = os.path.join(cfg.checkpoint_dir, f"ckpt_{k + 1:06d}.mhdckpt")
             write_checkpoint(path, state, cfg, trace, stepper.restart(state))
     return Trajectory(times, state, reports, states, stepper.restart(state)), ledger
@@ -701,8 +701,6 @@ def write_checkpoint(
     path, state: SimState, cfg: SolverConfig, trace: BoundaryTrace, restart: Restart
 ):
     """Write a checkpoint of ``state`` and the ``restart`` it continues from."""
-    from .ioutil import atomic_write_bytes
-
     g = state.u.grid
     n_trunc = -1 if cfg.n_modes is None else cfg.n_modes
     arrays = [state.u.x, state.u.y, state.b.x, state.b.y, state.p.values]

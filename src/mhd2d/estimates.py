@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import (
     ScalarField,
     VectorBC,
@@ -22,6 +23,7 @@ from .geometry import (
     l2_norm_sq,
     pointwise_norms,
 )
+from .ioutil import atomic_write_text
 from .lifting import BoundaryTrace, FractionalNormSpec, _time_difference, cumtrapz, hs_norm, hs_norm_dt
 from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, stokes_apply
 
@@ -31,6 +33,7 @@ __all__ = [
     "record",
     "GronwallBound",
     "calibrate_weak_energy",
+    "sharp_constant",
     "weak_energy_residual",
     "gronwall_weak",
     "strong_energy",
@@ -127,8 +130,6 @@ class EnergyLedger:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        from .ioutil import atomic_write_text
-
         atomic_write_text(path, self.to_csv_text())
 
 
@@ -196,10 +197,7 @@ class GronwallBound:
     phi: np.ndarray | None = None
     bound: np.ndarray | None = None
     trajectory: np.ndarray | None = None
-    m_t: float | None = None
     k_series: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    phi_strong: np.ndarray | None = None
 
 
 def _weak_parts(ledger: EnergyLedger):
@@ -249,7 +247,12 @@ def calibrate_weak_energy(ledger: EnergyLedger, skip=2):
     t, e, diss, h2, h4, dth2 = _weak_parts(ledger)
     num = (_time_difference(e, t, np.arange(len(t))) + diss)[skip:]
     den = (h4 * e + h2 + dth2 + h4)[skip:]
-    mask = den > 1e-14 * (1.0 + np.max(e))
+    return sharp_constant(num, den, 1e-14 * (1.0 + np.max(e)))
+
+
+def sharp_constant(num, den, floor):
+    """Largest num/den over the instants with den > floor, floored at 0."""
+    mask = den > floor
     if not np.any(mask):
         return 0.0
     return float(max(0.0, np.max(num[mask] / den[mask])))
@@ -262,22 +265,27 @@ def gronwall_weak(ledger: EnergyLedger, c: float) -> GronwallBound:
     phi = c * cumtrapz(h4, t)
     bound = (np.exp(phi) * phi + 1.0) * psi
     trajectory = e + cumtrapz(diss, t)
-    m_t = float(bound[-1] + c * (cumtrapz(h2, t)[-1] + cumtrapz(dth2, t)[-1]))
-    return GronwallBound(
-        times=t, psi=psi, phi=phi, bound=bound, trajectory=trajectory, m_t=m_t
-    )
+    return GronwallBound(times=t, psi=psi, phi=phi, bound=bound, trajectory=trajectory)
+
+
+def _strong_parts(ledger: EnergyLedger):
+    t = ledger.times
+    # stored bhat_H1_sq = L2^2 + grad^2 of bhat; the strong inequality wants
+    # the seminorm, but bhat(0)=0 makes the two interchangeable up to the L2
+    # part, which is dominated; use the full H1 square for a safe margin.
+    e1 = ledger.col("grad_u_L2_sq") + ledger.col("bhat_H1_sq")
+    d2 = ledger.col("Su_L2_sq") + ledger.col("lap_bhat_L2_sq")
+    low = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
+    h4 = ledger.col("h_H12_Gamma") ** 4
+    h32 = ledger.col("h_H32_Gamma") ** 2
+    return t, e1, d2, low, h4, h32
 
 
 def strong_energy(ledger: EnergyLedger, c: float) -> tuple[np.ndarray, GronwallBound]:
     """Margins and Gronwall bound for the strong (H1/H2) inequality."""
     if not ledger.strong:
         raise ValueError("strong energy checks need a strong-mode ledger")
-    t = ledger.times
-    e1 = ledger.col("grad_u_L2_sq") + _bhat_grad(ledger)
-    d2 = ledger.col("Su_L2_sq") + ledger.col("lap_bhat_L2_sq")
-    low = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
-    h4 = ledger.col("h_H12_Gamma") ** 4
-    h32 = ledger.col("h_H32_Gamma") ** 2
+    t, e1, d2, low, h4, h32 = _strong_parts(ledger)
     k = c * low * e1
     margins = _time_difference(e1, t, np.arange(len(t))) + d2 - k * e1 - c * low * h4 - c * h32
     omega = e1[0] + c * cumtrapz(low * h4 + h32, t)
@@ -287,37 +295,14 @@ def strong_energy(ledger: EnergyLedger, c: float) -> tuple[np.ndarray, GronwallB
     with np.errstate(over="ignore"):
         bound = np.minimum(phi * np.exp(np.minimum(phi, 700.0)) + 1.0, 1e300) * omega
     trajectory = e1 + cumtrapz(d2, t)
-    gb = GronwallBound(
-        times=t,
-        bound=bound,
-        trajectory=trajectory,
-        k_series=k,
-        omega=omega,
-        phi_strong=phi,
-    )
-    return margins, gb
-
-
-def _bhat_grad(ledger):
-    # stored bhat_H1_sq = L2^2 + grad^2 of bhat; the strong inequality wants
-    # the seminorm, but bhat(0)=0 makes the two interchangeable up to the L2
-    # part, which is dominated; use the full H1 square for a safe margin.
-    return ledger.col("bhat_H1_sq")
+    return margins, GronwallBound(times=t, bound=bound, trajectory=trajectory, k_series=k)
 
 
 def calibrate_strong_energy(ledger: EnergyLedger, skip=3):
-    t = ledger.times
-    e1 = ledger.col("grad_u_L2_sq") + _bhat_grad(ledger)
-    d2 = ledger.col("Su_L2_sq") + ledger.col("lap_bhat_L2_sq")
-    low = ledger.col("u_L2_sq") + ledger.col("b_L2_sq")
-    h4 = ledger.col("h_H12_Gamma") ** 4
-    h32 = ledger.col("h_H32_Gamma") ** 2
+    t, e1, d2, low, h4, h32 = _strong_parts(ledger)
     num = (_time_difference(e1, t, np.arange(len(t))) + d2)[skip:]
     den = (low * e1 * e1 + low * h4 + h32)[skip:]
-    mask = den > 1e-14 * (1.0 + np.max(e1))
-    if not np.any(mask):
-        return 0.0
-    return float(max(0.0, np.max(num[mask] / den[mask])))
+    return sharp_constant(num, den, 1e-14 * (1.0 + np.max(e1)))
 
 
 # --- absorbing sets -----------------------------------------------------------
@@ -328,10 +313,6 @@ class AbsorbingRadii:
     rho1: float
     t0: float
     t2: float
-    h_inf_sq: float
-    window_h2: float
-    window_dth2: float
-    window_h4: float
 
 
 def window_sup(times, series, width=1.0):
@@ -381,7 +362,7 @@ def absorbing_radii(
     else:
         t0 = math.log(max(diam_b, 1e-300) / (c_tilde * h_inf)) / c_p
         t0 = max(t0, 0.0)
-    return AbsorbingRadii(rho0, rho1, t0, t0 + 1.0, h_inf, w2, wd, w4)
+    return AbsorbingRadii(rho0, rho1, t0, t0 + 1.0)
 
 
 def normality_eta(times, norm_series, eps, power=2.0, candidates=None):
@@ -462,20 +443,34 @@ class CalibrationStore:
         return "\n".join(lines) + "\n"
 
     def write(self, path):
-        from .ioutil import atomic_write_text
-
         atomic_write_text(path, self.to_text())
 
     @classmethod
     def read(cls, path):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        """Read a store; a file that cannot be read, a bad magic line and each
+        malformed or non-finite entry raise one ConfigError naming the path."""
+        try:
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError([f"calibration store {path}: cannot read ({exc.strerror}); "
+                               "run the calibrate command first"]) from None
         if not lines or lines[0] != CALIB_MAGIC:
-            raise ValueError(f"{path}: not a calibration store")
-        values = {}
-        for ln in lines[1:]:
+            raise ConfigError([f"calibration store {path}: line 1: expected {CALIB_MAGIC}"])
+        values, errors = {}, []
+        for n, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
                 continue
-            name, v, sid = ln.split()
-            values[name] = (float(v), sid)
+            try:
+                name, v, sid = ln.split()
+                value = float(v)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                values[name] = (value, sid)
+            else:
+                errors.append(f"calibration store {path}: line {n}: {ln!r} is not "
+                              "'name value scenario' with a finite value")
+        if errors:
+            raise ConfigError(errors)
         return cls(values)

@@ -33,6 +33,7 @@ __all__ = [
     "FractionalNormSpec",
     "TraceMode",
     "synthesize_trace",
+    "matched_field",
     "read_trace_csv",
     "hs_norm",
     "harmonic_extend",
@@ -336,7 +337,7 @@ def _stream_profile(grid, mode: TraceMode):
     prof[:, 0] = phiy(bx, by)  # h1 = d(phi)/dy
     prof[:, 1] = -phix(bx, by)  # h2 = -d(phi)/dx
     # overwrite normal components with the corner differences of phi
-    xc, yc, xf, yf = grid.xc(), grid.yc(), grid.xf(), grid.yf()
+    xf, yf = grid.xf(), grid.yf()
     prof[:nx, 1] = -(phi(xf[1:], 0.0) - phi(xf[:-1], 0.0)) / h
     s = slice(nx, nx + ny)
     prof[s, 0] = (phi(1.0, yf[1:]) - phi(1.0, yf[:-1])) / h
@@ -388,6 +389,16 @@ def stream_mode_field(grid: Grid, mode: TraceMode, t=0.0) -> VectorField:
     xf, yf = grid.xf(), grid.yf()
     psi = a * np.cos(mode.kx * np.pi * xf)[:, None] * np.cos(mode.ky * np.pi * yf)[None, :]
     return VectorField.from_stream(grid, psi)
+
+
+def matched_field(grid: Grid, modes, base: VectorField | None = None) -> VectorField:
+    """``base`` (zero by default) plus the interior field of each stream or
+    constant mode at t=0, added in order; other modes have none."""
+    f = VectorField.zeros(grid) if base is None else base
+    for m in modes:
+        if m.kind in ("stream", "constant"):
+            f = f + stream_mode_field(grid, m, 0.0)
+    return f
 
 
 def _csv_rows(fh, path):
@@ -475,10 +486,6 @@ class LiftingReport:
 
     c_h1: float
     c_dt: float
-    h1_numerator: float
-    h1_denominator: float
-    dt_numerator: float
-    dt_denominator: float
 
 
 def _ratio(num, den):
@@ -500,26 +507,23 @@ def lifting_estimate_check(trace: BoundaryTrace, t_end=None) -> LiftingReport:
     h1 = np.array([l2_norm_sq(he) + grad_norm_sq(he, bc) for he, bc in zip(lifts, bcs)])
     hh = trace.norm_sq_series(FractionalNormSpec(0.5))[:nt]
     if nt == 1:
-        return LiftingReport(_ratio(h1[0], hh[0]), 0.0, h1[0], hh[0], 0.0, 0.0)
+        return LiftingReport(_ratio(h1[0], hh[0]), 0.0)
     num_h1 = float(np.trapezoid(h1, times))
     den_h1 = float(np.trapezoid(hh, times))
     dt_he = [l2_norm_sq(_time_difference(lifts, times, i)) for i in range(nt)]
     num_dt = float(np.trapezoid(np.array(dt_he), times))
     dth = trace.norm_sq_series(FractionalNormSpec(-0.5), dt=True)[:nt]
     den_dt = float(np.trapezoid(dth, times))
-    return LiftingReport(
-        _ratio(num_h1, den_h1), _ratio(num_dt, den_dt), num_h1, den_h1, num_dt, den_dt
-    )
+    return LiftingReport(_ratio(num_h1, den_h1), _ratio(num_dt, den_dt))
 
 
 # --- parabolic lift ----------------------------------------------------------
 
 @dataclass
 class ParabolicRun:
-    """States and norms of a completed parabolic lift."""
+    """Norms of a completed parabolic lift."""
 
     times: np.ndarray
-    fields: list
     l2_sq: np.ndarray
     grad_sq: np.ndarray
     h1_sq: np.ndarray
@@ -567,13 +571,12 @@ def parabolic_lift(
     t0 = trace.times[0]
     times = [t0] + [t0 + (k + 1) * dt for k in range(int(round(horizon / dt)))]
     bc = trace.vector_bc(t0)
-    cur = b0.copy()
-    fields, l2s, grads, laps = [], [], [], []
+    cur = b0
+    l2s, grads, laps = [], [], []
     for k, t in enumerate(times):
         if k:
             bc = trace.vector_bc(t)
-            cur = heat_step(cur, dt, bc, kappa)  # a new field
-        fields.append(cur)
+            cur = heat_step(cur, dt, bc, kappa)
         l2s.append(l2_norm_sq(cur))
         grads.append(grad_norm_sq(cur, bc))
         laps.append(l2_norm_sq(apply_lap_mirror(cur, bc)))
@@ -581,7 +584,6 @@ def parabolic_lift(
     idx = [trace.index_of(t) for t in times]
     return ParabolicRun(
         np.array(times),
-        fields,
         l2s,
         grads,
         l2s + grads,
@@ -598,8 +600,6 @@ def parabolic_lift(
 class ParabolicReport:
     weak_margin: float  # max over t of LHS - RHS for the L2 estimate
     strong_margin: float  # same for the H1/H2 estimate
-    c_weak: float
-    c_strong: float
 
 
 def parabolic_integrals(run: ParabolicRun):
@@ -625,4 +625,4 @@ def parabolic_estimate_check(run: ParabolicRun, c_weak: float, c_strong: float) 
     weak_lhs, weak_src, strong_lhs, strong_src = parabolic_integrals(run)
     weak = np.max(weak_lhs - (run.b0_l2_sq + c_weak * weak_src))
     strong = np.max(strong_lhs - (run.b0_h1_sq + c_strong * strong_src))
-    return ParabolicReport(float(weak), float(strong), c_weak, c_strong)
+    return ParabolicReport(float(weak), float(strong))

@@ -16,14 +16,13 @@ import numpy as np
 from .dynamics import SolverConfig
 from .errors import ConfigError
 from .geometry import Grid, VectorField
-from .lifting import BoundaryTrace, TraceMode, stream_mode_field, synthesize_trace
+from .lifting import BoundaryTrace, TraceMode, matched_field, synthesize_trace
 
 __all__ = ["Scenario", "make_scenario", "stream_bump", "trace_times"]
 
 
 @dataclass
 class Scenario:
-    id: str
     cfg: SolverConfig
     u0: VectorField
     b0: VectorField
@@ -41,16 +40,6 @@ def stream_bump(grid: Grid, amp: float, kx: int = 1, ky: int = 1) -> VectorField
 def trace_times(cfg: SolverConfig, pad: float = 0.0):
     n = int(round((cfg.t_final + pad) / cfg.dt))
     return np.arange(n + 1) * cfg.dt
-
-
-def _matched_b0(grid, modes, extra: VectorField | None = None):
-    b0 = VectorField.zeros(grid)
-    for m in modes:
-        if m.kind in ("stream", "constant"):
-            b0 = b0 + stream_mode_field(grid, m, 0.0)
-    if extra is not None:
-        b0 = b0 + extra
-    return b0
 
 
 _BOUNDARY_SETS = {
@@ -81,7 +70,7 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
     elif sid == "calib-osc":
         modes = _BOUNDARY_SETS["osc"]
         u0 = stream_bump(grid, 0.5)
-        b0 = _matched_b0(grid, modes, stream_bump(grid, 0.25, 1, 2))
+        b0 = matched_field(grid, modes) + stream_bump(grid, 0.25, 1, 2)
     elif sid == "ramp":
         modes = _BOUNDARY_SETS["ramp"]
         u0 = stream_bump(grid, 0.4)
@@ -89,15 +78,12 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
     elif sid == "two-mode":
         modes = _BOUNDARY_SETS["two-mode"]
         u0 = stream_bump(grid, 0.35, 1, 1)
-        b0 = _matched_b0(
-            grid,
-            [m for m in modes if m.envelope == "cos"],
-            stream_bump(grid, 0.2, 1, 2),
-        )
+        cos_modes = [m for m in modes if m.envelope == "cos"]
+        b0 = matched_field(grid, cos_modes) + stream_bump(grid, 0.2, 1, 2)
     elif sid == "steady-h":
         modes = _BOUNDARY_SETS["steady-h"]
         u0 = stream_bump(grid, 0.3)
-        b0 = _matched_b0(grid, modes, stream_bump(grid, 0.15, 1, 2))
+        b0 = matched_field(grid, modes) + stream_bump(grid, 0.15, 1, 2)
     elif sid == "pulse":
         modes = _BOUNDARY_SETS["pulse"]
         u0 = stream_bump(grid, 0.45)
@@ -105,7 +91,7 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
     elif sid == "cd-base":
         modes = _BOUNDARY_SETS["osc"]
         u0 = stream_bump(grid, 0.4)
-        b0 = _matched_b0(grid, modes, stream_bump(grid, 0.2, 1, 2))
+        b0 = matched_field(grid, modes) + stream_bump(grid, 0.2, 1, 2)
     elif sid == "picard-ref":
         modes = _BOUNDARY_SETS["none"]
         u0 = stream_bump(grid, 1.0)
@@ -118,5 +104,5 @@ def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) ->
         raise ConfigError([f"unknown scenario id {sid!r}"])
 
     trace = synthesize_trace(grid, tt, modes)
-    return Scenario(sid, cfg, u0, b0, trace, boundary_modes=list(modes))
+    return Scenario(cfg, u0, b0, trace, boundary_modes=list(modes))
 

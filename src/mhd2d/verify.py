@@ -11,7 +11,6 @@ frozen by the calibrate step.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .estimates import (
     calibrate_strong_energy,
     calibrate_weak_energy,
     gronwall_weak,
+    sharp_constant,
     smallness_gate,
     stokes_regularity_ratio,
     weak_energy_residual,
@@ -38,17 +38,19 @@ from .geometry import (
     VectorField,
     grad_norm_sq,
     identity_residuals,
+    inner,
     l2_norm_sq,
 )
+from .ioutil import atomic_write_text
 from .lifting import (
     BoundaryTrace,
     FractionalNormSpec,
     TraceMode,
     harmonic_extend,
     lifting_estimate_check,
+    matched_field,
     parabolic_integrals,
     parabolic_lift,
-    stream_mode_field,
     synthesize_trace,
 )
 from .operators import NeumannPoisson
@@ -69,6 +71,7 @@ __all__ = [
     "brezis_gallouet_study",
     "gronwall_suite",
     "calibrate_constants",
+    "store_keys",
     "EXPERIMENTS",
     "ABSORBING_VARIANTS",
     "STRONG_MODES",
@@ -89,20 +92,18 @@ class Assertion:
     measured: float
     tolerance: float
     passed: bool
-    note: str = ""
 
 
 @dataclass
 class ExperimentReport:
     experiment_id: str
-    inputs_digest: str
     assertions: list = field(default_factory=list)
     runtime_s: float = 0.0
     extras: dict = field(default_factory=dict)
 
-    def check(self, assertion_id, ref_tag, measured, tolerance, passed, note=""):
+    def check(self, assertion_id, ref_tag, measured, tolerance, passed):
         self.assertions.append(
-            Assertion(assertion_id, ref_tag, float(measured), float(tolerance), bool(passed), note)
+            Assertion(assertion_id, ref_tag, float(measured), float(tolerance), bool(passed))
         )
         return passed
 
@@ -119,18 +120,7 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def write(self, path):
-        from .ioutil import atomic_write_text
-
         atomic_write_text(path, self.to_csv_text())
-
-
-def _digest(params: dict) -> str:
-    blob = repr(sorted(params.items())).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _report(experiment_id, params) -> ExperimentReport:
-    return ExperimentReport(experiment_id, _digest(params))
 
 
 def _timed(experiment):
@@ -219,9 +209,7 @@ def _mms_scenario(case, nx, dt, t_final):
     cfg = SolverConfig(nx=nx, ny=nx, dt=dt, t_final=t_final)
     grid = cfg.grid()
     tt = trace_times(cfg)
-    xf, yf = grid.xf(), grid.yf()
-    psi_u = 0.4 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(np.pi * yf)[None, :] ** 2
-    u0 = VectorField.from_stream(grid, psi_u)
+    u0 = stream_bump(grid, 0.4)
     modes = []
     b0 = VectorField.zeros(grid)
     if case["kind"] in ("steady", "magnetic"):  # b(0) and the constant trace agree
@@ -229,8 +217,7 @@ def _mms_scenario(case, nx, dt, t_final):
             TraceMode("constant", amplitude=0.3, component=1),
             TraceMode("constant", amplitude=0.2, component=2),
         ]
-        psi_b = 0.25 * np.sin(np.pi * xf)[:, None] ** 2 * np.sin(2 * np.pi * yf)[None, :] ** 2
-        b0 = VectorField.from_stream(grid, psi_b)
+        b0 = stream_bump(grid, 0.25, 1, 2)
         b0.x += 0.3
         b0.y += 0.2
     trace = synthesize_trace(grid, tt, modes)
@@ -270,12 +257,11 @@ def mms_convergence(
     temporal order is self-convergence against a fine-dt reference on the
     same grid, which cancels the spatial error exactly.
     """
-    rep = _report("mms", dict(nx=nx_list, dt=dt_list, dts=dt_spatial))
+    rep = ExperimentReport("mms")
     steady = _mms_case("steady")
     sp_errs = [_mms_error(steady, nx, dt_spatial, t_spatial) for nx in nx_list]
     order_space = _fit_order([1.0 / n for n in nx_list], sp_errs)
-    rep.check("spatial-order", "mms-oracle", order_space, 1.9, order_space >= 1.9,
-              note=f"errors {sp_errs}")
+    rep.check("spatial-order", "mms-oracle", order_space, 1.9, order_space >= 1.9)
     unsteady = _mms_case("unsteady")
     ref = _mms_final_state(unsteady, 32, dt_reference, t_temporal)
     t_errs = []
@@ -283,8 +269,7 @@ def mms_convergence(
         st = _mms_final_state(unsteady, 32, dt, t_temporal)
         t_errs.append(math.sqrt(l2_norm_sq(st.u - ref.u) + l2_norm_sq(st.b - ref.b)))
     order_time = _fit_order(dt_list, t_errs)
-    rep.check("temporal-order", "mms-oracle", order_time, 0.9, order_time >= 0.9,
-              note=f"errors {t_errs}")
+    rep.check("temporal-order", "mms-oracle", order_time, 0.9, order_time >= 0.9)
     rep.extras = {"spatial_errors": sp_errs, "temporal_errors": t_errs}
     return rep
 
@@ -310,7 +295,7 @@ def continuous_dependence(
     eps_list=(1e-2, 1e-3, 1e-4), nx=32, dt=2e-3, t_final=0.5
 ) -> ExperimentReport:
     """Quadratic-in-data scaling of trajectory differences."""
-    rep = _report("continuous-dependence", dict(eps=eps_list, nx=nx, dt=dt, T=t_final))
+    rep = ExperimentReport("continuous-dependence")
     base = make_scenario("cd-base", nx=nx, dt=dt, t_final=t_final, keep_states=True)
     grid = base.cfg.grid()
     traj0, _ = run(base.cfg, base.u0, base.b0, base.trace)
@@ -337,11 +322,9 @@ def continuous_dependence(
     for name, dvals in (("initial", d_init), ("boundary", d_bnd)):
         ratios = [d / e**2 for d, e in zip(dvals, eps_list)]
         spread = max(ratios) / min(ratios)
-        rep.check(f"{name}-quadratic-window", "cd-quadratic", spread, 4.0, spread <= 4.0,
-                  note=f"D/eps^2 {ratios}")
+        rep.check(f"{name}-quadratic-window", "cd-quadratic", spread, 4.0, spread <= 4.0)
         mono = all(d1 > d2 for d1, d2 in zip(dvals, dvals[1:]))
-        rep.check(f"{name}-monotone", "cd-quadratic", float(mono), 1.0, mono,
-                  note=f"D {dvals}")
+        rep.check(f"{name}-monotone", "cd-quadratic", float(mono), 1.0, mono)
     rep.extras = {"d_init": d_init, "d_bnd": d_bnd}
     return rep
 
@@ -392,8 +375,7 @@ def absorbing_experiment(
     """
     if variant not in ABSORBING_VARIANTS or strong not in STRONG_MODES:
         raise ValueError(f"unknown absorbing variant {variant!r} or strong mode {strong!r}")
-    rep = _report("absorbing", dict(nx=nx, dt=dt, variant=variant, diam=diam_factor,
-                                    strong=strong))
+    rep = ExperimentReport("absorbing")
     if _data is None:
         _data = _absorbing_data(nx, dt, variant)
     grid, modes, trace, (times, h12_sq, dth_sq, he_l2), c_p = _data
@@ -411,15 +393,11 @@ def absorbing_experiment(
 
     # initial data at energy diam_b, boundary-matched
     u_unit = stream_bump(grid, 0.4)
-    b_match = VectorField.zeros(grid)
-    for m in modes:
-        b_match = b_match + stream_mode_field(grid, m, 0.0)
+    b_match = matched_field(grid, modes)
     z = stream_bump(grid, 0.3, 1, 2)
     alpha = math.sqrt(0.5 * diam_b / l2_norm_sq(u_unit))
     a2 = l2_norm_sq(z)
-    from .geometry import inner as _inner
-
-    cross = _inner(b_match, z)
+    cross = inner(b_match, z)
     const = l2_norm_sq(b_match) - 0.5 * diam_b
     beta = (-cross + math.sqrt(max(cross**2 - a2 * const, 0.0))) / a2
     u0 = alpha * u_unit
@@ -433,12 +411,7 @@ def absorbing_experiment(
     mask = t_series >= radii.t0 - 1e-12
     inside = e_series[mask]
     worst = float(np.max(inside)) if len(inside) else math.inf
-    escaped = np.nonzero(inside > radii.rho0)[0]
-    escape_note = f"t0={radii.t0:.3f} rho0={radii.rho0:.4g} E0={e0:.4g}"
-    if escaped.size:
-        escape_note += f" escape at t={t_series[mask][escaped[0]]:.4f}"
-    rep.check("enter-and-stay", "absorbing-ball", worst, radii.rho0, worst <= radii.rho0,
-              note=escape_note)
+    rep.check("enter-and-stay", "absorbing-ball", worst, radii.rho0, worst <= radii.rho0)
 
     # window integrals after absorption
     vdiss = ledger.col("grad_u_L2_sq") + ledger.col("b_H1_sq")
@@ -484,7 +457,7 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
     Runs the forced smooth steady scenario (the manufactured state held
     stationary), whose spectrum is steep enough to exhibit the decay.
     """
-    rep = _report("tail", dict(n=n_list, nx=nx, dt=dt, T=t_final))
+    rep = ExperimentReport("tail")
     case = _mms_case("steady")
     cfg, u0, b0, trace, forcing = _mms_scenario(case, nx, dt, t_final)
     traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
@@ -509,10 +482,9 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
         tails.append(float(tail))
         gammas.append(float(min(lam, mu)))
     mono = all(a > b for a, b in zip(tails, tails[1:]))
-    rep.check("tail-monotone", "tail-decay", float(mono), 1.0, mono, note=f"tails {tails}")
+    rep.check("tail-monotone", "tail-decay", float(mono), 1.0, mono)
     red = tails[0] / tails[-1] if tails[-1] > 0 else math.inf
-    rep.check("tail-reduction", "tail-decay", red, 10.0, red >= 10.0,
-              note=f"n {list(n_list)} gammas {gammas}")
+    rep.check("tail-reduction", "tail-decay", red, 10.0, red >= 10.0)
     rep.extras = {"tails": tails, "gammas": gammas}
     return rep
 
@@ -522,7 +494,7 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
 @_timed
 def picard_contraction_study(dt_list=(4e-3, 2e-3, 1e-3), nx=32, steps=10) -> ExperimentReport:
     """Measured magnetic-step contraction ratios across dt."""
-    rep = _report("picard", dict(dt=dt_list, nx=nx, steps=steps))
+    rep = ExperimentReport("picard")
     ratios = []
     for dt in dt_list:
         scen = make_scenario(
@@ -532,11 +504,9 @@ def picard_contraction_study(dt_list=(4e-3, 2e-3, 1e-3), nx=32, steps=10) -> Exp
         traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
         ratios.append(max(r.contraction_ratio for r in traj.reports))
     worst = max(ratios)
-    rep.check("contraction", "picard-contraction", worst, 1.0, worst < 1.0,
-              note=f"ratios {ratios}")
+    rep.check("contraction", "picard-contraction", worst, 1.0, worst < 1.0)
     mono = all(r2 <= r1 * 1.05 for r1, r2 in zip(ratios, ratios[1:]))
-    rep.check("dt-monotone", "picard-contraction", float(mono), 1.0, mono,
-              note=f"ratios {ratios}")
+    rep.check("dt-monotone", "picard-contraction", float(mono), 1.0, mono)
     # amplitude sensitivity: doubling the data must not shrink the ratio
     scen = make_scenario("picard-ref", nx=nx, dt=dt_list[0], t_final=steps * dt_list[0],
                          outer_mode="single_pass", picard_tol=1e-13)
@@ -565,22 +535,21 @@ def _smooth_pair(grid):
 @_timed
 def identity_suite(nx_pair=(32, 64)) -> ExperimentReport:
     """Refinement of the three planar vector-identity residuals."""
-    rep = _report("identities", dict(nx=nx_pair))
+    rep = ExperimentReport("identities")
     res = {}
     for nx in nx_pair:
         g = Grid(nx, nx)
         res[nx] = identity_residuals(*_smooth_pair(g))
     for key in res[nx_pair[0]]:
         ratio = res[nx_pair[0]][key] / res[nx_pair[1]][key]
-        rep.check(f"{key}-refinement", "vector-identities", ratio, 3.5, ratio >= 3.5,
-                  note=f"residuals {res[nx_pair[0]][key]:.3e} -> {res[nx_pair[1]][key]:.3e}")
+        rep.check(f"{key}-refinement", "vector-identities", ratio, 3.5, ratio >= 3.5)
     return rep
 
 
 @_timed
 def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
     """Cross-resolution stability of the spectral inequality constants."""
-    rep = _report("basis-stability", dict(nx=nx_pair, n=n, seed=seed))
+    rep = ExperimentReport("basis-stability")
     c0s, regs = [], []
     for nx in nx_pair:
         g = Grid(nx, nx)
@@ -593,8 +562,7 @@ def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
                   1e-8, chk.gradient_identity_rel_err < 1e-8)
     for name, vals in (("c0", c0s), ("stokes-regularity", regs)):
         ratio = max(vals) / min(vals)
-        rep.check(f"{name}-stability", "spectral-stability", ratio, 2.0, ratio <= 2.0,
-                  note=f"values {vals}")
+        rep.check(f"{name}-stability", "spectral-stability", ratio, 2.0, ratio <= 2.0)
     rep.extras = {"c0": c0s, "regularity": regs}
     return rep
 
@@ -614,15 +582,14 @@ def _band_limited_fields(grid, count, kmax=6, seed=0):
 @_timed
 def brezis_gallouet_study(nx_pair=(32, 64), count=200, seed=0) -> ExperimentReport:
     """Max interpolation ratio over band-limited fields, two resolutions."""
-    rep = _report("brezis-gallouet", dict(nx=nx_pair, count=count, seed=seed))
+    rep = ExperimentReport("brezis-gallouet")
     maxima = []
     for nx in nx_pair:
         g = Grid(nx, nx)
         fields = _band_limited_fields(g, count, seed=seed)
         maxima.append(max(brezis_gallouet_ratio(f) for f in fields))
     drift = abs(maxima[0] / maxima[1] - 1.0)
-    rep.check("cross-resolution-drift", "sup-interpolation", drift, 0.10, drift <= 0.10,
-              note=f"max ratios {maxima}")
+    rep.check("cross-resolution-drift", "sup-interpolation", drift, 0.10, drift <= 0.10)
     rep.extras = {"maxima": maxima}
     return rep
 
@@ -635,30 +602,21 @@ GRONWALL_SCENARIOS = ["calib-osc", "ramp", "two-mode", "steady-h", "pulse"]
 @_timed
 def gronwall_suite(store: CalibrationStore, nx=32, dt=2e-3, t_final=1.0) -> ExperimentReport:
     """Trajectory-vs-bound check of the integrated weak energy estimate."""
-    rep = _report("gronwall", dict(nx=nx, dt=dt, T=t_final, scenarios=GRONWALL_SCENARIOS))
+    rep = ExperimentReport("gronwall")
     c = store.get("weak_energy_c")
     for sid in GRONWALL_SCENARIOS:
         scen = make_scenario(sid, nx=nx, dt=dt, t_final=t_final)
         traj, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
         gb = gronwall_weak(ledger, c)
         slack = float(np.max(gb.trajectory / np.maximum(gb.bound, 1e-300)))
-        rep.check(f"{sid}-bound", "gronwall-weak", slack, 1.01, slack <= 1.01,
-                  note=f"max trajectory/bound")
+        rep.check(f"{sid}-bound", "gronwall-weak", slack, 1.01, slack <= 1.01)
         margins = weak_energy_residual(ledger, c)
         rep.check(f"{sid}-margins", "energy-inequality", float(np.max(margins[1:])), 0.0,
-                  float(np.max(margins[1:])) <= max(1e-8, 0.05 * np.max(np.abs(margins))),
-                  note="differential margins nonpositive up to dt consistency")
+                  float(np.max(margins[1:])) <= max(1e-8, 0.05 * np.max(np.abs(margins))))
     return rep
 
 
 # --- calibration ------------------------------------------------------------------------
-
-def _sharp_ratio(num, den):
-    """Largest num/den over the instants with den > 1e-14, floored at 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 1e-14, num / np.maximum(den, 1e-300), 0.0)
-    return max(0.0, float(np.max(ratio)))
-
 
 def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> CalibrationStore:
     """Measure every unspecified constant on the reference scenarios."""
@@ -681,10 +639,10 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
         VectorField.zeros(Grid(nx, nx)), scen_p.trace, dt, min(0.5, t_final)
     )
     weak_lhs, weak_src, strong_lhs, strong_src = parabolic_integrals(prun)
-    store.set("parabolic_c_weak", _sharp_ratio(weak_lhs - prun.b0_l2_sq, weak_src) * headroom,
-              "calib-osc")
+    store.set("parabolic_c_weak",
+              sharp_constant(weak_lhs - prun.b0_l2_sq, weak_src, 1e-14) * headroom, "calib-osc")
     store.set("parabolic_c_strong",
-              _sharp_ratio(strong_lhs - prun.b0_h1_sq, strong_src) * headroom, "calib-osc")
+              sharp_constant(strong_lhs - prun.b0_h1_sq, strong_src, 1e-14) * headroom, "calib-osc")
 
     # absorbing-ball constants, probed on the reference small-boundary scenario
     ref_data = _absorbing_data(nx, dt, "reference")
@@ -719,6 +677,16 @@ def calibrate_constants(nx=32, dt=2e-3, t_final=1.0, headroom=1.5) -> Calibratio
         store.set("rho2_measured", probe.extras["rho2_measured"] * headroom, "absorbing-reference")
         store.set("rho3_measured", probe.extras["rho3_measured"] * headroom, "absorbing-reference")
     return store
+
+
+def store_keys(name, strong="off"):
+    """The calibration constants experiment ``name`` (absorbing in mode ``strong``) reads."""
+    if name == "gronwall":
+        return ("weak_energy_c",)
+    if name != "absorbing":
+        return ()
+    keys = ("absorb_c1", "absorb_c_tilde", "absorb_c0", "absorb_c_omega")
+    return keys + ("rho2_measured", "rho3_measured") if strong == "check" else keys
 
 
 EXPERIMENTS = {

@@ -8,7 +8,6 @@ scenarios and frozen for every assertion here.
 import time
 
 import numpy as np
-import pytest
 
 from mhd2d.dynamics import run
 from mhd2d.geometry import Grid

@@ -451,13 +451,14 @@ strong = measure
 def stubbed_runners(monkeypatch, tmp_path):
     from mhd2d import cli
     from mhd2d.estimates import CalibrationStore
-    from mhd2d.verify import ExperimentReport
+    from mhd2d.verify import ExperimentReport, store_keys
 
     for name in list(cli.EXPERIMENTS):
         monkeypatch.setitem(cli.EXPERIMENTS, name,
-                            lambda store, _name=name, **kw: ExperimentReport(_name, repr(sorted(kw))))
+                            lambda store, _name=name, **kw: ExperimentReport(_name))
     store = CalibrationStore()
-    store.set("c_p", 1.0, "stub")
+    for key in {k for name in cli.EXPERIMENTS for k in store_keys(name, strong="check")}:
+        store.set(key, 1.0, "stub")
     monkeypatch.setattr(cli, "calibrate_constants", lambda nx, dt: store)
     monkeypatch.setattr(cli, "cached_basis", lambda grid, n, cache: None)
     (tmp_path / "out").mkdir()
@@ -547,6 +548,39 @@ def test_tail_cut_above_stokes_capacity_exits_before_running(tmp_path, capsys, m
     assert ran == [] and os.listdir(out) == []  # the experiment never started; no report
     edge = _write(tmp_path, EXPERIMENT_HEAD + "id = tail\nn_list = 4,960\n")
     assert cli._experiment_kwargs(parse_config(edge), "tail") == {"n_list": (4, 960)}
+
+
+ABSORB_KEYS = "".join(f"absorb_{k} 1.0 stub\n" for k in ("c1", "c_tilde", "c0", "c_omega"))
+
+
+@pytest.mark.parametrize(
+    "ids,store,expect",
+    [
+        ("gronwall", b"MHDCALIB0\nweak_energy_c 1.0 calib-osc\n", "line 1: expected MHDCALIB1"),
+        ("gronwall", b"\xff\xfe\x00binary", "line 1: expected MHDCALIB1"),
+        ("gronwall", b"MHDCALIB1\nweak_energy_c notanumber calib-osc\n", "line 2:"),
+        ("gronwall", b"MHDCALIB1\n\nweak_energy_c nan calib-osc\n", "line 3:"),
+        ("gronwall", b"MHDCALIB1\nweak_energy_c 1.0\n", "line 2:"),
+        ("gronwall", None, "cannot read"),
+        ("gronwall", b"MHDCALIB1\n" + ABSORB_KEYS.encode(), "no constant 'weak_energy_c'"),
+        ("absorbing\nstrong = check", b"MHDCALIB1\n" + ABSORB_KEYS.encode(),
+         "no constant 'rho2_measured'"),
+    ],
+    ids=["bad-magic", "not-text", "non-numeric", "non-finite", "short-line", "directory",
+         "missing-constant", "missing-strong-constant"],
+)
+def test_faulty_calibration_store_is_config_error(tmp_path, capsys, stubbed_runners, ids, store,
+                                                  expect):
+    calib = tmp_path / "calib.txt"
+    if store is None:
+        calib.mkdir()  # exists, but cannot be read as a file
+    else:
+        calib.write_bytes(store)
+    path = _write(tmp_path, EXPERIMENT_HEAD + f"id = {ids}\n[outputs]\ncalibration = {calib}\n")
+    assert main(["experiment", "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: calibration store {calib}") and expect in err
+    assert "Traceback" not in err and not os.path.exists(tmp_path / "out" / "summary.csv")
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

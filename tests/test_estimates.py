@@ -5,7 +5,6 @@ import pytest
 
 from mhd2d.estimates import (
     LEDGER_COLUMNS,
-    AbsorbingRadii,
     CalibrationStore,
     EnergyLedger,
     absorbing_radii,

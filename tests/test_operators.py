@@ -23,7 +23,6 @@ from conftest import (
 )
 from mhd2d.geometry import (
     Grid,
-    ScalarField,
     VectorBC,
     VectorField,
     convect,

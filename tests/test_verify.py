@@ -15,14 +15,13 @@ from mhd2d.verify import (
     _sample_vec,
     absorbing_experiment,
     identity_suite,
-    picard_contraction_study,
 )
 
 
 def test_report_plumbing(tmp_path):
-    rep = ExperimentReport("demo", "abc123")
+    rep = ExperimentReport("demo")
     rep.check("a", "tag", 1.0, 2.0, True)
-    rep.check("b", "tag", 3.0, 2.0, False, note="boom")
+    rep.check("b", "tag", 3.0, 2.0, False)
     assert not rep.passed
     text = rep.to_csv_text()
     assert text.splitlines()[0] == "experiment,assertion,paper_ref,measured,tolerance,pass"
