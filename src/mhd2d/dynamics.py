@@ -29,12 +29,13 @@ what they share: it looks up the boundary data and the body forces at the
 new time once per step (the ledger row after the step reuses that boundary
 data), keeps or refactors the transport pair, and recovers the pressure
 once, from the accepted iterate.  What a step holds fixed is prepared once:
-u^n's half of the velocity transport once per coupled step; each outer
-iterate's two halves of ubar in one pass (``geometry.face_halves``), the
-advecting one for the velocity step and the transported one for the magnetic
-stretching term; and once per magnetic step, the transport pair's Dirichlet
-right-hand sides, the lagged shift's advecting half and the boundary rows of
-the iterate's transported half (``geometry.wall_rows``).  A Picard iteration
+once per coupled step, u^n's half of the velocity transport and the live
+pair's Dirichlet right-hand sides (``TransportOperator.boundary`` keeps the
+step's instant); each outer iterate's two halves of ubar in one pass
+(``geometry.face_halves``), the advecting one for the velocity step and the
+transported one for the magnetic stretching term; and once per magnetic step,
+the lagged shift's advecting half and the boundary rows of the iterate's
+transported half (``geometry.wall_rows``).  A Picard iteration
 then computes the iterate's two halves in one pass, forms the lag and the
 right-hand side on the interior faces only (``geometry.convect_interior``)
 and measures its residual and norm on the component arrays
@@ -405,7 +406,8 @@ class Stepper:
             rhs_x = rhs_x + fb.x[1:-1, :]
             rhs_y = rhs_y + fb.y[:, 1:-1]
 
-        # fixed for the whole Picard loop: the Dirichlet right-hand sides,
+        # fixed for the whole Picard loop: the Dirichlet right-hand sides
+        # (prepared by the first magnetic step at bc and kept by the pair),
         # shift's half of the lagged transport and the wall rows of the
         # iterate's transported half; each iteration adds only the iterate's
         # two halves, computed in one pass

@@ -613,6 +613,22 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     assert calls.count("bc") == nsteps + 1
 
 
+def test_pair_boundary_prepared_once_per_step(monkeypatch):
+    calls = []
+    rhs_boundary = TransportOperator.rhs_boundary
+
+    def counting(self, bc):
+        calls.append(self.comp)
+        return rhs_boundary(self, bc)
+
+    monkeypatch.setattr(TransportOperator, "rhs_boundary", counting)
+    nsteps = 6
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert sum(r.outer_iterations for r in traj.reports) > nsteps
+    assert calls.count("x") == calls.count("y") == nsteps
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_step_fails_at_once_with_step_failure():
     scen = make_scenario("ramp", nx=16, t_final=0.01)
