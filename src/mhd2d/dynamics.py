@@ -7,7 +7,9 @@ lags the stretching term through a Picard iteration whose contraction
 ratio is measured and reported.  The transport operator is factored at a
 reference velocity u_ref and kept across steps while the step's start
 velocity u^n stays within ``TRANSPORT_REUSE_THETA`` of it (relative L2
-distance); otherwise it is refactored at u^n.  Every outer iterate ubar
+distance); otherwise it is refactored at u^n.  The window is wide (twice
+||u^n||): a stale pair costs a few lagged Picard iterations and no outer
+ones, far less than a refactoring.  Every outer iterate ubar
 reuses the live factorization and lags the difference (ubar - u_ref)·grad b
 in the same Picard loop, so the fixed point is the implicit-transport
 solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
@@ -121,11 +123,14 @@ __all__ = [
 CKPT_MAGIC = b"MHDCKPT3"
 
 # The factored transport pair is kept while ||u^n - u_ref|| <= theta ||u^n||
-# (L2 norms).  With warm-started outer iterates, 0.5 factors 62 pairs in the
-# 375 steps of calib-osc at 32^2 (220 at 0.1) for +0.2% Picard iterations per
-# magnetic step; 1.0 saves 33 more pairs for +0.6%.  Outer iteration counts
-# do not move, and tail compactness at 64^2 keeps one pair at every value.
-TRANSPORT_REUSE_THETA = 0.5
+# (L2 norms), a chord iteration on the magnetic step (Kelley, Iterative
+# Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).  In the 375
+# steps of calib-osc at 32^2, 2 factors 14 pairs (0.5: 62, 1: 29, 3: 11, 5: 8)
+# for +0.9% Picard iterations over 0.5; outer iteration counts do not move,
+# and tail compactness at 64^2 keeps one pair at every value.  The lag costs
+# more at high Rm: picard-ref at Rm = 1000, dt = 8e-3 takes 18.2 Picard
+# iterations per step against 16.4 at 0.5 (3 takes 18.8).
+TRANSPORT_REUSE_THETA = 2.0
 
 # b is projected onto div-free fields when max |div b| exceeds this after a
 # step; the pre-cleaning divergence is O(1), so every step is cleaned

@@ -592,6 +592,24 @@ def test_live_pair_stays_within_reuse_threshold():
         assert dist <= dynamics.TRANSPORT_REUSE_THETA * np.sqrt(l2_norm_sq(u_n))
         assert rep.transport_refactored == (st.transport.u_ref is u_n)
 
+def test_reuse_window_halves_refactors_for_few_picard_iterations(monkeypatch):
+    # the chosen theta against the former 0.5 on calib-osc at its own dt: the
+    # lag a wider window leaves costs few Picard iterations and no outer ones
+    def counts():
+        dt = 2e-3
+        scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=200 * dt)
+        reps = run(scen.cfg, scen.u0, scen.b0, scen.trace)[0].reports
+        return [sum(getattr(r, k) for r in reps)
+                for k in ("transport_refactored", "picard_iterations", "outer_iterations")]
+
+    refactors, picard, outer = counts()
+    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.5)
+    refactors_half, picard_half, outer_half = counts()
+    assert 2 * refactors <= refactors_half
+    assert picard <= 1.02 * picard_half
+    assert outer == outer_half
+
+
 def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     calls = []
     force = lambda t: VectorField.zeros(Grid(16, 16))
@@ -767,6 +785,8 @@ def test_old_pair_is_freed_before_the_new_one_is_built(monkeypatch):
         init(self, grid, comp, a, inv_dt, kappa)
 
     monkeypatch.setattr(TransportOperator, "__init__", tracking)
+    # a tight reuse window, so that the short run refactors more than once
+    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.1)
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=20 * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     assert sum(r.transport_refactored for r in traj.reports) > 1
