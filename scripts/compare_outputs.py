@@ -18,17 +18,24 @@ byte for byte; ``timings.json`` holds wall times and is skipped.
 
     python scripts/compare_outputs.py --parent ../parent --change .
 
-Exit status: 0 when every file matches, 1 on a mismatch (the first
-differing file and the offset of its first differing byte are printed, or
-the file one side lacks), 2 when a run fails (the last lines of its stderr
-are printed).  A failed experiment assertion (exit 4 of
-``run_all_experiments.py``) still writes its reports, so they are compared.
+Every file of every leg is compared, also after a mismatch.  For a file
+that differs, the offset of its first differing byte is printed; for a
+differing CSV with the same header and row count, also the largest absolute
+and relative difference (|change - parent| / |parent|) of each numeric
+column, and the number of differing rows of each other column.
+
+Exit status: 0 when every file matches, 1 on any mismatch (or a file one
+side lacks), 2 when a run fails (the last lines of its stderr are printed).
+A failed experiment assertion (exit 4 of ``run_all_experiments.py``) still
+writes its reports, so they are compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -75,24 +82,71 @@ def first_difference(a: bytes, b: bytes) -> int | None:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+def _numbers(values):
+    """The values as floats, or None if any of them is not a number."""
+    try:
+        return [float(v) for v in values]
+    except ValueError:
+        return None
+
+
+def csv_differences(parent: str, change: str) -> list:
+    """One line per column of two CSV texts: the largest absolute and relative
+    difference of a numeric column, the differing rows of another; a single
+    line when the headers or row counts differ."""
+    (p_head, *p_rows), (c_head, *c_rows) = (list(csv.reader(t.splitlines()))
+                                            for t in (parent, change))
+    if p_head != c_head:
+        return [f"headers differ: {p_head} in the parent, {c_head} in the change"]
+    if len(p_rows) != len(c_rows):
+        return [f"{len(p_rows)} rows in the parent, {len(c_rows)} in the change"]
+    lines = []
+    for k, name in enumerate(p_head):
+        p_col, c_col = [r[k] for r in p_rows], [r[k] for r in c_rows]
+        p_num, c_num = _numbers(p_col), _numbers(c_col)
+        if p_num is None or c_num is None:
+            rows = sum(a != b for a, b in zip(p_col, c_col))
+            lines.append(f"{name}: {rows} differing rows (not numeric)")
+            continue
+        abs_max = rel_max = 0.0
+        abs_row = 0
+        for row, (a, b) in enumerate(zip(p_num, c_num)):
+            diff = abs(b - a)
+            if diff > abs_max or math.isnan(diff):
+                abs_max, abs_row = diff, row
+            rel = diff / abs(a) if a else (math.inf if diff else 0.0)
+            if rel > rel_max or math.isnan(rel):
+                rel_max = rel
+        lines.append(f"{name}: max abs diff {abs_max:.3g} (data row {abs_row + 1}), "
+                     f"max rel diff {rel_max:.3g}")
+    return lines
+
+
 def compare(leg: str, outs: dict, names) -> bool:
-    """Print whether each named file is byte-identical on both sides; False at the first
-    that is not."""
+    """Print whether each named file is byte-identical on both sides, and how
+    a differing CSV differs; False if any is not."""
+    same = True
     for name in names:
         paths = {side: out / name for side, out in outs.items()}
         lacking = [side for side, path in paths.items() if not path.exists()]
         if lacking:
             print(f"{leg} {name}: missing on the {' and '.join(lacking)} side")
-            return False
+            same = False
+            continue
         data = {side: path.read_bytes() for side, path in paths.items()}
         at = first_difference(data["parent"], data["change"])
-        if at is not None:
-            print(f"{leg} {name} differs: first differing byte at offset {at} "
-                  f"({len(data['parent'])} bytes in the parent, "
-                  f"{len(data['change'])} in the change)")
-            return False
-        print(f"{leg} {name}: identical ({len(data['parent'])} bytes)")
-    return True
+        if at is None:
+            print(f"{leg} {name}: identical ({len(data['parent'])} bytes)")
+            continue
+        same = False
+        print(f"{leg} {name} differs: first differing byte at offset {at} "
+              f"({len(data['parent'])} bytes in the parent, "
+              f"{len(data['change'])} in the change)")
+        if name.endswith(".csv"):
+            texts = [data[side].decode("utf-8") for side in ("parent", "change")]
+            for line in csv_differences(*texts):
+                print(f"    {line}")
+    return same
 
 
 def main(argv=None) -> int:
@@ -103,6 +157,7 @@ def main(argv=None) -> int:
                     help="run config, relative to each checkout (default: %(default)s)")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    same = True
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         for leg in ("direct", "restart"):
@@ -117,8 +172,7 @@ def main(argv=None) -> int:
                        "--output-dir", str(outs[side])]
                 if not run_side(checkout, cmd, label=f"{side} ({leg})"):
                     return 2
-            if not compare(leg, outs, FILES):
-                return 1
+            same &= compare(leg, outs, FILES)
         outs = {side: tmp / "experiments" / side for side in sides}
         for side, checkout in sides.items():
             cmd = [str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir",
@@ -126,9 +180,8 @@ def main(argv=None) -> int:
             if not run_side(checkout, cmd, label=f"{side} (experiments)", ok=(0, 4)):
                 return 2
         reports = sorted({p.name for out in outs.values() for p in out.glob("report_*.csv")})
-        if not compare("experiments", outs, EXPERIMENT_FILES + tuple(reports)):
-            return 1
-    return 0
+        same &= compare("experiments", outs, EXPERIMENT_FILES + tuple(reports))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ cumulative summary.  ``timings.json`` beside ``summary.csv`` holds the
 and each experiment's ``runtime_s``.
 
     python scripts/run_all_experiments.py --output-dir out/ [--calibration PATH]
+
+A store that cannot be read or is malformed, or an unknown ``--skip`` id,
+prints one line per fault and exits 2 before anything runs; a failed
+experiment assertion exits 4.
 """
 
 import argparse
@@ -16,6 +20,7 @@ import os
 import sys
 import time
 
+from mhd2d.errors import ConfigError
 from mhd2d.estimates import CalibrationStore
 from mhd2d.ioutil import atomic_write_text
 from mhd2d.verify import EXPERIMENTS, calibrate_constants
@@ -39,11 +44,23 @@ def main():
     ap.add_argument("--calibration", default=None, help="existing calibration store")
     ap.add_argument("--skip", default="", help="comma-separated experiment ids to skip")
     args = ap.parse_args()
+    skip = {s.strip() for s in args.skip.split(",") if s.strip()}
+    errors = [f"--skip: unknown experiment id {name!r} (known: {', '.join(ORDER)})"
+              for name in sorted(skip - set(ORDER))]
+    store = None
+    if args.calibration:
+        try:
+            store = CalibrationStore.read(args.calibration)
+        except ConfigError as exc:
+            errors.extend(exc.violations)
+    if errors:
+        for line in errors:
+            print(f"config error: {line}", file=sys.stderr)
+        return 2
     os.makedirs(args.output_dir, exist_ok=True)
 
     timings = {"calibrate_constants_s": None, "runtime_s": {}}
-    if args.calibration and os.path.exists(args.calibration):
-        store = CalibrationStore.read(args.calibration)
+    if store is not None:
         print(f"loaded calibration from {args.calibration}")
     else:
         t0 = time.perf_counter()
@@ -53,7 +70,6 @@ def main():
         store.write(path)
         print(f"calibrated {len(store.values)} constants in {elapsed:.0f}s -> {path}")
 
-    skip = {s.strip() for s in args.skip.split(",") if s.strip()}
     summary = ["experiment,assertion,paper_ref,measured,tolerance,pass"]
     all_ok = True
     for name in ORDER:

@@ -376,11 +376,12 @@ def test_parabolic_lift_compatibility_gate():
 def test_parabolic_estimate_margins():
     g = Grid(12, 12)
     tz = synthesize_trace(g, TIMES, [])
-    b0 = stream_mode = VectorField.zeros(g)
+    b0 = VectorField.zeros(g)
     b0.x[1:-1, :] = 0.3
     run = parabolic_lift(b0, tz, 1e-3, 0.05)
     rep = parabolic_estimate_check(run, 1.0, 1.0)
     assert rep.weak_margin <= 1e-10
+    assert rep.strong_margin <= 1e-10
 
 
 def test_dirichlet_heat_shared_by_strong_run_and_parabolic_lift(monkeypatch):
