@@ -94,8 +94,10 @@ def csv_differences(parent: str, change: str) -> list:
     """One line per column of two CSV texts: the largest absolute and relative
     difference of a numeric column, the differing rows of another; a single
     line when the headers or row counts differ."""
-    (p_head, *p_rows), (c_head, *c_rows) = (list(csv.reader(t.splitlines()))
-                                            for t in (parent, change))
+    p_table, c_table = (list(csv.reader(t.splitlines())) for t in (parent, change))
+    if not p_table or not c_table:
+        return ["empty on one side"]
+    (p_head, *p_rows), (c_head, *c_rows) = p_table, c_table
     if p_head != c_head:
         return [f"headers differ: {p_head} in the parent, {c_head} in the change"]
     if len(p_rows) != len(c_rows):

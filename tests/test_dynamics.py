@@ -592,6 +592,7 @@ def test_live_pair_stays_within_reuse_threshold():
         assert dist <= dynamics.TRANSPORT_REUSE_THETA * np.sqrt(l2_norm_sq(u_n))
         assert rep.transport_refactored == (st.transport.u_ref is u_n)
 
+
 def test_reuse_window_halves_refactors_for_few_picard_iterations(monkeypatch):
     # the chosen theta against the former 0.5 on calib-osc at its own dt: the
     # lag a wider window leaves costs few Picard iterations and no outer ones
