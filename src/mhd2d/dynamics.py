@@ -32,8 +32,8 @@ new time once per step (the ledger row after the step reuses that boundary
 data), keeps or refactors the transport pair, and recovers the pressure
 once, from the accepted iterate.  What a step holds fixed is prepared once:
 once per coupled step, u^n's half of the velocity transport and the live
-pair's Dirichlet right-hand sides (``TransportOperator.boundary`` keeps the
-step's instant); each outer iterate's two halves of ubar in one pass
+pair's Dirichlet right-hand sides (``TransportOperator.boundary``); each
+outer iterate's two halves of ubar in one pass
 (``geometry.face_halves``), the advecting one for the velocity step and the
 transported one for the magnetic stretching term; and once per magnetic step,
 the lagged shift's advecting half and the boundary rows of the iterate's
@@ -378,6 +378,7 @@ class Stepper:
         fb: VectorField | None,
         b_start: VectorField,
         u_frozen_half: TransportedHalf,
+        boundary: tuple | None = None,
     ):
         """One implicit magnetic step from t_prev; transport implicit,
         stretching lagged.  Returns (b_new, StepReport).
@@ -390,6 +391,8 @@ class Stepper:
         point do not depend on it.  ``u_frozen_half`` is
         ``transported_half(u_frozen)``, u_frozen's half of the stretching
         term, which the outer iterate shares with its velocity step.
+        ``boundary`` is the pair's ``(x.boundary(bc), y.boundary(bc))``, which
+        the outer iterates of one coupled step share (None: prepared here).
         """
         cfg = self.cfg
         g = self.grid
@@ -411,12 +414,13 @@ class Stepper:
             rhs_x = rhs_x + fb.x[1:-1, :]
             rhs_y = rhs_y + fb.y[:, 1:-1]
 
-        # fixed for the whole Picard loop: the Dirichlet right-hand sides
-        # (prepared by the first magnetic step at bc and kept by the pair),
+        # fixed for the whole Picard loop: the Dirichlet right-hand sides,
         # shift's half of the lagged transport and the wall rows of the
         # iterate's transported half; each iteration adds only the iterate's
         # two halves, computed in one pass
-        bnd_x, bnd_y = opx.boundary(bc), opy.boundary(bc)
+        if boundary is None:
+            boundary = opx.boundary(bc), opy.boundary(bc)
+        bnd_x, bnd_y = boundary
         lagged = None if shift is None else advecting_half(shift)
         walls = wall_rows(g, bc)
 
@@ -542,6 +546,7 @@ class Stepper:
         # every outer iterate reuses the live pair, kept from earlier steps
         # while u^n stays close to its u_ref
         refactored = self.keep_or_refactor(state.u)
+        pair_boundary = self.transport.x.boundary(bc), self.transport.y.boundary(bc)
 
         b_reports = []  # one per outer iterate
 
@@ -550,7 +555,7 @@ class Stepper:
             a_half, f_half = face_halves(ub, ubar_walls)
             b, rep = self.b_step(
                 ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb, b_start=b_start,
-                u_frozen_half=f_half,
+                u_frozen_half=f_half, boundary=pair_boundary,
             )
             b_reports.append(rep)
             u, force = self.u_step(

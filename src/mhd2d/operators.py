@@ -223,7 +223,6 @@ class TransportOperator:
             self.shape = grid.shape_xface()
         else:
             self.shape = grid.shape_yface()
-        self._boundary = None  # (bc, boundary(bc)) of the latest instant
         self._assemble(a)
 
     def _assemble(self, a):
@@ -334,15 +333,11 @@ class TransportOperator:
     def boundary(self, bc: VectorBC):
         """``rhs_boundary(bc)`` with its interior entries in the factor's order.
 
-        Pass it to every ``solve`` with that data.  The latest ``bc`` object
-        is kept with its result, so the magnetic steps of one coupled step,
-        which share one lookup, prepare it once; the memo goes with the
-        operator.  Callers must not write into the returned arrays.
+        Prepare it once per boundary instant and pass it to every ``solve``
+        with that data.
         """
-        if self._boundary is None or self._boundary[0] is not bc:
-            r = self.rhs_boundary(bc)
-            self._boundary = (bc, (r.ravel()[self._pattern.q], r))
-        return self._boundary[1]
+        r = self.rhs_boundary(bc)
+        return r.ravel()[self._pattern.q], r
 
     def solve(self, rhs: np.ndarray, boundary) -> np.ndarray:
         """Solve for the full component array.
