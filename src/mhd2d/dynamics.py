@@ -6,10 +6,14 @@ magnetic solve treats transport by the frozen velocity implicitly and
 lags the stretching term through a Picard iteration whose contraction
 ratio is measured and reported.  The transport operator is factored at a
 reference velocity u_ref and kept across steps while the step's start
-velocity u^n stays within ``TRANSPORT_REUSE_THETA`` of it (relative L2
-distance); otherwise it is refactored at u^n.  The window is wide (twice
-||u^n||): a stale pair costs a few lagged Picard iterations and no outer
-ones, far less than a refactoring.  Every outer iterate ubar
+velocity u^n stays within ``TRANSPORT_REUSE_THETA`` of it, relative to the
+smaller of the two L2 norms; otherwise it is refactored at u^n.  The window
+is wide (twice the smaller norm): a stale pair costs a few lagged Picard
+iterations and no outer ones, far less than a refactoring.  Measured
+against both velocities, it bounds the lag by the flow of either side: a
+run from rest leaves the heat operator of u_ref = 0 at its first moving
+step, and a flow that grows, decays or turns leaves its pair once the
+difference exceeds twice the slower velocity.  Every outer iterate ubar
 reuses the live factorization and lags the difference (ubar - u_ref)·grad b
 in the same Picard loop, so the fixed point is the implicit-transport
 solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
@@ -122,14 +126,15 @@ __all__ = [
 
 CKPT_MAGIC = b"MHDCKPT3"
 
-# The factored transport pair is kept while ||u^n - u_ref|| <= theta ||u^n||
-# (L2 norms), a chord iteration on the magnetic step (Kelley, Iterative
-# Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 5.4).  In the 375
-# steps of calib-osc at 32^2, 2 factors 14 pairs (0.5: 62, 1: 29, 3: 11, 5: 8)
-# for +0.9% Picard iterations over 0.5; outer iteration counts do not move,
-# and tail compactness at 64^2 keeps one pair at every value.  The lag costs
-# more at high Rm: picard-ref at Rm = 1000, dt = 8e-3 takes 18.2 Picard
-# iterations per step against 16.4 at 0.5 (3 takes 18.8).
+# The factored transport pair is kept while
+# ||u^n - u_ref|| <= theta min(||u^n||, ||u_ref||) (L2 norms), a chord
+# iteration on the magnetic step (Kelley, Iterative Methods for Linear and
+# Nonlinear Equations, SIAM 1995, sec. 5.4).  In the 375 steps of calib-osc
+# at 32^2, 2 factors 27 pairs (1: 45, 1.5: 35, 3: 20, 5: 14; the former
+# ||u^n - u_ref|| <= 0.5 ||u^n||: 62) for +0.8% Picard iterations over the
+# former rule; outer iteration counts do not move.  The lag costs more at
+# high Rm: picard-ref at Rm = 1000, dt = 8e-3 takes 18.2 Picard iterations
+# per step against 16.4 under the former rule (3 takes 18.8).
 TRANSPORT_REUSE_THETA = 2.0
 
 # b is projected onto div-free fields when max |div b| exceeds this after a
@@ -357,12 +362,13 @@ class Stepper:
         )
 
     def keep_or_refactor(self, u: VectorField) -> bool:
-        """Keep the live pair while ||u - u_ref|| <= theta ||u||, else factor
-        a new one at u.  Returns whether it refactored."""
-        if self.transport is not None and l2_norm_sq(u - self.transport.u_ref) <= (
-            TRANSPORT_REUSE_THETA**2 * l2_norm_sq(u)
-        ):
-            return False
+        """Keep the live pair while ||u - u_ref|| <= theta min(||u||, ||u_ref||),
+        else factor a new one at u.  Returns whether it refactored."""
+        if self.transport is not None:
+            u_ref = self.transport.u_ref
+            scale = min(l2_norm_sq(u), l2_norm_sq(u_ref))
+            if l2_norm_sq(u - u_ref) <= TRANSPORT_REUSE_THETA**2 * scale:
+                return False
         self.transport = None  # drop the old pair first: at most one is ever live
         self.transport = self.transport_operators(u)
         return True

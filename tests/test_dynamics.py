@@ -38,7 +38,7 @@ from mhd2d.geometry import (
 )
 from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
 from mhd2d.operators import NeumannPoisson, StokesSaddle, TransportOperator
-from mhd2d.scenarios import make_scenario, stream_bump
+from mhd2d.scenarios import make_scenario, stream_bump, trace_times
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
 from mhd2d.verify import _mms_case, _mms_scenario
 
@@ -594,8 +594,9 @@ def test_live_pair_stays_within_reuse_threshold():
 
 
 def test_reuse_window_halves_refactors_for_few_picard_iterations(monkeypatch):
-    # the chosen theta against the former 0.5 on calib-osc at its own dt: the
-    # lag a wider window leaves costs few Picard iterations and no outer ones
+    # the window against the former ||u^n - u_ref|| <= 0.5 ||u^n|| on
+    # calib-osc at its own dt: the lag a wider window leaves costs few Picard
+    # iterations and no outer ones
     def counts():
         dt = 2e-3
         scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=200 * dt)
@@ -603,12 +604,36 @@ def test_reuse_window_halves_refactors_for_few_picard_iterations(monkeypatch):
         return [sum(getattr(r, k) for r in reps)
                 for k in ("transport_refactored", "picard_iterations", "outer_iterations")]
 
+    def former(self, u):
+        if self.transport is not None and (
+            l2_norm_sq(u - self.transport.u_ref) <= 0.25 * l2_norm_sq(u)
+        ):
+            return False
+        self.transport = None
+        self.transport = self.transport_operators(u)
+        return True
+
     refactors, picard, outer = counts()
-    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.5)
+    monkeypatch.setattr(Stepper, "keep_or_refactor", former)
     refactors_half, picard_half, outer_half = counts()
     assert 2 * refactors <= refactors_half
     assert picard <= 1.02 * picard_half
     assert outer == outer_half
+
+
+def test_run_from_rest_refactors_once_the_flow_moves():
+    # the first pair is the heat operator of u = 0; the window is measured
+    # against the factored velocity too, so the driven flow leaves it at once
+    cfg = SolverConfig(nx=16, ny=16, dt=2e-3, t_final=4 * 2e-3)
+    g = cfg.grid()
+    ramp = TraceMode("stream", amplitude=0.2, kx=1, ky=2, envelope="ramp", envelope_param=5.0)
+    trace = synthesize_trace(g, trace_times(cfg), [ramp])
+    traj, _ = run(cfg, VectorField.zeros(g), VectorField.zeros(g), trace)
+    assert [r.transport_refactored for r in traj.reports[:2]] == [True, True]
+    # an undriven fluid at rest stays at u_ref = 0: one pair for the run
+    scen = make_scenario("zero", nx=16, dt=2e-3, t_final=4 * 2e-3)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert [r.transport_refactored for r in traj.reports] == [True, False, False, False]
 
 
 def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
