@@ -22,7 +22,13 @@ Every file of every leg is compared, also after a mismatch.  For a file
 that differs, the offset of its first differing byte is printed; for a
 differing CSV with the same header and row count, also the largest absolute
 and relative difference (|change - parent| / |parent|) of each numeric
-column, and the number of differing rows of each other column.
+column, and the number of differing rows of each other column.  A differing
+``final.mhdckpt`` or ``calibration.txt`` is decoded on each side by that
+checkout's own reader (``read_checkpoint``, ``CalibrationStore.read``), and
+the largest absolute difference of each stored array (u, b, p and the
+restart fields) or of each calibrated constant is printed, with its ratio
+to the parent array's largest magnitude (for a constant, its relative
+difference; entry by entry, near-zero values would swamp the ratio).
 
 Exit status: 0 when every file matches, 1 on any mismatch (or a file one
 side lacks), 2 when a run fails (the last lines of its stderr are printed).
@@ -42,11 +48,32 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from bench_pairs import STDERR_TAIL
 
 FILES = ("ledger.csv", "final.mhdckpt")
 EXPERIMENT_FILES = ("calibration.txt", "summary.csv")  # and every report_*.csv
 RESTART_EXTRA_T = 0.25  # how much further the restarted run goes
+
+# Run in a checkout's interpreter: ``DECODE kind path out.npz`` writes the
+# named arrays of a checkpoint or the constants of a calibration store.
+DECODE = """
+import sys
+import numpy as np
+kind, path, out = sys.argv[1:]
+if kind == "checkpoint":
+    from mhd2d.dynamics import read_checkpoint
+    ck = read_checkpoint(path)
+    fields = {"u": ck["state"].u, "b": ck["state"].b, **ck["restart"]._asdict()}
+    arrays = {f"{name}.{c}": getattr(f, c) for name, f in fields.items() for c in "xy"}
+    arrays["p"] = ck["state"].p.values
+else:
+    from mhd2d.estimates import CalibrationStore
+    arrays = {name: v for name, (v, _) in CalibrationStore.read(path).values.items()}
+np.savez(out, **arrays)
+"""
+DECODED = {"final.mhdckpt": "checkpoint", "calibration.txt": "calibration"}
 
 
 def run_side(checkout: Path, cmd: list, *, label: str, ok=(0,)) -> bool:
@@ -124,9 +151,44 @@ def csv_differences(parent: str, change: str) -> list:
     return lines
 
 
-def compare(leg: str, outs: dict, names) -> bool:
+def array_differences(parent: dict, change: dict) -> list:
+    """One line per named array of two decoded files: the largest absolute
+    difference and its ratio to the parent array's largest magnitude (for a
+    scalar, the relative difference), or why the two cannot be compared."""
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in parent or name not in change:
+            lines.append(f"{name}: only in the {'parent' if name in parent else 'change'}")
+            continue
+        a, b = np.asarray(parent[name], float), np.asarray(change[name], float)
+        if a.shape != b.shape:
+            lines.append(f"{name}: shape {a.shape} in the parent, {b.shape} in the change")
+            continue
+        diff = np.abs(b - a).max(initial=0.0)
+        scale = np.abs(a).max(initial=0.0)
+        rel = diff / scale if scale else (math.inf if diff else 0.0)
+        lines.append(f"{name}: max abs diff {diff:.3g}, rel to max |parent| {rel:.3g}")
+    return lines
+
+
+def decoded_differences(sides: dict, paths: dict, kind: str, tmp: Path) -> list:
+    """``array_differences`` of one file decoded by each side's own reader;
+    a single line when a side cannot decode it."""
+    decoded = {}
+    for side, checkout in sides.items():
+        out = tmp / f"decoded_{side}.npz"
+        if not run_side(checkout, ["-c", DECODE, kind, str(paths[side]), str(out)],
+                        label=f"{side} (decoding {paths[side].name})"):
+            return [f"the {side} side cannot decode it"]
+        with np.load(out) as npz:
+            decoded[side] = dict(npz)
+    return array_differences(decoded["parent"], decoded["change"])
+
+
+def compare(leg: str, outs: dict, names, sides: dict) -> bool:
     """Print whether each named file is byte-identical on both sides, and how
-    a differing CSV differs; False if any is not."""
+    a differing CSV, checkpoint or calibration store differs; False if any
+    is not."""
     same = True
     for name in names:
         paths = {side: out / name for side, out in outs.items()}
@@ -146,8 +208,13 @@ def compare(leg: str, outs: dict, names) -> bool:
               f"{len(data['change'])} in the change)")
         if name.endswith(".csv"):
             texts = [data[side].decode("utf-8") for side in ("parent", "change")]
-            for line in csv_differences(*texts):
-                print(f"    {line}")
+            lines = csv_differences(*texts)
+        elif name in DECODED:
+            lines = decoded_differences(sides, paths, DECODED[name], paths["parent"].parent.parent)
+        else:
+            lines = []
+        for line in lines:
+            print(f"    {line}")
     return same
 
 
@@ -174,7 +241,7 @@ def main(argv=None) -> int:
                        "--output-dir", str(outs[side])]
                 if not run_side(checkout, cmd, label=f"{side} ({leg})"):
                     return 2
-            same &= compare(leg, outs, FILES)
+            same &= compare(leg, outs, FILES, sides)
         outs = {side: tmp / "experiments" / side for side in sides}
         for side, checkout in sides.items():
             cmd = [str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir",
@@ -182,7 +249,7 @@ def main(argv=None) -> int:
             if not run_side(checkout, cmd, label=f"{side} (experiments)", ok=(0, 4)):
                 return 2
         reports = sorted({p.name for out in outs.values() for p in out.glob("report_*.csv")})
-        same &= compare("experiments", outs, EXPERIMENT_FILES + tuple(reports))
+        same &= compare("experiments", outs, EXPERIMENT_FILES + tuple(reports), sides)
     return 0 if same else 1
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Forcing, SolverConfig, run
+from .dynamics import Forcing, SimState, SolverConfig, Stepper, run
 from .estimates import (
     CalibrationStore,
     absorbing_radii,
@@ -491,27 +491,35 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
 
 # --- picard contraction ----------------------------------------------------------------
 
+def _picard_map_ratio(dt, nx, steps, scale=1.0):
+    """The largest contraction ratio of the magnetic Picard map over ``steps``
+    single-pass steps of picard-ref with its data scaled by ``scale``.  The
+    transport pair is dropped before each step, so it is factored at that
+    step's u^n and the Picard loop lags the stretching term alone, not a
+    difference u^n - u_ref left by the pair reuse."""
+    scen = make_scenario("picard-ref", nx=nx, dt=dt, t_final=steps * dt,
+                         outer_mode="single_pass", picard_tol=1e-13)
+    stepper = Stepper(scen.cfg, scen.trace)
+    state = SimState(0.0, scale * scen.u0, scale * scen.b0, ScalarField.zeros(stepper.grid))
+    worst = 0.0
+    for _ in range(steps):
+        stepper.transport = None
+        state, step_rep = stepper.coupled_step(state)
+        worst = max(worst, step_rep.contraction_ratio)
+    return worst
+
+
 @_timed
 def picard_contraction_study(dt_list=(4e-3, 2e-3, 1e-3), nx=32, steps=10) -> ExperimentReport:
     """Measured magnetic-step contraction ratios across dt."""
     rep = ExperimentReport("picard")
-    ratios = []
-    for dt in dt_list:
-        scen = make_scenario(
-            "picard-ref", nx=nx, dt=dt, t_final=steps * dt,
-            outer_mode="single_pass", picard_tol=1e-13,
-        )
-        traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-        ratios.append(max(r.contraction_ratio for r in traj.reports))
+    ratios = [_picard_map_ratio(dt, nx, steps) for dt in dt_list]
     worst = max(ratios)
     rep.check("contraction", "picard-contraction", worst, 1.0, worst < 1.0)
     mono = all(r2 <= r1 * 1.05 for r1, r2 in zip(ratios, ratios[1:]))
     rep.check("dt-monotone", "picard-contraction", float(mono), 1.0, mono)
     # amplitude sensitivity: doubling the data must not shrink the ratio
-    scen = make_scenario("picard-ref", nx=nx, dt=dt_list[0], t_final=steps * dt_list[0],
-                         outer_mode="single_pass", picard_tol=1e-13)
-    traj2, _ = run(scen.cfg, 2.0 * scen.u0, 2.0 * scen.b0, scen.trace)
-    big = max(r.contraction_ratio for r in traj2.reports)
+    big = _picard_map_ratio(dt_list[0], nx, steps, scale=2.0)
     rep.check("amplitude-coupling", "picard-contraction", big, ratios[0], big >= ratios[0])
     rep.extras = {"ratios": ratios, "ratio_doubled": big}
     return rep

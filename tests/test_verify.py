@@ -15,6 +15,7 @@ from mhd2d.verify import (
     _sample_vec,
     absorbing_experiment,
     identity_suite,
+    picard_contraction_study,
 )
 
 
@@ -169,6 +170,19 @@ def test_picard_study_decoupled_ratio_is_zero():
     _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), transport=st.transport_operators(u),
                        fb=None, b_start=b0, u_frozen_half=transported_half(u))
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
+
+
+def test_picard_study_does_not_depend_on_the_transport_reuse_window(monkeypatch):
+    # the study factors the pair at each step's u^n, so it measures the
+    # Picard map itself and never consults the reuse window
+    from mhd2d import dynamics
+
+    reports = []
+    for theta in (0.5, 2.0):
+        monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", theta)
+        reports.append(picard_contraction_study(dt_list=(4e-3, 2e-3), nx=16, steps=4))
+    assert reports[0].extras == reports[1].extras
+    assert reports[0].to_csv_text() == reports[1].to_csv_text()
 
 
 def test_zero_perturbation_gives_exactly_zero_difference():
