@@ -2,36 +2,31 @@
 velocity step, damped outer fixed point, and the driving `run` loop.
 
 One step advances (u, b, p) by dt with implicit Euler diffusion.  The
-magnetic solve treats transport by the frozen velocity implicitly and
-lags the stretching term through a Picard iteration whose contraction
-ratio is measured and reported.  The transport operator is factored at a
-reference velocity u_ref and kept across steps while the step's start
-velocity u^n stays within ``TRANSPORT_REUSE_THETA`` of it, relative to the
-smaller of the two L2 norms; otherwise it is refactored at u^n.  The window
-is wide (twice the smaller norm): a stale pair costs a few lagged Picard
-iterations and no outer ones, far less than a refactoring.  Measured
-against both velocities, it bounds the lag by the flow of either side: a
-run from rest leaves the heat operator of u_ref = 0 at its first moving
-step, and a flow that grows, decays or turns leaves its pair once the
-difference exceeds twice the slower velocity.  Every outer iterate ubar
-reuses the live factorization and lags the difference (ubar - u_ref)·grad b
-in the same Picard loop, so the fixed point is the implicit-transport
-solution at ubar whatever u_ref is (and when u_ref = ubar the first Picard
-iterate is exactly the implicit solve).  A zero velocity is factored like
-any other, which gives the heat operator.  The first outer iterate starts
-its Picard loop from 2 b^n_hat - b^(n-1)_hat, extrapolated from the magnetic
-iterates the last two steps accepted before divergence cleaning (the
-Stepper carries them; a run starts from (b0, b0), i.e. from b0 exactly), and
-outer iterate k >= 2 from iterate k-1's b (a warm start).  The stop test and
-the fixed point do not depend on the start, so it moves results only
-within the Picard tolerance.  The first outer iterate runs one Picard
-iteration only: its ubar = u^n is rarely accepted, so a b converged there is
-thrown away one iterate later (the inexact inner solve of Eisenstat and
-Walker, SIAM J. Sci. Comput. 17, 1996, in its simplest form).  Every later
-iterate runs the full Picard loop, and the outer loop stops only at an
-iterate whose outer residual and Picard test are both met, so the fixed
-point does not change.  On calib-osc at 32^2 this cuts the Picard iterations
-of 375 steps 1,975 -> 1,331 with the outer ones unchanged at 824.
+magnetic step is a chord iteration (Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, sec. 5.4) on the closed-form heat operator
+of its diffusion, ``operators.dirichlet_heat(grid, 1/dt, 1/Rm)``, memoized
+per run: the transport by the frozen velocity ubar is lagged next to the
+stretching term, so the fixed point is the implicit-transport solution at
+ubar, and the contraction ratio of the Picard loop is measured and
+reported.  No sparse matrix is factored in a step.  ``b_step`` solves with
+the operator it is handed; one factored at a velocity u_ref (criterion 07's
+``operators.TransportPair`` at each step's u^n) leaves only
+(ubar - u_ref)·grad b to lag, and none when u_ref = ubar.  The first
+outer iterate starts its Picard loop from 2 b^n_hat - b^(n-1)_hat,
+extrapolated from the magnetic iterates the last two steps accepted before
+divergence cleaning (the Stepper carries them; a run starts from (b0, b0),
+i.e. from b0 exactly), and outer iterate k >= 2 from iterate k-1's b (a warm
+start).  The stop test and the fixed point do not depend on the start, so
+it moves results only within the Picard tolerance.  The first outer iterate
+runs one Picard iteration only: its ubar = u^n is rarely accepted, so a b
+converged there is thrown away one iterate later (the inexact inner solve of
+Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996, in its simplest form).
+Every later iterate runs the full Picard loop, and the outer loop stops only
+at an iterate whose outer residual and Picard test are both met, so the
+fixed point does not change.  On calib-osc at 32^2 this cut the Picard
+iterations of 375 steps 1,975 -> 1,331 on the factored transport operator
+then in use, with the outer ones unchanged at 824; the heat chord takes
+1,329.
 The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
@@ -40,20 +35,21 @@ until successive velocity iterates agree.
 ``Stepper.coupled_step`` is the one caller of the two sub-steps and owns
 what they share: it looks up the boundary data and the body forces at the
 new time once per step (the ledger row after the step reuses that boundary
-data), keeps or refactors the transport pair, and recovers the pressure
-once, from the accepted iterate.  What a step holds fixed is prepared once:
-once per coupled step, u^n's half of the velocity transport and the live
-pair's Dirichlet right-hand sides (``TransportOperator.boundary``); each
-outer iterate's two halves of ubar in one pass
+data), and recovers the pressure once, from the accepted iterate.  What a
+step holds fixed is prepared once: once per coupled step, u^n's half of the
+velocity transport and the magnetic operator's Dirichlet data
+(``DirichletHeat.boundary``: kappa*Lap of the wall data);
+each outer iterate's two halves of ubar in one pass
 (``geometry.face_halves``), the advecting one for the velocity step and the
-transported one for the magnetic stretching term; and once per magnetic step,
-the lagged shift's advecting half and the boundary rows of the iterate's
-transported half (``geometry.wall_rows``).  A Picard iteration
-then computes the iterate's two halves in one pass, forms the lag and the
-right-hand side on the interior faces only (``geometry.convect_interior``)
-and measures its residual and norm on the component arrays
-(``geometry.norm_sq``), with the same floating-point operations in the same
-order as the whole-field formulas, so the results are bit for bit the same.
+lagged magnetic transport, the transported one for the magnetic stretching
+term; and once per magnetic step, the boundary rows of the iterate's
+transported half (``geometry.wall_rows``).  A Picard iteration then
+computes the iterate's two halves in one pass, forms the lag and the
+right-hand side on the interior faces only (``geometry.convect_interior``),
+makes the two separable solves and measures its residual and norm on the
+component arrays (``geometry.norm_sq``), with the same floating-point
+operations in the same order as the whole-field formulas, so the results
+are bit for bit the same.
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
 once, and a Picard or outer residual that is NaN or infinite ends the step
@@ -103,19 +99,13 @@ from .lifting import (
     heat_step,
     normal_trace,
 )
-from .operators import (
-    NeumannPoisson,
-    StokesSaddle,
-    TransportOperator,
-    project_divfree,
-)
+from .operators import NeumannPoisson, StokesSaddle, dirichlet_heat, project_divfree
 from .spectral import SpectralBasis, project
 
 __all__ = [
     "SolverConfig",
     "SimState",
     "StepReport",
-    "TransportPair",
     "Restart",
     "Forcing",
     "CompatReport",
@@ -127,25 +117,10 @@ __all__ = [
     "read_checkpoint",
     "check_restart_header",
     "CKPT_MAGIC",
-    "TRANSPORT_REUSE_THETA",
     "DIV_CLEAN_THRESHOLD",
 ]
 
-CKPT_MAGIC = b"MHDCKPT3"
-
-# The factored transport pair is kept while
-# ||u^n - u_ref|| <= theta min(||u^n||, ||u_ref||) (L2 norms), a chord
-# iteration on the magnetic step (Kelley, Iterative Methods for Linear and
-# Nonlinear Equations, SIAM 1995, sec. 5.4).  In the 375 steps of calib-osc
-# at 32^2, 2 factors 27 pairs (1: 45, 1.5: 35, 3: 20, 5: 14; the former
-# ||u^n - u_ref|| <= 0.5 ||u^n||: 62) for +0.8% Picard iterations over the
-# former rule (1,960 -> 1,975 with a full Picard loop in every outer
-# iterate; 1,331 since the first outer iterate runs one); outer iteration
-# counts do not move.  The lag costs more at high Rm: picard-ref at
-# Rm = 1000, dt = 8e-3 took 18.2 Picard iterations per step against 16.4
-# under the former rule (3 took 18.8), and takes 14.8 with the one-iteration
-# first outer iterate.
-TRANSPORT_REUSE_THETA = 2.0
+CKPT_MAGIC = b"MHDCKPT4"
 
 # b is projected onto div-free fields when max |div b| exceeds this after a
 # step; the pre-cleaning divergence is O(1), so every step is cleaned
@@ -241,24 +216,13 @@ class StepReport:
     outer_residual: float = 0.0
     div_b_before_clean: float = 0.0
     cleaned: bool = False
-    transport_refactored: bool = False
-
-
-class TransportPair(NamedTuple):
-    """x/y magnetic transport operators factored at the advecting velocity u_ref."""
-
-    u_ref: VectorField
-    x: TransportOperator
-    y: TransportOperator
 
 
 class Restart(NamedTuple):
     """What a run needs beyond its SimState to continue bit for bit: the
-    velocity u_ref the live transport pair is factored at, and the magnetic
-    iterates the last two steps accepted before cleaning, b^(n-1)_hat and
-    b^n_hat, which start the next step's Picard loop."""
+    magnetic iterates the last two steps accepted before cleaning,
+    b^(n-1)_hat and b^n_hat, which start the next step's Picard loop."""
 
-    u_ref: VectorField
     b_prev: VectorField
     b_last: VectorField
 
@@ -337,7 +301,6 @@ class Stepper:
         else:
             self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re, self.poisson)
         self._bc = None  # (t, boundary data at t) of the latest lookup
-        self.transport: TransportPair | None = None  # the live pair, kept across steps
         # (t, b^(n-1)_hat, b^n_hat): the last two accepted magnetic iterates
         # before cleaning, the second one taken at t
         self.b_iterates: tuple | None = None
@@ -358,31 +321,14 @@ class Stepper:
 
     def restart(self, state: SimState) -> Restart:
         """What a run resumed at ``state`` needs to continue as this one would."""
-        u_ref = state.u if self.transport is None else self.transport.u_ref
-        return Restart(u_ref, *self.iterates(state))
+        return Restart(*self.iterates(state))
 
     # -- magnetic sub-step ---------------------------------------------------
 
-    def transport_operators(self, u_ref: VectorField) -> TransportPair:
-        """The x/y magnetic transport pair factored at the advecting velocity u_ref."""
-        inv_dt, kappa = 1.0 / self.cfg.dt, 1.0 / self.cfg.rm
-        return TransportPair(
-            u_ref,
-            TransportOperator(self.grid, "x", u_ref, inv_dt, kappa),
-            TransportOperator(self.grid, "y", u_ref, inv_dt, kappa),
-        )
-
-    def keep_or_refactor(self, u: VectorField) -> bool:
-        """Keep the live pair while ||u - u_ref|| <= theta min(||u||, ||u_ref||),
-        else factor a new one at u.  Returns whether it refactored."""
-        if self.transport is not None:
-            u_ref = self.transport.u_ref
-            scale = min(l2_norm_sq(u), l2_norm_sq(u_ref))
-            if l2_norm_sq(u - u_ref) <= TRANSPORT_REUSE_THETA**2 * scale:
-                return False
-        self.transport = None  # drop the old pair first: at most one is ever live
-        self.transport = self.transport_operators(u)
-        return True
+    def magnetic_operator(self, u_n: VectorField):
+        """The operator of every magnetic step from u^n: the memoized
+        closed-form heat operator, whatever u^n is."""
+        return dirichlet_heat(self.grid, 1.0 / self.cfg.dt, 1.0 / self.cfg.rm)
 
     def b_step(
         self,
@@ -391,26 +337,30 @@ class Stepper:
         t_prev: float,
         *,
         bc: VectorBC,
-        transport: TransportPair,
+        operator,
         fb: VectorField | None,
         b_start: VectorField,
-        u_frozen_half: TransportedHalf,
+        u_frozen_halves: tuple[AdvectingHalf, TransportedHalf],
         boundary: tuple | None = None,
         max_iter: int = PICARD_MAX_ITER,
     ):
-        """One implicit magnetic step from t_prev; transport implicit,
-        stretching lagged.  Returns (b_new, StepReport).
+        """One implicit magnetic step from t_prev: the implicit-transport
+        solution at u_frozen, reached by a Picard loop on ``operator`` that
+        lags the stretching term.  Returns (b_new, StepReport).
 
-        ``transport`` is a pair factored at a velocity u_ref; the transport
-        by u_frozen - u_ref is lagged next to the stretching term, which
-        leaves the Picard fixed point unchanged.  ``bc`` is the boundary data
-        and ``fb`` the magnetic body force at the new time (None: no force).
-        ``b_start`` is the first Picard iterate; the stop test and the fixed
-        point do not depend on it.  ``u_frozen_half`` is
-        ``transported_half(u_frozen)``, u_frozen's half of the stretching
-        term, which the outer iterate shares with its velocity step.
-        ``boundary`` is the pair's ``(x.boundary(bc), y.boundary(bc))``, which
-        the outer iterates of one coupled step share (None: prepared here).
+        ``operator`` is the implicit-Euler diffusion operator with the
+        transport by its velocity ``u_ref`` (None: zero), such as
+        ``self.magnetic_operator(u^n)``; the transport by u_frozen - u_ref
+        is lagged next to the stretching term, which leaves the fixed point
+        unchanged.  ``bc`` is the boundary data and ``fb`` the magnetic body
+        force at the new time (None: no force).  ``b_start`` is the first
+        Picard iterate; the stop test and the fixed point do not depend on
+        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``: the advecting
+        half carries the lagged transport when u_ref is None, and the
+        transported half the stretching term; the outer iterate shares both
+        with its velocity step.  ``boundary`` is ``operator.boundary(bc)``,
+        which the outer iterates of one coupled step share (None: prepared
+        here).
         ``max_iter`` caps the Picard iterations; a loop that stops at the cap
         unconverged reports ``picard_converged`` False, and raises
         ``StepFailure`` at ``PICARD_MAX_ITER`` if it does not contract.
@@ -419,15 +369,16 @@ class Stepper:
         g = self.grid
         dt = cfg.dt
         t_next = t_prev + dt
-        opx, opy = transport.x, transport.y
-        shift = None  # u_frozen - u_ref, None when exactly zero
-        if not (
-            np.array_equal(u_frozen.x, transport.u_ref.x)
-            and np.array_equal(u_frozen.y, transport.u_ref.y)
-        ):
-            shift = u_frozen - transport.u_ref
+        u_ref = operator.u_ref
         pure_heat = l2_norm_sq(u_frozen) == 0.0
-        exact = pure_heat and shift is None  # nothing lagged: one solve is exact
+        # the advecting half of u_frozen - u_ref, None when that is exactly zero
+        if u_ref is None:
+            lagged = None if pure_heat else u_frozen_halves[0]
+        elif np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y):
+            lagged = None
+        else:
+            lagged = advecting_half(u_frozen - u_ref)
+        exact = pure_heat and lagged is None  # nothing lagged: one solve is exact
         # the right-hand sides on the interior faces, where the solves read them
         rhs_x = b_prev.x[1:-1, :] / dt
         rhs_y = b_prev.y[:, 1:-1] / dt
@@ -435,14 +386,11 @@ class Stepper:
             rhs_x = rhs_x + fb.x[1:-1, :]
             rhs_y = rhs_y + fb.y[:, 1:-1]
 
-        # fixed for the whole Picard loop: the Dirichlet right-hand sides,
-        # shift's half of the lagged transport and the wall rows of the
-        # iterate's transported half; each iteration adds only the iterate's
-        # two halves, computed in one pass
+        # fixed for the whole Picard loop: the Dirichlet data and the wall
+        # rows of the iterate's transported half; each iteration adds only the
+        # iterate's two halves, computed in one pass
         if boundary is None:
-            boundary = opx.boundary(bc), opy.boundary(bc)
-        bnd_x, bnd_y = boundary
-        lagged = None if shift is None else advecting_half(shift)
+            boundary = operator.boundary(bc)
         walls = wall_rows(g, bc)
 
         cur = b_start
@@ -459,12 +407,11 @@ class Stepper:
                 if not exact:
                     a_cur, f_cur = face_halves(cur, walls)
                     if not pure_heat:  # the stretching term at the lagged iterate
-                        lag_x, lag_y = convect_interior(a_cur, u_frozen_half)
-                    if shift is not None:  # transport left out of the factored pair
+                        lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])
+                    if lagged is not None:  # transport left out of the operator
                         tx, ty = convect_interior(lagged, f_cur)
                         lag_x, lag_y = lag_x - tx, lag_y - ty
-                nxt_x = opx.solve(rhs_x + lag_x, bnd_x)
-                nxt_y = opy.solve(rhs_y + lag_y, bnd_y)
+                nxt_x, nxt_y = operator.solve_interior(rhs_x + lag_x, rhs_y + lag_y, boundary)
                 res = np.sqrt(norm_sq(g, nxt_x - cur.x, nxt_y - cur.y))
                 if not math.isfinite(res):  # a NaN or infinity in the iterate
                     raise StepFailure(
@@ -565,25 +512,25 @@ class Stepper:
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
         u_half = transported_half(state.u)  # u^n's half of every outer iterate's transport
         # ubar's two halves, rewritten by each outer iterate: the advecting one
-        # feeds the velocity step, the transported one the magnetic stretching
+        # feeds the velocity step and the lagged magnetic transport, the
+        # transported one the magnetic stretching
         ubar_walls = wall_rows(self.grid)
-        # every outer iterate reuses the live pair, kept from earlier steps
-        # while u^n stays close to its u_ref
-        refactored = self.keep_or_refactor(state.u)
-        pair_boundary = self.transport.x.boundary(bc), self.transport.y.boundary(bc)
+        # every outer iterate solves with one operator and shares its Dirichlet data
+        operator = self.magnetic_operator(state.u)
+        boundary = operator.boundary(bc)
 
         b_reports = []  # one per outer iterate
 
         def iterate(ub, b_start, max_iter=PICARD_MAX_ITER):
             """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
-            a_half, f_half = face_halves(ub, ubar_walls)
+            halves = face_halves(ub, ubar_walls)
             b, rep = self.b_step(
-                ub, state.b, state.t, bc=bc, transport=self.transport, fb=fb, b_start=b_start,
-                u_frozen_half=f_half, boundary=pair_boundary, max_iter=max_iter,
+                ub, state.b, state.t, bc=bc, operator=operator, fb=fb, b_start=b_start,
+                u_frozen_halves=halves, boundary=boundary, max_iter=max_iter,
             )
             b_reports.append(rep)
             u, force = self.u_step(
-                b, state.u, u_advect_half=a_half, bc=bc, fu=fu, u_prev_half=u_half
+                b, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_half
             )
             return b, u, force
 
@@ -653,7 +600,6 @@ class Stepper:
             outer_residual=float(outer_res),
             div_b_before_clean=div_before,
             cleaned=cleaned,
-            transport_refactored=refactored,
         )
         return SimState(t_next, u_new, b_new, p_new), report
 
@@ -684,14 +630,13 @@ def run(
 
     In strong mode the parabolic lift is advanced alongside the state,
     re-initialized from b(t0) (each continuation window carries its own
-    lift).  ``restart`` seeds the transport pair and the carried magnetic
-    iterates (a restart passes the ones its checkpoint recorded, so it
-    continues bit for bit).  Returns (Trajectory, EnergyLedger).
+    lift).  ``restart`` seeds the carried magnetic iterates (a restart
+    passes the ones its checkpoint recorded, so it continues bit for bit).
+    Returns (Trajectory, EnergyLedger).
     """
     stepper = Stepper(cfg, trace, basis=basis, forcing=forcing)  # validates cfg
     grid = stepper.grid
     if restart is not None:
-        stepper.transport = stepper.transport_operators(restart.u_ref)
         stepper.b_iterates = (t0, restart.b_prev, restart.b_last)
     compat = compatibility_check(u0, b0, trace, cfg.compat_tol_factor, t=t0)
     if not compat.passed:
@@ -732,7 +677,7 @@ def run(
 # truncation (-1 = full), Re, Rm, S, the digest of the boundary data up to t
 # (``BoundaryTrace.digest``) and the payload's byte count; the crc32 covers
 # magic, header and payload.  The payload holds u, b, p and the `Restart`
-# fields (u_ref, b^(n-1)_hat, b^n_hat) as little-endian f8.  No other layout
+# fields (b^(n-1)_hat, b^n_hat) as little-endian f8.  No other layout
 # is read, so every restart checks its physics and boundary data.
 
 _CKPT_HEADER = struct.Struct("<qqddqddd32sQ")
@@ -778,7 +723,7 @@ def read_checkpoint(path):
         raise bad(f"non-finite header value (t={t!r}, dt={dt!r}, Re, Rm, S={physics!r})")
     grid = Grid(nx, ny)
     vec = [grid.shape_xface(), grid.shape_yface()]
-    shapes = vec * 2 + [grid.shape_center()] + vec * 3
+    shapes = vec * 2 + [grid.shape_center()] + vec * 2
     sizes = [a * b for a, b in shapes]
     if len(raw) - off != 8 * sum(sizes) or nbytes != 8 * sum(sizes):
         raise bad(

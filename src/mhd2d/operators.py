@@ -1,9 +1,11 @@
 """Solver-side operators on the MAC grid.
 
 Only the implicit transport operator is assembled as a sparse matrix and
-factored with SuperLU.  The vector heat operator, the Neumann Poisson solve
-and the Stokes step are separable or nearly so and are solved in the sine
-and cosine eigenbases of the 1D second differences.
+factored with SuperLU, and only criterion 07 (``verify``) factors one: the
+stepper's magnetic step solves with the closed-form heat operator.  The
+vector heat operator, the Neumann Poisson solve and the Stokes step are
+separable or nearly so and are solved in the sine and cosine eigenbases of
+the 1D second differences.
 
 Everything here uses the *mirror* (linear) ghost closure, which makes the
 component Laplacians symmetric negative-definite on zero-trace fields and
@@ -32,6 +34,7 @@ __all__ = [
     "apply_lap_mirror",
     "apply_lap_mirror_scalar",
     "TransportOperator",
+    "TransportPair",
     "DirichletHeat",
     "dirichlet_heat",
     "NeumannPoisson",
@@ -355,6 +358,23 @@ class TransportOperator:
         return out
 
 
+class TransportPair:
+    """The x and y ``TransportOperator`` factored at the advecting velocity
+    u_ref, behind ``DirichletHeat``'s magnetic-step interface (``u_ref``,
+    ``boundary``, ``solve_interior``)."""
+
+    def __init__(self, grid: Grid, u_ref: VectorField, inv_dt: float, kappa: float):
+        self.u_ref = u_ref
+        self.x = TransportOperator(grid, "x", u_ref, inv_dt, kappa)
+        self.y = TransportOperator(grid, "y", u_ref, inv_dt, kappa)
+
+    def boundary(self, bc: VectorBC):
+        return self.x.boundary(bc), self.y.boundary(bc)
+
+    def solve_interior(self, rx: np.ndarray, ry: np.ndarray, boundary):
+        return self.x.solve(rx, boundary[0]), self.y.solve(ry, boundary[1])
+
+
 # --- closed-form Dirichlet heat and harmonic solves -------------------------
 
 def _separable_solve(qa, qb, inv_lam, r):
@@ -371,8 +391,14 @@ class DirichletHeat:
     walls and is zero inside: kappa*g/h**2 in the first and last interior rows
     and the mirror terms 2*kappa*g/h**2 in the wall-adjacent columns, the
     interior of a zero-velocity ``TransportOperator.rhs_boundary``.  It
-    agrees with that operator's solve to round-off.
+    agrees with that operator's solve to round-off.  ``boundary`` prepares
+    that term once per boundary instant, and ``solve_interior`` makes the
+    two separable solves and writes the data into the wall faces; ``solve``
+    is the two together.  As the magnetic step's operator it advects nothing (``u_ref``
+    None), so ``dynamics.Stepper.b_step`` lags all the transport.
     """
+
+    u_ref = None
 
     def __init__(self, grid: Grid, inv_dt: float, kappa: float):
         self.grid = grid
@@ -384,13 +410,11 @@ class DirichletHeat:
         self._x = (qxn, qym, 1.0 / (inv_dt + kappa * np.add.outer(lxn, lym)))
         self._y = (qxm, qyn, 1.0 / (inv_dt + kappa * np.add.outer(lxm, lyn)))
 
-    def solve(self, fx: np.ndarray, fy: np.ndarray, bc: VectorBC) -> VectorField:
-        """The solution for the right-hand side (fx, fy) on the full face arrays
-        (interior entries used) and the Dirichlet data bc."""
+    def boundary(self, bc: VectorBC):
+        """kappa*Lap of the Dirichlet data ``bc`` on the x and y interior
+        faces, and ``bc`` itself.  Prepare it once per boundary instant and
+        pass it to every ``solve_interior`` with that data."""
         g = self.grid
-        out = VectorField.zeros(g)
-        out.x[0, :], out.x[-1, :] = bc.x_left, bc.x_right
-        out.y[:, 0], out.y[:, -1] = bc.y_bottom, bc.y_top
         # Lap of the wall data, written next to the walls only: the data term
         # of the normal direction, then the mirror term of the tangential one,
         # each added to zero, so every entry has apply_lap_mirror's bits
@@ -404,15 +428,33 @@ class DirichletHeat:
         ly[:, -1] += bc.y_top / g.dy**2
         ly[0, :] += 2.0 * bc.y_left[1:-1] / g.dx**2
         ly[-1, :] += 2.0 * bc.y_right[1:-1] / g.dx**2
-        out.x[1:-1, :] = _separable_solve(*self._x, fx[1:-1, :] + self.kappa * lx)
-        out.y[:, 1:-1] = _separable_solve(*self._y, fy[:, 1:-1] + self.kappa * ly)
-        return out
+        return self.kappa * lx, self.kappa * ly, bc
+
+    def solve_interior(self, rx: np.ndarray, ry: np.ndarray, boundary):
+        """The x and y face arrays that solve for the right-hand side (rx, ry)
+        on the interior faces, shapes (nx-1, ny) and (nx, ny-1), with the
+        data of ``boundary``."""
+        lx, ly, bc = boundary
+        out_x, out_y = np.empty(self.grid.shape_xface()), np.empty(self.grid.shape_yface())
+        out_x[0, :], out_x[-1, :] = bc.x_left, bc.x_right
+        out_y[:, 0], out_y[:, -1] = bc.y_bottom, bc.y_top
+        out_x[1:-1, :] = _separable_solve(*self._x, rx + lx)
+        out_y[:, 1:-1] = _separable_solve(*self._y, ry + ly)
+        return out_x, out_y
+
+    def solve(self, fx: np.ndarray, fy: np.ndarray, bc: VectorBC) -> VectorField:
+        """The solution for the right-hand side (fx, fy) on the full face arrays
+        (interior entries used) and the Dirichlet data bc."""
+        out = self.solve_interior(fx[1:-1, :], fy[:, 1:-1], self.boundary(bc))
+        return VectorField._unchecked(self.grid, *out)
 
 
 @lru_cache(maxsize=8)
 def dirichlet_heat(grid: Grid, inv_dt: float, kappa: float) -> DirichletHeat:
-    """The memoized ``DirichletHeat``.  A run uses at most two keys (the
-    harmonic and the parabolic lift), so the bound of 8 never evicts."""
+    """The memoized ``DirichletHeat``.  A run uses at most three keys: the
+    harmonic lift, the magnetic step (1/dt, 1/Rm) and the parabolic lift,
+    whose key equals the magnetic step's when kappa = 1/Rm.  So the bound of
+    8 never evicts."""
     return DirichletHeat(grid, inv_dt, kappa)
 
 

@@ -103,27 +103,28 @@ def stream_forms(grid):
 
 # --- whole-field oracles of the stepper's raw-array loops --------------------
 
-def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, transport, fb, b_start):
+def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_start):
     """``Stepper.b_step``'s Picard loop written on whole fields: each iterate
     builds the stretching term as ``convect_halves(advecting_half(cur), ...)``
-    and the lagged transport as ``convect_halves(lagged,
-    transported_half(cur, bc))``, adds them to full right-hand side arrays and
-    measures the residual with ``inner``.  Returns (b, residuals)."""
+    and the lagged transport as ``convect_halves(advecting_half(u_frozen -
+    u_ref), transported_half(cur, bc))``, with u_ref zero for an operator
+    without one (the heat operator), adds them to full right-hand side
+    arrays, solves on their interior entries and measures the residual with
+    ``inner``.  Returns (b, residuals)."""
     from mhd2d.dynamics import PICARD_MAX_ITER
     from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half
 
     cfg, grid = stepper.cfg, stepper.grid
-    opx, opy = transport.x, transport.y
+    u_ref = VectorField.zeros(grid) if operator.u_ref is None else operator.u_ref
     shift = None
-    if not (np.array_equal(u_frozen.x, transport.u_ref.x)
-            and np.array_equal(u_frozen.y, transport.u_ref.y)):
-        shift = u_frozen - transport.u_ref
+    if not (np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
+        shift = u_frozen - u_ref
     pure_heat = inner(u_frozen, u_frozen) == 0.0
     exact = pure_heat and shift is None
     rhs_x, rhs_y = b_prev.x / cfg.dt, b_prev.y / cfg.dt
     if fb is not None:
         rhs_x, rhs_y = rhs_x + fb.x, rhs_y + fb.y
-    bnd_x, bnd_y = opx.boundary(bc), opy.boundary(bc)
+    boundary = operator.boundary(bc)
     stretch = None if pure_heat else transported_half(u_frozen)
     lagged = None if shift is None else advecting_half(shift)
     cur, residuals = b_start, []
@@ -136,8 +137,8 @@ def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, transport, fb, b_sta
         if shift is not None:
             lag = convect_halves(lagged, transported_half(cur, bc))
             lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
-        nxt = VectorField(grid, opx.solve((rhs_x + lag_x)[1:-1, :], bnd_x),
-                          opy.solve((rhs_y + lag_y)[:, 1:-1], bnd_y))
+        nxt = VectorField(grid, *operator.solve_interior(
+            (rhs_x + lag_x)[1:-1, :], (rhs_y + lag_y)[:, 1:-1], boundary))
         res = np.sqrt(inner(nxt - cur, nxt - cur))
         residuals.append(res)
         cur = nxt

@@ -1,6 +1,5 @@
 import struct
 import sys
-import weakref
 import zlib
 from dataclasses import replace
 
@@ -37,22 +36,27 @@ from mhd2d.geometry import (
     transported_half,
 )
 from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
-from mhd2d.operators import NeumannPoisson, StokesSaddle, TransportOperator
-from mhd2d.scenarios import make_scenario, stream_bump, trace_times
+from mhd2d.operators import DirichletHeat, NeumannPoisson, StokesSaddle, TransportPair, dirichlet_heat
+from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
 from mhd2d.verify import _mms_case, _mms_scenario
 
 DT = 1e-3
 
 
+def halves(u):
+    """What ``Stepper.b_step`` takes as ``u_frozen_halves``."""
+    return advecting_half(u), transported_half(u)
+
+
 def b_step(u_frozen, b_prev, trace, dt, **cfg_kw):
     """One unforced magnetic step of a fresh Stepper from the trace's first
-    instant, on a pair factored at u_frozen and started from b_prev."""
+    instant, on its heat operator and started from b_prev."""
     cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, t_final=dt, **cfg_kw)
     st, t = Stepper(cfg, trace), trace.times[0]
     return st.b_step(u_frozen, b_prev, t, bc=trace.vector_bc(t + dt),
-                     transport=st.transport_operators(u_frozen), fb=None, b_start=b_prev,
-                     u_frozen_half=transported_half(u_frozen))
+                     operator=st.magnetic_operator(u_frozen), fb=None, b_start=b_prev,
+                     u_frozen_halves=halves(u_frozen))
 
 
 def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
@@ -82,7 +86,7 @@ def test_config_validation_collects_violations():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("rm", 0.0),  # a ZeroDivisionError in transport_operators
+        ("rm", 0.0),  # a ZeroDivisionError in magnetic_operator
         ("re", -1.0),
         ("s", np.nan),
         ("rm", np.inf),
@@ -300,7 +304,7 @@ _VECTOR_BYTES_8 = 8 * 2 * 9 * 8  # one vector field at 8^2: two 9x8 face arrays 
         (lambda raw: b"NOTCKPT1" + raw[8:], "bad magic"),
         (lambda raw: raw[:20], "header truncated"),
         (lambda raw: raw[:-8], "payload has"),
-        (lambda raw: raw[: -2 * _VECTOR_BYTES_8], "payload has"),
+        (lambda raw: raw[: -_VECTOR_BYTES_8], "payload has"),
         (lambda raw: raw + bytes(8), "payload has"),
         (lambda raw: raw[:-8] + struct.pack("<d", np.nan), "non-finite field"),
         (lambda raw: raw[:8] + struct.pack("<q", 2) + raw[16:], "too coarse"),
@@ -375,16 +379,21 @@ def test_picard_ratio_never_grows_much_when_dt_halves():
     assert vals[1] <= 1.05 * vals[0]
 
 
+def _pair(st, u_ref):
+    """The transport pair of ``st``'s magnetic step factored at u_ref."""
+    return TransportPair(st.grid, u_ref, 1.0 / st.cfg.dt, 1.0 / st.cfg.rm)
+
+
 def test_b_step_reused_pair_matches_fresh_factorization():
-    # an outer iterate ubar != u^n on the pair factored at u^n reaches the
+    # an outer iterate ubar != u^n on a pair factored at u^n reaches the
     # implicit-transport solution at ubar
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
     ubar = u_n + stream_bump(u_n.grid, 0.2, 1, 2)
-    kw = dict(bc=st.vector_bc(DT), fb=None, b_start=scen.b0, u_frozen_half=transported_half(ubar))
-    reused, rep = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(u_n), **kw)
-    fresh, _ = st.b_step(ubar, scen.b0, 0.0, transport=st.transport_operators(ubar), **kw)
+    kw = dict(bc=st.vector_bc(DT), fb=None, b_start=scen.b0, u_frozen_halves=halves(ubar))
+    reused, rep = st.b_step(ubar, scen.b0, 0.0, operator=_pair(st, u_n), **kw)
+    fresh, _ = st.b_step(ubar, scen.b0, 0.0, operator=_pair(st, ubar), **kw)
     assert rep.picard_iterations > 1
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(fresh)))
     assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
@@ -396,12 +405,12 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
-    pair, bc = st.transport_operators(u_n), st.vector_bc(DT)
-    b_first, _ = st.b_step(u_n, scen.b0, 0.0, bc=bc, transport=pair, fb=None, b_start=scen.b0,
-                           u_frozen_half=transported_half(u_n))
+    heat, bc = st.magnetic_operator(u_n), st.vector_bc(DT)
+    b_first, _ = st.b_step(u_n, scen.b0, 0.0, bc=bc, operator=heat, fb=None, b_start=scen.b0,
+                           u_frozen_halves=halves(u_n))
     ubar, _ = st.u_step(b_first, u_n, u_advect_half=advecting_half(u_n), bc=bc, fu=None,
                         u_prev_half=transported_half(u_n))
-    kw = dict(bc=bc, transport=pair, fb=None, u_frozen_half=transported_half(ubar))
+    kw = dict(bc=bc, operator=heat, fb=None, u_frozen_halves=halves(ubar))
     warm, rep_warm = st.b_step(ubar, scen.b0, 0.0, b_start=b_first, **kw)
     cold, rep_cold = st.b_step(ubar, scen.b0, 0.0, b_start=scen.b0, **kw)
     assert rep_warm.picard_iterations < rep_cold.picard_iterations
@@ -412,24 +421,40 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
 @pytest.mark.parametrize("case", ["heat", "heat_shifted", "full"])
 def test_b_step_matches_the_whole_field_picard_oracle(case):
     # the three branches of the Picard loop: nothing lagged (one exact solve),
-    # the transport by -u_ref alone, and stretching plus transport with a force
+    # the transport by -u_ref alone (a pair factored at u_ref), and stretching
+    # plus the whole transport on the heat operator, with a force
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     g, u_n = scen.cfg.grid(), scen.u0
-    zero = VectorField.zeros(g)
-    u_frozen, u_ref, fb = {
-        "heat": (zero, zero, None),
-        "heat_shifted": (zero, u_n, None),
-        "full": (u_n + stream_bump(g, 0.2, 1, 2), u_n, 0.3 * scen.b0),
+    zero, heat = VectorField.zeros(g), st.magnetic_operator(u_n)
+    u_frozen, operator, fb = {
+        "heat": (zero, heat, None),
+        "heat_shifted": (zero, _pair(st, u_n), None),
+        "full": (u_n + stream_bump(g, 0.2, 1, 2), heat, 0.3 * scen.b0),
     }[case]
-    kw = dict(bc=st.vector_bc(DT), transport=st.transport_operators(u_ref), fb=fb,
+    kw = dict(bc=st.vector_bc(DT), operator=operator, fb=fb,
               b_start=2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1))
-    got, rep = st.b_step(u_frozen, scen.b0, 0.0, u_frozen_half=transported_half(u_frozen), **kw)
+    got, rep = st.b_step(u_frozen, scen.b0, 0.0, u_frozen_halves=halves(u_frozen), **kw)
     want, residuals = b_step_oracle(st, u_frozen, scen.b0, 0.0, **kw)
     assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
     assert rep.picard_iterations == len(residuals)
     assert rep.picard_residual == residuals[-1]
     assert (rep.picard_iterations == 1) == (case == "heat")
+
+
+def test_b_step_equals_the_implicit_transport_solve_at_ubar():
+    # the chord iteration on the heat operator lags all the transport; its
+    # fixed point is the solve with a pair factored at ubar, which lags the
+    # stretching term alone
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    g = scen.cfg.grid()
+    ubar = scen.u0 + stream_bump(g, 0.2, 1, 2)
+    kw = dict(bc=st.vector_bc(DT), fb=0.3 * scen.b0, b_start=scen.b0, u_frozen_halves=halves(ubar))
+    chord, rep = st.b_step(ubar, scen.b0, 0.0, operator=st.magnetic_operator(scen.u0), **kw)
+    implicit, rep_implicit = st.b_step(ubar, scen.b0, 0.0, operator=_pair(st, ubar), **kw)
+    assert rep.picard_converged and rep.picard_iterations > rep_implicit.picard_iterations
+    assert np.sqrt(l2_norm_sq(chord - implicit)) <= 1e-9 * np.sqrt(l2_norm_sq(implicit))
 
 
 def _collect_b_steps(monkeypatch, reports, cold=False):
@@ -592,82 +617,17 @@ def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
     assert div[2:-2, 2:-2].max() < 0.1 * div.max()
 
 
-def test_transport_builds_equal_refactored_steps(monkeypatch):
-    builds = []
-    init = TransportOperator.__init__
-
-    def counting(self, grid, comp, a, inv_dt, kappa):
-        builds.append(comp)
-        init(self, grid, comp, a, inv_dt, kappa)
-
-    monkeypatch.setattr(TransportOperator, "__init__", counting)
-    nsteps = 40
-    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+def test_run_factors_no_sparse_matrix(monkeypatch):
+    # the magnetic step, the ledger rows and the parabolic lift of a strong
+    # run all solve in closed form
+    calls = []
+    real = operators.splu
+    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    nsteps = 20
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT, strong_mode=True)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    refactored = [r.transport_refactored for r in traj.reports]
     assert sum(r.outer_iterations for r in traj.reports) > nsteps
-    assert refactored[0] and len(builds) == 2 * sum(refactored)
-    assert sum(refactored) <= nsteps // 2  # the pair outlives its step
-    # the velocity of the manufactured steady state stays put: one pair per run
-    builds.clear()
-    cfg, u0, b0, trace, forcing = _mms_scenario(_mms_case("steady"), 16, 2e-3, 0.12)
-    traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
-    assert len(builds) == 2 and sum(r.transport_refactored for r in traj.reports) == 1
-
-
-def test_live_pair_stays_within_reuse_threshold():
-    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=30 * DT)
-    st = Stepper(scen.cfg, scen.trace)
-    state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
-    for _ in range(30):
-        u_n = state.u
-        state, rep = st.coupled_step(state)
-        dist = np.sqrt(l2_norm_sq(u_n - st.transport.u_ref))
-        assert dist <= dynamics.TRANSPORT_REUSE_THETA * np.sqrt(l2_norm_sq(u_n))
-        assert rep.transport_refactored == (st.transport.u_ref is u_n)
-
-
-def test_reuse_window_halves_refactors_for_few_picard_iterations(monkeypatch):
-    # the window against the former ||u^n - u_ref|| <= 0.5 ||u^n|| on
-    # calib-osc at its own dt: the lag a wider window leaves costs few Picard
-    # iterations and no outer ones
-    def counts():
-        dt = 2e-3
-        scen = make_scenario("calib-osc", nx=16, dt=dt, t_final=200 * dt)
-        reps = run(scen.cfg, scen.u0, scen.b0, scen.trace)[0].reports
-        return [sum(getattr(r, k) for r in reps)
-                for k in ("transport_refactored", "picard_iterations", "outer_iterations")]
-
-    def former(self, u):
-        if self.transport is not None and (
-            l2_norm_sq(u - self.transport.u_ref) <= 0.25 * l2_norm_sq(u)
-        ):
-            return False
-        self.transport = None
-        self.transport = self.transport_operators(u)
-        return True
-
-    refactors, picard, outer = counts()
-    monkeypatch.setattr(Stepper, "keep_or_refactor", former)
-    refactors_half, picard_half, outer_half = counts()
-    assert 2 * refactors <= refactors_half
-    assert picard <= 1.02 * picard_half
-    assert outer == outer_half
-
-
-def test_run_from_rest_refactors_once_the_flow_moves():
-    # the first pair is the heat operator of u = 0; the window is measured
-    # against the factored velocity too, so the driven flow leaves it at once
-    cfg = SolverConfig(nx=16, ny=16, dt=2e-3, t_final=4 * 2e-3)
-    g = cfg.grid()
-    ramp = TraceMode("stream", amplitude=0.2, kx=1, ky=2, envelope="ramp", envelope_param=5.0)
-    trace = synthesize_trace(g, trace_times(cfg), [ramp])
-    traj, _ = run(cfg, VectorField.zeros(g), VectorField.zeros(g), trace)
-    assert [r.transport_refactored for r in traj.reports[:2]] == [True, True]
-    # an undriven fluid at rest stays at u_ref = 0: one pair for the run
-    scen = make_scenario("zero", nx=16, dt=2e-3, t_final=4 * 2e-3)
-    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    assert [r.transport_refactored for r in traj.reports] == [True, False, False, False]
+    assert calls == []
 
 
 def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
@@ -692,19 +652,18 @@ def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
 
 
 def test_pair_boundary_prepared_once_per_step(monkeypatch):
+    # the x and y Dirichlet data of the magnetic operator, shared by every
+    # outer iterate; the harmonic lift of each ledger row has its own operator
     calls = []
-    rhs_boundary = TransportOperator.rhs_boundary
-
-    def counting(self, bc):
-        calls.append(self.comp)
-        return rhs_boundary(self, bc)
-
-    monkeypatch.setattr(TransportOperator, "rhs_boundary", counting)
+    boundary = DirichletHeat.boundary
+    monkeypatch.setattr(DirichletHeat, "boundary",
+                        lambda self, bc: calls.append(self) or boundary(self, bc))
     nsteps = 6
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    magnetic = dirichlet_heat(scen.cfg.grid(), 1.0 / DT, 1.0 / scen.cfg.rm)
     assert sum(r.outer_iterations for r in traj.reports) > nsteps
-    assert calls.count("x") == calls.count("y") == nsteps
+    assert sum(op is magnetic for op in calls) == nsteps
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -742,9 +701,11 @@ def test_one_finiteness_scan_per_array_of_the_accepted_state(monkeypatch):
 
 
 def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
-    # the benchmark's span tracer counts these three by wrapping them as
-    # this test does: the class method, and the module functions wherever
-    # a module of the package holds them
+    # the benchmark's span tracer wraps entry points as this test does: a
+    # class method on its class, and the module functions wherever a module
+    # of the package holds them.  The magnetic solve is the heat operator's
+    # ``solve_interior`` on the magnetic step's key (the harmonic lift of
+    # each ledger row solves on its own key)
     from mhd2d import estimates
 
     events = []
@@ -752,7 +713,11 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     def counting(name, fn):
         return lambda *a, **kw: events.append(name) or fn(*a, **kw)
 
-    monkeypatch.setattr(TransportOperator, "solve", counting("solve", TransportOperator.solve))
+    solve = DirichletHeat.solve_interior
+    magnetic = dirichlet_heat(Grid(16, 16), 1.0 / DT, 1.0)  # calib-osc: Rm = 1
+    monkeypatch.setattr(DirichletHeat, "solve_interior",
+                        lambda self, *a: (self is magnetic and events.append("solve"))
+                        or solve(self, *a))
     for home, fname in ((geometry, "convect"), (estimates, "record")):
         orig = getattr(home, fname)
         for mod in [m for k, m in sys.modules.items() if k.startswith("mhd2d")]:
@@ -768,11 +733,11 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     assert events[: marks[0]] == ["record"]  # the row at t0
     per_step = [events[a + 1 : b] for a, b in zip(marks, marks[1:])]
     counts = [(seg.count("solve"), seg.count("convect"), seg.count("record")) for seg in per_step]
-    # two solves per Picard iteration, one Lorentz term per outer iterate,
-    # one ledger row per step
-    want = [(2 * r.picard_iterations, r.outer_iterations, 1) for r in traj.reports]
+    # one x and y solve per Picard iteration, one Lorentz term per outer
+    # iterate, one ledger row per step
+    want = [(r.picard_iterations, r.outer_iterations, 1) for r in traj.reports]
     assert counts == want
-    assert counts == [(20, 4, 1), (20, 4, 1), (18, 4, 1), (18, 4, 1), (18, 4, 1)]
+    assert counts == [(11, 4, 1), (11, 4, 1), (9, 4, 1), (9, 4, 1), (9, 4, 1)]
 
 
 @pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])
@@ -835,78 +800,29 @@ def test_module_u_step_returns_mean_zero_pressure(rng):
     assert np.max(np.abs(divergence(new).values)) <= 1e-12
 
 
-def test_old_pair_is_freed_before_the_new_one_is_built(monkeypatch):
-    live, seen = weakref.WeakSet(), []
-    init = TransportOperator.__init__
-
-    def tracking(self, grid, comp, a, inv_dt, kappa):
-        seen.append(len(live))  # transport operators still alive
-        live.add(self)
-        init(self, grid, comp, a, inv_dt, kappa)
-
-    monkeypatch.setattr(TransportOperator, "__init__", tracking)
-    # a tight reuse window, so that the short run refactors more than once
-    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.1)
-    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=20 * DT)
-    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-    assert sum(r.transport_refactored for r in traj.reports) > 1
-    assert seen[::2] == [0] * (len(seen) // 2) and seen[1::2] == [1] * (len(seen) // 2)
-
-
 def _assert_same_state(a, b):
     assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
     assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
     assert np.array_equal(a.p.values, b.p.values)
 
 
-def test_single_pass_matches_refactoring_every_b_step(monkeypatch):
-    # with theta = 0 every step refactors at u^n: the pair factored once per
-    # step, which a fresh factorization in every b_step reproduces bit for bit
-    monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", 0.0)
-    for mode in ("single_pass", "fixed_point"):
-        scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode=mode)
-        every_step, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-        assert all(r.transport_refactored for r in every_step.reports)
-        with monkeypatch.context() as m:
-            if mode == "single_pass":  # u_frozen = u^n: factor at u_frozen in every b_step
-                b_step_reused = Stepper.b_step
-
-                def refactoring(self, u_frozen, b_prev, t_prev, **kw):
-                    kw["transport"] = self.transport_operators(u_frozen)
-                    return b_step_reused(self, u_frozen, b_prev, t_prev, **kw)
-
-                m.setattr(Stepper, "b_step", refactoring)
-            else:  # drop the live pair before every step
-                step = Stepper.coupled_step
-
-                def dropping(self, state):
-                    self.transport = None
-                    return step(self, state)
-
-                m.setattr(Stepper, "coupled_step", dropping)
-            fresh, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
-        _assert_same_state(every_step.final_state, fresh.final_state)
-
-
-def test_restart_with_a_reused_pair_live_is_bit_identical(tmp_path):
-    # tail compactness's steady case at 16^2: the pair factored at step 1 is
-    # still live at step 60, where the run stops and resumes
+def test_restart_of_a_forced_steady_run_is_bit_identical(tmp_path):
+    # tail compactness's steady case at 16^2, stopped and resumed at step 60
     cfg, u0, b0, trace, forcing = _mms_scenario(_mms_case("steady"), 16, 2e-3, 0.16)
     full, _ = run(cfg, u0, b0, trace, forcing=forcing)
     half_cfg = replace(cfg, t_final=0.12)
     half, _ = run(half_cfg, u0, b0, trace, forcing=forcing)
-    assert len(half.reports) == 60 and not half.reports[-1].transport_refactored
-    assert not np.array_equal(half.restart.u_ref.x, half.final_state.u.x)
+    assert len(half.reports) == 60
     path = tmp_path / "step60.mhdckpt"
     write_checkpoint(path, half.final_state, half_cfg, trace, half.restart)
     ck = read_checkpoint(path)
-    assert np.array_equal(ck["restart"].u_ref.x, half.restart.u_ref.x)
+    assert np.array_equal(ck["restart"].b_last.x, half.restart.b_last.x)
     check_restart_header(ck, cfg, trace)
     st = ck["state"]
     resumed, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p,
                      restart=ck["restart"])
     _assert_same_state(full.final_state, resumed.final_state)
-    # refactoring at u^n instead agrees only to the solver tolerances
+    # a Picard loop started from b^n instead agrees only to the solver tolerances
     fresh, _ = run(cfg, st.u, st.b, trace, forcing=forcing, t0=ck["t"], p0=st.p)
     assert not np.array_equal(full.final_state.b.x, fresh.final_state.b.x)
     scale = np.sqrt(l2_norm_sq(full.final_state.b))
@@ -915,20 +831,24 @@ def test_restart_with_a_reused_pair_live_is_bit_identical(tmp_path):
 
 def _old_layout_bytes(magic, state, cfg, trace):
     """``state`` in an earlier checkpoint layout: MHDCKPT1 (the first five
-    header fields, no checksum, u, b, p) or MHDCKPT2 (today's header, then
-    u, b, p and u_ref = u)."""
+    header fields, no checksum, u, b, p), MHDCKPT2 (today's header, then u,
+    b, p and u_ref = u) or MHDCKPT3 (MHDCKPT2 followed by the carried
+    magnetic iterates, here b and b)."""
     g = state.u.grid
     arrays = [state.u.x, state.u.y, state.b.x, state.b.y, state.p.values]
     if magic == b"MHDCKPT1":
         return magic + struct.pack("<qqddq", g.nx, g.ny, state.t, cfg.dt, -1) + b"".join(
             a.astype("<f8").tobytes() for a in arrays)
-    payload = b"".join(a.astype("<f8").tobytes() for a in arrays + [state.u.x, state.u.y])
+    arrays += [state.u.x, state.u.y]
+    if magic == b"MHDCKPT3":
+        arrays += [state.b.x, state.b.y] * 2
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
     head = magic + struct.pack("<qqddqddd32sQ", g.nx, g.ny, state.t, cfg.dt, -1, cfg.re, cfg.rm,
                                cfg.s, trace.digest(state.t), len(payload))
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
 
 
-@pytest.mark.parametrize("magic", [b"MHDCKPT1", b"MHDCKPT2"], ids=["v1", "v2"])
+@pytest.mark.parametrize("magic", [b"MHDCKPT1", b"MHDCKPT2", b"MHDCKPT3"], ids=["v1", "v2", "v3"])
 def test_old_checkpoint_layout_is_refused(tmp_path, capsys, magic):
     from mhd2d.cli import main
 
@@ -939,7 +859,7 @@ def test_old_checkpoint_layout_is_refused(tmp_path, capsys, magic):
     with pytest.raises(ConfigError) as exc:
         read_checkpoint(path)
     msg = str(exc.value)
-    assert str(path) in msg and repr(magic) in msg and "MHDCKPT3" in msg
+    assert str(path) in msg and repr(magic) in msg and "MHDCKPT4" in msg
     # a restart with other physics: an MHDCKPT1 file records none to compare
     cfg = tmp_path / "restart.cfg"
     cfg.write_text(f"[grid]\nnx = 8\nny = 8\n\n[time]\ndt = {DT!r}\nT = {4 * DT!r}\n\n"

@@ -157,7 +157,7 @@ def test_absorbing_gate_failure_reported():
 
 def test_picard_study_decoupled_ratio_is_zero():
     from mhd2d.dynamics import SolverConfig, Stepper
-    from mhd2d.geometry import Grid, VectorField, transported_half
+    from mhd2d.geometry import Grid, VectorField, advecting_half, transported_half
     from mhd2d.lifting import synthesize_trace
 
     g = Grid(8, 8)
@@ -167,22 +167,21 @@ def test_picard_study_decoupled_ratio_is_zero():
     b0 = random_divfree(g, np.random.default_rng(1))
     st = Stepper(SolverConfig(nx=8, ny=8, dt=1e-3, t_final=1e-3), tz)
     u = VectorField.zeros(g)
-    _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), transport=st.transport_operators(u),
-                       fb=None, b_start=b0, u_frozen_half=transported_half(u))
+    _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), operator=st.magnetic_operator(u),
+                       fb=None, b_start=b0, u_frozen_halves=(advecting_half(u), transported_half(u)))
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
 
 
-def test_picard_study_does_not_depend_on_the_transport_reuse_window(monkeypatch):
-    # the study factors the pair at each step's u^n, so it measures the
-    # Picard map itself and never consults the reuse window
-    from mhd2d import dynamics
-
-    reports = []
-    for theta in (0.5, 2.0):
-        monkeypatch.setattr(dynamics, "TRANSPORT_REUSE_THETA", theta)
-        reports.append(picard_contraction_study(dt_list=(4e-3, 2e-3), nx=16, steps=4))
-    assert reports[0].extras == reports[1].extras
-    assert reports[0].to_csv_text() == reports[1].to_csv_text()
+def test_picard_study_report_is_pinned():
+    # criterion 07 factors a transport pair at each step's u^n, apart from
+    # the stepper's heat operator; these are its values bit for bit since
+    # the study first did so
+    rep = picard_contraction_study()
+    assert rep.extras == {
+        "ratios": [0.03543292886680397, 0.021836532984566618, 0.012616160627143151],
+        "ratio_doubled": 0.06926489312908995,
+    }
+    assert rep.passed
 
 
 def test_zero_perturbation_gives_exactly_zero_difference():
