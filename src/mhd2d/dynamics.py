@@ -8,11 +8,15 @@ of its diffusion, ``operators.dirichlet_heat(grid, 1/dt, 1/Rm)``, memoized
 per run: the transport by the frozen velocity ubar is lagged next to the
 stretching term, so the fixed point is the implicit-transport solution at
 ubar, and the contraction ratio of the Picard loop is measured and
-reported.  No sparse matrix is factored in a step.  ``b_step`` solves with
-the operator it is handed; one factored at a velocity u_ref (criterion 07's
-``operators.TransportPair`` at each step's u^n) leaves only
-(ubar - u_ref)·grad b to lag, and none when u_ref = ubar.  The first
-outer iterate starts its Picard loop from 2 b^n_hat - b^(n-1)_hat,
+reported.  The chord converges while the lag, max|u|/h against the heat
+operator's diagonal 1/dt + 4/(Rm h^2), stays below about 1 (near the cell
+Courant number at Rm >= 100).  An outer iterate whose full Picard loop ends
+unconverged is redone on ``operators.TransportPair`` factored at u^n, and
+the rest of its step solves on that pair; a step whose chord converges
+factors no sparse matrix.  ``b_step`` solves on the operator it is handed:
+one factored at a velocity u_ref lags only (ubar - u_ref)·grad b, none when
+u_ref = ubar (criterion 07's Picard map).  The first outer iterate
+starts its Picard loop from 2 b^n_hat - b^(n-1)_hat,
 extrapolated from the magnetic iterates the last two steps accepted before
 divergence cleaning (the Stepper carries them; a run starts from (b0, b0),
 i.e. from b0 exactly), and outer iterate k >= 2 from iterate k-1's b (a warm
@@ -24,9 +28,7 @@ Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996, in its simplest form).
 Every later iterate runs the full Picard loop, and the outer loop stops only
 at an iterate whose outer residual and Picard test are both met, so the
 fixed point does not change.  On calib-osc at 32^2 this cut the Picard
-iterations of 375 steps 1,975 -> 1,331 on the factored transport operator
-then in use, with the outer ones unchanged at 824; the heat chord takes
-1,329.
+iterations of 375 steps 1,975 -> 1,331 (on a factored pair; outer 824).
 The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
@@ -99,7 +101,7 @@ from .lifting import (
     heat_step,
     normal_trace,
 )
-from .operators import NeumannPoisson, StokesSaddle, dirichlet_heat, project_divfree
+from .operators import NeumannPoisson, StokesSaddle, TransportPair, dirichlet_heat, project_divfree
 from .spectral import SpectralBasis, project
 
 __all__ = [
@@ -203,7 +205,8 @@ class SimState:
 @dataclass
 class StepReport:
     """Solver health of one magnetic or coupled step.  A magnetic step fills
-    the Picard fields only.  A coupled step sums the Picard iterations and
+    the Picard fields only.  A coupled step sums the Picard iterations (an
+    iterate redone on the transport pair counts the stalled chord's too) and
     takes the largest contraction ratio over its outer iterates; the Picard
     residual and ``picard_converged`` are the last iterate's."""
 
@@ -326,7 +329,7 @@ class Stepper:
     # -- magnetic sub-step ---------------------------------------------------
 
     def magnetic_operator(self, u_n: VectorField):
-        """The operator of every magnetic step from u^n: the memoized
+        """The operator the magnetic steps from u^n start on: the memoized
         closed-form heat operator, whatever u^n is."""
         return dirichlet_heat(self.grid, 1.0 / self.cfg.dt, 1.0 / self.cfg.rm)
 
@@ -362,8 +365,8 @@ class Stepper:
         which the outer iterates of one coupled step share (None: prepared
         here).
         ``max_iter`` caps the Picard iterations; a loop that stops at the cap
-        unconverged reports ``picard_converged`` False, and raises
-        ``StepFailure`` at ``PICARD_MAX_ITER`` if it does not contract.
+        unconverged reports ``picard_converged`` False and its ratio, on which
+        ``coupled_step`` falls back to the transport pair or raises ``StepFailure``.
         """
         cfg = self.cfg
         g = self.grid
@@ -431,14 +434,6 @@ class Stepper:
             b / a for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor
         ]
         ratio = max(ratios) if ratios else 0.0
-        if iters == PICARD_MAX_ITER and not converged:
-            if ratio >= 1.0:
-                raise StepFailure(
-                    f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
-                    "reduce dt",
-                    t=t_next,
-                    detail={"residuals": residuals, "ratio": ratio},
-                )
         report = StepReport(
             dt=dt, picard_iterations=iters, picard_residual=float(res),
             contraction_ratio=float(ratio), picard_converged=converged,
@@ -515,7 +510,7 @@ class Stepper:
         # feeds the velocity step and the lagged magnetic transport, the
         # transported one the magnetic stretching
         ubar_walls = wall_rows(self.grid)
-        # every outer iterate solves with one operator and shares its Dirichlet data
+        # one operator and its Dirichlet data for every outer iterate (see iterate)
         operator = self.magnetic_operator(state.u)
         boundary = operator.boundary(bc)
 
@@ -523,11 +518,23 @@ class Stepper:
 
         def iterate(ub, b_start, max_iter=PICARD_MAX_ITER):
             """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
+            nonlocal operator, boundary
             halves = face_halves(ub, ubar_walls)
-            b, rep = self.b_step(
-                ub, state.b, state.t, bc=bc, operator=operator, fb=fb, b_start=b_start,
-                u_frozen_halves=halves, boundary=boundary, max_iter=max_iter,
-            )
+            kw = dict(bc=bc, fb=fb, b_start=b_start, u_frozen_halves=halves, max_iter=max_iter)
+            b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
+            stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
+            if stalled and operator.u_ref is None:
+                # the lagged transport is too large for the heat chord: the rest
+                # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
+                operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
+                boundary, spent = operator.boundary(bc), rep.picard_iterations
+                b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
+                rep.picard_iterations += spent
+                stalled = not rep.picard_converged
+            if stalled and rep.contraction_ratio >= 1.0:
+                ratio = rep.contraction_ratio
+                raise StepFailure(f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
+                                  "reduce dt", t=t_next, detail={"ratio": ratio})
             b_reports.append(rep)
             u, force = self.u_step(
                 b, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_half

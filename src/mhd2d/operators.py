@@ -1,8 +1,8 @@
 """Solver-side operators on the MAC grid.
 
 Only the implicit transport operator is assembled as a sparse matrix and
-factored with SuperLU, and only criterion 07 (``verify``) factors one: the
-stepper's magnetic step solves with the closed-form heat operator.  The
+factored with SuperLU: by criterion 07 (``verify``), and by a coupled step
+whose heat chord stalls (``dynamics``), which it otherwise solves with.  The
 vector heat operator, the Neumann Poisson solve and the Stokes step are
 separable or nearly so and are solved in the sine and cosine eigenbases of
 the 1D second differences.
@@ -361,7 +361,8 @@ class TransportOperator:
 class TransportPair:
     """The x and y ``TransportOperator`` factored at the advecting velocity
     u_ref, behind ``DirichletHeat``'s magnetic-step interface (``u_ref``,
-    ``boundary``, ``solve_interior``)."""
+    ``boundary``, ``solve_interior``): criterion 07's operator, and the
+    stepper's where the heat chord stalls."""
 
     def __init__(self, grid: Grid, u_ref: VectorField, inv_dt: float, kappa: float):
         self.u_ref = u_ref

@@ -630,6 +630,48 @@ def test_run_factors_no_sparse_matrix(monkeypatch):
     assert calls == []
 
 
+class _PairStepper(Stepper):
+    """Every magnetic step on the transport pair factored at its u^n."""
+
+    def magnetic_operator(self, u_n):
+        return _pair(self, u_n)
+
+
+def _fast_flow(rm, scale, nsteps=3):
+    """calib-osc at 32^2, dt = 8e-3, with its initial velocity scaled: cell
+    Courant number 0.4 * scale, where the lagged transport is large."""
+    dt = 8e-3
+    scen = make_scenario("calib-osc", nx=32, dt=dt, t_final=nsteps * dt, rm=rm, re=1.0)
+    return scen, scale * scen.u0
+
+
+@pytest.mark.parametrize("scale", [4, 16])
+def test_stalled_heat_chord_falls_back_to_the_pair_at_u_n(monkeypatch, scale):
+    # Courant 1.6 and 6.4 at Rm = 100: the heat chord stalls (at scale 4 its
+    # ratio passes 1), and the step finishes on the pair factored at u^n,
+    # reaching the fixed point of a stepper that solves on that pair throughout
+    scen, u0 = _fast_flow(100.0, scale)
+    calls = []
+    real = operators.splu
+    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    traj, _ = run(scen.cfg, u0, scen.b0, scen.trace)
+    assert calls and all(r.picard_converged for r in traj.reports)
+    state = SimState(0.0, u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
+    st = _PairStepper(scen.cfg, scen.trace)
+    for _ in traj.reports:
+        state, _ = st.coupled_step(state)
+    got, want = traj.final_state.b, state.b
+    assert np.sqrt(l2_norm_sq(got - want)) <= 1e-8 * np.sqrt(l2_norm_sq(want))
+
+
+def test_step_fails_when_the_pair_does_not_contract_either():
+    # Courant 26 at Rm = 1: neither the chord nor the pair at u^n contracts
+    scen, u0 = _fast_flow(1.0, 64, nsteps=1)
+    with pytest.raises(StepFailure, match="not contracting") as err:
+        run(scen.cfg, u0, scen.b0, scen.trace)
+    assert err.value.detail["ratio"] >= 1.0
+
+
 def test_forcing_and_boundary_looked_up_once_per_step(monkeypatch):
     calls = []
     force = lambda t: VectorField.zeros(Grid(16, 16))
