@@ -1,11 +1,12 @@
 """Solver-side operators on the MAC grid.
 
-Only the implicit transport operator is assembled as a sparse matrix and
-factored with SuperLU: by criterion 07 (``verify``), and by a coupled step
-whose heat chord stalls (``dynamics``), which it otherwise solves with.  The
-vector heat operator, the Neumann Poisson solve and the Stokes step are
-separable or nearly so and are solved in the sine and cosine eigenbases of
-the 1D second differences.
+Only the implicit transport operator is assembled as a sparse matrix, and
+each build factors it with one direct SuperLU call per component: for
+criterion 07 (``verify``), and for a coupled step whose heat chord stalls
+(``dynamics``).  The vector heat operator the magnetic step otherwise
+solves with, the Neumann Poisson solve and the Stokes step are separable or
+nearly so and are solved in the sine and cosine eigenbases of the 1D second
+differences.
 
 Everything here uses the *mirror* (linear) ghost closure, which makes the
 component Laplacians symmetric negative-definite on zero-trace fields and
@@ -19,7 +20,6 @@ Index conventions: all 2D arrays are raveled in C order (x-index major).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -106,113 +106,19 @@ def apply_lap_mirror_scalar(s: ScalarField) -> ScalarField:
 _DIAG_PIVOT_THRESH = 0.01
 
 
-def _splu_symmetric(m, permc_spec):
-    """SuperLU with a diagonal pivot preference (``SymmetricMode``)."""
-    return splu(
-        m,
-        permc_spec=permc_spec,
-        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-        options=dict(SymmetricMode=True),
-    )
-
-
-class _Pattern(NamedTuple):
-    """Sparsity structure and order of one component's interior operator A_II.
-
-    The unknowns are the interior faces; the wall faces carry Dirichlet data.
-    A_II is factored as B = A_II[p][:, p] in the natural order, where p
-    (``perm``'s inverse) is the symmetric minimum-degree order of A_II.
-    ``slots[g]`` maps each interior unknown to the CSC data position of its
-    stencil entry of group g (diagonal, normal -/+ neighbour, tangential -/+
-    neighbour); a neighbour that is a wall face or missing points one past
-    the end.  ``q[k]`` is the position of B's unknown k in the raveled full
-    face array, ``qi[k]`` its position in the raveled interior array.
-    """
-
-    slots: np.ndarray
-    lo: np.ndarray  # the tangential - neighbour exists
-    hi: np.ndarray  # the tangential + neighbour exists
-    indices: np.ndarray
-    indptr: np.ndarray
-    q: np.ndarray
-    qi: np.ndarray
-    perm: np.ndarray  # interior unknown -> its position in B
-
-
-@lru_cache(maxsize=8)
-def _transport_pattern(grid: Grid, comp: str) -> _Pattern:
-    """Structure and order shared by every TransportOperator on (grid, comp).
-
-    Advection couples the same neighbours as diffusion, so the pattern does
-    not depend on the velocity.  The order is the one ``splu`` picks with
-    ``MMD_AT_PLUS_A`` and ``SymmetricMode`` for this pattern (minimum degree
-    on A + A^T, then the elimination tree postorder), which depends on the
-    structure only.
-
-    Row r of A_II becomes row perm[r] of B, so SuperLU's preference for the
-    diagonal pivot still names A_II's diagonal.  Within each column the rows
-    keep A_II's ascending order, which fixes the order of SuperLU's
-    depth-first searches and hence of its arithmetic.  Both make the numeric
-    factorization of B repeat that of A_II operation for operation.  A run
-    uses two keys per grid, so the bound of 8 never evicts within a run.
-    """
-    nx, ny = grid.nx, grid.ny
-    if comp == "x":
-        m1, m2 = nx - 1, ny
-        i, j = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-        nrm, n_nrm, tan, n_tan = i, m1, j, m2
-        nbrs = ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-        full = (i + 1) * ny + j
-    else:
-        m1, m2 = nx, ny - 1
-        i, j = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-        nrm, n_nrm, tan, n_tan = j, m2, i, m1
-        nbrs = ((i, j - 1), (i, j + 1), (i - 1, j), (i + 1, j))
-        full = i * (ny + 1) + j + 1
-    lo, hi = tan >= 1, tan <= n_tan - 2
-    cols = np.stack([i * m2 + j] + [a * m2 + b for a, b in nbrs])
-    cols[1][nrm == 0] = -1
-    cols[2][nrm == n_nrm - 1] = -1
-    cols[3][~lo] = -1
-    cols[4][~hi] = -1
-    keep = cols >= 0
-    r = np.broadcast_to(cols[0], cols.shape)[keep]
-    c = cols[keep]
-    n, nnz = m1 * m2, len(r)
-
-    # any nonsingular matrix with this pattern: strictly diagonally dominant
-    a0 = sp.csc_matrix((np.where(r == c, 5.0, -1.0), (r, c)), shape=(n, n))
-    # a copy: a view of perm_c would keep the whole factorization alive
-    perm = _splu_symmetric(a0, "MMD_AT_PLUS_A").perm_c.astype(np.intp)
-    order = np.lexsort((r, perm[c]))
-    qi = np.argsort(perm)
-    slots = np.full(cols.shape, nnz, dtype=np.intp)
-    slots[keep] = np.argsort(order)
-    return _Pattern(
-        slots=slots,
-        lo=lo,
-        hi=hi,
-        indices=perm[r[order]].astype(np.intc),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(perm[c], minlength=n))]).astype(np.intc),
-        q=full.ravel()[qi],
-        qi=qi,
-        perm=perm,
-    )
-
-
 class TransportOperator:
     """Implicit operator  inv_dt*I - kappa*Lap + a·grad  on one component grid.
 
-    Assembled on the interior faces only (A_II); the couplings to the wall
-    faces, which carry the normal Dirichlet data, go to the right-hand side
-    (``rhs_boundary``).  A zero ``a`` gives the heat operator that
-    ``DirichletHeat`` solves in closed form.  The structure and the symmetric
-    minimum-degree order come from ``_transport_pattern``; a build fills in
-    the values and runs SuperLU's numeric factorization only, pivoting on the
-    diagonal unless it falls below ``_DIAG_PIVOT_THRESH`` of its column.  If
-    any pivot leaves the diagonal, the build refactors the same matrix with
-    ``splu``'s default COLAMD order and partial pivoting, whose fill does not
-    depend on the diagonal.
+    Assembled on the interior faces only (A_II, stored as the canonical CSC
+    ``matrix``); the couplings to the wall faces, which carry the normal
+    Dirichlet data, go to the right-hand side (``rhs_boundary``).  A zero
+    ``a`` gives the heat operator that ``DirichletHeat`` solves in closed
+    form.  A build factors A_II with SuperLU in the symmetric minimum-degree
+    order of A + A^T, pivoting on the diagonal unless it falls below
+    ``_DIAG_PIVOT_THRESH`` of its column.  If any pivot leaves the diagonal
+    (the row permutation differs from the column one), the build refactors
+    the same matrix with ``splu``'s default COLAMD order and partial
+    pivoting, whose fill does not depend on the diagonal.
     """
 
     def __init__(self, grid: Grid, comp: str, a: VectorField, inv_dt: float, kappa: float):
@@ -224,22 +130,34 @@ class TransportOperator:
         self.kappa = kappa
         if comp == "x":
             self.shape = grid.shape_xface()
+            self._interior = (slice(1, -1), slice(None))
         else:
             self.shape = grid.shape_yface()
+            self._interior = (slice(None), slice(1, -1))
         self._assemble(a)
 
     def _assemble(self, a):
         g = self.grid
         k = self.kappa
-        pat = self._pattern = _transport_pattern(g, self.comp)
-        # normal and tangential spacing of this component
-        hn, ht = (g.dx, g.dy) if self.comp == "x" else (g.dy, g.dx)
+        # the interior unknowns, raveled in C order: the normal neighbours of
+        # unknown u are u -/+ sn, the tangential ones u -/+ st
+        if self.comp == "x":
+            hn, ht = g.dx, g.dy
+            u = np.arange((g.nx - 1) * g.ny).reshape(g.nx - 1, g.ny)
+            nrm, tan = np.indices(u.shape)
+            sn, st = u.shape[1], 1
+        else:
+            hn, ht = g.dy, g.dx
+            u = np.arange(g.nx * (g.ny - 1)).reshape(g.nx, g.ny - 1)
+            tan, nrm = np.indices(u.shape)
+            sn, st = 1, u.shape[1]
+        lo, hi = tan >= 1, tan <= tan.max() - 1
 
         # time term and diffusion (nodal Dirichlet in the normal direction;
         # mirror ghosts in the tangential direction)
-        diag = np.full(pat.lo.shape, self.inv_dt)
+        diag = np.full(u.shape, self.inv_dt)
         diag = diag + 2.0 * k / hn**2
-        diag = diag + np.where(pat.lo & pat.hi, 2.0 * k / ht**2, 3.0 * k / ht**2)
+        diag = diag + np.where(lo & hi, 2.0 * k / ht**2, 3.0 * k / ht**2)
         n_lo = n_hi = -k / hn**2
         t_lo = t_hi = -k / ht**2
 
@@ -261,8 +179,8 @@ class TransportOperator:
             sd = ah.sy
             self._adv_corner = ah.a1y
         diag = diag + cp - cm
-        diag = diag + np.where(pat.hi, tp, 0.0)
-        diag = diag - np.where(pat.lo, tm, 0.0)
+        diag = diag + np.where(hi, tp, 0.0)
+        diag = diag - np.where(lo, tm, 0.0)
         diag = diag - sd
         # one diffusion plus one advection entry per neighbour: a single
         # addition, so the sum does not depend on the order of the two
@@ -274,15 +192,28 @@ class TransportOperator:
         else:
             self._wall_lo, self._wall_hi = n_lo[:, 0], n_hi[:, -1]
 
-        data = np.empty(len(pat.indices) + 1)  # the extra entry absorbs missing neighbours
-        for slot, v in zip(pat.slots, (diag, n_lo, n_hi, t_lo, t_hi)):
-            data[slot] = v
-        self._data = data[:-1]
-        m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
-        m.has_canonical_format = True  # keep the row order (see _transport_pattern)
+        # (coefficient, offset of its neighbour, the neighbour is an unknown)
+        stencil = (
+            (diag, 0, np.ones_like(lo)),
+            (n_lo, -sn, nrm >= 1),
+            (n_hi, sn, nrm <= nrm.max() - 1),
+            (t_lo, -st, lo),
+            (t_hi, st, hi),
+        )
+        rows = np.concatenate([u[keep] for _, _, keep in stencil])
+        cols = np.concatenate([u[keep] + off for _, off, keep in stencil])
+        data = np.concatenate([v[keep] for v, _, keep in stencil])
+        # canonical CSC (rows ascending in each column); zero coefficients
+        # stay stored, so the structure and hence the order do not depend on a
+        m = self.matrix = sp.csc_matrix((data, (rows, cols)), shape=(u.size,) * 2)
         try:
-            lu = _splu_symmetric(m, "NATURAL")
-            if not np.array_equal(lu.perm_r, np.arange(m.shape[0])):
+            lu = splu(
+                m,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                options=dict(SymmetricMode=True),
+            )
+            if not np.array_equal(lu.perm_r, lu.perm_c):
                 # a pivot left the diagonal, and the symmetric order no longer
                 # bounds the fill: refactor with COLAMD and partial pivoting
                 lu = splu(m)
@@ -290,20 +221,15 @@ class TransportOperator:
             raise SolverFailure(f"transport operator factorization failed: {exc}")
         self._lu = lu
 
-    @property
-    def matrix(self):
-        """A_II on the raveled interior face array (built on demand)."""
-        pat = self._pattern
-        m = sp.csc_matrix((self._data, pat.indices, pat.indptr), shape=(len(pat.q),) * 2)
-        return m[pat.perm][:, pat.perm].tocsc()
-
     def rhs_boundary(self, bc: VectorBC):
         """The Dirichlet data of ``bc`` on the full face array.
 
         The wall faces hold the normal data; each interior face holds what
         its couplings to the data (wall faces and mirror ghosts) contribute
         to its right-hand side, so  A_II u_I = f_I + rhs_boundary(bc)_I.
-        ``boundary`` hands these to ``solve``.
+        Prepare it once per boundary instant and pass it to every ``solve``
+        with that data; ``boundary`` is the same method under
+        ``DirichletHeat``'s name.
         """
         g = self.grid
         dx, dy = g.dx, g.dy
@@ -333,28 +259,20 @@ class TransportOperator:
             r[:, -2] -= self._wall_hi * bc.y_top
         return r
 
-    def boundary(self, bc: VectorBC):
-        """``rhs_boundary(bc)`` with its interior entries in the factor's order.
+    boundary = rhs_boundary
 
-        Prepare it once per boundary instant and pass it to every ``solve``
-        with that data.
-        """
-        r = self.rhs_boundary(bc)
-        return r.ravel()[self._pattern.q], r
-
-    def solve(self, rhs: np.ndarray, boundary) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Solve for the full component array.
 
         ``rhs`` is the right-hand side on the interior faces only, shape
         (nx-1, ny) for x and (nx, ny-1) for y; ``boundary`` comes from
         ``self.boundary(bc)`` and supplies the wall faces of the result.
         """
-        pat = self._pattern
-        if rhs.shape != pat.lo.shape:
-            raise ValueError(f"interior right-hand side shape {rhs.shape} != {pat.lo.shape}")
-        rhs_bnd, full = boundary
-        out = full.copy()
-        out.ravel()[pat.q] = self._lu.solve(rhs.ravel()[pat.qi] + rhs_bnd)
+        out = boundary.copy()
+        inner = out[self._interior]
+        if rhs.shape != inner.shape:
+            raise ValueError(f"interior right-hand side shape {rhs.shape} != {inner.shape}")
+        inner[...] = self._lu.solve((rhs + inner).ravel()).reshape(rhs.shape)
         return out
 
 

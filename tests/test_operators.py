@@ -136,9 +136,8 @@ def _splu_symmetric(m):
     ids=["harmonic", "heat", "transport"],
 )
 def test_transport_solve_equals_default_order_factorization(rng, comp, advect, inv_dt, kappa):
-    # the pre-permuted natural-order factorization against splu ordering
-    # A_II itself; neither a column permutation alone nor a symmetric one
-    # with B's rows sorted gives these bits at 16^2
+    # the operator's solve against a fresh splu of its stored A_II with the
+    # build's options: the factor and the solve's arithmetic are that splu's
     # one prepared boundary serves several right-hand sides, as in a Picard loop
     g = Grid(16, 16)
     a = random_divfree(g, rng) if advect else VectorField.zeros(g)
@@ -161,22 +160,27 @@ def test_transport_solve_equals_default_order_factorization(rng, comp, advect, i
     assert all(np.array_equal(b, k) for b, k in zip(boundary, kept))
 
 
-def test_column_order_computed_once_per_grid_and_component(rng, monkeypatch):
-    ordered, natural = [], []
+def _count_splu(monkeypatch):
+    """Record the ``permc_spec`` of every ``splu`` call the build makes."""
+    specs = []
     real = operators.splu
 
     def counting(m, permc_spec=None, **kw):
-        (natural if permc_spec == "NATURAL" else ordered).append(m.shape[0])
+        specs.append(permc_spec)
         return real(m, permc_spec=permc_spec, **kw)
 
     monkeypatch.setattr(operators, "splu", counting)
-    operators._transport_pattern.cache_clear()
+    return specs
+
+
+def test_transport_build_factors_once_in_the_symmetric_order(rng, monkeypatch):
+    specs = _count_splu(monkeypatch)
     g = Grid(16, 16)
-    for scale in (0.0, 0.5, 2.0):  # three pairs on one grid
-        TransportPair(g, random_divfree(g, rng, scale=scale), 1e3, 1.0)
-    n = 15 * 16  # interior unknowns of either component
-    assert ordered.count(n) == 2  # x and y
-    assert natural == [n] * 6  # one numeric factorization per operator
+    pair = TransportPair(g, random_divfree(g, rng), 1e3, 1.0)
+    assert specs == ["MMD_AT_PLUS_A"] * 2  # x and y
+    for op in (pair.x, pair.y):
+        assert np.array_equal(op._lu.perm_r, op._lu.perm_c)  # diagonal pivots
+        assert op.matrix.has_canonical_format
 
 
 @pytest.mark.parametrize("nx", [32, 64])
@@ -197,8 +201,7 @@ def test_advection_dominated_transport_pivots_on_the_diagonal(rng, comp):
     g = Grid(32, 32)
     op = TransportOperator(g, comp, random_divfree(g, rng, scale=2.0), 50.0, 1e-3)
     m = op.matrix
-    n = m.shape[0]
-    assert np.array_equal(op._lu.perm_r, np.arange(n))
+    assert np.array_equal(op._lu.perm_r, op._lu.perm_c)
     inner_faces = _interior(comp)
     rhs = np.zeros(op.shape)
     rhs[inner_faces] = rng.standard_normal(rhs[inner_faces].shape)
@@ -212,14 +215,16 @@ def test_advection_dominated_transport_pivots_on_the_diagonal(rng, comp):
 
 
 @pytest.mark.parametrize("comp", ["x", "y"])
-def test_transport_fill_bounded_when_pivots_leave_the_diagonal(rng, comp):
+def test_transport_fill_bounded_when_pivots_leave_the_diagonal(rng, monkeypatch, comp):
     # at 64^2 the same cell Peclet numbers push pivots off the diagonal even
     # past the threshold; the build then refactors with splu's default order
+    specs = _count_splu(monkeypatch)
     g = Grid(64, 64)
     op = TransportOperator(g, comp, random_divfree(g, rng, scale=2.0), 50.0, 1e-3)
+    assert specs == ["MMD_AT_PLUS_A", None]
     m = op.matrix
-    n = m.shape[0]
-    assert not np.array_equal(_splu_symmetric(m).perm_r, np.arange(n))
+    symmetric = _splu_symmetric(m)
+    assert not np.array_equal(symmetric.perm_r, symmetric.perm_c)
     default = splu(m)
     assert op._lu.L.nnz + op._lu.U.nnz <= 1.1 * (default.L.nnz + default.U.nnz)
     inner_faces = _interior(comp)
