@@ -10,13 +10,16 @@ stretching term, so the fixed point is the implicit-transport solution at
 ubar, and the contraction ratio of the Picard loop is measured and
 reported.  The chord converges while the lag, max|u|/h against the heat
 operator's diagonal 1/dt + 4/(Rm h^2), stays below about 1 (near the cell
-Courant number at Rm >= 100).  An outer iterate whose full Picard loop ends
-unconverged is redone on ``operators.TransportPair`` factored at u^n, and
-the rest of its step solves on that pair; a step whose chord converges
-factors no sparse matrix.  ``b_step`` solves on the operator it is handed:
-one factored at a velocity u_ref lags only (ubar - u_ref)·grad b, none when
-u_ref = ubar (criterion 07's Picard map).  The first outer iterate
-starts its Picard loop from 2 b^n_hat - b^(n-1)_hat,
+Courant number at Rm >= 100).  The chord stops at its first residual that
+is no smaller than the one before (both above the round-off floor of the
+contraction ratio), or at the cap; an outer iterate whose full Picard loop
+ends unconverged either way is redone on ``operators.TransportPair``
+factored at u^n, and the rest of its step solves on that pair, which keeps
+its cap.  A step whose chord converges factors no sparse matrix.
+``b_step`` solves on the operator it is handed: one factored at a velocity
+u_ref lags only (ubar - u_ref)·grad b, none when u_ref = ubar (criterion
+07's Picard map).  The first outer iterate starts its Picard loop from
+2 b^n_hat - b^(n-1)_hat,
 extrapolated from the magnetic iterates the last two steps accepted before
 divergence cleaning (the Stepper carries them; a run starts from (b0, b0),
 i.e. from b0 exactly), and outer iterate k >= 2 from iterate k-1's b (a warm
@@ -42,16 +45,19 @@ step holds fixed is prepared once: once per coupled step, u^n's half of the
 velocity transport and the magnetic operator's Dirichlet data
 (``DirichletHeat.boundary``: kappa*Lap of the wall data);
 each outer iterate's two halves of ubar in one pass
-(``geometry.face_halves``), the advecting one for the velocity step and the
-lagged magnetic transport, the transported one for the magnetic stretching
-term; and once per magnetic step, the boundary rows of the iterate's
-transported half (``geometry.wall_rows``).  A Picard iteration then
-computes the iterate's two halves in one pass, forms the lag and the
-right-hand side on the interior faces only (``geometry.convect_interior``),
-makes the two separable solves and measures its residual and norm on the
-component arrays (``geometry.norm_sq``), with the same floating-point
-operations in the same order as the whole-field formulas, so the results
-are bit for bit the same.
+(``geometry.face_halves``), which the velocity step's transport and the
+magnetic lag share; and once per magnetic step, the boundary rows of the
+iterate's transported half (``geometry.wall_rows``).  A chord iteration
+then forms its lag, stretching minus transport, as one induction term on
+the interior faces (``geometry.induction_interior``): the curl of the
+corner EMF E = ubar1 b2 - ubar2 b1 and the two divergence corrections,
+without the normal-flux products that cancel between the two terms.  An
+iteration on a pair computes the iterate's two halves in one pass and its
+lag terms with ``geometry.convect_interior``.  Either makes the two
+separable solves and measures its residual and norm on the component
+arrays (``geometry.norm_sq``).  The pair's loop and the norms repeat the
+whole-field formulas operation for operation, bit for bit; the induction
+term leaves out the cancelling products and so moves results by round-off.
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
 once, and a Picard or outer residual that is NaN or infinite ends the step
@@ -87,6 +93,7 @@ from .geometry import (
     convect_interior,
     divergence,
     face_halves,
+    induction_interior,
     l2_norm_sq,
     norm_sq,
     transported_half,
@@ -206,9 +213,11 @@ class SimState:
 class StepReport:
     """Solver health of one magnetic or coupled step.  A magnetic step fills
     the Picard fields only.  A coupled step sums the Picard iterations (an
-    iterate redone on the transport pair counts the stalled chord's too) and
-    takes the largest contraction ratio over its outer iterates; the Picard
-    residual and ``picard_converged`` are the last iterate's."""
+    iterate redone on the transport pair counts the stalled chord's too, up
+    to the iteration at which its residual stopped falling or the cap) and
+    takes the largest contraction ratio over its outer iterates, of the
+    pair's loop where it fell back; the Picard residual and
+    ``picard_converged`` are the last iterate's."""
 
     dt: float
     picard_iterations: int = 0
@@ -358,13 +367,17 @@ class Stepper:
         unchanged.  ``bc`` is the boundary data and ``fb`` the magnetic body
         force at the new time (None: no force).  ``b_start`` is the first
         Picard iterate; the stop test and the fixed point do not depend on
-        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``: the advecting
-        half carries the lagged transport when u_ref is None, and the
-        transported half the stretching term; the outer iterate shares both
-        with its velocity step.  ``boundary`` is ``operator.boundary(bc)``,
-        which the outer iterates of one coupled step share (None: prepared
-        here).
-        ``max_iter`` caps the Picard iterations; a loop that stops at the cap
+        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``, which the
+        outer iterate shares with its velocity step.  When u_ref is None (the
+        heat chord) each iteration lags the whole induction term
+        ``induction_interior(cur, walls, *u_frozen_halves)``; on a pair it
+        lags the stretching term, from the transported half, less the
+        transport by u_frozen - u_ref.  ``boundary`` is
+        ``operator.boundary(bc)``, which the outer iterates of one coupled
+        step share (None: prepared here).
+        ``max_iter`` caps the Picard iterations.  The heat chord also stops at
+        its first residual that is no smaller than the one before, both above
+        the round-off floor of the contraction ratio.  A loop that stops
         unconverged reports ``picard_converged`` False and its ratio, on which
         ``coupled_step`` falls back to the transport pair or raises ``StepFailure``.
         """
@@ -374,10 +387,11 @@ class Stepper:
         t_next = t_prev + dt
         u_ref = operator.u_ref
         pure_heat = l2_norm_sq(u_frozen) == 0.0
-        # the advecting half of u_frozen - u_ref, None when that is exactly zero
-        if u_ref is None:
-            lagged = None if pure_heat else u_frozen_halves[0]
-        elif np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y):
+        # the heat chord lags the whole induction term, and stops once it stalls
+        chord = u_ref is None and not pure_heat
+        # on a pair, the advecting half of u_frozen - u_ref, None when that is exactly zero
+        if u_ref is None or (
+                np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
             lagged = None
         else:
             lagged = advecting_half(u_frozen - u_ref)
@@ -391,7 +405,7 @@ class Stepper:
 
         # fixed for the whole Picard loop: the Dirichlet data and the wall
         # rows of the iterate's transported half; each iteration adds only the
-        # iterate's two halves, computed in one pass
+        # iterate's corner averages (the chord) or its two halves (a pair)
         if boundary is None:
             boundary = operator.boundary(bc)
         walls = wall_rows(g, bc)
@@ -401,13 +415,17 @@ class Stepper:
         res = 0.0
         iters = 0
         cur_norm = 0.0  # ||cur||, kept from the last iterate for the tests below
+        # contraction is measured away from the round-off floor round_off * (1 + ||cur||)
+        round_off = max(1e-3 * cfg.picard_tol, 1e-13)
         converged = False
         # a blown-up iterate warns nowhere: its residual raises StepFailure
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(max_iter):
                 iters = j + 1
                 lag_x = lag_y = 0.0
-                if not exact:
+                if chord:
+                    lag_x, lag_y = induction_interior(cur, walls, *u_frozen_halves)
+                elif not exact:
                     a_cur, f_cur = face_halves(cur, walls)
                     if not pure_heat:  # the stretching term at the lagged iterate
                         lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])
@@ -428,8 +446,9 @@ class Stepper:
                 converged = exact or res <= cfg.picard_tol * (1.0 + cur_norm)
                 if converged:
                     break
-        # contraction measured away from the round-off floor
-        floor = max(1e-3 * cfg.picard_tol, 1e-13) * (1.0 + cur_norm)
+                if chord and j > 0 and res >= residuals[-2] > round_off * (1.0 + cur_norm):
+                    break  # the chord has stalled: coupled_step falls back to the pair
+        floor = round_off * (1.0 + cur_norm)
         ratios = [
             b / a for a, b in zip(residuals, residuals[1:]) if a > floor and b > floor
         ]
@@ -506,9 +525,8 @@ class Stepper:
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
         u_half = transported_half(state.u)  # u^n's half of every outer iterate's transport
-        # ubar's two halves, rewritten by each outer iterate: the advecting one
-        # feeds the velocity step and the lagged magnetic transport, the
-        # transported one the magnetic stretching
+        # ubar's two halves, rewritten by each outer iterate: both feed the
+        # magnetic lag, and the advecting one also the velocity step
         ubar_walls = wall_rows(self.grid)
         # one operator and its Dirichlet data for every outer iterate (see iterate)
         operator = self.magnetic_operator(state.u)
@@ -524,7 +542,8 @@ class Stepper:
             b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
             stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
             if stalled and operator.u_ref is None:
-                # the lagged transport is too large for the heat chord: the rest
+                # the lagged transport is too large for the heat chord (it
+                # stalled, or contracted too slowly for the cap): the rest
                 # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
                 operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
                 boundary, spent = operator.boundary(bc), rep.picard_iterations

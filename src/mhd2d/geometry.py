@@ -26,7 +26,9 @@ half (its face averages with the boundary values on the wall rows,
 The two halves of one field share its averages: ``face_halves`` computes
 both in one pass into wall rows prepared once per boundary instant
 (``wall_rows``), and ``convect_interior`` returns only the interior faces,
-which is all an implicit solve reads.  ``norm_sq`` is ``l2_norm_sq`` on bare
+which is all an implicit solve reads.  ``induction_interior`` is the
+difference of two such convections, stretching less transport, as the curl
+of a corner EMF.  ``norm_sq`` is ``l2_norm_sq`` on bare
 component arrays, in ``inner``'s summation order.
 """
 
@@ -53,6 +55,7 @@ __all__ = [
     "transported_half",
     "convect_halves",
     "convect_interior",
+    "induction_interior",
     "wall_rows",
     "face_halves",
     "identity_residuals",
@@ -444,6 +447,37 @@ def convect_interior(a: AdvectingHalf, f: TransportedHalf):
     return out_x, out_y
 
 
+def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHalf):
+    """The induction term ``convect_interior(advecting_half(f), t) -
+    convect_interior(a, transported_half(f, fbc))`` on the interior faces,
+    where ``walls = wall_rows(grid, fbc)`` and (a, t) are the two halves of
+    one velocity with zero walls.
+
+    Formed as the curl of the corner EMF E = u1 f2 - u2 f1 (the
+    constrained-transport form of curl(u x f)), minus u times f's
+    interpolated divergence plus f times u's: the normal-flux products
+    a1c*f1c and a2c*f2c cancel in the difference and are never formed.
+    f's two corner averages are written into ``walls`` as ``face_halves``
+    writes them.  Equal to the difference up to round-off.
+    """
+    g = f.grid
+    f1y, f2x = walls
+    a1y = 0.5 * (f.x[:, :-1] + f.x[:, 1:])  # f1 on the interior corner rows
+    a2x = 0.5 * (f.y[:-1, :] + f.y[1:, :])  # f2 on the interior corner columns
+    f1y[:, 1:-1] = a1y[1:-1, :]
+    f2x[1:-1, :] = a2x[:, 1:-1]
+    dc = divergence(f).values
+    ex = a2x * t.f1y - a.a2x * f1y  # E on the corners of the x-faces
+    ey = a.a1y * f2x - a1y * t.f2x  # E on the corners of the y-faces
+    out_x = (ex[:, 1:] - ex[:, :-1]) / g.dy
+    out_x -= t.f.x[1:-1, :] * (0.5 * (dc[:-1, :] + dc[1:, :]))
+    out_x += f.x[1:-1, :] * a.sx
+    out_y = (ey[:-1, :] - ey[1:, :]) / g.dx
+    out_y -= t.f.y[:, 1:-1] * (0.5 * (dc[:, :-1] + dc[:, 1:]))
+    out_y += f.y[:, 1:-1] * a.sy
+    return out_x, out_y
+
+
 def convect_halves(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
     """``convect`` from its two halves; either may be prepared once and reused."""
     out = VectorField.zeros(f.f.grid)
@@ -638,7 +672,10 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     r2y = ccy - (gd.y[:, 1:-1] - lap.y[:, 1:-1])
     r2 = _interior_norm(r2x, r2y, g)
 
-    # identity 3: curl(u x b) = b·∇u - u·∇b + u div b - b div u
+    # identity 3: curl(u x b) = b·∇u - u·∇b + u div b - b div u.  The magnetic
+    # chord's lag b·∇u - u·∇b (``induction_interior``) is formed by this
+    # identity: the compact curl of the corner EMF s (zero walls for u), less
+    # u div b, plus b div u
     s = np.empty((g.nx + 1, g.ny + 1))  # u x b (out of plane) at corners
     u1 = np.empty_like(s)
     u1[:, 1:-1] = 0.5 * (u.x[:, :-1] + u.x[:, 1:])

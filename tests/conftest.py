@@ -103,23 +103,51 @@ def stream_forms(grid):
 
 # --- whole-field oracles of the stepper's raw-array loops --------------------
 
+def induction_oracle(u, b, bc):
+    """The induction term curl(u x b) - u div b + b div u on whole fields: the
+    stream curl (``VectorField.from_stream``) of the corner EMF E = u1 b2 -
+    u2 b1, whose factors are the corner averages of u with zero walls and of
+    b with the walls of ``bc``, minus u times b's interpolated divergence
+    plus b times u's.  Only its interior faces are meaningful."""
+    from mhd2d.geometry import advecting_half
+
+    grid = u.grid
+    corners = (grid.nx + 1, grid.ny + 1)
+    u1, u2, b1, b2 = (np.zeros(corners) for _ in range(4))
+    u1[:, 1:-1] = 0.5 * (u.x[:, :-1] + u.x[:, 1:])
+    u2[1:-1, :] = 0.5 * (u.y[:-1, :] + u.y[1:, :])
+    b1[:, 1:-1] = 0.5 * (b.x[:, :-1] + b.x[:, 1:])
+    b1[:, 0], b1[:, -1] = bc.x_bottom, bc.x_top
+    b2[1:-1, :] = 0.5 * (b.y[:-1, :] + b.y[1:, :])
+    b2[0, :], b2[-1, :] = bc.y_left, bc.y_right
+    out = VectorField.from_stream(grid, u1 * b2 - u2 * b1)
+    su, sb = advecting_half(u), advecting_half(b)
+    out.x[1:-1, :] -= u.x[1:-1, :] * sb.sx
+    out.x[1:-1, :] += b.x[1:-1, :] * su.sx
+    out.y[:, 1:-1] -= u.y[:, 1:-1] * sb.sy
+    out.y[:, 1:-1] += b.y[:, 1:-1] * su.sy
+    return out
+
+
 def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_start):
-    """``Stepper.b_step``'s Picard loop written on whole fields: each iterate
-    builds the stretching term as ``convect_halves(advecting_half(cur), ...)``
-    and the lagged transport as ``convect_halves(advecting_half(u_frozen -
-    u_ref), transported_half(cur, bc))``, with u_ref zero for an operator
-    without one (the heat operator), adds them to full right-hand side
-    arrays, solves on their interior entries and measures the residual with
-    ``inner``.  Returns (b, residuals)."""
+    """``Stepper.b_step``'s Picard loop written on whole fields.  On the heat
+    operator each iterate lags the whole induction term (``induction_oracle``);
+    on a pair factored at u_ref it lags the stretching term
+    ``convect_halves(advecting_half(cur), ...)`` less the transport
+    ``convect_halves(advecting_half(u_frozen - u_ref), transported_half(cur,
+    bc))``.  The lag is added to full right-hand side arrays, the solve reads
+    their interior entries and the residual is measured with ``inner``.
+    Returns (b, residuals)."""
     from mhd2d.dynamics import PICARD_MAX_ITER
     from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half
 
     cfg, grid = stepper.cfg, stepper.grid
-    u_ref = VectorField.zeros(grid) if operator.u_ref is None else operator.u_ref
-    shift = None
-    if not (np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
-        shift = u_frozen - u_ref
     pure_heat = inner(u_frozen, u_frozen) == 0.0
+    chord = operator.u_ref is None and not pure_heat
+    u_ref, shift = operator.u_ref, None
+    if u_ref is not None and not (
+            np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
+        shift = u_frozen - u_ref
     exact = pure_heat and shift is None
     rhs_x, rhs_y = b_prev.x / cfg.dt, b_prev.y / cfg.dt
     if fb is not None:
@@ -129,7 +157,10 @@ def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_star
     lagged = None if shift is None else advecting_half(shift)
     cur, residuals = b_start, []
     for _ in range(PICARD_MAX_ITER):
-        if pure_heat:
+        if chord:
+            lag = induction_oracle(u_frozen, cur, bc)
+            lag_x, lag_y = lag.x, lag.y
+        elif pure_heat:
             lag_x = lag_y = 0.0
         else:
             lag = convect_halves(advecting_half(cur), stretch)

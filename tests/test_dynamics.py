@@ -664,6 +664,50 @@ def test_stalled_heat_chord_falls_back_to_the_pair_at_u_n(monkeypatch, scale):
     assert np.sqrt(l2_norm_sq(got - want)) <= 1e-8 * np.sqrt(l2_norm_sq(want))
 
 
+def test_stalling_chord_stops_at_its_first_growing_residual(monkeypatch):
+    # Courant 6.4 at Rm = 100: the chord's residual grows within a few
+    # iterations, and the loop ends there instead of at the cap, unconverged,
+    # so the step falls back to the pair at once
+    reports = []
+    b_step_orig = Stepper.b_step
+
+    def recording(self, *args, **kwargs):
+        out = b_step_orig(self, *args, **kwargs)
+        reports.append((kwargs["operator"].u_ref is None, kwargs.get("max_iter"), out[1]))
+        return out
+
+    monkeypatch.setattr(Stepper, "b_step", recording)
+    scen, u0 = _fast_flow(100.0, 16, nsteps=1)
+    traj, _ = run(scen.cfg, u0, scen.b0, scen.trace)
+    stalled = [rep for chord, cap, rep in reports
+               if chord and cap == dynamics.PICARD_MAX_ITER and not rep.picard_converged]
+    assert stalled and any(not chord for chord, _, _ in reports)  # the step fell back
+    for rep in stalled:
+        assert rep.picard_iterations < dynamics.PICARD_MAX_ITER and rep.contraction_ratio >= 1.0
+    assert traj.reports[0].picard_converged
+
+
+@pytest.mark.parametrize("scale, nsteps, picard, outer, factored", [
+    (2, 4, [50, 33, 26, 21], [6, 5, 5, 5], 0),
+    (4, 3, [72, 63, 46], [6, 6, 5], 4),
+], ids=["scale2", "scale4"])
+def test_contracting_chord_keeps_its_picard_counts(monkeypatch, scale, nsteps, picard, outer,
+                                                   factored):
+    # Courant 0.8 and 1.6 at Rm = 100: every chord's residual falls, so the
+    # stop for a stalling chord never fires, and the counts are those of the
+    # chord run to its cap.  At scale 2 every chord converges; at scale 4 two
+    # contract too slowly for the cap, spend all 25 iterations and fall back
+    # (two pairs of two factorizations)
+    calls = []
+    real = operators.splu
+    monkeypatch.setattr(operators, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    scen, u0 = _fast_flow(100.0, scale, nsteps=nsteps)
+    traj, _ = run(scen.cfg, u0, scen.b0, scen.trace)
+    assert len(calls) == factored
+    assert [r.picard_iterations for r in traj.reports] == picard
+    assert [r.outer_iterations for r in traj.reports] == outer
+
+
 def test_step_fails_when_the_pair_does_not_contract_either():
     # Courant 26 at Rm = 1: neither the chord nor the pair at u^n contracts
     scen, u0 = _fast_flow(1.0, 64, nsteps=1)

@@ -13,13 +13,17 @@ from mhd2d.geometry import (
     all_finite,
     convect,
     convect_halves,
+    convect_interior,
     divergence,
+    face_halves,
     gradient,
     identity_residuals,
+    induction_interior,
     inner,
     l2_norm_sq,
     laplacian,
     transported_half,
+    wall_rows,
 )
 
 
@@ -209,6 +213,29 @@ def test_prepared_convect_halves_equal_convect_bit_for_bit(rng):
     got, want = convect(fixed_a, fixed_f), _convect_flux_by_flux(fixed_a, fixed_f, VectorBC.zero(g))
     assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
     assert all(np.array_equal(x, y) for x, y in zip(a_half + f_half[1:], kept))
+
+
+def test_induction_interior_equals_the_two_convect_difference(rng):
+    # the corner-EMF form drops the normal-flux products, which cancel in the
+    # difference; b and u both carry an O(1) divergence, so both correction
+    # terms count, and the walls carry nonzero boundary data
+    g = Grid(12, 10)
+    rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
+                               rng.standard_normal(g.shape_yface()))
+    fbc = VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+    for _ in range(3):
+        b, u = rand(), rand()
+        assert np.abs(divergence(b).values).max() > 1.0 and np.abs(divergence(u).values).max() > 1.0
+        a, t = face_halves(u, wall_rows(g))
+        ab, tb = face_halves(b, wall_rows(g, fbc))
+        (sx, sy), (tx, ty) = convect_interior(ab, t), convect_interior(a, tb)
+        walls = wall_rows(g, fbc)
+        got_x, got_y = induction_interior(b, walls, a, t)
+        scale = np.sqrt(np.sum((sx - tx) ** 2) + np.sum((sy - ty) ** 2))
+        err = np.sqrt(np.sum((got_x - (sx - tx)) ** 2) + np.sum((got_y - (sy - ty)) ** 2))
+        assert err <= 1e-13 * scale
+        # b's corner averages are written into the walls as face_halves writes them
+        assert np.array_equal(walls[0], tb.f1y) and np.array_equal(walls[1], tb.f2x)
 
 
 def _smooth_pair(grid):
