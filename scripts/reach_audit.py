@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print ``file:line qualname`` of each ``def`` in ``src/mhd2d`` that no entry point
-calls, then ``file:line Class.field`` of each field that no code reads.
+calls, then ``file:line Class.field`` of each field that no code reads, then
+``file:line qualname(parameter)`` of each default that no caller changes.
 
 The entry points run at small grids, under ``sys.setprofile``: ``mhd2d run``
 with checkpoints and a restart, a Galerkin run, ``mhd2d basis`` twice (the full
@@ -11,8 +12,18 @@ What is left should be error paths and test oracles.
 The field pass covers every dataclass and ``NamedTuple`` field in
 ``src/mhd2d`` and lists those that no ``.py`` file under ``src/``, ``tests/``,
 ``scripts/`` or ``perfbench/`` reads as ``.name``; a field read only by
-unpacking, iteration or a dataclass ``repr`` is listed too.  Usage:
-``PYTHONPATH=src python scripts/reach_audit.py``
+unpacking, iteration or a dataclass ``repr`` is listed too.
+
+The parameter pass lists each parameter with a default of a ``def``, or of a
+dataclass or ``NamedTuple`` field, in ``src/mhd2d`` that every call under
+``src/``, ``scripts/`` or ``perfbench/`` leaves at its default or sets to
+that same literal: a settable value with one value in use.  Calls are
+matched by name (``f(...)``, ``obj.f(...)``, a class by its name or by
+``cls(...)``), so a name that several defs share counts every call of it
+against each of them, and a call with ``*args`` or ``**kwargs`` sets every
+parameter.  Fields that code assigns as ``.name = ...`` or that default to
+a ``default_factory`` container hold state, not settings, and are skipped.
+Usage: ``PYTHONPATH=src python scripts/reach_audit.py``
 """
 
 import ast
@@ -29,6 +40,7 @@ SRC = ROOT / "src"
 BASE = "[grid]\nnx = 8\nny = 8\n[time]\ndt = 0.01\nT = {T}\n"
 RUN = BASE.format(T=0.1) + "[boundary]\nmodes = stream amp=0.15 env=cos p=2.0\n"
 INIT = "[initial]\nu = bump\nb = matched\n"
+AUDITED = ("src", "scripts", "perfbench")  # the callers of the parameter pass: not tests/
 
 
 def entry_points(d: Path):
@@ -83,27 +95,137 @@ def defs(node, prefix=""):
         yield from defs(child, prefix + child.name + ".")
 
 
-def fields(tree):
-    """(line, Class.field) of every annotated field of a dataclass or NamedTuple class."""
+def record_fields(tree):
+    """(class, [annotated field statements]) of every dataclass or NamedTuple class."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         marks = [ast.unparse(d) for d in cls.decorator_list + cls.bases]
         if any(m.startswith("dataclass") or m.endswith("NamedTuple") for m in marks):
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield stmt.lineno, f"{cls.name}.{stmt.target.id}"
+            yield cls, [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
 
 
-def attribute_reads():
-    """Every attribute name read as ``.name`` in the sources, tests, scripts and perfbench."""
-    reads = set()
-    for d in ("src", "tests", "scripts", "perfbench"):
+def fields(tree):
+    """(line, Class.field) of every annotated field of a dataclass or NamedTuple class."""
+    for cls, stmts in record_fields(tree):
+        for stmt in stmts:
+            yield stmt.lineno, f"{cls.name}.{stmt.target.id}"
+
+
+def signatures(tree, stored):
+    """(line, qualname, call name, parameters, defaults) of every def and every
+    dataclass or NamedTuple class under tree.  ``parameters`` are the names a
+    call can bind (not a method's self or cls) and ``defaults`` maps a name to
+    its default's AST.  A class is called by its name: its ``__init__`` or its
+    fields.  A field whose default is a ``default_factory`` container, or whose
+    name is in ``stored`` (assigned as ``.name = ...``), is state filled after
+    construction and has no default here.  Other dunders are called
+    implicitly and are skipped."""
+    for cls, stmts in record_fields(tree):
+        defaults = {}
+        for stmt in stmts:
+            factory = isinstance(stmt.value, ast.Call) and any(
+                k.arg == "default_factory" for k in stmt.value.keywords)
+            if stmt.value is not None and not factory and stmt.target.id not in stored:
+                defaults[stmt.target.id] = stmt.value
+        yield cls.lineno, cls.name, cls.name, [s.target.id for s in stmts], defaults
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = child.name
+            if name.startswith("__") and name != "__init__":
+                continue
+            args = child.args
+            params = args.posonlyargs + args.args
+            if isinstance(node, ast.ClassDef) and "staticmethod" not in map(ast.unparse, child.decorator_list):
+                params = params[1:]  # self or cls
+            positional = [a.arg for a in params]
+            defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            yield (child.lineno, f"{owner}.{name}" if owner else name,
+                   owner if name == "__init__" else name,
+                   positional + [a.arg for a in args.kwonlyargs], defaults)
+
+
+def literal(node):
+    """(True, value) of a literal AST, else (False, None)."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False, None
+
+
+def call_sites():
+    """Call name -> [(positional argument ASTs, {keyword: value AST}, has * or **)]
+    of every call under ``AUDITED``.  A call to a class also counts as a call
+    to each class it derives from there."""
+    calls, bases = {}, {}
+    for d in AUDITED:
+        for path in (ROOT / d).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            owner = {}  # a call of ``cls`` in a class body calls that class
+            for c in ast.walk(tree):
+                if isinstance(c, ast.ClassDef):
+                    owner.update((id(n), c.name) for n in ast.walk(c))
+                    bases[c.name] = [ast.unparse(b).split(".")[-1] for b in c.bases]
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Call):
+                    name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                    if name == "cls":
+                        name = owner.get(id(n))
+                    star = any(isinstance(a, ast.Starred) for a in n.args) or any(k.arg is None for k in n.keywords)
+                    calls.setdefault(name, []).append((n.args, {k.arg: k.value for k in n.keywords}, star))
+
+    def ancestors(name):
+        return [a for b in bases.get(name, []) if b in bases for a in [b] + ancestors(b)]
+
+    for name in list(bases):
+        for base in ancestors(name):
+            calls.setdefault(base, []).extend(calls.get(name, []))
+    return calls
+
+
+def held_defaults(params, defaults, sites):
+    """Each defaulted parameter that every call in sites leaves at its default
+    or sets to that same literal; a call with * or ** sets every parameter."""
+    for p, default in defaults.items():
+        want = literal(default)
+
+        def same(args, keywords, star):
+            i = params.index(p)
+            arg = keywords.get(p, args[i] if i < len(args) else None)
+            if star or arg is None:
+                return not star
+            got = literal(arg)
+            return want[0] and got == want and type(got[1]) is type(want[1])  # 1 is not 1.0
+
+        if all(same(*site) for site in sites):
+            yield p
+
+
+def held_parameters():
+    """``file:line qualname(parameter) (default)`` of each defaulted parameter
+    in ``src/mhd2d`` that no call under ``AUDITED`` sets to another value."""
+    calls, stored = call_sites(), attribute_names(AUDITED, ast.Store)
+    for path in sorted((SRC / "mhd2d").glob("*.py")):
+        sigs = sorted(signatures(ast.parse(path.read_text()), stored), key=lambda sig: sig[0])
+        for line, qualname, name, params, defaults in sigs:
+            for p in held_defaults(params, defaults, calls.get(name, [])):
+                yield f"{path.relative_to(ROOT)}:{line} {qualname}({p}) (default)"
+
+
+def attribute_names(dirs, ctx):
+    """Every attribute name read (ctx ``ast.Load``) or assigned (``ast.Store``)
+    as ``.name`` in the ``.py`` files under dirs."""
+    names = set()
+    for d in dirs:
         # this script's own AST walks read ``.id``, ``.attr`` and the like
         for path in set((ROOT / d).rglob("*.py")) - {Path(__file__).resolve()}:
-            reads.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
-                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-    return reads
+            names.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ctx))
+    return names
 
 
 if __name__ == "__main__":
@@ -119,8 +241,10 @@ if __name__ == "__main__":
         for line, name in defs(ast.parse(path.read_text())):
             if (str(path), line) not in seen:
                 print(f"{path.relative_to(ROOT)}:{line} {name}")
-    reads = attribute_reads()
+    reads = attribute_names(("src", "tests", "scripts", "perfbench"), ast.Load)
     for path in sorted((SRC / "mhd2d").glob("*.py")):
         for line, name in fields(ast.parse(path.read_text())):
             if name.split(".")[1] not in reads:
                 print(f"{path.relative_to(ROOT)}:{line} {name} (field)")
+    for line in held_parameters():
+        print(line)

@@ -212,11 +212,12 @@ class SimState:
 @dataclass
 class StepReport:
     """Solver health of one magnetic or coupled step.  A magnetic step fills
-    the Picard fields only.  A coupled step sums the Picard iterations (an
-    iterate redone on the transport pair counts the stalled chord's too, up
-    to the iteration at which its residual stopped falling or the cap) and
-    takes the largest contraction ratio over its outer iterates, of the
-    pair's loop where it fell back; the Picard residual and
+    the Picard fields only.  A coupled step sums the Picard iterations of
+    every magnetic step it made (an iterate redone on the transport pair
+    counts the stalled chord's too, up to the iteration at which its
+    residual stopped falling or the cap; the pair's own report counts only
+    the pair's) and takes the largest contraction ratio over its outer
+    iterates, of the pair's loop where it fell back; the Picard residual and
     ``picard_converged`` are the last iterate's."""
 
     dt: float
@@ -533,10 +534,11 @@ class Stepper:
         boundary = operator.boundary(bc)
 
         b_reports = []  # one per outer iterate
+        stalled_iterations = 0  # Picard iterations of the chords that stalled
 
         def iterate(ub, b_start, max_iter=PICARD_MAX_ITER):
             """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
-            nonlocal operator, boundary
+            nonlocal operator, boundary, stalled_iterations
             halves = face_halves(ub, ubar_walls)
             kw = dict(bc=bc, fb=fb, b_start=b_start, u_frozen_halves=halves, max_iter=max_iter)
             b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
@@ -546,9 +548,9 @@ class Stepper:
                 # stalled, or contracted too slowly for the cap): the rest
                 # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
                 operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
-                boundary, spent = operator.boundary(bc), rep.picard_iterations
+                boundary = operator.boundary(bc)
+                stalled_iterations += rep.picard_iterations
                 b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
-                rep.picard_iterations += spent
                 stalled = not rep.picard_converged
             if stalled and rep.contraction_ratio >= 1.0:
                 ratio = rep.contraction_ratio
@@ -616,9 +618,9 @@ class Stepper:
         self.b_iterates = (t_next, b_last, b_hat)
         report = StepReport(
             dt=cfg.dt,
-            # over all outer iterates: a warm-started last one alone often
-            # takes one or two iterations at ratio 0
-            picard_iterations=sum(r.picard_iterations for r in b_reports),
+            # over all outer iterates and stalled chords: a warm-started
+            # last iterate alone often takes one or two iterations at ratio 0
+            picard_iterations=stalled_iterations + sum(r.picard_iterations for r in b_reports),
             picard_residual=b_reports[-1].picard_residual,
             contraction_ratio=max(r.contraction_ratio for r in b_reports),
             picard_converged=b_reports[-1].picard_converged,

@@ -238,15 +238,15 @@ def weak_energy_residual(ledger: EnergyLedger, c: float):
     )
 
 
-def calibrate_weak_energy(ledger: EnergyLedger, skip=2):
+def calibrate_weak_energy(ledger: EnergyLedger):
     """Smallest constant making the differential inequality hold on this run.
 
-    The first few instants are excluded: one-sided time derivatives and the
+    The first two instants are excluded: one-sided time derivatives and the
     initial layer of the implicit scheme would otherwise dominate.
     """
     t, e, diss, h2, h4, dth2 = _weak_parts(ledger)
-    num = (_time_difference(e, t, np.arange(len(t))) + diss)[skip:]
-    den = (h4 * e + h2 + dth2 + h4)[skip:]
+    num = (_time_difference(e, t, np.arange(len(t))) + diss)[2:]
+    den = (h4 * e + h2 + dth2 + h4)[2:]
     return sharp_constant(num, den, 1e-14 * (1.0 + np.max(e)))
 
 
@@ -298,10 +298,12 @@ def strong_energy(ledger: EnergyLedger, c: float) -> tuple[np.ndarray, GronwallB
     return margins, GronwallBound(times=t, bound=bound, trajectory=trajectory, k_series=k)
 
 
-def calibrate_strong_energy(ledger: EnergyLedger, skip=3):
+def calibrate_strong_energy(ledger: EnergyLedger):
+    """The strong inequality's counterpart of ``calibrate_weak_energy``, without
+    the first three instants."""
     t, e1, d2, low, h4, h32 = _strong_parts(ledger)
-    num = (_time_difference(e1, t, np.arange(len(t))) + d2)[skip:]
-    den = (low * e1 * e1 + low * h4 + h32)[skip:]
+    num = (_time_difference(e1, t, np.arange(len(t))) + d2)[3:]
+    den = (low * e1 * e1 + low * h4 + h32)[3:]
     return sharp_constant(num, den, 1e-14 * (1.0 + np.max(e1)))
 
 
@@ -365,20 +367,15 @@ def absorbing_radii(
     return AbsorbingRadii(rho0, rho1, t0, t0 + 1.0)
 
 
-def normality_eta(times, norm_series, eps, power=2.0, candidates=None):
-    """Largest dyadic window width with sup_t int_t^{t+eta} ||g||^power <= eps."""
+def normality_eta(times, norm_series, eps):
+    """Largest dyadic window width with sup_t int_t^{t+eta} ||g||^2 <= eps."""
     t = np.asarray(times)
-    y = np.asarray(norm_series) ** power
-    horizon = t[-1] - t[0]
-    if candidates is None:
-        candidates = []
-        w = horizon
-        while w > (t[1] - t[0]) if len(t) > 1 else 0:
-            candidates.append(w)
-            w /= 2.0
-    for w in candidates:
+    y = np.asarray(norm_series) ** 2.0
+    w = t[-1] - t[0]
+    while w > (t[1] - t[0]) if len(t) > 1 else 0:
         if window_sup(t, y, w) <= eps:
             return float(w)
+        w /= 2.0
     return 0.0
 
 

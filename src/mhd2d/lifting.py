@@ -52,10 +52,9 @@ SUPPORTED_EXPONENTS = (-0.5, 0.0, 0.5, 1.5)
 
 @dataclass(frozen=True)
 class FractionalNormSpec:
-    """Exponent and Fourier truncation for a trace-space norm."""
+    """Exponent of a trace-space norm; its Fourier sum runs to Nyquist."""
 
     s: float
-    truncation: int | None = None
 
     def __post_init__(self):
         if self.s not in SUPPORTED_EXPONENTS:
@@ -137,7 +136,7 @@ class BoundaryTrace:
                     vals = np.zeros_like(self.samples)
                 else:
                     vals = _time_difference(self.samples, self.times, i)
-                series[i] = _hs_norm_sq_samples(vals, spec.s, spec.truncation)
+                series[i] = _hs_norm_sq_samples(vals, spec.s)
             series.flags.writeable = False
             self._norm_sq[(spec, dt)] = series
         return series
@@ -242,27 +241,24 @@ def cumtrapz(y, t):
 _SERIES_BLOCK = 256
 
 
-def _hs_norm_sq_samples(samples, s, truncation=None):
-    """Squared H^s norm of trace values (..., N, 2), one per leading index.
+def _hs_norm_sq_samples(samples, s):
+    """Squared H^s norm of trace values (..., N, 2), one per leading index,
+    summed over the Fourier modes up to Nyquist.
 
     A batch gives the same bits as one instant at a time: numpy sums a
     contiguous row pairwise, a strided one in sequence.
     """
     n = samples.shape[-2]
-    if truncation is None:
-        truncation = n // 2
-    if truncation > n // 2:
-        raise ValueError(f"truncation {truncation} exceeds Nyquist {n // 2}")
-    kk = np.arange(truncation + 1)
+    kk = np.arange(n // 2 + 1)
     kappa = 2.0 * np.pi * kk / 4.0
     mult = (1.0 + kappa**2) ** s
-    weights = np.full(truncation + 1, 2.0)
+    weights = np.full(n // 2 + 1, 2.0)
     weights[0] = 1.0
-    if 2 * truncation == n:
+    if n % 2 == 0:
         weights[-1] = 1.0
     # components first, so that each rfft and each sum runs over a contiguous row
     rows = np.ascontiguousarray(np.swapaxes(samples, -1, -2))
-    c = np.fft.rfft(rows, axis=-1)[..., : truncation + 1] / n
+    c = np.fft.rfft(rows, axis=-1) / n
     per_comp = np.sum(weights * mult * np.abs(c) ** 2, axis=-1)
     return 4.0 * per_comp[..., 0] + 4.0 * per_comp[..., 1]
 
@@ -551,16 +547,10 @@ def heat_step(b: VectorField, dt: float, bc: VectorBC, kappa: float) -> VectorFi
     return dirichlet_heat(b.grid, 1.0 / dt, kappa).solve(b.x / dt, b.y / dt, bc)
 
 
-def parabolic_lift(
-    b0: VectorField,
-    trace: BoundaryTrace,
-    dt: float,
-    horizon: float,
-    kappa: float = 1.0,
-) -> ParabolicRun:
-    """Implicit-Euler heat flow with the trace as Dirichlet data; initial
-    data whose normal trace does not match the trace at t=0 raise
-    CompatibilityError."""
+def parabolic_lift(b0: VectorField, trace: BoundaryTrace, dt: float, horizon: float) -> ParabolicRun:
+    """Implicit-Euler heat flow (unit diffusivity) with the trace as Dirichlet
+    data; initial data whose normal trace does not match the trace at t=0
+    raise CompatibilityError."""
     res, _, ok = check_compatibility_trace(b0, trace)
     if not ok:
         raise CompatibilityError(f"initial data does not match trace at t=0 (residual {res:.3e})")
@@ -576,7 +566,7 @@ def parabolic_lift(
     for k, t in enumerate(times):
         if k:
             bc = trace.vector_bc(t)
-            cur = heat_step(cur, dt, bc, kappa)
+            cur = heat_step(cur, dt, bc, 1.0)
         l2s.append(l2_norm_sq(cur))
         grads.append(grad_norm_sq(cur, bc))
         laps.append(l2_norm_sq(apply_lap_mirror(cur, bc)))

@@ -111,7 +111,7 @@ class TransportOperator:
 
     Assembled on the interior faces only (A_II, stored as the canonical CSC
     ``matrix``); the couplings to the wall faces, which carry the normal
-    Dirichlet data, go to the right-hand side (``rhs_boundary``).  A zero
+    Dirichlet data, go to the right-hand side (``boundary``).  A zero
     ``a`` gives the heat operator that ``DirichletHeat`` solves in closed
     form.  A build factors A_II with SuperLU in the symmetric minimum-degree
     order of A + A^T, pivoting on the diagonal unless it falls below
@@ -186,7 +186,7 @@ class TransportOperator:
         # addition, so the sum does not depend on the order of the two
         n_lo, n_hi, t_lo, t_hi = n_lo - cm, n_hi + cp, t_lo - tm, t_hi + tp
         # the normal neighbours of the first and last interior lines are
-        # wall faces: their couplings multiply the data in rhs_boundary
+        # wall faces: their couplings multiply the data in self.boundary
         if self.comp == "x":
             self._wall_lo, self._wall_hi = n_lo[0, :], n_hi[-1, :]
         else:
@@ -221,15 +221,14 @@ class TransportOperator:
             raise SolverFailure(f"transport operator factorization failed: {exc}")
         self._lu = lu
 
-    def rhs_boundary(self, bc: VectorBC):
+    def boundary(self, bc: VectorBC):
         """The Dirichlet data of ``bc`` on the full face array.
 
         The wall faces hold the normal data; each interior face holds what
         its couplings to the data (wall faces and mirror ghosts) contribute
-        to its right-hand side, so  A_II u_I = f_I + rhs_boundary(bc)_I.
+        to its right-hand side, so  A_II u_I = f_I + boundary(bc)_I.
         Prepare it once per boundary instant and pass it to every ``solve``
-        with that data; ``boundary`` is the same method under
-        ``DirichletHeat``'s name.
+        with that data, as with ``DirichletHeat.boundary``.
         """
         g = self.grid
         dx, dy = g.dx, g.dy
@@ -258,8 +257,6 @@ class TransportOperator:
             r[:, 1] -= self._wall_lo * bc.y_bottom
             r[:, -2] -= self._wall_hi * bc.y_top
         return r
-
-    boundary = rhs_boundary
 
     def solve(self, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Solve for the full component array.
@@ -309,7 +306,7 @@ class DirichletHeat:
     1964).  The data enters as kappa*Lap of the field that holds it on the
     walls and is zero inside: kappa*g/h**2 in the first and last interior rows
     and the mirror terms 2*kappa*g/h**2 in the wall-adjacent columns, the
-    interior of a zero-velocity ``TransportOperator.rhs_boundary``.  It
+    interior of a zero-velocity ``TransportOperator.boundary``.  It
     agrees with that operator's solve to round-off.  ``boundary`` prepares
     that term once per boundary instant, and ``solve_interior`` makes the
     two separable solves and writes the data into the wall faces; ``solve``

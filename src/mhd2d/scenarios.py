@@ -37,8 +37,8 @@ def stream_bump(grid: Grid, amp: float, kx: int = 1, ky: int = 1) -> VectorField
     return VectorField.from_stream(grid, psi)
 
 
-def trace_times(cfg: SolverConfig, pad: float = 0.0):
-    n = int(round((cfg.t_final + pad) / cfg.dt))
+def trace_times(cfg: SolverConfig):
+    n = int(round(cfg.t_final / cfg.dt))
     return np.arange(n + 1) * cfg.dt
 
 
@@ -55,13 +55,13 @@ _BOUNDARY_SETS = {
 }
 
 
-def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, pad=0.0, **cfg_over) -> Scenario:
+def make_scenario(sid: str, nx=32, dt=2e-3, t_final=1.0, **cfg_over) -> Scenario:
     """Instantiate a named scenario; cfg_over tweaks SolverConfig fields."""
     base = dict(nx=nx, ny=nx, dt=dt, t_final=t_final)
     base.update(cfg_over)
     cfg = SolverConfig(**base)
     grid = cfg.grid()
-    tt = trace_times(cfg, pad)
+    tt = trace_times(cfg)
 
     if sid == "decay":
         modes = _BOUNDARY_SETS["none"]

@@ -39,7 +39,7 @@ from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
 from mhd2d.operators import DirichletHeat, NeumannPoisson, StokesSaddle, TransportPair, dirichlet_heat
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
-from mhd2d.verify import _mms_case, _mms_scenario
+from mhd2d.verify import _FactoredStepper, _mms_case, _mms_scenario
 
 DT = 1e-3
 
@@ -630,13 +630,6 @@ def test_run_factors_no_sparse_matrix(monkeypatch):
     assert calls == []
 
 
-class _PairStepper(Stepper):
-    """Every magnetic step on the transport pair factored at its u^n."""
-
-    def magnetic_operator(self, u_n):
-        return _pair(self, u_n)
-
-
 def _fast_flow(rm, scale, nsteps=3):
     """calib-osc at 32^2, dt = 8e-3, with its initial velocity scaled: cell
     Courant number 0.4 * scale, where the lagged transport is large."""
@@ -657,7 +650,7 @@ def test_stalled_heat_chord_falls_back_to_the_pair_at_u_n(monkeypatch, scale):
     traj, _ = run(scen.cfg, u0, scen.b0, scen.trace)
     assert calls and all(r.picard_converged for r in traj.reports)
     state = SimState(0.0, u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
-    st = _PairStepper(scen.cfg, scen.trace)
+    st = _FactoredStepper(scen.cfg, scen.trace)
     for _ in traj.reports:
         state, _ = st.coupled_step(state)
     got, want = traj.final_state.b, state.b
@@ -685,6 +678,19 @@ def test_stalling_chord_stops_at_its_first_growing_residual(monkeypatch):
     for rep in stalled:
         assert rep.picard_iterations < dynamics.PICARD_MAX_ITER and rep.contraction_ratio >= 1.0
     assert traj.reports[0].picard_converged
+
+
+def test_fallback_step_counts_each_b_step_report_once(monkeypatch):
+    # Courant 6.4 at Rm = 100: a chord stalls and its iterate is redone on
+    # the pair; the reports b_step returned, the stalled chord's among them,
+    # sum to the step's Picard count, and the pair's report is left as returned
+    reports = []
+    _collect_b_steps(monkeypatch, reports)
+    scen, u0 = _fast_flow(100.0, 16, nsteps=1)
+    st = Stepper(scen.cfg, scen.trace)
+    _, rep = st.coupled_step(SimState(0.0, u0, scen.b0, ScalarField.zeros(scen.cfg.grid())))
+    assert len(reports) > rep.outer_iterations  # at least one iterate fell back
+    assert rep.picard_iterations == sum(r.picard_iterations for r in reports) == 138
 
 
 @pytest.mark.parametrize("scale, nsteps, picard, outer, factored", [

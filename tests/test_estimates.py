@@ -186,7 +186,7 @@ def test_normality_eta():
     # pulse train: compare against an exhaustive scan
     pulses = (np.sin(4 * np.pi * t) ** 20)
     eps = 0.02
-    eta = normality_eta(t, pulses, eps, power=2.0)
+    eta = normality_eta(t, pulses, eps)
     y = pulses**2
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
 

@@ -97,7 +97,7 @@ def test_transport_operator_matches_stencils(rng):
         inner_faces = _interior(comp)
         arr = getattr(f, comp)
         # A_II u_I minus the couplings to the data
-        action = op.matrix @ arr[inner_faces].ravel() - op.rhs_boundary(bc)[inner_faces].ravel()
+        action = op.matrix @ arr[inner_faces].ravel() - op.boundary(bc)[inner_faces].ravel()
         expect = (arr / dt - kappa * getattr(lap, comp) + getattr(adv, comp))[inner_faces]
         assert np.max(np.abs(action - expect.ravel())) < 1e-10 * (1.0 / dt)
 
@@ -115,8 +115,8 @@ def test_transport_solve_round_trip(rng):
     # the wall faces carry the Dirichlet data exactly
     assert np.array_equal(sol[0, :], bc.x_left)
     assert np.array_equal(sol[-1, :], np.zeros(g.ny))
-    # and the interior solves A_II u_I = f_I + rhs_boundary(bc)_I
-    expect = (rhs + op.rhs_boundary(bc))[1:-1, :].ravel()
+    # and the interior solves A_II u_I = f_I + boundary(bc)_I
+    expect = (rhs + op.boundary(bc))[1:-1, :].ravel()
     assert np.max(np.abs(op.matrix @ sol[1:-1, :].ravel() - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -150,12 +150,12 @@ def test_transport_solve_equals_default_order_factorization(rng, comp, advect, i
     for _ in range(3):
         rhs = rng.standard_normal(op.shape)
         given = rhs.copy()
-        ref = lu.solve((rhs + op.rhs_boundary(bc))[inner_faces].ravel())
+        ref = lu.solve((rhs + op.boundary(bc))[inner_faces].ravel())
         got = op.solve(rhs[inner_faces], boundary)
         assert np.array_equal(got[inner_faces].ravel(), ref)
         walls = np.ones(op.shape, dtype=bool)
         walls[inner_faces] = False
-        assert np.array_equal(got[walls], op.rhs_boundary(bc)[walls])  # the data itself
+        assert np.array_equal(got[walls], op.boundary(bc)[walls])  # the data itself
         assert np.array_equal(rhs, given)  # the caller's right-hand side is not touched
     assert all(np.array_equal(b, k) for b, k in zip(boundary, kept))
 
