@@ -40,7 +40,10 @@ until successive velocity iterates agree.
 ``Stepper.coupled_step`` is the one caller of the two sub-steps and owns
 what they share: it looks up the boundary data and the body forces at the
 new time once per step (the ledger row after the step reuses that boundary
-data), and recovers the pressure once, from the accepted iterate.  What a
+data), and keeps the accepted iterate's velocity force.  The next step
+does not read the pressure, so a step leaves p unset: ``Stepper.pressure``
+recovers it from that force, and ``run`` calls it only for the states it
+outputs (checkpoints, kept states and the final state).  What a
 step holds fixed is prepared once: once per coupled step, u^n's half of the
 velocity transport and the magnetic operator's Dirichlet data
 (``DirichletHeat.boundary``: kappa*Lap of the wall data);
@@ -59,11 +62,12 @@ arrays (``geometry.norm_sq``).  The pair's loop and the norms repeat the
 whole-field formulas operation for operation, bit for bit; the induction
 term leaves out the cancelling products and so moves results by round-off.
 Fields inside a step are built without a finiteness scan
-(``geometry.VectorField._unchecked``).  The accepted (u, b, p) is scanned
-once, and a Picard or outer residual that is NaN or infinite ends the step
-at once; either raises ``StepFailure``.  The Picard and outer loops run
-with numpy's overflow and invalid-value warnings off, since every such
-value ends in one of these two checks.
+(``geometry.VectorField._unchecked``).  The accepted (u, b) is scanned
+once, a recovered p once, and a Picard or outer residual that is NaN or
+infinite ends the step at once; each raises ``StepFailure``, which ``run``
+extends with the 1-based index of the step.  The Picard and outer loops and
+the pressure recovery run with numpy's overflow and invalid-value warnings
+off, since every such value ends in one of these checks.
 """
 
 from __future__ import annotations
@@ -104,7 +108,6 @@ from .lifting import (
     BoundaryTrace,
     boundary_l2_norm,
     check_compatibility_trace,
-    harmonic_extend_bc,
     heat_step,
     normal_trace,
 )
@@ -203,10 +206,13 @@ class SolverConfig:
 
 @dataclass
 class SimState:
+    """The state at t.  A coupled step leaves p None; ``Stepper.pressure``
+    recovers it, and every state that ``run`` outputs carries it."""
+
     t: float
     u: VectorField
     b: VectorField
-    p: ScalarField
+    p: ScalarField | None
 
 
 @dataclass
@@ -317,6 +323,8 @@ class Stepper:
         # (t, b^(n-1)_hat, b^n_hat): the last two accepted magnetic iterates
         # before cleaning, the second one taken at t
         self.b_iterates: tuple | None = None
+        # (t, the velocity force of the iterate the step to t accepted)
+        self.force: tuple | None = None
 
     def vector_bc(self, t) -> VectorBC:
         """Boundary data at t.  The latest instant is kept, so a coupled step
@@ -476,8 +484,8 @@ class Stepper:
         transport by the advecting velocity and the Lorentz force of
         ``b_frozen`` lagged.
 
-        Returns (u_new, f), where f is the step's right-hand side;
-        ``self.pressure(f, u_new)`` recovers p from it.  ``bc`` is the
+        Returns (u_new, f), where f is the step's right-hand side, from
+        which ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``bc`` is the
         magnetic boundary data and ``fu`` the velocity body force at the new
         time (None: no force).  ``u_advect_half`` is the advecting velocity's
         ``advecting_half``, which the outer iterate shares with its magnetic
@@ -506,16 +514,29 @@ class Stepper:
             u_new = VectorField._unchecked(self.grid, ux, uy)
         return u_new, force
 
-    def pressure(self, force: VectorField, u_new: VectorField) -> ScalarField:
-        """The mean-zero pressure of a velocity step with right-hand side
-        ``force`` and solution ``u_new`` (zero under a Galerkin truncation)."""
+    def pressure(self, state: SimState) -> ScalarField:
+        """The mean-zero pressure of ``state``, the latest state a coupled step
+        accepted (zero under a Galerkin truncation), from the velocity force
+        that step kept and ``state.u``.  This is its finiteness scan: a
+        non-finite p raises ``StepFailure`` at state.t."""
+        if self.force is None or self.force[0] != state.t:
+            raise ValueError(f"no accepted step at t={state.t!r} to recover the pressure of")
         if self.saddle is None:
-            return ScalarField.zeros(self.grid)
-        return self.saddle.pressure(force.x, force.y, u_new)
+            p = ScalarField.zeros(self.grid)
+        else:
+            force = self.force[1]
+            with np.errstate(over="ignore", invalid="ignore"):  # the scan below reports it
+                p = self.saddle.pressure(force.x, force.y, state.u)
+        if not all_finite(p):
+            raise StepFailure("the recovered pressure holds non-finite values", t=state.t)
+        return p
 
     # -- coupled step ------------------------------------------------------------
 
     def coupled_step(self, state: SimState):
+        """Advance ``state`` by dt: (the new state, its StepReport).  The new
+        state's p is None; the step keeps its accepted iterate's velocity
+        force, from which ``self.pressure`` recovers p."""
         cfg = self.cfg
         ubar = state.u
         history = []
@@ -604,7 +625,6 @@ class Stepper:
                         t=t_next,
                         detail={"residual_history": history},
                     )
-        p_new = self.pressure(force, u_new)  # of the accepted iterate only
 
         b_hat = b_new  # carried uncleaned
         div_before = float(np.max(np.abs(divergence(b_new).values)))
@@ -613,9 +633,10 @@ class Stepper:
             b_new, _ = project_divfree(b_new, self.poisson)
             cleaned = True
         # the step's one finiteness scan: internal fields are built unchecked
-        if not all_finite(u_new, b_new, p_new):
+        if not all_finite(u_new, b_new):
             raise StepFailure("the accepted step holds non-finite values", t=t_next)
         self.b_iterates = (t_next, b_last, b_hat)
+        self.force = (t_next, force)
         report = StepReport(
             dt=cfg.dt,
             # over all outer iterates and stalled chords: a warm-started
@@ -629,7 +650,7 @@ class Stepper:
             div_b_before_clean=div_before,
             cleaned=cleaned,
         )
-        return SimState(t_next, u_new, b_new, p_new), report
+        return SimState(t_next, u_new, b_new, None), report
 
 
 # --- trajectories and the run loop --------------------------------------------
@@ -660,6 +681,10 @@ def run(
     re-initialized from b(t0) (each continuation window carries its own
     lift).  ``restart`` seeds the carried magnetic iterates (a restart
     passes the ones its checkpoint recorded, so it continues bit for bit).
+    The pressure is recovered once for each state the run outputs: each
+    checkpoint, each kept state and the final state.  A ``StepFailure`` in
+    a step or in a pressure recovery names the step: its message starts
+    with the 1-based step index, which ``detail["step"]`` holds.
     Returns (Trajectory, EnergyLedger).
     """
     stepper = Stepper(cfg, trace, basis=basis, forcing=forcing)  # validates cfg
@@ -673,27 +698,30 @@ def run(
     state = SimState(t0, u0.copy(), b0.copy(), p0.copy() if p0 else ScalarField.zeros(grid))
     ledger = EnergyLedger(strong=cfg.strong_mode)
     h_p = b0.copy() if cfg.strong_mode else None
-
-    def _record(st, bc):
-        h_e = harmonic_extend_bc(grid, bc)
-        record(ledger, st.t, st.u, st.b, trace, h_e, h_p, stepper.poisson, bc=bc)
-
-    _record(state, stepper.vector_bc(state.t))
+    record(ledger, t0, state.u, state.b, trace, h_p, stepper.poisson, bc=stepper.vector_bc(t0))
     times = [t0]
     reports = []
     states = [SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy())] if cfg.keep_states else None
     nsteps = int(round((cfg.t_final - t0) / cfg.dt))
     for k in range(nsteps):
-        state, rep = stepper.coupled_step(state)
+        checkpoint = cfg.checkpoint_every and (k + 1) % cfg.checkpoint_every == 0 and cfg.checkpoint_dir
+        try:
+            state, rep = stepper.coupled_step(state)
+            if checkpoint or states is not None or k == nsteps - 1:
+                state.p = stepper.pressure(state)
+        except StepFailure as err:
+            err.detail = {**(err.detail or {}), "step": k + 1}
+            err.args = (f"step {k + 1}: {err}",)
+            raise
         bc = stepper.vector_bc(state.t)  # the step's own lookup
         if cfg.strong_mode:
             h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
-        _record(state, bc)
+        record(ledger, state.t, state.u, state.b, trace, h_p, stepper.poisson, bc=bc)
         times.append(state.t)
         reports.append(rep)
         if states is not None:
             states.append(SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy()))
-        if cfg.checkpoint_every and (k + 1) % cfg.checkpoint_every == 0 and cfg.checkpoint_dir:
+        if checkpoint:
             path = os.path.join(cfg.checkpoint_dir, f"ckpt_{k + 1:06d}.mhdckpt")
             write_checkpoint(path, state, cfg, trace, stepper.restart(state))
     return Trajectory(times, state, reports, states, stepper.restart(state)), ledger

@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .ioutil import atomic_write_text
 from .lifting import BoundaryTrace, FractionalNormSpec, _time_difference, cumtrapz, hs_norm, hs_norm_dt
-from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, stokes_apply
+from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, dirichlet_heat, stokes_apply
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -144,15 +144,20 @@ def record(
     u: VectorField,
     b: VectorField,
     trace: BoundaryTrace,
-    h_e: VectorField,
     h_p: VectorField | None = None,
     poisson: NeumannPoisson | None = None,
     *,
     bc: VectorBC,
 ):
-    """Compute one ledger row from the instantaneous state, its lifts and
-    ``bc``, the boundary data at t."""
-    btilde = b - h_e
+    """Compute one ledger row from the instantaneous state, the parabolic
+    lift h_p (strong rows) and ``bc``, the boundary data at t.
+
+    The lifted field btilde = b - h_e, with h_e the harmonic extension of
+    ``bc``, enters only through its two norms, which the harmonic
+    operator gives in closed form (``DirichletHeat.lift_energies``)
+    without forming h_e.
+    """
+    btilde_sq, grad_btilde_sq = dirichlet_heat(b.grid, 0.0, 1.0).lift_energies(b, bc)
     b_sq = l2_norm_sq(b)
     u_l4, u_linf = pointwise_norms(u)
     b_l4, b_linf = pointwise_norms(b)
@@ -162,8 +167,8 @@ def record(
         grad_u_L2_sq=grad_norm_sq(u),
         b_L2_sq=b_sq,
         b_H1_sq=b_sq + grad_norm_sq(b, bc),
-        btilde_L2_sq=l2_norm_sq(btilde),
-        grad_btilde_L2_sq=grad_norm_sq(btilde),
+        btilde_L2_sq=btilde_sq,
+        grad_btilde_L2_sq=grad_btilde_sq,
         u_L4=u_l4,
         b_L4=b_l4,
         u_Linf=u_linf,

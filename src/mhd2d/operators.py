@@ -310,7 +310,9 @@ class DirichletHeat:
     agrees with that operator's solve to round-off.  ``boundary`` prepares
     that term once per boundary instant, and ``solve_interior`` makes the
     two separable solves and writes the data into the wall faces; ``solve``
-    is the two together.  As the magnetic step's operator it advects nothing (``u_ref``
+    is the two together.  ``lift_energies`` gives the two norms of b less the
+    solution for zero right-hand side, in the same sines, without forming
+    that solution.  As the magnetic step's operator it advects nothing (``u_ref``
     None), so ``dynamics.Stepper.b_step`` lags all the transport.
     """
 
@@ -323,8 +325,10 @@ class DirichletHeat:
         qxm, lxm = dirichlet_modes(grid.nx, grid.dx, nodal=False)
         qyn, lyn = dirichlet_modes(grid.ny, grid.dy, nodal=True)
         qym, lym = dirichlet_modes(grid.ny, grid.dy, nodal=False)
-        self._x = (qxn, qym, 1.0 / (inv_dt + kappa * np.add.outer(lxn, lym)))
-        self._y = (qxm, qyn, 1.0 / (inv_dt + kappa * np.add.outer(lxm, lyn)))
+        # the eigenvalue sums of minus the Laplacian, kept for ``lift_energies``
+        self._lam = (np.add.outer(lxn, lym), np.add.outer(lxm, lyn))
+        self._x = (qxn, qym, 1.0 / (inv_dt + kappa * self._lam[0]))
+        self._y = (qxm, qyn, 1.0 / (inv_dt + kappa * self._lam[1]))
 
     def boundary(self, bc: VectorBC):
         """kappa*Lap of the Dirichlet data ``bc`` on the x and y interior
@@ -364,11 +368,45 @@ class DirichletHeat:
         out = self.solve_interior(fx[1:-1, :], fy[:, 1:-1], self.boundary(bc))
         return VectorField._unchecked(self.grid, *out)
 
+    def lift_energies(self, b: VectorField, bc: VectorBC):
+        """(||b - h||^2, ||grad(b - h)||^2), the ``l2_norm_sq`` and the
+        ``grad_norm_sq`` with zero wall values of b - h, where h is the
+        solution for zero right-hand side and the data ``bc``; h is not formed.
+
+        In each component's sines the interior of b - h has the coefficients
+        of b's interior faces less h's, the data term inv_lam * Q^T
+        boundary(bc) Q.  The norm sums their squares, and the Dirichlet
+        energy (on zero-trace fields <-Lap f, f>) their squares weighted by
+        the eigenvalue sums.  Where b's normal wall faces differ from bc by
+        e (initial data compatible only to within tolerance), the wall faces
+        add e^2/2 to the norm and (e^2 - 2 e d)/h^2 to the energy, d being
+        b - h on the interior face next to the wall.
+        """
+        g = self.grid
+        lx, ly, _ = self.boundary(bc)
+        (qxa, qxb, inv_x), (qya, qyb, inv_y) = self._x, self._y
+        cx = qxa.T @ b.x[1:-1, :] @ qxb - inv_x * (qxa.T @ lx @ qxb)
+        cy = qya.T @ b.y[:, 1:-1] @ qyb - inv_y * (qya.T @ ly @ qyb)
+        l2 = np.vdot(cx, cx) + np.vdot(cy, cy)
+        grad = np.vdot(self._lam[0], cx * cx) + np.vdot(self._lam[1], cy * cy)
+        # b's normal wall faces less the data, left and right, then bottom and top
+        ex = b.x[[0, -1]] - (bc.x_left, bc.x_right)
+        ey = b.y[:, [0, -1]].T - (bc.y_bottom, bc.y_top)
+        if ex.any() or ey.any():
+            dx_walls = qxa[[0, -1]] @ cx @ qxb.T  # b - h on the interior faces next to them
+            dy_walls = qyb[[0, -1]] @ cy.T @ qya.T
+            l2 += 0.5 * (np.vdot(ex, ex) + np.vdot(ey, ey))
+            grad += np.vdot(ex, ex - 2.0 * dx_walls) / g.dx**2
+            grad += np.vdot(ey, ey - 2.0 * dy_walls) / g.dy**2
+        w = g.dx * g.dy
+        return float(w * l2), float(w * grad)
+
 
 @lru_cache(maxsize=8)
 def dirichlet_heat(grid: Grid, inv_dt: float, kappa: float) -> DirichletHeat:
     """The memoized ``DirichletHeat``.  A run uses at most three keys: the
-    harmonic lift, the magnetic step (1/dt, 1/Rm) and the parabolic lift,
+    harmonic one (0, 1), whose ``lift_energies`` each ledger row reads, the
+    magnetic step (1/dt, 1/Rm) and the parabolic lift,
     whose key equals the magnetic step's when kappa = 1/Rm.  So the bound of
     8 never evicts."""
     return DirichletHeat(grid, inv_dt, kappa)

@@ -140,6 +140,20 @@ def test_main_non_finite_step_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert "solver failure:" in err and "non-finite" in err and "t=0.006" in err
 
 
+def test_main_step_failure_names_the_step(tmp_path, capsys, monkeypatch):
+    from mhd2d.dynamics import Forcing
+    from mhd2d.geometry import Grid, VectorField
+
+    g = Grid(16, 16)
+    huge = VectorField(g, np.full(g.shape_xface(), 1e300), np.full(g.shape_yface(), 1e300))
+    monkeypatch.setattr(Forcing, "b_at", lambda self, t: huge if t > 0.005 else None)
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    # dt = 1e-3: the step to t = 0.006 is the sixth
+    assert "solver failure: step 6: magnetic Picard residual is non-finite (at t=0.006)" in (
+        capsys.readouterr().err)
+
+
 def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
     # b = 0 has no normal trace, the boundary data do
     text = MINIMAL + "\n[boundary]\nmodes = stream amp=0.1 kx=1 ky=1\n\n[initial]\nb = zero\n"

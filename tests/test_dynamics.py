@@ -67,7 +67,8 @@ def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
     u_new, f = st.u_step(b_frozen, u_prev, u_advect_half=advecting_half(u_prev),
                          bc=trace.vector_bc(trace.times[0] + dt), fu=None,
                          u_prev_half=transported_half(u_prev))
-    return u_new, st.pressure(f, u_new)
+    p = ScalarField.zeros(st.grid) if st.saddle is None else st.saddle.pressure(f.x, f.y, u_new)
+    return u_new, p
 
 
 def _zero_trace(grid, T=0.05, dt=DT):
@@ -560,11 +561,13 @@ def test_carried_iterates_are_used_only_at_their_time():
     st = Stepper(scen.cfg, scen.trace)
     state0 = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
     once, _ = st.coupled_step(state0)
+    once.p = st.pressure(once)
     state = once
     for _ in range(2):
         state, _ = st.coupled_step(state)
     assert st.b_iterates[0] == state.t
     again, _ = st.coupled_step(state0)  # t = 0 does not match: reseeded with (b0, b0)
+    again.p = st.pressure(again)
     _assert_same_state(once, again)
 
 
@@ -787,17 +790,18 @@ def test_one_finiteness_scan_per_array_of_the_accepted_state(monkeypatch):
     monkeypatch.setattr(Stepper, "coupled_step", counted_step)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     assert sum(r.outer_iterations for r in traj.reports) > nsteps
-    # u.x, u.y, b.x, b.y and p once per step; nothing else in the run scans
-    assert per_step == [5] * nsteps
-    assert len(scans) == 5 * nsteps
+    # u.x, u.y, b.x and b.y once per step, and the final state's recovered
+    # p once; nothing else in the run scans
+    assert per_step == [4] * nsteps
+    assert len(scans) == 4 * nsteps + 1
 
 
 def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     # the benchmark's span tracer wraps entry points as this test does: a
     # class method on its class, and the module functions wherever a module
     # of the package holds them.  The magnetic solve is the heat operator's
-    # ``solve_interior`` on the magnetic step's key (the harmonic lift of
-    # each ledger row solves on its own key)
+    # ``solve_interior`` on the magnetic step's key (the ledger row takes the
+    # norms of b - h_e in closed form, and solves on no key)
     from mhd2d import estimates
 
     events = []
@@ -833,7 +837,7 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])
-def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
+def test_pressure_recovered_only_for_the_states_a_run_outputs(monkeypatch, tmp_path, mode):
     recoveries = []
     recover = StokesSaddle.pressure
     monkeypatch.setattr(StokesSaddle, "pressure",
@@ -841,22 +845,87 @@ def test_pressure_recovered_once_per_coupled_step(monkeypatch, mode):
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT, outer_mode=mode)
     # no cleaning, so the state's b is the one the velocity step saw
     monkeypatch.setattr(dynamics, "DIV_CLEAN_THRESHOLD", sys.float_info.max)
+    traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert len(traj.reports) == 4 and len(recoveries) == 1  # the final state's only
+    final = traj.final_state
+    assert abs(final.p.values.mean()) <= 1e-14 * np.max(np.abs(final.p.values))
+    # one per checkpoint; the last step's checkpoint and final state share one
+    recoveries.clear()
+    cfg = replace(scen.cfg, checkpoint_every=2, checkpoint_dir=str(tmp_path))
+    ckpt, _ = run(cfg, scen.u0, scen.b0, scen.trace)
+    assert len(recoveries) == 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ckpt_000002.mhdckpt", "ckpt_000004.mhdckpt"]
+    _assert_same_state(ckpt.final_state, final)
+    assert np.array_equal(read_checkpoint(tmp_path / "ckpt_000004.mhdckpt")["state"].p.values,
+                          final.p.values)
+
+    recoveries.clear()
     st = Stepper(scen.cfg, scen.trace)
     assert st.saddle.poisson is st.poisson  # cleaning, ledger and pressure share one solver
     state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
-    outer = 0
     for _ in range(4):
         prev = state
         state, rep = st.coupled_step(state)
-        outer += rep.outer_iterations
-    assert len(recoveries) == 4
-    assert outer > 4 if mode == "fixed_point" else outer == 4
-    assert abs(state.p.values.mean()) <= 1e-14 * np.max(np.abs(state.p.values))
+        assert state.p is None
+    assert recoveries == []
+    p = st.pressure(state)
+    assert len(recoveries) == 1 and np.array_equal(p.values, final.p.values)
+    with pytest.raises(ValueError, match="no accepted step"):
+        st.pressure(prev)
     if mode == "single_pass":  # the one iterate is a plain velocity step at u^n
         u, f = st.u_step(state.b, prev.u, u_advect_half=advecting_half(prev.u),
                          bc=st.vector_bc(state.t), fu=None, u_prev_half=transported_half(prev.u))
-        p = st.pressure(f, u)
-        assert np.array_equal(p.values, state.p.values)
+        assert np.array_equal(u.x, state.u.x) and np.array_equal(u.y, state.u.y)
+        assert np.array_equal(st.saddle.pressure(f.x, f.y, u).values, p.values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_recovered_pressure_fails_with_step_failure():
+    # a huge uniform x force at the last step is a discrete gradient: the
+    # velocity step stays finite, and its pressure overflows
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT)
+    g = scen.cfg.grid()
+    huge = VectorField(g, np.full(g.shape_xface(), 1e308), np.zeros(g.shape_yface()))
+    forcing = Forcing(u=lambda t: huge if t > 3.5 * DT else None)
+    stepped = []
+    step = Stepper.coupled_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Stepper, "coupled_step", lambda self, state: stepped.append(step(self, state))
+                   or stepped[-1])
+        with pytest.raises(StepFailure, match="recovered pressure holds non-finite") as err:
+            run(scen.cfg, scen.u0, scen.b0, scen.trace, forcing=forcing)
+    assert len(stepped) == 4
+    last = stepped[-1][0]
+    assert geometry.all_finite(last.u, last.b)
+    assert err.value.t == pytest.approx(4 * DT, abs=1e-12)
+    assert err.value.detail == {"step": 4}
+    assert str(err.value).startswith("step 4: ")
+
+
+def test_step_failure_names_its_step():
+    scen = make_scenario("ramp", nx=16, t_final=0.01)
+    g = scen.cfg.grid()
+    huge = VectorField(g, np.full(g.shape_xface(), 1e300), np.full(g.shape_yface(), 1e300))
+    forcing = Forcing(b=lambda t: huge if t > 0.005 else None)
+    with pytest.raises(StepFailure) as err:
+        run(scen.cfg, scen.u0, scen.b0, scen.trace, forcing=forcing)
+    # the step to t = 0.006 is the third at dt = 2e-3
+    assert scen.cfg.dt == 2e-3 and err.value.detail["step"] == 3
+    assert len(err.value.detail["residuals"]) == 1  # the step's own detail is kept
+    assert str(err.value) == "step 3: magnetic Picard residual is non-finite (at t=0.006)"
+
+
+def test_ledger_rows_make_no_harmonic_solve(monkeypatch):
+    nsteps = 5
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
+    harmonic = dirichlet_heat(scen.cfg.grid(), 0.0, 1.0)
+    solves = []
+    solve = DirichletHeat.solve_interior
+    monkeypatch.setattr(DirichletHeat, "solve_interior",
+                        lambda self, *a: solves.append(self is harmonic) or solve(self, *a))
+    _, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert len(ledger) == nsteps + 1
+    assert len(solves) > 0 and not any(solves)  # magnetic solves only
 
 
 def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):

@@ -20,7 +20,7 @@ from mhd2d.estimates import (
 )
 from conftest import ledger_row_oracle, scalar_from_function
 from mhd2d.geometry import Grid, ScalarField, VectorField
-from mhd2d.lifting import TraceMode, harmonic_extend, synthesize_trace
+from mhd2d.lifting import TraceMode, synthesize_trace
 from mhd2d.operators import NeumannPoisson
 from mhd2d.spectral import build_stokes_basis
 
@@ -49,7 +49,7 @@ def test_record_zero_state():
     tz = synthesize_trace(g, [0.0], [])
     led = EnergyLedger()
     z = VectorField.zeros(g)
-    row = record(led, 0.0, z, z, tz, harmonic_extend(tz, 0.0), bc=tz.vector_bc(0.0))
+    row = record(led, 0.0, z, z, tz, bc=tz.vector_bc(0.0))
     assert all(v == 0.0 for v in row.values())
 
 
@@ -58,8 +58,7 @@ def test_record_stokes_mode_norms():
     tz = synthesize_trace(g, [0.0], [])
     basis = build_stokes_basis(g, 1)
     led = EnergyLedger()
-    row = record(led, 0.0, basis.mode(0), VectorField.zeros(g), tz, harmonic_extend(tz, 0.0),
-                 bc=tz.vector_bc(0.0))
+    row = record(led, 0.0, basis.mode(0), VectorField.zeros(g), tz, bc=tz.vector_bc(0.0))
     assert abs(row["u_L2_sq"] - 1.0) < 1e-10
     assert abs(row["grad_u_L2_sq"] - basis.eigenvalues[0]) < 1e-8
 
@@ -70,7 +69,7 @@ def test_record_constant_b_with_matching_trace():
     tr = synthesize_trace(g, [0.0], [TraceMode("constant", amplitude=c, component=1)])
     b = VectorField(g, np.full(g.shape_xface(), c), np.zeros(g.shape_yface()))
     led = EnergyLedger()
-    row = record(led, 0.0, VectorField.zeros(g), b, tr, harmonic_extend(tr, 0.0), bc=tr.vector_bc(0.0))
+    row = record(led, 0.0, VectorField.zeros(g), b, tr, bc=tr.vector_bc(0.0))
     assert row["grad_btilde_L2_sq"] < 1e-20
     assert row["btilde_L2_sq"] < 1e-20
 
@@ -324,7 +323,9 @@ def test_homogeneous_decay_at_poincare_rate():
 
 @pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
 def test_ledger_row_matches_the_whole_field_oracle_bit_for_bit(strong):
-    # a mid-run calib-osc state at 16^2, recorded with the run's own lifts
+    # a mid-run calib-osc state at 16^2, recorded with the run's own lifts;
+    # the two norms of b - h_e come in closed form, without h_e, and agree
+    # with the whole-field oracle to round-off, every other column bit for bit
     from mhd2d.dynamics import run
     from mhd2d.lifting import harmonic_extend_bc, heat_step
     from mhd2d.scenarios import make_scenario
@@ -337,8 +338,11 @@ def test_ledger_row_matches_the_whole_field_oracle_bit_for_bit(strong):
     h_e = harmonic_extend_bc(g, bc)
     h_p = heat_step(scen.b0, st.t, bc, 1.0 / scen.cfg.rm) if strong else None
     poisson = NeumannPoisson(g)
-    row = record(EnergyLedger(strong=strong), st.t, st.u, st.b, scen.trace, h_e, h_p, poisson, bc=bc)
+    row = record(EnergyLedger(strong=strong), st.t, st.u, st.b, scen.trace, h_p, poisson, bc=bc)
     want = ledger_row_oracle(st.t, st.u, st.b, scen.trace, h_e, h_p, poisson, bc, strong)
     assert row.keys() == want.keys()
     assert all(want[c] != 0.0 for c in want if c not in ("t", "div_u_Linf"))
-    assert {c: row[c] for c in row if row[c] != want[c]} == {}
+    lifted = ("btilde_L2_sq", "grad_btilde_L2_sq")
+    assert {c: row[c] for c in row if c not in lifted and row[c] != want[c]} == {}
+    for c in lifted:
+        assert abs(row[c] - want[c]) <= 1e-13 * want[c]

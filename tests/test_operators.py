@@ -277,6 +277,28 @@ def test_dirichlet_heat_matches_zero_velocity_transport(rng, shape, inv_dt, kapp
     assert np.array_equal(got.y[:, 0], bc.y_bottom) and np.array_equal(got.y[:, -1], bc.y_top)
 
 
+@pytest.mark.parametrize("shape", [(12, 12), (16, 16), (9, 7)], ids=["12x12", "16x16", "9x7"])
+@pytest.mark.parametrize("inv_dt, kappa", [(0.0, 1.0), (500.0, 0.3)], ids=["harmonic", "heat"])
+@pytest.mark.parametrize("off", [0.0, 1e-8], ids=["walls-on-data", "walls-off-data"])
+def test_lift_energies_match_the_whole_lifted_field(rng, shape, inv_dt, kappa, off):
+    # the two norms of b - h, h the solution for zero right-hand side, without
+    # h; b's normal wall faces hold the data or miss it by about off, as
+    # initial data compatible only to within tolerance do
+    g = Grid(*shape)
+    heat = DirichletHeat(g, inv_dt, kappa)
+    bc = _random_bc(g, rng)
+    bx, by = rng.standard_normal(g.shape_xface()), rng.standard_normal(g.shape_yface())
+    bx[0, :], bx[-1, :] = bc.x_left, bc.x_right
+    by[:, 0], by[:, -1] = bc.y_bottom, bc.y_top
+    bx[[0, -1]] += off * rng.standard_normal((2, g.ny))
+    by[:, [0, -1]] += off * rng.standard_normal((g.nx, 2))
+    b = VectorField(g, bx, by)
+    lifted = b - heat.solve(np.zeros_like(bx), np.zeros_like(by), bc)
+    got = heat.lift_energies(b, bc)
+    want = (l2_norm_sq(lifted), grad_norm_sq(lifted))
+    assert all(abs(x - w) <= 1e-13 * w for x, w in zip(got, want)), (got, want)
+
+
 def test_neumann_projection_kills_divergence(rng):
     g = Grid(14, 14)
     v = random_zero_trace(g, rng)
