@@ -21,8 +21,11 @@ that same literal: a settable value with one value in use.  Calls are
 matched by name (``f(...)``, ``obj.f(...)``, a class by its name or by
 ``cls(...)``), so a name that several defs share counts every call of it
 against each of them, and a call with ``*args`` or ``**kwargs`` sets every
-parameter.  Fields that code assigns as ``.name = ...`` or that default to
-a ``default_factory`` container hold state, not settings, and are skipped.
+parameter, except the experiment calls of ``verify.EXPERIMENTS``: their
+``**kw`` is what ``cli._experiment_kwargs`` builds from a config, so such a
+call sets only the keys that function can produce.  Fields that code assigns
+as ``.name = ...`` or that default to a ``default_factory`` container hold
+state, not settings, and are skipped.
 Usage: ``PYTHONPATH=src python scripts/reach_audit.py``
 """
 
@@ -157,11 +160,29 @@ def literal(node):
         return False, None
 
 
+def experiment_keys():
+    """The keys of the keyword arguments ``cli._experiment_kwargs`` can
+    produce: the string subscripts it assigns (``kw["nx_list"] = ...``)."""
+    tree = ast.parse((SRC / "mhd2d" / "cli.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_experiment_kwargs")
+    return sorted({t.slice.value for n in ast.walk(fn) if isinstance(n, ast.Assign) for t in n.targets
+                   if isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Constant)})
+
+
+def experiment_calls(tree):
+    """The ids of the calls in the lambdas of an ``EXPERIMENTS = {...}`` dict."""
+    return {id(c) for n in ast.walk(tree) if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "EXPERIMENTS" for t in n.targets)
+            for c in ast.walk(n.value) if isinstance(c, ast.Call)}
+
+
 def call_sites():
     """Call name -> [(positional argument ASTs, {keyword: value AST}, has * or **)]
     of every call under ``AUDITED``.  A call to a class also counts as a call
-    to each class it derives from there."""
-    calls, bases = {}, {}
+    to each class it derives from there.  An experiment call's ``**kw`` is
+    read as the keys of ``experiment_keys``, each set to a value that is not
+    a literal."""
+    calls, bases, keys = {}, {}, experiment_keys()
     for d in AUDITED:
         for path in (ROOT / d).rglob("*.py"):
             tree = ast.parse(path.read_text())
@@ -170,13 +191,18 @@ def call_sites():
                 if isinstance(c, ast.ClassDef):
                     owner.update((id(n), c.name) for n in ast.walk(c))
                     bases[c.name] = [ast.unparse(b).split(".")[-1] for b in c.bases]
+            experiments = experiment_calls(tree)
             for n in ast.walk(tree):
                 if isinstance(n, ast.Call):
                     name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
                     if name == "cls":
                         name = owner.get(id(n))
-                    star = any(isinstance(a, ast.Starred) for a in n.args) or any(k.arg is None for k in n.keywords)
-                    calls.setdefault(name, []).append((n.args, {k.arg: k.value for k in n.keywords}, star))
+                    keywords = {k.arg: k.value for k in n.keywords}
+                    if id(n) in experiments and None in keywords:
+                        del keywords[None]
+                        keywords.update((k, ast.Name("kw")) for k in keys)
+                    star = any(isinstance(a, ast.Starred) for a in n.args) or None in keywords
+                    calls.setdefault(name, []).append((n.args, keywords, star))
 
     def ancestors(name):
         return [a for b in bases.get(name, []) if b in bases for a in [b] + ancestors(b)]

@@ -235,9 +235,20 @@ def _build_initial(spec: str, grid, modes, errors):
     return f
 
 
+def _make_dirs(path, what):
+    """Create the directory ``path`` and its parents; a path that cannot be
+    created (a regular file in the way, say) is a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"{what} {path!r}: cannot create the directory ({exc.strerror})"])
+
+
 def _cmd_run(rc: RunConfig, outdir):
     grid = rc.solver.grid()
     rc.solver.checkpoint_dir = outdir
+    ledger_path = os.path.join(outdir, rc.ledger_path)
+    _make_dirs(os.path.dirname(ledger_path), "outputs.ledger")  # before the first step
     if rc.boundary_csv:
         trace = read_trace_csv(grid, rc.boundary_csv)
     else:
@@ -248,6 +259,7 @@ def _cmd_run(rc: RunConfig, outdir):
     basis = None
     if rc.solver.n_modes is not None:
         cache = rc.basis_cache or os.path.join(outdir, "basis_cache")
+        _make_dirs(cache, "outputs.basis_cache")
         basis = cached_basis(grid, rc.solver.n_modes, cache)
     errors = []
     t0, p0, restart = 0.0, None, None
@@ -264,7 +276,7 @@ def _cmd_run(rc: RunConfig, outdir):
     if rc.boundary_csv:
         _check_trace_covers(trace, t0, rc.solver)
     traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0, restart=restart)
-    ledger.write_csv(os.path.join(outdir, rc.ledger_path))
+    ledger.write_csv(ledger_path)
     write_checkpoint(
         os.path.join(outdir, "final.mhdckpt"), traj.final_state, rc.solver, trace, traj.restart
     )
@@ -361,8 +373,9 @@ def _cmd_experiment(rc: RunConfig, outdir):
 
 
 def _cmd_calibrate(rc: RunConfig, outdir):
-    store = calibrate_constants(nx=rc.solver.nx, dt=rc.solver.dt)
     path = os.path.join(outdir, rc.calibration_path)
+    _make_dirs(os.path.dirname(path), "outputs.calibration")  # before calibrating
+    store = calibrate_constants(nx=rc.solver.nx, dt=rc.solver.dt)
     store.write(path)
     log.info("calibration written to %s (%d constants)", path, len(store.values))
     return 0
@@ -376,6 +389,7 @@ def _cmd_basis(rc: RunConfig, outdir):
     if n > nz:
         raise ConfigError([f"galerkin.n: the default of {n} Stokes modes exceeds the {nz} "
                            "this grid holds; set galerkin.n"])
+    _make_dirs(cache, "outputs.basis_cache")
     cached_basis(grid, n, cache)
     log.info("cached stokes(%d) basis in %s", n, cache)
     return 0
@@ -398,7 +412,7 @@ def main(argv=None) -> int:
     )
     try:
         rc = parse_config(args.config)
-        os.makedirs(args.output_dir, exist_ok=True)
+        _make_dirs(args.output_dir, "--output-dir")
         if args.command == "run":
             return _cmd_run(rc, args.output_dir)
         if args.command == "experiment":

@@ -44,21 +44,31 @@ data), and keeps the accepted iterate's velocity force.  The next step
 does not read the pressure, so a step leaves p unset: ``Stepper.pressure``
 recovers it from that force, and ``run`` calls it only for the states it
 outputs (checkpoints, kept states and the final state).  What a
-step holds fixed is prepared once: once per coupled step, u^n's half of the
-velocity transport and the magnetic operator's Dirichlet data
-(``DirichletHeat.boundary``: kappa*Lap of the wall data);
-each outer iterate's two halves of ubar in one pass
-(``geometry.face_halves``), which the velocity step's transport and the
+step holds fixed is prepared once: once per coupled step, u^n's two halves
+in one pass (``geometry.face_halves``), which are the first outer iterate's
+ubar halves (ubar is u^n there) and whose transported half enters every
+iterate's velocity transport, and the magnetic operator's Dirichlet data
+(``DirichletHeat.boundary``: kappa*Lap of the wall data, whose Laplacian
+the ledger row at the same instant reuses); each later outer iterate's two
+halves of ubar in one pass, which the velocity step's transport and the
 magnetic lag share; and once per magnetic step, the boundary rows of the
-iterate's transported half (``geometry.wall_rows``).  A chord iteration
-then forms its lag, stretching minus transport, as one induction term on
-the interior faces (``geometry.induction_interior``): the curl of the
-corner EMF E = ubar1 b2 - ubar2 b1 and the two divergence corrections,
-without the normal-flux products that cancel between the two terms.  An
-iteration on a pair computes the iterate's two halves in one pass and its
-lag terms with ``geometry.convect_interior``.  Either makes the two
-separable solves and measures its residual and norm on the component
-arrays (``geometry.norm_sq``).  The pair's loop and the norms repeat the
+iterate's transported half (``geometry.wall_rows``).  Every advecting
+velocity is a Stokes output or an average of two, divergence-free by
+construction, so its halves carry no divergence terms, and neither the
+velocity transport nor the magnetic lag forms a -f·(div ubar) product,
+which would be round-off.  An initial u0 is divergence-free only to within
+the compatibility tolerance, so its first step leaves out a term of at
+most that size.  b keeps its divergence terms (the Lorentz term, and the
+chord's -ubar·(div b)), since b before cleaning carries an O(1) divergence.
+A chord iteration then forms its lag, stretching minus transport, as one
+induction term on the interior faces (``geometry.induction_interior``): the
+curl of the corner EMF E = ubar1 b2 - ubar2 b1 less ubar times b's
+interpolated divergence, without the normal-flux products that cancel
+between the two terms.  An iteration on a pair computes the iterate's two
+halves in one pass, b's divergence terms, and its lag terms with
+``geometry.convect_interior``.  Either makes the two separable solves and
+measures its residual and norm on the component arrays
+(``geometry.norm_sq``).  The pair's loop and the norms repeat the
 whole-field formulas operation for operation, bit for bit; the induction
 term leaves out the cancelling products and so moves results by round-off.
 Fields inside a step are built without a finiteness scan
@@ -100,8 +110,8 @@ from .geometry import (
     induction_interior,
     l2_norm_sq,
     norm_sq,
-    transported_half,
     wall_rows,
+    with_divergence,
 )
 from .ioutil import atomic_write_bytes
 from .lifting import (
@@ -376,12 +386,14 @@ class Stepper:
         unchanged.  ``bc`` is the boundary data and ``fb`` the magnetic body
         force at the new time (None: no force).  ``b_start`` is the first
         Picard iterate; the stop test and the fixed point do not depend on
-        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``, which the
-        outer iterate shares with its velocity step.  When u_ref is None (the
-        heat chord) each iteration lags the whole induction term
+        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``, a velocity's
+        halves without divergence terms, which the outer iterate shares with
+        its velocity step.  When u_ref is None (the heat chord) each
+        iteration lags the whole induction term
         ``induction_interior(cur, walls, *u_frozen_halves)``; on a pair it
-        lags the stretching term, from the transported half, less the
-        transport by u_frozen - u_ref.  ``boundary`` is
+        lags the stretching term, from the transported half and the
+        iterate's half with its divergence terms, less the transport by
+        u_frozen - u_ref (a velocity's half, without them).  ``boundary`` is
         ``operator.boundary(bc)``, which the outer iterates of one coupled
         step share (None: prepared here).
         ``max_iter`` caps the Picard iterations.  The heat chord also stops at
@@ -437,6 +449,7 @@ class Stepper:
                 elif not exact:
                     a_cur, f_cur = face_halves(cur, walls)
                     if not pure_heat:  # the stretching term at the lagged iterate
+                        a_cur = with_divergence(a_cur, cur)
                         lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])
                     if lagged is not None:  # transport left out of the operator
                         tx, ty = convect_interior(lagged, f_cur)
@@ -488,9 +501,12 @@ class Stepper:
         which ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``bc`` is the
         magnetic boundary data and ``fu`` the velocity body force at the new
         time (None: no force).  ``u_advect_half`` is the advecting velocity's
-        ``advecting_half``, which the outer iterate shares with its magnetic
-        step; ``u_prev_half`` is ``transported_half(u_prev)``, which the
-        outer iterates of one coupled step share.
+        ``advecting_half``, without divergence terms, which the outer iterate
+        shares with its magnetic step; ``u_prev_half`` is
+        ``transported_half(u_prev)``, which the outer iterates of one coupled
+        step share (``coupled_step`` takes both of u^n's from one
+        ``face_halves``).  The Lorentz term goes through ``convect``, which
+        keeps b's divergence terms.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -546,9 +562,11 @@ class Stepper:
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
-        u_half = transported_half(state.u)  # u^n's half of every outer iterate's transport
-        # ubar's two halves, rewritten by each outer iterate: both feed the
-        # magnetic lag, and the advecting one also the velocity step
+        # u^n's two halves: the first outer iterate's ubar halves (ubar is u^n
+        # there), and the transported one every iterate's velocity transport
+        u_n_halves = face_halves(state.u, wall_rows(self.grid))
+        # ubar's two halves, rewritten by each later outer iterate: both feed
+        # the magnetic lag, and the advecting one also the velocity step
         ubar_walls = wall_rows(self.grid)
         # one operator and its Dirichlet data for every outer iterate (see iterate)
         operator = self.magnetic_operator(state.u)
@@ -560,7 +578,7 @@ class Stepper:
         def iterate(ub, b_start, max_iter=PICARD_MAX_ITER):
             """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
             nonlocal operator, boundary, stalled_iterations
-            halves = face_halves(ub, ubar_walls)
+            halves = u_n_halves if ub is state.u else face_halves(ub, ubar_walls)
             kw = dict(bc=bc, fb=fb, b_start=b_start, u_frozen_halves=halves, max_iter=max_iter)
             b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
             stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
@@ -579,7 +597,7 @@ class Stepper:
                                   "reduce dt", t=t_next, detail={"ratio": ratio})
             b_reports.append(rep)
             u, force = self.u_step(
-                b, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_half
+                b, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_n_halves[1]
             )
             return b, u, force
 

@@ -19,17 +19,22 @@ stencils here and the solver outputs elsewhere) come from the private
 ``_unchecked`` constructors, which scan nothing; ``Stepper.coupled_step``
 scans each accepted state once with ``all_finite``.
 
-``convect(a, f)`` splits into the advecting field's half (its face averages
-and interpolated divergence, ``advecting_half``) and the transported field's
-half (its face averages with the boundary values on the wall rows,
-``transported_half``), so a caller can prepare a fixed field's half once.
-The two halves of one field share its averages: ``face_halves`` computes
-both in one pass into wall rows prepared once per boundary instant
-(``wall_rows``), and ``convect_interior`` returns only the interior faces,
-which is all an implicit solve reads.  ``induction_interior`` is the
-difference of two such convections, stretching less transport, as the curl
-of a corner EMF.  ``norm_sq`` is ``l2_norm_sq`` on bare
-component arrays, in ``inner``'s summation order.
+``convect(a, f)`` splits into the advecting field's half (its face averages,
+``advecting_half``) and the transported field's half (its face averages with
+the boundary values on the wall rows, ``transported_half``), so a caller can
+prepare a fixed field's half once.  Which field advects decides whether the
+half carries a's interpolated cell divergence, for the correction
+-f·(div a): a velocity, a Stokes output and so divergence-free by
+construction, does not, since the correction would be round-off; a magnetic
+field, whose iterates before cleaning carry an O(1) divergence, does
+(``with_divergence``), and so does ``convect`` itself.  The two halves of one
+field share its averages: ``face_halves`` computes both in one pass into
+wall rows prepared once per boundary instant (``wall_rows``), and
+``convect_interior`` returns only the interior faces, which is all an
+implicit solve reads.  ``induction_interior`` is the difference of two such
+convections, stretching less transport, as the curl of a corner EMF.
+``norm_sq`` is ``l2_norm_sq`` on bare component arrays, in ``inner``'s
+summation order.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "AdvectingHalf",
     "TransportedHalf",
     "advecting_half",
+    "with_divergence",
     "transported_half",
     "convect_halves",
     "convect_interior",
@@ -342,20 +348,24 @@ def laplacian(f: VectorField, bc: VectorBC) -> VectorField:
 # --- advection -----------------------------------------------------------
 
 class AdvectingHalf(NamedTuple):
-    """The advecting field's half of ``convect``: its face averages and its
-    cell divergence interpolated to the interior faces.
+    """The advecting field's half of ``convect``: its face averages and, for
+    a field that is not discretely divergence-free, its cell divergence
+    interpolated to the interior faces.
 
     ``a1c``/``a2x`` enter the x-component (normal average at cell centers,
     tangential average on interior corner lines), ``a2c``/``a1y`` the
-    y-component; ``sx``/``sy`` multiply the transported field.
+    y-component; ``sx``/``sy`` multiply the transported field.  A velocity's
+    half (``advecting_half``) has ``sx = sy = None``, and ``convect_interior``
+    and ``induction_interior`` then form no f·(div a) product; a magnetic
+    field's half (``with_divergence``) carries them.
     """
 
     a1c: np.ndarray  # (nx, ny)
     a2x: np.ndarray  # (nx-1, ny+1)
     a2c: np.ndarray  # (nx, ny)
     a1y: np.ndarray  # (nx+1, ny-1)
-    sx: np.ndarray  # (nx-1, ny)
-    sy: np.ndarray  # (nx, ny-1)
+    sx: np.ndarray | None  # (nx-1, ny)
+    sy: np.ndarray | None  # (nx, ny-1)
 
 
 class TransportedHalf(NamedTuple):
@@ -370,16 +380,28 @@ class TransportedHalf(NamedTuple):
 
 
 def advecting_half(a: VectorField) -> AdvectingHalf:
-    """Everything ``convect`` needs of its advecting field."""
-    dc = divergence(a).values
+    """A velocity's half of ``convect``: its face averages, and no divergence
+    terms.  Every advecting velocity of the stepper is a Stokes output (or an
+    average or difference of two), divergence-free by construction, where
+    the divergence form alone is energy-neutral (Morinishi, Lund, Vasilyev &
+    Moin, J. Comput. Phys. 143, 1998) and -f·(div a) is round-off."""
     return AdvectingHalf(
         a1c=0.5 * (a.x[:-1, :] + a.x[1:, :]),
         a2x=0.5 * (a.y[:-1, :] + a.y[1:, :]),
         a2c=0.5 * (a.y[:, :-1] + a.y[:, 1:]),
         a1y=0.5 * (a.x[:, :-1] + a.x[:, 1:]),
-        sx=0.5 * (dc[:-1, :] + dc[1:, :]),
-        sy=0.5 * (dc[:, :-1] + dc[:, 1:]),
+        sx=None,
+        sy=None,
     )
+
+
+def with_divergence(half: AdvectingHalf, a: VectorField) -> AdvectingHalf:
+    """``half``, the advecting half of a, with a's cell divergence
+    interpolated to the interior faces: the half of a field that is not
+    discretely divergence-free, such as a magnetic iterate before cleaning,
+    for which ``convect_interior`` subtracts f·(div a)."""
+    dc = divergence(a).values
+    return half._replace(sx=0.5 * (dc[:-1, :] + dc[1:, :]), sy=0.5 * (dc[:, :-1] + dc[:, 1:]))
 
 
 def wall_rows(grid: Grid, fbc: VectorBC | None = None):
@@ -414,7 +436,8 @@ def transported_half(f: VectorField, fbc: VectorBC | None = None) -> Transported
 
 def face_halves(f: VectorField, walls):
     """``(advecting_half(f), transported_half(f, fbc))`` in one pass, where
-    ``walls = wall_rows(grid, fbc)``.
+    ``walls = wall_rows(grid, fbc)``: a velocity's two halves, with no
+    divergence terms (``with_divergence`` adds them for a magnetic field).
 
     The halves share f's averages: f1c is a1c, f2c is a2c, and the interior
     lines of f1y and f2x are copied from a1y and a2x into ``walls``.  The
@@ -440,22 +463,25 @@ def _div_form(a: AdvectingHalf, f: TransportedHalf):
 
 def convect_interior(a: AdvectingHalf, f: TransportedHalf):
     """``convect`` from its two halves on the interior faces only: the x
-    array (nx-1, ny) and the y array (nx, ny-1)."""
+    array (nx-1, ny) and the y array (nx, ny-1).  The divergence form, less
+    f·(div a) where a's half carries the divergence terms."""
     out_x, out_y = _div_form(a, f)
-    out_x -= f.f.x[1:-1, :] * a.sx
-    out_y -= f.f.y[:, 1:-1] * a.sy
+    if a.sx is not None:
+        out_x -= f.f.x[1:-1, :] * a.sx
+        out_y -= f.f.y[:, 1:-1] * a.sy
     return out_x, out_y
 
 
 def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHalf):
-    """The induction term ``convect_interior(advecting_half(f), t) -
-    convect_interior(a, transported_half(f, fbc))`` on the interior faces,
-    where ``walls = wall_rows(grid, fbc)`` and (a, t) are the two halves of
-    one velocity with zero walls.
+    """The induction term ``convect_interior(with_divergence(advecting_half(f),
+    f), t) - convect_interior(a, transported_half(f, fbc))`` on the interior
+    faces, where ``walls = wall_rows(grid, fbc)`` and (a, t) are the two
+    halves of one velocity with zero walls (``face_halves``).
 
     Formed as the curl of the corner EMF E = u1 f2 - u2 f1 (the
-    constrained-transport form of curl(u x f)), minus u times f's
-    interpolated divergence plus f times u's: the normal-flux products
+    constrained-transport form of curl(u x f)) minus u times f's
+    interpolated divergence, plus f times u's only where a carries u's
+    divergence terms (a velocity's half does not): the normal-flux products
     a1c*f1c and a2c*f2c cancel in the difference and are never formed.
     f's two corner averages are written into ``walls`` as ``face_halves``
     writes them.  Equal to the difference up to round-off.
@@ -471,10 +497,11 @@ def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHa
     ey = a.a1y * f2x - a1y * t.f2x  # E on the corners of the y-faces
     out_x = (ex[:, 1:] - ex[:, :-1]) / g.dy
     out_x -= t.f.x[1:-1, :] * (0.5 * (dc[:-1, :] + dc[1:, :]))
-    out_x += f.x[1:-1, :] * a.sx
     out_y = (ey[:-1, :] - ey[1:, :]) / g.dx
     out_y -= t.f.y[:, 1:-1] * (0.5 * (dc[:, :-1] + dc[:, 1:]))
-    out_y += f.y[:, 1:-1] * a.sy
+    if a.sx is not None:
+        out_x += f.x[1:-1, :] * a.sx
+        out_y += f.y[:, 1:-1] * a.sy
     return out_x, out_y
 
 
@@ -489,13 +516,16 @@ def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> Vect
     """Componentwise transport a·∇f on interior faces.
 
     Realized as the divergence form minus f times the interpolated cell
-    divergence of `a`; with a discretely divergence-free `a` and f
+    divergence of `a` (``with_divergence``), whatever `a` is: the Lorentz
+    term b·∇b advects with a magnetic field, whose divergence before
+    cleaning is not small.  With a discretely divergence-free `a` and f
     vanishing on the walls this is exactly energy-neutral.  A field
-    transporting itself (the Lorentz term b·∇b) computes its averages once.
+    transporting itself computes its averages once.
     """
     if a is f:
-        return convect_halves(*face_halves(f, wall_rows(f.grid, fbc)))
-    return convect_halves(advecting_half(a), transported_half(f, fbc))
+        a_half, f_half = face_halves(f, wall_rows(f.grid, fbc))
+        return convect_halves(with_divergence(a_half, f), f_half)
+    return convect_halves(with_divergence(advecting_half(a), a), transported_half(f, fbc))
 
 
 # --- inner products and norms -------------------------------------------
@@ -675,7 +705,9 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     # identity 3: curl(u x b) = b·∇u - u·∇b + u div b - b div u.  The magnetic
     # chord's lag b·∇u - u·∇b (``induction_interior``) is formed by this
     # identity: the compact curl of the corner EMF s (zero walls for u), less
-    # u div b, plus b div u
+    # u div b.  It leaves out b div u, round-off for the chord's u, a Stokes
+    # output; here both divergence terms stay, inside the two divergence
+    # forms below, whatever u is
     s = np.empty((g.nx + 1, g.ny + 1))  # u x b (out of plane) at corners
     u1 = np.empty_like(s)
     u1[:, 1:-1] = 0.5 * (u.x[:, :-1] + u.x[:, 1:])

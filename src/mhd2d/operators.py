@@ -27,7 +27,16 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
-from .geometry import Grid, ScalarField, VectorBC, VectorField, advecting_half, divergence, gradient
+from .geometry import (
+    Grid,
+    ScalarField,
+    VectorBC,
+    VectorField,
+    advecting_half,
+    divergence,
+    gradient,
+    with_divergence,
+)
 
 __all__ = [
     "dirichlet_modes",
@@ -162,7 +171,7 @@ class TransportOperator:
         t_lo = t_hi = -k / ht**2
 
         # advection (divergence form minus interpolated-divergence correction)
-        ah = advecting_half(a)
+        ah = with_divergence(advecting_half(a), a)
         if self.comp == "x":
             cp = ah.a1c[1:, :] / (2 * g.dx)  # flux through right cell center
             cm = ah.a1c[:-1, :] / (2 * g.dx)
@@ -298,6 +307,27 @@ def _separable_solve(qa, qb, inv_lam, r):
     return qa @ ((qa.T @ r @ qb) * inv_lam) @ qb.T
 
 
+def _wall_laplacian(g: Grid, bc: VectorBC):
+    """Lap of the Dirichlet data ``bc`` on the x and y interior faces: the
+    Laplacian of the field that holds bc on the walls and is zero inside,
+    which is nonzero only next to the walls."""
+    # the data term of the normal direction, then the mirror term of the
+    # tangential one, each added to zero, so every entry has
+    # apply_lap_mirror's bits
+    dx2, dy2 = g.dx**2, g.dy**2
+    lx = np.zeros((g.nx - 1, g.ny))
+    lx[0, :] += bc.x_left / dx2
+    lx[-1, :] += bc.x_right / dx2
+    lx[:, 0] += 2.0 * bc.x_bottom[1:-1] / dy2
+    lx[:, -1] += 2.0 * bc.x_top[1:-1] / dy2
+    ly = np.zeros((g.nx, g.ny - 1))
+    ly[:, 0] += bc.y_bottom / dy2
+    ly[:, -1] += bc.y_top / dy2
+    ly[0, :] += 2.0 * bc.y_left[1:-1] / dx2
+    ly[-1, :] += 2.0 * bc.y_right[1:-1] / dx2
+    return lx, ly
+
+
 class DirichletHeat:
     """inv_dt*I - kappa*Lap on both face components with Dirichlet data, in closed form.
 
@@ -308,15 +338,22 @@ class DirichletHeat:
     and the mirror terms 2*kappa*g/h**2 in the wall-adjacent columns, the
     interior of a zero-velocity ``TransportOperator.boundary``.  It
     agrees with that operator's solve to round-off.  ``boundary`` prepares
-    that term once per boundary instant, and ``solve_interior`` makes the
-    two separable solves and writes the data into the wall faces; ``solve``
-    is the two together.  ``lift_energies`` gives the two norms of b less the
+    that term once per boundary instant, from a Laplacian of the data that
+    every key at that instant shares, and ``solve_interior`` makes the two
+    separable solves and writes the data into the wall faces; ``solve`` is
+    the two together.  ``lift_energies`` gives the two norms of b less the
     solution for zero right-hand side, in the same sines, without forming
     that solution.  As the magnetic step's operator it advects nothing (``u_ref``
     None), so ``dynamics.Stepper.b_step`` lags all the transport.
     """
 
     u_ref = None
+    # [bc, _wall_laplacian(grid, bc)] of the latest boundary instant, one for
+    # every key: the magnetic step's data term and the ledger row's after it
+    # share one build, and the next instant replaces it.  The list is changed
+    # in place: rebinding a class attribute voids the interpreter's attribute
+    # caches for the class, which cost about 1 us per harmonic lift at 32^2
+    _wall_lap = [None, None]
 
     def __init__(self, grid: Grid, inv_dt: float, kappa: float):
         self.grid = grid
@@ -333,21 +370,17 @@ class DirichletHeat:
     def boundary(self, bc: VectorBC):
         """kappa*Lap of the Dirichlet data ``bc`` on the x and y interior
         faces, and ``bc`` itself.  Prepare it once per boundary instant and
-        pass it to every ``solve_interior`` with that data."""
-        g = self.grid
-        # Lap of the wall data, written next to the walls only: the data term
-        # of the normal direction, then the mirror term of the tangential one,
-        # each added to zero, so every entry has apply_lap_mirror's bits
-        lx = np.zeros((g.nx - 1, g.ny))
-        lx[0, :] += bc.x_left / g.dx**2
-        lx[-1, :] += bc.x_right / g.dx**2
-        lx[:, 0] += 2.0 * bc.x_bottom[1:-1] / g.dy**2
-        lx[:, -1] += 2.0 * bc.x_top[1:-1] / g.dy**2
-        ly = np.zeros((g.nx, g.ny - 1))
-        ly[:, 0] += bc.y_bottom / g.dy**2
-        ly[:, -1] += bc.y_top / g.dy**2
-        ly[0, :] += 2.0 * bc.y_left[1:-1] / g.dx**2
-        ly[-1, :] += 2.0 * bc.y_right[1:-1] / g.dx**2
+        pass it to every ``solve_interior`` with that data.
+
+        The Laplacian of the data is built once per boundary instant, the
+        ``VectorBC`` object ``bc`` (whose arrays are not changed in place),
+        and shared by every key: the magnetic step (kappa = 1/Rm) and the
+        ledger row's ``lift_energies`` (kappa = 1) at one instant scale one
+        build.  Only the latest instant's is held."""
+        memo = DirichletHeat._wall_lap
+        if memo[0] is not bc:
+            memo[:] = bc, _wall_laplacian(self.grid, bc)
+        lx, ly = memo[1]
         return self.kappa * lx, self.kappa * ly, bc
 
     def solve_interior(self, rx: np.ndarray, ry: np.ndarray, boundary):

@@ -104,12 +104,13 @@ def stream_forms(grid):
 # --- whole-field oracles of the stepper's raw-array loops --------------------
 
 def induction_oracle(u, b, bc):
-    """The induction term curl(u x b) - u div b + b div u on whole fields: the
-    stream curl (``VectorField.from_stream``) of the corner EMF E = u1 b2 -
-    u2 b1, whose factors are the corner averages of u with zero walls and of
-    b with the walls of ``bc``, minus u times b's interpolated divergence
-    plus b times u's.  Only its interior faces are meaningful."""
-    from mhd2d.geometry import advecting_half
+    """The induction term curl(u x b) - u div b on whole fields, for a
+    velocity u, whose half carries no divergence terms: the stream curl
+    (``VectorField.from_stream``) of the corner EMF E = u1 b2 - u2 b1, whose
+    factors are the corner averages of u with zero walls and of b with the
+    walls of ``bc``, minus u times b's interpolated divergence.  Only its
+    interior faces are meaningful."""
+    from mhd2d.geometry import advecting_half, with_divergence
 
     grid = u.grid
     corners = (grid.nx + 1, grid.ny + 1)
@@ -121,11 +122,9 @@ def induction_oracle(u, b, bc):
     b2[1:-1, :] = 0.5 * (b.y[:-1, :] + b.y[1:, :])
     b2[0, :], b2[-1, :] = bc.y_left, bc.y_right
     out = VectorField.from_stream(grid, u1 * b2 - u2 * b1)
-    su, sb = advecting_half(u), advecting_half(b)
+    sb = with_divergence(advecting_half(b), b)
     out.x[1:-1, :] -= u.x[1:-1, :] * sb.sx
-    out.x[1:-1, :] += b.x[1:-1, :] * su.sx
     out.y[:, 1:-1] -= u.y[:, 1:-1] * sb.sy
-    out.y[:, 1:-1] += b.y[:, 1:-1] * su.sy
     return out
 
 
@@ -133,13 +132,14 @@ def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_star
     """``Stepper.b_step``'s Picard loop written on whole fields.  On the heat
     operator each iterate lags the whole induction term (``induction_oracle``);
     on a pair factored at u_ref it lags the stretching term
-    ``convect_halves(advecting_half(cur), ...)`` less the transport
+    ``convect_halves(with_divergence(advecting_half(cur), cur), ...)`` (b's
+    half keeps its divergence terms) less the transport
     ``convect_halves(advecting_half(u_frozen - u_ref), transported_half(cur,
     bc))``.  The lag is added to full right-hand side arrays, the solve reads
     their interior entries and the residual is measured with ``inner``.
     Returns (b, residuals)."""
     from mhd2d.dynamics import PICARD_MAX_ITER
-    from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half
+    from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half, with_divergence
 
     cfg, grid = stepper.cfg, stepper.grid
     pure_heat = inner(u_frozen, u_frozen) == 0.0
@@ -163,7 +163,7 @@ def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_star
         elif pure_heat:
             lag_x = lag_y = 0.0
         else:
-            lag = convect_halves(advecting_half(cur), stretch)
+            lag = convect_halves(with_divergence(advecting_half(cur), cur), stretch)
             lag_x, lag_y = lag.x, lag.y
         if shift is not None:
             lag = convect_halves(lagged, transported_half(cur, bc))

@@ -111,6 +111,42 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, where, named", [
+    ("run", "--output-dir afile/out", "--output-dir"),
+    ("run", "ledger = afile/ledger.csv", "outputs.ledger"),
+    ("run", "basis_cache = afile/cache", "outputs.basis_cache"),
+    ("calibrate", "calibration = afile/calibration.txt", "outputs.calibration"),
+    ("basis", "basis_cache = afile/cache", "outputs.basis_cache"),
+], ids=["run-output-dir", "run-ledger", "run-basis-cache", "calibrate", "basis"])
+def test_output_path_that_cannot_be_created_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                                      command, where, named):
+    # a regular file stands where a directory must be made: under
+    # --output-dir, or under an [outputs] path, whose directory is made before
+    # the steps, the calibration or the basis build rather than when the
+    # file is written
+    from mhd2d import cli
+    from mhd2d.dynamics import Stepper
+
+    work = []
+    step = Stepper.coupled_step
+    monkeypatch.setattr(Stepper, "coupled_step", lambda self, state: work.append(1) or step(self, state))
+    monkeypatch.setattr(cli, "calibrate_constants", lambda **kw: work.append(kw))
+    monkeypatch.setattr(cli, "cached_basis", lambda *a: work.append(a))
+    (tmp_path / "afile").write_text("")
+    text = MINIMAL + "\n[galerkin]\nn = 4\n" * ("basis_cache" in where)
+    out = tmp_path
+    if where.startswith("--output-dir"):
+        out = tmp_path / where.split()[1]
+    else:  # absolute: the basis cache is not under the output directory
+        text += f"\n[outputs]\n{where.replace('afile', str(tmp_path / 'afile'))}\n"
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} ") and "afile" in err
+    assert "cannot create the directory" in err
+    assert work == []
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-9", "inf", "one"])
 @pytest.mark.parametrize("key", ["picard", "outer", "compatibility"])
 def test_bad_tolerance_errors_name_config_keys(tmp_path, capsys, key, value):

@@ -1,5 +1,6 @@
 import struct
 import sys
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -28,14 +29,20 @@ from mhd2d.estimates import LEDGER_COLUMNS
 from mhd2d.geometry import (
     Grid,
     ScalarField,
+    VectorBC,
     VectorField,
     advecting_half,
+    convect_interior,
     divergence,
+    face_halves,
+    induction_interior,
     inner,
     l2_norm_sq,
     transported_half,
+    wall_rows,
+    with_divergence,
 )
-from mhd2d.lifting import BoundaryTrace, TraceMode, synthesize_trace
+from mhd2d.lifting import BoundaryTrace, TraceMode, lifting_estimate_check, synthesize_trace
 from mhd2d.operators import DirichletHeat, NeumannPoisson, StokesSaddle, TransportPair, dirichlet_heat
 from mhd2d.scenarios import make_scenario, stream_bump
 from mhd2d.spectral import build_laplacian_basis, build_stokes_basis
@@ -419,11 +426,13 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
     assert np.sqrt(l2_norm_sq(warm - cold)) <= tol
 
 
-@pytest.mark.parametrize("case", ["heat", "heat_shifted", "full"])
+@pytest.mark.parametrize("case", ["heat", "heat_shifted", "full", "pair_full"])
 def test_b_step_matches_the_whole_field_picard_oracle(case):
-    # the three branches of the Picard loop: nothing lagged (one exact solve),
-    # the transport by -u_ref alone (a pair factored at u_ref), and stretching
-    # plus the whole transport on the heat operator, with a force
+    # the branches of the Picard loop: nothing lagged (one exact solve), the
+    # transport by -u_ref alone (a pair factored at u_ref), stretching plus
+    # the whole transport on the heat operator, and on a pair the stretching
+    # term (b's half with its divergence terms) less the transport by
+    # u_frozen - u_ref (a velocity's half), each of the last two with a force
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     g, u_n = scen.cfg.grid(), scen.u0
@@ -432,6 +441,7 @@ def test_b_step_matches_the_whole_field_picard_oracle(case):
         "heat": (zero, heat, None),
         "heat_shifted": (zero, _pair(st, u_n), None),
         "full": (u_n + stream_bump(g, 0.2, 1, 2), heat, 0.3 * scen.b0),
+        "pair_full": (u_n + stream_bump(g, 0.2, 1, 2), _pair(st, u_n), 0.3 * scen.b0),
     }[case]
     kw = dict(bc=st.vector_bc(DT), operator=operator, fb=fb,
               b_start=2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1))
@@ -801,7 +811,8 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     # class method on its class, and the module functions wherever a module
     # of the package holds them.  The magnetic solve is the heat operator's
     # ``solve_interior`` on the magnetic step's key (the ledger row takes the
-    # norms of b - h_e in closed form, and solves on no key)
+    # norms of b - h_e in closed form, and solves on no key).  The cell
+    # divergence is taken of b only: ubar's halves carry no divergence terms
     from mhd2d import estimates
 
     events = []
@@ -814,7 +825,7 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     monkeypatch.setattr(DirichletHeat, "solve_interior",
                         lambda self, *a: (self is magnetic and events.append("solve"))
                         or solve(self, *a))
-    for home, fname in ((geometry, "convect"), (estimates, "record")):
+    for home, fname in ((geometry, "convect"), (estimates, "record"), (geometry, "divergence")):
         orig = getattr(home, fname)
         for mod in [m for k, m in sys.modules.items() if k.startswith("mhd2d")]:
             if getattr(mod, fname, None) is orig:
@@ -826,14 +837,96 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT)
     traj, _ = run(scen.cfg, scen.u0, scen.b0, scen.trace)
     marks = [i for i, e in enumerate(events) if e == "step"] + [len(events)]
-    assert events[: marks[0]] == ["record"]  # the row at t0
+    # the compatibility check's two, then the row at t0 with its two
+    assert events[: marks[0]] == ["divergence"] * 2 + ["record"] + ["divergence"] * 2
     per_step = [events[a + 1 : b] for a, b in zip(marks, marks[1:])]
-    counts = [(seg.count("solve"), seg.count("convect"), seg.count("record")) for seg in per_step]
+    counts = [(seg.count("solve"), seg.count("convect"), seg.count("record"), seg.count("divergence"))
+              for seg in per_step]
     # one x and y solve per Picard iteration, one Lorentz term per outer
-    # iterate, one ledger row per step
-    want = [(r.picard_iterations, r.outer_iterations, 1) for r in traj.reports]
+    # iterate, one ledger row per step; a divergence for each Lorentz term
+    # and each chord iteration (b's), the pre-cleaning scan and the
+    # projection, and two in the ledger row (u's and b's)
+    want = [(r.picard_iterations, r.outer_iterations, 1, r.outer_iterations + r.picard_iterations + 2 + 2)
+            for r in traj.reports]
     assert counts == want
-    assert counts == [(11, 4, 1), (11, 4, 1), (9, 4, 1), (9, 4, 1), (9, 4, 1)]
+    assert counts == [(11, 4, 1, 19), (11, 4, 1, 19), (9, 4, 1, 17), (9, 4, 1, 17), (9, 4, 1, 17)]
+
+
+def _relative_error(got, want):
+    """The distance of two (x, y) interior-face pairs over the second's size."""
+    err = sum(np.sum((a - b) ** 2) for a, b in zip(got, want))
+    return float(np.sqrt(err / sum(np.sum(b**2) for b in want)))
+
+
+def test_a_velocity_half_drops_round_off_and_a_magnetic_half_keeps_its_terms(rng):
+    # every advecting velocity is a Stokes output u = C psi, or a sum of
+    # Stokes modes, divergence-free by construction: the f·(div u) products
+    # its half leaves out are round-off, in the velocity transport and in
+    # the chord's induction term alike
+    g = Grid(16, 16)
+    solved = StokesSaddle(g, 1.0 / DT, 1.0).solve(rng.standard_normal(g.shape_xface()),
+                                                  rng.standard_normal(g.shape_yface()))
+    basis = build_stokes_basis(g, 6)
+    c = rng.standard_normal(6)
+    modes = VectorField(g, np.tensordot(c, basis.modes_x, axes=(0, 0)),
+                        np.tensordot(c, basis.modes_y, axes=(0, 0)))
+    fbc = VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+    f = VectorField(g, rng.standard_normal(g.shape_xface()), rng.standard_normal(g.shape_yface()))
+    for u in (solved, modes):
+        a, t = face_halves(u, wall_rows(g))
+        assert a.sx is None and a.sy is None
+        full = with_divergence(a, u)
+        f_half = transported_half(f, fbc)
+        assert _relative_error(convect_interior(a, f_half), convect_interior(full, f_half)) <= 1e-13
+        got = induction_interior(f, wall_rows(g, fbc), a, t)
+        assert _relative_error(got, induction_interior(f, wall_rows(g, fbc), full, t)) <= 1e-13
+    # a magnetic iterate before cleaning carries an O(1) divergence: the
+    # products its half would leave out are not small, in the pair's
+    # stretching term and in the Lorentz term, so b's half keeps them
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    state, rep = st.coupled_step(SimState(0.0, scen.u0, scen.b0, None))
+    b_hat = st.b_iterates[2]
+    assert rep.div_b_before_clean > 0.1
+    ab, tb = face_halves(b_hat, wall_rows(g, st.vector_bc(state.t)))
+    _, tu = face_halves(state.u, wall_rows(g))
+    full = with_divergence(ab, b_hat)
+    assert _relative_error(convect_interior(ab, tu), convect_interior(full, tu)) > 1e-3
+    assert _relative_error(convect_interior(ab, tb), convect_interior(full, tb)) > 1e-3
+
+
+def test_wall_laplacian_is_built_once_per_instant_and_shared(monkeypatch):
+    # the magnetic step (kappa = 1/Rm) and the ledger row after it (the
+    # harmonic key, kappa = 1) scale one Laplacian of the step's wall data
+    builds = []
+    build = operators._wall_laplacian
+    monkeypatch.setattr(operators, "_wall_laplacian", lambda *a: builds.append(a[1]) or build(*a))
+    nsteps = 5
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT, rm=10.0)
+    run(scen.cfg, scen.u0, scen.b0, scen.trace)
+    assert len(builds) == nsteps + 1  # the row at t0, then one per step
+    # both keys' data terms equal a fresh build bit for bit
+    bc = builds[-1]
+    lx, ly = build(scen.cfg.grid(), bc)
+    for key in ((1.0 / DT, 1.0 / scen.cfg.rm), (0.0, 1.0)):
+        heat = dirichlet_heat(scen.cfg.grid(), *key)
+        got_x, got_y, _ = heat.boundary(bc)
+        assert np.array_equal(got_x, heat.kappa * lx) and np.array_equal(got_y, heat.kappa * ly)
+    assert len(builds) == nsteps + 1  # both served by the last step's build
+    # lifting_estimate_check keeps every instant's boundary data alive while
+    # it lifts them one by one; it must not keep their Laplacians too
+    held, most = [], []
+
+    def tracked(*a):
+        most.append(sum(ref() is not None for ref in held))
+        lap = build(*a)
+        held.extend(weakref.ref(arr) for arr in lap)
+        return lap
+
+    monkeypatch.setattr(operators, "_wall_laplacian", tracked)
+    lifting_estimate_check(scen.trace)
+    assert len(most) == len(scen.trace.times) > 2
+    assert max(most) <= 2  # the previous instant's x and y, until the new build replaces them
 
 
 @pytest.mark.parametrize("mode", ["fixed_point", "single_pass"])

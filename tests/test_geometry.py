@@ -24,6 +24,7 @@ from mhd2d.geometry import (
     laplacian,
     transported_half,
     wall_rows,
+    with_divergence,
 )
 
 
@@ -194,19 +195,21 @@ def _convect_flux_by_flux(a, f, fbc):
 
 def test_prepared_convect_halves_equal_convect_bit_for_bit(rng):
     # a magnetic step prepares one half once and pairs it with every Picard
-    # iterate's other half; that must not move a single bit
+    # iterate's other half; that must not move a single bit.  The fields are
+    # random, not solenoidal, so the halves carry the divergence terms that
+    # convect forms for any advecting field
     g = Grid(12, 10)
     rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
                                rng.standard_normal(g.shape_yface()))
     fbc = VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
     fixed_a, fixed_f = rand(), rand()
-    a_half, f_half = advecting_half(fixed_a), transported_half(fixed_f, fbc)
+    a_half, f_half = with_divergence(advecting_half(fixed_a), fixed_a), transported_half(fixed_f, fbc)
     kept = [arr.copy() for arr in a_half + f_half[1:]]
     for _ in range(3):
         a, f = rand(), rand()
         for got, want in (
             (convect_halves(a_half, transported_half(f, fbc)), convect(fixed_a, f, fbc)),
-            (convect_halves(advecting_half(a), f_half), convect(a, fixed_f, fbc)),
+            (convect_halves(with_divergence(advecting_half(a), a), f_half), convect(a, fixed_f, fbc)),
             (convect(a, f, fbc), _convect_flux_by_flux(a, f, fbc)),
         ):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
@@ -218,7 +221,8 @@ def test_prepared_convect_halves_equal_convect_bit_for_bit(rng):
 def test_induction_interior_equals_the_two_convect_difference(rng):
     # the corner-EMF form drops the normal-flux products, which cancel in the
     # difference; b and u both carry an O(1) divergence, so both correction
-    # terms count, and the walls carry nonzero boundary data
+    # terms count: b's always, u's where u's half carries it (a velocity's
+    # half from face_halves does not), and the walls carry nonzero boundary data
     g = Grid(12, 10)
     rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
                                rng.standard_normal(g.shape_yface()))
@@ -226,16 +230,18 @@ def test_induction_interior_equals_the_two_convect_difference(rng):
     for _ in range(3):
         b, u = rand(), rand()
         assert np.abs(divergence(b).values).max() > 1.0 and np.abs(divergence(u).values).max() > 1.0
-        a, t = face_halves(u, wall_rows(g))
+        a_u, t = face_halves(u, wall_rows(g))
         ab, tb = face_halves(b, wall_rows(g, fbc))
-        (sx, sy), (tx, ty) = convect_interior(ab, t), convect_interior(a, tb)
-        walls = wall_rows(g, fbc)
-        got_x, got_y = induction_interior(b, walls, a, t)
-        scale = np.sqrt(np.sum((sx - tx) ** 2) + np.sum((sy - ty) ** 2))
-        err = np.sqrt(np.sum((got_x - (sx - tx)) ** 2) + np.sum((got_y - (sy - ty)) ** 2))
-        assert err <= 1e-13 * scale
-        # b's corner averages are written into the walls as face_halves writes them
-        assert np.array_equal(walls[0], tb.f1y) and np.array_equal(walls[1], tb.f2x)
+        ab = with_divergence(ab, b)
+        for a in (a_u, with_divergence(a_u, u)):
+            (sx, sy), (tx, ty) = convect_interior(ab, t), convect_interior(a, tb)
+            walls = wall_rows(g, fbc)
+            got_x, got_y = induction_interior(b, walls, a, t)
+            scale = np.sqrt(np.sum((sx - tx) ** 2) + np.sum((sy - ty) ** 2))
+            err = np.sqrt(np.sum((got_x - (sx - tx)) ** 2) + np.sum((got_y - (sy - ty)) ** 2))
+            assert err <= 1e-13 * scale
+            # b's corner averages are written into the walls as face_halves writes them
+            assert np.array_equal(walls[0], tb.f1y) and np.array_equal(walls[1], tb.f2x)
 
 
 def _smooth_pair(grid):
