@@ -356,8 +356,9 @@ class AdvectingHalf(NamedTuple):
     tangential average on interior corner lines), ``a2c``/``a1y`` the
     y-component; ``sx``/``sy`` multiply the transported field.  A velocity's
     half (``advecting_half``) has ``sx = sy = None``, and ``convect_interior``
-    and ``induction_interior`` then form no f·(div a) product; a magnetic
-    field's half (``with_divergence``) carries them.
+    then forms no f·(div a) product (nor does ``induction_interior``, which
+    takes a velocity's halves only); a magnetic field's half
+    (``with_divergence``) carries them.
     """
 
     a1c: np.ndarray  # (nx, ny)
@@ -476,13 +477,13 @@ def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHa
     """The induction term ``convect_interior(with_divergence(advecting_half(f),
     f), t) - convect_interior(a, transported_half(f, fbc))`` on the interior
     faces, where ``walls = wall_rows(grid, fbc)`` and (a, t) are the two
-    halves of one velocity with zero walls (``face_halves``).
+    halves of one velocity with zero walls (``face_halves``), which carry no
+    divergence terms.
 
     Formed as the curl of the corner EMF E = u1 f2 - u2 f1 (the
     constrained-transport form of curl(u x f)) minus u times f's
-    interpolated divergence, plus f times u's only where a carries u's
-    divergence terms (a velocity's half does not): the normal-flux products
-    a1c*f1c and a2c*f2c cancel in the difference and are never formed.
+    interpolated divergence: the normal-flux products a1c*f1c and a2c*f2c
+    cancel in the difference and are never formed.
     f's two corner averages are written into ``walls`` as ``face_halves``
     writes them.  Equal to the difference up to round-off.
     """
@@ -499,9 +500,6 @@ def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHa
     out_x -= t.f.x[1:-1, :] * (0.5 * (dc[:-1, :] + dc[1:, :]))
     out_y = (ey[:-1, :] - ey[1:, :]) / g.dx
     out_y -= t.f.y[:, 1:-1] * (0.5 * (dc[:, :-1] + dc[:, 1:]))
-    if a.sx is not None:
-        out_x += f.x[1:-1, :] * a.sx
-        out_y += f.y[:, 1:-1] * a.sy
     return out_x, out_y
 
 
