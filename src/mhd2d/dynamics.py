@@ -43,7 +43,9 @@ new time once per step (the ledger row after the step reuses that boundary
 data), and keeps the accepted iterate's velocity force.  The next step
 does not read the pressure, so a step leaves p unset: ``Stepper.pressure``
 recovers it from that force, and ``run`` calls it only for the states it
-outputs (checkpoints, kept states and the final state).  What a
+outputs (checkpoints and the final state; other kept states carry p None).
+A run whose caller reads no energy ledger (``run(..., ledger=False)``)
+records no row and advances no parabolic lift.  What a
 step holds fixed is prepared once: once per coupled step, u^n's two halves
 in one pass (``geometry.face_halves``), which are the first outer iterate's
 ubar halves (ubar is u^n there) and whose transported half enters every
@@ -71,6 +73,8 @@ measures its residual and norm on the component arrays
 (``geometry.norm_sq``).  The pair's loop and the norms repeat the
 whole-field formulas operation for operation, bit for bit; the induction
 term leaves out the cancelling products and so moves results by round-off.
+The divergence of the accepted b that the pre-cleaning scan takes is the
+one the projection solves with (``project_divfree``'s ``div``).
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b) is scanned
 once, a recovered p once, and a Picard or outer residual that is NaN or
@@ -217,7 +221,7 @@ class SolverConfig:
 @dataclass
 class SimState:
     """The state at t.  A coupled step leaves p None; ``Stepper.pressure``
-    recovers it, and every state that ``run`` outputs carries it."""
+    recovers it, and each checkpoint and final state of ``run`` carries it."""
 
     t: float
     u: VectorField
@@ -645,10 +649,11 @@ class Stepper:
                     )
 
         b_hat = b_new  # carried uncleaned
-        div_before = float(np.max(np.abs(divergence(b_new).values)))
+        div = divergence(b_new).values  # the scan's, which the projection reuses
+        div_before = float(np.max(np.abs(div)))
         cleaned = False
         if div_before > DIV_CLEAN_THRESHOLD:
-            b_new, _ = project_divfree(b_new, self.poisson)
+            b_new, _ = project_divfree(b_new, self.poisson, div)
             cleaned = True
         # the step's one finiteness scan: internal fields are built unchecked
         if not all_finite(u_new, b_new):
@@ -692,6 +697,7 @@ def run(
     t0: float = 0.0,
     p0: ScalarField | None = None,
     restart: Restart | None = None,
+    ledger: bool = True,
 ):
     """March from t0 to t_final, recording the full energy ledger.
 
@@ -699,11 +705,15 @@ def run(
     re-initialized from b(t0) (each continuation window carries its own
     lift).  ``restart`` seeds the carried magnetic iterates (a restart
     passes the ones its checkpoint recorded, so it continues bit for bit).
-    The pressure is recovered once for each state the run outputs: each
-    checkpoint, each kept state and the final state.  A ``StepFailure`` in
-    a step or in a pressure recovery names the step: its message starts
-    with the 1-based step index, which ``detail["step"]`` holds.
-    Returns (Trajectory, EnergyLedger).
+    With ``ledger=False`` the run records no row (not even the one at t0),
+    advances no parabolic lift and makes no boundary lookup for a row; what
+    it returns is otherwise the same bit for bit.  The pressure is
+    recovered once for each checkpoint and for the final state, the
+    states the run outputs; the other kept states carry u and b, and p
+    None.  A ``StepFailure`` in a step or in a pressure recovery names the
+    step: its message starts with the 1-based step index, which
+    ``detail["step"]`` holds.  Returns (Trajectory, EnergyLedger), or
+    (Trajectory, None) without a ledger.
     """
     stepper = Stepper(cfg, trace, basis=basis, forcing=forcing)  # validates cfg
     grid = stepper.grid
@@ -714,35 +724,39 @@ def run(
         raise CompatibilityError(f"initial data incompatible with the boundary data: {compat}")
 
     state = SimState(t0, u0.copy(), b0.copy(), p0.copy() if p0 else ScalarField.zeros(grid))
-    ledger = EnergyLedger(strong=cfg.strong_mode)
-    h_p = b0.copy() if cfg.strong_mode else None
-    record(ledger, t0, state.u, state.b, trace, h_p, stepper.poisson, bc=stepper.vector_bc(t0))
+    rows = h_p = None
+    if ledger:
+        rows = EnergyLedger(strong=cfg.strong_mode)
+        h_p = b0.copy() if cfg.strong_mode else None
+        record(rows, t0, state.u, state.b, trace, h_p, stepper.poisson, bc=stepper.vector_bc(t0))
     times = [t0]
     reports = []
-    states = [SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy())] if cfg.keep_states else None
+    states = [SimState(state.t, state.u.copy(), state.b.copy(), None)] if cfg.keep_states else None
     nsteps = int(round((cfg.t_final - t0) / cfg.dt))
     for k in range(nsteps):
         checkpoint = cfg.checkpoint_every and (k + 1) % cfg.checkpoint_every == 0 and cfg.checkpoint_dir
         try:
             state, rep = stepper.coupled_step(state)
-            if checkpoint or states is not None or k == nsteps - 1:
+            if checkpoint or k == nsteps - 1:
                 state.p = stepper.pressure(state)
         except StepFailure as err:
             err.detail = {**(err.detail or {}), "step": k + 1}
             err.args = (f"step {k + 1}: {err}",)
             raise
-        bc = stepper.vector_bc(state.t)  # the step's own lookup
-        if cfg.strong_mode:
-            h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
-        record(ledger, state.t, state.u, state.b, trace, h_p, stepper.poisson, bc=bc)
+        if ledger:
+            bc = stepper.vector_bc(state.t)  # the step's own lookup
+            if h_p is not None:
+                h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
+            record(rows, state.t, state.u, state.b, trace, h_p, stepper.poisson, bc=bc)
         times.append(state.t)
         reports.append(rep)
         if states is not None:
-            states.append(SimState(state.t, state.u.copy(), state.b.copy(), state.p.copy()))
+            p = None if state.p is None else state.p.copy()
+            states.append(SimState(state.t, state.u.copy(), state.b.copy(), p))
         if checkpoint:
             path = os.path.join(cfg.checkpoint_dir, f"ckpt_{k + 1:06d}.mhdckpt")
             write_checkpoint(path, state, cfg, trace, stepper.restart(state))
-    return Trajectory(times, state, reports, states, stepper.restart(state)), ledger
+    return Trajectory(times, state, reports, states, stepper.restart(state)), rows
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -500,9 +500,13 @@ class NeumannPoisson:
         return q - q.mean()
 
 
-def project_divfree(v: VectorField, poisson: NeumannPoisson):
-    """Remove the discrete gradient part; wall-normal faces are untouched."""
-    q = ScalarField._unchecked(v.grid, poisson.solve(divergence(v).values))
+def project_divfree(v: VectorField, poisson: NeumannPoisson, div: np.ndarray):
+    """Remove the discrete gradient part; wall-normal faces are untouched.
+
+    ``div`` is ``divergence(v).values``, which every caller has already
+    taken (a scan before cleaning, or the Stokes operator's own), so the
+    projection does not take it again.  Returns (the projected field, q)."""
+    q = ScalarField._unchecked(v.grid, poisson.solve(div))
     gq = gradient(q)
     out = v.copy()
     out.x[1:-1, :] -= gq.x[1:-1, :]
@@ -517,7 +521,7 @@ def stokes_apply(u: VectorField, poisson: NeumannPoisson):
     """
     w = apply_lap_mirror(u)
     w = VectorField._unchecked(u.grid, -w.x, -w.y)
-    su, q = project_divfree(w, poisson)
+    su, q = project_divfree(w, poisson, divergence(w).values)
     gp = w - su
     return su, gp
 

@@ -227,7 +227,7 @@ def _mms_scenario(case, nx, dt, t_final):
 
 def _mms_final_state(case, nx, dt, t_final):
     cfg, u0, b0, trace, forcing = _mms_scenario(case, nx, dt, t_final)
-    traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    traj, _ = run(cfg, u0, b0, trace, forcing=forcing, ledger=False)
     return traj.final_state
 
 
@@ -298,7 +298,7 @@ def continuous_dependence(
     rep = ExperimentReport("continuous-dependence")
     base = make_scenario("cd-base", nx=nx, dt=dt, t_final=t_final, keep_states=True)
     grid = base.cfg.grid()
-    traj0, _ = run(base.cfg, base.u0, base.b0, base.trace)
+    traj0, _ = run(base.cfg, base.u0, base.b0, base.trace, ledger=False)
     stokes = build_stokes_basis(grid, 2)
     xi1 = stokes.mode(0)
     # the magnetic perturbation must stay solenoidal with zero trace, so it
@@ -309,14 +309,14 @@ def continuous_dependence(
     for eps in eps_list:
         u0 = base.u0 + eps * xi1
         b0 = base.b0 + eps * eta1
-        traj, _ = run(base.cfg, u0, b0, base.trace)
+        traj, _ = run(base.cfg, u0, b0, base.trace, ledger=False)
         d_init.append(_difference_measure(traj.states, traj0.states, base.trace, base.trace, dt))
     d_bnd = []
     for eps in eps_list:
         extra = TraceMode("stream", amplitude=eps, kx=2, ky=2, envelope="sin", envelope_param=1.0)
         modes = list(base.boundary_modes) + [extra]
         trace2 = synthesize_trace(grid, trace_times(base.cfg), modes)
-        traj, _ = run(base.cfg, base.u0, base.b0, trace2)
+        traj, _ = run(base.cfg, base.u0, base.b0, trace2, ledger=False)
         d_bnd.append(_difference_measure(traj.states, traj0.states, trace2, base.trace, dt))
 
     for name, dvals in (("initial", d_init), ("boundary", d_bnd)):
@@ -460,7 +460,7 @@ def tail_compactness(n_list=(4, 8, 16, 32), nx=TAIL_NX, dt=2e-3, t_final=0.5) ->
     rep = ExperimentReport("tail")
     case = _mms_case("steady")
     cfg, u0, b0, trace, forcing = _mms_scenario(case, nx, dt, t_final)
-    traj, _ = run(cfg, u0, b0, trace, forcing=forcing)
+    traj, _ = run(cfg, u0, b0, trace, forcing=forcing, ledger=False)
     grid = cfg.grid()
     st = traj.final_state
     n_max = max(n_list)

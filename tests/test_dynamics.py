@@ -619,7 +619,7 @@ def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
     before = []
     clean = dynamics.project_divfree
     monkeypatch.setattr(dynamics, "project_divfree",
-                        lambda b, poisson: before.append(b) or clean(b, poisson))
+                        lambda b, poisson, div: before.append(b) or clean(b, poisson, div))
     _, rep = Stepper(cfg, trace).coupled_step(SimState(0.0, zero, zero, ScalarField.zeros(g)))
     assert rep.picard_iterations == 1  # u = 0: the magnetic solve is one heat solve
     assert rep.cleaned and rep.div_b_before_clean > 1e6 * dynamics.DIV_CLEAN_THRESHOLD
@@ -844,12 +844,12 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
               for seg in per_step]
     # one x and y solve per Picard iteration, one Lorentz term per outer
     # iterate, one ledger row per step; a divergence for each Lorentz term
-    # and each chord iteration (b's), the pre-cleaning scan and the
-    # projection, and two in the ledger row (u's and b's)
-    want = [(r.picard_iterations, r.outer_iterations, 1, r.outer_iterations + r.picard_iterations + 2 + 2)
+    # and each chord iteration (b's), the pre-cleaning scan (whose values
+    # the projection reuses), and two in the ledger row (u's and b's)
+    want = [(r.picard_iterations, r.outer_iterations, 1, r.outer_iterations + r.picard_iterations + 1 + 2)
             for r in traj.reports]
     assert counts == want
-    assert counts == [(11, 4, 1, 19), (11, 4, 1, 19), (9, 4, 1, 17), (9, 4, 1, 17), (9, 4, 1, 17)]
+    assert counts == [(11, 4, 1, 18), (11, 4, 1, 18), (9, 4, 1, 16), (9, 4, 1, 16), (9, 4, 1, 16)]
 
 
 def _relative_error(got, want):
@@ -954,6 +954,13 @@ def test_pressure_recovered_only_for_the_states_a_run_outputs(monkeypatch, tmp_p
     _assert_same_state(ckpt.final_state, final)
     assert np.array_equal(read_checkpoint(tmp_path / "ckpt_000004.mhdckpt")["state"].p.values,
                           final.p.values)
+    # kept states carry u and b; p only where the run outputs it
+    recoveries.clear()
+    kept, _ = run(replace(scen.cfg, keep_states=True), scen.u0, scen.b0, scen.trace)
+    assert len(recoveries) == 1 and len(kept.states) == 5
+    assert all(st.p is None for st in kept.states[:-1])
+    _assert_same_state(kept.states[-1], final)
+    _assert_same_state(kept.final_state, final)
 
     recoveries.clear()
     st = Stepper(scen.cfg, scen.trace)
@@ -1162,3 +1169,51 @@ def test_strong_ledger_weak_columns_equal_weak_run():
     for c in LEDGER_COLUMNS:
         if c not in strong_only:
             assert np.array_equal(led_s.col(c), led_w.col(c)), c
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_a_run_without_a_ledger_returns_the_same_trajectory(monkeypatch, tmp_path, strong):
+    # a run without a ledger records no row, advances no parabolic lift and
+    # looks up no boundary data for a row; the rest is the same bit for bit
+    from mhd2d import estimates, lifting
+
+    nsteps = 4
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=nsteps * DT, strong_mode=strong,
+                         keep_states=True, checkpoint_every=2)
+    calls = []
+    for home, fname in ((estimates, "record"), (lifting, "heat_step")):
+        orig = getattr(home, fname)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("mhd2d")]:
+            if getattr(mod, fname, None) is orig:
+                monkeypatch.setattr(mod, fname, lambda *a, f=orig, n=fname, **kw:
+                                    calls.append(n) or f(*a, **kw))
+    lookup = BoundaryTrace.vector_bc
+    monkeypatch.setattr(BoundaryTrace, "vector_bc",
+                        lambda self, t: calls.append("bc") or lookup(self, t))
+    trajs = {}
+    for ledger in (True, False):
+        calls.clear()
+        (tmp_path / str(ledger)).mkdir()
+        cfg = replace(scen.cfg, checkpoint_dir=str(tmp_path / str(ledger)))
+        trajs[ledger], rows = run(cfg, scen.u0, scen.b0, scen.trace, ledger=ledger)
+        if ledger:
+            assert len(rows) == nsteps + 1
+            assert calls.count("record") == nsteps + 1 and calls.count("bc") == nsteps + 1
+            assert calls.count("heat_step") == (nsteps if strong else 0)
+        else:
+            assert rows is None
+            assert calls.count("record") == calls.count("heat_step") == 0
+            assert calls.count("bc") == nsteps  # the steps' own
+    with_rows, without = trajs[True], trajs[False]
+    assert with_rows.times == without.times
+    assert with_rows.reports == without.reports
+    _assert_same_state(with_rows.final_state, without.final_state)
+    for a, b in zip(with_rows.restart, without.restart):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert len(with_rows.states) == len(without.states) == nsteps + 1
+    for a, b in zip(with_rows.states, without.states):
+        assert a.t == b.t
+        assert np.array_equal(a.u.x, b.u.x) and np.array_equal(a.u.y, b.u.y)
+        assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
+    for name in ("ckpt_000002.mhdckpt", "ckpt_000004.mhdckpt"):
+        assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
