@@ -7,6 +7,8 @@ that checkout's ``src/`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``,
 and reads the ``timings.json`` it writes: the ``calibrate_constants`` wall
 time and each experiment's ``runtime_s``.  Which side goes first swaps on
 every pair, so that a drift of the host's speed hits both sides alike.
+``--skip`` is passed on to ``run_all_experiments.py``: ``--skip`` with every
+experiment id times the calibration alone.
 
     python scripts/bench_experiments.py --parent ../parent --change . \\
         --pairs 3 --out bench_experiments.json
@@ -35,13 +37,14 @@ from pathlib import Path
 from bench_pairs import STDERR_TAIL, summarize
 
 
-def run_once(checkout: Path, *, label: str):
+def run_once(checkout: Path, *, label: str, skip: str):
     """One fresh-interpreter battery in ``checkout``: (timings, wall_s, summary.csv text)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir", out],
+            [sys.executable, str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir", out,
+             "--skip", skip],
             cwd=checkout, env=env, capture_output=True, text=True)
         wall = time.perf_counter() - t0
         if proc.returncode != 0:
@@ -60,6 +63,7 @@ def main(argv=None):
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--out", type=Path, default=Path("bench_experiments.json"))
+    ap.add_argument("--skip", default="", help="comma-separated experiment ids to skip")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -70,7 +74,7 @@ def main(argv=None):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         summaries = {}
         for side in order:
-            timings, wall, summaries[side] = run_once(sides[side], label=f"pair {k} {side}")
+            timings, wall, summaries[side] = run_once(sides[side], label=f"pair {k} {side}", skip=args.skip)
             runs[side].append({
                 "wall_s": wall,
                 "calibrate_constants_s": timings["calibrate_constants_s"],

@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynamics import (
     SolverConfig,
@@ -57,16 +57,16 @@ class RunConfig:
     """Parsed, validated configuration for one CLI invocation."""
 
     solver: SolverConfig
-    boundary_modes: list = field(default_factory=list)
-    boundary_csv: str | None = None
-    initial_u: str = "zero"
-    initial_b: str = "zero"
-    checkpoint_in: str | None = None
-    ledger_path: str = "ledger.csv"
-    calibration_path: str = "calibration.txt"
-    basis_cache: str | None = None
-    experiment_ids: list = field(default_factory=list)
-    experiment_params: dict = field(default_factory=dict)
+    boundary_modes: list
+    boundary_csv: str | None
+    initial_u: str
+    initial_b: str
+    checkpoint_in: str | None
+    ledger_path: str
+    calibration_path: str
+    basis_cache: str | None
+    experiment_ids: list
+    experiment_params: dict
 
 
 def _parse_mode(text: str, errors) -> TraceMode | None:
@@ -128,29 +128,30 @@ def parse_config(path) -> RunConfig:
         if not cp.has_option(sec, key):
             errors.append(f"missing required key {sec}.{key}")
 
-    def get(sec, key, conv, default):
-        """The value parsed; its range is ``SolverConfig.validate``'s to check."""
-        if not cp.has_option(sec, key):
-            return default
-        raw = cp.get(sec, key)
-        try:
-            return conv(raw)
-        except ValueError:
-            errors.append(f"{sec}.{key}: cannot parse {raw!r}")
-            return default
+    # the SolverConfig settings the file gives; the others keep its defaults
+    settings = {}
 
-    nx = get("grid", "nx", int, 32)
-    ny = get("grid", "ny", int, 32)
-    dt = get("time", "dt", float, 1e-3)
-    t_final = get("time", "T", float, 1.0)
-    re = get("physics", "Re", float, 1.0)
-    rm = get("physics", "Rm", float, 1.0)
-    s_c = get("physics", "S", float, 1.0)
+    def get(sec, key, conv, name):
+        """Parse the value into ``settings[name]``; its range is
+        ``SolverConfig.validate``'s to check."""
+        if cp.has_option(sec, key):
+            raw = cp.get(sec, key)
+            try:
+                settings[name] = conv(raw)
+            except ValueError:
+                errors.append(f"{sec}.{key}: cannot parse {raw!r}")
+
+    get("grid", "nx", int, "nx")
+    get("grid", "ny", int, "ny")
+    get("time", "dt", float, "dt")
+    get("time", "T", float, "t_final")
+    get("physics", "Re", float, "re")
+    get("physics", "Rm", float, "rm")
+    get("physics", "S", float, "s")
     n_raw = cp.get("galerkin", "n", fallback="full").strip()
-    n_modes = None
     if n_raw != "full":
         try:
-            n_modes = int(n_raw)
+            settings["n_modes"] = int(n_raw)
         except ValueError:
             errors.append(f"galerkin.n: expected integer or 'full', got {n_raw!r}")
 
@@ -166,20 +167,11 @@ def parse_config(path) -> RunConfig:
     if csv_path and modes:
         errors.append("boundary: give either modes or csv, not both")
 
-    solver = SolverConfig(
-        nx=nx,
-        ny=ny,
-        dt=dt,
-        t_final=t_final,
-        re=re,
-        rm=rm,
-        s=s_c,
-        n_modes=n_modes,
-        picard_tol=get("tolerances", "picard", float, 1e-10),
-        outer_tol=get("tolerances", "outer", float, 1e-9),
-        compat_tol_factor=get("tolerances", "compatibility", float, 1e-8),
-        checkpoint_every=get("outputs", "checkpoint_every", int, 0),
-    )
+    get("tolerances", "picard", float, "picard_tol")
+    get("tolerances", "outer", float, "outer_tol")
+    get("tolerances", "compatibility", float, "compat_tol_factor")
+    get("outputs", "checkpoint_every", int, "checkpoint_every")
+    solver = SolverConfig(**settings)
     exp_ids = []
     exp_params = {}
     if cp.has_section("experiment"):

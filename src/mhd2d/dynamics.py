@@ -5,7 +5,7 @@ One step advances (u, b, p) by dt with implicit Euler diffusion.  The
 magnetic step is a chord iteration (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, sec. 5.4) on the closed-form heat operator
 of its diffusion, ``operators.dirichlet_heat(grid, 1/dt, 1/Rm)``, memoized
-per run: the transport by the frozen velocity ubar is lagged next to the
+per key: the transport by the frozen velocity ubar is lagged next to the
 stretching term, so the fixed point is the implicit-transport solution at
 ubar, and the contraction ratio of the Picard loop is measured and
 reported.  The chord converges while the lag, max|u|/h against the heat
@@ -30,8 +30,7 @@ converged there is thrown away one iterate later (the inexact inner solve of
 Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996, in its simplest form).
 Every later iterate runs the full Picard loop, and the outer loop stops only
 at an iterate whose outer residual and Picard test are both met, so the
-fixed point does not change.  On calib-osc at 32^2 this cut the Picard
-iterations of 375 steps 1,975 -> 1,331 (on a factored pair; outer 824).
+fixed point does not change.
 The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
@@ -125,7 +124,7 @@ from .lifting import (
     heat_step,
     normal_trace,
 )
-from .operators import NeumannPoisson, StokesSaddle, TransportPair, dirichlet_heat, project_divfree
+from .operators import StokesSaddle, TransportPair, dirichlet_heat, project_divfree
 from .spectral import SpectralBasis, project
 
 __all__ = [
@@ -309,7 +308,11 @@ def compatibility_check(
 
 
 class Stepper:
-    """Operator-caching session for repeated coupled steps on one grid."""
+    """Repeated coupled steps on one grid.  It holds the velocity step's
+    ``StokesSaddle`` (none under a Galerkin truncation), the latest boundary
+    lookup and what one step hands the next: the last two magnetic iterates
+    and the accepted velocity force.  The heat and Poisson solvers are
+    memoized per key in ``operators`` and looked up where a step needs them."""
 
     def __init__(
         self,
@@ -323,7 +326,6 @@ class Stepper:
         self.grid = cfg.grid()
         self.trace = trace
         self.forcing = forcing or Forcing()
-        self.poisson = NeumannPoisson(self.grid)
         self.basis = basis
         if cfg.n_modes is not None:
             if basis is None or basis.kind != "stokes" or basis.count < cfg.n_modes:
@@ -332,7 +334,7 @@ class Stepper:
                 )
             self.saddle = None
         else:
-            self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re, self.poisson)
+            self.saddle = StokesSaddle(self.grid, 1.0 / cfg.dt, 1.0 / cfg.re)
         self._bc = None  # (t, boundary data at t) of the latest lookup
         # (t, b^(n-1)_hat, b^n_hat): the last two accepted magnetic iterates
         # before cleaning, the second one taken at t
@@ -653,7 +655,7 @@ class Stepper:
         div_before = float(np.max(np.abs(div)))
         cleaned = False
         if div_before > DIV_CLEAN_THRESHOLD:
-            b_new, _ = project_divfree(b_new, self.poisson, div)
+            b_new, _ = project_divfree(b_new, div)
             cleaned = True
         # the step's one finiteness scan: internal fields are built unchecked
         if not all_finite(u_new, b_new):
@@ -728,7 +730,7 @@ def run(
     if ledger:
         rows = EnergyLedger(strong=cfg.strong_mode)
         h_p = b0.copy() if cfg.strong_mode else None
-        record(rows, t0, state.u, state.b, trace, h_p, stepper.poisson, bc=stepper.vector_bc(t0))
+        record(rows, t0, state.u, state.b, trace, h_p, bc=stepper.vector_bc(t0))
     times = [t0]
     reports = []
     states = [SimState(state.t, state.u.copy(), state.b.copy(), None)] if cfg.keep_states else None
@@ -747,7 +749,7 @@ def run(
             bc = stepper.vector_bc(state.t)  # the step's own lookup
             if h_p is not None:
                 h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
-            record(rows, state.t, state.u, state.b, trace, h_p, stepper.poisson, bc=bc)
+            record(rows, state.t, state.u, state.b, trace, h_p, bc=bc)
         times.append(state.t)
         reports.append(rep)
         if states is not None:

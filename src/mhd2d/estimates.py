@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .ioutil import atomic_write_text
 from .lifting import BoundaryTrace, FractionalNormSpec, _time_difference, cumtrapz, hs_norm, hs_norm_dt
-from .operators import NeumannPoisson, apply_lap_mirror, apply_lap_mirror_scalar, dirichlet_heat, stokes_apply
+from .operators import apply_lap_mirror, apply_lap_mirror_scalar, dirichlet_heat, stokes_apply
 
 __all__ = [
     "LEDGER_COLUMNS",
@@ -145,7 +145,6 @@ def record(
     b: VectorField,
     trace: BoundaryTrace,
     h_p: VectorField | None = None,
-    poisson: NeumannPoisson | None = None,
     *,
     bc: VectorBC,
 ):
@@ -180,9 +179,9 @@ def record(
         div_b_Linf=float(np.max(np.abs(divergence(b).values))),
     )
     if ledger.strong:
-        if h_p is None or poisson is None:
-            raise ValueError("strong ledger rows need the parabolic lift and a Poisson solver")
-        su, _ = stokes_apply(u, poisson)
+        if h_p is None:
+            raise ValueError("strong ledger rows need the parabolic lift")
+        su, _ = stokes_apply(u)
         bhat = b - h_p
         row["Su_L2_sq"] = l2_norm_sq(su)
         row["bhat_H1_sq"] = l2_norm_sq(bhat) + grad_norm_sq(bhat)
@@ -407,9 +406,9 @@ def brezis_gallouet_ratio(f) -> float:
     return sup / math.sqrt(h1_sq * (1.0 + math.log(h2_sq / h1_sq)))
 
 
-def stokes_regularity_ratio(u: VectorField, poisson: NeumannPoisson) -> float:
+def stokes_regularity_ratio(u: VectorField) -> float:
     """(||u||_{H2} + ||grad P||) / ||S u|| on the div-free zero-trace subspace."""
-    su, gp = stokes_apply(u, poisson)
+    su, gp = stokes_apply(u)
     s_norm = math.sqrt(l2_norm_sq(su))
     if s_norm <= 0.0:
         raise ValueError("undefined ratio: S u = 0")

@@ -6,7 +6,8 @@ criterion 07 (``verify``), and for a coupled step whose heat chord stalls
 (``dynamics``).  The vector heat operator the magnetic step otherwise
 solves with, the Neumann Poisson solve and the Stokes step are separable or
 nearly so and are solved in the sine and cosine eigenbases of the 1D second
-differences.
+differences.  The heat and Poisson solvers are memoized per key
+(``dirichlet_heat``, ``neumann_poisson``), so no caller builds or carries one.
 
 Everything here uses the *mirror* (linear) ghost closure, which makes the
 component Laplacians symmetric negative-definite on zero-trace fields and
@@ -47,6 +48,7 @@ __all__ = [
     "DirichletHeat",
     "dirichlet_heat",
     "NeumannPoisson",
+    "neumann_poisson",
     "StokesSaddle",
     "stokes_apply",
 ]
@@ -435,14 +437,11 @@ class DirichletHeat:
         return float(w * l2), float(w * grad)
 
 
-@lru_cache(maxsize=8)
-def dirichlet_heat(grid: Grid, inv_dt: float, kappa: float) -> DirichletHeat:
-    """The memoized ``DirichletHeat``.  A run uses at most three keys: the
-    harmonic one (0, 1), whose ``lift_energies`` each ledger row reads, the
-    magnetic step (1/dt, 1/Rm) and the parabolic lift,
-    whose key equals the magnetic step's when kappa = 1/Rm.  So the bound of
-    8 never evicts."""
-    return DirichletHeat(grid, inv_dt, kappa)
+# The memoized ``DirichletHeat``.  A run uses at most three keys: the harmonic
+# one (0, 1), whose ``lift_energies`` each ledger row reads, the magnetic step
+# (1/dt, 1/Rm) and the parabolic lift, whose key equals the magnetic step's
+# when kappa = 1/Rm.  So the bound of 8 never evicts.
+dirichlet_heat = lru_cache(maxsize=8)(DirichletHeat)
 
 
 # --- pressure & projection -------------------------------------------------
@@ -500,13 +499,19 @@ class NeumannPoisson:
         return q - q.mean()
 
 
-def project_divfree(v: VectorField, poisson: NeumannPoisson, div: np.ndarray):
+# The memoized ``NeumannPoisson``: the grid is its only key, so the cleaning
+# projection, the strong ledger's Stokes operator and the pressure recovery
+# of every run on one grid share one solver.
+neumann_poisson = lru_cache(maxsize=8)(NeumannPoisson)
+
+
+def project_divfree(v: VectorField, div: np.ndarray):
     """Remove the discrete gradient part; wall-normal faces are untouched.
 
     ``div`` is ``divergence(v).values``, which every caller has already
     taken (a scan before cleaning, or the Stokes operator's own), so the
     projection does not take it again.  Returns (the projected field, q)."""
-    q = ScalarField._unchecked(v.grid, poisson.solve(div))
+    q = ScalarField._unchecked(v.grid, neumann_poisson(v.grid).solve(div))
     gq = gradient(q)
     out = v.copy()
     out.x[1:-1, :] -= gq.x[1:-1, :]
@@ -514,14 +519,14 @@ def project_divfree(v: VectorField, poisson: NeumannPoisson, div: np.ndarray):
     return out, q
 
 
-def stokes_apply(u: VectorField, poisson: NeumannPoisson):
+def stokes_apply(u: VectorField):
     """Stokes operator S u = -Lap u + grad P on the div-free subspace.
 
     Returns (Su, gradP) as fields; u must have zero trace.
     """
     w = apply_lap_mirror(u)
     w = VectorField._unchecked(u.grid, -w.x, -w.y)
-    su, q = project_divfree(w, poisson, divergence(w).values)
+    su, q = project_divfree(w, divergence(w).values)
     gp = w - su
     return su, gp
 
@@ -549,19 +554,18 @@ class StokesSaddle:
     diagonal and its off-diagonal blocks are S^{-1} scaled by the sines' end
     values; its eigenvalues are at least 1, and its inverse is formed once
     from its Cholesky factor.  A solve costs four matmuls of the corner array
-    plus frame-sized products.  ``pressure`` recovers the mean-zero p from
-    grad p = f - (inv_dt - nu*Lap) u with one Neumann Poisson solve of its
-    divergence.
+    plus frame-sized products.  ``lam`` holds the eigenvalue sums of L.
+    ``pressure`` recovers the mean-zero p from grad p = f - (inv_dt - nu*Lap) u
+    with one solve of the grid's ``neumann_poisson`` on its divergence.
     """
 
-    def __init__(self, grid: Grid, inv_dt: float, nu: float, poisson: NeumannPoisson | None = None):
+    def __init__(self, grid: Grid, inv_dt: float, nu: float):
         self.grid = grid
         self.inv_dt = inv_dt
         self.nu = nu
-        self.poisson = NeumannPoisson(grid) if poisson is None else poisson
         qx, lx = dirichlet_modes(grid.nx, grid.dx, nodal=True)
         qy, ly = dirichlet_modes(grid.ny, grid.dy, nodal=True)
-        lam = np.add.outer(lx, ly)
+        self.lam = lam = np.add.outer(lx, ly)
         inv_s = 1.0 / (inv_dt * lam + nu * lam**2)
         # F = (nu D)^(1/2) E in the sine basis: the first and last corner row of
         # each table, scaled; the frame is ordered bottom, top (x-faces), left, right
@@ -619,4 +623,4 @@ class StokesSaddle:
         rx[0, :] = rx[-1, :] = 0.0
         ry[:, 0] = ry[:, -1] = 0.0
         div = (rx[1:, :] - rx[:-1, :]) / g.dx + (ry[:, 1:] - ry[:, :-1]) / g.dy
-        return ScalarField._unchecked(g, self.poisson.solve(div))
+        return ScalarField._unchecked(g, neumann_poisson(g).solve(div))

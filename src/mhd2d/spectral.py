@@ -33,7 +33,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import SolverFailure
 from .geometry import Grid, VectorField, grad_norm_sq, l2_norm_sq
 from .ioutil import atomic_write_bytes
-from .operators import StokesSaddle, _separable_solve, apply_lap_mirror, dirichlet_modes
+from .operators import StokesSaddle, _separable_solve, apply_lap_mirror, dirichlet_heat
 
 __all__ = [
     "SpectralBasis",
@@ -101,17 +101,16 @@ def _fix_signs(vectors):
 def _stokes_eigs(grid: Grid, k: int):
     """Lowest k eigenpairs of K psi = w L psi, psi on the raveled interior corners.
 
-    L = C^T C is diag(lam) in the corner sines of ``dirichlet_modes``.
-    ARPACK's shift-invert mode about zero applies only K^{-1}, the corner
-    solve of a ``StokesSaddle`` at inv_dt = 0 and nu = 1, and L; its first
-    operator only supplies the shape.  ARPACK needs k < N - 1; the full
-    basis takes a dense solve in the corner sines, where
+    L = C^T C is diag(lam) in the corner sines of ``dirichlet_modes``; the
+    saddle holds both.  ARPACK's shift-invert mode about zero applies only
+    K^{-1}, the corner solve of a ``StokesSaddle`` at inv_dt = 0 and nu = 1,
+    and L; its first operator only supplies the shape.  ARPACK needs
+    k < N - 1; the full basis takes a dense solve in the corner sines, where
     K = diag(lam**2) + F^T F with F the saddle's ``frame_sines``.
     """
     saddle = StokesSaddle(grid, 0.0, 1.0)
-    qx, lx = dirichlet_modes(grid.nx, grid.dx, nodal=True)
-    qy, ly = dirichlet_modes(grid.ny, grid.dy, nodal=True)
-    lam = np.add.outer(lx, ly)
+    qx, qy = saddle._tables[:2]
+    lam = saddle.lam
     n = lam.size
     if k >= n - 1:
         f = saddle.frame_sines()
@@ -141,17 +140,16 @@ def build_laplacian_basis(grid: Grid, m: int) -> SpectralBasis:
     """First m eigenpairs of the componentwise Dirichlet Laplacian, in closed form.
 
     Each block is separable: x-faces pair nodal x with mirrored y sines,
-    y-faces the reverse.  A stable sort puts the x-block first on a tie.
+    y-faces the reverse, the tables and eigenvalue sums of the harmonic
+    ``dirichlet_heat``.  A stable sort puts the x-block first on a tie.
     """
     nxf = (grid.nx - 1) * grid.ny
     nyf = grid.nx * (grid.ny - 1)
     if m > nxf + nyf:
         raise ValueError(f"capacity error: m={m} exceeds {nxf + nyf} interior dofs")
-    qxn, lxn = dirichlet_modes(grid.nx, grid.dx, nodal=True)
-    qxm, lxm = dirichlet_modes(grid.nx, grid.dx, nodal=False)
-    qyn, lyn = dirichlet_modes(grid.ny, grid.dy, nodal=True)
-    qym, lym = dirichlet_modes(grid.ny, grid.dy, nodal=False)
-    evs = np.concatenate([np.add.outer(lxn, lym).ravel(), np.add.outer(lxm, lyn).ravel()])
+    heat = dirichlet_heat(grid, 0.0, 1.0)
+    (qxn, qym, _), (qxm, qyn, _) = heat._x, heat._y
+    evs = np.concatenate([heat._lam[0].ravel(), heat._lam[1].ravel()])
     order = np.argsort(evs, kind="stable")[:m]
     scale = 1.0 / np.sqrt(grid.dx * grid.dy)
     mx = np.zeros((m,) + grid.shape_xface())

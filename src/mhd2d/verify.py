@@ -53,7 +53,7 @@ from .lifting import (
     parabolic_lift,
     synthesize_trace,
 )
-from .operators import NeumannPoisson, TransportPair
+from .operators import TransportPair
 from .scenarios import make_scenario, stream_bump, trace_times
 from .spectral import build_laplacian_basis, build_stokes_basis, poincare_constants, project
 from .spectral import basis_inequality_check
@@ -246,20 +246,20 @@ def _fit_order(hs, errs):
 def mms_convergence(
     nx_list=(16, 32, 64),
     dt_list=(4e-3, 2e-3, 1e-3),
-    dt_spatial=2e-3,
     t_spatial=0.3,
     t_temporal=0.24,
     dt_reference=2.5e-4,
 ) -> ExperimentReport:
     """Manufactured-solution convergence orders.
 
-    Spatial order against the manufactured state on a steady case; the
+    Spatial order against the manufactured state on a steady case at
+    dt = 2e-3; the
     temporal order is self-convergence against a fine-dt reference on the
     same grid, which cancels the spatial error exactly.
     """
     rep = ExperimentReport("mms")
     steady = _mms_case("steady")
-    sp_errs = [_mms_error(steady, nx, dt_spatial, t_spatial) for nx in nx_list]
+    sp_errs = [_mms_error(steady, nx, 2e-3, t_spatial) for nx in nx_list]
     order_space = _fit_order([1.0 / n for n in nx_list], sp_errs)
     rep.check("spatial-order", "mms-oracle", order_space, 1.9, order_space >= 1.9)
     unsteady = _mms_case("unsteady")
@@ -291,11 +291,11 @@ def _difference_measure(states1, states2, trace1, trace2, dt):
 
 
 @_timed
-def continuous_dependence(
-    eps_list=(1e-2, 1e-3, 1e-4), nx=32, dt=2e-3, t_final=0.5
-) -> ExperimentReport:
-    """Quadratic-in-data scaling of trajectory differences."""
+def continuous_dependence(nx=32, t_final=0.5) -> ExperimentReport:
+    """Quadratic-in-data scaling of trajectory differences, for perturbations
+    of size eps = 1e-2, 1e-3, 1e-4 at dt = 2e-3."""
     rep = ExperimentReport("continuous-dependence")
+    eps_list, dt = (1e-2, 1e-3, 1e-4), 2e-3
     base = make_scenario("cd-base", nx=nx, dt=dt, t_final=t_final, keep_states=True)
     grid = base.cfg.grid()
     traj0, _ = run(base.cfg, base.u0, base.b0, base.trace, ledger=False)
@@ -569,8 +569,7 @@ def basis_stability(nx_pair=(32, 64), n=10, seed=0) -> ExperimentReport:
         basis = build_stokes_basis(g, n + 1)
         chk = basis_inequality_check(basis, n, seed=seed)
         c0s.append(1.0 + chk.c0)  # compare the full prefactor, bounded away from 0
-        poisson = NeumannPoisson(g)
-        regs.append(max(stokes_regularity_ratio(basis.mode(i), poisson) for i in range(n)))
+        regs.append(max(stokes_regularity_ratio(basis.mode(i)) for i in range(n)))
         rep.check(f"grad-identity-{nx}", "spectral-identity", chk.gradient_identity_rel_err,
                   1e-8, chk.gradient_identity_rel_err < 1e-8)
     for name, vals in (("c0", c0s), ("stokes-regularity", regs)):
@@ -613,12 +612,12 @@ GRONWALL_SCENARIOS = ["calib-osc", "ramp", "two-mode", "steady-h", "pulse"]
 
 
 @_timed
-def gronwall_suite(store: CalibrationStore, nx=32, dt=2e-3, t_final=1.0) -> ExperimentReport:
-    """Trajectory-vs-bound check of the integrated weak energy estimate."""
+def gronwall_suite(store: CalibrationStore, nx=32, t_final=1.0) -> ExperimentReport:
+    """Trajectory-vs-bound check of the integrated weak energy estimate at dt = 2e-3."""
     rep = ExperimentReport("gronwall")
     c = store.get("weak_energy_c")
     for sid in GRONWALL_SCENARIOS:
-        scen = make_scenario(sid, nx=nx, dt=dt, t_final=t_final)
+        scen = make_scenario(sid, nx=nx, dt=2e-3, t_final=t_final)
         traj, ledger = run(scen.cfg, scen.u0, scen.b0, scen.trace)
         gb = gronwall_weak(ledger, c)
         slack = float(np.max(gb.trajectory / np.maximum(gb.bound, 1e-300)))

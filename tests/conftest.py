@@ -197,7 +197,7 @@ def grad_norm_sq_oracle(f, bc=None):
     return float(s)
 
 
-def ledger_row_oracle(t, u, b, trace, h_e, h_p, poisson, bc, strong):
+def ledger_row_oracle(t, u, b, trace, h_e, h_p, bc, strong):
     """One ledger row from whole fields: squared L2 norms by ``inner``,
     Dirichlet energies by ``grad_norm_sq_oracle``, collocated norms by
     ``np.sum`` and ``np.max``."""
@@ -233,7 +233,7 @@ def ledger_row_oracle(t, u, b, trace, h_e, h_p, poisson, bc, strong):
         div_b_Linf=float(np.max(np.abs(divergence(b).values))),
     )
     if strong:
-        su, _ = stokes_apply(u, poisson)
+        su, _ = stokes_apply(u)
         bhat = b - h_p
         row["Su_L2_sq"] = inner(su, su)
         row["bhat_H1_sq"] = inner(bhat, bhat) + grad_norm_sq_oracle(bhat)

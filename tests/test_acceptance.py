@@ -94,12 +94,12 @@ def test_criterion_04_heat_decay_oracle():
 
 
 def test_criterion_05_gronwall_bound(calibration_store):
-    rep = gronwall_suite(calibration_store, nx=32, dt=2e-3, t_final=1.0)
+    rep = gronwall_suite(calibration_store, nx=32, t_final=1.0)
     _report_verdict(5, "integrated energy bound on 5 boundary scenarios", rep, 600.0)
 
 
 def test_criterion_06_continuous_dependence():
-    rep = continuous_dependence(eps_list=(1e-2, 1e-3, 1e-4), nx=32, dt=2e-3, t_final=0.5)
+    rep = continuous_dependence(nx=32, t_final=0.5)
     _report_verdict(6, "quadratic continuous dependence across eps", rep, 600.0)
 
 

@@ -25,7 +25,7 @@ from mhd2d.dynamics import (
 )
 from mhd2d import geometry
 from mhd2d.errors import CompatibilityError, ConfigError, StepFailure
-from mhd2d.estimates import LEDGER_COLUMNS
+from mhd2d.estimates import LEDGER_COLUMNS, stokes_regularity_ratio
 from mhd2d.geometry import (
     Grid,
     ScalarField,
@@ -619,7 +619,7 @@ def test_pure_heat_step_diverges_in_the_wall_band(monkeypatch):
     before = []
     clean = dynamics.project_divfree
     monkeypatch.setattr(dynamics, "project_divfree",
-                        lambda b, poisson, div: before.append(b) or clean(b, poisson, div))
+                        lambda b, div: before.append(b) or clean(b, div))
     _, rep = Stepper(cfg, trace).coupled_step(SimState(0.0, zero, zero, ScalarField.zeros(g)))
     assert rep.picard_iterations == 1  # u = 0: the magnetic solve is one heat solve
     assert rep.cleaned and rep.div_b_before_clean > 1e6 * dynamics.DIV_CLEAN_THRESHOLD
@@ -964,7 +964,6 @@ def test_pressure_recovered_only_for_the_states_a_run_outputs(monkeypatch, tmp_p
 
     recoveries.clear()
     st = Stepper(scen.cfg, scen.trace)
-    assert st.saddle.poisson is st.poisson  # cleaning, ledger and pressure share one solver
     state = SimState(0.0, scen.u0, scen.b0, ScalarField.zeros(scen.cfg.grid()))
     for _ in range(4):
         prev = state
@@ -1031,6 +1030,26 @@ def test_ledger_rows_make_no_harmonic_solve(monkeypatch):
     assert len(solves) > 0 and not any(solves)  # magnetic solves only
 
 
+def test_a_strong_run_builds_one_poisson_solver_for_its_grid(monkeypatch, tmp_path):
+    # the cleaning projection, the strong rows' Stokes operator, the pressure
+    # of each state the run outputs and the regularity ratio all solve on the
+    # grid's memoized solver
+    builds = []
+    init = NeumannPoisson.__init__
+    monkeypatch.setattr(NeumannPoisson, "__init__",
+                        lambda self, grid: builds.append(grid) or init(self, grid))
+    operators.neumann_poisson.cache_clear()
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=4 * DT, strong_mode=True)
+    cfg = replace(scen.cfg, checkpoint_every=2, checkpoint_dir=str(tmp_path))
+    traj, ledger = run(cfg, scen.u0, scen.b0, scen.trace)
+    assert all(rep.cleaned for rep in traj.reports)
+    assert ledger.strong and np.all(ledger.col("Su_L2_sq") > 0.0)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ckpt_000002.mhdckpt", "ckpt_000004.mhdckpt"]
+    assert traj.final_state.p is not None
+    assert stokes_regularity_ratio(traj.final_state.u) > 0.0
+    assert builds == [scen.cfg.grid()]
+
+
 def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):
     from scipy.sparse.linalg._eigen.arpack import arpack
 
@@ -1047,7 +1066,6 @@ def test_stokes_and_poisson_builds_call_no_sparse_lu(monkeypatch):
     g = Grid(12, 12)
     NeumannPoisson(g)
     StokesSaddle(g, 1.0 / DT, 1.0)
-    StokesSaddle(g, 1.0 / DT, 1.0, NeumannPoisson(g))
     # Stokes bases by Lanczos (32^2 and 8^2) and by the dense full-basis solve (4^2)
     for nx, n in ((32, 1), (8, 2), (4, 9)):
         build_stokes_basis(Grid(nx, nx), n)

@@ -21,7 +21,6 @@ from mhd2d.estimates import (
 from conftest import ledger_row_oracle, scalar_from_function
 from mhd2d.geometry import Grid, ScalarField, VectorField
 from mhd2d.lifting import TraceMode, synthesize_trace
-from mhd2d.operators import NeumannPoisson
 from mhd2d.spectral import build_stokes_basis
 
 
@@ -233,13 +232,12 @@ def test_brezis_gallouet_scale_invariance(rng):
 def test_stokes_regularity_ratio_eigenmodes():
     g = Grid(16, 16)
     basis = build_stokes_basis(g, 3)
-    poisson = NeumannPoisson(g)
-    r = stokes_regularity_ratio(basis.mode(0), poisson)
+    r = stokes_regularity_ratio(basis.mode(0))
     assert np.isfinite(r) and r > 0
-    r2 = stokes_regularity_ratio(3.0 * basis.mode(0), poisson)
+    r2 = stokes_regularity_ratio(3.0 * basis.mode(0))
     assert abs(r - r2) < 1e-9 * r
     with pytest.raises(ValueError):
-        stokes_regularity_ratio(VectorField.zeros(g), poisson)
+        stokes_regularity_ratio(VectorField.zeros(g))
 
 
 def test_calibration_store_round_trip(tmp_path):
@@ -337,9 +335,8 @@ def test_ledger_row_matches_the_whole_field_oracle_bit_for_bit(strong):
     bc = scen.trace.vector_bc(st.t)
     h_e = harmonic_extend_bc(g, bc)
     h_p = heat_step(scen.b0, st.t, bc, 1.0 / scen.cfg.rm) if strong else None
-    poisson = NeumannPoisson(g)
-    row = record(EnergyLedger(strong=strong), st.t, st.u, st.b, scen.trace, h_p, poisson, bc=bc)
-    want = ledger_row_oracle(st.t, st.u, st.b, scen.trace, h_e, h_p, poisson, bc, strong)
+    row = record(EnergyLedger(strong=strong), st.t, st.u, st.b, scen.trace, h_p, bc=bc)
+    want = ledger_row_oracle(st.t, st.u, st.b, scen.trace, h_e, h_p, bc, strong)
     assert row.keys() == want.keys()
     assert all(want[c] != 0.0 for c in want if c not in ("t", "div_u_Linf"))
     lifted = ("btilde_L2_sq", "grad_btilde_L2_sq")

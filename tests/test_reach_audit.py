@@ -6,20 +6,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import reach_audit  # noqa: E402
 
 
-def test_held_defaults_are_perfbench_and_the_experiment_defaults_no_config_sets():
+def test_only_perfbench_holds_a_default_that_no_caller_changes():
     # every other default in src/mhd2d is set to another value by some call
-    # under src/, scripts/ or perfbench/.  perfbench/workloads.py passes the
-    # first two at their defaults, so they stay until its calls change; the
-    # experiments are called with the keyword arguments a config can give,
-    # which never include the last four
+    # under src/, scripts/ or perfbench/.  perfbench/workloads.py passes
+    # these two at their defaults, so they stay until its calls change
     held = [line.split(" ", 1)[1] for line in reach_audit.held_parameters()]
     assert held == [
         "stream_mode_field(t) (default)",
         "build_stokes_basis(with_pressure) (default)",
-        "mms_convergence(dt_spatial) (default)",
-        "continuous_dependence(eps_list) (default)",
-        "continuous_dependence(dt) (default)",
-        "gronwall_suite(dt) (default)",
     ]
 
 
