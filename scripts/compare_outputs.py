@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """Check that two checkouts write byte-identical run outputs.
 
-In each checkout, a fresh interpreter with that checkout's ``src/`` on
-``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1`` runs
+For each run config (``--config``, repeatable; by default
+``configs/oscillating.cfg`` and then ``configs/fast_flow.cfg``, the one
+checked-in config whose steps fall back to the factored transport pair), a
+fresh interpreter in each checkout, with that checkout's ``src/`` on
+``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, runs
 
-    mhd2d run --config configs/oscillating.cfg --output-dir <temporary>
+    mhd2d run --config <config> --output-dir <temporary>
 
 (the config path is taken inside each checkout), and the two runs'
 ``ledger.csv`` and ``final.mhdckpt`` are compared byte for byte.  Then each
 side restarts from its own ``final.mhdckpt`` (the same config with
 ``[initial] checkpoint`` set and ``T`` 0.25 later), and the restarted
 runs' ``ledger.csv`` and ``final.mhdckpt`` are compared the same way.
-Last, each checkout runs ``scripts/run_all_experiments.py`` (calibration and
-the nine experiments at their defaults, about a minute), and its
-``calibration.txt``, ``summary.csv`` and every ``report_*.csv`` are compared
-byte for byte; ``timings.json`` holds wall times and is skipped.
+Last, once for all configs, each checkout runs
+``scripts/run_all_experiments.py`` (calibration and the nine experiments at
+their defaults, about a minute), and its ``calibration.txt``,
+``summary.csv`` and every ``report_*.csv`` are compared byte for byte;
+``timings.json`` holds wall times and is skipped.
 
     python scripts/compare_outputs.py --parent ../parent --change .
+    python scripts/compare_outputs.py --parent ../parent --change . --config configs/decay.cfg
 
 Every file of every leg is compared, also after a mismatch.  For a file
 that differs, the offset of its first differing byte is printed; for a
@@ -52,6 +57,7 @@ import numpy as np
 
 from bench_pairs import STDERR_TAIL
 
+CONFIGS = ("configs/oscillating.cfg", "configs/fast_flow.cfg")  # with no --config
 FILES = ("ledger.csv", "final.mhdckpt")
 EXPERIMENT_FILES = ("calibration.txt", "summary.csv")  # and every report_*.csv
 RESTART_EXTRA_T = 0.25  # how much further the restarted run goes
@@ -222,26 +228,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    ap.add_argument("--config", default="configs/oscillating.cfg",
-                    help="run config, relative to each checkout (default: %(default)s)")
+    ap.add_argument("--config", action="append",
+                    help="run config, relative to each checkout; repeatable "
+                         f"(default: {' and '.join(CONFIGS)})")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     same = True
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
-        for leg in ("direct", "restart"):
-            outs = {side: tmp / leg / side for side in sides}
-            for side, checkout in sides.items():
-                config = args.config
-                if leg == "restart":
-                    config = tmp / f"{side}_restart.cfg"
-                    write_restart_config(checkout / args.config,
-                                         tmp / "direct" / side / "final.mhdckpt", config)
-                cmd = ["-m", "mhd2d.cli", "run", "--config", str(checkout / config),
-                       "--output-dir", str(outs[side])]
-                if not run_side(checkout, cmd, label=f"{side} ({leg})"):
-                    return 2
-            same &= compare(leg, outs, FILES, sides)
+        for i, run_config in enumerate(args.config or CONFIGS):
+            base = tmp / f"config{i}"
+            for leg in ("direct", "restart"):
+                outs = {side: base / leg / side for side in sides}
+                for side, checkout in sides.items():
+                    config = run_config
+                    if leg == "restart":
+                        config = base / f"{side}_restart.cfg"
+                        write_restart_config(checkout / run_config,
+                                             base / "direct" / side / "final.mhdckpt", config)
+                    cmd = ["-m", "mhd2d.cli", "run", "--config", str(checkout / config),
+                           "--output-dir", str(outs[side])]
+                    if not run_side(checkout, cmd, label=f"{side} ({run_config} {leg})"):
+                        return 2
+                same &= compare(f"{run_config} {leg}", outs, FILES, sides)
         outs = {side: tmp / "experiments" / side for side in sides}
         for side, checkout in sides.items():
             cmd = [str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir",

@@ -1,5 +1,5 @@
 """Coupled time stepper: Picard-iterated magnetic step, implicit Stokes
-velocity step, damped outer fixed point, and the driving `run` loop.
+velocity step, outer fixed point, and the driving `run` loop.
 
 One step advances (u, b, p) by dt with implicit Euler diffusion.  The
 magnetic step is a chord iteration (Kelley, Iterative Methods for Linear and
@@ -349,7 +349,7 @@ class Stepper:
             self._bc = (t, self.trace.vector_bc(t))
         return self._bc[1]
 
-    def iterates(self, state: SimState):
+    def carried_iterates(self, state: SimState):
         """The carried (b^(n-1)_hat, b^n_hat) when taken at state.t, else
         (b^n, b^n), whose extrapolation is b^n exactly (2x - x == x)."""
         if self.b_iterates is None or self.b_iterates[0] != state.t:
@@ -358,7 +358,7 @@ class Stepper:
 
     def restart(self, state: SimState) -> Restart:
         """What a run resumed at ``state`` needs to continue as this one would."""
-        return Restart(*self.iterates(state))
+        return Restart(*self.carried_iterates(state))
 
     # -- magnetic sub-step ---------------------------------------------------
 
@@ -562,9 +562,8 @@ class Stepper:
         cfg = self.cfg
         ubar = state.u
         history = []
-        b_older, b_last = self.iterates(state)
+        b_older, b_last = self.carried_iterates(state)
         b_new = 2.0 * b_last - b_older  # the first Picard loop's start
-        u_new = state.u
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
@@ -574,81 +573,67 @@ class Stepper:
         # ubar's two halves, rewritten by each later outer iterate: both feed
         # the magnetic lag, and the advecting one also the velocity step
         ubar_walls = wall_rows(self.grid)
-        # one operator and its Dirichlet data for every outer iterate (see iterate)
+        # one operator and its Dirichlet data for every outer iterate, until a
+        # stalled chord hands the rest of the step to the factored pair
         operator = self.magnetic_operator(state.u)
         boundary = operator.boundary(bc)
 
         b_reports = []  # one per outer iterate
         stalled_iterations = 0  # Picard iterations of the chords that stalled
-
-        def iterate(ub, b_start, max_iter=PICARD_MAX_ITER):
-            """One outer iterate at the velocity ub: (b, u, the velocity step's force)."""
-            nonlocal operator, boundary, stalled_iterations
-            halves = u_n_halves if ub is state.u else face_halves(ub, ubar_walls)
-            kw = dict(bc=bc, fb=fb, b_start=b_start, u_frozen_halves=halves, max_iter=max_iter)
-            b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
-            stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
-            if stalled and operator.u_ref is None:
-                # the lagged transport is too large for the heat chord (it
-                # stalled, or contracted too slowly for the cap): the rest
-                # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
-                operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
-                boundary = operator.boundary(bc)
-                stalled_iterations += rep.picard_iterations
-                b, rep = self.b_step(ub, state.b, state.t, operator=operator, boundary=boundary, **kw)
-                stalled = not rep.picard_converged
-            if stalled and rep.contraction_ratio >= 1.0:
-                ratio = rep.contraction_ratio
-                raise StepFailure(f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
-                                  "reduce dt", t=t_next, detail={"ratio": ratio})
-            b_reports.append(rep)
-            u, force = self.u_step(
-                b, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_n_halves[1]
-            )
-            return b, u, force
-
+        single_pass = cfg.outer_mode == "single_pass"
+        outer_res = 0.0
         # a blown-up iterate warns nowhere: a non-finite residual raises
         # StepFailure, and the accepted state is scanned below
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.outer_mode == "single_pass":
-                b_new, u_new, force = iterate(ubar, b_new)
-                outer_iters, outer_res = 1, 0.0
-            else:
-                res_prev = np.inf
-                outer_res = np.inf
-                outer_iters = 0
-                for k in range(OUTER_MAX_ITER):
-                    outer_iters = k + 1
-                    # warm start: Picard starts from the previous iterate's b
-                    # (the extrapolation for the first), the fixed point at a
-                    # nearby ubar.  The first iterate's ubar = u^n is accepted
-                    # only if its b is converged, which is rare, so it runs one
-                    # Picard iteration; the stop test below requires a
-                    # converged b, so the accepted iterate always has one.
-                    b_new, u_new, force = iterate(ubar, b_new, 1 if k == 0 else PICARD_MAX_ITER)
-                    outer_res = np.sqrt(norm_sq(self.grid, u_new.x - ubar.x, u_new.y - ubar.y))
-                    history.append(float(outer_res))
-                    if not math.isfinite(outer_res):
-                        raise StepFailure(
-                            "outer coupling residual is non-finite",
-                            t=t_next,
-                            detail={"residual_history": history},
-                        )
-                    if b_reports[-1].picard_converged and outer_res <= cfg.outer_tol * (
-                        1.0 + np.sqrt(l2_norm_sq(u_new))
-                    ):
-                        break
-                    if outer_res > res_prev:
-                        ubar = 0.5 * (ubar + u_new)  # damping on a non-monotone residual
-                    else:
-                        ubar = u_new
-                    res_prev = outer_res
-                else:
+            for k in range(1 if single_pass else OUTER_MAX_ITER):
+                # warm start: Picard starts from the previous iterate's b (the
+                # extrapolation for the first), the fixed point at a nearby
+                # ubar.  The first iterate's ubar = u^n is accepted only if its
+                # b is converged, which is rare, so it runs one Picard
+                # iteration (single_pass its full loop); the stop test below
+                # requires a converged b, so the accepted iterate always has one.
+                max_iter = 1 if k == 0 and not single_pass else PICARD_MAX_ITER
+                halves = u_n_halves if k == 0 else face_halves(ubar, ubar_walls)
+                kw = dict(bc=bc, fb=fb, b_start=b_new, u_frozen_halves=halves, max_iter=max_iter)
+                step = (ubar, state.b, state.t)
+                b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
+                stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
+                if stalled and operator.u_ref is None:
+                    # the lagged transport is too large for the heat chord (it
+                    # stalled, or contracted too slowly for the cap): the rest
+                    # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
+                    operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
+                    boundary = operator.boundary(bc)
+                    stalled_iterations += rep.picard_iterations
+                    b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
+                    stalled = not rep.picard_converged
+                if stalled and rep.contraction_ratio >= 1.0:
+                    ratio = rep.contraction_ratio
+                    raise StepFailure(f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
+                                      "reduce dt", t=t_next, detail={"ratio": ratio})
+                b_reports.append(rep)
+                u_new, force = self.u_step(
+                    b_new, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_n_halves[1]
+                )
+                if single_pass:
+                    break
+                outer_res = np.sqrt(norm_sq(self.grid, u_new.x - ubar.x, u_new.y - ubar.y))
+                history.append(float(outer_res))
+                if not math.isfinite(outer_res):
                     raise StepFailure(
-                        "outer coupling loop did not converge",
+                        "outer coupling residual is non-finite",
                         t=t_next,
                         detail={"residual_history": history},
                     )
+                if rep.picard_converged and outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
+                    break
+                ubar = u_new
+            else:
+                raise StepFailure(
+                    "outer coupling loop did not converge",
+                    t=t_next,
+                    detail={"residual_history": history},
+                )
 
         b_hat = b_new  # carried uncleaned
         div = divergence(b_new).values  # the scan's, which the projection reuses
@@ -670,7 +655,7 @@ class Stepper:
             picard_residual=b_reports[-1].picard_residual,
             contraction_ratio=max(r.contraction_ratio for r in b_reports),
             picard_converged=b_reports[-1].picard_converged,
-            outer_iterations=outer_iters,
+            outer_iterations=len(b_reports),
             outer_residual=float(outer_res),
             div_b_before_clean=div_before,
             cleaned=cleaned,

@@ -104,9 +104,10 @@ def _stokes_eigs(grid: Grid, k: int):
     L = C^T C is diag(lam) in the corner sines of ``dirichlet_modes``; the
     saddle holds both.  ARPACK's shift-invert mode about zero applies only
     K^{-1}, the corner solve of a ``StokesSaddle`` at inv_dt = 0 and nu = 1,
-    and L; its first operator only supplies the shape.  ARPACK needs
-    k < N - 1; the full basis takes a dense solve in the corner sines, where
-    K = diag(lam**2) + F^T F with F the saddle's ``frame_sines``.
+    and L; its first operator only supplies the shape, so L is passed there
+    too.  ARPACK needs k < N - 1; the full basis takes a dense solve in the
+    corner sines, where K = diag(lam**2) + F^T F with F the saddle's
+    ``frame_sines``.
     """
     saddle = StokesSaddle(grid, 0.0, 1.0)
     qx, qy = saddle._tables[:2]
@@ -121,14 +122,11 @@ def _stokes_eigs(grid: Grid, k: int):
     def op(matvec):
         return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
-    def shape_only(x):
-        raise NotImplementedError("shift-invert Lanczos applies only K^{-1} and L")
-
     # L itself: the separable form of a solve, with lam in place of 1/lam
     mass = op(lambda x: _separable_solve(qx, qy, lam, x.reshape(lam.shape)).ravel())
     k_inv = op(lambda x: saddle.solve_corners(x.reshape(lam.shape)).ravel())
     try:
-        w, v = eigsh(op(shape_only), k=k, M=mass, sigma=0.0, which="LM",
+        w, v = eigsh(mass, k=k, M=mass, sigma=0.0, which="LM",
                      v0=np.ones(n) / np.sqrt(n), OPinv=k_inv)
     except ArpackNoConvergence as exc:
         raise SolverFailure(f"eigensolver did not converge: {exc}")

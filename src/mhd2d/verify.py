@@ -632,7 +632,12 @@ def gronwall_suite(store: CalibrationStore, nx=32, t_final=1.0) -> ExperimentRep
 
 def calibrate_constants(nx=32, dt=2e-3) -> CalibrationStore:
     """Measure every unspecified constant on the reference scenarios, over
-    t = 1 (lifts over t = 0.5), with 1.5 times each measured value."""
+    t = 1 (lifts over t = 0.5), with 1.5 times each measured value.
+
+    The absorbing-ball constant c_tilde is the fixed 1.25, and c_Omega the
+    measured lifting constant; one absorbing probe on the reference scenario
+    then measures rho2 and rho3 (stored when finite).  No constant is
+    raised to make the probe pass."""
     store = CalibrationStore()
     headroom = 1.5
     # one strong-mode run: its weak ledger columns equal a weak-mode run's
@@ -671,21 +676,10 @@ def calibrate_constants(nx=32, dt=2e-3) -> CalibrationStore:
     store.set("absorb_c1", max(c_weak, 1e-6), "calib-osc")
     store.set("absorb_c_omega", max(lift.c_h1 * headroom, 1.0), "calib-osc")
 
-    c_tilde = 1.25
-    probe = None
-    for _ in range(4):
-        store.set("absorb_c_tilde", c_tilde, "absorbing-reference")
-        probe = absorbing_experiment(store, nx=nx, dt=dt, variant="reference", strong="measure",
-                                     _data=ref_data)
-        window_fail = [a for a in probe.assertions if a.assertion_id == "window-bound" and not a.passed]
-        if window_fail:
-            c_om = store.get("absorb_c_omega")
-            store.set("absorb_c_omega", c_om * 2.0, "absorbing-reference")
-            continue
-        if probe.passed:
-            break
-        c_tilde *= 2.0
-    if probe is not None and math.isfinite(probe.extras.get("rho2_measured", math.inf)):
+    store.set("absorb_c_tilde", 1.25, "absorbing-reference")
+    probe = absorbing_experiment(store, nx=nx, dt=dt, variant="reference", strong="measure",
+                                 _data=ref_data)
+    if math.isfinite(probe.extras.get("rho2_measured", math.inf)):
         store.set("rho2_measured", probe.extras["rho2_measured"] * headroom, "absorbing-reference")
         store.set("rho3_measured", probe.extras["rho3_measured"] * headroom, "absorbing-reference")
     return store

@@ -532,6 +532,38 @@ def test_single_pass_runs_the_full_picard_loop(monkeypatch):
     assert [r.picard_iterations for r in traj.reports] == [r.picard_iterations for r in reports]
 
 
+def test_each_outer_iterate_advects_with_the_last_velocity(monkeypatch):
+    # the third velocity iterate is pushed 1% off, so the outer residual
+    # rises there; the fourth iterate still advects with it as it stands
+    class Stop(Exception):
+        pass
+
+    u_outs, advecting = [], []
+    u_step_orig, b_step_orig = Stepper.u_step, Stepper.b_step
+
+    def u_step(self, *args, **kwargs):
+        u, force = u_step_orig(self, *args, **kwargs)
+        if len(u_outs) == 2:
+            u = 1.01 * u
+        u_outs.append(u)
+        return u, force
+
+    def b_step(self, u_frozen, *args, **kwargs):
+        advecting.append(u_frozen)
+        if len(advecting) == 4:
+            raise Stop
+        return b_step_orig(self, u_frozen, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, "u_step", u_step)
+    monkeypatch.setattr(Stepper, "b_step", b_step)
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    with pytest.raises(Stop):
+        Stepper(scen.cfg, scen.trace).coupled_step(SimState(0.0, scen.u0, scen.b0, None))
+    residual = [np.sqrt(l2_norm_sq(u - ub)) for u, ub in zip(u_outs, advecting)]
+    assert residual[2] > residual[1]
+    assert all(advecting[k] is u_outs[k - 1] for k in (1, 2, 3))
+
+
 def test_warm_start_moves_fixed_point_only_and_not_single_pass(monkeypatch):
     for mode in ("single_pass", "fixed_point"):
         scen = make_scenario("picard-ref", nx=16, dt=DT, t_final=5 * DT, outer_mode=mode)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 
+from mhd2d import verify
 from mhd2d.dynamics import run
 from mhd2d.estimates import CalibrationStore
 from mhd2d.geometry import l2_norm_sq
+from mhd2d.lifting import lifting_estimate_check
+from mhd2d.scenarios import make_scenario
 from mhd2d.verify import (
     ExperimentReport,
     _fit_order,
@@ -213,3 +216,22 @@ def test_tail_full_rank_and_single_mode():
         assert grad_norm_sq(xi - u1) < 1e-9
     _, u1 = project(basis, xi, k - 1)
     assert abs(grad_norm_sq(xi - u1) - basis.eigenvalues[k - 1]) < 1e-6
+
+
+def test_calibration_runs_one_absorbing_probe(monkeypatch):
+    # a probe whose window bound fails raises no constant and is not re-run
+    seen = []
+
+    def failing_probe(store, **kw):
+        seen.append((store.get("absorb_c_omega"), store.get("absorb_c_tilde")))
+        rep = ExperimentReport("absorbing")
+        rep.check("window-bound", "synthetic", 2.0, 1.0, False)
+        return rep
+
+    monkeypatch.setattr(verify, "absorbing_experiment", failing_probe)
+    store = verify.calibrate_constants(nx=8, dt=0.01)
+    scen = make_scenario("calib-osc", nx=8, dt=0.01, strong_mode=True)
+    c_omega = max(lifting_estimate_check(scen.trace, 0.5).c_h1 * 1.5, 1.0)
+    assert seen == [(c_omega, 1.25)]
+    assert store.values["absorb_c_omega"] == (c_omega, "calib-osc")
+    assert "rho2_measured" not in store.values
