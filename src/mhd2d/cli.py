@@ -216,6 +216,7 @@ def _build_initial(spec: str, grid, modes, errors):
         if toks[0] == "bump":
             try:
                 amp, kx, ky = float(kw.get("amp", 1.0)), int(kw.get("kx", 1)), int(kw.get("ky", 1))
+                _checked("amp", amp, math.isfinite, "finite")
             except ValueError as exc:
                 errors.append(f"initial: term {term!r}: {exc}")
                 continue

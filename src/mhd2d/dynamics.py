@@ -48,12 +48,17 @@ records no row and advances no parabolic lift.  What a
 step holds fixed is prepared once: once per coupled step, u^n's two halves
 in one pass (``geometry.face_halves``), which are the first outer iterate's
 ubar halves (ubar is u^n there) and whose transported half enters every
-iterate's velocity transport, and the magnetic operator's Dirichlet data
+iterate's velocity transport, the magnetic operator's Dirichlet data
 (``DirichletHeat.boundary``: kappa*Lap of the wall data, whose Laplacian
-the ledger row at the same instant reuses); each later outer iterate's two
+the ledger row at the same instant reuses), the right-hand sides
+b^n/dt (+ f_b) and u^n/dt on the interior faces, two pairs of wall rows
+under the boundary data (``geometry.wall_rows``: one that every Picard
+iteration writes its iterate's tangential averages into, one that holds
+the accepted magnetic iterate's), and whether u^n is zero (the pure-heat
+test; a later iterate's ubar is the velocity whose norm the stop test
+takes, so that norm is its test); and each later outer iterate's two
 halves of ubar in one pass, which the velocity step's transport and the
-magnetic lag share; and once per magnetic step, the boundary rows of the
-iterate's transported half (``geometry.wall_rows``).  Every advecting
+magnetic lag share.  Every advecting
 velocity is a Stokes output or an average of two, divergence-free by
 construction, so its halves carry no divergence terms, and neither the
 velocity transport nor the magnetic lag forms a -f·(div ubar) product,
@@ -61,8 +66,18 @@ which would be round-off.  An initial u0 is divergence-free only to within
 the compatibility tolerance, so its first step leaves out a term of at
 most that size.  b keeps its divergence terms (the Lorentz term, and the
 chord's -ubar·(div b)), since b before cleaning carries an O(1) divergence.
-A chord iteration then forms its lag, stretching minus transport, as one
-induction term on the interior faces (``geometry.induction_interior``): the
+Each magnetic iterate b_k that an outer iterate accepts is handed on as
+its halves, built once (``geometry.magnetic_halves``: its two halves with
+the divergence terms, and its cell divergence): the velocity step forms
+the Lorentz term b·∇b from them (``convect_interior``, equal to
+``convect(b, b, bc)`` bit for bit), the next outer iterate's first Picard
+iteration, which starts from b_k, reads them in place of its own build
+(on the heat chord and on a fallback pair alike), and for the last
+iterate the pre-cleaning scan takes its divergence from them, which the
+projection then solves with (``project_divfree``'s ``div``).
+A chord iteration forms its lag, stretching minus transport, as one
+induction term on the interior faces (``geometry.induction_interior``, or
+``induction_halves`` from handed-on halves): the
 curl of the corner EMF E = ubar1 b2 - ubar2 b1 less ubar times b's
 interpolated divergence, without the normal-flux products that cancel
 between the two terms.  An iteration on a pair computes the iterate's two
@@ -72,8 +87,11 @@ measures its residual and norm on the component arrays
 (``geometry.norm_sq``).  The pair's loop and the norms repeat the
 whole-field formulas operation for operation, bit for bit; the induction
 term leaves out the cancelling products and so moves results by round-off.
-The divergence of the accepted b that the pre-cleaning scan takes is the
-one the projection solves with (``project_divfree``'s ``div``).
+The velocity step forms its force on the interior faces only, which is
+all ``StokesSaddle.solve`` reads; its walls stay zero, and the pressure
+recovery zeroes them whatever they hold.  Norms, maxima and square roots
+call ndarray methods, ufunc reductions and ``math.sqrt``, which give the
+bits of numpy's module-level functions without their Python-level dispatch.
 Fields inside a step are built without a finiteness scan
 (``geometry.VectorField._unchecked``).  The accepted (u, b) is scanned
 once, a recovered p once, and a Picard or outer residual that is NaN or
@@ -103,18 +121,19 @@ from .geometry import (
     TransportedHalf,
     VectorBC,
     VectorField,
+    _max,
     advecting_half,
     all_finite,
-    convect,
-    convect_halves,
     convect_interior,
     divergence,
+    MagneticHalves,
     face_halves,
+    induction_halves,
     induction_interior,
     l2_norm_sq,
+    magnetic_halves,
     norm_sq,
     wall_rows,
-    with_divergence,
 )
 from .ioutil import atomic_write_bytes
 from .lifting import (
@@ -307,6 +326,16 @@ def compatibility_check(
     return CompatReport(div_u, div_b, u_trace, b_trace, flux, ok)
 
 
+def _interior_rhs(f: VectorField, dt: float, force: VectorField | None = None):
+    """f/dt (+ force) on the interior faces, where the implicit solves read
+    an implicit-Euler right-hand side: the x array (nx-1, ny) and the y
+    array (nx, ny-1)."""
+    rx, ry = f.x[1:-1, :] / dt, f.y[:, 1:-1] / dt
+    if force is not None:
+        rx, ry = rx + force.x[1:-1, :], ry + force.y[:, 1:-1]
+    return rx, ry
+
+
 class Stepper:
     """Repeated coupled steps on one grid.  It holds the velocity step's
     ``StokesSaddle`` (none under a Galerkin truncation), the latest boundary
@@ -380,6 +409,10 @@ class Stepper:
         u_frozen_halves: tuple[AdvectingHalf, TransportedHalf],
         boundary: tuple | None = None,
         max_iter: int = PICARD_MAX_ITER,
+        rhs: tuple | None = None,
+        walls: tuple | None = None,
+        pure_heat: bool | None = None,
+        start_halves: MagneticHalves | None = None,
     ):
         """One implicit magnetic step from t_prev: the implicit-transport
         solution at u_frozen, reached by a Picard loop on ``operator`` that
@@ -399,9 +432,17 @@ class Stepper:
         ``induction_interior(cur, walls, *u_frozen_halves)``; on a pair it
         lags the stretching term, from the transported half and the
         iterate's half with its divergence terms, less the transport by
-        u_frozen - u_ref (a velocity's half, without them).  ``boundary`` is
-        ``operator.boundary(bc)``, which the outer iterates of one coupled
-        step share (None: prepared here).
+        u_frozen - u_ref (a velocity's half, without them).
+        ``boundary`` is ``operator.boundary(bc)``, ``rhs`` the right-hand
+        side b_prev/dt (+ fb) on the interior faces, ``walls`` a
+        ``wall_rows(grid, bc)`` pair that the loop writes its iterates'
+        tangential averages into, and ``pure_heat`` whether
+        ``l2_norm_sq(u_frozen)`` is 0.0: what the outer iterates of one
+        coupled step share (each None: prepared here).  ``start_halves``
+        are ``magnetic_halves`` of b_start under bc on other walls, which
+        the first Picard iteration reads in place of b_start's own
+        (``coupled_step`` passes each accepted iterate's, built once for
+        its Lorentz term); halves of another field are ignored.
         ``max_iter`` caps the Picard iterations.  The heat chord also stops at
         its first residual that is no smaller than the one before, both above
         the round-off floor of the contraction ratio.  A loop that stops
@@ -413,7 +454,8 @@ class Stepper:
         dt = cfg.dt
         t_next = t_prev + dt
         u_ref = operator.u_ref
-        pure_heat = l2_norm_sq(u_frozen) == 0.0
+        if pure_heat is None:
+            pure_heat = l2_norm_sq(u_frozen) == 0.0
         # the heat chord lags the whole induction term, and stops once it stalls
         chord = u_ref is None and not pure_heat
         # on a pair, the advecting half of u_frozen - u_ref, None when that is exactly zero
@@ -424,20 +466,20 @@ class Stepper:
             lagged = advecting_half(u_frozen - u_ref)
         exact = pure_heat and lagged is None  # nothing lagged: one solve is exact
         # the right-hand sides on the interior faces, where the solves read them
-        rhs_x = b_prev.x[1:-1, :] / dt
-        rhs_y = b_prev.y[:, 1:-1] / dt
-        if fb is not None:
-            rhs_x = rhs_x + fb.x[1:-1, :]
-            rhs_y = rhs_y + fb.y[:, 1:-1]
+        if rhs is None:
+            rhs = _interior_rhs(b_prev, dt, fb)
+        rhs_x, rhs_y = rhs
 
         # fixed for the whole Picard loop: the Dirichlet data and the wall
         # rows of the iterate's transported half; each iteration adds only the
         # iterate's corner averages (the chord) or its two halves (a pair)
         if boundary is None:
             boundary = operator.boundary(bc)
-        walls = wall_rows(g, bc)
+        if walls is None:
+            walls = wall_rows(g, bc)
 
         cur = b_start
+        halves = start_halves if start_halves is not None and start_halves.t.f is b_start else None
         residuals = []
         res = 0.0
         iters = 0
@@ -450,18 +492,20 @@ class Stepper:
             for j in range(max_iter):
                 iters = j + 1
                 lag_x = lag_y = 0.0
-                if chord:
+                if chord and halves is not None:
+                    lag_x, lag_y = induction_halves(halves.a, halves.t, *u_frozen_halves)
+                elif chord:
                     lag_x, lag_y = induction_interior(cur, walls, *u_frozen_halves)
                 elif not exact:
-                    a_cur, f_cur = face_halves(cur, walls)
+                    a_cur, f_cur, _ = magnetic_halves(cur, walls) if halves is None else halves
                     if not pure_heat:  # the stretching term at the lagged iterate
-                        a_cur = with_divergence(a_cur, cur)
                         lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])
                     if lagged is not None:  # transport left out of the operator
                         tx, ty = convect_interior(lagged, f_cur)
                         lag_x, lag_y = lag_x - tx, lag_y - ty
+                halves = None
                 nxt_x, nxt_y = operator.solve_interior(rhs_x + lag_x, rhs_y + lag_y, boundary)
-                res = np.sqrt(norm_sq(g, nxt_x - cur.x, nxt_y - cur.y))
+                res = math.sqrt(norm_sq(g, nxt_x - cur.x, nxt_y - cur.y))
                 if not math.isfinite(res):  # a NaN or infinity in the iterate
                     raise StepFailure(
                         "magnetic Picard residual is non-finite",
@@ -470,7 +514,7 @@ class Stepper:
                     )
                 residuals.append(res)
                 cur = VectorField._unchecked(g, nxt_x, nxt_y)
-                cur_norm = np.sqrt(norm_sq(g, nxt_x, nxt_y))
+                cur_norm = math.sqrt(norm_sq(g, nxt_x, nxt_y))
                 converged = exact or res <= cfg.picard_tol * (1.0 + cur_norm)
                 if converged:
                     break
@@ -498,42 +542,58 @@ class Stepper:
         bc: VectorBC,
         fu: VectorField | None,
         u_prev_half: TransportedHalf,
+        b_halves: MagneticHalves | None = None,
+        rhs: tuple | None = None,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update with the
         transport by the advecting velocity and the Lorentz force of
         ``b_frozen`` lagged.
 
-        Returns (u_new, f), where f is the step's right-hand side, from
-        which ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``bc`` is the
+        Returns (u_new, f), where f is the step's right-hand side on the
+        interior faces, zero on the walls, from which
+        ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``bc`` is the
         magnetic boundary data and ``fu`` the velocity body force at the new
         time (None: no force).  ``u_advect_half`` is the advecting velocity's
         ``advecting_half``, without divergence terms, which the outer iterate
         shares with its magnetic step; ``u_prev_half`` is
-        ``transported_half(u_prev)``, which the outer iterates of one coupled
-        step share (``coupled_step`` takes both of u^n's from one
-        ``face_halves``).  The Lorentz term goes through ``convect``, which
-        keeps b's divergence terms.
+        ``transported_half(u_prev)``, and ``rhs`` is u_prev/dt on the
+        interior faces, which the outer iterates of one coupled step share
+        (``coupled_step`` takes both of u^n's halves from one
+        ``face_halves``; None: prepared here).  The Lorentz term b·∇b is
+        ``convect(b_frozen, b_frozen, bc)``, with b's divergence terms, formed
+        from ``b_halves``, ``magnetic_halves(b_frozen, wall_rows(grid, bc))``,
+        which ``coupled_step`` builds once per magnetic iterate for this
+        term, the next Picard loop's start and the pre-cleaning scan (None:
+        built here).
         """
         cfg = self.cfg
-        dt = cfg.dt
-        adv = convect_halves(u_advect_half, u_prev_half)
-        lor = convect(b_frozen, b_frozen, bc)
-        fx = u_prev.x / dt - adv.x + cfg.s * lor.x
-        fy = u_prev.y / dt - adv.y + cfg.s * lor.y
+        g = self.grid
+        if b_halves is None:
+            b_halves = magnetic_halves(b_frozen, wall_rows(g, bc))
+        if rhs is None:
+            rhs = _interior_rhs(u_prev, cfg.dt)
+        adv_x, adv_y = convect_interior(u_advect_half, u_prev_half)
+        lor_x, lor_y = convect_interior(b_halves.a, b_halves.t)
+        # only the interior faces: the saddle's solve reads no wall face, and
+        # its pressure recovery zeroes them
+        fx, fy = np.zeros(g.shape_xface()), np.zeros(g.shape_yface())
+        fx[1:-1, :] = rhs[0] - adv_x + cfg.s * lor_x
+        fy[:, 1:-1] = rhs[1] - adv_y + cfg.s * lor_y
         if fu is not None:
-            fx = fx + fu.x
-            fy = fy + fu.y
-        force = VectorField._unchecked(self.grid, fx, fy)
+            fx[1:-1, :] += fu.x[1:-1, :]
+            fy[:, 1:-1] += fu.y[:, 1:-1]
+        force = VectorField._unchecked(g, fx, fy)
         if cfg.n_modes is None:
             u_new = self.saddle.solve(fx, fy)
         else:
             n = cfg.n_modes
             coeffs, _ = project(self.basis, force, n)
             lam = self.basis.eigenvalues[:n]
+            dt = cfg.dt
             g_new = dt * coeffs / (1.0 + dt * lam / cfg.re)
             ux = np.tensordot(g_new, self.basis.modes_x[:n], axes=(0, 0))
             uy = np.tensordot(g_new, self.basis.modes_y[:n], axes=(0, 0))
-            u_new = VectorField._unchecked(self.grid, ux, uy)
+            u_new = VectorField._unchecked(g, ux, uy)
         return u_new, force
 
     def pressure(self, state: SimState) -> ScalarField:
@@ -560,23 +620,34 @@ class Stepper:
         state's p is None; the step keeps its accepted iterate's velocity
         force, from which ``self.pressure`` recovers p."""
         cfg = self.cfg
+        g = self.grid
         ubar = state.u
         history = []
         b_older, b_last = self.carried_iterates(state)
         b_new = 2.0 * b_last - b_older  # the first Picard loop's start
+        b_halves = None  # magnetic_halves of b_new, from the first iterate on
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
         # u^n's two halves: the first outer iterate's ubar halves (ubar is u^n
         # there), and the transported one every iterate's velocity transport
-        u_n_halves = face_halves(state.u, wall_rows(self.grid))
+        u_n_halves = face_halves(state.u, wall_rows(g))
         # ubar's two halves, rewritten by each later outer iterate: both feed
         # the magnetic lag, and the advecting one also the velocity step
-        ubar_walls = wall_rows(self.grid)
+        ubar_walls = wall_rows(g)
         # one operator and its Dirichlet data for every outer iterate, until a
         # stalled chord hands the rest of the step to the factored pair
         operator = self.magnetic_operator(state.u)
         boundary = operator.boundary(bc)
+        # the rest that every outer iterate shares: b^n/dt + f_b and u^n/dt on
+        # the interior faces, and two pairs of wall rows under bc, one that
+        # the Picard loops write their iterates' averages into and one that
+        # holds the accepted iterate's halves until the next iterate's Picard
+        # loop (or its fallback pair) has started from them
+        b_rhs, u_rhs = _interior_rhs(state.b, cfg.dt, fb), _interior_rhs(state.u, cfg.dt)
+        picard_walls, b_walls = wall_rows(g, bc), wall_rows(g, bc)
+        # whether ubar is zero: u^n's here, then each iterate's stop test's
+        pure_heat = l2_norm_sq(state.u) == 0.0
 
         b_reports = []  # one per outer iterate
         stalled_iterations = 0  # Picard iterations of the chords that stalled
@@ -594,7 +665,9 @@ class Stepper:
                 # requires a converged b, so the accepted iterate always has one.
                 max_iter = 1 if k == 0 and not single_pass else PICARD_MAX_ITER
                 halves = u_n_halves if k == 0 else face_halves(ubar, ubar_walls)
-                kw = dict(bc=bc, fb=fb, b_start=b_new, u_frozen_halves=halves, max_iter=max_iter)
+                kw = dict(bc=bc, fb=fb, b_start=b_new, u_frozen_halves=halves, max_iter=max_iter,
+                          rhs=b_rhs, walls=picard_walls, pure_heat=pure_heat,
+                          start_halves=b_halves)
                 step = (ubar, state.b, state.t)
                 b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
                 stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
@@ -602,7 +675,7 @@ class Stepper:
                     # the lagged transport is too large for the heat chord (it
                     # stalled, or contracted too slowly for the cap): the rest
                     # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
-                    operator = TransportPair(self.grid, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
+                    operator = TransportPair(g, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
                     boundary = operator.boundary(bc)
                     stalled_iterations += rep.picard_iterations
                     b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
@@ -612,12 +685,14 @@ class Stepper:
                     raise StepFailure(f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
                                       "reduce dt", t=t_next, detail={"ratio": ratio})
                 b_reports.append(rep)
+                b_halves = magnetic_halves(b_new, b_walls)
                 u_new, force = self.u_step(
-                    b_new, state.u, u_advect_half=halves[0], bc=bc, fu=fu, u_prev_half=u_n_halves[1]
+                    b_new, state.u, u_advect_half=halves[0], bc=bc, fu=fu,
+                    u_prev_half=u_n_halves[1], b_halves=b_halves, rhs=u_rhs,
                 )
                 if single_pass:
                     break
-                outer_res = np.sqrt(norm_sq(self.grid, u_new.x - ubar.x, u_new.y - ubar.y))
+                outer_res = math.sqrt(norm_sq(g, u_new.x - ubar.x, u_new.y - ubar.y))
                 history.append(float(outer_res))
                 if not math.isfinite(outer_res):
                     raise StepFailure(
@@ -625,9 +700,11 @@ class Stepper:
                         t=t_next,
                         detail={"residual_history": history},
                     )
-                if rep.picard_converged and outer_res <= cfg.outer_tol * (1.0 + np.sqrt(l2_norm_sq(u_new))):
+                u_norm_sq = l2_norm_sq(u_new)
+                if rep.picard_converged and outer_res <= cfg.outer_tol * (1.0 + math.sqrt(u_norm_sq)):
                     break
                 ubar = u_new
+                pure_heat = u_norm_sq == 0.0
             else:
                 raise StepFailure(
                     "outer coupling loop did not converge",
@@ -636,8 +713,8 @@ class Stepper:
                 )
 
         b_hat = b_new  # carried uncleaned
-        div = divergence(b_new).values  # the scan's, which the projection reuses
-        div_before = float(np.max(np.abs(div)))
+        div = b_halves.div  # the scan's, which the projection reuses
+        div_before = float(_max(np.abs(div)))
         cleaned = False
         if div_before > DIV_CLEAN_THRESHOLD:
             b_new, _ = project_divfree(b_new, div)

@@ -18,6 +18,7 @@ from .geometry import (
     ScalarField,
     VectorBC,
     VectorField,
+    _max,
     divergence,
     grad_norm_sq,
     l2_norm_sq,
@@ -175,8 +176,8 @@ def record(
         h_H12_Gamma=hs_norm(trace, t, _SPEC12),
         h_H32_Gamma=hs_norm(trace, t, _SPEC32),
         dth_Hm12_Gamma=hs_norm_dt(trace, t, _SPECM12),
-        div_u_Linf=float(np.max(np.abs(divergence(u).values))),
-        div_b_Linf=float(np.max(np.abs(divergence(b).values))),
+        div_u_Linf=float(_max(np.abs(divergence(u).values))),
+        div_b_Linf=float(_max(np.abs(divergence(b).values))),
     )
     if ledger.strong:
         if h_p is None:

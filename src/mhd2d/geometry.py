@@ -31,15 +31,22 @@ field, whose iterates before cleaning carry an O(1) divergence, does
 field share its averages: ``face_halves`` computes both in one pass into
 wall rows prepared once per boundary instant (``wall_rows``), and
 ``convect_interior`` returns only the interior faces, which is all an
-implicit solve reads.  ``induction_interior`` is the difference of two such
-convections, stretching less transport, as the curl of a corner EMF.
-``norm_sq`` is ``l2_norm_sq`` on bare component arrays, in ``inner``'s
-summation order.
+implicit solve reads.  ``magnetic_halves`` builds a magnetic field's two
+halves with its divergence terms in one pass and keeps its cell divergence,
+so a caller that transports it, advects with it and scans its divergence
+builds them once.  ``induction_interior`` is the difference of two such
+convections, stretching less transport, as the curl of a corner EMF, and
+``induction_halves`` the same from prepared halves.  ``norm_sq`` is
+``l2_norm_sq`` on bare component arrays, in ``inner``'s summation order.
+The reductions call ufunc reductions and ndarray methods directly, which
+reach the same kernels as numpy's module-level wrappers without their
+Python-level dispatch.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -58,10 +65,13 @@ __all__ = [
     "TransportedHalf",
     "advecting_half",
     "with_divergence",
+    "MagneticHalves",
+    "magnetic_halves",
     "transported_half",
     "convect_halves",
     "convect_interior",
     "induction_interior",
+    "induction_halves",
     "wall_rows",
     "face_halves",
     "identity_residuals",
@@ -117,10 +127,17 @@ class Grid:
         return (self.nx, self.ny + 1)
 
 
+# np.sum, np.max and ndarray.all without their Python-level wrappers: the
+# same ufunc reductions over every axis
+_sum = functools.partial(np.add.reduce, axis=None)
+_max = functools.partial(np.maximum.reduce, axis=None)
+_all = functools.partial(np.logical_and.reduce, axis=None)
+
+
 def _finite(arr) -> bool:
     """One full scan of an array for NaN and infinity: the entry checks of the
     public field constructors and ``all_finite`` both run it."""
-    return bool(np.isfinite(arr).all())
+    return bool(_all(np.isfinite(arr)))
 
 
 @dataclass
@@ -401,7 +418,10 @@ def with_divergence(half: AdvectingHalf, a: VectorField) -> AdvectingHalf:
     interpolated to the interior faces: the half of a field that is not
     discretely divergence-free, such as a magnetic iterate before cleaning,
     for which ``convect_interior`` subtracts f·(div a)."""
-    dc = divergence(a).values
+    return _with_cell_divergence(half, divergence(a).values)
+
+
+def _with_cell_divergence(half: AdvectingHalf, dc: np.ndarray) -> AdvectingHalf:
     return half._replace(sx=0.5 * (dc[:-1, :] + dc[1:, :]), sy=0.5 * (dc[:, :-1] + dc[:, 1:]))
 
 
@@ -451,6 +471,26 @@ def face_halves(f: VectorField, walls):
     return a, TransportedHalf(f=f, f1c=a.a1c, f1y=f1y, f2c=a.a2c, f2x=f2x)
 
 
+class MagneticHalves(NamedTuple):
+    """A magnetic field's two halves and its cell divergence (``magnetic_halves``)."""
+
+    a: AdvectingHalf  # with the divergence terms
+    t: TransportedHalf  # t.f is the field
+    div: np.ndarray  # divergence(t.f).values, (nx, ny)
+
+
+def magnetic_halves(b: VectorField, walls) -> MagneticHalves:
+    """``face_halves(b, walls)`` with ``with_divergence`` on the advecting
+    half, and the cell divergence they share, in one pass: what the Lorentz
+    term ``convect(b, b, fbc)`` (``convect_interior(h.a, h.t)``), the heat
+    chord's induction term (``induction_halves``) and a pre-cleaning scan
+    read of one magnetic iterate.  As with ``face_halves``, the transported
+    half stays valid until the next call on the same walls."""
+    a, t = face_halves(b, walls)
+    dc = divergence(b).values
+    return MagneticHalves(_with_cell_divergence(a, dc), t, dc)
+
+
 def _div_form(a: AdvectingHalf, f: TransportedHalf):
     """Divergence-form transport div(a ⊗ f) on the interior faces: the x
     array (nx-1, ny) and the y array (nx, ny-1)."""
@@ -485,21 +525,32 @@ def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHa
     interpolated divergence: the normal-flux products a1c*f1c and a2c*f2c
     cancel in the difference and are never formed.
     f's two corner averages are written into ``walls`` as ``face_halves``
-    writes them.  Equal to the difference up to round-off.
+    writes them.  Equal to the difference up to round-off.  Builds only the
+    corner averages and the divergence terms of f that
+    ``induction_halves`` reads, and is equal to it bit for bit.
     """
-    g = f.grid
     f1y, f2x = walls
     a1y = 0.5 * (f.x[:, :-1] + f.x[:, 1:])  # f1 on the interior corner rows
     a2x = 0.5 * (f.y[:-1, :] + f.y[1:, :])  # f2 on the interior corner columns
     f1y[:, 1:-1] = a1y[1:-1, :]
     f2x[1:-1, :] = a2x[:, 1:-1]
-    dc = divergence(f).values
-    ex = a2x * t.f1y - a.a2x * f1y  # E on the corners of the x-faces
-    ey = a.a1y * f2x - a1y * t.f2x  # E on the corners of the y-faces
+    fa = _with_cell_divergence(AdvectingHalf(None, a2x, None, a1y, None, None),
+                               divergence(f).values)
+    return induction_halves(fa, TransportedHalf(f, None, f1y, None, f2x), a, t)
+
+
+def induction_halves(fa: AdvectingHalf, ft: TransportedHalf, a: AdvectingHalf, t: TransportedHalf):
+    """``induction_interior`` of the field f from f's prepared halves: fa
+    with its divergence terms and ft under the boundary data
+    (``magnetic_halves``), of which it reads the corner averages and the
+    divergence terms only."""
+    g = t.f.grid
+    ex = fa.a2x * t.f1y - a.a2x * ft.f1y  # E on the corners of the x-faces
+    ey = a.a1y * ft.f2x - fa.a1y * t.f2x  # E on the corners of the y-faces
     out_x = (ex[:, 1:] - ex[:, :-1]) / g.dy
-    out_x -= t.f.x[1:-1, :] * (0.5 * (dc[:-1, :] + dc[1:, :]))
+    out_x -= t.f.x[1:-1, :] * fa.sx
     out_y = (ey[:-1, :] - ey[1:, :]) / g.dx
-    out_y -= t.f.y[:, 1:-1] * (0.5 * (dc[:, :-1] + dc[:, 1:]))
+    out_y -= t.f.y[:, 1:-1] * fa.sy
     return out_x, out_y
 
 
@@ -528,19 +579,16 @@ def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> Vect
 
 # --- inner products and norms -------------------------------------------
 
-# np.sum without its wrapper: the same pairwise reduction over every axis
-_sum = functools.partial(np.add.reduce, axis=None)
-
 
 def inner(u: VectorField, v: VectorField) -> float:
     """Discrete L2 inner product; wall faces carry half cells."""
     g = u.grid
     w = g.dx * g.dy
-    sx = np.dot(u.x[1:-1, :].ravel(), v.x[1:-1, :].ravel()) + 0.5 * (
-        np.dot(u.x[0, :], v.x[0, :]) + np.dot(u.x[-1, :], v.x[-1, :])
+    sx = u.x[1:-1, :].ravel().dot(v.x[1:-1, :].ravel()) + 0.5 * (
+        u.x[0, :].dot(v.x[0, :]) + u.x[-1, :].dot(v.x[-1, :])
     )
-    sy = np.dot(u.y[:, 1:-1].ravel(), v.y[:, 1:-1].ravel()) + 0.5 * (
-        np.dot(u.y[:, 0], v.y[:, 0]) + np.dot(u.y[:, -1], v.y[:, -1])
+    sy = u.y[:, 1:-1].ravel().dot(v.y[:, 1:-1].ravel()) + 0.5 * (
+        u.y[:, 0].dot(v.y[:, 0]) + u.y[:, -1].dot(v.y[:, -1])
     )
     return w * (sx + sy)
 
@@ -548,12 +596,13 @@ def inner(u: VectorField, v: VectorField) -> float:
 def norm_sq(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
     """``inner(f, f)`` of the vector field f with the component arrays x, y,
     in the same order (interior faces, then the half-weighted walls) and so
-    bit for bit, without building f."""
+    bit for bit, without building f.  The products are ndarray.dot, the
+    BLAS dot product that np.dot reaches through its Python-level wrapper."""
+    xi = x[1:-1, :].ravel()  # a view: whole rows
     yi = y[:, 1:-1].ravel()  # a copy: gathered once for both factors
-    sx = np.dot(x[1:-1, :].ravel(), x[1:-1, :].ravel()) + 0.5 * (
-        np.dot(x[0, :], x[0, :]) + np.dot(x[-1, :], x[-1, :])
-    )
-    sy = np.dot(yi, yi) + 0.5 * (np.dot(y[:, 0], y[:, 0]) + np.dot(y[:, -1], y[:, -1]))
+    x0, x1, y0, y1 = x[0, :], x[-1, :], y[:, 0], y[:, -1]
+    sx = xi.dot(xi) + 0.5 * (x0.dot(x0) + x1.dot(x1))
+    sy = yi.dot(yi) + 0.5 * (y0.dot(y0) + y1.dot(y1))
     w = grid.dx * grid.dy
     return w * (sx + sy)
 
@@ -612,7 +661,7 @@ def pointwise_norms(v: VectorField):
     cx, cy = collocate(v)
     m2 = cx**2 + cy**2
     g = v.grid
-    return float((g.dx * g.dy * _sum(m2**2)) ** 0.25), float(np.sqrt(np.max(m2)))
+    return float((g.dx * g.dy * _sum(m2**2)) ** 0.25), math.sqrt(_max(m2))
 
 
 # --- identity suite ------------------------------------------------------

@@ -96,7 +96,7 @@ class BoundaryTrace:
     def index_of(self, t):
         """Index of the sampled instant nearest t (the earlier one on a tie)."""
         tt = self.times
-        i = int(np.searchsorted(tt, t))
+        i = int(tt.searchsorted(t))
         if i > 0 and (i == len(tt) or t - tt[i - 1] <= tt[i] - t):
             i -= 1
         if i == len(tt) or not abs(tt[i] - t) <= 1e-9 * max(1.0, abs(t)):

@@ -33,6 +33,7 @@ from .geometry import (
     ScalarField,
     VectorBC,
     VectorField,
+    _sum,
     advecting_half,
     divergence,
     gradient,
@@ -304,6 +305,12 @@ class TransportPair:
 
 # --- closed-form Dirichlet heat and harmonic solves -------------------------
 
+def _vdot(a, b):
+    """np.vdot of two real arrays: ndarray.dot of both flattened in C order,
+    the same BLAS dot product without np.vdot's Python-level wrapper."""
+    return a.ravel().dot(b.ravel())
+
+
 def _separable_solve(qa, qb, inv_lam, r):
     """qa (inv_lam * (qa^T r qb)) qb^T: a solve in the orthonormal eigenbases qa and qb."""
     return qa @ ((qa.T @ r @ qb) * inv_lam) @ qb.T
@@ -422,17 +429,17 @@ class DirichletHeat:
         (qxa, qxb, inv_x), (qya, qyb, inv_y) = self._x, self._y
         cx = qxa.T @ b.x[1:-1, :] @ qxb - inv_x * (qxa.T @ lx @ qxb)
         cy = qya.T @ b.y[:, 1:-1] @ qyb - inv_y * (qya.T @ ly @ qyb)
-        l2 = np.vdot(cx, cx) + np.vdot(cy, cy)
-        grad = np.vdot(self._lam[0], cx * cx) + np.vdot(self._lam[1], cy * cy)
+        l2 = _vdot(cx, cx) + _vdot(cy, cy)
+        grad = _vdot(self._lam[0], cx * cx) + _vdot(self._lam[1], cy * cy)
         # b's normal wall faces less the data, left and right, then bottom and top
         ex = b.x[[0, -1]] - (bc.x_left, bc.x_right)
         ey = b.y[:, [0, -1]].T - (bc.y_bottom, bc.y_top)
         if ex.any() or ey.any():
             dx_walls = qxa[[0, -1]] @ cx @ qxb.T  # b - h on the interior faces next to them
             dy_walls = qyb[[0, -1]] @ cy.T @ qya.T
-            l2 += 0.5 * (np.vdot(ex, ex) + np.vdot(ey, ey))
-            grad += np.vdot(ex, ex - 2.0 * dx_walls) / g.dx**2
-            grad += np.vdot(ey, ey - 2.0 * dy_walls) / g.dy**2
+            l2 += 0.5 * (_vdot(ex, ex) + _vdot(ey, ey))
+            grad += _vdot(ex, ex - 2.0 * dx_walls) / g.dx**2
+            grad += _vdot(ey, ey - 2.0 * dy_walls) / g.dy**2
         w = g.dx * g.dy
         return float(w * l2), float(w * grad)
 
@@ -494,9 +501,9 @@ class NeumannPoisson:
         self._inv_lam = 1.0 / lam
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        r = np.reshape(rhs, self.grid.shape_center())
+        r = rhs.reshape(self.grid.shape_center())
         q = _separable_solve(self._qx, self._qy, self._inv_lam, r)
-        return q - q.mean()
+        return q - _sum(q) / q.size  # q.mean(), without its wrapper
 
 
 # The memoized ``NeumannPoisson``: the grid is its only key, so the cleaning
@@ -589,8 +596,12 @@ class StokesSaddle:
         """K^{-1} rhs on the interior corners; rhs (such as C^T f) has shape (nx - 1, ny - 1)."""
         qx, qy, inv_s, ax, ay = self._tables
         y = (qx.T @ rhs @ qy) * inv_s  # S^{-1} rhs in the sine basis
-        z = self._inv_m @ np.concatenate([(y @ ay.T).T.ravel(), (ax @ y).ravel()])
-        zx, zy = z[: 2 * len(qx)].reshape(2, -1), z[2 * len(qx) :].reshape(2, -1)
+        k = 2 * len(qx)
+        f = np.empty(len(self._inv_m))  # F S^{-1} rhs, the frame's two sides in turn
+        f[:k].reshape(2, -1)[...] = (y @ ay.T).T
+        f[k:].reshape(2, -1)[...] = ax @ y
+        z = self._inv_m @ f
+        zx, zy = z[:k].reshape(2, -1), z[k:].reshape(2, -1)
         y -= inv_s * (zx.T @ ay + ax.T @ zy)
         return qx @ y @ qy.T
 
@@ -606,7 +617,9 @@ class StokesSaddle:
         return np.vstack([fx, fy])
 
     def solve(self, fx: np.ndarray, fy: np.ndarray) -> VectorField:
-        """Divergence-free u; fx, fy: forcing on the full face arrays (interior entries used)."""
+        """Divergence-free u; fx, fy: forcing on the full face arrays, of
+        which only the interior entries are read, so the wall faces may hold
+        zeros (the velocity step's do; ``pressure`` zeroes them too)."""
         g = self.grid
         fxi, fyi = fx[1:-1, :], fy[:, 1:-1]
         rhs = (fxi[:, :-1] - fxi[:, 1:]) / g.dy + (fyi[1:, :] - fyi[:-1, :]) / g.dx  # C^T f

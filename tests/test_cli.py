@@ -584,6 +584,18 @@ def test_out_of_range_command_value_is_config_error(tmp_path, capsys, stubbed_ru
     assert err.startswith("config error: ") and expect in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["u", "b"])
+@pytest.mark.parametrize("amp", ["nan", "inf", "-inf"])
+def test_non_finite_initial_amplitude_is_config_error(tmp_path, capsys, key, amp):
+    # refused with the config, as the same value in [boundary] modes is,
+    # not by the compatibility check of the NaN field it would build (exit 3)
+    path = _write(tmp_path, MINIMAL + f"\n[initial]\n{key} = bump amp={amp} kx=1 ky=2\n")
+    assert main(["run", "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial: ") and f"amp = {float(amp)!r} must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_tail_cut_above_stokes_capacity_exits_before_running(tmp_path, capsys, monkeypatch):
     # the 32^2 tail grid holds 961 Stokes modes, so a cut n needs n + 1 <= 961
     from mhd2d import cli

@@ -1,3 +1,4 @@
+import os
 import struct
 import sys
 import weakref
@@ -38,6 +39,7 @@ from mhd2d.geometry import (
     induction_interior,
     inner,
     l2_norm_sq,
+    magnetic_halves,
     transported_half,
     wall_rows,
     with_divergence,
@@ -451,6 +453,61 @@ def test_b_step_matches_the_whole_field_picard_oracle(case):
     assert rep.picard_iterations == len(residuals)
     assert rep.picard_residual == residuals[-1]
     assert (rep.picard_iterations == 1) == (case == "heat")
+
+
+@pytest.mark.parametrize("on_pair", [False, True])
+def test_b_step_started_from_shared_halves_is_bit_for_bit(on_pair):
+    # coupled_step hands each outer iterate the halves it built of the last
+    # magnetic iterate for its Lorentz term; the first Picard iteration of the
+    # heat chord and of a fallback pair reads them in place of its own build.
+    # Halves of another field are not b_start's, and are not read
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
+    st = Stepper(scen.cfg, scen.trace)
+    g, u_n = scen.cfg.grid(), scen.u0
+    ubar = u_n + stream_bump(g, 0.2, 1, 2)
+    operator = _pair(st, u_n) if on_pair else st.magnetic_operator(u_n)
+    bc = st.vector_bc(DT)
+    b_start = 2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1)
+    kw = dict(bc=bc, operator=operator, fb=0.3 * scen.b0, b_start=b_start,
+              u_frozen_halves=halves(ubar))
+    for max_iter in (1, dynamics.PICARD_MAX_ITER):
+        want, rep_want = st.b_step(ubar, scen.b0, 0.0, max_iter=max_iter, **kw)
+        for start in (b_start, scen.b0):
+            got, rep = st.b_step(ubar, scen.b0, 0.0, max_iter=max_iter,
+                                 start_halves=magnetic_halves(start, wall_rows(g, bc)), **kw)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+            assert rep == rep_want
+        assert (rep_want.picard_iterations > 1) == (max_iter > 1)
+
+
+def test_a_coupled_step_runs_numpy_python_code_only_for_errstate():
+    # the step's norms, maxima and solves call ufunc reductions and ndarray
+    # methods, which reach numpy's kernels without the Python-level dispatch
+    # of np.dot, np.max, np.vdot, np.concatenate or np.reshape; only
+    # np.errstate, around the outer loop and each magnetic step's Picard
+    # loop, runs Python code in numpy's package
+    scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=10 * DT)
+    st = Stepper(scen.cfg, scen.trace)
+    state = SimState(0.0, scen.u0, scen.b0, None)
+    for _ in range(6):
+        state, _ = st.coupled_step(state)
+    home = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        _, rep = st.coupled_step(state)
+    finally:
+        sys.setprofile(None)
+    assert (rep.outer_iterations, rep.picard_iterations) == (4, 9)
+    # np.errstate's __init__, __enter__ and __exit__, once for the step and
+    # once for each of its magnetic steps
+    assert sorted(set(entered)) == ["__enter__", "__exit__", "__init__"]
+    assert len(entered) == 3 * (1 + rep.outer_iterations) == 15
 
 
 def test_b_step_equals_the_implicit_transport_solve_at_ubar():
@@ -874,14 +931,17 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
     per_step = [events[a + 1 : b] for a, b in zip(marks, marks[1:])]
     counts = [(seg.count("solve"), seg.count("convect"), seg.count("record"), seg.count("divergence"))
               for seg in per_step]
-    # one x and y solve per Picard iteration, one Lorentz term per outer
-    # iterate, one ledger row per step; a divergence for each Lorentz term
-    # and each chord iteration (b's), the pre-cleaning scan (whose values
-    # the projection reuses), and two in the ledger row (u's and b's)
-    want = [(r.picard_iterations, r.outer_iterations, 1, r.outer_iterations + r.picard_iterations + 1 + 2)
-            for r in traj.reports]
+    # one x and y solve per Picard iteration, one ledger row per step, and
+    # no convect: the Lorentz term is formed from shared halves.  A step of
+    # K outer iterates and P Picard iterations takes b's divergence once for
+    # each accepted magnetic iterate's halves (K), which its Lorentz term,
+    # the next iterate's first Picard iteration and the last one's
+    # pre-cleaning scan read, and once in every other chord iteration
+    # (P - (K - 1): iterates 2..K start from those halves), so P + 1; and
+    # two in the ledger row (u's and b's)
+    want = [(r.picard_iterations, 0, 1, r.picard_iterations + 1 + 2) for r in traj.reports]
     assert counts == want
-    assert counts == [(11, 4, 1, 18), (11, 4, 1, 18), (9, 4, 1, 16), (9, 4, 1, 16), (9, 4, 1, 16)]
+    assert counts == [(11, 0, 1, 14), (11, 0, 1, 14), (9, 0, 1, 12), (9, 0, 1, 12), (9, 0, 1, 12)]
 
 
 def _relative_error(got, want):

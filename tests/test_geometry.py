@@ -18,10 +18,13 @@ from mhd2d.geometry import (
     face_halves,
     gradient,
     identity_residuals,
+    induction_halves,
     induction_interior,
     inner,
     l2_norm_sq,
     laplacian,
+    magnetic_halves,
+    norm_sq,
     transported_half,
     wall_rows,
     with_divergence,
@@ -240,6 +243,45 @@ def test_induction_interior_equals_the_two_convect_difference(rng):
         assert err <= 1e-13 * scale
         # b's corner averages are written into the walls as face_halves writes them
         assert np.array_equal(walls[0], tb.f1y) and np.array_equal(walls[1], tb.f2x)
+
+
+def test_magnetic_halves_give_the_lorentz_term_and_the_chord_lag_bit_for_bit(rng):
+    # one build of a magnetic iterate's halves serves its Lorentz term b·∇b,
+    # the next Picard loop's first induction term and the pre-cleaning scan;
+    # each must equal what its own build gave.  b is not solenoidal and the
+    # walls carry nonzero data, so the divergence terms and wall rows count
+    g = Grid(12, 10)
+    rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
+                               rng.standard_normal(g.shape_yface()))
+    fbc = VectorBC(*(rng.standard_normal(len(v)) for v in vars(VectorBC.zero(g)).values()))
+    for _ in range(3):
+        b, u = rand(), rand()
+        h = magnetic_halves(b, wall_rows(g, fbc))
+        assert h.t.f is b and np.array_equal(h.div, divergence(b).values)
+        lorentz, want = convect_halves(h.a, h.t), convect(b, b, fbc)
+        assert np.array_equal(lorentz.x, want.x) and np.array_equal(lorentz.y, want.y)
+        a, t = face_halves(u, wall_rows(g))
+        got, want = induction_halves(h.a, h.t, a, t), induction_interior(b, wall_rows(g, fbc), a, t)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 33), seed=st.integers(0, 10_000), exponent=st.integers(-150, 150))
+def test_norm_sq_equals_inner_bit_for_bit(n, seed, exponent):
+    # norm_sq sums in inner's order with ndarray.dot; both must give the
+    # bits of np.dot, the products through numpy's Python-level wrapper
+    rng = np.random.default_rng(seed)
+    g = Grid(n, n)
+    scale = 10.0**exponent
+    f = VectorField(g, scale * rng.standard_normal(g.shape_xface()),
+                    scale * rng.standard_normal(g.shape_yface()))
+    x, y = f.x, f.y
+    sx = np.dot(x[1:-1, :].ravel(), x[1:-1, :].ravel()) + 0.5 * (
+        np.dot(x[0, :], x[0, :]) + np.dot(x[-1, :], x[-1, :]))
+    sy = np.dot(y[:, 1:-1].ravel(), y[:, 1:-1].ravel()) + 0.5 * (
+        np.dot(y[:, 0], y[:, 0]) + np.dot(y[:, -1], y[:, -1]))
+    want = g.dx * g.dy * (sx + sy)
+    assert norm_sq(g, x, y) == inner(f, f) == want
 
 
 def _smooth_pair(grid):
