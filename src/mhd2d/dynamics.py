@@ -117,6 +117,7 @@ from .estimates import EnergyLedger, record
 from .geometry import (
     AdvectingHalf,
     Grid,
+    MagneticHalves,
     ScalarField,
     TransportedHalf,
     VectorBC,
@@ -126,7 +127,6 @@ from .geometry import (
     all_finite,
     convect_interior,
     divergence,
-    MagneticHalves,
     face_halves,
     induction_halves,
     induction_interior,
@@ -399,50 +399,47 @@ class Stepper:
     def b_step(
         self,
         u_frozen: VectorField,
-        b_prev: VectorField,
         t_prev: float,
         *,
-        bc: VectorBC,
+        rhs: tuple[np.ndarray, np.ndarray],
         operator,
-        fb: VectorField | None,
+        boundary: tuple,
+        walls: tuple,
         b_start: VectorField,
+        start_halves: MagneticHalves | None,
         u_frozen_halves: tuple[AdvectingHalf, TransportedHalf],
-        boundary: tuple | None = None,
+        pure_heat: bool,
         max_iter: int = PICARD_MAX_ITER,
-        rhs: tuple | None = None,
-        walls: tuple | None = None,
-        pure_heat: bool | None = None,
-        start_halves: MagneticHalves | None = None,
     ):
         """One implicit magnetic step from t_prev: the implicit-transport
         solution at u_frozen, reached by a Picard loop on ``operator`` that
         lags the stretching term.  Returns (b_new, StepReport).
 
-        ``operator`` is the implicit-Euler diffusion operator with the
-        transport by its velocity ``u_ref`` (None: zero), such as
-        ``self.magnetic_operator(u^n)``; the transport by u_frozen - u_ref
-        is lagged next to the stretching term, which leaves the fixed point
-        unchanged.  ``bc`` is the boundary data and ``fb`` the magnetic body
-        force at the new time (None: no force).  ``b_start`` is the first
-        Picard iterate; the stop test and the fixed point do not depend on
-        it.  ``u_frozen_halves`` is ``face_halves(u_frozen)``, a velocity's
-        halves without divergence terms, which the outer iterate shares with
-        its velocity step.  When u_ref is None (the heat chord) each
-        iteration lags the whole induction term
-        ``induction_interior(cur, walls, *u_frozen_halves)``; on a pair it
-        lags the stretching term, from the transported half and the
-        iterate's half with its divergence terms, less the transport by
-        u_frozen - u_ref (a velocity's half, without them).
-        ``boundary`` is ``operator.boundary(bc)``, ``rhs`` the right-hand
-        side b_prev/dt (+ fb) on the interior faces, ``walls`` a
-        ``wall_rows(grid, bc)`` pair that the loop writes its iterates'
-        tangential averages into, and ``pure_heat`` whether
-        ``l2_norm_sq(u_frozen)`` is 0.0: what the outer iterates of one
-        coupled step share (each None: prepared here).  ``start_halves``
-        are ``magnetic_halves`` of b_start under bc on other walls, which
-        the first Picard iteration reads in place of b_start's own
-        (``coupled_step`` passes each accepted iterate's, built once for
-        its Lorentz term); halves of another field are ignored.
+        ``rhs`` is the implicit-Euler right-hand side b_prev/dt (+ f_b, the
+        magnetic body force at the new time) on the interior faces
+        (``_interior_rhs``).  ``operator`` is the implicit-Euler diffusion
+        operator with the transport by its velocity ``u_ref`` (None: zero),
+        such as ``self.magnetic_operator(u^n)``, and ``boundary`` its
+        Dirichlet data ``operator.boundary(bc)`` under the boundary data bc
+        at the new time; the transport by u_frozen - u_ref is lagged next to
+        the stretching term, which leaves the fixed point unchanged.
+        ``walls`` is a ``wall_rows(grid, bc)`` pair that the loop writes its
+        iterates' tangential averages into.  ``b_start`` is the first Picard
+        iterate; the stop test and the fixed point do not depend on it.
+        ``start_halves`` are b_start's ``magnetic_halves`` under bc, which
+        the first iteration reads in place of its own build (None: b_start
+        has none built).  ``u_frozen_halves`` is ``face_halves(u_frozen)``,
+        a velocity's halves without divergence terms, which the outer
+        iterate shares with its velocity step, and ``pure_heat`` whether
+        ``l2_norm_sq(u_frozen)`` is 0.0.  ``coupled_step`` prepares rhs,
+        boundary, walls and pure_heat once for all its outer iterates (the
+        pure-heat test from the norm its stop test takes), and hands each
+        iterate the halves of the last one's b, built for its Lorentz term.
+        When u_ref is None (the heat chord) each iteration lags the whole
+        induction term ``induction_interior(cur, walls, *u_frozen_halves)``;
+        on a pair it lags the stretching term, from the transported half
+        and the iterate's half with its divergence terms, less the
+        transport by u_frozen - u_ref (a velocity's half, without them).
         ``max_iter`` caps the Picard iterations.  The heat chord also stops at
         its first residual that is no smaller than the one before, both above
         the round-off floor of the contraction ratio.  A loop that stops
@@ -454,8 +451,6 @@ class Stepper:
         dt = cfg.dt
         t_next = t_prev + dt
         u_ref = operator.u_ref
-        if pure_heat is None:
-            pure_heat = l2_norm_sq(u_frozen) == 0.0
         # the heat chord lags the whole induction term, and stops once it stalls
         chord = u_ref is None and not pure_heat
         # on a pair, the advecting half of u_frozen - u_ref, None when that is exactly zero
@@ -465,21 +460,13 @@ class Stepper:
         else:
             lagged = advecting_half(u_frozen - u_ref)
         exact = pure_heat and lagged is None  # nothing lagged: one solve is exact
-        # the right-hand sides on the interior faces, where the solves read them
-        if rhs is None:
-            rhs = _interior_rhs(b_prev, dt, fb)
         rhs_x, rhs_y = rhs
 
-        # fixed for the whole Picard loop: the Dirichlet data and the wall
-        # rows of the iterate's transported half; each iteration adds only the
-        # iterate's corner averages (the chord) or its two halves (a pair)
-        if boundary is None:
-            boundary = operator.boundary(bc)
-        if walls is None:
-            walls = wall_rows(g, bc)
-
+        # each iteration adds only the iterate's corner averages (the chord)
+        # or its two halves (a pair) to the wall rows, the first one none
+        # when b_start's halves are handed in
         cur = b_start
-        halves = start_halves if start_halves is not None and start_halves.t.f is b_start else None
+        halves = start_halves
         residuals = []
         res = 0.0
         iters = 0
@@ -535,43 +522,35 @@ class Stepper:
 
     def u_step(
         self,
-        b_frozen: VectorField,
-        u_prev: VectorField,
+        b_halves: MagneticHalves,
+        rhs: tuple[np.ndarray, np.ndarray],
         *,
         u_advect_half: AdvectingHalf,
-        bc: VectorBC,
-        fu: VectorField | None,
         u_prev_half: TransportedHalf,
-        b_halves: MagneticHalves | None = None,
-        rhs: tuple | None = None,
+        fu: VectorField | None,
     ):
         """Implicit Stokes (or Galerkin coefficient) velocity update with the
-        transport by the advecting velocity and the Lorentz force of
-        ``b_frozen`` lagged.
+        transport by the advecting velocity and the Lorentz force of the
+        frozen magnetic field b lagged.
 
         Returns (u_new, f), where f is the step's right-hand side on the
         interior faces, zero on the walls, from which
-        ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``bc`` is the
-        magnetic boundary data and ``fu`` the velocity body force at the new
-        time (None: no force).  ``u_advect_half`` is the advecting velocity's
+        ``self.saddle.pressure(f.x, f.y, u_new)`` recovers p.  ``b_halves``
+        are b's ``magnetic_halves`` under the boundary data at the new time,
+        from which the Lorentz term b·∇b is formed, equal bit for bit to
+        ``convect(b, b, bc)`` with b's divergence terms; ``coupled_step``
+        builds them once per magnetic iterate for this term, the next Picard
+        loop's start and the pre-cleaning scan.  ``rhs`` is u_prev/dt on
+        the interior faces (``_interior_rhs``) and ``u_prev_half``
+        ``transported_half(u_prev)``, which the outer iterates of one coupled
+        step share (``coupled_step`` takes both of u^n's halves from one
+        ``face_halves``).  ``u_advect_half`` is the advecting velocity's
         ``advecting_half``, without divergence terms, which the outer iterate
-        shares with its magnetic step; ``u_prev_half`` is
-        ``transported_half(u_prev)``, and ``rhs`` is u_prev/dt on the
-        interior faces, which the outer iterates of one coupled step share
-        (``coupled_step`` takes both of u^n's halves from one
-        ``face_halves``; None: prepared here).  The Lorentz term b·∇b is
-        ``convect(b_frozen, b_frozen, bc)``, with b's divergence terms, formed
-        from ``b_halves``, ``magnetic_halves(b_frozen, wall_rows(grid, bc))``,
-        which ``coupled_step`` builds once per magnetic iterate for this
-        term, the next Picard loop's start and the pre-cleaning scan (None:
-        built here).
+        shares with its magnetic step.  ``fu`` is the velocity body force at
+        the new time (None: no force).
         """
         cfg = self.cfg
         g = self.grid
-        if b_halves is None:
-            b_halves = magnetic_halves(b_frozen, wall_rows(g, bc))
-        if rhs is None:
-            rhs = _interior_rhs(u_prev, cfg.dt)
         adv_x, adv_y = convect_interior(u_advect_half, u_prev_half)
         lor_x, lor_y = convect_interior(b_halves.a, b_halves.t)
         # only the interior faces: the saddle's solve reads no wall face, and
@@ -625,7 +604,7 @@ class Stepper:
         history = []
         b_older, b_last = self.carried_iterates(state)
         b_new = 2.0 * b_last - b_older  # the first Picard loop's start
-        b_halves = None  # magnetic_halves of b_new, from the first iterate on
+        b_halves = None  # b_new's magnetic_halves, once an outer iterate has built them
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
@@ -665,10 +644,9 @@ class Stepper:
                 # requires a converged b, so the accepted iterate always has one.
                 max_iter = 1 if k == 0 and not single_pass else PICARD_MAX_ITER
                 halves = u_n_halves if k == 0 else face_halves(ubar, ubar_walls)
-                kw = dict(bc=bc, fb=fb, b_start=b_new, u_frozen_halves=halves, max_iter=max_iter,
-                          rhs=b_rhs, walls=picard_walls, pure_heat=pure_heat,
-                          start_halves=b_halves)
-                step = (ubar, state.b, state.t)
+                kw = dict(rhs=b_rhs, walls=picard_walls, b_start=b_new, start_halves=b_halves,
+                          u_frozen_halves=halves, pure_heat=pure_heat, max_iter=max_iter)
+                step = (ubar, state.t)
                 b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
                 stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
                 if stalled and operator.u_ref is None:
@@ -687,8 +665,7 @@ class Stepper:
                 b_reports.append(rep)
                 b_halves = magnetic_halves(b_new, b_walls)
                 u_new, force = self.u_step(
-                    b_new, state.u, u_advect_half=halves[0], bc=bc, fu=fu,
-                    u_prev_half=u_n_halves[1], b_halves=b_halves, rhs=u_rhs,
+                    b_halves, u_rhs, u_advect_half=halves[0], u_prev_half=u_n_halves[1], fu=fu
                 )
                 if single_pass:
                     break

@@ -159,8 +159,8 @@ def test_absorbing_gate_failure_reported():
 
 
 def test_picard_study_decoupled_ratio_is_zero():
-    from mhd2d.dynamics import SolverConfig, Stepper
-    from mhd2d.geometry import Grid, VectorField, advecting_half, transported_half
+    from mhd2d.dynamics import SolverConfig, Stepper, _interior_rhs
+    from mhd2d.geometry import Grid, VectorField, advecting_half, transported_half, wall_rows
     from mhd2d.lifting import synthesize_trace
 
     g = Grid(8, 8)
@@ -169,9 +169,11 @@ def test_picard_study_decoupled_ratio_is_zero():
 
     b0 = random_divfree(g, np.random.default_rng(1))
     st = Stepper(SolverConfig(nx=8, ny=8, dt=1e-3, t_final=1e-3), tz)
-    u = VectorField.zeros(g)
-    _, rep = st.b_step(u, b0, 0.0, bc=tz.vector_bc(1e-3), operator=st.magnetic_operator(u),
-                       fb=None, b_start=b0, u_frozen_halves=(advecting_half(u), transported_half(u)))
+    u, bc = VectorField.zeros(g), tz.vector_bc(1e-3)
+    heat = st.magnetic_operator(u)
+    _, rep = st.b_step(u, 0.0, rhs=_interior_rhs(b0, 1e-3), operator=heat, boundary=heat.boundary(bc),
+                       walls=wall_rows(g, bc), b_start=b0, start_halves=None,
+                       u_frozen_halves=(advecting_half(u), transported_half(u)), pure_heat=True)
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
 
 
