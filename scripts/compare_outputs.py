@@ -2,8 +2,9 @@
 """Check that two checkouts write byte-identical run outputs.
 
 For each run config (``--config``, repeatable; by default
-``configs/oscillating.cfg`` and then ``configs/fast_flow.cfg``, the one
-checked-in config whose steps fall back to the factored transport pair), a
+``configs/oscillating.cfg``, then ``configs/fast_flow.cfg``, the one
+checked-in config whose steps fall back to the factored transport pair, and
+``configs/from_rest.cfg``, the one whose first step advects with u = 0), a
 fresh interpreter in each checkout, with that checkout's ``src/`` on
 ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, runs
 
@@ -57,7 +58,8 @@ import numpy as np
 
 from bench_pairs import STDERR_TAIL
 
-CONFIGS = ("configs/oscillating.cfg", "configs/fast_flow.cfg")  # with no --config
+# with no --config
+CONFIGS = ("configs/oscillating.cfg", "configs/fast_flow.cfg", "configs/from_rest.cfg")
 FILES = ("ledger.csv", "final.mhdckpt")
 EXPERIMENT_FILES = ("calibration.txt", "summary.csv")  # and every report_*.csv
 RESTART_EXTRA_T = 0.25  # how much further the restarted run goes
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--config", action="append",
                     help="run config, relative to each checkout; repeatable "
-                         f"(default: {' and '.join(CONFIGS)})")
+                         f"(default: {', '.join(CONFIGS)})")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     same = True

@@ -19,6 +19,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import (
     SolverConfig,
     check_restart_header,
@@ -28,7 +30,7 @@ from .dynamics import (
 )
 from .errors import CompatibilityError, ConfigError, ExperimentFailure, SolverFailure
 from .estimates import CalibrationStore
-from .geometry import VectorField
+from .geometry import VectorField, all_finite
 from .ioutil import atomic_write_text
 from .lifting import TraceMode, matched_field, read_trace_csv, synthesize_trace
 from .scenarios import stream_bump, trace_times
@@ -213,18 +215,24 @@ def _build_initial(spec: str, grid, modes, errors):
             continue
         toks = term.split()
         kw = dict(tok.split("=", 1) for tok in toks[1:] if "=" in tok)
-        if toks[0] == "bump":
-            try:
-                amp, kx, ky = float(kw.get("amp", 1.0)), int(kw.get("kx", 1)), int(kw.get("ky", 1))
-                _checked("amp", amp, math.isfinite, "finite")
-            except ValueError as exc:
-                errors.append(f"initial: term {term!r}: {exc}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite amp may still overflow
+            if toks[0] == "bump":
+                try:
+                    amp, kx, ky = float(kw.get("amp", 1.0)), int(kw.get("kx", 1)), int(kw.get("ky", 1))
+                    _checked("amp", amp, math.isfinite, "finite")
+                except ValueError as exc:
+                    errors.append(f"initial: term {term!r}: {exc}")
+                    continue
+                new = f + stream_bump(grid, amp, kx, ky)
+            elif toks[0] == "matched":
+                new = matched_field(grid, modes, f)
+            else:
+                errors.append(f"initial: unknown term {toks[0]!r}")
                 continue
-            f = f + stream_bump(grid, amp, kx, ky)
-        elif toks[0] == "matched":
-            f = matched_field(grid, modes, f)
+        if all_finite(new):
+            f = new
         else:
-            errors.append(f"initial: unknown term {toks[0]!r}")
+            errors.append(f"initial: term {term!r}: its field is not finite")
     return f
 
 

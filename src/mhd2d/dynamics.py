@@ -17,9 +17,9 @@ ends unconverged either way is redone on ``operators.TransportPair``
 factored at u^n, and the rest of its step solves on that pair, which keeps
 its cap.  A step whose chord converges factors no sparse matrix.
 ``b_step`` solves on the operator it is handed: one factored at a velocity
-u_ref lags only (ubar - u_ref)·grad b, none when u_ref = ubar (criterion
-07's Picard map).  The first outer iterate starts its Picard loop from
-2 b^n_hat - b^(n-1)_hat,
+u_ref lags only (ubar - u_ref)·grad b, none when ubar is u_ref itself
+(criterion 07's Picard map, and a fallback pair's first iterate).  The
+first outer iterate starts its Picard loop from 2 b^n_hat - b^(n-1)_hat,
 extrapolated from the magnetic iterates the last two steps accepted before
 divergence cleaning (the Stepper carries them; a run starts from (b0, b0),
 i.e. from b0 exactly), and outer iterate k >= 2 from iterate k-1's b (a warm
@@ -44,25 +44,24 @@ does not read the pressure, so a step leaves p unset: ``Stepper.pressure``
 recovers it from that force, and ``run`` calls it only for the states it
 outputs (checkpoints and the final state; other kept states carry p None).
 A run whose caller reads no energy ledger (``run(..., ledger=False)``)
-records no row and advances no parabolic lift.  What a
-step holds fixed is prepared once: once per coupled step, u^n's two halves
-in one pass (``geometry.face_halves``), which are the first outer iterate's
-ubar halves (ubar is u^n there) and whose transported half enters every
+records no row and advances no parabolic lift.  What a step holds fixed
+is prepared once: once per coupled step, u^n's two halves in one pass
+(``geometry.face_halves``), which are the first outer iterate's ubar
+halves (ubar is u^n there) and whose transported half enters every
 iterate's velocity transport, the magnetic operator's Dirichlet data
 (``DirichletHeat.boundary``: kappa*Lap of the wall data, whose Laplacian
-the ledger row at the same instant reuses), the right-hand sides
-b^n/dt (+ f_b) and u^n/dt on the interior faces, two pairs of wall rows
-under the boundary data (``geometry.wall_rows``: one that every Picard
-iteration writes its iterate's tangential averages into, one that holds
-the accepted magnetic iterate's), and whether u^n is zero (the pure-heat
-test; a later iterate's ubar is the velocity whose norm the stop test
-takes, so that norm is its test); and each later outer iterate's two
-halves of ubar in one pass, which the velocity step's transport and the
-magnetic lag share.  Every advecting
-velocity is a Stokes output or an average of two, divergence-free by
-construction, so its halves carry no divergence terms, and neither the
-velocity transport nor the magnetic lag forms a -f·(div ubar) product,
-which would be round-off.  An initial u0 is divergence-free only to within
+the ledger row at the same instant reuses), the right-hand sides b^n/dt
+(+ f_b) and u^n/dt on the interior faces, two pairs of wall rows under the
+boundary data (``geometry.wall_rows``: one that every Picard iteration
+writes its iterate's tangential averages into, one that holds the
+accepted magnetic iterate's); and each later outer iterate's two halves
+of ubar in one pass, which the velocity step's transport and the magnetic
+lag share.  One Picard loop serves every ubar: at ubar = 0 the
+chord's lag is exactly zero, so its first iteration is the one heat
+solve.  Every advecting velocity is a Stokes output or an average of two,
+divergence-free by construction, so its halves carry no divergence terms,
+and neither the velocity transport nor the magnetic lag forms a
+-f·(div ubar) product, which would be round-off.  An initial u0 is divergence-free only to within
 the compatibility tolerance, so its first step leaves out a term of at
 most that size.  b keeps its divergence terms (the Lorentz term, and the
 chord's -ubar·(div b)), since b before cleaning carries an O(1) divergence.
@@ -77,10 +76,9 @@ iterate the pre-cleaning scan takes its divergence from them, which the
 projection then solves with (``project_divfree``'s ``div``).
 A chord iteration forms its lag, stretching minus transport, as one
 induction term on the interior faces (``geometry.induction_interior``, or
-``induction_halves`` from handed-on halves): the
-curl of the corner EMF E = ubar1 b2 - ubar2 b1 less ubar times b's
-interpolated divergence, without the normal-flux products that cancel
-between the two terms.  An iteration on a pair computes the iterate's two
+``induction_halves`` from handed-on halves): the curl of the corner EMF
+E = ubar1 b2 - ubar2 b1 less ubar times b's interpolated divergence,
+without the normal-flux products that cancel between the two terms.  An iteration on a pair computes the iterate's two
 halves in one pass, b's divergence terms, and its lag terms with
 ``geometry.convect_interior``.  Either makes the two separable solves and
 measures its residual and norm on the component arrays
@@ -408,43 +406,38 @@ class Stepper:
         b_start: VectorField,
         start_halves: MagneticHalves | None,
         u_frozen_halves: tuple[AdvectingHalf, TransportedHalf],
-        pure_heat: bool,
         max_iter: int = PICARD_MAX_ITER,
     ):
         """One implicit magnetic step from t_prev: the implicit-transport
         solution at u_frozen, reached by a Picard loop on ``operator`` that
         lags the stretching term.  Returns (b_new, StepReport).
 
-        ``rhs`` is the implicit-Euler right-hand side b_prev/dt (+ f_b, the
-        magnetic body force at the new time) on the interior faces
-        (``_interior_rhs``).  ``operator`` is the implicit-Euler diffusion
-        operator with the transport by its velocity ``u_ref`` (None: zero),
-        such as ``self.magnetic_operator(u^n)``, and ``boundary`` its
-        Dirichlet data ``operator.boundary(bc)`` under the boundary data bc
-        at the new time; the transport by u_frozen - u_ref is lagged next to
-        the stretching term, which leaves the fixed point unchanged.
-        ``walls`` is a ``wall_rows(grid, bc)`` pair that the loop writes its
-        iterates' tangential averages into.  ``b_start`` is the first Picard
-        iterate; the stop test and the fixed point do not depend on it.
-        ``start_halves`` are b_start's ``magnetic_halves`` under bc, which
-        the first iteration reads in place of its own build (None: b_start
-        has none built).  ``u_frozen_halves`` is ``face_halves(u_frozen)``,
-        a velocity's halves without divergence terms, which the outer
-        iterate shares with its velocity step, and ``pure_heat`` whether
-        ``l2_norm_sq(u_frozen)`` is 0.0.  ``coupled_step`` prepares rhs,
-        boundary, walls and pure_heat once for all its outer iterates (the
-        pure-heat test from the norm its stop test takes), and hands each
-        iterate the halves of the last one's b, built for its Lorentz term.
-        When u_ref is None (the heat chord) each iteration lags the whole
-        induction term ``induction_interior(cur, walls, *u_frozen_halves)``;
-        on a pair it lags the stretching term, from the transported half
-        and the iterate's half with its divergence terms, less the
-        transport by u_frozen - u_ref (a velocity's half, without them).
-        ``max_iter`` caps the Picard iterations.  The heat chord also stops at
-        its first residual that is no smaller than the one before, both above
-        the round-off floor of the contraction ratio.  A loop that stops
-        unconverged reports ``picard_converged`` False and its ratio, on which
-        ``coupled_step`` falls back to the transport pair or raises ``StepFailure``.
+        ``rhs`` is b_prev/dt (+ f_b, the magnetic body force at the new
+        time) on the interior faces (``_interior_rhs``).  ``operator`` is the
+        implicit-Euler diffusion operator with the transport by its velocity
+        ``u_ref`` (None: zero), such as ``self.magnetic_operator(u^n)``, and
+        ``boundary`` its Dirichlet data ``operator.boundary(bc)`` under the
+        boundary data bc at the new time.  ``walls`` is a ``wall_rows(grid,
+        bc)`` pair that the loop writes its iterates' tangential averages
+        into.  ``b_start`` is the first Picard iterate, on which the stop
+        test and the fixed point do not depend, and ``start_halves`` its
+        ``magnetic_halves`` under bc, which the first iteration reads in
+        place of its own build (None: none built).  ``u_frozen_halves`` is
+        ``face_halves(u_frozen)``, without divergence terms, which the outer
+        iterate shares with its velocity step.  ``coupled_step`` prepares
+        rhs, boundary and walls once per step.  On the heat chord (u_ref
+        None) each iteration lags the whole induction term
+        ``induction_interior(cur, walls, *u_frozen_halves)``, exactly zero at
+        u_frozen = 0, where a second iteration confirms the first with
+        residual 0; on a pair it lags the stretching term (the iterate's
+        half with its divergence terms) less the transport by u_frozen -
+        u_ref (a velocity's half), none when u_frozen is u_ref itself; the
+        lag leaves the fixed point unchanged.  ``max_iter`` caps the Picard
+        iterations; the heat chord also stops at its first residual that is
+        no smaller than the one before, both above the round-off floor of
+        the contraction ratio.  A loop that stops unconverged reports
+        ``picard_converged`` False and its ratio, on which ``coupled_step``
+        falls back to the transport pair or raises ``StepFailure``.
         """
         cfg = self.cfg
         g = self.grid
@@ -452,14 +445,9 @@ class Stepper:
         t_next = t_prev + dt
         u_ref = operator.u_ref
         # the heat chord lags the whole induction term, and stops once it stalls
-        chord = u_ref is None and not pure_heat
-        # on a pair, the advecting half of u_frozen - u_ref, None when that is exactly zero
-        if u_ref is None or (
-                np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
-            lagged = None
-        else:
-            lagged = advecting_half(u_frozen - u_ref)
-        exact = pure_heat and lagged is None  # nothing lagged: one solve is exact
+        chord = u_ref is None
+        # on a pair, the transport by u_frozen - u_ref, unless u_frozen is u_ref
+        lagged = None if chord or u_frozen is u_ref else advecting_half(u_frozen - u_ref)
         rhs_x, rhs_y = rhs
 
         # each iteration adds only the iterate's corner averages (the chord)
@@ -478,15 +466,13 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(max_iter):
                 iters = j + 1
-                lag_x = lag_y = 0.0
                 if chord and halves is not None:
                     lag_x, lag_y = induction_halves(halves.a, halves.t, *u_frozen_halves)
                 elif chord:
                     lag_x, lag_y = induction_interior(cur, walls, *u_frozen_halves)
-                elif not exact:
+                else:
                     a_cur, f_cur, _ = magnetic_halves(cur, walls) if halves is None else halves
-                    if not pure_heat:  # the stretching term at the lagged iterate
-                        lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])
+                    lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])  # the stretching term
                     if lagged is not None:  # transport left out of the operator
                         tx, ty = convect_interior(lagged, f_cur)
                         lag_x, lag_y = lag_x - tx, lag_y - ty
@@ -502,7 +488,7 @@ class Stepper:
                 residuals.append(res)
                 cur = VectorField._unchecked(g, nxt_x, nxt_y)
                 cur_norm = math.sqrt(norm_sq(g, nxt_x, nxt_y))
-                converged = exact or res <= cfg.picard_tol * (1.0 + cur_norm)
+                converged = res <= cfg.picard_tol * (1.0 + cur_norm)
                 if converged:
                     break
                 if chord and j > 0 and res >= residuals[-2] > round_off * (1.0 + cur_norm):
@@ -542,9 +528,9 @@ class Stepper:
         builds them once per magnetic iterate for this term, the next Picard
         loop's start and the pre-cleaning scan.  ``rhs`` is u_prev/dt on
         the interior faces (``_interior_rhs``) and ``u_prev_half``
-        ``transported_half(u_prev)``, which the outer iterates of one coupled
-        step share (``coupled_step`` takes both of u^n's halves from one
-        ``face_halves``).  ``u_advect_half`` is the advecting velocity's
+        u_prev's transported half with zero walls, which the outer iterates
+        of one coupled step share (``coupled_step`` takes both of u^n's
+        halves from one ``face_halves``).  ``u_advect_half`` is the advecting velocity's
         ``advecting_half``, without divergence terms, which the outer iterate
         shares with its magnetic step.  ``fu`` is the velocity body force at
         the new time (None: no force).
@@ -625,8 +611,6 @@ class Stepper:
         # loop (or its fallback pair) has started from them
         b_rhs, u_rhs = _interior_rhs(state.b, cfg.dt, fb), _interior_rhs(state.u, cfg.dt)
         picard_walls, b_walls = wall_rows(g, bc), wall_rows(g, bc)
-        # whether ubar is zero: u^n's here, then each iterate's stop test's
-        pure_heat = l2_norm_sq(state.u) == 0.0
 
         b_reports = []  # one per outer iterate
         stalled_iterations = 0  # Picard iterations of the chords that stalled
@@ -645,7 +629,7 @@ class Stepper:
                 max_iter = 1 if k == 0 and not single_pass else PICARD_MAX_ITER
                 halves = u_n_halves if k == 0 else face_halves(ubar, ubar_walls)
                 kw = dict(rhs=b_rhs, walls=picard_walls, b_start=b_new, start_halves=b_halves,
-                          u_frozen_halves=halves, pure_heat=pure_heat, max_iter=max_iter)
+                          u_frozen_halves=halves, max_iter=max_iter)
                 step = (ubar, state.t)
                 b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
                 stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
@@ -681,7 +665,6 @@ class Stepper:
                 if rep.picard_converged and outer_res <= cfg.outer_tol * (1.0 + math.sqrt(u_norm_sq)):
                     break
                 ubar = u_new
-                pure_heat = u_norm_sq == 0.0
             else:
                 raise StepFailure(
                     "outer coupling loop did not converge",

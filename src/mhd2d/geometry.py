@@ -19,24 +19,23 @@ stencils here and the solver outputs elsewhere) come from the private
 ``_unchecked`` constructors, which scan nothing; ``Stepper.coupled_step``
 scans each accepted state once with ``all_finite``.
 
-``convect(a, f)`` splits into the advecting field's half (its face averages,
-``advecting_half``) and the transported field's half (its face averages with
-the boundary values on the wall rows, ``transported_half``), so a caller can
-prepare a fixed field's half once.  Which field advects decides whether the
-half carries a's interpolated cell divergence, for the correction
--f·(div a): a velocity, a Stokes output and so divergence-free by
-construction, does not, since the correction would be round-off; a magnetic
-field, whose iterates before cleaning carry an O(1) divergence, does
-(``with_divergence``), and so does ``convect`` itself.  The two halves of one
-field share its averages: ``face_halves`` computes both in one pass into
-wall rows prepared once per boundary instant (``wall_rows``), and
-``convect_interior`` returns only the interior faces, which is all an
-implicit solve reads.  ``magnetic_halves`` builds a magnetic field's two
-halves with its divergence terms in one pass and keeps its cell divergence,
-so a caller that transports it, advects with it and scans its divergence
-builds them once.  ``induction_interior`` is the difference of two such
-convections, stretching less transport, as the curl of a corner EMF, and
-``induction_halves`` the same from prepared halves.  ``norm_sq`` is
+``convect(a, f)`` is the reference transport a·∇f on whole fields, against
+which the stepper's prepared halves are tested.  It splits into the
+advecting field's half (its face averages, ``advecting_half``) and the
+transported field's half (its face averages with the boundary values on the
+wall rows).  Which field advects decides whether the half carries a's
+interpolated cell divergence, for the correction -f·(div a): a velocity, a
+Stokes output and so divergence-free by construction, does not, since the
+correction would be round-off; a magnetic field, whose iterates before
+cleaning carry an O(1) divergence, does, and so does ``convect`` itself.
+``face_halves`` computes a field's two halves in one pass into wall rows
+prepared once per boundary instant (``wall_rows``); ``convect_interior``
+returns only the interior faces, all that an implicit solve reads.
+``magnetic_halves`` adds a magnetic field's divergence terms and keeps its
+cell divergence, so a caller that transports it, advects with it and scans
+its divergence builds them once.  ``induction_interior`` is the difference
+of two such convections, stretching less transport, as the curl of a corner
+EMF, and ``induction_halves`` the same from prepared halves.  ``norm_sq`` is
 ``l2_norm_sq`` on bare component arrays, in ``inner``'s summation order.
 The reductions call ufunc reductions and ndarray methods directly, which
 reach the same kernels as numpy's module-level wrappers without their
@@ -64,11 +63,8 @@ __all__ = [
     "AdvectingHalf",
     "TransportedHalf",
     "advecting_half",
-    "with_divergence",
     "MagneticHalves",
     "magnetic_halves",
-    "transported_half",
-    "convect_halves",
     "convect_interior",
     "induction_interior",
     "induction_halves",
@@ -375,7 +371,7 @@ class AdvectingHalf(NamedTuple):
     half (``advecting_half``) has ``sx = sy = None``, and ``convect_interior``
     then forms no f·(div a) product (nor does ``induction_interior``, which
     takes a velocity's halves only); a magnetic field's half
-    (``with_divergence``) carries them.
+    (``magnetic_halves``) carries them.
     """
 
     a1c: np.ndarray  # (nx, ny)
@@ -413,14 +409,6 @@ def advecting_half(a: VectorField) -> AdvectingHalf:
     )
 
 
-def with_divergence(half: AdvectingHalf, a: VectorField) -> AdvectingHalf:
-    """``half``, the advecting half of a, with a's cell divergence
-    interpolated to the interior faces: the half of a field that is not
-    discretely divergence-free, such as a magnetic iterate before cleaning,
-    for which ``convect_interior`` subtracts f·(div a)."""
-    return _with_cell_divergence(half, divergence(a).values)
-
-
 def _with_cell_divergence(half: AdvectingHalf, dc: np.ndarray) -> AdvectingHalf:
     return half._replace(sx=0.5 * (dc[:-1, :] + dc[1:, :]), sy=0.5 * (dc[:, :-1] + dc[:, 1:]))
 
@@ -441,24 +429,10 @@ def wall_rows(grid: Grid, fbc: VectorBC | None = None):
     return f1y, f2x
 
 
-def transported_half(f: VectorField, fbc: VectorBC | None = None) -> TransportedHalf:
-    """Everything ``convect`` needs of its transported field (zero walls by default)."""
-    f1y, f2x = wall_rows(f.grid, fbc)
-    f1y[:, 1:-1] = 0.5 * (f.x[1:-1, :-1] + f.x[1:-1, 1:])
-    f2x[1:-1, :] = 0.5 * (f.y[:-1, 1:-1] + f.y[1:, 1:-1])
-    return TransportedHalf(
-        f=f,
-        f1c=0.5 * (f.x[:-1, :] + f.x[1:, :]),
-        f1y=f1y,
-        f2c=0.5 * (f.y[:, :-1] + f.y[:, 1:]),
-        f2x=f2x,
-    )
-
-
 def face_halves(f: VectorField, walls):
-    """``(advecting_half(f), transported_half(f, fbc))`` in one pass, where
-    ``walls = wall_rows(grid, fbc)``: a velocity's two halves, with no
-    divergence terms (``with_divergence`` adds them for a magnetic field).
+    """f's advecting half and its transported half under fbc in one pass,
+    where ``walls = wall_rows(grid, fbc)``: a velocity's two halves, with no
+    divergence terms (``magnetic_halves`` adds them for a magnetic field).
 
     The halves share f's averages: f1c is a1c, f2c is a2c, and the interior
     lines of f1y and f2x are copied from a1y and a2x into ``walls``.  The
@@ -480,12 +454,12 @@ class MagneticHalves(NamedTuple):
 
 
 def magnetic_halves(b: VectorField, walls) -> MagneticHalves:
-    """``face_halves(b, walls)`` with ``with_divergence`` on the advecting
-    half, and the cell divergence they share, in one pass: what the Lorentz
-    term ``convect(b, b, fbc)`` (``convect_interior(h.a, h.t)``), the heat
-    chord's induction term (``induction_halves``) and a pre-cleaning scan
-    read of one magnetic iterate.  As with ``face_halves``, the transported
-    half stays valid until the next call on the same walls."""
+    """``face_halves(b, walls)`` with b's interpolated cell divergence on the
+    advecting half, and that divergence, in one pass: what the Lorentz term
+    ``convect(b, b, fbc)`` (``convect_interior(h.a, h.t)``), the heat chord's
+    induction term (``induction_halves``), a transport operator and a
+    pre-cleaning scan read of one magnetic iterate.  As with ``face_halves``,
+    the transported half stays valid until the next call on the same walls."""
     a, t = face_halves(b, walls)
     dc = divergence(b).values
     return MagneticHalves(_with_cell_divergence(a, dc), t, dc)
@@ -514,20 +488,18 @@ def convect_interior(a: AdvectingHalf, f: TransportedHalf):
 
 
 def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHalf):
-    """The induction term ``convect_interior(with_divergence(advecting_half(f),
-    f), t) - convect_interior(a, transported_half(f, fbc))`` on the interior
-    faces, where ``walls = wall_rows(grid, fbc)`` and (a, t) are the two
-    halves of one velocity with zero walls (``face_halves``), which carry no
-    divergence terms.
+    """The induction term ``convect_interior(h.a, t) - convect_interior(a,
+    h.t)``, ``h = magnetic_halves(f, walls)``, on the interior faces, where
+    ``walls = wall_rows(grid, fbc)`` and (a, t) are a velocity's two halves
+    with zero walls (``face_halves``), which carry no divergence terms.
 
     Formed as the curl of the corner EMF E = u1 f2 - u2 f1 (the
     constrained-transport form of curl(u x f)) minus u times f's
     interpolated divergence: the normal-flux products a1c*f1c and a2c*f2c
-    cancel in the difference and are never formed.
-    f's two corner averages are written into ``walls`` as ``face_halves``
-    writes them.  Equal to the difference up to round-off.  Builds only the
-    corner averages and the divergence terms of f that
-    ``induction_halves`` reads, and is equal to it bit for bit.
+    cancel in the difference and are never formed, so it equals the
+    difference up to round-off.  It writes f's corner averages into
+    ``walls`` as ``face_halves`` does, builds only what ``induction_halves``
+    reads of f, and equals it bit for bit.
     """
     f1y, f2x = walls
     a1y = 0.5 * (f.x[:, :-1] + f.x[:, 1:])  # f1 on the interior corner rows
@@ -554,27 +526,21 @@ def induction_halves(fa: AdvectingHalf, ft: TransportedHalf, a: AdvectingHalf, t
     return out_x, out_y
 
 
-def convect_halves(a: AdvectingHalf, f: TransportedHalf) -> VectorField:
-    """``convect`` from its two halves; either may be prepared once and reused."""
-    out = VectorField.zeros(f.f.grid)
-    out.x[1:-1, :], out.y[:, 1:-1] = convect_interior(a, f)
-    return out
-
-
 def convect(a: VectorField, f: VectorField, fbc: VectorBC | None = None) -> VectorField:
     """Componentwise transport a·∇f on interior faces.
 
     Realized as the divergence form minus f times the interpolated cell
-    divergence of `a` (``with_divergence``), whatever `a` is: the Lorentz
+    divergence of `a` (``magnetic_halves``), whatever `a` is: the Lorentz
     term b·∇b advects with a magnetic field, whose divergence before
     cleaning is not small.  With a discretely divergence-free `a` and f
-    vanishing on the walls this is exactly energy-neutral.  A field
-    transporting itself computes its averages once.
+    vanishing on the walls this is exactly energy-neutral.  The reference
+    that the stepper's prepared halves are tested against.
     """
-    if a is f:
-        a_half, f_half = face_halves(f, wall_rows(f.grid, fbc))
-        return convect_halves(with_divergence(a_half, f), f_half)
-    return convect_halves(with_divergence(advecting_half(a), a), transported_half(f, fbc))
+    g = f.grid
+    out = VectorField.zeros(g)
+    a_half = magnetic_halves(a, wall_rows(g)).a
+    out.x[1:-1, :], out.y[:, 1:-1] = convect_interior(a_half, face_halves(f, wall_rows(g, fbc))[1])
+    return out
 
 
 # --- inner products and norms -------------------------------------------
@@ -779,8 +745,8 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     lhs3_y = -(s[1:, 1:-1] - s[:-1, 1:-1]) / dx
     lhs3_y_wide = -(27.0 * (s[2:-1, 1:-1] - s[1:-2, 1:-1]) - (s[3:, 1:-1] - s[:-3, 1:-1])) / (24.0 * dx)
     lhs3_y[wide_i, :] = lhs3_y_wide
-    t1x, t1y = _div_form(advecting_half(b), transported_half(u, ubc))  # b·∇u + u div b
-    t2x, t2y = _div_form(advecting_half(u), transported_half(b, bc))  # u·∇b + b div u
+    t1x, t1y = _div_form(advecting_half(b), face_halves(u, wall_rows(g, ubc))[1])  # b·∇u + u div b
+    t2x, t2y = _div_form(advecting_half(u), face_halves(b, wall_rows(g, bc))[1])  # u·∇b + b div u
     r3x = lhs3_x - (t1x - t2x)
     r3y = lhs3_y - (t1y - t2y)
     r3 = _interior_norm(r3x, r3y, g)

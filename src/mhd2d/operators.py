@@ -34,10 +34,10 @@ from .geometry import (
     VectorBC,
     VectorField,
     _sum,
-    advecting_half,
     divergence,
     gradient,
-    with_divergence,
+    magnetic_halves,
+    wall_rows,
 )
 
 __all__ = [
@@ -174,7 +174,7 @@ class TransportOperator:
         t_lo = t_hi = -k / ht**2
 
         # advection (divergence form minus interpolated-divergence correction)
-        ah = with_divergence(advecting_half(a), a)
+        ah = magnetic_halves(a, wall_rows(g)).a
         if self.comp == "x":
             cp = ah.a1c[1:, :] / (2 * g.dx)  # flux through right cell center
             cm = ah.a1c[:-1, :] / (2 * g.dx)

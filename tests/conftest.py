@@ -110,7 +110,7 @@ def induction_oracle(u, b, bc):
     factors are the corner averages of u with zero walls and of b with the
     walls of ``bc``, minus u times b's interpolated divergence.  Only its
     interior faces are meaningful."""
-    from mhd2d.geometry import advecting_half, with_divergence
+    from mhd2d.geometry import magnetic_halves, wall_rows
 
     grid = u.grid
     corners = (grid.nx + 1, grid.ny + 1)
@@ -122,7 +122,7 @@ def induction_oracle(u, b, bc):
     b2[1:-1, :] = 0.5 * (b.y[:-1, :] + b.y[1:, :])
     b2[0, :], b2[-1, :] = bc.y_left, bc.y_right
     out = VectorField.from_stream(grid, u1 * b2 - u2 * b1)
-    sb = with_divergence(advecting_half(b), b)
+    sb = magnetic_halves(b, wall_rows(grid)).a
     out.x[1:-1, :] -= u.x[1:-1, :] * sb.sx
     out.y[:, 1:-1] -= u.y[:, 1:-1] * sb.sy
     return out
@@ -132,48 +132,36 @@ def b_step_oracle(stepper, u_frozen, b_prev, t_prev, *, bc, operator, fb, b_star
     """``Stepper.b_step``'s Picard loop written on whole fields.  On the heat
     operator each iterate lags the whole induction term (``induction_oracle``);
     on a pair factored at u_ref it lags the stretching term
-    ``convect_halves(with_divergence(advecting_half(cur), cur), ...)`` (b's
-    half keeps its divergence terms) less the transport
-    ``convect_halves(advecting_half(u_frozen - u_ref), transported_half(cur,
-    bc))``.  The lag is added to full right-hand side arrays, the solve reads
-    their interior entries and the residual is measured with ``inner``.
-    Returns (b, residuals)."""
+    ``convect(cur, u_frozen)`` (b's half keeps its divergence terms) less,
+    unless u_frozen is u_ref itself, the transport
+    ``convect_interior(advecting_half(u_frozen - u_ref), face_halves(cur,
+    wall_rows(grid, bc))[1])``.  The lag is added to full right-hand side
+    arrays, the solve reads their interior entries and the residual is
+    measured with ``inner``.  Returns (b, residuals)."""
     from mhd2d.dynamics import PICARD_MAX_ITER
-    from mhd2d.geometry import advecting_half, convect_halves, inner, transported_half, with_divergence
+    from mhd2d.geometry import advecting_half, convect, convect_interior, face_halves, inner, wall_rows
 
     cfg, grid = stepper.cfg, stepper.grid
-    pure_heat = inner(u_frozen, u_frozen) == 0.0
-    chord = operator.u_ref is None and not pure_heat
-    u_ref, shift = operator.u_ref, None
-    if u_ref is not None and not (
-            np.array_equal(u_frozen.x, u_ref.x) and np.array_equal(u_frozen.y, u_ref.y)):
-        shift = u_frozen - u_ref
-    exact = pure_heat and shift is None
+    u_ref = operator.u_ref
+    shift = None if u_ref is None or u_frozen is u_ref else u_frozen - u_ref
     rhs_x, rhs_y = b_prev.x / cfg.dt, b_prev.y / cfg.dt
     if fb is not None:
         rhs_x, rhs_y = rhs_x + fb.x, rhs_y + fb.y
     boundary = operator.boundary(bc)
-    stretch = None if pure_heat else transported_half(u_frozen)
     lagged = None if shift is None else advecting_half(shift)
     cur, residuals = b_start, []
     for _ in range(PICARD_MAX_ITER):
-        if chord:
-            lag = induction_oracle(u_frozen, cur, bc)
-            lag_x, lag_y = lag.x, lag.y
-        elif pure_heat:
-            lag_x = lag_y = 0.0
-        else:
-            lag = convect_halves(with_divergence(advecting_half(cur), cur), stretch)
-            lag_x, lag_y = lag.x, lag.y
+        lag = induction_oracle(u_frozen, cur, bc) if u_ref is None else convect(cur, u_frozen)
         if shift is not None:
-            lag = convect_halves(lagged, transported_half(cur, bc))
-            lag_x, lag_y = lag_x - lag.x, lag_y - lag.y
+            tx, ty = convect_interior(lagged, face_halves(cur, wall_rows(grid, bc))[1])
+            lag.x[1:-1, :] -= tx
+            lag.y[:, 1:-1] -= ty
         nxt = VectorField(grid, *operator.solve_interior(
-            (rhs_x + lag_x)[1:-1, :], (rhs_y + lag_y)[:, 1:-1], boundary))
+            (rhs_x + lag.x)[1:-1, :], (rhs_y + lag.y)[:, 1:-1], boundary))
         res = np.sqrt(inner(nxt - cur, nxt - cur))
         residuals.append(res)
         cur = nxt
-        if exact or res <= cfg.picard_tol * (1.0 + np.sqrt(inner(cur, cur))):
+        if res <= cfg.picard_tol * (1.0 + np.sqrt(inner(cur, cur))):
             break
     return cur, residuals
 

@@ -209,9 +209,10 @@ def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
         MINIMAL + "\n[galerkin]\nm = 16\n",
         MINIMAL + "\n[tolerances]\ndiv_clean = 1e-10\n",
         MINIMAL + "\n[boundary]\nmodes = constant amp=0.1 comp=3\n",
+        MINIMAL + "\n[initial]\nu = bump amp=1e308\n",  # finite, but its field overflows
     ],
     ids=["non-square-grid", "bad-initial-integer", "no-modes", "too-many-modes", "negative-m",
-         "unknown-galerkin-m", "unknown-div-clean", "component-3"],
+         "unknown-galerkin-m", "unknown-div-clean", "component-3", "overflowing-bump"],
 )
 def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)

@@ -160,7 +160,7 @@ def test_absorbing_gate_failure_reported():
 
 def test_picard_study_decoupled_ratio_is_zero():
     from mhd2d.dynamics import SolverConfig, Stepper, _interior_rhs
-    from mhd2d.geometry import Grid, VectorField, advecting_half, transported_half, wall_rows
+    from mhd2d.geometry import Grid, VectorField, face_halves, wall_rows
     from mhd2d.lifting import synthesize_trace
 
     g = Grid(8, 8)
@@ -173,8 +173,8 @@ def test_picard_study_decoupled_ratio_is_zero():
     heat = st.magnetic_operator(u)
     _, rep = st.b_step(u, 0.0, rhs=_interior_rhs(b0, 1e-3), operator=heat, boundary=heat.boundary(bc),
                        walls=wall_rows(g, bc), b_start=b0, start_halves=None,
-                       u_frozen_halves=(advecting_half(u), transported_half(u)), pure_heat=True)
-    assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 1
+                       u_frozen_halves=face_halves(u, wall_rows(g)))
+    assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 2
 
 
 def test_picard_study_report_is_pinned():
