@@ -242,6 +242,17 @@ def held_parameters():
                 yield f"{path.relative_to(ROOT)}:{line} {qualname}({p}) (default)"
 
 
+def unread_fields():
+    """``file:line Class.field (field)`` of each dataclass or ``NamedTuple``
+    field in ``src/mhd2d`` that no ``.py`` file under ``src/``, ``tests/``,
+    ``scripts/`` or ``perfbench/`` reads as ``.name``."""
+    reads = attribute_names(("src", "tests", "scripts", "perfbench"), ast.Load)
+    for path in sorted((SRC / "mhd2d").glob("*.py")):
+        for line, name in fields(ast.parse(path.read_text())):
+            if name.split(".")[1] not in reads:
+                yield f"{path.relative_to(ROOT)}:{line} {name} (field)"
+
+
 def attribute_names(dirs, ctx):
     """Every attribute name read (ctx ``ast.Load``) or assigned (``ast.Store``)
     as ``.name`` in the ``.py`` files under dirs."""
@@ -267,10 +278,7 @@ if __name__ == "__main__":
         for line, name in defs(ast.parse(path.read_text())):
             if (str(path), line) not in seen:
                 print(f"{path.relative_to(ROOT)}:{line} {name}")
-    reads = attribute_names(("src", "tests", "scripts", "perfbench"), ast.Load)
-    for path in sorted((SRC / "mhd2d").glob("*.py")):
-        for line, name in fields(ast.parse(path.read_text())):
-            if name.split(".")[1] not in reads:
-                print(f"{path.relative_to(ROOT)}:{line} {name} (field)")
+    for line in unread_fields():
+        print(line)
     for line in held_parameters():
         print(line)

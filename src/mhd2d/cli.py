@@ -30,7 +30,7 @@ from .dynamics import (
 )
 from .errors import CompatibilityError, ConfigError, ExperimentFailure, SolverFailure
 from .estimates import CalibrationStore
-from .geometry import VectorField, all_finite
+from .geometry import VectorField, l2_norm_sq
 from .ioutil import atomic_write_text
 from .lifting import TraceMode, matched_field, read_trace_csv, synthesize_trace
 from .scenarios import stream_bump, trace_times
@@ -229,10 +229,13 @@ def _build_initial(spec: str, grid, modes, errors):
             else:
                 errors.append(f"initial: unknown term {toks[0]!r}")
                 continue
-        if all_finite(new):
+            # a non-finite value, or one whose square overflows, gives a
+            # non-finite norm, which the compatibility check would square again
+            finite = math.isfinite(l2_norm_sq(new))
+        if finite:
             f = new
         else:
-            errors.append(f"initial: term {term!r}: its field is not finite")
+            errors.append(f"initial: term {term!r}: its field or its L2 norm is not finite")
     return f
 
 

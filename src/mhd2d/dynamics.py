@@ -26,11 +26,10 @@ i.e. from b0 exactly), and outer iterate k >= 2 from iterate k-1's b (a warm
 start).  The stop test and the fixed point do not depend on the start, so
 it moves results only within the Picard tolerance.  The first outer iterate
 runs one Picard iteration only: its ubar = u^n is rarely accepted, so a b
-converged there is thrown away one iterate later (the inexact inner solve of
-Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996, in its simplest form).
-Every later iterate runs the full Picard loop, and the outer loop stops only
-at an iterate whose outer residual and Picard test are both met, so the
-fixed point does not change.
+converged there is thrown away one iterate later.  Every later iterate runs
+the full Picard loop, and the outer loop stops only at an iterate whose
+outer residual and Picard test are both met, so the fixed point does not
+change.
 The velocity solve is an implicit Stokes step on the stream-function
 parameterization of the divergence-free subspace (or a Galerkin
 coefficient update when a velocity eigenbasis truncation is configured);
@@ -51,12 +50,11 @@ halves (ubar is u^n there) and whose transported half enters every
 iterate's velocity transport, the magnetic operator's Dirichlet data
 (``DirichletHeat.boundary``: kappa*Lap of the wall data, whose Laplacian
 the ledger row at the same instant reuses), the right-hand sides b^n/dt
-(+ f_b) and u^n/dt on the interior faces, two pairs of wall rows under the
-boundary data (``geometry.wall_rows``: one that every Picard iteration
-writes its iterate's tangential averages into, one that holds the
-accepted magnetic iterate's); and each later outer iterate's two halves
-of ubar in one pass, which the velocity step's transport and the magnetic
-lag share.  One Picard loop serves every ubar: at ubar = 0 the
+(+ f_b) and u^n/dt on the interior faces, one pair of wall rows under the
+boundary data (``geometry.wall_rows``) that every magnetic iterate of the
+step is built into in turn; and each later outer iterate's two halves of
+ubar in one pass, which the velocity step's transport and the magnetic lag
+share.  One Picard loop serves every ubar: at ubar = 0 the
 chord's lag is exactly zero, so its first iteration is the one heat
 solve.  Every advecting velocity is a Stokes output or an average of two,
 divergence-free by construction, so its halves carry no divergence terms,
@@ -65,21 +63,23 @@ and neither the velocity transport nor the magnetic lag forms a
 the compatibility tolerance, so its first step leaves out a term of at
 most that size.  b keeps its divergence terms (the Lorentz term, and the
 chord's -ubar·(div b)), since b before cleaning carries an O(1) divergence.
-Each magnetic iterate b_k that an outer iterate accepts is handed on as
-its halves, built once (``geometry.magnetic_halves``: its two halves with
-the divergence terms, and its cell divergence): the velocity step forms
-the Lorentz term b·∇b from them (``convect_interior``, equal to
-``convect(b, b, bc)`` bit for bit), the next outer iterate's first Picard
-iteration, which starts from b_k, reads them in place of its own build
-(on the heat chord and on a fallback pair alike), and for the last
-iterate the pre-cleaning scan takes its divergence from them, which the
-projection then solves with (``project_divfree``'s ``div``).
+A magnetic iterate moves through a step only as its halves, built once
+(``geometry.magnetic_halves``: its two halves with the divergence terms,
+and its cell divergence): ``coupled_step`` builds the first Picard loop's
+start, and ``b_step`` takes its start's halves, builds each new iterate's
+right after that iterate's solve and returns the last one's.  The Picard
+iteration forms its lag from them, the velocity step the Lorentz term b·∇b
+(``convect_interior``, equal to ``convect(b, b, bc)`` bit for bit), the
+next outer iterate starts from them, and for the last iterate the
+pre-cleaning scan takes its divergence from them, which the projection
+then solves with (``project_divfree``'s ``div``).  A stalled chord has
+overwritten the wall rows of its start, so its fallback pair starts from
+that iterate's halves built anew.
 A chord iteration forms its lag, stretching minus transport, as one
-induction term on the interior faces (``geometry.induction_interior``, or
-``induction_halves`` from handed-on halves): the curl of the corner EMF
-E = ubar1 b2 - ubar2 b1 less ubar times b's interpolated divergence,
-without the normal-flux products that cancel between the two terms.  An iteration on a pair computes the iterate's two
-halves in one pass, b's divergence terms, and its lag terms with
+induction term on the interior faces (``geometry.induction_halves``): the
+curl of the corner EMF E = ubar1 b2 - ubar2 b1 less ubar times b's
+interpolated divergence, without the normal-flux products that cancel
+between the two terms.  An iteration on a pair forms its lag terms with
 ``geometry.convect_interior``.  Either makes the two separable solves and
 measures its residual and norm on the component arrays
 (``geometry.norm_sq``).  The pair's loop and the norms repeat the
@@ -127,7 +127,6 @@ from .geometry import (
     divergence,
     face_halves,
     induction_halves,
-    induction_interior,
     l2_norm_sq,
     magnetic_halves,
     norm_sq,
@@ -402,42 +401,40 @@ class Stepper:
         rhs: tuple[np.ndarray, np.ndarray],
         operator,
         boundary: tuple,
-        walls: tuple,
-        b_start: VectorField,
-        start_halves: MagneticHalves | None,
+        start: MagneticHalves,
         u_frozen_halves: tuple[AdvectingHalf, TransportedHalf],
         max_iter: int = PICARD_MAX_ITER,
     ):
         """One implicit magnetic step from t_prev: the implicit-transport
         solution at u_frozen, reached by a Picard loop on ``operator`` that
-        lags the stretching term.  Returns (b_new, StepReport).
+        lags the stretching term.  Returns (halves, StepReport), where
+        ``halves.t.f`` is the new b and ``halves`` its ``magnetic_halves``
+        under the boundary data at the new time.
 
         ``rhs`` is b_prev/dt (+ f_b, the magnetic body force at the new
         time) on the interior faces (``_interior_rhs``).  ``operator`` is the
         implicit-Euler diffusion operator with the transport by its velocity
         ``u_ref`` (None: zero), such as ``self.magnetic_operator(u^n)``, and
         ``boundary`` its Dirichlet data ``operator.boundary(bc)`` under the
-        boundary data bc at the new time.  ``walls`` is a ``wall_rows(grid,
-        bc)`` pair that the loop writes its iterates' tangential averages
-        into.  ``b_start`` is the first Picard iterate, on which the stop
-        test and the fixed point do not depend, and ``start_halves`` its
-        ``magnetic_halves`` under bc, which the first iteration reads in
-        place of its own build (None: none built).  ``u_frozen_halves`` is
-        ``face_halves(u_frozen)``, without divergence terms, which the outer
-        iterate shares with its velocity step.  ``coupled_step`` prepares
-        rhs, boundary and walls once per step.  On the heat chord (u_ref
-        None) each iteration lags the whole induction term
-        ``induction_interior(cur, walls, *u_frozen_halves)``, exactly zero at
-        u_frozen = 0, where a second iteration confirms the first with
-        residual 0; on a pair it lags the stretching term (the iterate's
-        half with its divergence terms) less the transport by u_frozen -
-        u_ref (a velocity's half), none when u_frozen is u_ref itself; the
-        lag leaves the fixed point unchanged.  ``max_iter`` caps the Picard
-        iterations; the heat chord also stops at its first residual that is
-        no smaller than the one before, both above the round-off floor of
-        the contraction ratio.  A loop that stops unconverged reports
-        ``picard_converged`` False and its ratio, on which ``coupled_step``
-        falls back to the transport pair or raises ``StepFailure``.
+        boundary data bc at the new time.  ``start`` is the first Picard
+        iterate's ``magnetic_halves`` under bc; the stop test and the fixed
+        point do not depend on it.  Each iteration builds its iterate's
+        halves once, into ``start``'s wall rows, which it overwrites.
+        ``u_frozen_halves`` is ``face_halves(u_frozen)``, without divergence
+        terms, which the outer iterate shares with its velocity step.
+        ``coupled_step`` prepares rhs and boundary once per step.  On the
+        heat chord (u_ref None) each iteration lags the whole induction term
+        ``induction_halves``, exactly zero at u_frozen = 0, where a second
+        iteration confirms the first with residual 0; on a pair it lags the
+        stretching term (the iterate's half with its divergence terms) less
+        the transport by u_frozen - u_ref (a velocity's half), none when
+        u_frozen is u_ref itself; the lag leaves the fixed point unchanged.
+        ``max_iter`` caps the Picard iterations; the heat chord also stops
+        at its first residual that is no smaller than the one before, both
+        above the round-off floor of the contraction ratio.  A loop that
+        stops unconverged reports ``picard_converged`` False and its ratio,
+        on which ``coupled_step`` falls back to the transport pair or raises
+        ``StepFailure``.
         """
         cfg = self.cfg
         g = self.grid
@@ -449,12 +446,9 @@ class Stepper:
         # on a pair, the transport by u_frozen - u_ref, unless u_frozen is u_ref
         lagged = None if chord or u_frozen is u_ref else advecting_half(u_frozen - u_ref)
         rhs_x, rhs_y = rhs
+        walls = start.t.f1y, start.t.f2x
 
-        # each iteration adds only the iterate's corner averages (the chord)
-        # or its two halves (a pair) to the wall rows, the first one none
-        # when b_start's halves are handed in
-        cur = b_start
-        halves = start_halves
+        halves = start
         residuals = []
         res = 0.0
         iters = 0
@@ -466,17 +460,14 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(max_iter):
                 iters = j + 1
-                if chord and halves is not None:
+                if chord:
                     lag_x, lag_y = induction_halves(halves.a, halves.t, *u_frozen_halves)
-                elif chord:
-                    lag_x, lag_y = induction_interior(cur, walls, *u_frozen_halves)
                 else:
-                    a_cur, f_cur, _ = magnetic_halves(cur, walls) if halves is None else halves
-                    lag_x, lag_y = convect_interior(a_cur, u_frozen_halves[1])  # the stretching term
+                    lag_x, lag_y = convect_interior(halves.a, u_frozen_halves[1])  # the stretching term
                     if lagged is not None:  # transport left out of the operator
-                        tx, ty = convect_interior(lagged, f_cur)
+                        tx, ty = convect_interior(lagged, halves.t)
                         lag_x, lag_y = lag_x - tx, lag_y - ty
-                halves = None
+                cur = halves.t.f
                 nxt_x, nxt_y = operator.solve_interior(rhs_x + lag_x, rhs_y + lag_y, boundary)
                 res = math.sqrt(norm_sq(g, nxt_x - cur.x, nxt_y - cur.y))
                 if not math.isfinite(res):  # a NaN or infinity in the iterate
@@ -486,7 +477,7 @@ class Stepper:
                         detail={"residuals": residuals + [res]},
                     )
                 residuals.append(res)
-                cur = VectorField._unchecked(g, nxt_x, nxt_y)
+                halves = magnetic_halves(VectorField._unchecked(g, nxt_x, nxt_y), walls)
                 cur_norm = math.sqrt(norm_sq(g, nxt_x, nxt_y))
                 converged = res <= cfg.picard_tol * (1.0 + cur_norm)
                 if converged:
@@ -502,7 +493,7 @@ class Stepper:
             dt=dt, picard_iterations=iters, picard_residual=float(res),
             contraction_ratio=float(ratio), picard_converged=converged,
         )
-        return cur, report
+        return halves, report
 
     # -- velocity sub-step -----------------------------------------------------
 
@@ -589,8 +580,6 @@ class Stepper:
         ubar = state.u
         history = []
         b_older, b_last = self.carried_iterates(state)
-        b_new = 2.0 * b_last - b_older  # the first Picard loop's start
-        b_halves = None  # b_new's magnetic_halves, once an outer iterate has built them
         t_next = state.t + cfg.dt
         bc = self.vector_bc(t_next)
         fb, fu = self.forcing.b_at(t_next), self.forcing.u_at(t_next)
@@ -604,13 +593,13 @@ class Stepper:
         # stalled chord hands the rest of the step to the factored pair
         operator = self.magnetic_operator(state.u)
         boundary = operator.boundary(bc)
-        # the rest that every outer iterate shares: b^n/dt + f_b and u^n/dt on
-        # the interior faces, and two pairs of wall rows under bc, one that
-        # the Picard loops write their iterates' averages into and one that
-        # holds the accepted iterate's halves until the next iterate's Picard
-        # loop (or its fallback pair) has started from them
+        # b^n/dt + f_b and u^n/dt on the interior faces, which every outer
+        # iterate shares
         b_rhs, u_rhs = _interior_rhs(state.b, cfg.dt, fb), _interior_rhs(state.u, cfg.dt)
-        picard_walls, b_walls = wall_rows(g, bc), wall_rows(g, bc)
+        # the first Picard loop's start, extrapolated from the carried
+        # iterates, built into the one pair of wall rows under bc that every
+        # Picard iterate of the step is built into in turn
+        b_halves = magnetic_halves(2.0 * b_last - b_older, wall_rows(g, bc))
 
         b_reports = []  # one per outer iterate
         stalled_iterations = 0  # Picard iterations of the chords that stalled
@@ -628,26 +617,26 @@ class Stepper:
                 # requires a converged b, so the accepted iterate always has one.
                 max_iter = 1 if k == 0 and not single_pass else PICARD_MAX_ITER
                 halves = u_n_halves if k == 0 else face_halves(ubar, ubar_walls)
-                kw = dict(rhs=b_rhs, walls=picard_walls, b_start=b_new, start_halves=b_halves,
-                          u_frozen_halves=halves, max_iter=max_iter)
-                step = (ubar, state.t)
-                b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
+                kw = dict(rhs=b_rhs, u_frozen_halves=halves, max_iter=max_iter)
+                step, start = (ubar, state.t), b_halves
+                b_halves, rep = self.b_step(*step, operator=operator, boundary=boundary, start=start, **kw)
                 stalled = max_iter == PICARD_MAX_ITER and not rep.picard_converged
                 if stalled and operator.u_ref is None:
                     # the lagged transport is too large for the heat chord (it
                     # stalled, or contracted too slowly for the cap): the rest
-                    # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b
+                    # of the step solves on the pair at u^n, lagging (ubar - u^n)·grad b,
+                    # from the start rebuilt into the wall rows the chord overwrote
                     operator = TransportPair(g, state.u, 1.0 / cfg.dt, 1.0 / cfg.rm)
                     boundary = operator.boundary(bc)
                     stalled_iterations += rep.picard_iterations
-                    b_new, rep = self.b_step(*step, operator=operator, boundary=boundary, **kw)
+                    start = magnetic_halves(start.t.f, (start.t.f1y, start.t.f2x))
+                    b_halves, rep = self.b_step(*step, operator=operator, boundary=boundary, start=start, **kw)
                     stalled = not rep.picard_converged
                 if stalled and rep.contraction_ratio >= 1.0:
                     ratio = rep.contraction_ratio
                     raise StepFailure(f"magnetic Picard iteration is not contracting (ratio {ratio:.3f}); "
                                       "reduce dt", t=t_next, detail={"ratio": ratio})
                 b_reports.append(rep)
-                b_halves = magnetic_halves(b_new, b_walls)
                 u_new, force = self.u_step(
                     b_halves, u_rhs, u_advect_half=halves[0], u_prev_half=u_n_halves[1], fu=fu
                 )
@@ -672,7 +661,7 @@ class Stepper:
                     detail={"residual_history": history},
                 )
 
-        b_hat = b_new  # carried uncleaned
+        b_hat = b_new = b_halves.t.f  # b_hat is carried uncleaned
         div = b_halves.div  # the scan's, which the projection reuses
         div_before = float(_max(np.abs(div)))
         cleaned = False

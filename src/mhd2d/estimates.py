@@ -40,7 +40,6 @@ __all__ = [
     "strong_energy",
     "AbsorbingRadii",
     "absorbing_radii",
-    "normality_eta",
     "window_sup",
     "smallness_gate",
     "brezis_gallouet_ratio",
@@ -322,17 +321,17 @@ class AbsorbingRadii:
     t2: float
 
 
-def window_sup(times, series, width=1.0):
-    """sup over t of the trapezoid integral of `series` on [t, t+width]."""
+def window_sup(times, series):
+    """sup over t of the trapezoid integral of `series` on [t, t+1]."""
     t = np.asarray(times)
     y = np.asarray(series)
-    if t[-1] - t[0] <= width:
+    if t[-1] - t[0] <= 1.0:
         return float(np.trapezoid(y, t))
     cum = cumtrapz(y, t)
     best = 0.0
     j = 0
     for i in range(len(t)):
-        t_end = t[i] + width
+        t_end = t[i] + 1.0
         if t_end > t[-1] + 1e-12:
             break
         while t[j] < t_end - 1e-12:
@@ -370,18 +369,6 @@ def absorbing_radii(
         t0 = math.log(max(diam_b, 1e-300) / (c_tilde * h_inf)) / c_p
         t0 = max(t0, 0.0)
     return AbsorbingRadii(rho0, rho1, t0, t0 + 1.0)
-
-
-def normality_eta(times, norm_series, eps):
-    """Largest dyadic window width with sup_t int_t^{t+eta} ||g||^2 <= eps."""
-    t = np.asarray(times)
-    y = np.asarray(norm_series) ** 2.0
-    w = t[-1] - t[0]
-    while w > (t[1] - t[0]) if len(t) > 1 else 0:
-        if window_sup(t, y, w) <= eps:
-            return float(w)
-        w /= 2.0
-    return 0.0
 
 
 def smallness_gate(c1: float, sup_h12: float, c_p: float):

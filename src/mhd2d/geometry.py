@@ -31,12 +31,13 @@ cleaning carry an O(1) divergence, does, and so does ``convect`` itself.
 ``face_halves`` computes a field's two halves in one pass into wall rows
 prepared once per boundary instant (``wall_rows``); ``convect_interior``
 returns only the interior faces, all that an implicit solve reads.
-``magnetic_halves`` adds a magnetic field's divergence terms and keeps its
-cell divergence, so a caller that transports it, advects with it and scans
-its divergence builds them once.  ``induction_interior`` is the difference
-of two such convections, stretching less transport, as the curl of a corner
-EMF, and ``induction_halves`` the same from prepared halves.  ``norm_sq`` is
-``l2_norm_sq`` on bare component arrays, in ``inner``'s summation order.
+``magnetic_halves`` builds a magnetic field's two halves with its
+divergence terms and keeps its cell divergence, so a caller that transports
+it, advects with it and scans its divergence builds them once.
+``induction_halves`` forms the difference of two such convections,
+stretching less transport, from those halves and a velocity's, as the curl
+of a corner EMF.  ``norm_sq`` is ``l2_norm_sq`` on bare component arrays,
+in ``inner``'s summation order.
 The reductions call ufunc reductions and ndarray methods directly, which
 reach the same kernels as numpy's module-level wrappers without their
 Python-level dispatch.
@@ -66,7 +67,6 @@ __all__ = [
     "MagneticHalves",
     "magnetic_halves",
     "convect_interior",
-    "induction_interior",
     "induction_halves",
     "wall_rows",
     "face_halves",
@@ -369,8 +369,8 @@ class AdvectingHalf(NamedTuple):
     tangential average on interior corner lines), ``a2c``/``a1y`` the
     y-component; ``sx``/``sy`` multiply the transported field.  A velocity's
     half (``advecting_half``) has ``sx = sy = None``, and ``convect_interior``
-    then forms no f·(div a) product (nor does ``induction_interior``, which
-    takes a velocity's halves only); a magnetic field's half
+    then forms no f·(div a) product (nor does ``induction_halves``, which
+    takes a velocity's halves as its second pair); a magnetic field's half
     (``magnetic_halves``) carries them.
     """
 
@@ -407,10 +407,6 @@ def advecting_half(a: VectorField) -> AdvectingHalf:
         sx=None,
         sy=None,
     )
-
-
-def _with_cell_divergence(half: AdvectingHalf, dc: np.ndarray) -> AdvectingHalf:
-    return half._replace(sx=0.5 * (dc[:-1, :] + dc[1:, :]), sy=0.5 * (dc[:, :-1] + dc[:, 1:]))
 
 
 def wall_rows(grid: Grid, fbc: VectorBC | None = None):
@@ -454,15 +450,23 @@ class MagneticHalves(NamedTuple):
 
 
 def magnetic_halves(b: VectorField, walls) -> MagneticHalves:
-    """``face_halves(b, walls)`` with b's interpolated cell divergence on the
-    advecting half, and that divergence, in one pass: what the Lorentz term
-    ``convect(b, b, fbc)`` (``convect_interior(h.a, h.t)``), the heat chord's
-    induction term (``induction_halves``), a transport operator and a
-    pre-cleaning scan read of one magnetic iterate.  As with ``face_halves``,
-    the transported half stays valid until the next call on the same walls."""
-    a, t = face_halves(b, walls)
+    """b's two halves under fbc, where ``walls = wall_rows(grid, fbc)``, with
+    its interpolated cell divergence on the advecting half, and that
+    divergence, in one pass: what the Lorentz term ``convect(b, b, fbc)``
+    (``convect_interior(h.a, h.t)``), the heat chord's induction term
+    (``induction_halves``), a transport operator and a pre-cleaning scan
+    read of one magnetic iterate.  The averages are ``face_halves``'s, and
+    as there the transported half stays valid until the next call on the
+    same walls."""
+    a1c, a2c = 0.5 * (b.x[:-1, :] + b.x[1:, :]), 0.5 * (b.y[:, :-1] + b.y[:, 1:])
+    a2x, a1y = 0.5 * (b.y[:-1, :] + b.y[1:, :]), 0.5 * (b.x[:, :-1] + b.x[:, 1:])
+    f1y, f2x = walls
+    f1y[:, 1:-1] = a1y[1:-1, :]
+    f2x[1:-1, :] = a2x[:, 1:-1]
     dc = divergence(b).values
-    return MagneticHalves(_with_cell_divergence(a, dc), t, dc)
+    sx, sy = 0.5 * (dc[:-1, :] + dc[1:, :]), 0.5 * (dc[:, :-1] + dc[:, 1:])
+    return MagneticHalves(AdvectingHalf(a1c, a2x, a2c, a1y, sx, sy),
+                          TransportedHalf(b, a1c, f1y, a2c, f2x), dc)
 
 
 def _div_form(a: AdvectingHalf, f: TransportedHalf):
@@ -487,35 +491,19 @@ def convect_interior(a: AdvectingHalf, f: TransportedHalf):
     return out_x, out_y
 
 
-def induction_interior(f: VectorField, walls, a: AdvectingHalf, t: TransportedHalf):
-    """The induction term ``convect_interior(h.a, t) - convect_interior(a,
-    h.t)``, ``h = magnetic_halves(f, walls)``, on the interior faces, where
-    ``walls = wall_rows(grid, fbc)`` and (a, t) are a velocity's two halves
-    with zero walls (``face_halves``), which carry no divergence terms.
+def induction_halves(fa: AdvectingHalf, ft: TransportedHalf, a: AdvectingHalf, t: TransportedHalf):
+    """The induction term ``convect_interior(fa, t) - convect_interior(a,
+    ft)`` of the field f on the interior faces, from f's halves (fa with its
+    divergence terms and ft under the boundary data: ``magnetic_halves``)
+    and a velocity's two halves (a, t) with zero walls (``face_halves``),
+    which carry no divergence terms.
 
     Formed as the curl of the corner EMF E = u1 f2 - u2 f1 (the
     constrained-transport form of curl(u x f)) minus u times f's
     interpolated divergence: the normal-flux products a1c*f1c and a2c*f2c
     cancel in the difference and are never formed, so it equals the
-    difference up to round-off.  It writes f's corner averages into
-    ``walls`` as ``face_halves`` does, builds only what ``induction_halves``
-    reads of f, and equals it bit for bit.
-    """
-    f1y, f2x = walls
-    a1y = 0.5 * (f.x[:, :-1] + f.x[:, 1:])  # f1 on the interior corner rows
-    a2x = 0.5 * (f.y[:-1, :] + f.y[1:, :])  # f2 on the interior corner columns
-    f1y[:, 1:-1] = a1y[1:-1, :]
-    f2x[1:-1, :] = a2x[:, 1:-1]
-    fa = _with_cell_divergence(AdvectingHalf(None, a2x, None, a1y, None, None),
-                               divergence(f).values)
-    return induction_halves(fa, TransportedHalf(f, None, f1y, None, f2x), a, t)
-
-
-def induction_halves(fa: AdvectingHalf, ft: TransportedHalf, a: AdvectingHalf, t: TransportedHalf):
-    """``induction_interior`` of the field f from f's prepared halves: fa
-    with its divergence terms and ft under the boundary data
-    (``magnetic_halves``), of which it reads the corner averages and the
-    divergence terms only."""
+    difference up to round-off.  Of f's halves it reads the corner averages
+    and the divergence terms only."""
     g = t.f.grid
     ex = fa.a2x * t.f1y - a.a2x * ft.f1y  # E on the corners of the x-faces
     ey = a.a1y * ft.f2x - fa.a1y * t.f2x  # E on the corners of the y-faces
@@ -716,7 +704,7 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     r2 = _interior_norm(r2x, r2y, g)
 
     # identity 3: curl(u x b) = b·∇u - u·∇b + u div b - b div u.  The magnetic
-    # chord's lag b·∇u - u·∇b (``induction_interior``) is formed by this
+    # chord's lag b·∇u - u·∇b (``induction_halves``) is formed by this
     # identity: the compact curl of the corner EMF s (zero walls for u), less
     # u div b.  It leaves out b div u, round-off for the chord's u, a Stokes
     # output; here both divergence terms stay, inside the two divergence

@@ -416,7 +416,7 @@ def absorbing_experiment(
     # window integrals after absorption
     vdiss = ledger.col("grad_u_L2_sq") + ledger.col("b_H1_sq")
     if np.sum(mask) > 2 and t_series[-1] - radii.t0 >= 1.0:
-        wmax = window_sup(t_series[mask], vdiss[mask], 1.0)
+        wmax = window_sup(t_series[mask], vdiss[mask])
         rep.check("window-bound", "absorbing-window", wmax, radii.rho1, wmax <= radii.rho1)
     rep.extras = {
         "rho0": radii.rho0, "rho1": radii.rho1, "t0": radii.t0, "t2": radii.t2,
@@ -433,7 +433,7 @@ def absorbing_experiment(
             + ledger.col("bhat_H1_sq") + ledger.col("lap_bhat_L2_sq")
         )
         if np.sum(mask2) > 2 and t_series[-1] - radii.t2 >= 1.0:
-            rho3_meas = window_sup(t_series[mask2], h2_proxy[mask2], 1.0)
+            rho3_meas = window_sup(t_series[mask2], h2_proxy[mask2])
         else:
             rho3_meas = math.inf
         rep.extras["rho2_measured"] = rho2_meas

@@ -1,5 +1,6 @@
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -210,14 +211,19 @@ def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
         MINIMAL + "\n[tolerances]\ndiv_clean = 1e-10\n",
         MINIMAL + "\n[boundary]\nmodes = constant amp=0.1 comp=3\n",
         MINIMAL + "\n[initial]\nu = bump amp=1e308\n",  # finite, but its field overflows
+        MINIMAL + "\n[initial]\nu = bump amp=1e300\n",  # a finite field whose squares overflow
     ],
     ids=["non-square-grid", "bad-initial-integer", "no-modes", "too-many-modes", "negative-m",
-         "unknown-galerkin-m", "unknown-div-clean", "component-3", "overflowing-bump"],
+         "unknown-galerkin-m", "unknown-div-clean", "component-3", "overflowing-bump",
+         "overflowing-norm"],
 )
 def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
-    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_main_ragged_trace_csv_is_config_error(tmp_path, capsys):

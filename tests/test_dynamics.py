@@ -36,7 +36,7 @@ from mhd2d.geometry import (
     convect_interior,
     divergence,
     face_halves,
-    induction_interior,
+    induction_halves,
     inner,
     l2_norm_sq,
     magnetic_halves,
@@ -58,13 +58,12 @@ def halves(u):
 
 def b_inputs(st, u_frozen, b_prev, t_prev, operator, fb=None, b_start=None):
     """``Stepper.b_step``'s keywords for a step of ``st`` from (t_prev,
-    b_prev) at u_frozen, as ``coupled_step`` prepares them, started from
-    b_start (None: b_prev) with no halves of it built."""
+    b_prev) at u_frozen, as ``coupled_step`` prepares them, started from the
+    halves of b_start (None: b_prev) under the boundary data at the new time."""
     bc = st.vector_bc(t_prev + st.cfg.dt)
+    start = magnetic_halves(b_prev if b_start is None else b_start, wall_rows(st.grid, bc))
     return dict(rhs=_interior_rhs(b_prev, st.cfg.dt, fb), operator=operator,
-                boundary=operator.boundary(bc), walls=wall_rows(st.grid, bc),
-                b_start=b_prev if b_start is None else b_start, start_halves=None,
-                u_frozen_halves=halves(u_frozen))
+                boundary=operator.boundary(bc), start=start, u_frozen_halves=halves(u_frozen))
 
 
 def u_step_of(st, b_frozen, u_prev, t_prev):
@@ -77,10 +76,11 @@ def u_step_of(st, b_frozen, u_prev, t_prev):
 
 def b_step(u_frozen, b_prev, trace, dt, **cfg_kw):
     """One unforced magnetic step of a fresh Stepper from the trace's first
-    instant, on its heat operator and started from b_prev."""
+    instant, on its heat operator and started from b_prev: (b_new, StepReport)."""
     cfg = SolverConfig(nx=b_prev.grid.nx, ny=b_prev.grid.ny, dt=dt, t_final=dt, **cfg_kw)
     st, t = Stepper(cfg, trace), trace.times[0]
-    return st.b_step(u_frozen, t, **b_inputs(st, u_frozen, b_prev, t, st.magnetic_operator(u_frozen)))
+    h, rep = st.b_step(u_frozen, t, **b_inputs(st, u_frozen, b_prev, t, st.magnetic_operator(u_frozen)))
+    return h.t.f, rep
 
 
 def u_step(b_frozen, u_prev, trace, dt, basis=None, n_modes=None):
@@ -416,6 +416,7 @@ def test_b_step_reused_pair_matches_fresh_factorization():
     ubar = u_n + stream_bump(u_n.grid, 0.2, 1, 2)
     reused, rep = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, _pair(st, u_n)))
     fresh, _ = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, _pair(st, ubar)))
+    reused, fresh = reused.t.f, fresh.t.f
     assert rep.picard_iterations > 1
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(fresh)))
     assert np.sqrt(l2_norm_sq(reused - fresh)) <= tol
@@ -428,10 +429,11 @@ def test_warm_started_b_step_reaches_the_cold_fixed_point_sooner():
     st = Stepper(scen.cfg, scen.trace)
     u_n = scen.u0
     heat = st.magnetic_operator(u_n)
-    b_first, _ = st.b_step(u_n, 0.0, **b_inputs(st, u_n, scen.b0, 0.0, heat))
+    b_first = st.b_step(u_n, 0.0, **b_inputs(st, u_n, scen.b0, 0.0, heat))[0].t.f
     ubar, _ = u_step_of(st, b_first, u_n, 0.0)
     warm, rep_warm = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, heat, b_start=b_first))
     cold, rep_cold = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, heat))
+    warm, cold = warm.t.f, cold.t.f
     assert rep_warm.picard_iterations < rep_cold.picard_iterations
     tol = 10 * scen.cfg.picard_tol * (1.0 + np.sqrt(l2_norm_sq(cold)))
     assert np.sqrt(l2_norm_sq(warm - cold)) <= tol
@@ -457,6 +459,7 @@ def test_b_step_matches_the_whole_field_picard_oracle(case):
     }[case]
     kw = dict(operator=operator, fb=fb, b_start=2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1))
     got, rep = st.b_step(u_frozen, 0.0, **b_inputs(st, u_frozen, scen.b0, 0.0, **kw))
+    got = got.t.f
     want, residuals = b_step_oracle(st, u_frozen, scen.b0, 0.0, bc=st.vector_bc(DT), **kw)
     assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
     assert rep.picard_iterations == len(residuals)
@@ -465,10 +468,10 @@ def test_b_step_matches_the_whole_field_picard_oracle(case):
 
 
 @pytest.mark.parametrize("on_pair", [False, True])
-def test_b_step_started_from_shared_halves_is_bit_for_bit(on_pair):
-    # coupled_step hands each outer iterate the halves it built of the last
-    # magnetic iterate for its Lorentz term; the first Picard iteration of the
-    # heat chord and of a fallback pair reads them in place of its own build
+def test_b_step_returns_its_last_iterate_s_halves_in_the_start_s_wall_rows(on_pair):
+    # the halves b_step returns are what coupled_step hands the Lorentz term,
+    # the next outer iterate's start and the pre-cleaning scan: a fresh build
+    # of the new b under the boundary data, in the start's wall rows
     scen = make_scenario("calib-osc", nx=16, dt=DT, t_final=DT)
     st = Stepper(scen.cfg, scen.trace)
     g, u_n = scen.cfg.grid(), scen.u0
@@ -476,13 +479,14 @@ def test_b_step_started_from_shared_halves_is_bit_for_bit(on_pair):
     operator = _pair(st, u_n) if on_pair else st.magnetic_operator(u_n)
     b_start = 2.0 * scen.b0 - stream_bump(g, 0.01, 2, 1)
     kw = b_inputs(st, ubar, scen.b0, 0.0, operator, fb=0.3 * scen.b0, b_start=b_start)
-    shared = magnetic_halves(b_start, wall_rows(g, st.vector_bc(DT)))
-    for max_iter in (1, dynamics.PICARD_MAX_ITER):
-        want, rep_want = st.b_step(ubar, 0.0, max_iter=max_iter, **kw)
-        got, rep = st.b_step(ubar, 0.0, max_iter=max_iter, **{**kw, "start_halves": shared})
-        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
-        assert rep == rep_want
-        assert (rep_want.picard_iterations > 1) == (max_iter > 1)
+    start = kw["start"]
+    h, rep = st.b_step(ubar, 0.0, **kw)
+    assert rep.picard_iterations > 1 and rep.picard_converged
+    assert h.t.f1y is start.t.f1y and h.t.f2x is start.t.f2x
+    fresh = magnetic_halves(h.t.f, wall_rows(g, st.vector_bc(DT)))
+    for got, want in ((h.a, fresh.a), (h.t, fresh.t), ((h.div,), (fresh.div,))):
+        for a, b in zip(got, want):
+            assert a is b if isinstance(a, VectorField) else np.array_equal(a, b)
 
 
 def test_a_coupled_step_runs_numpy_python_code_only_for_errstate():
@@ -527,6 +531,7 @@ def test_b_step_equals_the_implicit_transport_solve_at_ubar():
     kw = dict(fb=0.3 * scen.b0)
     chord, rep = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, st.magnetic_operator(scen.u0), **kw))
     implicit, rep_implicit = st.b_step(ubar, 0.0, **b_inputs(st, ubar, scen.b0, 0.0, _pair(st, ubar), **kw))
+    chord, implicit = chord.t.f, implicit.t.f
     assert rep.picard_converged and rep.picard_iterations > rep_implicit.picard_iterations
     assert np.sqrt(l2_norm_sq(chord - implicit)) <= 1e-9 * np.sqrt(l2_norm_sq(implicit))
 
@@ -542,8 +547,9 @@ def _collect_b_steps(monkeypatch, reports, cold=False):
         return coupled_step_orig(self, state)
 
     def collecting(self, *args, **kwargs):
-        if cold:
-            kwargs.update(b_start=b_n[0], start_halves=None)
+        if cold:  # b^n's halves, in the start's wall rows
+            start = kwargs["start"]
+            kwargs["start"] = magnetic_halves(b_n[0], (start.t.f1y, start.t.f2x))
         out = b_step_orig(self, *args, **kwargs)
         reports.append(out[1])
         return out
@@ -659,8 +665,10 @@ def test_first_step_starts_from_b_n_exactly(monkeypatch):
 
     def from_b_n(self, *args, **kwargs):
         if not starts:
-            starts.append(kwargs["b_start"])
-            kwargs["b_start"] = scen.b0  # the first state's b
+            start = kwargs["start"]
+            starts.append(start.t.f)
+            # the first state's b, in the start's wall rows
+            kwargs["start"] = magnetic_halves(scen.b0, (start.t.f1y, start.t.f2x))
         return b_step(self, *args, **kwargs)
 
     monkeypatch.setattr(Stepper, "b_step", from_b_n)
@@ -947,12 +955,9 @@ def test_traced_entry_points_are_called_per_solve_iterate_and_row(monkeypatch):
               for seg in per_step]
     # one x and y solve per Picard iteration, one ledger row per step, and
     # no convect: the Lorentz term is formed from shared halves.  A step of
-    # K outer iterates and P Picard iterations takes b's divergence once for
-    # each accepted magnetic iterate's halves (K), which its Lorentz term,
-    # the next iterate's first Picard iteration and the last one's
-    # pre-cleaning scan read, and once in every other chord iteration
-    # (P - (K - 1): iterates 2..K start from those halves), so P + 1; and
-    # two in the ledger row (u's and b's)
+    # P Picard iterations takes b's divergence once in each build of a
+    # magnetic iterate's halves: the first Picard loop's start, and each
+    # iteration's new iterate, so P + 1; and two in the ledger row (u's and b's)
     want = [(r.picard_iterations, 0, 1, r.picard_iterations + 1 + 2) for r in traj.reports]
     assert counts == want
     assert counts == [(11, 0, 1, 14), (11, 0, 1, 14), (9, 0, 1, 12), (9, 0, 1, 12), (9, 0, 1, 12)]
@@ -987,7 +992,7 @@ def test_a_velocity_half_drops_round_off_and_a_magnetic_half_keeps_its_terms(rng
         assert _relative_error(convect_interior(a, f_half), transport) <= 1e-13
         # the induction term against stretching less transport, u's half with its terms
         stretching = convect_interior(magnetic_halves(f, wall_rows(g)).a, t)
-        got = induction_interior(f, wall_rows(g, fbc), a, t)
+        got = induction_halves(*magnetic_halves(f, wall_rows(g, fbc))[:2], a, t)
         assert _relative_error(got, [s - tr for s, tr in zip(stretching, transport)]) <= 1e-13
     # a magnetic iterate before cleaning carries an O(1) divergence: the
     # products its half would leave out are not small, in the pair's

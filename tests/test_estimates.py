@@ -11,7 +11,6 @@ from mhd2d.estimates import (
     brezis_gallouet_ratio,
     calibrate_weak_energy,
     gronwall_weak,
-    normality_eta,
     record,
     smallness_gate,
     stokes_regularity_ratio,
@@ -174,33 +173,6 @@ def test_absorbing_time_depends_only_on_diameter():
     assert r1.t0 == r2.t0
 
 
-def test_normality_eta():
-    t = np.linspace(0.0, 4.0, 4001)
-    assert normality_eta(t, np.zeros_like(t), 1e-3) == 4.0
-    c = 0.5
-    eta = normality_eta(t, c * np.ones_like(t), eps=0.1)
-    # window integral = eta * c^2; largest dyadic below 0.1 / 0.25 = 0.4 is 0.25
-    assert abs(eta - 0.25) < 1e-12
-    # pulse train: compare against an exhaustive scan
-    pulses = (np.sin(4 * np.pi * t) ** 20)
-    eps = 0.02
-    eta = normality_eta(t, pulses, eps)
-    y = pulses**2
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
-
-    def ok(width):
-        for i, ti in enumerate(t):
-            j = np.searchsorted(t, ti + width - 1e-12)
-            if j >= len(t):
-                break
-            if cum[j] - cum[i] > eps:
-                return False
-        return True
-
-    assert ok(eta)
-    assert not ok(2 * eta)
-
-
 def test_smallness_gate():
     ok, val = smallness_gate(2.0, 0.5, 9.0)
     assert ok and abs(val - 2.0 * 0.5**4) < 1e-15
@@ -282,13 +254,6 @@ def test_exponent_constants_pinned():
     from mhd2d.estimates import EXPONENTS
 
     assert EXPONENTS == {"theta": 0.5, "q": 2.0, "q_n": 4.0}
-
-
-def test_normality_eta_monotone_in_eps():
-    t = np.linspace(0.0, 4.0, 801)
-    series = 0.3 * (1.0 + np.sin(2 * np.pi * t) ** 2)
-    etas = [normality_eta(t, series, eps) for eps in (0.5, 0.1, 0.02)]
-    assert etas[0] >= etas[1] >= etas[2]
 
 
 def test_strong_energy_on_recorded_run(calibration_store):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree, random_zero_trace, scalar_from_function
+from conftest import induction_oracle, random_divfree, random_zero_trace, scalar_from_function
 from mhd2d.geometry import (
     Grid,
     ScalarField,
@@ -17,7 +17,6 @@ from mhd2d.geometry import (
     gradient,
     identity_residuals,
     induction_halves,
-    induction_interior,
     inner,
     l2_norm_sq,
     laplacian,
@@ -219,10 +218,10 @@ def test_prepared_convect_halves_equal_convect_bit_for_bit(rng):
 
 
 def test_induction_interior_equals_the_two_convect_difference(rng):
-    # the corner-EMF form drops the normal-flux products, which cancel in the
-    # difference; b carries an O(1) divergence, so its correction term counts
-    # (u's half, a velocity's, carries none), and the walls carry nonzero
-    # boundary data
+    # the induction term on the interior faces, in the corner-EMF form, drops
+    # the normal-flux products, which cancel in the difference; b carries an
+    # O(1) divergence, so its correction term counts (u's half, a
+    # velocity's, carries none), and the walls carry nonzero boundary data
     g = Grid(12, 10)
     rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
                                rng.standard_normal(g.shape_yface()))
@@ -233,20 +232,18 @@ def test_induction_interior_equals_the_two_convect_difference(rng):
         a, t = face_halves(u, wall_rows(g))
         ab, tb, _ = magnetic_halves(b, wall_rows(g, fbc))
         (sx, sy), (tx, ty) = convect_interior(ab, t), convect_interior(a, tb)
-        walls = wall_rows(g, fbc)
-        got_x, got_y = induction_interior(b, walls, a, t)
+        got_x, got_y = induction_halves(ab, tb, a, t)
         scale = np.sqrt(np.sum((sx - tx) ** 2) + np.sum((sy - ty) ** 2))
         err = np.sqrt(np.sum((got_x - (sx - tx)) ** 2) + np.sum((got_y - (sy - ty)) ** 2))
         assert err <= 1e-13 * scale
-        # b's corner averages are written into the walls as face_halves writes them
-        assert np.array_equal(walls[0], tb.f1y) and np.array_equal(walls[1], tb.f2x)
 
 
 def test_magnetic_halves_give_the_lorentz_term_and_the_chord_lag_bit_for_bit(rng):
     # one build of a magnetic iterate's halves serves its Lorentz term b·∇b,
-    # the next Picard loop's first induction term and the pre-cleaning scan;
-    # each must equal what its own build gave.  b is not solenoidal and the
-    # walls carry nonzero data, so the divergence terms and wall rows count
+    # its Picard iteration's induction term and the pre-cleaning scan; each
+    # must equal what its reference gives, and the build face_halves'
+    # averages.  b is not solenoidal and the walls carry nonzero data, so the
+    # divergence terms and wall rows count
     g = Grid(12, 10)
     rand = lambda: VectorField(g, rng.standard_normal(g.shape_xface()),
                                rng.standard_normal(g.shape_yface()))
@@ -255,11 +252,13 @@ def test_magnetic_halves_give_the_lorentz_term_and_the_chord_lag_bit_for_bit(rng
         b, u = rand(), rand()
         h = magnetic_halves(b, wall_rows(g, fbc))
         assert h.t.f is b and np.array_equal(h.div, divergence(b).values)
+        fa, ft = face_halves(b, wall_rows(g, fbc))
+        assert all(np.array_equal(x, y) for x, y in zip(h.a[:4] + h.t[1:], fa[:4] + ft[1:]))
         (lx, ly), want = convect_interior(h.a, h.t), convect(b, b, fbc)
         assert np.array_equal(lx, want.x[1:-1, :]) and np.array_equal(ly, want.y[:, 1:-1])
         a, t = face_halves(u, wall_rows(g))
-        got, want = induction_halves(h.a, h.t, a, t), induction_interior(b, wall_rows(g, fbc), a, t)
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        (ix, iy), want = induction_halves(h.a, h.t, a, t), induction_oracle(u, b, fbc)
+        assert np.array_equal(ix, want.x[1:-1, :]) and np.array_equal(iy, want.y[:, 1:-1])
 
 
 @settings(max_examples=30, deadline=None)

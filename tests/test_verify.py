@@ -160,7 +160,7 @@ def test_absorbing_gate_failure_reported():
 
 def test_picard_study_decoupled_ratio_is_zero():
     from mhd2d.dynamics import SolverConfig, Stepper, _interior_rhs
-    from mhd2d.geometry import Grid, VectorField, face_halves, wall_rows
+    from mhd2d.geometry import Grid, VectorField, face_halves, magnetic_halves, wall_rows
     from mhd2d.lifting import synthesize_trace
 
     g = Grid(8, 8)
@@ -172,7 +172,7 @@ def test_picard_study_decoupled_ratio_is_zero():
     u, bc = VectorField.zeros(g), tz.vector_bc(1e-3)
     heat = st.magnetic_operator(u)
     _, rep = st.b_step(u, 0.0, rhs=_interior_rhs(b0, 1e-3), operator=heat, boundary=heat.boundary(bc),
-                       walls=wall_rows(g, bc), b_start=b0, start_halves=None,
+                       start=magnetic_halves(b0, wall_rows(g, bc)),
                        u_frozen_halves=face_halves(u, wall_rows(g)))
     assert rep.contraction_ratio == 0.0 and rep.picard_iterations == 2
 
