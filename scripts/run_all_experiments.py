@@ -23,7 +23,7 @@ import time
 from mhd2d.errors import ConfigError
 from mhd2d.estimates import CalibrationStore
 from mhd2d.ioutil import atomic_write_text
-from mhd2d.verify import EXPERIMENTS, calibrate_constants
+from mhd2d.verify import EXPERIMENTS, REPORT_CSV_HEADER, calibrate_constants
 
 ORDER = [
     "identities",
@@ -70,7 +70,7 @@ def main():
         store.write(path)
         print(f"calibrated {len(store.values)} constants in {elapsed:.0f}s -> {path}")
 
-    summary = ["experiment,assertion,paper_ref,measured,tolerance,pass"]
+    summary = REPORT_CSV_HEADER
     all_ok = True
     for name in ORDER:
         if name in skip:
@@ -78,13 +78,13 @@ def main():
         rep = EXPERIMENTS[name](store)
         rep.write(os.path.join(args.output_dir, f"report_{name}.csv"))
         timings["runtime_s"][name] = rep.runtime_s
-        summary.extend(rep.to_csv_text().splitlines()[1:])
+        summary += rep.csv_rows()
         status = "pass" if rep.passed else "FAIL"
         print(f"{name:<18} {status}  ({rep.runtime_s:.1f}s)")
         for a in rep.assertions:
             print(f"    {a.assertion_id:<28} measured={a.measured:.5g} tol={a.tolerance:.5g}")
         all_ok &= rep.passed
-    atomic_write_text(os.path.join(args.output_dir, "summary.csv"), "\n".join(summary) + "\n")
+    atomic_write_text(os.path.join(args.output_dir, "summary.csv"), summary)
     atomic_write_text(os.path.join(args.output_dir, "timings.json"), json.dumps(timings, indent=2) + "\n")
     return 0 if all_ok else 4
 

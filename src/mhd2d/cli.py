@@ -35,7 +35,7 @@ from .ioutil import atomic_write_text
 from .lifting import TraceMode, matched_field, read_trace_csv, synthesize_trace
 from .scenarios import stream_bump, trace_times
 from .spectral import cached_basis
-from .verify import ABSORBING_VARIANTS, EXPERIMENTS, STRONG_MODES, TAIL_NX
+from .verify import ABSORBING_VARIANTS, EXPERIMENTS, REPORT_CSV_HEADER, STRONG_MODES, TAIL_NX
 from .verify import calibrate_constants, store_keys
 
 log = logging.getLogger("mhd2d")
@@ -279,6 +279,7 @@ def _cmd_run(rc: RunConfig, outdir):
             raise ConfigError(errors)
     if rc.boundary_csv:
         _check_trace_covers(trace, t0, rc.solver)
+    _check_trace_squares(trace)
     traj, ledger = run(rc.solver, u0, b0, trace, basis=basis, t0=t0, p0=p0, restart=restart)
     ledger.write_csv(ledger_path)
     write_checkpoint(
@@ -296,6 +297,17 @@ def _check_trace_covers(trace, t0, cfg):
             trace.index_of(t0 + k * cfg.dt)
         except ValueError as exc:
             raise ConfigError([f"boundary: {exc}; the run needs t = {t0!r} + k*dt up to T"])
+
+
+def _check_trace_squares(trace):
+    """Every instant's squared samples must sum to a finite number, or every
+    trace norm and compatibility check would read inf."""
+    with np.errstate(over="ignore"):
+        sums = np.sum(trace.samples**2, axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise ConfigError([f"boundary: the squared samples at t = {float(trace.times[bad[0]])!r} "
+                           "do not sum to a finite number"])
 
 
 def _checked(key, value, ok, need):
@@ -358,12 +370,11 @@ def _cmd_experiment(rc: RunConfig, outdir):
         with open(summary_path) as fh:
             existing = fh.read()
     if not existing:
-        existing = "experiment,assertion,paper_ref,measured,tolerance,pass\n"
+        existing = REPORT_CSV_HEADER
     all_ok = True
     for name, rep in results:
         rep.write(os.path.join(outdir, f"report_{name}.csv"))
-        body = rep.to_csv_text().split("\n", 1)[1]
-        existing += body
+        existing += rep.csv_rows()
         all_ok &= rep.passed
         log.info("experiment %s: %s (%.1f s)", name, "pass" if rep.passed else "FAIL", rep.runtime_s)
         for a in rep.assertions:

@@ -723,9 +723,10 @@ def run(
     it returns is otherwise the same bit for bit.  The pressure is
     recovered once for each checkpoint and for the final state, the
     states the run outputs; the other kept states carry u and b, and p
-    None.  A ``StepFailure`` in a step or in a pressure recovery names the
-    step: its message starts with the 1-based step index, which
-    ``detail["step"]`` holds.  Returns (Trajectory, EnergyLedger), or
+    None.  A ``StepFailure`` in a step, in a pressure recovery or in a ledger
+    row (a non-finite entry, ``EnergyLedger.add_row``) names the step: its
+    message starts with the 1-based step index, which ``detail["step"]``
+    holds; a non-finite row at t0 names only t0.  Returns (Trajectory, EnergyLedger), or
     (Trajectory, None) without a ledger.
     """
     stepper = Stepper(cfg, trace, basis=basis, forcing=forcing)  # validates cfg
@@ -752,15 +753,15 @@ def run(
             state, rep = stepper.coupled_step(state)
             if checkpoint or k == nsteps - 1:
                 state.p = stepper.pressure(state)
+            if ledger:
+                bc = stepper.vector_bc(state.t)  # the step's own lookup
+                if h_p is not None:
+                    h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
+                record(rows, state.t, state.u, state.b, trace, h_p, bc=bc)
         except StepFailure as err:
             err.detail = {**(err.detail or {}), "step": k + 1}
             err.args = (f"step {k + 1}: {err}",)
             raise
-        if ledger:
-            bc = stepper.vector_bc(state.t)  # the step's own lookup
-            if h_p is not None:
-                h_p = heat_step(h_p, cfg.dt, bc, 1.0 / cfg.rm)
-            record(rows, state.t, state.u, state.b, trace, h_p, bc=bc)
         times.append(state.t)
         reports.append(rep)
         if states is not None:

@@ -28,7 +28,8 @@ class SolverFailure(Exception):
 
 
 class StepFailure(SolverFailure):
-    """A time step failed to converge; usually means dt is too large."""
+    """A time step failed to converge, or a state holds a non-finite value or
+    ledger entry; usually means dt is too large."""
 
 
 class CompatibilityError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StepFailure
 from .geometry import (
     ScalarField,
     VectorBC,
@@ -45,30 +45,17 @@ __all__ = [
     "brezis_gallouet_ratio",
     "stokes_regularity_ratio",
     "CalibrationStore",
-    "EXPONENTS",
 ]
 
-# fixed 2D exponents of the estimates
-EXPONENTS = {"theta": 0.5, "q": 2.0, "q_n": 4.0}
-
-# homogeneity degree of each checker term under (u, b, h) -> (a*u, a*b, a*h),
-# so scale-coherence violations are test-detectable
+# homogeneity degree of each weak-inequality term under
+# (u, b, h) -> (a*u, a*b, a*h), so scale-coherence violations are test-detectable
 TERM_HOMOGENEITY = {
-    "weak": {
-        "energy_rate": 2,
-        "dissipation": 2,
-        "h4_energy": 6,
-        "source_h2": 2,
-        "source_dth2": 2,
-        "source_h4": 4,
-    },
-    "strong": {
-        "h1_rate": 2,
-        "h2_dissipation": 2,
-        "k_energy": 6,
-        "source_low_h4": 6,
-        "source_h32": 2,
-    },
+    "energy_rate": 2,
+    "dissipation": 2,
+    "h4_energy": 6,
+    "source_h2": 2,
+    "source_dth2": 2,
+    "source_h4": 4,
 }
 
 LEDGER_COLUMNS = [
@@ -108,7 +95,7 @@ class EnergyLedger:
         for c in LEDGER_COLUMNS:
             v = float(kw.get(c, 0.0))
             if not math.isfinite(v):
-                raise ValueError(f"ledger entry {c} at t={t} is not finite")
+                raise StepFailure(f"ledger entry {c} is not finite", t=t)
             if c.endswith("_sq") and v < 0.0:
                 raise ValueError(f"squared ledger entry {c} at t={t} is negative")
             self._rows[c].append(v)
@@ -156,36 +143,37 @@ def record(
     operator gives in closed form (``DirichletHeat.lift_energies``)
     without forming h_e.
     """
-    btilde_sq, grad_btilde_sq = dirichlet_heat(b.grid, 0.0, 1.0).lift_energies(b, bc)
-    b_sq = l2_norm_sq(b)
-    u_l4, u_linf = pointwise_norms(u)
-    b_l4, b_linf = pointwise_norms(b)
-    row = dict(
-        t=t,
-        u_L2_sq=l2_norm_sq(u),
-        grad_u_L2_sq=grad_norm_sq(u),
-        b_L2_sq=b_sq,
-        b_H1_sq=b_sq + grad_norm_sq(b, bc),
-        btilde_L2_sq=btilde_sq,
-        grad_btilde_L2_sq=grad_btilde_sq,
-        u_L4=u_l4,
-        b_L4=b_l4,
-        u_Linf=u_linf,
-        b_Linf=b_linf,
-        h_H12_Gamma=hs_norm(trace, t, _SPEC12),
-        h_H32_Gamma=hs_norm(trace, t, _SPEC32),
-        dth_Hm12_Gamma=hs_norm_dt(trace, t, _SPECM12),
-        div_u_Linf=float(_max(np.abs(divergence(u).values))),
-        div_b_Linf=float(_max(np.abs(divergence(b).values))),
-    )
-    if ledger.strong:
-        if h_p is None:
-            raise ValueError("strong ledger rows need the parabolic lift")
-        su, _ = stokes_apply(u)
-        bhat = b - h_p
-        row["Su_L2_sq"] = l2_norm_sq(su)
-        row["bhat_H1_sq"] = l2_norm_sq(bhat) + grad_norm_sq(bhat)
-        row["lap_bhat_L2_sq"] = l2_norm_sq(apply_lap_mirror(bhat))
+    with np.errstate(over="ignore", invalid="ignore"):  # add_row refuses a non-finite entry
+        btilde_sq, grad_btilde_sq = dirichlet_heat(b.grid, 0.0, 1.0).lift_energies(b, bc)
+        b_sq = l2_norm_sq(b)
+        u_l4, u_linf = pointwise_norms(u)
+        b_l4, b_linf = pointwise_norms(b)
+        row = dict(
+            t=t,
+            u_L2_sq=l2_norm_sq(u),
+            grad_u_L2_sq=grad_norm_sq(u),
+            b_L2_sq=b_sq,
+            b_H1_sq=b_sq + grad_norm_sq(b, bc),
+            btilde_L2_sq=btilde_sq,
+            grad_btilde_L2_sq=grad_btilde_sq,
+            u_L4=u_l4,
+            b_L4=b_l4,
+            u_Linf=u_linf,
+            b_Linf=b_linf,
+            h_H12_Gamma=hs_norm(trace, t, _SPEC12),
+            h_H32_Gamma=hs_norm(trace, t, _SPEC32),
+            dth_Hm12_Gamma=hs_norm_dt(trace, t, _SPECM12),
+            div_u_Linf=float(_max(np.abs(divergence(u).values))),
+            div_b_Linf=float(_max(np.abs(divergence(b).values))),
+        )
+        if ledger.strong:
+            if h_p is None:
+                raise ValueError("strong ledger rows need the parabolic lift")
+            su, _ = stokes_apply(u)
+            bhat = b - h_p
+            row["Su_L2_sq"] = l2_norm_sq(su)
+            row["bhat_H1_sq"] = l2_norm_sq(bhat) + grad_norm_sq(bhat)
+            row["lap_bhat_L2_sq"] = l2_norm_sq(apply_lap_mirror(bhat))
     ledger.add_row(**row)
     return row
 

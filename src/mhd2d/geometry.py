@@ -4,12 +4,19 @@ MAC layout: scalars live at cell centers, the x-component of a vector
 field on vertical faces, the y-component on horizontal faces.  Normal
 components at the walls are stored in the field arrays themselves;
 tangential boundary values enter through ghost values extrapolated
-through the wall (cubic extrapolation, so second-derivative stencils
-stay second-order accurate up to the wall).
+through the wall (``_padded``).  There is one 5-point face Laplacian
+(``_face_laplacian``, over ``_five_point``) and two ghost closures for it:
+the diagnostic ``laplacian`` extrapolates cubically (``_cubic_ghost``), so
+second-derivative stencils stay second-order accurate up to the wall; the
+solver's ``operators.apply_lap_mirror`` mirrors linearly
+(``_mirror_ghost``), which keeps its Laplacian symmetric.  The closures
+deliberately differ; the stencil is shared.
 
-All operators here are pure stencil evaluations used for diagnostics and
+The operators here are pure stencil evaluations used for diagnostics and
 residual checks.  The symmetric solver-side operators (used for implicit
-solves, eigenproblems and energy identities) live in ``operators``.
+solves, eigenproblems and energy identities) live in ``operators``.  The
+identity suite takes every curl of a corner array (the vorticity's, the
+EMF's) with one stencil, ``_corner_curl``.
 
 Finiteness is checked where data enters, not on every field: the public
 constructors ``ScalarField(grid, values)``, ``VectorField(grid, x, y)`` and
@@ -302,9 +309,14 @@ class VectorBC:
         return VectorBC(*(getattr(self, f.name) - getattr(other, f.name) for f in fields(self)))
 
 
-def _ghost(b, f0, f1, f2):
+def _cubic_ghost(b, f0, f1, f2):
     # cubic extrapolation through the wall value b at distance h/2
     return 3.2 * b - 3.0 * f0 + f1 - 0.2 * f2
+
+
+def _mirror_ghost(b, f0, f1, f2):
+    # linear extrapolation: the mirror image of f0 through the wall value b
+    return 2.0 * b - f0
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -323,39 +335,43 @@ def gradient(s: ScalarField) -> VectorField:
     return out
 
 
-def _pad_xcomp(v: VectorField, bc: VectorBC):
-    """x-component with ghost rows below/above the tangential walls."""
+def _padded(v: VectorField, bc: VectorBC, ghost):
+    """Both components with ghost rows through their tangential walls: x with
+    a column below and above, (nx+1, ny+2); y with a row left and right,
+    (nx+2, ny+1).  ``ghost`` is ``_cubic_ghost`` or ``_mirror_ghost``."""
     f = v.x
-    p = np.empty((f.shape[0], f.shape[1] + 2))
-    p[:, 1:-1] = f
-    p[:, 0] = _ghost(bc.x_bottom, f[:, 0], f[:, 1], f[:, 2])
-    p[:, -1] = _ghost(bc.x_top, f[:, -1], f[:, -2], f[:, -3])
-    return p
-
-
-def _pad_ycomp(v: VectorField, bc: VectorBC):
+    px = np.empty((f.shape[0], f.shape[1] + 2))
+    px[:, 1:-1] = f
+    px[:, 0] = ghost(bc.x_bottom, f[:, 0], f[:, 1], f[:, 2])
+    px[:, -1] = ghost(bc.x_top, f[:, -1], f[:, -2], f[:, -3])
     f = v.y
-    p = np.empty((f.shape[0] + 2, f.shape[1]))
-    p[1:-1, :] = f
-    p[0, :] = _ghost(bc.y_left, f[0, :], f[1, :], f[2, :])
-    p[-1, :] = _ghost(bc.y_right, f[-1, :], f[-2, :], f[-3, :])
-    return p
+    py = np.empty((f.shape[0] + 2, f.shape[1]))
+    py[1:-1, :] = f
+    py[0, :] = ghost(bc.y_left, f[0, :], f[1, :], f[2, :])
+    py[-1, :] = ghost(bc.y_right, f[-1, :], f[-2, :], f[-3, :])
+    return px, py
+
+
+def _five_point(p, g: Grid):
+    """5-point Laplacian at the interior of the padded array ``p``."""
+    c = 2 * p[1:-1, 1:-1]
+    return (p[2:, 1:-1] - c + p[:-2, 1:-1]) / g.dx**2 + (p[1:-1, 2:] - c + p[1:-1, :-2]) / g.dy**2
+
+
+def _face_laplacian(v: VectorField, bc: VectorBC, ghost) -> VectorField:
+    """Componentwise 5-point Laplacian under the ghost closure ``ghost``, on
+    interior faces (wall faces zero)."""
+    out = VectorField.zeros(v.grid)
+    px, py = _padded(v, bc, ghost)
+    out.x[1:-1, :] = _five_point(px, v.grid)
+    out.y[:, 1:-1] = _five_point(py, v.grid)
+    return out
 
 
 def laplacian(f: VectorField, bc: VectorBC) -> VectorField:
     """Componentwise 5-point Laplacian with cubic ghost closure, on interior
     faces (wall faces zero)."""
-    g = f.grid
-    out = VectorField.zeros(g)
-    px = _pad_xcomp(f, bc)
-    out.x[1:-1, :] = (f.x[2:, :] - 2 * f.x[1:-1, :] + f.x[:-2, :]) / g.dx**2 + (
-        px[1:-1, 2:] - 2 * px[1:-1, 1:-1] + px[1:-1, :-2]
-    ) / g.dy**2
-    py = _pad_ycomp(f, bc)
-    out.y[:, 1:-1] = (py[2:, 1:-1] - 2 * py[1:-1, 1:-1] + py[:-2, 1:-1]) / g.dx**2 + (
-        f.y[:, 2:] - 2 * f.y[:, 1:-1] + f.y[:, :-2]
-    ) / g.dy**2
-    return out
+    return _face_laplacian(f, bc, _cubic_ghost)
 
 
 # --- advection -----------------------------------------------------------
@@ -621,15 +637,10 @@ def pointwise_norms(v: VectorField):
 # --- identity suite ------------------------------------------------------
 
 def _vorticity(b: VectorField, bc: VectorBC):
-    """d1 b2 - d2 b1 at every corner, ghost closure at the walls."""
+    """d1 b2 - d2 b1 at every corner, cubic ghost closure at the walls."""
     g = b.grid
-    w = np.empty((g.nx + 1, g.ny + 1))
-    py = _pad_ycomp(b, bc)  # (nx+2, ny+1): b2 with x-ghost columns
-    d1b2 = (py[1:, :] - py[:-1, :]) / g.dx
-    px = _pad_xcomp(b, bc)  # (nx+1, ny+2): b1 with y-ghost rows
-    d2b1 = (px[:, 1:] - px[:, :-1]) / g.dy
-    w[:, :] = d1b2 - d2b1
-    return w
+    px, py = _padded(b, bc, _cubic_ghost)
+    return (py[1:, :] - py[:-1, :]) / g.dx - (px[:, 1:] - px[:, :-1]) / g.dy
 
 
 def _corner_average_x(w):
@@ -650,6 +661,31 @@ def _interp4_yface(fx):
     return 0.25 * (fx[:-1, :-1] + fx[:-1, 1:] + fx[1:, :-1] + fx[1:, 1:])
 
 
+def _corner_curl(w, g: Grid):
+    """curl of the out-of-plane corner array ``w`` on the interior faces:
+    (d2 w, -d1 w), the wide fourth-order difference in the interior and the
+    compact one in the one-cell band next to the walls."""
+    cx = (w[1:-1, 1:] - w[1:-1, :-1]) / g.dy
+    cx[:, 1:-1] = (27.0 * (w[1:-1, 2:-1] - w[1:-1, 1:-2]) - (w[1:-1, 3:] - w[1:-1, :-3])) / (24.0 * g.dy)
+    cy = -(w[1:, 1:-1] - w[:-1, 1:-1]) / g.dx
+    cy[1:-1, :] = -(27.0 * (w[2:-1, 1:-1] - w[1:-2, 1:-1]) - (w[3:, 1:-1] - w[:-3, 1:-1])) / (24.0 * g.dx)
+    return cx, cy
+
+
+def _at_corners(f: VectorField, fbc: VectorBC):
+    """Both components at the corners: face averages inside, the tangential
+    boundary values on the walls."""
+    f1 = np.empty((f.grid.nx + 1, f.grid.ny + 1))
+    f1[:, 1:-1] = 0.5 * (f.x[:, :-1] + f.x[:, 1:])
+    f1[:, 0] = fbc.x_bottom
+    f1[:, -1] = fbc.x_top
+    f2 = np.empty_like(f1)
+    f2[1:-1, :] = 0.5 * (f.y[:-1, :] + f.y[1:, :])
+    f2[0, :] = fbc.y_left
+    f2[-1, :] = fbc.y_right
+    return f1, f2
+
+
 def _interior_norm(field_x, field_y, grid):
     w = grid.dx * grid.dy
     return float(np.sqrt(w * (np.sum(field_x**2) + np.sum(field_y**2))))
@@ -665,7 +701,6 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     measure the second-order consistency of the operator suite.
     """
     g = b.grid
-    dx, dy = g.dx, g.dy
     w = _vorticity(b, bc)
 
     # identity 1: (curl b) x b = b·∇b - grad(|b|^2)/2
@@ -684,18 +719,7 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     r1 = _interior_norm(r1x, r1y, g)
 
     # identity 2: curl curl b = grad div b - lap b
-    # wide fourth-order outer derivative in the interior, compact fallback
-    # in the one-cell band next to the walls
-    ccx = (w[1:-1, 1:] - w[1:-1, :-1]) / dy  # compact, interior x-faces
-    jj = np.arange(g.ny)
-    wide_j = (jj >= 1) & (jj <= g.ny - 2)
-    ccx_wide = (27.0 * (w[1:-1, 2:-1] - w[1:-1, 1:-2]) - (w[1:-1, 3:] - w[1:-1, :-3])) / (24.0 * dy)
-    ccx[:, wide_j] = ccx_wide
-    ccy = -(w[1:, 1:-1] - w[:-1, 1:-1]) / dx
-    ii = np.arange(g.nx)
-    wide_i = (ii >= 1) & (ii <= g.nx - 2)
-    ccy_wide = -(27.0 * (w[2:-1, 1:-1] - w[1:-2, 1:-1]) - (w[3:, 1:-1] - w[:-3, 1:-1])) / (24.0 * dx)
-    ccy[wide_i, :] = ccy_wide
+    ccx, ccy = _corner_curl(w, g)
     dv = divergence(b)
     gd = gradient(dv)
     lap = laplacian(b, bc)
@@ -709,30 +733,9 @@ def identity_residuals(b: VectorField, bc: VectorBC, u: VectorField, ubc: Vector
     # u div b.  It leaves out b div u, round-off for the chord's u, a Stokes
     # output; here both divergence terms stay, inside the two divergence
     # forms below, whatever u is
-    s = np.empty((g.nx + 1, g.ny + 1))  # u x b (out of plane) at corners
-    u1 = np.empty_like(s)
-    u1[:, 1:-1] = 0.5 * (u.x[:, :-1] + u.x[:, 1:])
-    u1[:, 0] = ubc.x_bottom
-    u1[:, -1] = ubc.x_top
-    b2 = np.empty_like(s)
-    b2[1:-1, :] = 0.5 * (b.y[:-1, :] + b.y[1:, :])
-    b2[0, :] = bc.y_left
-    b2[-1, :] = bc.y_right
-    u2 = np.empty_like(s)
-    u2[1:-1, :] = 0.5 * (u.y[:-1, :] + u.y[1:, :])
-    u2[0, :] = ubc.y_left
-    u2[-1, :] = ubc.y_right
-    b1 = np.empty_like(s)
-    b1[:, 1:-1] = 0.5 * (b.x[:, :-1] + b.x[:, 1:])
-    b1[:, 0] = bc.x_bottom
-    b1[:, -1] = bc.x_top
-    s[:, :] = u1 * b2 - u2 * b1
-    lhs3_x = (s[1:-1, 1:] - s[1:-1, :-1]) / dy
-    lhs3_x_wide = (27.0 * (s[1:-1, 2:-1] - s[1:-1, 1:-2]) - (s[1:-1, 3:] - s[1:-1, :-3])) / (24.0 * dy)
-    lhs3_x[:, wide_j] = lhs3_x_wide
-    lhs3_y = -(s[1:, 1:-1] - s[:-1, 1:-1]) / dx
-    lhs3_y_wide = -(27.0 * (s[2:-1, 1:-1] - s[1:-2, 1:-1]) - (s[3:, 1:-1] - s[:-3, 1:-1])) / (24.0 * dx)
-    lhs3_y[wide_i, :] = lhs3_y_wide
+    u1, u2 = _at_corners(u, ubc)
+    b1, b2 = _at_corners(b, bc)
+    lhs3_x, lhs3_y = _corner_curl(u1 * b2 - u2 * b1, g)  # s = u x b (out of plane) at corners
     t1x, t1y = _div_form(advecting_half(b), face_halves(u, wall_rows(g, ubc))[1])  # b·∇u + u div b
     t2x, t2y = _div_form(advecting_half(u), face_halves(b, wall_rows(g, bc))[1])  # u·∇b + b div u
     r3x = lhs3_x - (t1x - t2x)

@@ -12,8 +12,9 @@ differences.  The heat and Poisson solvers are memoized per key
 Everything here uses the *mirror* (linear) ghost closure, which makes the
 component Laplacians symmetric negative-definite on zero-trace fields and
 pairs them exactly with the discrete Dirichlet energy in
-``geometry.grad_norm_sq``.  The diagnostic stencils in ``geometry`` use a
-higher-order closure instead; the two deliberately differ.
+``geometry.grad_norm_sq``.  The 5-point stencil itself lives in
+``geometry``, shared with the diagnostic ``geometry.laplacian``, whose cubic
+closure deliberately differs; only the closure is chosen here.
 
 Index conventions: all 2D arrays are raveled in C order (x-index major).
 """
@@ -33,6 +34,9 @@ from .geometry import (
     ScalarField,
     VectorBC,
     VectorField,
+    _face_laplacian,
+    _five_point,
+    _mirror_ghost,
     _sum,
     divergence,
     gradient,
@@ -57,37 +61,9 @@ __all__ = [
 
 # --- mirror-closure stencil applications ----------------------------------
 
-def _mirror_pad_x(f, bc: VectorBC):
-    p = np.empty((f.shape[0], f.shape[1] + 2))
-    p[:, 1:-1] = f
-    p[:, 0] = 2.0 * bc.x_bottom - f[:, 0]
-    p[:, -1] = 2.0 * bc.x_top - f[:, -1]
-    return p
-
-
-def _mirror_pad_y(f, bc: VectorBC):
-    p = np.empty((f.shape[0] + 2, f.shape[1]))
-    p[1:-1, :] = f
-    p[0, :] = 2.0 * bc.y_left - f[0, :]
-    p[-1, :] = 2.0 * bc.y_right - f[-1, :]
-    return p
-
-
 def apply_lap_mirror(v: VectorField, bc: VectorBC | None = None) -> VectorField:
     """Solver Laplacian of a vector field, interior faces (walls zero)."""
-    g = v.grid
-    if bc is None:
-        bc = VectorBC.zero(g)
-    out = VectorField.zeros(g)
-    px = _mirror_pad_x(v.x, bc)
-    out.x[1:-1, :] = (v.x[2:, :] - 2 * v.x[1:-1, :] + v.x[:-2, :]) / g.dx**2 + (
-        px[1:-1, 2:] - 2 * px[1:-1, 1:-1] + px[1:-1, :-2]
-    ) / g.dy**2
-    py = _mirror_pad_y(v.y, bc)
-    out.y[:, 1:-1] = (py[2:, 1:-1] - 2 * py[1:-1, 1:-1] + py[:-2, 1:-1]) / g.dx**2 + (
-        v.y[:, 2:] - 2 * v.y[:, 1:-1] + v.y[:, :-2]
-    ) / g.dy**2
-    return out
+    return _face_laplacian(v, VectorBC.zero(v.grid) if bc is None else bc, _mirror_ghost)
 
 
 def apply_lap_mirror_scalar(s: ScalarField) -> ScalarField:
@@ -100,10 +76,7 @@ def apply_lap_mirror_scalar(s: ScalarField) -> ScalarField:
     p[-1, 1:-1] = -v[-1, :]
     p[1:-1, 0] = -v[:, 0]
     p[1:-1, -1] = -v[:, -1]
-    lap = (p[2:, 1:-1] - 2 * v + p[:-2, 1:-1]) / g.dx**2 + (
-        p[1:-1, 2:] - 2 * v + p[1:-1, :-2]
-    ) / g.dy**2
-    return ScalarField._unchecked(g, lap)
+    return ScalarField._unchecked(g, _five_point(p, g))
 
 
 # --- implicit transport ----------------------------------------------------

@@ -61,6 +61,7 @@ from .spectral import basis_inequality_check
 __all__ = [
     "Assertion",
     "ExperimentReport",
+    "REPORT_CSV_HEADER",
     "mms_convergence",
     "continuous_dependence",
     "absorbing_experiment",
@@ -94,6 +95,10 @@ class Assertion:
     passed: bool
 
 
+# the first line of every report CSV and of a summary of reports
+REPORT_CSV_HEADER = "experiment,assertion,paper_ref,measured,tolerance,pass\n"
+
+
 @dataclass
 class ExperimentReport:
     experiment_id: str
@@ -111,13 +116,16 @@ class ExperimentReport:
     def passed(self):
         return all(a.passed for a in self.assertions)
 
+    def csv_rows(self):
+        """One CSV line per assertion, each ending in a newline: the report's
+        lines after ``REPORT_CSV_HEADER``, which a summary appends."""
+        return "".join(
+            f"{self.experiment_id},{a.assertion_id},{a.ref_tag},{a.measured!r},{a.tolerance!r},{int(a.passed)}\n"
+            for a in self.assertions
+        )
+
     def to_csv_text(self):
-        lines = ["experiment,assertion,paper_ref,measured,tolerance,pass"]
-        for a in self.assertions:
-            lines.append(
-                f"{self.experiment_id},{a.assertion_id},{a.ref_tag},{a.measured!r},{a.tolerance!r},{int(a.passed)}"
-            )
-        return "\n".join(lines) + "\n"
+        return REPORT_CSV_HEADER + self.csv_rows()
 
     def write(self, path):
         atomic_write_text(path, self.to_csv_text())

@@ -228,3 +228,35 @@ def ledger_row_oracle(t, u, b, trace, h_e, h_p, bc, strong):
         lap = apply_lap_mirror(bhat)
         row["lap_bhat_L2_sq"] = inner(lap, lap)
     return row
+
+
+def energy_budget_oracle(cfg, u_n, b_n, u1, b_hat, b1):
+    """The energy budget of one coupled step under zero boundary data:
+    (R(b_hat), R(b1), T, L, I).
+
+    R(b) = ||u1||² + ||b||² - ||u_n||² - ||b_n||² + ||u1 - u_n||² + ||b - b_n||²
+    + 2dt (||grad u1||²/Re + ||grad b||²/Rm), the energy change plus the
+    numerical and physical dissipation; b_hat is the accepted magnetic
+    iterate before cleaning and b1 the cleaned one.  The work terms are
+    T = -2dt <u1·grad u_n, u1> (the lagged velocity transport),
+    L = 2dt S <b_hat·grad b_hat, u1> (the Lorentz force) and I = 2dt <J, b_hat>,
+    where J is the induction term ``induction_halves`` of b_hat's and u1's
+    halves.  R(b_hat) = T + L + I holds to the Picard and outer tolerances;
+    R(b1) - R(b_hat) is the work of the cleaning projection, and L + I the
+    Lorentz-induction mismatch."""
+    from mhd2d.geometry import (convect, face_halves, grad_norm_sq, induction_halves, inner,
+                                magnetic_halves, wall_rows)
+
+    g, dt = u_n.grid, cfg.dt
+
+    def residual(b):
+        du, db = u1 - u_n, b - b_n
+        return (inner(u1, u1) + inner(b, b) - inner(u_n, u_n) - inner(b_n, b_n) + inner(du, du)
+                + inner(db, db) + 2 * dt * (grad_norm_sq(u1) / cfg.re + grad_norm_sq(b) / cfg.rm))
+
+    h = magnetic_halves(b_hat, wall_rows(g))
+    j = VectorField.zeros(g)
+    j.x[1:-1, :], j.y[:, 1:-1] = induction_halves(h.a, h.t, *face_halves(u1, wall_rows(g)))
+    work_t = -2 * dt * inner(convect(u1, u_n), u1)
+    work_l = 2 * dt * cfg.s * inner(convect(b_hat, b_hat), u1)
+    return residual(b_hat), residual(b1), work_t, work_l, 2 * dt * inner(j, b_hat)

@@ -212,10 +212,13 @@ def test_main_incompatible_initial_data_exit_code(tmp_path, capsys):
         MINIMAL + "\n[boundary]\nmodes = constant amp=0.1 comp=3\n",
         MINIMAL + "\n[initial]\nu = bump amp=1e308\n",  # finite, but its field overflows
         MINIMAL + "\n[initial]\nu = bump amp=1e300\n",  # a finite field whose squares overflow
+        # finite boundary data whose squares overflow
+        MINIMAL + "\n[boundary]\nmodes = constant amp=1e300 comp=1\n",
+        MINIMAL + "\n[boundary]\nmodes = stream amp=1e160 kx=1 ky=1\n",
     ],
     ids=["non-square-grid", "bad-initial-integer", "no-modes", "too-many-modes", "negative-m",
          "unknown-galerkin-m", "unknown-div-clean", "component-3", "overflowing-bump",
-         "overflowing-norm"],
+         "overflowing-norm", "overflowing-constant-trace", "overflowing-stream-trace"],
 )
 def test_main_malformed_input_is_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
@@ -233,6 +236,43 @@ def test_main_ragged_trace_csv_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + f"\n[boundary]\ncsv = {csv_path}\n")
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     assert "row 64: instant 0.0 has 63 nodes, expected 64" in capsys.readouterr().err
+
+
+def test_main_overflowing_trace_csv_is_config_error(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    rows = ["time,arclength,h1,h2"] + [f"{i * 1e-3!r},{(k + 0.5) / 16!r},1e200,0.0"
+                                       for i in range(11) for k in range(64)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg = _write(tmp_path, MINIMAL + f"\n[boundary]\ncsv = {csv_path}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: boundary: the squared samples at t = 0.0 do not sum to a finite number"
+            in capsys.readouterr().err)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_main_overflowing_ledger_row_is_solver_failure(tmp_path, capsys):
+    # b0 ~ 1e80 is finite with finite squares, but its L4 norm overflows
+    text = MINIMAL + "\n[boundary]\nmodes = stream amp=1e80 kx=1 ky=1\n\n[initial]\nb = matched\n"
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: ledger entry b_L4 is not finite (at t=0)" in err
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_main_non_finite_ledger_row_names_the_step(tmp_path, capsys, monkeypatch):
+    import mhd2d.estimates
+
+    monkeypatch.setattr(mhd2d.estimates, "hs_norm", lambda trace, t, spec: np.inf if t > 0.005 else 0.0)
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    assert "solver failure: step 6: ledger entry h_H12_Gamma is not finite (at t=0.006)" in (
+        capsys.readouterr().err)
 
 
 def test_main_missing_trace_csv_is_config_error(tmp_path, capsys):

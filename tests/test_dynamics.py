@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import b_step_oracle, random_divfree
+from conftest import b_step_oracle, energy_budget_oracle, random_divfree
 from mhd2d import dynamics, operators
 from mhd2d.dynamics import (
     Forcing,
@@ -1345,3 +1345,31 @@ def test_a_run_without_a_ledger_returns_the_same_trajectory(monkeypatch, tmp_pat
         assert np.array_equal(a.b.x, b.b.x) and np.array_equal(a.b.y, b.b.y)
     for name in ("ckpt_000002.mhdckpt", "ckpt_000004.mhdckpt"):
         assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sid, dt, nsteps, over, p_max, mismatch_max",
+    [
+        # measured: P 9.61e-4, |L + I| 2.32e-8 (largest over steps, relative to E^n)
+        ("decay", 1e-3, 50, {}, 4e-3, 1e-7),
+        # measured: P 1.14e-6, |L + I| 8.71e-7
+        ("picard-ref", 2e-3, 25, dict(re=100.0, rm=100.0), 5e-6, 3.5e-6),
+    ],
+    ids=["decay", "picard-ref"],
+)
+def test_step_energy_budget_closes_to_round_off(sid, dt, nsteps, over, p_max, mismatch_max):
+    """R(b_hat) = T + L + I on every step (measured 1.5e-13 and 9.2e-13 of E^n);
+    the cleaning work P and the Lorentz-induction mismatch L + I stay at
+    about a quarter of their bounds."""
+    scen = make_scenario(sid, nx=32, dt=dt, t_final=nsteps * dt, **over)
+    st = Stepper(scen.cfg, scen.trace)
+    state = SimState(0.0, scen.u0, scen.b0, None)
+    for _ in range(nsteps):
+        new, _ = st.coupled_step(state)
+        energy = inner(state.u, state.u) + inner(state.b, state.b)
+        r_hat, r1, work_t, work_l, work_i = energy_budget_oracle(
+            scen.cfg, state.u, state.b, new.u, st.b_iterates[2], new.b)
+        assert abs(r_hat - work_t - work_l - work_i) <= 1e-10 * energy
+        assert abs(r1 - r_hat) <= p_max * energy
+        assert abs(work_l + work_i) <= mismatch_max * energy
+        state = new

@@ -245,15 +245,9 @@ def test_term_homogeneity_degrees_match_declared():
     led2 = _ledger_from(t, **scaled)
     t1 = weak_energy_terms(led1)
     t2 = weak_energy_terms(led2)
-    for name, deg in TERM_HOMOGENEITY["weak"].items():
+    for name, deg in TERM_HOMOGENEITY.items():
         ratio = t2[name][1:-1] / t1[name][1:-1]
         assert np.allclose(ratio, alpha**deg, rtol=1e-10), name
-
-
-def test_exponent_constants_pinned():
-    from mhd2d.estimates import EXPONENTS
-
-    assert EXPONENTS == {"theta": 0.5, "q": 2.0, "q_n": 4.0}
 
 
 def test_strong_energy_on_recorded_run(calibration_store):
