@@ -5,7 +5,11 @@ Each run is a fresh interpreter that runs the checkout's own
 ``scripts/run_all_experiments.py`` into a temporary output directory, with
 that checkout's ``src/`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``,
 and reads the ``timings.json`` it writes: the ``calibrate_constants`` wall
-time and each experiment's ``runtime_s``.  Which side goes first swaps on
+time and each experiment's ``runtime_s``.  The run's peak resident set size
+(``peak_rss_mb``) is read from the rusage that ``wait4`` returns for it: the
+figure ``run_all_experiments.py`` itself writes into ``timings.json``, taken
+from outside so that a checkout whose script writes none is measured alike.
+Which side goes first swaps on
 every pair, so that a drift of the host's speed hits both sides alike.
 ``--skip`` is passed on to ``run_all_experiments.py``: ``--skip`` with every
 experiment id times the calibration alone.
@@ -13,8 +17,8 @@ experiment id times the calibration alone.
     python scripts/bench_experiments.py --parent ../parent --change . \\
         --pairs 3 --out bench_experiments.json
 
-The JSON written holds every pair's times, the medians, interquartile
-ranges and wins of the change per experiment (in the shape
+The JSON written holds every pair's times and peak RSS, the medians,
+interquartile ranges and wins of the change per metric (in the shape
 ``scripts/bench_pairs.py`` writes), the SHA-256 of each run's
 ``summary.csv``, and whether the two sides' summaries matched in every
 pair.  A run that exits non-zero (a failed experiment exits 4) prints the
@@ -36,25 +40,30 @@ from pathlib import Path
 
 from bench_pairs import STDERR_TAIL, summarize
 
+TOP_LEVEL = ("wall_s", "peak_rss_mb", "calibrate_constants_s")  # the metrics not under runtime_s
+
 
 def run_once(checkout: Path, *, label: str, skip: str):
-    """One fresh-interpreter battery in ``checkout``: (timings, wall_s, summary.csv text)."""
+    """One fresh-interpreter battery in ``checkout``:
+    (timings, wall_s, peak RSS in MiB, summary.csv text)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
-    with tempfile.TemporaryDirectory() as out:
+    cmd = [sys.executable, str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir"]
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryFile("w+") as err:
         t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, str(checkout / "scripts" / "run_all_experiments.py"), "--output-dir", out,
-             "--skip", skip],
-            cwd=checkout, env=env, capture_output=True, text=True)
+        proc = subprocess.Popen(cmd + [out, "--skip", skip], cwd=checkout, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
-            tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+            err.seek(0)
+            tail = "\n".join(err.read().splitlines()[-STDERR_TAIL:])
             print(f"{label}: run_all_experiments exited {proc.returncode} in {checkout}; "
                   f"the last lines of its stderr:\n{tail}", file=sys.stderr, flush=True)
-            proc.check_returncode()
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
         timings = json.loads(Path(out, "timings.json").read_text())
         summary = Path(out, "summary.csv").read_text()
-    return timings, wall, summary
+    return timings, wall, usage.ru_maxrss / 1024, summary  # ru_maxrss is in KiB on Linux
 
 
 def main(argv=None):
@@ -74,23 +83,25 @@ def main(argv=None):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         summaries = {}
         for side in order:
-            timings, wall, summaries[side] = run_once(sides[side], label=f"pair {k} {side}", skip=args.skip)
+            timings, wall, rss, summaries[side] = run_once(sides[side], label=f"pair {k} {side}",
+                                                           skip=args.skip)
             runs[side].append({
                 "wall_s": wall,
+                "peak_rss_mb": rss,
                 "calibrate_constants_s": timings["calibrate_constants_s"],
                 "runtime_s": timings["runtime_s"],
                 "summary_sha256": hashlib.sha256(summaries[side].encode()).hexdigest(),
             })
-            print(f"pair {k} {side}: wall_s {wall:.2f} " + " ".join(
+            print(f"pair {k} {side}: wall_s {wall:.2f} peak_rss_mb {rss:.1f} " + " ".join(
                 f"{name} {s:.2f}" for name, s in timings["runtime_s"].items()), flush=True)
         same_summary.append(summaries["parent"] == summaries["change"])
 
     def series(side, name):
-        if name in ("wall_s", "calibrate_constants_s"):
+        if name in TOP_LEVEL:
             return [r[name] for r in runs[side]]
         return [r["runtime_s"][name] for r in runs[side]]
 
-    names = ["wall_s", "calibrate_constants_s"] + list(runs["parent"][0]["runtime_s"])
+    names = list(TOP_LEVEL) + list(runs["parent"][0]["runtime_s"])
     report = {
         "command": "scripts/run_all_experiments.py in a fresh interpreter per run, "
                    "OPENBLAS_NUM_THREADS=1",

@@ -4,8 +4,9 @@
 Calibrates the inequality constants first (if no store is given), then runs
 every experiment in sequence and writes one CSV per experiment plus the
 cumulative summary.  ``timings.json`` beside ``summary.csv`` holds the
-``calibrate_constants`` wall time in seconds (null when a store was loaded)
-and each experiment's ``runtime_s``.
+``calibrate_constants`` wall time in seconds (null when a store was loaded),
+each experiment's ``runtime_s`` and the process's peak resident set size in
+MiB (``peak_rss_mb``, from ``getrusage``) when the battery ends.
 
     python scripts/run_all_experiments.py --output-dir out/ [--calibration PATH]
 
@@ -17,6 +18,7 @@ experiment assertion exits 4.
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -85,6 +87,7 @@ def main():
             print(f"    {a.assertion_id:<28} measured={a.measured:.5g} tol={a.tolerance:.5g}")
         all_ok &= rep.passed
     atomic_write_text(os.path.join(args.output_dir, "summary.csv"), summary)
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     atomic_write_text(os.path.join(args.output_dir, "timings.json"), json.dumps(timings, indent=2) + "\n")
     return 0 if all_ok else 4
 

@@ -2,10 +2,10 @@
 
 Each experiment returns an ExperimentReport whose assertions carry a
 stable reference tag, the measured value, its pinned tolerance and the
-verdict.  Manufactured solutions (with symbolically generated forcing)
-are the only ground-truth oracle for the nonlinear solver; the
-inequality experiments are necessary-condition checks with constants
-frozen by the calibrate step.
+verdict.  Manufactured solutions (with symbolically generated forcing,
+checked in as ``mms_forms``) are the only ground-truth oracle for the
+nonlinear solver; the inequality experiments are necessary-condition
+checks with constants frozen by the calibrate step.
 """
 
 from __future__ import annotations
@@ -147,52 +147,15 @@ def _timed(experiment):
 # --- manufactured solutions ----------------------------------------------------
 
 def _mms_case(kind: str):
-    """Symbolic manufactured state and the matching body forces at Re = Rm = S = 1."""
-    import sympy as sp
+    """Manufactured state and the matching body forces at Re = Rm = S = 1, as a new dict
+    of ``mms_forms``' numpy forms (``scripts/gen_mms_forms.py`` derives them)."""
+    from . import mms_forms
 
-    x, y, t = sp.symbols("x y t")
-    if kind == "steady":
-        psi_u = sp.Rational(2, 5) * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-        u1 = sp.diff(psi_u, y)
-        u2 = -sp.diff(psi_u, x)
-        psi_b = sp.Rational(1, 4) * sp.sin(sp.pi * x) ** 2 * sp.sin(2 * sp.pi * y) ** 2
-        b1 = sp.diff(psi_b, y) + sp.Rational(3, 10)
-        b2 = -sp.diff(psi_b, x) + sp.Rational(1, 5)
-        p = sp.Rational(3, 10) * sp.cos(sp.pi * x) * sp.cos(sp.pi * y)
-    elif kind in ("unsteady", "magnetic"):
-        env = sp.cos(4 * sp.pi * t)
-        psi_u = sp.Rational(2, 5) * env * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-        u1 = sp.diff(psi_u, y)
-        u2 = -sp.diff(psi_u, x)
-        b1 = sp.Integer(0)
-        b2 = sp.Integer(0)
-        if kind == "magnetic":  # the steady case's b, its zero-trace part scaled by env
-            psi_b = sp.Rational(1, 4) * env * sp.sin(sp.pi * x) ** 2 * sp.sin(2 * sp.pi * y) ** 2
-            b1 = sp.diff(psi_b, y) + sp.Rational(3, 10)
-            b2 = -sp.diff(psi_b, x) + sp.Rational(1, 5)
-        p = sp.Rational(3, 10) * env * sp.cos(sp.pi * x) * sp.cos(sp.pi * y)
-    else:
+    if kind not in mms_forms.TIME_FREE:
         raise ValueError(f"unknown manufactured case {kind!r}")
-
-    def material(a1, a2, f):
-        return a1 * sp.diff(f, x) + a2 * sp.diff(f, y)
-
-    lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-    fu1 = sp.diff(u1, t) - lap(u1) + material(u1, u2, u1) - material(b1, b2, b1) + sp.diff(p, x)
-    fu2 = sp.diff(u2, t) - lap(u2) + material(u1, u2, u2) - material(b1, b2, b2) + sp.diff(p, y)
-    fb1 = sp.diff(b1, t) - lap(b1) + material(u1, u2, b1) - material(b1, b2, u1)
-    fb2 = sp.diff(b2, t) - lap(b2) + material(u1, u2, b2) - material(b1, b2, u2)
-    mods = ["numpy"]
-    fn = lambda e: sp.lambdify((x, y, t), e, mods)
-    time_free = lambda *es: t not in set().union(*(e.free_symbols for e in es))
-    return {
-        "u": (fn(u1), fn(u2)),
-        "b": (fn(b1), fn(b2)),
-        "fu": (fn(fu1), fn(fu2)),
-        "fb": (fn(fb1), fn(fb2)),
-        "time_free": {"fu": time_free(fu1, fu2), "fb": time_free(fb1, fb2)},
-        "kind": kind,
-    }
+    case = {field: (getattr(mms_forms, f"{kind}_{field}1"), getattr(mms_forms, f"{kind}_{field}2"))
+            for field in ("u", "b", "fu", "fb")}
+    return {**case, "time_free": dict(mms_forms.TIME_FREE[kind]), "kind": kind}
 
 
 def _sample_vec(grid, fpair, t):

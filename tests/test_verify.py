@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import mhd2d
 from mhd2d import verify
 from mhd2d.dynamics import run
 from mhd2d.estimates import CalibrationStore
@@ -20,6 +25,10 @@ from mhd2d.verify import (
     identity_suite,
     picard_contraction_study,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import gen_mms_forms  # noqa: E402
 
 
 def test_report_plumbing(tmp_path):
@@ -76,6 +85,33 @@ def test_mms_forcing_consistency():
     e16 = _mms_error(case, 16, 1e-3, 0.05)
     e32 = _mms_error(case, 32, 1e-3, 0.05)
     assert e16 / e32 > 3.0
+
+
+def test_mms_forms_are_the_generated_derivation():
+    module = Path(mhd2d.__file__).with_name("mms_forms.py")
+    assert gen_mms_forms.render() == module.read_text(), (
+        "src/mhd2d/mms_forms.py is not what scripts/gen_mms_forms.py derives; "
+        "rewrite it with `python scripts/gen_mms_forms.py`")
+
+
+_NO_SYMPY_PROBE = """
+import sys
+sys.modules["sympy"] = None  # an import of sympy raises ImportError
+from mhd2d.verify import _mms_case, _mms_error, tail_compactness
+cases = [_mms_case(kind) for kind in ("steady", "unsteady", "magnetic")]
+_mms_error(cases[0], 8, 1e-3, 0.01)
+tail_compactness(nx=16, n_list=(1, 2), t_final=0.02)
+assert sys.modules.pop("sympy") is None
+assert "sympy" not in sys.modules and not [m for m in sys.modules if m.startswith("sympy.")]
+"""
+
+
+def test_no_run_time_path_imports_sympy():
+    """The manufactured cases, an MMS run and tail compactness run without sympy."""
+    src = str(Path(mhd2d.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _NO_SYMPY_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
 
 
 def _counting_case(kind):
