@@ -3,8 +3,12 @@
 
 For each run config (``--config``, repeatable; by default
 ``configs/oscillating.cfg``, then ``configs/fast_flow.cfg``, the one
-checked-in config whose steps fall back to the factored transport pair, and
-``configs/from_rest.cfg``, the one whose first step advects with u = 0), a
+checked-in config whose steps fall back to the factored transport pair,
+``configs/from_rest.cfg``, the one whose first step advects with u = 0, and
+``configs/decay.cfg``, the one with zero boundary data at every instant: the
+only case where a signed zero of the wall-data term could reach the
+outputs, since the other three have nonzero data after their first
+instant), a
 fresh interpreter in each checkout, with that checkout's ``src/`` on
 ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, runs
 
@@ -22,7 +26,7 @@ their defaults, about a minute), and its ``calibration.txt``,
 ``timings.json`` holds wall times and is skipped.
 
     python scripts/compare_outputs.py --parent ../parent --change .
-    python scripts/compare_outputs.py --parent ../parent --change . --config configs/decay.cfg
+    python scripts/compare_outputs.py --parent ../parent --change . --config configs/oscillating.cfg
 
 Every file of every leg is compared, also after a mismatch.  For a file
 that differs, the offset of its first differing byte is printed; for a
@@ -59,7 +63,8 @@ import numpy as np
 from bench_pairs import STDERR_TAIL
 
 # with no --config
-CONFIGS = ("configs/oscillating.cfg", "configs/fast_flow.cfg", "configs/from_rest.cfg")
+CONFIGS = ("configs/oscillating.cfg", "configs/fast_flow.cfg", "configs/from_rest.cfg",
+           "configs/decay.cfg")
 FILES = ("ledger.csv", "final.mhdckpt")
 EXPERIMENT_FILES = ("calibration.txt", "summary.csv")  # and every report_*.csv
 RESTART_EXTRA_T = 0.25  # how much further the restarted run goes

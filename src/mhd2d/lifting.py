@@ -472,8 +472,11 @@ def harmonic_extend(trace: BoundaryTrace, t) -> VectorField:
 
 
 def harmonic_extend_bc(grid: Grid, bc: VectorBC) -> VectorField:
-    zero = VectorField.zeros(grid)
-    return dirichlet_heat(grid, 0.0, 1.0).solve(zero.x, zero.y, bc)
+    """The discrete harmonic field with the Dirichlet data ``bc``: the solve
+    of -Lap h = 0 with those wall values, on the harmonic key (0, 1) of
+    ``dirichlet_heat``, whose zero right-hand side is not formed."""
+    heat = dirichlet_heat(grid, 0.0, 1.0)
+    return VectorField._unchecked(grid, *heat.solve_interior(None, None, heat.boundary(bc)))
 
 
 @dataclass

@@ -284,30 +284,78 @@ def _vdot(a, b):
     return a.ravel().dot(b.ravel())
 
 
-def _separable_solve(qa, qb, inv_lam, r):
-    """qa (inv_lam * (qa^T r qb)) qb^T: a solve in the orthonormal eigenbases qa and qb."""
-    return qa @ ((qa.T @ r @ qb) * inv_lam) @ qb.T
+def _separable_solve(qa, qb, inv_lam, r, out=None):
+    """qa (inv_lam * (qa^T r qb)) qb^T: a solve in the orthonormal eigenbases
+    qa and qb, written into ``out`` if given."""
+    return np.matmul(qa @ ((qa.T @ r @ qb) * inv_lam), qb.T, out=out)
+
+
+class _WallStencil:
+    """The index tables of ``_wall_laplacian`` on one grid.
+
+    The flat input holds, slot by slot (``slots``), the normal data of both
+    components (x_left, x_right, y_bottom, y_top) and then their tangential
+    data less the corners (x_bottom, x_top, y_left, y_right); each entry has
+    its factor (1, or 2 for a mirror term) and its h**2.  The output holds
+    the x and then the y interior faces.  Each half of the input
+    (``normal``, ``tangential``) is added through its index table into the
+    zeroed output; no face repeats within a half, since nx, ny >= 4.
+    """
+
+    def __init__(self, g: Grid):
+        dx2, dy2 = g.dx**2, g.dy**2
+        ix = np.arange((g.nx - 1) * g.ny).reshape(g.nx - 1, g.ny)
+        iy = ix.size + np.arange(g.nx * (g.ny - 1)).reshape(g.nx, g.ny - 1)
+        # (output faces, factor, h**2) of each slot of the input
+        slots = (
+            (ix[0, :], 1.0, dx2), (ix[-1, :], 1.0, dx2),
+            (iy[:, 0], 1.0, dy2), (iy[:, -1], 1.0, dy2),
+            (ix[:, 0], 2.0, dy2), (ix[:, -1], 2.0, dy2),
+            (iy[0, :], 2.0, dx2), (iy[-1, :], 2.0, dx2),
+        )
+        ends = np.cumsum([len(t) for t, _, _ in slots]).tolist()
+        self.slots = tuple(slice(e - len(t), e) for e, (t, _, _) in zip(ends, slots))
+        self.normal, self.tangential = slice(ends[3]), slice(ends[3], ends[-1])
+        self.factor = np.concatenate([np.full(len(t), f) for t, f, _ in slots])
+        self.h2 = np.concatenate([np.full(len(t), h2) for t, _, h2 in slots])
+        self.to_normal = np.concatenate([t for t, _, _ in slots[:4]])
+        self.to_tangential = np.concatenate([t for t, _, _ in slots[4:]])
+        self.x, self.y = slice(ix.size), slice(ix.size, ix.size + iy.size)
+        self.shapes = ix.shape, iy.shape
+
+
+# The memoized ``_WallStencil``, keyed by the grid as ``dirichlet_heat`` is.
+_wall_stencil = lru_cache(maxsize=8)(_WallStencil)
 
 
 def _wall_laplacian(g: Grid, bc: VectorBC):
     """Lap of the Dirichlet data ``bc`` on the x and y interior faces: the
     Laplacian of the field that holds bc on the walls and is zero inside,
-    which is nonzero only next to the walls."""
-    # the data term of the normal direction, then the mirror term of the
-    # tangential one, each added to zero, so every entry has
-    # apply_lap_mirror's bits
-    dx2, dy2 = g.dx**2, g.dy**2
-    lx = np.zeros((g.nx - 1, g.ny))
-    lx[0, :] += bc.x_left / dx2
-    lx[-1, :] += bc.x_right / dx2
-    lx[:, 0] += 2.0 * bc.x_bottom[1:-1] / dy2
-    lx[:, -1] += 2.0 * bc.x_top[1:-1] / dy2
-    ly = np.zeros((g.nx, g.ny - 1))
-    ly[:, 0] += bc.y_bottom / dy2
-    ly[:, -1] += bc.y_top / dy2
-    ly[0, :] += 2.0 * bc.y_left[1:-1] / dx2
-    ly[-1, :] += 2.0 * bc.y_right[1:-1] / dx2
-    return lx, ly
+    which is nonzero only next to the walls.
+
+    Each entry is 0.0 + data/h**2 of the normal direction, then + (2*data)/h**2
+    of the tangential one's mirror term, as ``apply_lap_mirror`` adds them, so
+    it has that stencil's bits.  The terms are added to zero, not assigned,
+    so no entry is -0.0.  One gather of the wall arrays into a flat input and
+    one scatter of each half of it (``_WallStencil``) build both components."""
+    st = _wall_stencil(g)
+    s = st.slots
+    src = np.empty(st.factor.size)
+    src[s[0]] = bc.x_left
+    src[s[1]] = bc.x_right
+    src[s[2]] = bc.y_bottom
+    src[s[3]] = bc.y_top
+    src[s[4]] = bc.x_bottom[1:-1]
+    src[s[5]] = bc.x_top[1:-1]
+    src[s[6]] = bc.y_left[1:-1]
+    src[s[7]] = bc.y_right[1:-1]
+    src *= st.factor
+    src /= st.h2
+    out = np.zeros(st.y.stop)
+    out[st.to_normal] += src[st.normal]
+    out[st.to_tangential] += src[st.tangential]
+    sx, sy = st.shapes
+    return out[st.x].reshape(sx), out[st.y].reshape(sy)
 
 
 class DirichletHeat:
@@ -322,8 +370,11 @@ class DirichletHeat:
     agrees with that operator's solve to round-off.  ``boundary`` prepares
     that term once per boundary instant, from a Laplacian of the data that
     every key at that instant shares, and ``solve_interior`` makes the two
-    separable solves and writes the data into the wall faces; ``solve`` is
-    the two together.  ``lift_energies`` gives the two norms of b less the
+    separable solves, each back-transform written into the output's
+    interior, and writes the data into the wall faces; ``solve`` is the two
+    together.  ``solve_interior(None, None, boundary)`` solves for a zero
+    right-hand side without forming it, as ``lifting.harmonic_extend_bc``
+    does on the key (0, 1).  ``lift_energies`` gives the two norms of b less the
     solution for zero right-hand side, in the same sines, without forming
     that solution.  As the magnetic step's operator it advects nothing (``u_ref``
     None), so ``dynamics.Stepper.b_step`` lags all the transport.
@@ -332,8 +383,10 @@ class DirichletHeat:
     u_ref = None
     # [bc, _wall_laplacian(grid, bc)] of the latest boundary instant, one for
     # every key: the magnetic step's data term and the ledger row's after it
-    # share one build, and the next instant replaces it.  The list is changed
-    # in place: rebinding a class attribute voids the interpreter's attribute
+    # share one build, and the next instant replaces it.  A key with
+    # kappa = 1 (the harmonic lift, the ledger row) is handed these arrays
+    # themselves, which every caller only reads.  The list is changed in
+    # place: rebinding a class attribute voids the interpreter's attribute
     # caches for the class, which cost about 1 us per harmonic lift at 32^2
     _wall_lap = [None, None]
 
@@ -361,20 +414,30 @@ class DirichletHeat:
         build.  Only the latest instant's is held."""
         memo = DirichletHeat._wall_lap
         if memo[0] is not bc:
+            # drop the previous build first, so that the new one can reuse its
+            # memory: built while the old one is held, each build leaves a
+            # hole among the lifts a caller keeps (lifting_estimate_check at
+            # 32^2 peaked 14 MiB higher over 3001 instants)
+            memo[:] = None, None
             memo[:] = bc, _wall_laplacian(self.grid, bc)
         lx, ly = memo[1]
-        return self.kappa * lx, self.kappa * ly, bc
+        k = self.kappa
+        if k == 1.0:  # 1.0*lx is lx bit for bit; every caller only reads them
+            return lx, ly, bc
+        return k * lx, k * ly, bc
 
-    def solve_interior(self, rx: np.ndarray, ry: np.ndarray, boundary):
+    def solve_interior(self, rx: np.ndarray | None, ry: np.ndarray | None, boundary):
         """The x and y face arrays that solve for the right-hand side (rx, ry)
         on the interior faces, shapes (nx-1, ny) and (nx, ny-1), with the
-        data of ``boundary``."""
+        data of ``boundary``.  ``rx = ry = None`` is a zero right-hand side,
+        not formed: at kappa = 1 the data term is ``_wall_laplacian``'s,
+        which holds no -0.0, so 0.0 + it is itself."""
         lx, ly, bc = boundary
         out_x, out_y = np.empty(self.grid.shape_xface()), np.empty(self.grid.shape_yface())
         out_x[0, :], out_x[-1, :] = bc.x_left, bc.x_right
         out_y[:, 0], out_y[:, -1] = bc.y_bottom, bc.y_top
-        out_x[1:-1, :] = _separable_solve(*self._x, rx + lx)
-        out_y[:, 1:-1] = _separable_solve(*self._y, ry + ly)
+        _separable_solve(*self._x, lx if rx is None else rx + lx, out=out_x[1:-1, :])
+        _separable_solve(*self._y, ly if ry is None else ry + ly, out=out_y[:, 1:-1])
         return out_x, out_y
 
     def solve(self, fx: np.ndarray, fy: np.ndarray, bc: VectorBC) -> VectorField:

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +288,38 @@ def test_harmonic_extend_linearity(rng):
     combo = harmonic_extend(t3, 0.0)
     split = a * harmonic_extend(t1, 0.0) + b * harmonic_extend(t2, 0.0)
     assert np.sqrt(l2_norm_sq(combo - split)) < 1e-10
+
+
+def test_a_trace_instant_runs_no_python_code_of_numpy():
+    # one instant of the absorbing-set trace work (its two fractional norms
+    # and the norm of its harmonic lift) reaches numpy's kernels through
+    # ufuncs, ndarray methods and indexing only, without the Python-level
+    # dispatch of np.concatenate, np.vdot or np.reshape
+    g = Grid(16, 16)
+    times = np.arange(4) * 0.01
+    trace = synthesize_trace(g, times, [TraceMode("stream", amplitude=0.02, envelope="cos")])
+    spec_h, spec_dt = FractionalNormSpec(0.5), FractionalNormSpec(-0.5)
+
+    def instant(t):
+        return (hs_norm(trace, t, spec_h), hs_norm_dt(trace, t, spec_dt),
+                l2_norm_sq(harmonic_extend(trace, t)))
+
+    instant(times[1])  # builds the norm series and the memoized solver and tables
+    home = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_filename.startswith(home)
+                and not frame.f_back.f_code.co_filename.startswith(home)):
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        norms = instant(times[2])
+    finally:
+        sys.setprofile(None)
+    assert all(n > 0.0 for n in norms)
+    assert [c.co_name for c in entered] == []
 
 
 def test_lifting_estimate_zero_trace():

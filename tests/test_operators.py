@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from mhd2d.geometry import (
     inner,
     l2_norm_sq,
 )
+from mhd2d.lifting import harmonic_extend_bc
 from mhd2d.operators import (
     DirichletHeat,
     NeumannPoisson,
@@ -297,6 +299,79 @@ def test_lift_energies_match_the_whole_lifted_field(rng, shape, inv_dt, kappa, o
     got = heat.lift_energies(b, bc)
     want = (l2_norm_sq(lifted), grad_norm_sq(lifted))
     assert all(abs(x - w) <= 1e-13 * w for x, w in zip(got, want)), (got, want)
+
+
+def _wall_laplacian_slices(g, bc):
+    """The Laplacian of the wall data built slice by slice, one wall row at a
+    time: each data term added to zero, then each mirror term."""
+    dx2, dy2 = g.dx**2, g.dy**2
+    lx = np.zeros((g.nx - 1, g.ny))
+    lx[0, :] += bc.x_left / dx2
+    lx[-1, :] += bc.x_right / dx2
+    lx[:, 0] += 2.0 * bc.x_bottom[1:-1] / dy2
+    lx[:, -1] += 2.0 * bc.x_top[1:-1] / dy2
+    ly = np.zeros((g.nx, g.ny - 1))
+    ly[:, 0] += bc.y_bottom / dy2
+    ly[:, -1] += bc.y_top / dy2
+    ly[0, :] += 2.0 * bc.y_left[1:-1] / dx2
+    ly[-1, :] += 2.0 * bc.y_right[1:-1] / dx2
+    return lx, ly
+
+
+def _signed_zero_bc(g, rng):
+    """Random wall data of which about a quarter is 0.0 and a quarter -0.0."""
+    bc = _random_bc(g, rng)
+    for v in vars(bc).values():
+        v[rng.random(len(v)) < 0.25] = 0.0
+        v[rng.random(len(v)) < 0.25] = -0.0
+    assert any((np.signbit(v) & (v == 0.0)).any() for v in vars(bc).values())
+    return bc
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 12), (64, 64)], ids=["8x8", "16x12", "64x64"])
+def test_wall_laplacian_is_the_slice_by_slice_build_byte_for_byte(rng, shape):
+    # bytes, not np.array_equal, which takes -0.0 for 0.0: a build that
+    # assigned the data terms instead of adding them to zero would keep the
+    # data's -0.0 where 0.0 + (-0.0) is 0.0
+    g = Grid(*shape)
+    for _ in range(3):
+        bc = _signed_zero_bc(g, rng)
+        got, want = operators._wall_laplacian(g, bc), _wall_laplacian_slices(g, bc)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 12), (64, 64)], ids=["8x8", "16x12", "64x64"])
+def test_harmonic_lift_is_the_solve_with_zero_right_hand_side_byte_for_byte(rng, shape):
+    # harmonic_extend_bc does not form its zero right-hand side; the data
+    # term holds no -0.0, so 0.0 + it is itself
+    g = Grid(*shape)
+    zero = VectorField.zeros(g)
+    for _ in range(3):
+        bc = _signed_zero_bc(g, rng)
+        got = harmonic_extend_bc(g, bc)
+        want = operators.dirichlet_heat(g, 0.0, 1.0).solve(zero.x, zero.y, bc)
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+def test_the_previous_wall_laplacian_is_released_before_the_next_build(rng, monkeypatch):
+    # a build made while the previous instant's is still held leaves a hole
+    # among the lifts a caller keeps (lifting_estimate_check keeps them all),
+    # so no earlier build is alive when the next one starts
+    g = Grid(16, 16)
+    heat = operators.dirichlet_heat(g, 0.0, 1.0)
+    build, held, alive = operators._wall_laplacian, [], []
+
+    def tracked(*a):
+        alive.append(sum(ref() is not None for ref in held))
+        lap = build(*a)
+        held.extend(weakref.ref(arr) for arr in lap)
+        return lap
+
+    monkeypatch.setattr(operators, "_wall_laplacian", tracked)
+    for _ in range(3):
+        heat.boundary(_random_bc(g, rng))
+    assert alive == [0, 0, 0]
 
 
 def test_neumann_projection_kills_divergence(rng):
